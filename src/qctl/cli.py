@@ -3,7 +3,8 @@
     qctl <density|trajectories|arrival|observables|wigner> --config cfg.json
          [--epsilon 0.5] [--out results]
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-guard trip.
+Exit codes: 0 success, 2 configuration error, 3 numerical-guard trip,
+4 I/O error while running (e.g. an output directory that cannot be created).
 """
 
 from __future__ import annotations
@@ -48,10 +49,14 @@ def main(argv=None) -> int:
             if not 0.0 < args.epsilon <= 1.0:
                 raise ConfigError("--epsilon", f"must be in (0, 1], got {args.epsilon}")
             config = replace(config, epsilons=(args.epsilon,))
-        manifest = run_experiment(config, out_dir=args.out)
-    except OSError as exc:
+    except (OSError, ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    try:
+        manifest = run_experiment(config, out_dir=args.out)
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return 4
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .ensembles import EnsembleSpec
 from .errors import ConfigError, DomainError
+from .hydrodynamics import step_count
 from .packets import GaussianPacket
 from .regime import Regime, make_regime
 
@@ -116,26 +117,33 @@ def _require_keys(obj: dict, allowed: set[str], path: str) -> None:
             raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
 
 
-def _number(obj: dict, key: str, path: str, default=None) -> float:
+def _section(doc: dict, name: str, allowed: set[str]) -> dict:
+    """The object ``doc[name]`` (empty if absent), checked for unknown keys."""
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(name, "must be an object")
+    _require_keys(section, allowed, name)
+    return section
+
+
+def _typed(obj: dict, key: str, path: str, default, types, noun: str):
+    name = f"{path}.{key}" if path else key
     if key not in obj:
         if default is None:
-            raise ConfigError(f"{path}.{key}" if path else key, "missing required value")
+            raise ConfigError(name, "missing required value")
         return default
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}" if path else key, f"expected a number, got {value!r}")
-    return float(value)
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(name, f"expected {noun}, got {value!r}")
+    return value
+
+
+def _number(obj: dict, key: str, path: str, default=None) -> float:
+    return float(_typed(obj, key, path, default, (int, float), "a number"))
 
 
 def _integer(obj: dict, key: str, path: str, default=None) -> int:
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"{path}.{key}" if path else key, "missing required value")
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key}" if path else key, f"expected an integer, got {value!r}")
-    return value
+    return _typed(obj, key, path, default, int, "an integer")
 
 
 def _gaussian_tail_mass(x_min: float, x0: float, sigma0: float) -> float:
@@ -211,10 +219,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if "packets" not in doc:
         raise ConfigError("packets", "missing required section")
-    packets = doc["packets"]
-    if not isinstance(packets, dict):
-        raise ConfigError("packets", "must be an object")
-    _require_keys(packets, {"sigma0", "a", "b"}, "packets")
+    packets = _section(doc, "packets", {"sigma0", "a", "b"})
     sigma0 = _number(packets, "sigma0", "packets", default=1.0)
     for name in ("a", "b"):
         if name not in packets or not isinstance(packets[name], dict):
@@ -222,10 +227,7 @@ def parse_config(text: str) -> ExperimentConfig:
     packet_a = _parse_packet(packets["a"], "packets.a", sigma0, mass)
     packet_b = _parse_packet(packets["b"], "packets.b", sigma0, mass)
 
-    grid_doc = doc.get("grid", {})
-    if not isinstance(grid_doc, dict):
-        raise ConfigError("grid", "must be an object")
-    _require_keys(grid_doc, {"x_min", "n_points"}, "grid")
+    grid_doc = _section(doc, "grid", {"x_min", "n_points"})
     grid = SpatialGrid(
         x_min=_number(grid_doc, "x_min", "grid", default=-60.0),
         n_points=_integer(grid_doc, "n_points", "grid", default=2048),
@@ -243,10 +245,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"(limit {_TAIL_MASS_LIMIT:.0e})",
             )
 
-    time_doc = doc.get("time", {})
-    if not isinstance(time_doc, dict):
-        raise ConfigError("time", "must be an object")
-    _require_keys(time_doc, {"t_max", "n_times"}, "time")
+    time_doc = _section(doc, "time", {"t_max", "n_times"})
     time_grid = TimeGrid(
         t_max=_number(time_doc, "t_max", "time", default=20.0),
         n_times=_integer(time_doc, "n_times", "time", default=41),
@@ -260,13 +259,10 @@ def parse_config(text: str) -> ExperimentConfig:
     if not detector_x < 0.0:
         raise ConfigError("detector_x", f"must be negative, got {detector_x}")
 
-    traj_doc = doc.get("trajectories", {})
-    if not isinstance(traj_doc, dict):
-        raise ConfigError("trajectories", "must be an object")
-    _require_keys(
-        traj_doc,
-        {"t_end", "dt", "seeding", "n_seeds", "x_lo", "x_hi", "seeds", "record_every"},
+    traj_doc = _section(
+        doc,
         "trajectories",
+        {"t_end", "dt", "seeding", "n_seeds", "x_lo", "x_hi", "seeds", "record_every"},
     )
     seeds_raw = traj_doc.get("seeds")
     seeds: tuple[float, ...] | None = None
@@ -300,6 +296,10 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("trajectories.dt", "must be positive")
     if not trajectories.t_end > 0.0:
         raise ConfigError("trajectories.t_end", "must be positive")
+    try:
+        step_count(trajectories.t_end, trajectories.dt)
+    except DomainError as exc:
+        raise ConfigError("trajectories.t_end", str(exc)) from exc
     if trajectories.n_seeds < 1:
         raise ConfigError("trajectories.n_seeds", "must be at least 1")
     if not trajectories.x_lo < trajectories.x_hi < 0.0:
@@ -307,10 +307,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if trajectories.record_every < 1:
         raise ConfigError("trajectories.record_every", "must be at least 1")
 
-    arrival_doc = doc.get("arrival", {})
-    if not isinstance(arrival_doc, dict):
-        raise ConfigError("arrival", "must be an object")
-    _require_keys(arrival_doc, {"t_max", "n_points"}, "arrival")
+    arrival_doc = _section(doc, "arrival", {"t_max", "n_points"})
     arrival = ArrivalSettings(
         t_max=_number(arrival_doc, "t_max", "arrival", default=40.0),
         n_points=_integer(arrival_doc, "n_points", "arrival", default=4001),
@@ -320,11 +317,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if arrival.n_points < 3:
         raise ConfigError("arrival.n_points", "must be at least 3")
 
-    wigner_doc = doc.get("wigner", {})
-    if not isinstance(wigner_doc, dict):
-        raise ConfigError("wigner", "must be an object")
-    _require_keys(
-        wigner_doc, {"times", "x_min", "n_x", "u_max", "n_u", "rel_span", "n_rel"}, "wigner"
+    wigner_doc = _section(
+        doc, "wigner", {"times", "x_min", "n_x", "u_max", "n_u", "rel_span", "n_rel"}
     )
     times_raw = wigner_doc.get("times", [0.0, 7.0])
     if not isinstance(times_raw, list) or not times_raw:
@@ -348,8 +342,10 @@ def parse_config(text: str) -> ExperimentConfig:
     )
     if not wigner.x_min < 0.0:
         raise ConfigError("wigner.x_min", "must be negative")
-    if wigner.n_x < 9 or wigner.n_u < 9:
-        raise ConfigError("wigner.n_x", "wigner grids need at least 9 points")
+    if wigner.n_x < 9:
+        raise ConfigError("wigner.n_x", "must be at least 9")
+    if wigner.n_u < 9:
+        raise ConfigError("wigner.n_u", "must be at least 9")
     if not wigner.u_max > 0.0:
         raise ConfigError("wigner.u_max", "must be positive")
     if not wigner.rel_span > 0.0:
@@ -373,6 +369,13 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """Plain-JSON representation; round-trips through :func:`parse_config`."""
+
+    def packet(p: GaussianPacket) -> dict:
+        return {"x0": p.x0, "p0": p.p0, "sigma0": p.sigma0}
+
+    trajectories = asdict(config.trajectories)
+    seeds = config.trajectories.seeds
+    trajectories["seeds"] = list(seeds) if seeds else None
     return {
         "run": config.run_kind,
         "out_dir": config.out_dir,
@@ -381,40 +384,15 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "mass": config.packet_a.mass,
         "packets": {
             "sigma0": config.packet_a.sigma0,
-            "a": {
-                "x0": config.packet_a.x0,
-                "p0": config.packet_a.p0,
-                "sigma0": config.packet_a.sigma0,
-            },
-            "b": {
-                "x0": config.packet_b.x0,
-                "p0": config.packet_b.p0,
-                "sigma0": config.packet_b.sigma0,
-            },
+            "a": packet(config.packet_a),
+            "b": packet(config.packet_b),
         },
         "grid": {"x_min": config.grid.x_min, "n_points": config.grid.n_points},
-        "time": {"t_max": config.time.t_max, "n_times": config.time.n_times},
+        "time": asdict(config.time),
         "detector_x": config.detector_x,
-        "trajectories": {
-            "t_end": config.trajectories.t_end,
-            "dt": config.trajectories.dt,
-            "seeding": config.trajectories.seeding,
-            "n_seeds": config.trajectories.n_seeds,
-            "x_lo": config.trajectories.x_lo,
-            "x_hi": config.trajectories.x_hi,
-            "seeds": list(config.trajectories.seeds) if config.trajectories.seeds else None,
-            "record_every": config.trajectories.record_every,
-        },
-        "arrival": {"t_max": config.arrival.t_max, "n_points": config.arrival.n_points},
-        "wigner": {
-            "times": list(config.wigner.times),
-            "x_min": config.wigner.x_min,
-            "n_x": config.wigner.n_x,
-            "u_max": config.wigner.u_max,
-            "n_u": config.wigner.n_u,
-            "rel_span": config.wigner.rel_span,
-            "n_rel": config.wigner.n_rel,
-        },
+        "trajectories": trajectories,
+        "arrival": asdict(config.arrival),
+        "wigner": {**asdict(config.wigner), "times": list(config.wigner.times)},
     }
 
 

@@ -1,11 +1,14 @@
-"""Two-packet ensembles on the half-line: superposition and statistical mixture.
+"""Two-packet ensembles on the half-line as lists of pure components.
 
-The pure state is ``N (psi_a + psi_b) / sqrt(2)`` and the mixture is the
-equal-weight sum of the component projectors; both are built from hard-wall
-packet amplitudes, so density-matrix elements vanish whenever either argument
-is at or beyond the wall.  Normalization constants are fixed once from the
-t = 0 trace by quadrature and reused at all times; any residual trace drift is
-a diagnostic, never silently renormalized away.
+The superposition is the single component ``psi_a + psi_b`` and the mixture
+the two components ``psi_a`` and ``psi_b``, each with weight 1/2, so
+``rho(x, y) = sum_c (1/2) psi_c(x) conj(psi_c(y)) / D`` and every observable
+is the same sum over components.  :func:`component_fields` is the one state
+evaluator.  Components are built from hard-wall packet amplitudes, so
+density-matrix elements vanish whenever either argument is at or beyond the
+wall.  The normalization ``D`` is fixed once from the t = 0 trace by
+quadrature and reused at all times; any residual trace drift is a diagnostic,
+never silently renormalized away.
 
 ``wall=False`` switches the components to free-space amplitudes.  That variant
 exists for oracle checks (free-packet velocity fields, rigid Wigner transport)
@@ -14,26 +17,20 @@ where the wall must be absent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, NumericalGuardError
-from .packets import (
-    GaussianPacket,
-    free_amplitude,
-    free_amplitude_gradient,
-    wall_amplitude,
-    wall_amplitude_gradient,
-)
-from .quadrature import as_grid, quad_integrate, quadrature_weights
+from .packets import GaussianPacket, packet_fields
+from .quadrature import quad_integrate, quadrature_weights
 from .regime import Regime
 
 __all__ = [
     "EnsembleSpec",
-    "component_amplitudes",
-    "component_gradients",
+    "component_fields",
     "norm_constant",
     "pure_density",
     "mixed_density",
@@ -44,6 +41,9 @@ __all__ = [
 ]
 
 _KINDS = ("pure", "mixed")
+
+# Statistical weight of every pure component, in both ensemble kinds.
+COMPONENT_WEIGHT = 0.5
 
 # Imaginary residue limit for diagonal density elements: hermiticity makes the
 # diagonal exactly real, so anything above this is an implementation bug.
@@ -57,7 +57,6 @@ class EnsembleSpec:
     kind: str
     packet_a: GaussianPacket
     packet_b: GaussianPacket
-    weights: tuple[float, float] = (0.5, 0.5)
     wall: bool = True
 
     def __post_init__(self):
@@ -65,8 +64,6 @@ class EnsembleSpec:
             raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if self.packet_a.mass != self.packet_b.mass:
             raise DomainError("both packets must share the same mass")
-        if self.weights != (0.5, 0.5):
-            raise DomainError("only equal weights (0.5, 0.5) are supported")
 
     @property
     def packets(self) -> tuple[GaussianPacket, GaussianPacket]:
@@ -76,20 +73,39 @@ class EnsembleSpec:
     def mass(self) -> float:
         return self.packet_a.mass
 
+    @property
+    def component_starts(self) -> tuple[int, ...]:
+        """The pure components, as the index in :attr:`packets` each begins at.
+
+        A component is the sum of its run of packets: the superposition has
+        the single component a + b, the mixture the components a and b.
+        """
+        return (0,) if self.kind == "pure" else (0, 1)
+
     def as_kind(self, kind: str) -> "EnsembleSpec":
-        return self if kind == self.kind else replace(self, kind=kind)
+        return replace(self, kind=kind)
 
 
-def component_amplitudes(spec: EnsembleSpec, regime: Regime, x, t):
-    """Component amplitudes (psi_a, psi_b), wall-truncated unless wall=False."""
-    amp = wall_amplitude if spec.wall else free_amplitude
-    return amp(spec.packet_a, regime, x, t), amp(spec.packet_b, regime, x, t)
+def _raw_components(spec: EnsembleSpec, regime: Regime, x, t, gradient: bool):
+    """Unnormalized component amplitudes (and gradients), component axis first."""
+    psi, grad = packet_fields(spec.packets, regime, x, t, wall=spec.wall, gradient=gradient)
+    psi = np.add.reduceat(psi, spec.component_starts, axis=0)
+    if gradient:
+        grad = np.add.reduceat(grad, spec.component_starts, axis=0)
+    return psi, grad
 
 
-def component_gradients(spec: EnsembleSpec, regime: Regime, x, t):
-    """Spatial gradients of the component amplitudes."""
-    grad = wall_amplitude_gradient if spec.wall else free_amplitude_gradient
-    return grad(spec.packet_a, regime, x, t), grad(spec.packet_b, regime, x, t)
+def component_fields(spec: EnsembleSpec, regime: Regime, x, t, gradient: bool = True):
+    """Normalized pure components of the ensemble and their x-gradients.
+
+    Returns ``(phi, dphi)`` with the component axis first, followed by the
+    broadcast shape of ``x`` and ``t``, such that
+    ``rho(x, y) = sum_c phi_c(x) conj(phi_c(y))``; ``dphi`` is ``None`` when
+    ``gradient`` is false.
+    """
+    psi, grad = _raw_components(spec, regime, x, t, gradient)
+    scale = math.sqrt(COMPONENT_WEIGHT / norm_constant(spec, regime))
+    return psi * scale, (grad * scale if gradient else None)
 
 
 def _norm_grid(spec: EnsembleSpec) -> np.ndarray:
@@ -100,7 +116,7 @@ def _norm_grid(spec: EnsembleSpec) -> np.ndarray:
     return np.linspace(lo, hi, 8193)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def norm_constant(spec: EnsembleSpec, regime: Regime) -> float:
     """Trace of the unnormalized density at t = 0, computed once by quadrature.
 
@@ -108,35 +124,33 @@ def norm_constant(spec: EnsembleSpec, regime: Regime) -> float:
     1 / N^2 with N the superposition normalization constant.
     """
     x = _norm_grid(spec)
-    psi_a, psi_b = component_amplitudes(spec, regime, x, 0.0)
-    if spec.kind == "pure":
-        raw = 0.5 * np.abs(psi_a + psi_b) ** 2
-    else:
-        raw = 0.5 * (np.abs(psi_a) ** 2 + np.abs(psi_b) ** 2)
+    psi, _ = _raw_components(spec, regime, x, 0.0, gradient=False)
+    raw = COMPONENT_WEIGHT * (np.abs(psi) ** 2).sum(axis=0)
     value = float(quad_integrate(x, raw))
     if not value > 0.0:
         raise DomainError("ensemble has no support at t = 0")
     return value
 
 
+def _density_matrix(spec: EnsembleSpec, regime: Regime, x, y, t):
+    phi_x, _ = component_fields(spec, regime, x, t, gradient=False)
+    # On the diagonal one evaluation serves both arguments.
+    phi_y = phi_x if y is x else component_fields(spec, regime, y, t, gradient=False)[0]
+    return (phi_x * np.conj(phi_y)).sum(axis=0)
+
+
 def pure_density(spec: EnsembleSpec, regime: Regime, x, y, t):
     """Superposition density matrix N^2 (psi_a+psi_b)(x) conj(psi_a+psi_b)(y) / 2."""
     if spec.kind != "pure":
         raise DomainError(f"pure_density requires a pure spec, got {spec.kind!r}")
-    norm = norm_constant(spec, regime)
-    ax, bx = component_amplitudes(spec, regime, x, t)
-    ay, by = component_amplitudes(spec, regime, y, t)
-    return 0.5 * (ax + bx) * np.conj(ay + by) / norm
+    return _density_matrix(spec, regime, x, y, t)
 
 
 def mixed_density(spec: EnsembleSpec, regime: Regime, x, y, t):
     """Statistical mixture (psi_a(x) conj psi_a(y) + psi_b(x) conj psi_b(y)) / 2."""
     if spec.kind != "mixed":
         raise DomainError(f"mixed_density requires a mixed spec, got {spec.kind!r}")
-    norm = norm_constant(spec, regime)
-    ax, bx = component_amplitudes(spec, regime, x, t)
-    ay, by = component_amplitudes(spec, regime, y, t)
-    return 0.5 * (ax * np.conj(ay) + bx * np.conj(by)) / norm
+    return _density_matrix(spec, regime, x, y, t)
 
 
 def density(spec: EnsembleSpec, regime: Regime, x, y, t):
@@ -163,33 +177,16 @@ def position_density(spec: EnsembleSpec, regime: Regime, x, t):
 
 
 def purity(spec: EnsembleSpec, regime: Regime, t, grid, block_size: int = 512) -> float:
-    """tr(rho^2) by 2-D quadrature of |rho(x, y)|^2 over the grid.
+    """tr(rho^2) = sum over component pairs of |<phi_c|phi_c'>|^2.
 
-    The double integral is accumulated in fixed-order row blocks so results
-    are deterministic and memory stays bounded for large grids.
+    The overlaps use the quadrature weights of the grid, which makes this
+    equal to the 2-D quadrature of |rho(x, y)|^2 without forming it;
+    ``block_size``, the row block of that 2-D form, is accepted and unused.
     """
-    x = as_grid(grid)
-    w = quadrature_weights(x)
-    norm = norm_constant(spec, regime)
-    psi_a, psi_b = component_amplitudes(spec, regime, x, t)
-    total = 0.0
-    for start in range(0, x.size, block_size):
-        stop = min(start + block_size, x.size)
-        if spec.kind == "pure":
-            row = psi_a[start:stop] + psi_b[start:stop]
-            block = 0.5 * row[:, None] * np.conj(psi_a + psi_b)[None, :] / norm
-        else:
-            block = (
-                0.5
-                * (
-                    psi_a[start:stop, None] * np.conj(psi_a)[None, :]
-                    + psi_b[start:stop, None] * np.conj(psi_b)[None, :]
-                )
-                / norm
-            )
-        weight_block = w[start:stop, None] * w[None, :]
-        total += float(np.sum(np.abs(block) ** 2 * weight_block))
-    return total
+    x = np.asarray(grid, dtype=float)
+    phi, _ = component_fields(spec, regime, x, t, gradient=False)
+    overlaps = (phi * quadrature_weights(x)) @ np.conj(phi).T
+    return float(np.sum(np.abs(overlaps) ** 2))
 
 
 def fringe_visibility(

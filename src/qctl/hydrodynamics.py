@@ -1,9 +1,11 @@
 """Probability current, velocity field, and trajectories from the guidance law.
 
 The current is ``j(x, t) = (hb / m) Im{ d/dx rho(x, y, t) |_{y=x} }`` with the
-derivative acting on the first index, evaluated from analytic component
-gradients.  The velocity is ``j / rho`` and trajectories integrate
-``dx/dt = v(x, t)`` with classical RK4 on a fixed macro-step grid.
+derivative acting on the first index, i.e. ``(hb / m) sum_c Im(conj(phi_c)
+phi_c')`` over the ensemble's normalized pure components, which one call of
+:func:`~qctl.ensembles.component_fields` returns together with the density.
+The velocity is ``j / rho`` and trajectories integrate ``dx/dt = v(x, t)``
+with classical RK4 on a fixed macro-step grid.
 
 The velocity is undefined at density nodes, and near interference nodes it
 spikes hard enough that a plain fixed step jumps across and breaks the
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, component_amplitudes, component_gradients, norm_constant
+from .ensembles import EnsembleSpec, component_fields
 from .errors import DomainError, LowDensityError
 from .regime import Regime
 
@@ -32,6 +34,7 @@ __all__ = [
     "velocity",
     "integrate_trajectory",
     "trajectory_fan",
+    "step_count",
 ]
 
 DENSITY_FLOOR = 1e-12
@@ -61,24 +64,10 @@ class Trajectory:
 
 
 def _flux_and_density(spec: EnsembleSpec, regime: Regime, x, t):
-    """Current and diagonal density sharing one amplitude evaluation."""
-    norm = norm_constant(spec, regime)
-    psi_a, psi_b = component_amplitudes(spec, regime, x, t)
-    grad_a, grad_b = component_gradients(spec, regime, x, t)
-    scale = regime.hbar_tilde / spec.mass
-    if spec.kind == "pure":
-        psi = psi_a + psi_b
-        grad = grad_a + grad_b
-        rho = 0.5 * np.abs(psi) ** 2 / norm
-        flux = 0.5 * scale * np.imag(np.conj(psi) * grad) / norm
-    else:
-        rho = 0.5 * (np.abs(psi_a) ** 2 + np.abs(psi_b) ** 2) / norm
-        flux = (
-            0.5
-            * scale
-            * (np.imag(np.conj(psi_a) * grad_a) + np.imag(np.conj(psi_b) * grad_b))
-            / norm
-        )
+    """Current and diagonal density sharing one component evaluation."""
+    phi, dphi = component_fields(spec, regime, x, t)
+    rho = (np.abs(phi) ** 2).sum(axis=0)
+    flux = (regime.hbar_tilde / spec.mass) * np.imag(np.conj(phi) * dphi).sum(axis=0)
     return flux, rho
 
 
@@ -139,12 +128,7 @@ def _macro_step(
             v2, r2 = _velocity_and_density(spec, regime, xs + 0.5 * h * v1, t_j + 0.5 * h)
             v3, r3 = _velocity_and_density(spec, regime, xs + 0.5 * h * v2, t_j + 0.5 * h)
             v4, r4 = _velocity_and_density(spec, regime, xs + h * v3, t_j + h)
-            dead |= (
-                (r1 < density_floor)
-                | (r2 < density_floor)
-                | (r3 < density_floor)
-                | (r4 < density_floor)
-            )
+            dead |= np.minimum(np.minimum(r1, r2), np.minimum(r3, r4)) < density_floor
             spread = np.maximum(np.maximum(v1, v2), np.maximum(v3, v4)) - np.minimum(
                 np.minimum(v1, v2), np.minimum(v3, v4)
             )
@@ -163,6 +147,19 @@ def _macro_step(
     return x_out, stalled
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """Number of macro steps of size ``dt`` that end exactly at ``t_end``.
+
+    Raises :class:`DomainError` unless ``t_end`` is a whole multiple of ``dt``
+    (to a relative 1e-9): rounding the count would silently move the final
+    time.
+    """
+    n_steps = int(round(t_end / dt))
+    if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * t_end:
+        raise DomainError(f"t_end={t_end} must be a whole multiple of dt={dt}")
+    return n_steps
+
+
 def _integrate_fan(
     spec: EnsembleSpec,
     regime: Regime,
@@ -178,9 +175,7 @@ def _integrate_fan(
     Per-seed arithmetic is elementwise, so lockstep integration produces the
     same numbers as integrating each seed on its own.
     """
-    n_steps = int(round(t_end / dt))
-    if n_steps < 1:
-        raise DomainError(f"t_end={t_end} must cover at least one step of dt={dt}")
+    n_steps = step_count(t_end, dt)
     if refine_tol is None:
         refine_tol = REFINE_TOL * min(p.sigma0 for p in spec.packets)
     times = np.arange(n_steps + 1) * dt
@@ -212,18 +207,16 @@ def _integrate_fan(
         good = idx[~stalled]
         positions[good, k + 1] = x_new[~stalled]
 
-    trajectories = []
-    for i in range(n_seeds):
-        if stall_step[i] >= 0:
-            stop = stall_step[i] + 1
-            trajectories.append(
-                Trajectory(float(seeds[i]), times[:stop], positions[i, :stop], STATUS_STALLED)
-            )
-        else:
-            trajectories.append(
-                Trajectory(float(seeds[i]), times, positions[i], STATUS_COMPLETED)
-            )
-    return trajectories
+    stops = np.where(stall_step >= 0, stall_step + 1, n_steps + 1)
+    return [
+        Trajectory(
+            float(seeds[i]),
+            times[: stops[i]],
+            positions[i, : stops[i]],
+            STATUS_STALLED if stall_step[i] >= 0 else STATUS_COMPLETED,
+        )
+        for i in range(n_seeds)
+    ]
 
 
 def integrate_trajectory(
@@ -237,13 +230,8 @@ def integrate_trajectory(
     max_refine_level: int = MAX_REFINE_LEVEL,
 ) -> Trajectory:
     """Integrate one trajectory from ``initial_position`` up to ``t_end``."""
-    if not initial_position < 0.0:
-        raise DomainError(f"initial position must be negative, got {initial_position}")
-    if not dt > 0.0 or not t_end > 0.0:
-        raise DomainError("dt and t_end must be positive")
-    seeds = np.asarray([float(initial_position)])
-    return _integrate_fan(
-        spec, regime, seeds, t_end, dt, density_floor, refine_tol, max_refine_level
+    return trajectory_fan(
+        spec, regime, [initial_position], t_end, dt, density_floor, refine_tol, max_refine_level
     )[0]
 
 

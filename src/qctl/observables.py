@@ -1,10 +1,10 @@
 """Moments, uncertainties, Ehrenfest residuals, and the wall's effective force.
 
 Momentum moments are computed in the position representation from the
-analytic component wave functions: the mean from ``hb Im{conj(psi) psi'}``
-and the second moment from ``hb^2 |psi'|^2``, which is exact on the half-line
-because the wall node kills the boundary term of the integration by parts.
-Mixtures weight the component expectations equally.
+ensemble's normalized pure components: the mean from
+``hb sum_c Im{conj(phi_c) phi_c'}`` and the second moment from
+``hb^2 sum_c |phi_c'|^2``, which is exact on the half-line because the wall
+node kills the boundary term of the integration by parts.
 """
 
 from __future__ import annotations
@@ -13,15 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import (
-    EnsembleSpec,
-    component_amplitudes,
-    component_gradients,
-    norm_constant,
-    position_density,
-)
+from .ensembles import EnsembleSpec, component_fields, position_density
 from .errors import DomainError
-from .quadrature import as_grid, quad_integrate
+from .quadrature import quad_integrate
 from .regime import Regime
 
 __all__ = [
@@ -50,7 +44,7 @@ class ObservableRecord:
 
 def position_moments(spec: EnsembleSpec, regime: Regime, t, grid):
     """Mean and standard deviation of position by quadrature of the diagonal."""
-    x = as_grid(grid)
+    x = np.asarray(grid, dtype=float)
     rho = position_density(spec, regime, x, t)
     trace = float(quad_integrate(x, rho))
     mean = float(quad_integrate(x, x * rho)) / trace
@@ -60,39 +54,12 @@ def position_moments(spec: EnsembleSpec, regime: Regime, t, grid):
 
 def momentum_moments(spec: EnsembleSpec, regime: Regime, t, grid):
     """Mean and standard deviation of momentum from component wave functions."""
-    x = as_grid(grid)
+    x = np.asarray(grid, dtype=float)
     hb = regime.hbar_tilde
-    norm = norm_constant(spec, regime)
-    psi_a, psi_b = component_amplitudes(spec, regime, x, t)
-    grad_a, grad_b = component_gradients(spec, regime, x, t)
-    if spec.kind == "pure":
-        psi = psi_a + psi_b
-        grad = grad_a + grad_b
-        trace = 0.5 * float(quad_integrate(x, np.abs(psi) ** 2)) / norm
-        mean = 0.5 * hb * float(quad_integrate(x, np.imag(np.conj(psi) * grad))) / norm
-        second = 0.5 * hb**2 * float(quad_integrate(x, np.abs(grad) ** 2)) / norm
-    else:
-        trace = (
-            0.5
-            * float(quad_integrate(x, np.abs(psi_a) ** 2 + np.abs(psi_b) ** 2))
-            / norm
-        )
-        mean = (
-            0.5
-            * hb
-            * float(
-                quad_integrate(
-                    x, np.imag(np.conj(psi_a) * grad_a) + np.imag(np.conj(psi_b) * grad_b)
-                )
-            )
-            / norm
-        )
-        second = (
-            0.5
-            * hb**2
-            * float(quad_integrate(x, np.abs(grad_a) ** 2 + np.abs(grad_b) ** 2))
-            / norm
-        )
+    phi, dphi = component_fields(spec, regime, x, t)
+    trace = float(quad_integrate(x, (np.abs(phi) ** 2).sum(axis=0)))
+    mean = hb * float(quad_integrate(x, np.imag(np.conj(phi) * dphi).sum(axis=0)))
+    second = hb**2 * float(quad_integrate(x, (np.abs(dphi) ** 2).sum(axis=0)))
     mean /= trace
     second /= trace
     return mean, float(np.sqrt(max(second - mean**2, 0.0)))
@@ -101,19 +68,15 @@ def momentum_moments(spec: EnsembleSpec, regime: Regime, t, grid):
 def effective_force(spec: EnsembleSpec, regime: Regime, t):
     """Non-classical effective force from the boundary gradient at the wall.
 
-    For the mixture this is
-    ``-(1/2) (hb^2 / 2m) (|d psi_a/dx|^2 + |d psi_b/dx|^2)`` at x = 0; the
-    pure state uses the gradient of the full superposition instead.  Both are
-    exactly d<p>/dt for the corresponding normalized state.
+    It is ``-(hb^2 / 2m) sum_c |d phi_c/dx|^2`` at x = 0 over the normalized
+    pure components: for the mixture
+    ``-(1/2) (hb^2 / 2m) (|d psi_a/dx|^2 + |d psi_b/dx|^2) / D``, for the pure
+    state the gradient of the full superposition.  Both are exactly d<p>/dt
+    for the corresponding normalized state.
     """
-    norm = norm_constant(spec, regime)
-    grad_a, grad_b = component_gradients(spec, regime, 0.0, t)
+    _, dphi = component_fields(spec, regime, 0.0, t)
     scale = regime.hbar_tilde**2 / (2.0 * spec.mass)
-    if spec.kind == "pure":
-        boundary = np.abs(grad_a + grad_b) ** 2
-    else:
-        boundary = np.abs(grad_a) ** 2 + np.abs(grad_b) ** 2
-    return -0.5 * scale * boundary / norm
+    return -scale * (np.abs(dphi) ** 2).sum(axis=0)
 
 
 def ehrenfest_residual(spec: EnsembleSpec, regime: Regime, t, grid, dt_fd: float = 1e-3):

@@ -13,13 +13,18 @@ with complex width ``st = sigma0 (1 + i hb t / (2 m sigma0^2))``, center
 The hard-wall solution is the image construction
 ``(psi_f(x, t) - psi_f(-x, t)) theta(-x)``: the mirror term carries center
 ``-xt`` and flipped momentum, and the difference vanishes identically at the
-wall.  Everything is evaluated lazily at requested ``(x, t)`` and broadcasts
-over numpy arrays in either argument.
+wall.
+
+Each direct or image term is ``c0 exp(a d^2 + k d)`` with ``d = +-x - xt``,
+and its x-gradient reuses the same exponential.  :func:`packet_fields` is the
+only place amplitudes and gradients are evaluated; everything broadcasts over
+numpy arrays in ``x`` and ``t``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,11 +35,17 @@ __all__ = [
     "GaussianPacket",
     "complex_width",
     "packet_center",
+    "packet_fields",
     "free_amplitude",
     "free_amplitude_gradient",
     "wall_amplitude",
     "wall_amplitude_gradient",
 ]
+
+# d = sign * x - xt for the direct (+1) and the image (-1) term.
+_TERM_SIGNS = np.array([1.0, -1.0])
+_FREE_SIGNS = _TERM_SIGNS[:1]
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -77,29 +88,79 @@ def packet_center(packet: GaussianPacket, t):
     return packet.x0 + packet.p0 * t / packet.mass
 
 
+@lru_cache(maxsize=64)
+def _term_constants(packets: tuple, regime: Regime, ndim: int):
+    """Time-independent coefficient parts: packet axis, then ndim + 1 unit axes.
+
+    ``sigma0 + rate t`` is :func:`complex_width`, ``x0 + velocity t`` :func:`packet_center`.
+    """
+    columns = np.array([(p.sigma0, p.x0, p.p0, p.mass) for p in packets])
+    sigma0, x0, p0, mass = columns.T.reshape((4, len(packets), 1) + (1,) * ndim)
+    hb = regime.hbar_tilde
+    rate = 1j * hb / (2.0 * mass * sigma0)
+    return sigma0, rate, -0.25 / sigma0, x0, p0 / mass, 1j * p0 / hb, 0.5j * p0 / hb
+
+
+def packet_fields(packets, regime: Regime, x, t, wall: bool = True, gradient: bool = True):
+    """Amplitudes and x-gradients of several packets from one exp per term.
+
+    Returns ``(psi, grad)``, each of shape ``(len(packets),) + shape`` with
+    ``shape`` the broadcast shape of ``x`` and ``t``; ``grad`` is ``None``
+    when ``gradient`` is false.  With ``wall`` the amplitude is the image
+    pair, zero for x >= 0, and the gradient its one-sided derivative, zero for
+    x > 0; without it both are the free-space values.
+    """
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    ndim = max(x.ndim, t.ndim)
+    # Axes: packet, term (direct, image), then the broadcast (x, t) axes.
+    # The coefficients are arrays even for a scalar t, so scalar and array
+    # times go through the same array loops: numpy's scalar complex
+    # arithmetic rounds differently.
+    t = t.reshape((1, 1) + (1,) * (ndim - t.ndim) + t.shape)
+    sigma0, rate, a_scale, x0, velocity, k, half_k = _term_constants(
+        tuple(packets), regime, ndim
+    )
+    st = sigma0 + rate * t
+    xt = x0 + velocity * t
+    a = a_scale / st
+    # c0 = (2 pi st^2)^(-1/4) exp(i p0 (x0 + xt) / (2 hb)), and the phase
+    # p0 (x0 + xt) / 2 equals p0^2 t / (2 m) + p0 x0.
+    c0 = np.exp(half_k * (x0 + xt)) / np.sqrt(_SQRT_2PI * st)
+
+    signs = (_TERM_SIGNS if wall else _FREE_SIGNS).reshape((1, -1) + (1,) * ndim)
+    d = signs * x - xt
+    ad = a * d
+    if gradient:
+        # d/dx of every term is (2 a d + k) * term: the image term enters
+        # with a minus sign and d(-x)/dx = -1, and the two signs cancel.
+        slopes = ad + ad
+        slopes += k
+    # c0 exp(a d^2 + k d), built in place of a d.
+    terms = ad
+    terms += k
+    terms *= d
+    np.exp(terms, out=terms)
+    terms *= c0
+    if gradient:
+        slopes *= terms
+    if not wall:
+        return terms[:, 0], (slopes[:, 0] if gradient else None)
+    inside = x <= 0.0  # the image pair is exactly zero at x = 0 itself
+    psi = np.where(inside, terms[:, 0] - terms[:, 1], 0.0)
+    if not gradient:
+        return psi, None
+    return psi, np.where(inside, slopes[:, 0] + slopes[:, 1], 0.0)
+
+
 def free_amplitude(packet: GaussianPacket, regime: Regime, x, t):
     """Freely evolved Gaussian amplitude at position(s) x and time(s) t."""
-    x = np.asarray(x, dtype=float)
-    st = complex_width(packet, regime, t)
-    xt = packet_center(packet, t)
-    hb = regime.hbar_tilde
-    p0 = packet.p0
-    prefactor = (2.0 * np.pi * st**2) ** (-0.25)
-    phase = (
-        p0 * (x - xt) / hb
-        + p0**2 * np.asarray(t, dtype=float) / (2.0 * packet.mass * hb)
-        + p0 * packet.x0 / hb
-    )
-    return prefactor * np.exp(-((x - xt) ** 2) / (4.0 * packet.sigma0 * st) + 1j * phase)
+    return packet_fields((packet,), regime, x, t, wall=False, gradient=False)[0][0]
 
 
 def free_amplitude_gradient(packet: GaussianPacket, regime: Regime, x, t):
     """Analytic d/dx of :func:`free_amplitude`."""
-    x = np.asarray(x, dtype=float)
-    st = complex_width(packet, regime, t)
-    xt = packet_center(packet, t)
-    log_derivative = -(x - xt) / (2.0 * packet.sigma0 * st) + 1j * packet.p0 / regime.hbar_tilde
-    return free_amplitude(packet, regime, x, t) * log_derivative
+    return packet_fields((packet,), regime, x, t, wall=False)[1][0]
 
 
 def wall_amplitude(packet: GaussianPacket, regime: Regime, x, t):
@@ -109,9 +170,7 @@ def wall_amplitude(packet: GaussianPacket, regime: Regime, x, t):
     center -xt and reversed momentum; the difference has an exact node at the
     wall for all times.
     """
-    x = np.asarray(x, dtype=float)
-    value = free_amplitude(packet, regime, x, t) - free_amplitude(packet, regime, -x, t)
-    return np.where(x < 0.0, value, 0.0 + 0.0j)
+    return packet_fields((packet,), regime, x, t, gradient=False)[0][0]
 
 
 def wall_amplitude_gradient(packet: GaussianPacket, regime: Regime, x, t):
@@ -121,8 +180,4 @@ def wall_amplitude_gradient(packet: GaussianPacket, regime: Regime, x, t):
     2 * d/dx psi_f(0, t); it is nonzero in general and feeds the boundary flux
     behind the effective wall force.
     """
-    x = np.asarray(x, dtype=float)
-    gradient = free_amplitude_gradient(packet, regime, x, t) + free_amplitude_gradient(
-        packet, regime, -x, t
-    )
-    return np.where(x <= 0.0, gradient, 0.0 + 0.0j)
+    return packet_fields((packet,), regime, x, t)[1][0]

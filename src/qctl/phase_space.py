@@ -64,19 +64,17 @@ def default_r_span(spec: EnsembleSpec, regime: Regime, t: float, factor: float =
 
     The off-diagonal width of a spreading packet grows with the modulus of its
     complex width, so the window scales with ``max(sigma0, |st|)`` over the
-    packets rather than the initial width alone.  A superposition additionally
-    carries cross-packet coherence lobes at r = x_ta - x_tb (the interference
-    ridge), so for pure states the window is widened by the center separation.
+    packets rather than the initial width alone.  A component superposing
+    several packets additionally carries cross-packet coherence lobes at
+    r = x_ta - x_tb (the interference ridge), so the window is widened by the
+    largest center separation within a component.
     """
     width = max(
         max(p.sigma0, float(np.abs(complex_width(p, regime, t)))) for p in spec.packets
     )
-    span = factor * width
-    if spec.kind == "pure":
-        span += float(
-            np.abs(packet_center(spec.packet_a, t) - packet_center(spec.packet_b, t))
-        )
-    return span
+    centers = np.array([packet_center(p, t) for p in spec.packets])
+    separation = max(np.ptp(c) for c in np.split(centers, spec.component_starts[1:]))
+    return factor * width + float(separation)
 
 
 def _relative_sample_count(spec: EnsembleSpec, regime: Regime, r_span: float) -> int:

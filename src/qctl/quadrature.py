@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["quadrature_weights", "quad_integrate", "as_grid"]
+__all__ = ["quadrature_weights", "quad_integrate"]
 
 
 def quadrature_weights(x: np.ndarray) -> np.ndarray:
@@ -52,9 +52,3 @@ def quad_integrate(x: np.ndarray, y: np.ndarray) -> float | complex:
         raise DomainError(f"sample shape {y.shape} does not match grid {w.shape}")
     return np.sum(w * y)
 
-
-def as_grid(grid) -> np.ndarray:
-    """Accept either a raw sample array or any object with a ``points()`` method."""
-    if hasattr(grid, "points"):
-        return grid.points()
-    return np.asarray(grid, dtype=float)

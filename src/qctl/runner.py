@@ -2,8 +2,9 @@
 
 Outputs are deterministic: fixed evaluation and summation order, 17
 significant digits, LF line endings, and no run-time data inside CSV bodies.
-The manifest echoes the configuration and records norm-drift diagnostics and
-the wall clock.
+The manifest echoes the configuration and records the wall clock and the
+diagnostics.  Mass lost beyond the grid and arrival current cut off by the
+time window bias the outputs, so both are flagged there, not rejected.
 """
 
 from __future__ import annotations
@@ -17,13 +18,18 @@ import numpy as np
 from .arrival import arrival_distribution
 from .config import ExperimentConfig, config_to_dict
 from .ensembles import EnsembleSpec, position_density
-from .hydrodynamics import trajectory_fan
+from .hydrodynamics import step_count, trajectory_fan
 from .observables import observable_record
 from .phase_space import default_r_span, wigner_transform
 from .quadrature import quad_integrate
 from .regime import Regime, make_regime
 
 __all__ = ["run_experiment"]
+
+# Mass missing from the grid at t_max, and |j| at the end of the arrival
+# window relative to its peak, above which the manifest flags truncation.
+SUPPORT_LOSS_FLAG = 1e-6
+TAIL_FRACTION_FLAG = 1e-3
 
 
 def _fmt(value: float) -> str:
@@ -99,7 +105,7 @@ def _run_trajectories(
         seed_lists[kind] = seeds
         fans[kind] = trajectory_fan(spec, regime, seeds, settings.t_end, settings.dt)
 
-    n_steps = int(round(settings.t_end / settings.dt))
+    n_steps = step_count(settings.t_end, settings.dt)
     keep = np.arange(0, n_steps + 1, settings.record_every)
     if keep[-1] != n_steps:
         keep = np.append(keep, n_steps)
@@ -126,9 +132,12 @@ def _run_trajectories(
     }
 
 
-def _run_arrival(config: ExperimentConfig, out_dir: Path, written: list[Path]) -> None:
+def _run_arrival(
+    config: ExperimentConfig, out_dir: Path, written: list[Path], diagnostics: dict
+) -> None:
     t_grid = np.linspace(0.0, config.arrival.t_max, config.arrival.n_points)
     summary_rows = []
+    tails = diagnostics.setdefault("arrival_tail", {})
     for eps in config.epsilons:
         regime = make_regime(eps, config.hbar)
         stats = {
@@ -136,6 +145,13 @@ def _run_arrival(config: ExperimentConfig, out_dir: Path, written: list[Path]) -
                 config.ensemble(kind), regime, config.detector_x, t_grid
             )
             for kind in ("pure", "mixed")
+        }
+        tails[_eps_tag(eps)] = {
+            kind: {
+                "tail_fraction": s.tail_fraction,
+                "tail_flagged": s.tail_fraction > TAIL_FRACTION_FLAG,
+            }
+            for kind, s in stats.items()
         }
         path = out_dir / f"arrival_eps{_eps_tag(eps)}.csv"
         written.append(path)
@@ -269,7 +285,12 @@ def _trace_drift(config: ExperimentConfig, regime: Regime) -> dict:
         trace_end = float(
             quad_integrate(x, position_density(spec, regime, x, config.time.t_max))
         )
-        drift[kind] = {"trace_t0": trace_start, "trace_t_end": trace_end}
+        drift[kind] = {
+            "trace_t0": trace_start,
+            "trace_t_end": trace_end,
+            "support_loss": 1.0 - trace_end,
+            "support_loss_flagged": 1.0 - trace_end > SUPPORT_LOSS_FLAG,
+        }
     return drift
 
 
@@ -285,7 +306,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     diagnostics: dict = {"trace": {}}
     try:
         if config.run_kind == "arrival":
-            _run_arrival(config, target, written)
+            _run_arrival(config, target, written, diagnostics)
         else:
             for eps in config.epsilons:
                 regime = make_regime(eps, config.hbar)

@@ -94,6 +94,9 @@ def test_minimal_round_trip():
         ({"wigner": {"times": [-1.0]}}, "wigner.times[0]"),
         ({"wigner": {"u_max": -1.0}}, "wigner.u_max"),
         ({"packets": {"a": {"x0": -1.0, "p0": 0.0}, "b": {"x0": -15.0, "p0": 2.0}}}, "packets.a"),
+        ({"wigner": {"n_x": 5}}, "wigner.n_x"),
+        ({"wigner": {"n_u": 5}}, "wigner.n_u"),
+        ({"trajectories": {"t_end": 1.0005, "dt": 0.001}}, "trajectories.t_end"),
     ],
 )
 def test_invalid_documents_report_field_path(mutation, path_fragment):

@@ -24,8 +24,6 @@ def test_spec_validation(packet_a, packet_b):
     heavy = GaussianPacket(sigma0=1.0, x0=-15.0, p0=2.0, mass=2.0)
     with pytest.raises(DomainError):
         EnsembleSpec("pure", packet_a, heavy)
-    with pytest.raises(DomainError):
-        EnsembleSpec("pure", packet_a, packet_b, weights=(0.3, 0.7))
 
 
 def test_kind_dispatch_is_strict(pure_spec, mixed_spec, quantum):
@@ -179,3 +177,7 @@ def test_fringe_visibility_window_validation(pure_spec, quantum):
         fringe_visibility(pure_spec, quantum, 2.5, window=(0.0, -10.0))
     with pytest.raises(DomainError):
         fringe_visibility(pure_spec, quantum, 2.5, sigma_obs=0.0)
+
+
+def test_norm_constant_cache_is_bounded():
+    assert norm_constant.cache_info().maxsize is not None

@@ -199,3 +199,35 @@ def test_fan_localizes_toward_classical_regime(pure_spec, quantum, nearly_classi
         assert finals.size == seeds.size
         spreads[name] = finals.max() - finals.min()
     assert spreads["classical"] < spreads["quantum"]
+
+
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_batch_evaluation_equals_pointwise(kind, pure_spec, mixed_spec, nearly_classical):
+    # Lockstep fan integration relies on each seed's numbers not depending on
+    # the cohort it is evaluated with.
+    spec = pure_spec if kind == "pure" else mixed_spec
+    x = np.linspace(-18.0, -2.0, 20)
+    t = 3.3
+    flux = current(spec, nearly_classical, x, t)
+    rho = position_density(spec, nearly_classical, x, t)
+    for i, x_i in enumerate(x):
+        assert current(spec, nearly_classical, x_i, t) == flux[i]
+        assert position_density(spec, nearly_classical, x_i, t) == rho[i]
+
+
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_time_array_evaluation_equals_scalar_times(kind, pure_spec, mixed_spec, quantum):
+    spec = pure_spec if kind == "pure" else mixed_spec
+    times = np.linspace(0.0, 12.0, 25)
+    flux = current(spec, quantum, -6.0, times)
+    rho = position_density(spec, quantum, -6.0, times)
+    for i, t in enumerate(times):
+        assert current(spec, quantum, -6.0, t) == flux[i]
+        assert position_density(spec, quantum, -6.0, t) == rho[i]
+
+
+def test_t_end_must_be_whole_multiple_of_dt(quantum, mixed_spec):
+    with pytest.raises(DomainError):
+        trajectory_fan(mixed_spec, quantum, [-6.0], 1.0005, 1e-3)
+    with pytest.raises(DomainError):
+        integrate_trajectory(mixed_spec, quantum, -6.0, 0.0005, 1e-3)

@@ -211,3 +211,42 @@ def test_cli_numerical_guard_exit_code(tmp_path):
     out_dir = tmp_path / "out"
     assert main(["wigner", "--config", str(config_path), "--out", str(out_dir)]) == 3
     assert list(out_dir.glob("*.csv")) == []
+
+
+def default_arrival_manifest(tmp_path):
+    doc = {
+        "run": "arrival",
+        "epsilons": [1.0],
+        "packets": {"a": {"x0": -5.0, "p0": -2.0}, "b": {"x0": -15.0, "p0": 2.0}},
+    }
+    return run_experiment(parse_config(json.dumps(doc)), out_dir=tmp_path)
+
+
+def test_manifest_flags_truncated_arrival_window(tmp_path):
+    # The default window (t_max = 40) cuts off the slow quantum tail at eps = 1.
+    tails = default_arrival_manifest(tmp_path)["diagnostics"]["arrival_tail"]["1"]
+    assert tails["pure"]["tail_fraction"] == pytest.approx(0.040, abs=0.002)
+    assert tails["mixed"]["tail_fraction"] == pytest.approx(0.037, abs=0.002)
+    assert tails["pure"]["tail_flagged"] and tails["mixed"]["tail_flagged"]
+
+
+def test_manifest_flags_support_lost_beyond_grid(tmp_path):
+    # The default grid (x_min = -60) loses about 3% of the mass by t = 20 at eps = 1.
+    trace = default_arrival_manifest(tmp_path)["diagnostics"]["trace"]["1"]
+    for kind in ("pure", "mixed"):
+        assert trace[kind]["support_loss"] == pytest.approx(0.033, abs=0.002)
+        assert trace[kind]["support_loss_flagged"]
+    config = parse_config(json.dumps(small_config("density", epsilons=[1.0])))
+    small = run_experiment(config, out_dir=tmp_path / "small")["diagnostics"]["trace"]["1"]
+    assert not small["pure"]["support_loss_flagged"]
+    assert not small["mixed"]["support_loss_flagged"]
+
+
+def test_cli_io_error_exit_code(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(small_config("density", epsilons=[0.5])))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file, not a directory\n")
+    out_dir = blocker / "out"
+    assert main(["density", "--config", str(config_path), "--out", str(out_dir)]) == 4
+    assert "I/O error" in capsys.readouterr().err
