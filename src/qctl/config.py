@@ -85,6 +85,9 @@ class WignerSettings:
     n_x: int = 161
     u_max: float = 8.0
     n_u: int = 161
+    # Settings of the former relative-coordinate quadrature.  Still accepted
+    # and validated so existing configs load, but the closed-form transform
+    # has no window or samples, so they do not affect results.
     rel_span: float = 12.0
     n_rel: int | None = None
 

@@ -97,20 +97,30 @@ def _macro_step(
     spec: EnsembleSpec,
     regime: Regime,
     x: np.ndarray,
+    v: np.ndarray,
+    rho: np.ndarray,
     t: float,
     h_macro: float,
+    t_next: float,
     density_floor: float,
     refine_tol: float,
     max_level: int,
 ):
-    """Advance all seeds in ``x`` by one macro step.
+    """Advance all seeds in ``x`` by one macro step of ``h_macro`` from ``t``.
 
-    Every refinement decision uses only a seed's own stage values, so the
-    result is independent of which other seeds travel in the cohort.
-    Returns (x_new, stalled_mask).
+    ``v`` and ``rho`` are the velocity and density at (x, t): the first stage
+    of every refinement level's first sub-step.  Every refinement decision
+    uses only a seed's own stage values, so the result is independent of
+    which other seeds travel in the cohort.  Returns (x_new, v_new, rho_new,
+    stalled_mask), with v_new and rho_new at (x_new, t_next) for the seeds
+    that did not stall.  ``t_next`` is the record time, equal to
+    ``t + h_macro`` up to rounding; both are passed so that the step size
+    and the time of the next step's first stage are exact.
     """
     n = x.size
     x_out = np.empty(n)
+    v_out = np.empty(n)
+    rho_out = np.empty(n)
     resolved = np.zeros(n, dtype=bool)
     stalled = np.zeros(n, dtype=bool)
     for level in range(max_level + 1):
@@ -124,7 +134,10 @@ def _macro_step(
         dead = np.zeros(idx.size, dtype=bool)
         for j in range(n_sub):
             t_j = t + j * h
-            v1, r1 = _velocity_and_density(spec, regime, xs, t_j)
+            if j == 0:
+                v1, r1 = v[idx], rho[idx]
+            else:
+                v1, r1 = _velocity_and_density(spec, regime, xs, t_j)
             v2, r2 = _velocity_and_density(spec, regime, xs + 0.5 * h * v1, t_j + 0.5 * h)
             v3, r3 = _velocity_and_density(spec, regime, xs + 0.5 * h * v2, t_j + 0.5 * h)
             v4, r4 = _velocity_and_density(spec, regime, xs + h * v3, t_j + h)
@@ -134,17 +147,21 @@ def _macro_step(
             )
             flagged |= spread * h > refine_tol
             xs = xs + (h / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-        _, rho_final = _flux_and_density(spec, regime, xs, t + h_macro)
+        v_final, rho_final = _velocity_and_density(spec, regime, xs, t_next)
         dead |= rho_final < density_floor
         accept = ~(flagged | dead)
         x_out[idx[accept]] = xs[accept]
+        v_out[idx[accept]] = v_final[accept]
+        rho_out[idx[accept]] = rho_final[accept]
         resolved[idx[accept]] = True
         if level == max_level:
             stalled[idx[~accept]] = True
             resolved[idx[~accept]] = True
     if spec.wall:
+        # The state vanishes for x >= 0, so v_out and rho_out (zero there)
+        # still hold at a clamped position.
         x_out[~stalled] = np.minimum(x_out[~stalled], 0.0)
-    return x_out, stalled
+    return x_out, v_out, rho_out, stalled
 
 
 def step_count(t_end: float, dt: float) -> int:
@@ -184,20 +201,24 @@ def _integrate_fan(
     positions[:, 0] = seeds
     stall_step = np.full(n_seeds, -1, dtype=int)
 
-    _, rho0 = _flux_and_density(spec, regime, seeds, 0.0)
-    active = np.asarray(rho0 >= density_floor)
+    # Velocity and density of every active seed at its latest position.
+    v, rho = _velocity_and_density(spec, regime, seeds, 0.0)
+    active = np.asarray(rho >= density_floor)
     stall_step[~active] = 0
 
     for k in range(n_steps):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        x_new, stalled = _macro_step(
+        x_new, v_new, rho_new, stalled = _macro_step(
             spec,
             regime,
             positions[idx, k],
+            v[idx],
+            rho[idx],
             times[k],
             dt,
+            times[k + 1],
             density_floor,
             refine_tol,
             max_refine_level,
@@ -206,6 +227,8 @@ def _integrate_fan(
         active[idx[stalled]] = False
         good = idx[~stalled]
         positions[good, k + 1] = x_new[~stalled]
+        v[good] = v_new[~stalled]
+        rho[good] = rho_new[~stalled]
 
     stops = np.where(stall_step >= 0, stall_step + 1, n_steps + 1)
     return [

@@ -35,6 +35,7 @@ __all__ = [
     "GaussianPacket",
     "complex_width",
     "packet_center",
+    "packet_coefficients",
     "packet_fields",
     "free_amplitude",
     "free_amplitude_gradient",
@@ -101,19 +102,8 @@ def _term_constants(packets: tuple, regime: Regime, ndim: int):
     return sigma0, rate, -0.25 / sigma0, x0, p0 / mass, 1j * p0 / hb, 0.5j * p0 / hb
 
 
-def packet_fields(packets, regime: Regime, x, t, wall: bool = True, gradient: bool = True):
-    """Amplitudes and x-gradients of several packets from one exp per term.
-
-    Returns ``(psi, grad)``, each of shape ``(len(packets),) + shape`` with
-    ``shape`` the broadcast shape of ``x`` and ``t``; ``grad`` is ``None``
-    when ``gradient`` is false.  With ``wall`` the amplitude is the image
-    pair, zero for x >= 0, and the gradient its one-sided derivative, zero for
-    x > 0; without it both are the free-space values.
-    """
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    ndim = max(x.ndim, t.ndim)
-    # Axes: packet, term (direct, image), then the broadcast (x, t) axes.
+def _coefficients(packets, regime: Regime, t: np.ndarray, ndim: int):
+    """(a, k, xt, c0) of every packet at t, on the axes packet, term, then ndim more."""
     # The coefficients are arrays even for a scalar t, so scalar and array
     # times go through the same array loops: numpy's scalar complex
     # arithmetic rounds differently.
@@ -127,7 +117,31 @@ def packet_fields(packets, regime: Regime, x, t, wall: bool = True, gradient: bo
     # c0 = (2 pi st^2)^(-1/4) exp(i p0 (x0 + xt) / (2 hb)), and the phase
     # p0 (x0 + xt) / 2 equals p0^2 t / (2 m) + p0 x0.
     c0 = np.exp(half_k * (x0 + xt)) / np.sqrt(_SQRT_2PI * st)
+    return a, k, xt, c0
 
+
+def packet_coefficients(packets, regime: Regime, t: float):
+    """Per-packet ``(a, k, xt, c0)`` at one time, each of shape ``(len(packets),)``.
+
+    The direct term of packet ``p`` is ``c0 exp(a d^2 + k d)`` with
+    ``d = x - xt``; the image term is minus the same with ``d = -x - xt``.
+    """
+    return tuple(c.ravel() for c in _coefficients(packets, regime, np.asarray(t, dtype=float), 0))
+
+
+def packet_fields(packets, regime: Regime, x, t, wall: bool = True, gradient: bool = True):
+    """Amplitudes and x-gradients of several packets from one exp per term.
+
+    Returns ``(psi, grad)``, each of shape ``(len(packets),) + shape`` with
+    ``shape`` the broadcast shape of ``x`` and ``t``; ``grad`` is ``None``
+    when ``gradient`` is false.  With ``wall`` the amplitude is the image
+    pair, zero for x >= 0, and the gradient its one-sided derivative, zero for
+    x > 0; without it both are the free-space values.
+    """
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    ndim = max(x.ndim, t.ndim)
+    a, k, xt, c0 = _coefficients(packets, regime, t, ndim)
     signs = (_TERM_SIGNS if wall else _FREE_SIGNS).reshape((1, -1) + (1,) * ndim)
     d = signs * x - xt
     ad = a * d

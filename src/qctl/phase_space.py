@@ -1,38 +1,48 @@
-"""Phase-space (Wigner) distribution of the ensembles, by direct quadrature.
+"""Phase-space (Wigner) distribution of the ensembles, in closed form.
 
 The transform is the partial Fourier transform of the density matrix over the
 relative coordinate,
 
     W(R, u, t) = (1 / 2 pi hb) * integral dr exp(-i u r / hb)
-                 * rho(R + r/2, R - r/2, t),
+                 * rho(R + r/2, R - r/2, t).
 
-evaluated per (R, u) point.  Grids stay small, and the wall clips the density
-support to a hard edge in r that a fast uniform transform would smear, so the
-direct quadrature is deliberate.  The r-integral uses Filon's method
-(oscillator-exact weights over a quadratic interpolant of the density), whose
-error is set by how well the density itself is resolved and not by u; plain
-composite Simpson would need r-samples proportional to the largest momentum,
-which becomes prohibitive for the wide u-windows the near-wall momentum tails
-demand.  The hermiticity of rho makes W real; the imaginary residue of the
-quadrature is checked and dropped.
+Every direct or image term of a packet is ``C exp(a d^2 + k d)`` with
+``d = +-x - xt``, so for each ordered pair (i, j) of terms in one pure
+component the integrand ``g_i(R + r/2) conj g_j(R - r/2) exp(-i u r / hb)``
+is a complex Gaussian ``exp(alpha r^2 + b r + gamma)`` in r.  The wall cuts
+it off exactly at |r| <= 2|R|, and over that window its integral is a
+difference of two error functions, evaluated through the scaled
+complementary error function ``erfcx`` so that no step cancels.  ``erfcx``
+is Weideman's rational approximation of the Faddeeva function (SIAM J.
+Numer. Anal. 31, 1994), accurate to about 1e-15 absolute in numpy alone.
+Without the wall the window is the whole line.  W is therefore exact at
+every (R, u) up to rounding; no relative-coordinate grid is involved.
+
+All ordered pairs are summed, so the hermiticity of rho makes W real only
+through the (i, j) and (j, i) terms cancelling; the imaginary residue is
+checked and dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, density
+from .ensembles import COMPONENT_WEIGHT, EnsembleSpec, norm_constant
 from .errors import DomainError, NumericalGuardError
-from .packets import complex_width, packet_center
+from .packets import packet_coefficients
 from .quadrature import quadrature_weights
 from .regime import Regime
 
-__all__ = ["WignerField", "default_r_span", "wigner_transform", "free_liouville_residual"]
+__all__ = ["WignerField", "wigner_transform", "free_liouville_residual"]
 
-_TRUNCATION_LIMIT = 1e-6
 _IMAG_RESIDUE_LIMIT = 1e-8
+
+# Number of terms in Weideman's rational approximation.
+_FADDEEVA_TERMS = 40
+_SQRT_PI = np.sqrt(np.pi)
 
 
 @dataclass(frozen=True)
@@ -59,154 +69,124 @@ class WignerField:
         return self.values @ w_u
 
 
-def default_r_span(spec: EnsembleSpec, regime: Regime, t: float, factor: float = 12.0) -> float:
-    """Half-width of the relative-coordinate window covering the coherence decay.
+@lru_cache(maxsize=1)
+def _faddeeva_coefficients():
+    """Scale L and the polynomial coefficients (highest power first), from one FFT."""
+    n = _FADDEEVA_TERMS
+    m = 2 * n
+    scale = np.sqrt(n / np.sqrt(2.0))
+    theta = np.arange(-m + 1, m) * np.pi / m
+    s = scale * np.tan(0.5 * theta)
+    f = np.concatenate(([0.0], np.exp(-s * s) * (scale * scale + s * s)))
+    a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
+    return scale, a[n:0:-1]
 
-    The off-diagonal width of a spreading packet grows with the modulus of its
-    complex width, so the window scales with ``max(sigma0, |st|)`` over the
-    packets rather than the initial width alone.  A component superposing
-    several packets additionally carries cross-packet coherence lobes at
-    r = x_ta - x_tb (the interference ridge), so the window is widened by the
-    largest center separation within a component.
+
+def _erfcx(z: np.ndarray) -> np.ndarray:
+    """exp(z^2) erfc(z) for Re z >= 0, as the Faddeeva function w(i z).
+
+    Weideman's approximation w(iz) = 2 p(Z) / (L + z)^2 + 1 / (sqrt(pi) (L + z))
+    with Z = (L - z) / (L + z) holds on the closed upper half-plane of iz.
     """
-    width = max(
-        max(p.sigma0, float(np.abs(complex_width(p, regime, t)))) for p in spec.packets
-    )
-    centers = np.array([packet_center(p, t) for p in spec.packets])
-    separation = max(np.ptp(c) for c in np.split(centers, spec.component_starts[1:]))
-    return factor * width + float(separation)
+    scale, coefficients = _faddeeva_coefficients()
+    lz = scale + z
+    ratio = (scale - z) / lz
+    p = np.full(z.shape, coefficients[0], dtype=complex)
+    for c in coefficients[1:]:
+        p *= ratio
+        p += c
+    return (2.0 * p / lz + 1.0 / _SQRT_PI) / lz
 
 
-def _relative_sample_count(spec: EnsembleSpec, regime: Regime, r_span: float) -> int:
-    """Enough r samples to resolve the density's own envelope and oscillations.
+def _component_terms(spec: EnsembleSpec, regime: Regime, t: float, R: np.ndarray):
+    """Per component, each term's prefactor, exponent at R and half-slope at R.
 
-    The fastest r-oscillation of rho(R + r/2, R - r/2) comes from a packet's
-    kick momentum plus a few momentum widths; Filon weights absorb the
-    transform phase, so u never enters.
+    A term ``C exp(e(x))`` evaluated at ``R + r/2`` is
+    ``C exp(e(R) + s r + a r^2 / 4)`` with ``s = e'(R) / 2``; the returned
+    tuples are ``(C, a, e(R), s)``.
     """
-    sigma_min = min(p.sigma0 for p in spec.packets)
-    p_scale = max(abs(p.p0) for p in spec.packets) + 2.0 * regime.hbar_tilde / sigma_min
-    dr = min(sigma_min / 12.0, np.pi * regime.hbar_tilde / (8.0 * p_scale))
-    n = int(np.ceil(2.0 * r_span / dr)) + 1
-    n = max(n, 801)
-    return n if n % 2 == 1 else n + 1
+    a, k, xt, c0 = packet_coefficients(spec.packets, regime, t)
+    signs = (1.0, -1.0) if spec.wall else (1.0,)
+    terms = []
+    for p in range(len(spec.packets)):
+        terms.append([])
+        for sign in signs:
+            d = sign * R - xt[p]
+            exponent = (a[p] * d + k[p]) * d
+            half_slope = 0.5 * sign * (2.0 * a[p] * d + k[p])
+            terms[-1].append((sign * c0[p], a[p], exponent, half_slope))
+    starts = spec.component_starts
+    ends = starts[1:] + (len(spec.packets),)
+    return [sum(terms[lo:hi], []) for lo, hi in zip(starts, ends)]
 
 
-def _filon_coefficients(theta: np.ndarray):
-    """Filon weights (alpha, beta, gamma) for oscillatory Simpson-type panels.
+def _pair_integral(alpha, slope, gamma, phase, edges, edge_phase):
+    """integral of exp(alpha r^2 + b r + gamma), b = slope + phase, over the window.
 
-    theta is the phase advance per sample; beta and gamma reduce to the
-    Simpson weights 2/3 and 4/3 as theta -> 0, and alpha (odd in theta)
-    carries the endpoint correction.  Small angles use series to avoid
-    catastrophic cancellation.
+    ``edges`` holds the window ends r1 = 2R, r2 = -2R (shape (2, n_R, 1)) and
+    ``edge_phase`` the pair-independent exp(phase r) there; ``edges`` is None
+    for the whole line.  With A = -alpha and z = sqrt(A) (r - b / 2A) the
+    integral is sqrt(pi) / (2 sqrt(A)) [erf(z2) - erf(z1)].  Each end enters
+    as exp(E) erfcx(+-z), E the log-integrand there, with the sign that puts
+    the argument in Re >= 0.  A window straddling the centre (Re z1 < 0 <=
+    Re z2) adds 2 exp(G), G = gamma + b^2 / 4A, because there
+    erf(z2) - erf(z1) = 2 - erfc(z2) - erfc(-z1).
     """
-    theta = np.asarray(theta, dtype=float)
-    alpha = np.empty_like(theta)
-    beta = np.empty_like(theta)
-    gamma = np.empty_like(theta)
-    small = np.abs(theta) < 1e-2
-    th_s = theta[small]
-    th2 = th_s * th_s
-    alpha[small] = th_s * th2 * (2.0 / 45.0 + th2 * (-2.0 / 315.0 + th2 * (2.0 / 4725.0)))
-    beta[small] = 2.0 / 3.0 + th2 * (2.0 / 15.0 + th2 * (-4.0 / 105.0 + th2 * (2.0 / 567.0)))
-    gamma[small] = 4.0 / 3.0 + th2 * (-2.0 / 15.0 + th2 * (1.0 / 210.0 + th2 * (-1.0 / 11340.0)))
-    th = theta[~small]
-    sin_th = np.sin(th)
-    cos_th = np.cos(th)
-    th3 = th**3
-    alpha[~small] = (th * th + th * sin_th * cos_th - 2.0 * sin_th**2) / th3
-    beta[~small] = 2.0 * (th * (1.0 + cos_th**2) - 2.0 * sin_th * cos_th) / th3
-    gamma[~small] = 4.0 * (sin_th - th * cos_th) / th3
-    return alpha, beta, gamma
-
-
-def _filon_transform(
-    r: np.ndarray, f: np.ndarray, kappa: np.ndarray, block: int = 1024
-) -> np.ndarray:
-    """integral f(r) exp(-i kappa r) dr for every kappa, Filon on a uniform grid.
-
-    Requires an odd number of samples (Simpson-type panel pairs).  The phase
-    matrix is a geometric progression along r, built by cumulative products
-    instead of elementwise exp (drift ~ n * eps, far below the quadrature
-    error); kappa is processed in blocks to bound memory.
-    """
-    n = r.size
-    h = (r[-1] - r[0]) / (n - 1)
-    alpha, beta, gamma = _filon_coefficients(kappa * h)
-    f_even = f[::2].copy()
-    f_even[0] *= 0.5
-    f_even[-1] *= 0.5
-    f_odd = f[1::2]
-    out = np.empty(kappa.size, dtype=complex)
-    for start in range(0, kappa.size, block):
-        stop = min(start + block, kappa.size)
-        k_blk = kappa[start:stop]
-        factors = np.broadcast_to(
-            np.exp(-1j * k_blk * h)[:, None], (k_blk.size, n)
-        ).copy()
-        factors[:, 0] = np.exp(-1j * k_blk * r[0])
-        phase = np.cumprod(factors, axis=1)
-        even_sum = phase[:, ::2] @ f_even
-        odd_sum = phase[:, 1::2] @ f_odd
-        endpoint = 1j * alpha[start:stop] * (f[-1] * phase[:, -1] - f[0] * phase[:, 0])
-        out[start:stop] = h * (endpoint + beta[start:stop] * even_sum + gamma[start:stop] * odd_sum)
-    return out
+    A = -alpha
+    root = np.sqrt(A)
+    b = slope + phase
+    if edges is None:
+        return (_SQRT_PI / root) * np.exp(gamma + b * b / (4.0 * A))
+    z = root * (edges - b / (2.0 * A))
+    side = np.where(z.real >= 0.0, 1.0, -1.0)
+    tails = _erfcx(side * z)
+    tails *= np.exp((alpha * edges + slope) * edges + gamma)
+    tails *= edge_phase
+    tails *= side
+    inner = tails[0] - tails[1]
+    # r1 < r2 and Re z grows with r, so only (-1, +1) straddles.
+    straddle = side[0] < side[1]
+    b_in = b[straddle]
+    gamma_in = np.broadcast_to(gamma, inner.shape)[straddle]
+    inner[straddle] += 2.0 * np.exp(gamma_in + b_in * b_in / (4.0 * A))
+    return (0.5 * _SQRT_PI / root) * inner
 
 
 def wigner_transform(
-    spec: EnsembleSpec,
-    regime: Regime,
-    t: float,
-    R_grid,
-    u_grid,
-    r_span: float | None = None,
-    n_r: int | None = None,
+    spec: EnsembleSpec, regime: Regime, t: float, R_grid, u_grid
 ) -> WignerField:
-    """Wigner distribution on the (R, u) grid at time t.
+    """Wigner distribution on the (R, u) grid at time t, exact up to rounding.
 
-    ``r_span`` is the half-width of the relative-coordinate integration
-    window (default :func:`default_r_span`), which must cover the
-    off-diagonal decay of the density matrix; if the integrand is still above
-    1e-6 at the window edge a :class:`NumericalGuardError` is raised.
+    With the wall, W vanishes for R >= 0, where the window |r| <= 2|R| is empty.
     """
     R = np.asarray(R_grid, dtype=float)
     u = np.asarray(u_grid, dtype=float)
     if R.ndim != 1 or u.ndim != 1 or R.size < 3 or u.size < 3:
         raise DomainError("R_grid and u_grid must be 1-D with at least 3 points")
-    if r_span is None:
-        r_span = default_r_span(spec, regime, t)
-    if not r_span > 0.0:
-        raise DomainError(f"r_span must be positive, got {r_span}")
-    if n_r is None:
-        n_r = _relative_sample_count(spec, regime, r_span)
-    if n_r % 2 == 0:
-        raise DomainError(f"n_r must be odd for the panel quadrature, got {n_r}")
 
     hb = regime.hbar_tilde
-    kappa = u / hb
-    values = np.empty((R.size, u.size), dtype=complex)
-    edge_max = 0.0
-    for i, R_i in enumerate(R):
-        # Clip the window to the wall support: beyond r = +-2|R| one argument
-        # crosses the wall and the integrand is identically zero, with a slope
-        # kink at the edge that would otherwise degrade the quadrature.
-        if spec.wall:
-            lo = max(-r_span, 2.0 * R_i)
-            hi = min(r_span, -2.0 * R_i)
-        else:
-            lo, hi = -r_span, r_span
-        if not hi > lo:
-            values[i] = 0.0
-            continue
-        r = np.linspace(lo, hi, n_r)
-        rho_r = np.asarray(density(spec, regime, R_i + 0.5 * r, R_i - 0.5 * r, t))
-        edge_max = max(edge_max, float(abs(rho_r[0])), float(abs(rho_r[-1])))
-        values[i] = _filon_transform(r, rho_r, kappa) / (2.0 * np.pi * hb)
+    rows = R < 0.0 if spec.wall else np.ones(R.size, dtype=bool)
+    R_in = R[rows][:, None]
+    phase = (-1j / hb) * u[None, :]
+    edges = edge_phase = None
+    if spec.wall:
+        edges = np.stack((2.0 * R_in, -2.0 * R_in))
+        edge_phase = np.exp(phase * edges)
+    total = np.zeros((R_in.shape[0], u.size), dtype=complex)
+    for terms in _component_terms(spec, regime, t, R_in):
+        for C_i, a_i, e_i, s_i in terms:
+            for C_j, a_j, e_j, s_j in terms:
+                total += (C_i * np.conj(C_j)) * _pair_integral(
+                    0.25 * (a_i + np.conj(a_j)),
+                    s_i - np.conj(s_j),
+                    e_i + np.conj(e_j),
+                    phase,
+                    edges,
+                    edge_phase,
+                )
+    values = np.zeros((R.size, u.size), dtype=complex)
+    values[rows] = total * (COMPONENT_WEIGHT / norm_constant(spec, regime) / (2.0 * np.pi * hb))
 
-    if edge_max > _TRUNCATION_LIMIT:
-        raise NumericalGuardError(
-            f"relative-coordinate window too narrow: integrand {edge_max:.3e} at the edge"
-        )
     scale = float(np.max(np.abs(values.real)))
     imag_residue = float(np.max(np.abs(values.imag)))
     if scale > 0.0 and imag_residue > _IMAG_RESIDUE_LIMIT * scale:

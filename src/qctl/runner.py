@@ -20,7 +20,7 @@ from .config import ExperimentConfig, config_to_dict
 from .ensembles import EnsembleSpec, position_density
 from .hydrodynamics import step_count, trajectory_fan
 from .observables import observable_record
-from .phase_space import default_r_span, wigner_transform
+from .phase_space import wigner_transform
 from .quadrature import quad_integrate
 from .regime import Regime, make_regime
 
@@ -31,16 +31,20 @@ __all__ = ["run_experiment"]
 SUPPORT_LOSS_FLAG = 1e-6
 TAIL_FRACTION_FLAG = 1e-3
 
+# Rows converted to Python floats at a time, which bounds the memory of a
+# large block.
+_CSV_CHUNK_ROWS = 64
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
 
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], blocks) -> None:
+    """Write the header, then the rows of each 2-D block of floats to 17 digits."""
+    template = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(row) + "\n")
+        for block in blocks:
+            for start in range(0, len(block), _CSV_CHUNK_ROWS):
+                rows = block[start : start + _CSV_CHUNK_ROWS].tolist()
+                handle.writelines(template % tuple(row) for row in rows)
 
 
 def _eps_tag(epsilon: float) -> str:
@@ -72,18 +76,16 @@ def _run_density(
     path = out_dir / f"density_eps{_eps_tag(regime.epsilon)}.csv"
     written.append(path)
 
-    def rows():
+    def blocks():
         for t in times:
             rho_p = np.asarray(position_density(pure, regime, x, t))
             rho_m = np.asarray(position_density(mixed, regime, x, t))
-            t_str = _fmt(t)
-            for i in range(x.size):
-                yield (t_str, _fmt(x[i]), _fmt(rho_p[i]), _fmt(rho_m[i]))
+            yield np.column_stack((np.full(x.size, t), x, rho_p, rho_m))
 
     _write_csv(
         path,
         ["t [time]", "x [length]", "density_pure [1/length]", "density_mixed [1/length]"],
-        rows(),
+        blocks(),
     )
 
 
@@ -115,18 +117,16 @@ def _run_trajectories(
     for kind in ("pure", "mixed"):
         header += [f"x_{kind}[{seed:.6g}] [length]" for seed in seed_lists[kind]]
 
-    def rows():
-        for k in keep:
-            row = [_fmt(times[k])]
-            for kind in ("pure", "mixed"):
-                for trajectory in fans[kind]:
-                    if k < trajectory.positions.size:
-                        row.append(_fmt(trajectory.positions[k]))
-                    else:
-                        row.append("nan")
-            yield row
+    columns = [times[keep]]
+    for kind in ("pure", "mixed"):
+        for trajectory in fans[kind]:
+            # A stalled trajectory has no samples past its stall: nan there.
+            column = np.full(keep.size, np.nan)
+            recorded = keep < trajectory.positions.size
+            column[recorded] = trajectory.positions[keep[recorded]]
+            columns.append(column)
 
-    _write_csv(path, header, rows())
+    _write_csv(path, header, [np.column_stack(columns)])
     diagnostics[f"stalled_eps{_eps_tag(regime.epsilon)}"] = {
         kind: sum(1 for tr in fans[kind] if tr.status != "completed") for kind in fans
     }
@@ -158,18 +158,15 @@ def _run_arrival(
         _write_csv(
             path,
             ["t [time]", "pdf_pure [1/time]", "pdf_mixed [1/time]"],
-            (
-                (_fmt(t_grid[i]), _fmt(stats["pure"].pdf[i]), _fmt(stats["mixed"].pdf[i]))
-                for i in range(t_grid.size)
-            ),
+            [np.column_stack((t_grid, stats["pure"].pdf, stats["mixed"].pdf))],
         )
         summary_rows.append(
             (
-                _fmt(eps),
-                _fmt(stats["pure"].mean_t),
-                _fmt(stats["pure"].sd_t),
-                _fmt(stats["mixed"].mean_t),
-                _fmt(stats["mixed"].sd_t),
+                eps,
+                stats["pure"].mean_t,
+                stats["pure"].sd_t,
+                stats["mixed"].mean_t,
+                stats["mixed"].sd_t,
             )
         )
     summary = out_dir / "arrival_summary.csv"
@@ -183,7 +180,7 @@ def _run_arrival(
             "mean_t_mixed [time]",
             "sd_t_mixed [time]",
         ],
-        summary_rows,
+        [np.array(summary_rows)],
     )
 
 
@@ -206,24 +203,24 @@ def _run_observables(
             f"heisenberg_margin_{kind} [action]",
         ]
 
-    def rows():
-        for t in times:
-            row = [_fmt(t)]
-            for kind in ("pure", "mixed"):
-                record = observable_record(config.ensemble(kind), regime, t, x)
-                margin = record.uncertainty_product - 0.5 * regime.hbar_tilde
-                row += [
-                    _fmt(record.mean_x),
-                    _fmt(record.sd_x),
-                    _fmt(record.mean_p),
-                    _fmt(record.sd_p),
-                    _fmt(record.uncertainty_product),
-                    _fmt(record.f_nc),
-                    _fmt(margin),
-                ]
-            yield row
+    rows = []
+    for t in times:
+        row = [t]
+        for kind in ("pure", "mixed"):
+            record = observable_record(config.ensemble(kind), regime, t, x)
+            margin = record.uncertainty_product - 0.5 * regime.hbar_tilde
+            row += [
+                record.mean_x,
+                record.sd_x,
+                record.mean_p,
+                record.sd_p,
+                record.uncertainty_product,
+                record.f_nc,
+                margin,
+            ]
+        rows.append(row)
 
-    _write_csv(path, header, rows())
+    _write_csv(path, header, [np.array(rows)])
 
 
 def _run_wigner(
@@ -235,33 +232,20 @@ def _run_wigner(
     path = out_dir / f"wigner_eps{_eps_tag(regime.epsilon)}.csv"
     written.append(path)
 
-    def rows():
+    def blocks():
         for t in settings.times:
             fields = {
-                kind: wigner_transform(
-                    config.ensemble(kind),
-                    regime,
-                    t,
-                    R,
-                    u,
-                    r_span=default_r_span(
-                        config.ensemble(kind), regime, t, factor=settings.rel_span
-                    ),
-                    n_r=settings.n_rel,
-                )
+                kind: wigner_transform(config.ensemble(kind), regime, t, R, u)
                 for kind in ("pure", "mixed")
             }
-            t_str = _fmt(t)
-            for i in range(R.size):
-                R_str = _fmt(R[i])
-                for j in range(u.size):
-                    yield (
-                        t_str,
-                        R_str,
-                        _fmt(u[j]),
-                        _fmt(fields["pure"].values[i, j]),
-                        _fmt(fields["mixed"].values[i, j]),
-                    )
+            block = (
+                np.full(R.size * u.size, t),
+                np.repeat(R, u.size),
+                np.tile(u, R.size),
+                fields["pure"].values.ravel(),
+                fields["mixed"].values.ravel(),
+            )
+            yield np.column_stack(block)
 
     _write_csv(
         path,
@@ -272,7 +256,7 @@ def _run_wigner(
             "w_pure [1/action]",
             "w_mixed [1/action]",
         ],
-        rows(),
+        blocks(),
     )
 
 

@@ -97,6 +97,8 @@ def test_minimal_round_trip():
         ({"wigner": {"n_x": 5}}, "wigner.n_x"),
         ({"wigner": {"n_u": 5}}, "wigner.n_u"),
         ({"trajectories": {"t_end": 1.0005, "dt": 0.001}}, "trajectories.t_end"),
+        ({"wigner": {"rel_span": 0.0}}, "wigner.rel_span"),
+        ({"wigner": {"n_rel": 4}}, "wigner.n_rel"),
     ],
 )
 def test_invalid_documents_report_field_path(mutation, path_fragment):

@@ -13,6 +13,7 @@ from qctl import (
     wall_amplitude,
     wall_amplitude_gradient,
 )
+from qctl.packets import packet_coefficients
 
 
 @pytest.mark.parametrize(
@@ -155,3 +156,21 @@ def test_broadcasts_over_time_arrays():
     assert values.shape == t.shape
     single = wall_amplitude(packet, regime, -4.0, t[3])
     assert values[3] == single
+
+
+def test_coefficients_rebuild_wall_amplitudes():
+    packets = (
+        GaussianPacket(sigma0=1.0, x0=-5.0, p0=-2.0, mass=1.0),
+        GaussianPacket(sigma0=0.7, x0=-15.0, p0=2.0, mass=1.0),
+    )
+    regime = make_regime(0.5)
+    x = np.linspace(-20.0, 0.0, 81)
+    t = 3.0
+    a, k, xt, c0 = packet_coefficients(packets, regime, t)
+    assert a.shape == k.shape == xt.shape == c0.shape == (2,)
+    assert xt == pytest.approx([packet_center(p, t) for p in packets], rel=1e-15)
+    for i, packet in enumerate(packets):
+        direct = c0[i] * np.exp((a[i] * (x - xt[i]) + k[i]) * (x - xt[i]))
+        image = c0[i] * np.exp((a[i] * (-x - xt[i]) + k[i]) * (-x - xt[i]))
+        expected = wall_amplitude(packet, regime, x, t)
+        assert np.max(np.abs(direct - image - expected)) < 1e-14

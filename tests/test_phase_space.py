@@ -1,15 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from qctl import (
     DomainError,
     EnsembleSpec,
-    NumericalGuardError,
+    density,
     free_liouville_residual,
+    make_regime,
     position_density,
     quad_integrate,
     wigner_transform,
 )
+from qctl.phase_space import _erfcx
 
 
 def free_single(packet):
@@ -71,9 +75,9 @@ def test_superposition_matches_two_gaussian_closed_form(packet_a, packet_b, quan
     oracle = (packet_term(packet_a) + packet_term(packet_b) + 2.0 * cross) / (
         2.0 * (1.0 + np.real(overlap))
     )
-    # The transform truncates the relative coordinate where the integrand has
-    # decayed to 1e-6, so agreement bottoms out just above that level.
-    assert np.max(np.abs(field.values - oracle)) / np.max(np.abs(oracle)) < 5e-6
+    # The transform is exact; only rounding and the quadrature of the overlap
+    # remain.
+    assert np.max(np.abs(field.values - oracle)) / np.max(np.abs(oracle)) < 1e-12
 
 
 def test_interference_ridge_only_for_superposition(pure_spec, mixed_spec, quantum):
@@ -115,10 +119,9 @@ def test_mixture_is_average_of_component_fields(packet_a, packet_b, quantum):
     R = np.linspace(-18.0, -2.0, 41)
     u = np.linspace(-4.0, 4.0, 41)
     t = 1.0
-    span = 30.0
-    w_mixed = wigner_transform(mixed, quantum, t, R, u, r_span=span).values
-    w_a = wigner_transform(only_a, quantum, t, R, u, r_span=span).values
-    w_b = wigner_transform(only_b, quantum, t, R, u, r_span=span).values
+    w_mixed = wigner_transform(mixed, quantum, t, R, u).values
+    w_a = wigner_transform(only_a, quantum, t, R, u).values
+    w_b = wigner_transform(only_b, quantum, t, R, u).values
     norm_a = norm_constant(only_a, quantum) / 2.0
     norm_b = norm_constant(only_b, quantum) / 2.0
     combined = (norm_a * w_a + norm_b * w_b) / (2.0 * norm_constant(mixed, quantum))
@@ -176,13 +179,6 @@ def test_liouville_residual_translation_invariance(quantum):
     assert first == pytest.approx(second, rel=1e-9)
 
 
-def test_truncation_guard(pure_spec, quantum):
-    R = np.linspace(-18.0, -2.0, 17)
-    u = np.linspace(-4.0, 4.0, 17)
-    with pytest.raises(NumericalGuardError):
-        wigner_transform(pure_spec, quantum, 0.0, R, u, r_span=4.0)
-
-
 def test_grid_validation(pure_spec, quantum):
     R = np.linspace(-18.0, -2.0, 17)
     u = np.linspace(-4.0, 4.0, 17)
@@ -191,6 +187,60 @@ def test_grid_validation(pure_spec, quantum):
     with pytest.raises(DomainError):
         free_liouville_residual(field, other, pure_spec, quantum)
     with pytest.raises(DomainError):
-        wigner_transform(pure_spec, quantum, 0.0, R, u, n_r=100)
-    with pytest.raises(DomainError):
         wigner_transform(pure_spec, quantum, 0.0, R[:2], u)
+
+
+def simpson_wigner(spec, regime, t, R, u, n=200001):
+    """Composite Simpson over the wall window |r| <= 2|R| of the density matrix."""
+    r = np.linspace(2.0 * R, -2.0 * R, n)
+    rho = np.asarray(density(spec, regime, R + 0.5 * r, R - 0.5 * r, t))
+    weights = np.full(n, 2.0)
+    weights[1::2] = 4.0
+    weights[[0, -1]] = 1.0
+    weights *= (r[1] - r[0]) / 3.0
+    hb = regime.hbar_tilde
+    phase = np.exp(-1j * np.outer(u, r) / hb)
+    return (phase @ (weights * rho)) / (2.0 * np.pi * hb)
+
+
+@pytest.mark.parametrize("epsilon", [1.0, 0.01])
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_closed_form_matches_fine_simpson(kind, epsilon, pure_spec):
+    # Oracle: a brute-force Simpson integral of the density matrix itself,
+    # at points far from (R = -12) and near (R = -0.5) the wall, after the
+    # reflection of the fast packet.
+    spec = pure_spec.as_kind(kind)
+    regime = make_regime(epsilon)
+    t = 3.0
+    coarse = wigner_transform(
+        spec, regime, t, np.linspace(-30.0, 0.0, 121), np.linspace(-6.0, 6.0, 121)
+    )
+    peak = np.max(np.abs(coarse.values))
+    R = np.array([-12.0, -6.0, -2.5, -0.5])
+    u = np.linspace(-5.0, 5.0, 9)
+    field = wigner_transform(spec, regime, t, R, u)
+    for i, R_i in enumerate(R):
+        reference = simpson_wigner(spec, regime, t, R_i, u)
+        assert np.max(np.abs(reference.imag)) < 1e-12 * peak
+        assert np.max(np.abs(field.values[i] - reference.real)) < 1e-9 * peak
+
+
+def test_faddeeva_matches_real_axis_erfcx():
+    x = np.linspace(0.0, 25.0, 501)
+    reference = np.array([math.erfc(v) * math.exp(v * v) for v in x])
+    assert np.max(np.abs(_erfcx(x + 0j) - reference) / reference) < 1e-12
+    assert np.max(np.abs(_erfcx(x + 0j).imag)) == 0.0
+
+
+def test_faddeeva_conjugate_symmetry():
+    rng = np.random.default_rng(7)
+    z = np.abs(rng.normal(scale=3.0, size=2000)) + 1j * rng.normal(scale=30.0, size=2000)
+    assert np.max(np.abs(_erfcx(np.conj(z)) - np.conj(_erfcx(z))) / np.abs(_erfcx(z))) < 1e-14
+
+
+def test_faddeeva_large_argument_asymptote():
+    # erfcx(z) = 1 / (z sqrt(pi)) (1 - 1 / (2 z^2) + ...) as |z| grows in Re z >= 0.
+    angles = np.linspace(-0.5 * np.pi, 0.5 * np.pi, 13)
+    z = np.concatenate([radius * np.exp(1j * angles) for radius in (1e4, 1e6)])
+    asymptote = 1.0 / (z * np.sqrt(np.pi))
+    assert np.max(np.abs(_erfcx(z) / asymptote - 1.0)) < 1e-8

@@ -196,21 +196,26 @@ def test_cli_config_error_exit_code(tmp_path):
 
 
 def test_cli_numerical_guard_exit_code(tmp_path):
-    # A relative-coordinate window far too narrow trips the truncation guard.
-    doc = small_config("wigner", epsilons=[1.0])
-    doc["wigner"] = {
-        "times": [0.0],
-        "x_min": -25.0,
-        "n_x": 41,
-        "u_max": 6.0,
-        "n_u": 41,
-        "rel_span": 0.5,
-    }
+    # A detector far behind both packets sees no current within a short
+    # window, which trips the arrival normalization guard.
+    doc = small_config("arrival", detector_x=-55.0, arrival={"t_max": 1.0, "n_points": 101})
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(doc))
     out_dir = tmp_path / "out"
-    assert main(["wigner", "--config", str(config_path), "--out", str(out_dir)]) == 3
+    assert main(["arrival", "--config", str(config_path), "--out", str(out_dir)]) == 3
     assert list(out_dir.glob("*.csv")) == []
+
+
+def test_legacy_wigner_window_keys_do_not_change_output(tmp_path):
+    outputs = []
+    for extra in ({}, {"rel_span": 0.5, "n_rel": 9}):
+        doc = small_config("wigner")
+        doc["wigner"].update(extra)
+        out_dir = tmp_path / f"out{len(outputs)}"
+        run_experiment(parse_config(json.dumps(doc)), out_dir=out_dir)
+        outputs.append({p.name: p.read_bytes() for p in out_dir.glob("*.csv")})
+    assert len(outputs[0]) == 2
+    assert outputs[0] == outputs[1]
 
 
 def default_arrival_manifest(tmp_path):
