@@ -62,6 +62,8 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class TrajectorySettings:
+    """``dt`` is the sample spacing; the integrator chooses its own steps."""
+
     t_end: float = 15.0
     dt: float = 1e-3
     seeding: str = "uniform"

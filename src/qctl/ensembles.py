@@ -176,12 +176,11 @@ def position_density(spec: EnsembleSpec, regime: Regime, x, t):
     return np.real(diagonal)
 
 
-def purity(spec: EnsembleSpec, regime: Regime, t, grid, block_size: int = 512) -> float:
+def purity(spec: EnsembleSpec, regime: Regime, t, grid) -> float:
     """tr(rho^2) = sum over component pairs of |<phi_c|phi_c'>|^2.
 
     The overlaps use the quadrature weights of the grid, which makes this
-    equal to the 2-D quadrature of |rho(x, y)|^2 without forming it;
-    ``block_size``, the row block of that 2-D form, is accepted and unused.
+    equal to the 2-D quadrature of |rho(x, y)|^2 without forming it.
     """
     x = np.asarray(grid, dtype=float)
     phi, _ = component_fields(spec, regime, x, t, gradient=False)

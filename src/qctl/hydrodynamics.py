@@ -5,16 +5,24 @@ derivative acting on the first index, i.e. ``(hb / m) sum_c Im(conj(phi_c)
 phi_c')`` over the ensemble's normalized pure components, which one call of
 :func:`~qctl.ensembles.component_fields` returns together with the density.
 The velocity is ``j / rho`` and trajectories integrate ``dx/dt = v(x, t)``
-with classical RK4 on a fixed macro-step grid.
+with the Dormand-Prince 5(4) embedded Runge-Kutta pair (Hairer, Norsett and
+Wanner, *Solving Ordinary Differential Equations I*, II.4-6).
 
-The velocity is undefined at density nodes, and near interference nodes it
-spikes hard enough that a plain fixed step jumps across and breaks the
-non-crossing property.  A macro step whose four stage velocities disagree by
-more than ``refine_tol`` in displacement is therefore redone with 2, 4, 8, ...
-equal sub-steps (same RK4 formula, per-seed decision) until resolved; a seed
-that cannot be resolved at the deepest level, or whose stage density falls
-below ``DENSITY_FLOOR`` there, stalls instead of extrapolating through the
-node.  Samples are always reported on the macro grid.
+Every seed has its own time and step size.  The steps are controlled to a
+local error of ``ATOL`` times the smallest packet width, and the samples on
+the record grid ``k * dt`` come from the pair's dense output, so ``dt`` sets
+only the sample spacing, not the accuracy or the cost.  All seeds advance in
+lockstep, one evaluator call per stage for the whole fan, and every per-seed
+combination is written elementwise, so a seed's numbers do not depend on
+which other seeds share its cohort.
+
+The velocity is undefined at density nodes and spikes near them.  A step with
+a stage density below the density floor is rejected and retried with a
+quarter of its size, and a seed whose step falls below ``H_MIN`` stalls
+instead of extrapolating through the node.  Every rejection shrinks the step
+by at least 0.9 (by 4 at the floor), so the run of rejections before a stall
+is bounded: log4(h / H_MIN) at the floor, log(h / H_MIN) / log(1 / 0.9) at
+worst.
 """
 
 from __future__ import annotations
@@ -28,7 +36,9 @@ from .errors import DomainError, LowDensityError
 from .regime import Regime
 
 __all__ = [
+    "ATOL",
     "DENSITY_FLOOR",
+    "H_MIN",
     "Trajectory",
     "current",
     "velocity",
@@ -39,24 +49,60 @@ __all__ = [
 
 DENSITY_FLOOR = 1e-12
 
+# Local error allowed per step, in units of the smallest packet width.
+ATOL = 1e-12
+# Step size below which a seed stalls, in time units.
+H_MIN = 1e-10
+
 STATUS_COMPLETED = "completed"
 STATUS_STALLED = "stalled-low-density"
 
-# Stage-velocity disagreement (as displacement, in units of sigma0) above
-# which a macro step is redone with sub-steps; smooth regions sit orders of
-# magnitude below this, node regions orders of magnitude above.
-REFINE_TOL = 2e-4
-MAX_REFINE_LEVEL = 16
+# Step-size controller: safety factor, bounds of the change per step, and the
+# shrink after a stage fell below the density floor.
+_SAFETY = 0.9
+_FACTOR_MIN = 0.2
+_FACTOR_MAX = 5.0
+_FLOOR_SHRINK = 0.25
+
+# Dormand-Prince 5(4): nodes, stage rows (the last row is the fifth-order
+# solution, whose end velocity is the next step's first stage), error
+# weights (fifth minus fourth order) and the dense-output weights.
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_D = (
+    -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+    -10690763975 / 1880347072, 701980252875 / 199316789632,
+    -1453857185 / 822651844, 69997945 / 29380423,
+)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One integrated trajectory: strictly increasing times, matching positions."""
+    """One integrated trajectory: strictly increasing times, matching positions.
+
+    The step counts describe the integrator's work for this seed:
+    ``min_step`` is its smallest accepted step other than the final one,
+    which is cut to end on the last sample (inf if there was none), and
+    ``evaluations`` counts the evaluator calls that included the seed.
+    """
 
     initial_position: float
     times: np.ndarray
     positions: np.ndarray
     status: str
+    accepted_steps: int
+    rejected_steps: int
+    min_step: float
+    evaluations: int
 
     @property
     def samples(self):
@@ -93,79 +139,8 @@ def velocity(
     return v
 
 
-def _macro_step(
-    spec: EnsembleSpec,
-    regime: Regime,
-    x: np.ndarray,
-    v: np.ndarray,
-    rho: np.ndarray,
-    t: float,
-    h_macro: float,
-    t_next: float,
-    density_floor: float,
-    refine_tol: float,
-    max_level: int,
-):
-    """Advance all seeds in ``x`` by one macro step of ``h_macro`` from ``t``.
-
-    ``v`` and ``rho`` are the velocity and density at (x, t): the first stage
-    of every refinement level's first sub-step.  Every refinement decision
-    uses only a seed's own stage values, so the result is independent of
-    which other seeds travel in the cohort.  Returns (x_new, v_new, rho_new,
-    stalled_mask), with v_new and rho_new at (x_new, t_next) for the seeds
-    that did not stall.  ``t_next`` is the record time, equal to
-    ``t + h_macro`` up to rounding; both are passed so that the step size
-    and the time of the next step's first stage are exact.
-    """
-    n = x.size
-    x_out = np.empty(n)
-    v_out = np.empty(n)
-    rho_out = np.empty(n)
-    resolved = np.zeros(n, dtype=bool)
-    stalled = np.zeros(n, dtype=bool)
-    for level in range(max_level + 1):
-        idx = np.flatnonzero(~resolved)
-        if idx.size == 0:
-            break
-        n_sub = 2**level
-        h = h_macro / n_sub
-        xs = x[idx].copy()
-        flagged = np.zeros(idx.size, dtype=bool)
-        dead = np.zeros(idx.size, dtype=bool)
-        for j in range(n_sub):
-            t_j = t + j * h
-            if j == 0:
-                v1, r1 = v[idx], rho[idx]
-            else:
-                v1, r1 = _velocity_and_density(spec, regime, xs, t_j)
-            v2, r2 = _velocity_and_density(spec, regime, xs + 0.5 * h * v1, t_j + 0.5 * h)
-            v3, r3 = _velocity_and_density(spec, regime, xs + 0.5 * h * v2, t_j + 0.5 * h)
-            v4, r4 = _velocity_and_density(spec, regime, xs + h * v3, t_j + h)
-            dead |= np.minimum(np.minimum(r1, r2), np.minimum(r3, r4)) < density_floor
-            spread = np.maximum(np.maximum(v1, v2), np.maximum(v3, v4)) - np.minimum(
-                np.minimum(v1, v2), np.minimum(v3, v4)
-            )
-            flagged |= spread * h > refine_tol
-            xs = xs + (h / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-        v_final, rho_final = _velocity_and_density(spec, regime, xs, t_next)
-        dead |= rho_final < density_floor
-        accept = ~(flagged | dead)
-        x_out[idx[accept]] = xs[accept]
-        v_out[idx[accept]] = v_final[accept]
-        rho_out[idx[accept]] = rho_final[accept]
-        resolved[idx[accept]] = True
-        if level == max_level:
-            stalled[idx[~accept]] = True
-            resolved[idx[~accept]] = True
-    if spec.wall:
-        # The state vanishes for x >= 0, so v_out and rho_out (zero there)
-        # still hold at a clamped position.
-        x_out[~stalled] = np.minimum(x_out[~stalled], 0.0)
-    return x_out, v_out, rho_out, stalled
-
-
 def step_count(t_end: float, dt: float) -> int:
-    """Number of macro steps of size ``dt`` that end exactly at ``t_end``.
+    """Number of sample intervals of length ``dt`` that end exactly at ``t_end``.
 
     Raises :class:`DomainError` unless ``t_end`` is a whole multiple of ``dt``
     (to a relative 1e-9): rounding the count would silently move the final
@@ -177,6 +152,27 @@ def step_count(t_end: float, dt: float) -> int:
     return n_steps
 
 
+def _combine(weights, stages):
+    """``sum_j w_j k_j`` over the nonzero weights, elementwise in a fixed order."""
+    total = None
+    for w, k in zip(weights, stages):
+        if w != 0.0:
+            total = w * k if total is None else total + w * k
+    return total
+
+
+def _initial_step(spec, regime, x, v, tol, scale, t_stop):
+    """Starting step per seed (Hairer, Norsett and Wanner, II.4).
+
+    The packet width stands in for |x| as the length scale of the first
+    guess: a position's distance from the origin says nothing about the flow.
+    """
+    h0 = np.minimum(0.01 * scale / np.maximum(np.abs(v), 1e-300), t_stop)
+    v1, _ = _velocity_and_density(spec, regime, x + h0 * v, h0)
+    d = np.maximum(np.abs(v), np.abs(v1 - v) / h0) / tol
+    return np.minimum(100.0 * h0, (0.01 / np.maximum(d, 1e-15)) ** 0.2)
+
+
 def _integrate_fan(
     spec: EnsembleSpec,
     regime: Regime,
@@ -184,61 +180,108 @@ def _integrate_fan(
     t_end: float,
     dt: float,
     density_floor: float,
-    refine_tol: float | None = None,
-    max_refine_level: int = MAX_REFINE_LEVEL,
 ) -> list[Trajectory]:
-    """Lockstep integration over all seeds with per-seed stall bookkeeping.
-
-    Per-seed arithmetic is elementwise, so lockstep integration produces the
-    same numbers as integrating each seed on its own.
-    """
-    n_steps = step_count(t_end, dt)
-    if refine_tol is None:
-        refine_tol = REFINE_TOL * min(p.sigma0 for p in spec.packets)
-    times = np.arange(n_steps + 1) * dt
-    n_seeds = seeds.size
-    positions = np.full((n_seeds, n_steps + 1), np.nan)
+    """Lockstep Dormand-Prince integration with per-seed steps and stalls."""
+    times = np.arange(step_count(t_end, dt) + 1) * dt
+    t_stop = times[-1]
+    scale = min(p.sigma0 for p in spec.packets)
+    tol = ATOL * scale
+    n = seeds.size
+    positions = np.full((n, times.size), np.nan)
     positions[:, 0] = seeds
-    stall_step = np.full(n_seeds, -1, dtype=int)
+    recorded = np.ones(n, dtype=int)
+    accepted = np.zeros(n, dtype=int)
+    rejected = np.zeros(n, dtype=int)
+    min_step = np.full(n, np.inf)
+    evaluations = np.ones(n, dtype=int)
 
-    # Velocity and density of every active seed at its latest position.
-    v, rho = _velocity_and_density(spec, regime, seeds, 0.0)
-    active = np.asarray(rho >= density_floor)
-    stall_step[~active] = 0
+    # Time, position, step size and first stage (the velocity) of every seed.
+    t = np.zeros(n)
+    x = seeds.copy()
+    h = np.zeros(n)
+    v, rho = _velocity_and_density(spec, regime, x, 0.0)
+    stalled = rho < density_floor
+    running = ~stalled
+    grow = np.ones(n, dtype=bool)  # false right after a rejected step
+    if running.any():
+        i = np.flatnonzero(running)
+        h[i] = _initial_step(spec, regime, x[i], v[i], tol, scale, t_stop)
+        evaluations[i] += 1
 
-    for k in range(n_steps):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        x_new, v_new, rho_new, stalled = _macro_step(
-            spec,
-            regime,
-            positions[idx, k],
-            v[idx],
-            rho[idx],
-            times[k],
-            dt,
-            times[k + 1],
-            density_floor,
-            refine_tol,
-            max_refine_level,
+    while running.any():
+        i = np.flatnonzero(running)
+        x0, t0 = x[i], t[i]
+        # A step that would end within 1% of t_stop is stretched to end on
+        # it, so no sliver of a step is left over.
+        last = t0 + 1.01 * h[i] >= t_stop
+        h0 = np.where(last, t_stop - t0, h[i])
+        k = [v[i]]
+        low = np.zeros(i.size, dtype=bool)
+        for node, row in zip(_C[1:], _A[1:]):
+            increment = h0 * _combine(row, k)
+            k_s, rho_s = _velocity_and_density(spec, regime, x0 + increment, t0 + node * h0)
+            k.append(k_s)
+            low |= rho_s < density_floor
+        evaluations[i] += len(_C) - 1
+        x1 = x0 + increment
+
+        err = np.abs(h0 * _combine(_E, k)) / tol
+        ok = (err <= 1.0) & ~low
+        factor = np.clip(_SAFETY * np.maximum(err, 1e-10) ** -0.2, _FACTOR_MIN, _FACTOR_MAX)
+        factor = np.where(grow[i], factor, np.minimum(factor, 1.0))
+        factor[low] = _FLOOR_SHRINK
+
+        # Dense output at the record times in (t0, t1] of each accepted seed,
+        # anchored at x1 so that theta = 1 gives x1 exactly.
+        a = np.flatnonzero(ok)
+        t1 = np.where(last[a], t_stop, t0[a] + h0[a])
+        stop = np.searchsorted(times, t1, side="right")
+        counts = stop - recorded[i[a]]
+        owner = np.repeat(a, counts)
+        cols = np.arange(owner.size) + np.repeat(stop - np.cumsum(counts), counts)
+        theta = (times[cols] - t0[owner]) / h0[owner]
+        theta1 = 1.0 - theta
+        q1 = h0 * k[0] - increment
+        q2 = increment - h0 * k[-1] - q1
+        q3 = h0 * _combine(_D, k)
+        sample = x1[owner] - theta1 * (
+            increment[owner] - theta * (q1[owner] + theta * (q2[owner] + theta1 * q3[owner]))
         )
-        stall_step[idx[stalled]] = k
-        active[idx[stalled]] = False
-        good = idx[~stalled]
-        positions[good, k + 1] = x_new[~stalled]
-        v[good] = v_new[~stalled]
-        rho[good] = rho_new[~stalled]
+        if spec.wall:
+            # Accepted positions are inside already: the density, and so
+            # every accepted stage, vanishes at x >= 0.  Samples between
+            # them may overshoot.
+            sample = np.minimum(sample, 0.0)
+        positions[i[owner], cols] = sample
+        recorded[i[a]] = stop
 
-    stops = np.where(stall_step >= 0, stall_step + 1, n_steps + 1)
+        t[i[a]] = t1
+        x[i[a]] = x1[a]
+        v[i[a]] = k[-1][a]
+        accepted[i[a]] += 1
+        rejected[i[~ok]] += 1
+        inner = a[~last[a]]
+        min_step[i[inner]] = np.minimum(min_step[i[inner]], h0[inner])
+        running[i[a[last[a]]]] = False
+
+        h[i] = h0 * factor
+        grow[i] = ok
+        collapsed = i[running[i] & (h[i] < H_MIN)]
+        stalled[collapsed] = True
+        running[collapsed] = False
+
     return [
         Trajectory(
-            float(seeds[i]),
-            times[: stops[i]],
-            positions[i, : stops[i]],
-            STATUS_STALLED if stall_step[i] >= 0 else STATUS_COMPLETED,
+            float(seeds[j]),
+            times[: recorded[j]],
+            positions[j, : recorded[j]],
+            STATUS_STALLED if stalled[j] else STATUS_COMPLETED,
+            int(accepted[j]),
+            int(rejected[j]),
+            float(min_step[j]),
+            int(evaluations[j]),
         )
-        for i in range(n_seeds)
+        for j in range(n)
     ]
 
 
@@ -249,13 +292,9 @@ def integrate_trajectory(
     t_end: float,
     dt: float = 1e-3,
     density_floor: float = DENSITY_FLOOR,
-    refine_tol: float | None = None,
-    max_refine_level: int = MAX_REFINE_LEVEL,
 ) -> Trajectory:
     """Integrate one trajectory from ``initial_position`` up to ``t_end``."""
-    return trajectory_fan(
-        spec, regime, [initial_position], t_end, dt, density_floor, refine_tol, max_refine_level
-    )[0]
+    return trajectory_fan(spec, regime, [initial_position], t_end, dt, density_floor)[0]
 
 
 def trajectory_fan(
@@ -265,10 +304,12 @@ def trajectory_fan(
     t_end: float,
     dt: float = 1e-3,
     density_floor: float = DENSITY_FLOOR,
-    refine_tol: float | None = None,
-    max_refine_level: int = MAX_REFINE_LEVEL,
 ) -> list[Trajectory]:
-    """Integrate one trajectory per seed; seeds must be strictly increasing."""
+    """Integrate one trajectory per seed, sampled every ``dt``.
+
+    Seeds must be strictly increasing.  ``dt`` is the sample spacing only;
+    the step sizes are chosen per seed by the error control.
+    """
     seeds = np.asarray(initial_positions, dtype=float)
     if seeds.ndim != 1 or seeds.size == 0:
         raise DomainError("initial positions must be a non-empty 1-D sequence")
@@ -278,6 +319,4 @@ def trajectory_fan(
         raise DomainError("initial positions must be negative")
     if not dt > 0.0 or not t_end > 0.0:
         raise DomainError("dt and t_end must be positive")
-    return _integrate_fan(
-        spec, regime, seeds, t_end, dt, density_floor, refine_tol, max_refine_level
-    )
+    return _integrate_fan(spec, regime, seeds, t_end, dt, density_floor)

@@ -127,8 +127,24 @@ def _run_trajectories(
             columns.append(column)
 
     _write_csv(path, header, [np.column_stack(columns)])
+    counts = {kind: _integrator_counts(fan) for kind, fan in fans.items()}
+    diagnostics.setdefault("integrator", {})[_eps_tag(regime.epsilon)] = counts
     diagnostics[f"stalled_eps{_eps_tag(regime.epsilon)}"] = {
-        kind: sum(1 for tr in fans[kind] if tr.status != "completed") for kind in fans
+        kind: c["stalled_seeds"] for kind, c in counts.items()
+    }
+
+
+def _integrator_counts(fan) -> dict:
+    """Work of one lockstep fan; every count is deterministic."""
+    smallest = min(tr.min_step for tr in fan)
+    return {
+        "accepted_steps": sum(tr.accepted_steps for tr in fan),
+        "rejected_steps": sum(tr.rejected_steps for tr in fan),
+        # Each evaluator call of the fan includes every seed still running,
+        # so the fan makes as many calls as its longest-running seed saw.
+        "evaluator_calls": max(tr.evaluations for tr in fan),
+        "min_step": smallest if np.isfinite(smallest) else None,
+        "stalled_seeds": sum(tr.status != "completed" for tr in fan),
     }
 
 
@@ -281,10 +297,14 @@ def _trace_drift(config: ExperimentConfig, regime: Regime) -> dict:
 def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     """Run the configured experiment; returns the manifest dictionary.
 
-    Partial outputs are removed if any stage fails.
+    Any earlier manifest in the output directory is removed first, and
+    partial outputs are removed if any stage fails.
     """
     target = Path(out_dir if out_dir is not None else config.out_dir)
     target.mkdir(parents=True, exist_ok=True)
+    # A manifest left by an earlier run would describe outputs that a failure
+    # of this one removes.
+    (target / "manifest.json").unlink(missing_ok=True)
     started = _time.perf_counter()
     written: list[Path] = []
     diagnostics: dict = {"trace": {}}

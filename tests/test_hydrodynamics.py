@@ -13,9 +13,11 @@ from qctl import (
     packet_center,
     position_density,
     pure_density,
+    quad_integrate,
     trajectory_fan,
     velocity,
 )
+from qctl import hydrodynamics
 
 
 def single_free(packet):
@@ -119,6 +121,19 @@ def test_trajectory_matches_dressing_solution(quantum, packet_a):
         assert trajectory.status == "completed"
 
 
+def test_dense_samples_follow_dressing_solution(quantum, packet_a):
+    # Every sample, most of them interpolated by the dense output between
+    # steps of about 0.05, stays within 1e-10 of the closed form: a few
+    # hundred local errors of ATOL * sigma0 = 1e-12.
+    spec = single_free(packet_a)
+    for offset in np.linspace(-2.0, 2.0, 5):
+        trajectory = integrate_trajectory(spec, quantum, packet_a.x0 + offset, 5.0, 1e-3)
+        widths = np.abs(complex_width(packet_a, quantum, trajectory.times))
+        oracle = packet_center(packet_a, trajectory.times) + offset * widths / packet_a.sigma0
+        assert trajectory.accepted_steps < 200
+        assert np.max(np.abs(trajectory.positions - oracle)) <= 1e-10
+
+
 def test_trajectory_samples_contract(quantum, mixed_spec):
     trajectory = integrate_trajectory(mixed_spec, quantum, -6.0, 1.0, 1e-3)
     assert trajectory.times[0] == 0.0
@@ -160,12 +175,72 @@ def test_fan_preserves_ordering(quantum, mixed_spec):
         assert np.min(upper.positions[:shared] - lower.positions[:shared]) > -1e-6
 
 
-def test_step_halving_convergence(quantum, mixed_spec):
+def test_sample_spacing_does_not_change_steps(pure_spec, nearly_classical, monkeypatch):
+    # dt only sets where the dense output is sampled: the node-rich pure flow
+    # takes the same steps, at the same cost, for either spacing.
+    calls = {"n": 0}
+    evaluate = hydrodynamics.component_fields
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(hydrodynamics, "component_fields", counted)
     seeds = [-12.0, -8.0, -5.0]
-    coarse = trajectory_fan(mixed_spec, quantum, seeds, 3.0, 2e-3)
-    fine = trajectory_fan(mixed_spec, quantum, seeds, 3.0, 1e-3)
-    for a, b in zip(coarse, fine):
-        assert abs(a.positions[-1] - b.positions[-1]) < 1e-4
+    fans, cost = {}, {}
+    for dt in (2e-3, 1e-3):
+        calls["n"] = 0
+        fans[dt] = trajectory_fan(pure_spec, nearly_classical, seeds, 3.0, dt)
+        cost[dt] = calls["n"]
+        assert max(tr.evaluations for tr in fans[dt]) == cost[dt]
+    assert cost[2e-3] == cost[1e-3]
+    for coarse, fine in zip(fans[2e-3], fans[1e-3]):
+        assert coarse.positions.size == 1501
+        assert np.max(np.abs(coarse.positions - fine.positions[::2])) <= 1e-12
+
+
+def test_fan_member_equals_single_seed_integration(pure_spec, nearly_classical):
+    # Each seed keeps its own steps, so its numbers do not depend on the
+    # other seeds in the lockstep cohort.
+    fan = trajectory_fan(pure_spec, nearly_classical, [-16.0, -9.0, -4.0], 3.0, 1e-3)
+    single = integrate_trajectory(pure_spec, nearly_classical, -9.0, 3.0, 1e-3)
+    assert np.array_equal(fan[1].positions, single.positions)
+    assert fan[1].accepted_steps == single.accepted_steps
+    assert fan[1].rejected_steps == single.rejected_steps
+
+
+def test_equivariance_mass_left_of_trajectories(pure_spec, nearly_classical):
+    # Oracle: the guidance flow transports the density, so the probability
+    # to the left of every trajectory is conserved, here past the collision
+    # of the two packets near t = 2.5 in the node-rich pure flow.
+    seeds = np.linspace(-18.0, -2.0, 12)
+    fan = trajectory_fan(pure_spec, nearly_classical, seeds, 5.0, 1e-3)
+
+    def mass_left(x, t):
+        grid = np.linspace(-40.0, x, 40001)
+        return float(quad_integrate(grid, position_density(pure_spec, nearly_classical, grid, t)))
+
+    for tr in fan:
+        assert tr.status == "completed"
+        start = mass_left(tr.positions[0], 0.0)
+        for k in (3000, 4000, 5000):
+            assert abs(mass_left(tr.positions[k], tr.times[k]) - start) <= 1e-6
+
+
+def test_collapsing_step_stalls_instead_of_hanging(quantum):
+    # Along a trajectory of a spreading free packet the density falls as
+    # sigma0 / |s_t|.  A floor at 0.9 of the seed's density is reached at
+    # |s_t| = sigma0 / 0.9, where the step shrinks until it drops below H_MIN.
+    packet = GaussianPacket(sigma0=1.0, x0=-10.0, p0=1.0, mass=1.0)
+    spec = single_free(packet)
+    seed = -12.0
+    floor = 0.9 * float(position_density(spec, quantum, seed, 0.0))
+    trajectory = integrate_trajectory(spec, quantum, seed, 2.0, 1e-3, density_floor=floor)
+    t_floor = 2.0 * np.sqrt(1.0 / 0.81 - 1.0)  # |s_t| / sigma0 = 1 / 0.9
+    assert trajectory.status == "stalled-low-density"
+    assert t_floor - 1e-3 <= trajectory.times[-1] <= t_floor
+    assert trajectory.rejected_steps <= 100
+    assert trajectory.evaluations <= 1000
 
 
 def test_collision_reversal_of_rear_seed(nearly_classical, mixed_spec):

@@ -80,6 +80,27 @@ def test_trajectory_run_records_fans(tmp_path):
     assert manifest["diagnostics"]["stalled_eps1"] == {"pure": 0, "mixed": 0}
 
 
+def test_trajectory_run_records_integrator_counts(tmp_path):
+    # The seed in the far tail stalls at t = 0 and takes no step.
+    doc = small_config("trajectories", epsilons=[1.0, 0.01])
+    doc["trajectories"]["seeds"] = [-55.0, -10.0, -6.0]
+    manifest = run_experiment(parse_config(json.dumps(doc)), out_dir=tmp_path)
+    diagnostics = manifest["diagnostics"]
+    assert sorted(diagnostics["integrator"]) == ["0.01", "1"]
+    for tag, per_kind in diagnostics["integrator"].items():
+        assert sorted(per_kind) == ["mixed", "pure"]
+        for kind, counts in per_kind.items():
+            assert counts["stalled_seeds"] == diagnostics[f"stalled_eps{tag}"][kind] == 1
+            assert counts["accepted_steps"] > 0
+            assert counts["rejected_steps"] >= 0
+            # One call at t = 0, one for the starting step and six per step
+            # attempted by the longer-running of the two seeds that move.
+            attempts = counts["accepted_steps"] + counts["rejected_steps"]
+            assert 2 + 3 * attempts <= counts["evaluator_calls"] <= 2 + 6 * attempts
+            assert 0.0 < counts["min_step"] < 1.0
+    assert json.loads((tmp_path / "manifest.json").read_text())["diagnostics"] == diagnostics
+
+
 def test_born_seeding_is_deterministic_and_ordered(tmp_path):
     config = parse_config(
         json.dumps(
@@ -148,11 +169,14 @@ def test_partial_outputs_removed_on_failure(tmp_path, monkeypatch):
             raise RuntimeError("boom")
         return original(config, regime, out_dir, written)
 
+    # A successful run first: its manifest must not outlive the failed rerun.
+    run_experiment(parse_config(json.dumps(small_config("arrival", epsilons=[1.0]))), tmp_path)
+    assert (tmp_path / "manifest.json").exists()
     monkeypatch.setattr(runner, "_run_density", explode_on_second)
     config = parse_config(json.dumps(small_config("density")))
     with pytest.raises(RuntimeError):
         run_experiment(config, out_dir=tmp_path)
-    assert list(tmp_path.glob("*.csv")) == []
+    assert list(tmp_path.glob("density_*.csv")) == []
     assert not (tmp_path / "manifest.json").exists()
 
 
