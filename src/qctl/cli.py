@@ -15,6 +15,7 @@ from dataclasses import replace
 
 from .config import RUN_KINDS, load_config
 from .errors import ConfigError, DomainError, LowDensityError, NumericalGuardError
+from .regime import make_regime
 from .runner import run_experiment
 
 __all__ = ["main"]
@@ -46,8 +47,10 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         config = replace(config, run_kind=args.run_kind)
         if args.epsilon is not None:
-            if not 0.0 < args.epsilon <= 1.0:
-                raise ConfigError("--epsilon", f"must be in (0, 1], got {args.epsilon}")
+            try:
+                make_regime(args.epsilon, config.hbar)
+            except DomainError as exc:
+                raise ConfigError("--epsilon", str(exc)) from exc
             config = replace(config, epsilons=(args.epsilon,))
     except (OSError, ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

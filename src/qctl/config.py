@@ -1,17 +1,20 @@
 """Experiment configuration: JSON schema, validation, defaults, serialization.
 
-A configuration document is a single JSON object.  Unknown keys are rejected
-with the offending field path, and every numeric invariant is checked at load
-time so the runner never starts from an inconsistent state.  Only the
-``packets`` section is mandatory; everything else has validated defaults
-(``trajectories.dt = 1e-3``, ``grid.n_points = 2048``, ``grid.x_min = -60``).
+A configuration document is a single JSON object.  The settings dataclasses
+below are its schema: each key of a section is a field, checked against the
+field's annotation, and an absent key takes the field's default.  Unknown keys
+and non-finite numbers are rejected with the offending field path, and every
+numeric invariant is checked at load time so the runner never starts from an
+inconsistent state.  Only the ``packets`` section is mandatory.
 """
 
-from __future__ import annotations
-
+# No ``from __future__ import annotations``: the loader reads each settings
+# field's type from its annotation, so annotations must be evaluated.
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import sys
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -43,18 +46,17 @@ _TAIL_MASS_LIMIT = 1e-10
 class SpatialGrid:
     """Uniform position grid on [x_min, 0]."""
 
-    x_min: float
-    n_points: int
-    x_max: float = 0.0
+    x_min: float = -60.0
+    n_points: int = 2048
 
     def points(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_points)
+        return np.linspace(self.x_min, 0.0, self.n_points)
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    t_max: float
-    n_times: int
+    t_max: float = 20.0
+    n_times: int = 41
 
     def points(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.n_times)
@@ -96,18 +98,20 @@ class WignerSettings:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The whole run; the packets come from the ``packets`` and ``mass`` keys."""
+
     packet_a: GaussianPacket
     packet_b: GaussianPacket
-    run_kind: str = "density"
+    run_kind: str = field(default="density", metadata={"key": "run"})
     out_dir: str = "out"
     epsilons: tuple[float, ...] = (1.0, 0.5, 0.1, 0.01)
     hbar: float = 1.0
-    grid: SpatialGrid = field(default_factory=lambda: SpatialGrid(-60.0, 2048))
-    time: TimeGrid = field(default_factory=lambda: TimeGrid(20.0, 41))
+    grid: SpatialGrid = SpatialGrid()
+    time: TimeGrid = TimeGrid()
     detector_x: float = -30.0
-    trajectories: TrajectorySettings = field(default_factory=TrajectorySettings)
-    arrival: ArrivalSettings = field(default_factory=ArrivalSettings)
-    wigner: WignerSettings = field(default_factory=WignerSettings)
+    trajectories: TrajectorySettings = TrajectorySettings()
+    arrival: ArrivalSettings = ArrivalSettings()
+    wigner: WignerSettings = WignerSettings()
 
     def regimes(self) -> list[Regime]:
         return [make_regime(eps, self.hbar) for eps in self.epsilons]
@@ -116,39 +120,57 @@ class ExperimentConfig:
         return EnsembleSpec(kind=kind, packet_a=self.packet_a, packet_b=self.packet_b)
 
 
-def _require_keys(obj: dict, allowed: set[str], path: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
+# JSON types accepted for each scalar annotation, and their name in errors.
+_SCALARS = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string")}
 
 
-def _section(doc: dict, name: str, allowed: set[str]) -> dict:
-    """The object ``doc[name]`` (empty if absent), checked for unknown keys."""
-    section = doc.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(name, "must be an object")
-    _require_keys(section, allowed, name)
-    return section
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
-def _typed(obj: dict, key: str, path: str, default, types, noun: str):
-    name = f"{path}.{key}" if path else key
-    if key not in obj:
-        if default is None:
-            raise ConfigError(name, "missing required value")
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ConfigError(name, f"expected {noun}, got {value!r}")
+def _object(value, path: str, keys) -> dict:
+    """``value``, checked to be a JSON object whose keys are all in ``keys``."""
+    if not isinstance(value, dict):
+        raise ConfigError(path, "must be an object")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(_join(path, key), "unknown key")
     return value
 
 
-def _number(obj: dict, key: str, path: str, default=None) -> float:
-    return float(_typed(obj, key, path, default, (int, float), "a number"))
+def _value(value, kind, path: str):
+    """The JSON ``value`` checked against the field annotation ``kind``."""
+    if is_dataclass(kind):
+        return kind(**_settings(kind, value, path))
+    if type(None) in get_args(kind):  # ``X | None``
+        return None if value is None else _value(value, get_args(kind)[0], path)
+    if get_origin(kind) is tuple:  # ``tuple[float, ...]``
+        if not isinstance(value, list) or not value:
+            raise ConfigError(path, "must be a non-empty list of numbers")
+        return tuple(_value(v, float, f"{path}[{i}]") for i, v in enumerate(value))
+    types, noun = _SCALARS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(path, f"expected {noun}, got {value!r}")
+    if kind is float:
+        # Python's json reads NaN, Infinity, overflowing literals such as
+        # 1e400 (as inf) and integers beyond the float range.
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(path, f"expected a finite number, got {value!r}")
+        return float(value)
+    return value
 
 
-def _integer(obj: dict, key: str, path: str, default=None) -> int:
-    return _typed(obj, key, path, default, int, "an integer")
+def _settings(cls, obj, path: str) -> dict:
+    """Keyword arguments for the dataclass ``cls`` from the JSON object ``obj``.
+
+    The keys are the fields with defaults, renamed by a field's ``key``
+    metadata; an absent key is left to the field default.
+    """
+    schema = {f.metadata.get("key", f.name): f for f in fields(cls) if f.default is not MISSING}
+    values = {}
+    for key, value in _object(obj, path, schema).items():
+        values[schema[key].name] = _value(value, schema[key].type, _join(path, key))
+    return values
 
 
 def _gaussian_tail_mass(x_min: float, x0: float, sigma0: float) -> float:
@@ -157,91 +179,65 @@ def _gaussian_tail_mass(x_min: float, x0: float, sigma0: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def _parse_packet(obj: dict, path: str, sigma0: float, mass: float) -> GaussianPacket:
-    _require_keys(obj, {"x0", "p0", "sigma0"}, path)
-    x0 = _number(obj, "x0", path)
-    p0 = _number(obj, "p0", path)
-    sigma = _number(obj, "sigma0", path, default=sigma0)
-    try:
-        return GaussianPacket(sigma0=sigma, x0=x0, p0=p0, mass=mass)
-    except DomainError as exc:
-        raise ConfigError(path, str(exc)) from exc
+def _parse_packets(doc: dict) -> list[GaussianPacket]:
+    """Packets a and b; ``mass`` and ``packets.sigma0`` are shared by both."""
+    shared = {}
+    if "mass" in doc:
+        shared["mass"] = _value(doc["mass"], float, "mass")
+        if not shared["mass"] > 0.0:
+            raise ConfigError("mass", f"must be positive, got {shared['mass']}")
+    if "packets" not in doc:
+        raise ConfigError("packets", "missing required section")
+    packets = _object(doc["packets"], "packets", {"sigma0", "a", "b"})
+    if "sigma0" in packets:
+        shared["sigma0"] = _value(packets["sigma0"], float, "packets.sigma0")
+    result = []
+    for name in ("a", "b"):
+        path = f"packets.{name}"
+        if not isinstance(packets.get(name), dict):
+            raise ConfigError(path, "missing packet object")
+        obj = _object(packets[name], path, {"x0", "p0", "sigma0"})
+        for key in ("x0", "p0"):
+            if key not in obj:
+                raise ConfigError(f"{path}.{key}", "missing required value")
+        own = {key: _value(value, float, f"{path}.{key}") for key, value in obj.items()}
+        try:
+            result.append(GaussianPacket(**{**shared, **own}))
+        except DomainError as exc:
+            raise ConfigError(path, str(exc)) from exc
+    return result
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON configuration document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ConfigError("<document>", f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("<document>", "top-level value must be an object")
-    _require_keys(
-        doc,
-        {
-            "run",
-            "out_dir",
-            "epsilons",
-            "hbar",
-            "mass",
-            "packets",
-            "grid",
-            "time",
-            "detector_x",
-            "trajectories",
-            "arrival",
-            "wigner",
-        },
-        "",
-    )
+    top = {key: value for key, value in doc.items() if key not in ("mass", "packets")}
+    settings = _settings(ExperimentConfig, top, "")
+    config = ExperimentConfig(*_parse_packets(doc), **settings)
 
-    run_kind = doc.get("run", "density")
-    if run_kind not in RUN_KINDS:
-        raise ConfigError("run", f"must be one of {RUN_KINDS}, got {run_kind!r}")
-    out_dir = doc.get("out_dir", "out")
-    if not isinstance(out_dir, str) or not out_dir:
+    if config.run_kind not in RUN_KINDS:
+        raise ConfigError("run", f"must be one of {RUN_KINDS}, got {config.run_kind!r}")
+    if not config.out_dir:
         raise ConfigError("out_dir", "must be a non-empty string")
-
-    eps_raw = doc.get("epsilons", [1.0, 0.5, 0.1, 0.01])
-    if not isinstance(eps_raw, list) or not eps_raw:
-        raise ConfigError("epsilons", "must be a non-empty list of numbers")
-    epsilons = []
-    for i, value in enumerate(eps_raw):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"epsilons[{i}]", f"expected a number, got {value!r}")
-        epsilons.append(float(value))
-    if len(set(epsilons)) != len(epsilons):
+    if len(set(config.epsilons)) != len(config.epsilons):
         raise ConfigError("epsilons", "values must be distinct")
-    hbar = _number(doc, "hbar", "", default=1.0)
-    mass = _number(doc, "mass", "", default=1.0)
-    for i, eps in enumerate(epsilons):
+    for i, eps in enumerate(config.epsilons):
         try:
-            make_regime(eps, hbar)
+            make_regime(eps, config.hbar)
         except DomainError as exc:
             raise ConfigError(f"epsilons[{i}]", str(exc)) from exc
-    if not mass > 0.0:
-        raise ConfigError("mass", f"must be positive, got {mass}")
 
-    if "packets" not in doc:
-        raise ConfigError("packets", "missing required section")
-    packets = _section(doc, "packets", {"sigma0", "a", "b"})
-    sigma0 = _number(packets, "sigma0", "packets", default=1.0)
-    for name in ("a", "b"):
-        if name not in packets or not isinstance(packets[name], dict):
-            raise ConfigError(f"packets.{name}", "missing packet object")
-    packet_a = _parse_packet(packets["a"], "packets.a", sigma0, mass)
-    packet_b = _parse_packet(packets["b"], "packets.b", sigma0, mass)
-
-    grid_doc = _section(doc, "grid", {"x_min", "n_points"})
-    grid = SpatialGrid(
-        x_min=_number(grid_doc, "x_min", "grid", default=-60.0),
-        n_points=_integer(grid_doc, "n_points", "grid", default=2048),
-    )
+    grid = config.grid
     if not grid.x_min < 0.0:
         raise ConfigError("grid.x_min", f"must be negative, got {grid.x_min}")
     if grid.n_points < 64:
         raise ConfigError("grid.n_points", f"must be at least 64, got {grid.n_points}")
-    for name, packet in (("a", packet_a), ("b", packet_b)):
+    for name, packet in (("a", config.packet_a), ("b", config.packet_b)):
         tail = _gaussian_tail_mass(grid.x_min, packet.x0, packet.sigma0)
         if tail > _TAIL_MASS_LIMIT:
             raise ConfigError(
@@ -250,53 +246,24 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"(limit {_TAIL_MASS_LIMIT:.0e})",
             )
 
-    time_doc = _section(doc, "time", {"t_max", "n_times"})
-    time_grid = TimeGrid(
-        t_max=_number(time_doc, "t_max", "time", default=20.0),
-        n_times=_integer(time_doc, "n_times", "time", default=41),
-    )
-    if not time_grid.t_max > 0.0:
+    if not config.time.t_max > 0.0:
         raise ConfigError("time.t_max", "must be positive")
-    if time_grid.n_times < 2:
+    if config.time.n_times < 2:
         raise ConfigError("time.n_times", "must be at least 2")
 
-    detector_x = _number(doc, "detector_x", "", default=-30.0)
-    if not detector_x < 0.0:
-        raise ConfigError("detector_x", f"must be negative, got {detector_x}")
+    if not config.detector_x < 0.0:
+        raise ConfigError("detector_x", f"must be negative, got {config.detector_x}")
 
-    traj_doc = _section(
-        doc,
-        "trajectories",
-        {"t_end", "dt", "seeding", "n_seeds", "x_lo", "x_hi", "seeds", "record_every"},
-    )
-    seeds_raw = traj_doc.get("seeds")
-    seeds: tuple[float, ...] | None = None
-    if seeds_raw is not None:
-        if not isinstance(seeds_raw, list) or len(seeds_raw) == 0:
-            raise ConfigError("trajectories.seeds", "must be a non-empty list or null")
-        values = []
-        for i, value in enumerate(seeds_raw):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"trajectories.seeds[{i}]", "expected a number")
-            values.append(float(value))
-        if any(v >= 0.0 for v in values):
+    trajectories = config.trajectories
+    seeds = trajectories.seeds
+    if seeds is not None:
+        if any(v >= 0.0 for v in seeds):
             raise ConfigError("trajectories.seeds", "all seeds must be negative")
-        if any(b <= a for a, b in zip(values, values[1:])):
+        if any(b <= a for a, b in zip(seeds, seeds[1:])):
             raise ConfigError("trajectories.seeds", "seeds must be strictly increasing")
-        seeds = tuple(values)
-    seeding = traj_doc.get("seeding", "uniform")
+    seeding = trajectories.seeding
     if seeding not in ("uniform", "born"):
         raise ConfigError("trajectories.seeding", f"must be 'uniform' or 'born', got {seeding!r}")
-    trajectories = TrajectorySettings(
-        t_end=_number(traj_doc, "t_end", "trajectories", default=15.0),
-        dt=_number(traj_doc, "dt", "trajectories", default=1e-3),
-        seeding=seeding,
-        n_seeds=_integer(traj_doc, "n_seeds", "trajectories", default=20),
-        x_lo=_number(traj_doc, "x_lo", "trajectories", default=-18.0),
-        x_hi=_number(traj_doc, "x_hi", "trajectories", default=-2.0),
-        seeds=seeds,
-        record_every=_integer(traj_doc, "record_every", "trajectories", default=10),
-    )
     if not trajectories.dt > 0.0:
         raise ConfigError("trajectories.dt", "must be positive")
     if not trajectories.t_end > 0.0:
@@ -312,39 +279,17 @@ def parse_config(text: str) -> ExperimentConfig:
     if trajectories.record_every < 1:
         raise ConfigError("trajectories.record_every", "must be at least 1")
 
-    arrival_doc = _section(doc, "arrival", {"t_max", "n_points"})
-    arrival = ArrivalSettings(
-        t_max=_number(arrival_doc, "t_max", "arrival", default=40.0),
-        n_points=_integer(arrival_doc, "n_points", "arrival", default=4001),
-    )
-    if not arrival.t_max > 0.0:
+    if not config.arrival.t_max > 0.0:
         raise ConfigError("arrival.t_max", "must be positive")
-    if arrival.n_points < 3:
+    if config.arrival.n_points < 3:
         raise ConfigError("arrival.n_points", "must be at least 3")
 
-    wigner_doc = _section(
-        doc, "wigner", {"times", "x_min", "n_x", "u_max", "n_u", "rel_span", "n_rel"}
-    )
-    times_raw = wigner_doc.get("times", [0.0, 7.0])
-    if not isinstance(times_raw, list) or not times_raw:
-        raise ConfigError("wigner.times", "must be a non-empty list of times")
-    times = []
-    for i, value in enumerate(times_raw):
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0.0:
+    wigner = config.wigner
+    for i, t in enumerate(wigner.times):
+        if t < 0.0:
             raise ConfigError(f"wigner.times[{i}]", "expected a non-negative number")
-        times.append(float(value))
-    n_rel = wigner_doc.get("n_rel")
-    if n_rel is not None and (isinstance(n_rel, bool) or not isinstance(n_rel, int) or n_rel < 9):
+    if wigner.n_rel is not None and wigner.n_rel < 9:
         raise ConfigError("wigner.n_rel", "must be an integer >= 9 or null")
-    wigner = WignerSettings(
-        times=tuple(times),
-        x_min=_number(wigner_doc, "x_min", "wigner", default=-40.0),
-        n_x=_integer(wigner_doc, "n_x", "wigner", default=161),
-        u_max=_number(wigner_doc, "u_max", "wigner", default=8.0),
-        n_u=_integer(wigner_doc, "n_u", "wigner", default=161),
-        rel_span=_number(wigner_doc, "rel_span", "wigner", default=12.0),
-        n_rel=n_rel,
-    )
     if not wigner.x_min < 0.0:
         raise ConfigError("wigner.x_min", "must be negative")
     if wigner.n_x < 9:
@@ -355,21 +300,12 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("wigner.u_max", "must be positive")
     if not wigner.rel_span > 0.0:
         raise ConfigError("wigner.rel_span", "must be positive")
+    return config
 
-    return ExperimentConfig(
-        packet_a=packet_a,
-        packet_b=packet_b,
-        run_kind=run_kind,
-        out_dir=out_dir,
-        epsilons=tuple(epsilons),
-        hbar=hbar,
-        grid=grid,
-        time=time_grid,
-        detector_x=detector_x,
-        trajectories=trajectories,
-        arrival=arrival,
-        wigner=wigner,
-    )
+
+def _plain(settings) -> dict:
+    """A settings block as a JSON object, with lists for tuples."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(settings).items()}
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -378,9 +314,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     def packet(p: GaussianPacket) -> dict:
         return {"x0": p.x0, "p0": p.p0, "sigma0": p.sigma0}
 
-    trajectories = asdict(config.trajectories)
-    seeds = config.trajectories.seeds
-    trajectories["seeds"] = list(seeds) if seeds else None
     return {
         "run": config.run_kind,
         "out_dir": config.out_dir,
@@ -392,12 +325,12 @@ def config_to_dict(config: ExperimentConfig) -> dict:
             "a": packet(config.packet_a),
             "b": packet(config.packet_b),
         },
-        "grid": {"x_min": config.grid.x_min, "n_points": config.grid.n_points},
-        "time": asdict(config.time),
+        "grid": _plain(config.grid),
+        "time": _plain(config.time),
         "detector_x": config.detector_x,
-        "trajectories": trajectories,
-        "arrival": asdict(config.arrival),
-        "wigner": {**asdict(config.wigner), "times": list(config.wigner.times)},
+        "trajectories": _plain(config.trajectories),
+        "arrival": _plain(config.arrival),
+        "wigner": _plain(config.wigner),
     }
 
 

@@ -58,9 +58,9 @@ class GaussianPacket:
     normalization instead of distorting the dynamics.
     """
 
-    sigma0: float
     x0: float
     p0: float
+    sigma0: float = 1.0
     mass: float = 1.0
 
     def __post_init__(self):

@@ -22,7 +22,7 @@ from .hydrodynamics import step_count, trajectory_fan
 from .observables import observable_record
 from .phase_space import wigner_transform
 from .quadrature import quad_integrate
-from .regime import Regime, make_regime
+from .regime import Regime
 
 __all__ = ["run_experiment"]
 
@@ -154,8 +154,8 @@ def _run_arrival(
     t_grid = np.linspace(0.0, config.arrival.t_max, config.arrival.n_points)
     summary_rows = []
     tails = diagnostics.setdefault("arrival_tail", {})
-    for eps in config.epsilons:
-        regime = make_regime(eps, config.hbar)
+    for regime in config.regimes():
+        eps = regime.epsilon
         stats = {
             kind: arrival_distribution(
                 config.ensemble(kind), regime, config.detector_x, t_grid
@@ -308,12 +308,12 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     started = _time.perf_counter()
     written: list[Path] = []
     diagnostics: dict = {"trace": {}}
+    regimes = config.regimes()
     try:
         if config.run_kind == "arrival":
             _run_arrival(config, target, written, diagnostics)
         else:
-            for eps in config.epsilons:
-                regime = make_regime(eps, config.hbar)
+            for regime in regimes:
                 if config.run_kind == "density":
                     _run_density(config, regime, target, written)
                 elif config.run_kind == "trajectories":
@@ -322,10 +322,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
                     _run_observables(config, regime, target, written)
                 elif config.run_kind == "wigner":
                     _run_wigner(config, regime, target, written)
-        for eps in config.epsilons:
-            diagnostics["trace"][_eps_tag(eps)] = _trace_drift(
-                config, make_regime(eps, config.hbar)
-            )
+        for regime in regimes:
+            diagnostics["trace"][_eps_tag(regime.epsilon)] = _trace_drift(config, regime)
     except Exception:
         for path in written:
             path.unlink(missing_ok=True)

@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +101,17 @@ def test_minimal_round_trip():
         ({"trajectories": {"t_end": 1.0005, "dt": 0.001}}, "trajectories.t_end"),
         ({"wigner": {"rel_span": 0.0}}, "wigner.rel_span"),
         ({"wigner": {"n_rel": 4}}, "wigner.n_rel"),
+        ({"trajectories": {"t_end": math.inf}}, "trajectories.t_end"),
+        ({"time": {"t_max": math.inf}}, "time.t_max"),
+        ({"epsilons": [1.0, math.nan]}, "epsilons[1]"),
+        ({"wigner": {"times": [0.0, math.inf]}}, "wigner.times[1]"),
+        ({"trajectories": {"seeds": [-5.0, math.nan]}}, "trajectories.seeds[1]"),
+        ({"packets": {"a": {"x0": -5.0, "p0": math.nan}, "b": {"x0": -15.0, "p0": 2.0}}}, "packets.a.p0"),
+        ({"packets": {"sigma0": math.inf, "a": {"x0": -5.0, "p0": -2.0}, "b": {"x0": -15.0, "p0": 2.0}}}, "packets.sigma0"),
+        ({"mass": math.nan}, "mass"),
+        ({"grid": {"x_min": -math.inf}}, "grid.x_min"),
+        ({"wigner": {"u_max": math.inf}}, "wigner.u_max"),
+        ({"detector_x": -(10**400)}, "detector_x"),
     ],
 )
 def test_invalid_documents_report_field_path(mutation, path_fragment):
@@ -122,6 +135,23 @@ def test_rejects_non_json():
         parse_config("not json at all {")
     with pytest.raises(ConfigError):
         parse_config("[1, 2, 3]")
+    with pytest.raises(ConfigError):
+        parse_config('{"hbar": ' + "9" * 5000 + "}")
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_rejects_non_finite_literals(literal):
+    text = MINIMAL.replace('"p0": 2.0', f'"p0": {literal}')
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    assert "packets.b.p0" in str(excinfo.value)
+
+
+def test_readme_example_is_the_defaults():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert parse_config(block) == parse_config(MINIMAL)
 
 
 def test_rejects_boolean_numbers():

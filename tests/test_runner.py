@@ -219,6 +219,21 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["density", "--config", str(config_path), "--epsilon", "7.0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "section, key, literal",
+    [("time", "t_max", "Infinity"), ("trajectories", "t_end", "1e400"), ("grid", "x_min", "-Infinity")],
+)
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, section, key, literal):
+    doc = small_config("observables", epsilons=[1.0])
+    doc[section][key] = "PLACEHOLDER"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc).replace('"PLACEHOLDER"', literal))
+    out_dir = tmp_path / "out"
+    assert main(["observables", "--config", str(config_path), "--out", str(out_dir)]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert list(out_dir.glob("*.csv")) == []
+
+
 def test_cli_numerical_guard_exit_code(tmp_path):
     # A detector far behind both packets sees no current within a short
     # window, which trips the arrival normalization guard.
