@@ -44,7 +44,7 @@ _TAIL_MASS_LIMIT = 1e-10
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Uniform position grid on [x_min, 0]."""
+    """Uniform position grid on [x_min, 0] of the density run and the trace diagnostic."""
 
     x_min: float = -60.0
     n_points: int = 2048

@@ -6,9 +6,10 @@ the two components ``psi_a`` and ``psi_b``, each with weight 1/2, so
 is the same sum over components.  :func:`component_fields` is the one state
 evaluator.  Components are built from hard-wall packet amplitudes, so
 density-matrix elements vanish whenever either argument is at or beyond the
-wall.  The normalization ``D`` is fixed once from the t = 0 trace by
-quadrature and reused at all times; any residual trace drift is a diagnostic,
-never silently renormalized away.
+wall.  Every trace, moment and overlap is a sum of exact integrals of
+products of two packet terms, listed by :func:`term_pairs`, the one place
+that assigns terms to components.  The normalization ``D`` is the exact
+t = 0 trace, reused at all times.
 
 ``wall=False`` switches the components to free-space amplitudes.  That variant
 exists for oracle checks (free-packet velocity fields, rigid Wigner transport)
@@ -18,18 +19,22 @@ where the wall must be absent.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, NumericalGuardError
-from .packets import GaussianPacket, packet_fields
-from .quadrature import quad_integrate, quadrature_weights
+from .gaussians import gaussian_moments
+from .packets import GaussianPacket, packet_fields, packet_terms
 from .regime import Regime
 
 __all__ = [
     "EnsembleSpec",
+    "TermPairs",
+    "term_pairs",
+    "diagonal_pairs",
     "component_fields",
     "norm_constant",
     "pure_density",
@@ -86,15 +91,6 @@ class EnsembleSpec:
         return replace(self, kind=kind)
 
 
-def _raw_components(spec: EnsembleSpec, regime: Regime, x, t, gradient: bool):
-    """Unnormalized component amplitudes (and gradients), component axis first."""
-    psi, grad = packet_fields(spec.packets, regime, x, t, wall=spec.wall, gradient=gradient)
-    psi = np.add.reduceat(psi, spec.component_starts, axis=0)
-    if gradient:
-        grad = np.add.reduceat(grad, spec.component_starts, axis=0)
-    return psi, grad
-
-
 def component_fields(spec: EnsembleSpec, regime: Regime, x, t, gradient: bool = True):
     """Normalized pure components of the ensemble and their x-gradients.
 
@@ -103,30 +99,57 @@ def component_fields(spec: EnsembleSpec, regime: Regime, x, t, gradient: bool = 
     ``rho(x, y) = sum_c phi_c(x) conj(phi_c(y))``; ``dphi`` is ``None`` when
     ``gradient`` is false.
     """
-    psi, grad = _raw_components(spec, regime, x, t, gradient)
+    psi, grad = packet_fields(spec.packets, regime, x, t, wall=spec.wall, gradient=gradient)
     scale = math.sqrt(COMPONENT_WEIGHT / norm_constant(spec, regime))
-    return psi * scale, (grad * scale if gradient else None)
+    psi = np.add.reduceat(psi, spec.component_starts, axis=0) * scale
+    if gradient:
+        grad = np.add.reduceat(grad, spec.component_starts, axis=0) * scale
+    return psi, grad
 
 
-def _norm_grid(spec: EnsembleSpec) -> np.ndarray:
-    """Internal t = 0 grid wide enough that tail truncation is negligible."""
-    pad = 16.0
-    lo = min(p.x0 - pad * p.sigma0 for p in spec.packets)
-    hi = 0.0 if spec.wall else max(p.x0 + pad * p.sigma0 for p in spec.packets)
-    return np.linspace(lo, hi, 8193)
+TermPairs = namedtuple("TermPairs", "component coefficient left right integrals")
+
+
+def term_pairs(spec: EnsembleSpec, regime: Regime, t: float) -> TermPairs:
+    """Every ordered pair (i, j) of the unnormalized terms ``g = C exp(A x^2 + B x + G)``.
+
+    Over n pairs: ``component`` (2, n), the component of each side;
+    ``coefficient``, ``C_i conj(C_j)``; ``left``, ``(A_i, B_i, G_i)``;
+    ``right``, ``conj(A_j, B_j, G_j)``; and ``integrals`` (3, n), the exact
+    integrals of ``x^m g_i conj(g_j)``, m = 0, 1, 2, over x <= 0 (the whole
+    line without the wall).
+    """
+    C, A, B, G = packet_terms(spec.packets, regime, t, spec.wall)
+    packet_component = np.searchsorted(spec.component_starts, np.arange(C.shape[0]), "right") - 1
+    component = np.repeat(packet_component, C.shape[1])
+    exponents = np.stack((A, B, G)).reshape(3, -1)
+    C = C.ravel()
+    i, j = np.divmod(np.arange(C.size**2), C.size)
+    left, right = exponents[:, i], np.conj(exponents[:, j])
+    coefficient = C[i] * np.conj(C[j])
+    integrals = coefficient * gaussian_moments(*(left + right), wall=spec.wall)
+    return TermPairs(np.stack((component[i], component[j])), coefficient, left, right, integrals)
+
+
+def diagonal_pairs(spec: EnsembleSpec, regime: Regime, t: float) -> TermPairs:
+    """Same-component pairs; ``coefficient`` and ``integrals`` carry ``COMPONENT_WEIGHT / D``."""
+    pairs = term_pairs(spec, regime, t)
+    same = pairs.component[0] == pairs.component[1]
+    scale = COMPONENT_WEIGHT / norm_constant(spec, regime)
+    component, coefficient, left, right, integrals = (v[..., same] for v in pairs)
+    return TermPairs(component, scale * coefficient, left, right, scale * integrals)
 
 
 @lru_cache(maxsize=64)
 def norm_constant(spec: EnsembleSpec, regime: Regime) -> float:
-    """Trace of the unnormalized density at t = 0, computed once by quadrature.
+    """Exact trace of the unnormalized density at t = 0.
 
     Densities divide by this constant; for the pure state it equals
     1 / N^2 with N the superposition normalization constant.
     """
-    x = _norm_grid(spec)
-    psi, _ = _raw_components(spec, regime, x, 0.0, gradient=False)
-    raw = COMPONENT_WEIGHT * (np.abs(psi) ** 2).sum(axis=0)
-    value = float(quad_integrate(x, raw))
+    pairs = term_pairs(spec, regime, 0.0)
+    same = pairs.component[0] == pairs.component[1]
+    value = COMPONENT_WEIGHT * float(pairs.integrals[0, same].sum().real)
     if not value > 0.0:
         raise DomainError("ensemble has no support at t = 0")
     return value
@@ -176,15 +199,13 @@ def position_density(spec: EnsembleSpec, regime: Regime, x, t):
     return np.real(diagonal)
 
 
-def purity(spec: EnsembleSpec, regime: Regime, t, grid) -> float:
-    """tr(rho^2) = sum over component pairs of |<phi_c|phi_c'>|^2.
-
-    The overlaps use the quadrature weights of the grid, which makes this
-    equal to the 2-D quadrature of |rho(x, y)|^2 without forming it.
-    """
-    x = np.asarray(grid, dtype=float)
-    phi, _ = component_fields(spec, regime, x, t, gradient=False)
-    overlaps = (phi * quadrature_weights(x)) @ np.conj(phi).T
+def purity(spec: EnsembleSpec, regime: Regime, t) -> float:
+    """tr(rho^2) = sum over component pairs of |<phi_c|phi_c'>|^2, from exact overlaps."""
+    pairs = term_pairs(spec, regime, t)
+    n = len(spec.component_starts)
+    overlaps = np.zeros((n, n), dtype=complex)
+    np.add.at(overlaps, tuple(pairs.component), pairs.integrals[0])
+    overlaps *= COMPONENT_WEIGHT / norm_constant(spec, regime)
     return float(np.sum(np.abs(overlaps) ** 2))
 
 

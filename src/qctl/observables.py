@@ -1,10 +1,11 @@
 """Moments, uncertainties, Ehrenfest residuals, and the wall's effective force.
 
-Momentum moments are computed in the position representation from the
-ensemble's normalized pure components: the mean from
-``hb sum_c Im{conj(phi_c) phi_c'}`` and the second moment from
-``hb^2 sum_c |phi_c'|^2``, which is exact on the half-line because the wall
-node kills the boundary term of the integration by parts.
+The moments are exact sums over the term pairs of the pure components
+(:func:`~qctl.ensembles.diagonal_pairs`).  Momentum moments are taken in the
+position representation, where a term's gradient is ``(2 A x + B)`` times
+the term: the mean from ``hb sum_c Im{conj(phi_c) phi_c'}`` and the second
+moment from ``hb^2 sum_c |phi_c'|^2``, which is exact on the half-line
+because the wall node kills the boundary term of the integration by parts.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, component_fields, position_density
+from .ensembles import EnsembleSpec, component_fields, diagonal_pairs
 from .errors import DomainError
-from .quadrature import quad_integrate
 from .regime import Regime
 
 __all__ = [
@@ -42,26 +42,22 @@ class ObservableRecord:
     f_nc: float
 
 
-def position_moments(spec: EnsembleSpec, regime: Regime, t, grid):
-    """Mean and standard deviation of position by quadrature of the diagonal."""
-    x = np.asarray(grid, dtype=float)
-    rho = position_density(spec, regime, x, t)
-    trace = float(quad_integrate(x, rho))
-    mean = float(quad_integrate(x, x * rho)) / trace
-    var = float(quad_integrate(x, (x - mean) ** 2 * rho)) / trace
-    return mean, float(np.sqrt(max(var, 0.0)))
+def position_moments(spec: EnsembleSpec, regime: Regime, t):
+    """Mean and standard deviation of position, exact over the half-line."""
+    _, mean, second = diagonal_pairs(spec, regime, t).integrals.sum(axis=1).real
+    return float(mean), float(np.sqrt(max(second - mean**2, 0.0)))
 
 
-def momentum_moments(spec: EnsembleSpec, regime: Regime, t, grid):
-    """Mean and standard deviation of momentum from component wave functions."""
-    x = np.asarray(grid, dtype=float)
+def momentum_moments(spec: EnsembleSpec, regime: Regime, t):
+    """Mean and standard deviation of momentum, exact over the half-line."""
     hb = regime.hbar_tilde
-    phi, dphi = component_fields(spec, regime, x, t)
-    trace = float(quad_integrate(x, (np.abs(phi) ** 2).sum(axis=0)))
-    mean = hb * float(quad_integrate(x, np.imag(np.conj(phi) * dphi).sum(axis=0)))
-    second = hb**2 * float(quad_integrate(x, (np.abs(dphi) ** 2).sum(axis=0)))
-    mean /= trace
-    second /= trace
+    pairs = diagonal_pairs(spec, regime, t)
+    (A_i, B_i, _), (A_j, B_j, _) = pairs.left, pairs.right
+    I0, I1, I2 = pairs.integrals
+    mean = hb * float(np.sum(2.0 * A_i * I1 + B_i * I0).imag)
+    second = hb**2 * float(
+        np.sum(4.0 * A_i * A_j * I2 + 2.0 * (A_i * B_j + B_i * A_j) * I1 + B_i * B_j * I0).real
+    )
     return mean, float(np.sqrt(max(second - mean**2, 0.0)))
 
 
@@ -79,7 +75,7 @@ def effective_force(spec: EnsembleSpec, regime: Regime, t):
     return -scale * (np.abs(dphi) ** 2).sum(axis=0)
 
 
-def ehrenfest_residual(spec: EnsembleSpec, regime: Regime, t, grid, dt_fd: float = 1e-3):
+def ehrenfest_residual(spec: EnsembleSpec, regime: Regime, t, dt_fd: float = 1e-3):
     """Residuals of the two Ehrenfest identities at time t.
 
     r1 = d<x>/dt - <p>/m and r2 = d<p>/dt - f_nc, with time derivatives by
@@ -88,11 +84,11 @@ def ehrenfest_residual(spec: EnsembleSpec, regime: Regime, t, grid, dt_fd: float
     """
     if not t - dt_fd >= 0.0:
         raise DomainError(f"need t >= dt_fd for central differences, got t={t}")
-    x_plus, _ = position_moments(spec, regime, t + dt_fd, grid)
-    x_minus, _ = position_moments(spec, regime, t - dt_fd, grid)
-    p_plus, _ = momentum_moments(spec, regime, t + dt_fd, grid)
-    p_minus, _ = momentum_moments(spec, regime, t - dt_fd, grid)
-    mean_p, _ = momentum_moments(spec, regime, t, grid)
+    x_plus, _ = position_moments(spec, regime, t + dt_fd)
+    x_minus, _ = position_moments(spec, regime, t - dt_fd)
+    p_plus, _ = momentum_moments(spec, regime, t + dt_fd)
+    p_minus, _ = momentum_moments(spec, regime, t - dt_fd)
+    mean_p, _ = momentum_moments(spec, regime, t)
     r1 = (x_plus - x_minus) / (2.0 * dt_fd) - mean_p / spec.mass
     r2 = (p_plus - p_minus) / (2.0 * dt_fd) - float(effective_force(spec, regime, t))
     return r1, r2
@@ -104,10 +100,10 @@ def heisenberg_check(record: ObservableRecord, regime: Regime):
     return margin >= -1e-9, margin
 
 
-def observable_record(spec: EnsembleSpec, regime: Regime, t, grid) -> ObservableRecord:
+def observable_record(spec: EnsembleSpec, regime: Regime, t) -> ObservableRecord:
     """Assemble the full observable snapshot at time t."""
-    mean_x, sd_x = position_moments(spec, regime, t, grid)
-    mean_p, sd_p = momentum_moments(spec, regime, t, grid)
+    mean_x, sd_x = position_moments(spec, regime, t)
+    mean_p, sd_p = momentum_moments(spec, regime, t)
     return ObservableRecord(
         t=float(t),
         mean_x=mean_x,

@@ -18,7 +18,8 @@ wall.
 Each direct or image term is ``c0 exp(a d^2 + k d)`` with ``d = +-x - xt``,
 and its x-gradient reuses the same exponential.  :func:`packet_fields` is the
 only place amplitudes and gradients are evaluated; everything broadcasts over
-numpy arrays in ``x`` and ``t``.
+numpy arrays in ``x`` and ``t``.  :func:`packet_terms` gives the same terms
+expanded as ``C exp(A x^2 + B x + G)``, the form they are integrated in.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ __all__ = [
     "GaussianPacket",
     "complex_width",
     "packet_center",
-    "packet_coefficients",
     "packet_fields",
+    "packet_terms",
     "free_amplitude",
     "free_amplitude_gradient",
     "wall_amplitude",
@@ -120,13 +121,17 @@ def _coefficients(packets, regime: Regime, t: np.ndarray, ndim: int):
     return a, k, xt, c0
 
 
-def packet_coefficients(packets, regime: Regime, t: float):
-    """Per-packet ``(a, k, xt, c0)`` at one time, each of shape ``(len(packets),)``.
+def packet_terms(packets, regime: Regime, t: float, wall: bool = True):
+    """Every direct and image term as ``C exp(A x^2 + B x + G)`` at one time.
 
-    The direct term of packet ``p`` is ``c0 exp(a d^2 + k d)`` with
-    ``d = x - xt``; the image term is minus the same with ``d = -x - xt``.
+    Returns ``(C, A, B, G)``, each of shape ``(len(packets), terms)``: the
+    direct and the image term with ``wall``, which sum to the wall amplitude
+    for x <= 0, and the direct term alone without it.
     """
-    return tuple(c.ravel() for c in _coefficients(packets, regime, np.asarray(t, dtype=float), 0))
+    a, k, xt, c0 = _coefficients(packets, regime, np.asarray(t, dtype=float), 0)
+    signs = _TERM_SIGNS if wall else _FREE_SIGNS
+    # s c0 exp(a d^2 + k d) with d = s x - xt, expanded in powers of x.
+    return np.broadcast_arrays(signs * c0, a, signs * (k - 2.0 * a * xt), (a * xt - k) * xt)
 
 
 def packet_fields(packets, regime: Regime, x, t, wall: bool = True, gradient: bool = True):

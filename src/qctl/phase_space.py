@@ -6,17 +6,13 @@ relative coordinate,
     W(R, u, t) = (1 / 2 pi hb) * integral dr exp(-i u r / hb)
                  * rho(R + r/2, R - r/2, t).
 
-Every direct or image term of a packet is ``C exp(a d^2 + k d)`` with
-``d = +-x - xt``, so for each ordered pair (i, j) of terms in one pure
-component the integrand ``g_i(R + r/2) conj g_j(R - r/2) exp(-i u r / hb)``
-is a complex Gaussian ``exp(alpha r^2 + b r + gamma)`` in r.  The wall cuts
-it off exactly at |r| <= 2|R|, and over that window its integral is a
-difference of two error functions, evaluated through the scaled
-complementary error function ``erfcx`` so that no step cancels.  ``erfcx``
-is Weideman's rational approximation of the Faddeeva function (SIAM J.
-Numer. Anal. 31, 1994), accurate to about 1e-15 absolute in numpy alone.
-Without the wall the window is the whole line.  W is therefore exact at
-every (R, u) up to rounding; no relative-coordinate grid is involved.
+Each direct or image term is ``C exp(A x^2 + B x + G)``, so for each ordered
+pair (i, j) of terms in one pure component the integrand
+``g_i(R + r/2) conj g_j(R - r/2) exp(-i u r / hb)`` is a complex Gaussian in
+r.  The wall cuts it off exactly at |r| <= 2|R| (without the wall the window
+is the whole line), and over that window its integral is a difference of two
+error functions, evaluated through :func:`~qctl.gaussians.erfcx` so that no
+step cancels.  W is therefore exact at every (R, u) up to rounding.
 
 All ordered pairs are summed, so the hermiticity of rho makes W real only
 through the (i, j) and (j, i) terms cancelling; the imaginary residue is
@@ -26,23 +22,18 @@ checked and dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .ensembles import COMPONENT_WEIGHT, EnsembleSpec, norm_constant
+from .ensembles import EnsembleSpec, diagonal_pairs
 from .errors import DomainError, NumericalGuardError
-from .packets import packet_coefficients
+from .gaussians import SQRT_PI, erfcx
 from .quadrature import quadrature_weights
 from .regime import Regime
 
 __all__ = ["WignerField", "wigner_transform", "free_liouville_residual"]
 
 _IMAG_RESIDUE_LIMIT = 1e-8
-
-# Number of terms in Weideman's rational approximation.
-_FADDEEVA_TERMS = 40
-_SQRT_PI = np.sqrt(np.pi)
 
 
 @dataclass(frozen=True)
@@ -69,77 +60,31 @@ class WignerField:
         return self.values @ w_u
 
 
-@lru_cache(maxsize=1)
-def _faddeeva_coefficients():
-    """Scale L and the polynomial coefficients (highest power first), from one FFT."""
-    n = _FADDEEVA_TERMS
-    m = 2 * n
-    scale = np.sqrt(n / np.sqrt(2.0))
-    theta = np.arange(-m + 1, m) * np.pi / m
-    s = scale * np.tan(0.5 * theta)
-    f = np.concatenate(([0.0], np.exp(-s * s) * (scale * scale + s * s)))
-    a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
-    return scale, a[n:0:-1]
+def _pair_integral(left, right, R, phase, edges, edge_phase):
+    """integral of g_i(R + r/2) conj g_j(R - r/2) exp(phase r) / (C_i conj C_j) over r.
 
-
-def _erfcx(z: np.ndarray) -> np.ndarray:
-    """exp(z^2) erfc(z) for Re z >= 0, as the Faddeeva function w(i z).
-
-    Weideman's approximation w(iz) = 2 p(Z) / (L + z)^2 + 1 / (sqrt(pi) (L + z))
-    with Z = (L - z) / (L + z) holds on the closed upper half-plane of iz.
-    """
-    scale, coefficients = _faddeeva_coefficients()
-    lz = scale + z
-    ratio = (scale - z) / lz
-    p = np.full(z.shape, coefficients[0], dtype=complex)
-    for c in coefficients[1:]:
-        p *= ratio
-        p += c
-    return (2.0 * p / lz + 1.0 / _SQRT_PI) / lz
-
-
-def _component_terms(spec: EnsembleSpec, regime: Regime, t: float, R: np.ndarray):
-    """Per component, each term's prefactor, exponent at R and half-slope at R.
-
-    A term ``C exp(e(x))`` evaluated at ``R + r/2`` is
-    ``C exp(e(R) + s r + a r^2 / 4)`` with ``s = e'(R) / 2``; the returned
-    tuples are ``(C, a, e(R), s)``.
-    """
-    a, k, xt, c0 = packet_coefficients(spec.packets, regime, t)
-    signs = (1.0, -1.0) if spec.wall else (1.0,)
-    terms = []
-    for p in range(len(spec.packets)):
-        terms.append([])
-        for sign in signs:
-            d = sign * R - xt[p]
-            exponent = (a[p] * d + k[p]) * d
-            half_slope = 0.5 * sign * (2.0 * a[p] * d + k[p])
-            terms[-1].append((sign * c0[p], a[p], exponent, half_slope))
-    starts = spec.component_starts
-    ends = starts[1:] + (len(spec.packets),)
-    return [sum(terms[lo:hi], []) for lo, hi in zip(starts, ends)]
-
-
-def _pair_integral(alpha, slope, gamma, phase, edges, edge_phase):
-    """integral of exp(alpha r^2 + b r + gamma), b = slope + phase, over the window.
-
+    In r the integrand is exp(alpha r^2 + b r + gamma), b = slope + phase.
     ``edges`` holds the window ends r1 = 2R, r2 = -2R (shape (2, n_R, 1)) and
     ``edge_phase`` the pair-independent exp(phase r) there; ``edges`` is None
-    for the whole line.  With A = -alpha and z = sqrt(A) (r - b / 2A) the
-    integral is sqrt(pi) / (2 sqrt(A)) [erf(z2) - erf(z1)].  Each end enters
-    as exp(E) erfcx(+-z), E the log-integrand there, with the sign that puts
-    the argument in Re >= 0.  A window straddling the centre (Re z1 < 0 <=
-    Re z2) adds 2 exp(G), G = gamma + b^2 / 4A, because there
+    for the whole line.  With A = -alpha and z = sqrt(A) (r - b / 2A) it is
+    sqrt(pi) / (2 sqrt(A)) [erf(z2) - erf(z1)].  Each end enters as
+    exp(E) erfcx(+-z), E the log-integrand there, with the sign that puts the
+    argument in Re >= 0.  A window straddling the centre (Re z1 < 0 <= Re z2)
+    adds 2 exp(G), G = gamma + b^2 / 4A, because there
     erf(z2) - erf(z1) = 2 - erfc(z2) - erfc(-z1).
     """
+    (A_i, B_i, G_i), (A_j, B_j, G_j) = left, right
+    alpha = 0.25 * (A_i + A_j)
+    slope = (A_i - A_j) * R + 0.5 * (B_i - B_j)
+    gamma = ((A_i + A_j) * R + (B_i + B_j)) * R + (G_i + G_j)
     A = -alpha
     root = np.sqrt(A)
     b = slope + phase
     if edges is None:
-        return (_SQRT_PI / root) * np.exp(gamma + b * b / (4.0 * A))
+        return (SQRT_PI / root) * np.exp(gamma + b * b / (4.0 * A))
     z = root * (edges - b / (2.0 * A))
     side = np.where(z.real >= 0.0, 1.0, -1.0)
-    tails = _erfcx(side * z)
+    tails = erfcx(side * z)
     tails *= np.exp((alpha * edges + slope) * edges + gamma)
     tails *= edge_phase
     tails *= side
@@ -149,7 +94,7 @@ def _pair_integral(alpha, slope, gamma, phase, edges, edge_phase):
     b_in = b[straddle]
     gamma_in = np.broadcast_to(gamma, inner.shape)[straddle]
     inner[straddle] += 2.0 * np.exp(gamma_in + b_in * b_in / (4.0 * A))
-    return (0.5 * _SQRT_PI / root) * inner
+    return (0.5 * SQRT_PI / root) * inner
 
 
 def wigner_transform(
@@ -173,19 +118,11 @@ def wigner_transform(
         edges = np.stack((2.0 * R_in, -2.0 * R_in))
         edge_phase = np.exp(phase * edges)
     total = np.zeros((R_in.shape[0], u.size), dtype=complex)
-    for terms in _component_terms(spec, regime, t, R_in):
-        for C_i, a_i, e_i, s_i in terms:
-            for C_j, a_j, e_j, s_j in terms:
-                total += (C_i * np.conj(C_j)) * _pair_integral(
-                    0.25 * (a_i + np.conj(a_j)),
-                    s_i - np.conj(s_j),
-                    e_i + np.conj(e_j),
-                    phase,
-                    edges,
-                    edge_phase,
-                )
+    pairs = diagonal_pairs(spec, regime, t)
+    for coefficient, left, right in zip(pairs.coefficient, pairs.left.T, pairs.right.T):
+        total += coefficient * _pair_integral(left, right, R_in, phase, edges, edge_phase)
     values = np.zeros((R.size, u.size), dtype=complex)
-    values[rows] = total * (COMPONENT_WEIGHT / norm_constant(spec, regime) / (2.0 * np.pi * hb))
+    values[rows] = total / (2.0 * np.pi * hb)
 
     scale = float(np.max(np.abs(values.real)))
     imag_residue = float(np.max(np.abs(values.imag)))

@@ -1,8 +1,8 @@
 """Composite quadrature on uniform grids.
 
 Composite Simpson for an odd number of samples, trapezoid fallback for an
-even number.  Weights are exposed separately so 2-D integrals (purity,
-Wigner transforms) can reuse them with deterministic summation order.
+even number.  Weights are exposed separately so 2-D integrals (the Wigner
+marginals) can reuse them with deterministic summation order.
 """
 
 from __future__ import annotations

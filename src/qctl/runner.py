@@ -3,8 +3,9 @@
 Outputs are deterministic: fixed evaluation and summation order, 17
 significant digits, LF line endings, and no run-time data inside CSV bodies.
 The manifest echoes the configuration and records the wall clock and the
-diagnostics.  Mass lost beyond the grid and arrival current cut off by the
-time window bias the outputs, so both are flagged there, not rejected.
+diagnostics.  Mass lost beyond the density grid and arrival current cut off
+by the time window bias those outputs, so both are flagged there, not
+rejected.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .arrival import arrival_distribution
 from .config import ExperimentConfig, config_to_dict
 from .ensembles import EnsembleSpec, position_density
 from .hydrodynamics import step_count, trajectory_fan
-from .observables import observable_record
+from .observables import heisenberg_check, observable_record
 from .phase_space import wigner_transform
 from .quadrature import quad_integrate
 from .regime import Regime
@@ -34,6 +35,16 @@ TAIL_FRACTION_FLAG = 1e-3
 # Rows converted to Python floats at a time, which bounds the memory of a
 # large block.
 _CSV_CHUNK_ROWS = 64
+
+# Observables CSV columns per ensemble kind: ObservableRecord fields and units.
+_OBSERVABLE_UNITS = {
+    "mean_x": "length",
+    "sd_x": "length",
+    "mean_p": "momentum",
+    "sd_p": "momentum",
+    "uncertainty_product": "action",
+    "f_nc": "force",
+}
 
 
 def _write_csv(path: Path, header: list[str], blocks) -> None:
@@ -203,37 +214,21 @@ def _run_arrival(
 def _run_observables(
     config: ExperimentConfig, regime: Regime, out_dir: Path, written: list[Path]
 ) -> None:
-    x = config.grid.points()
     times = config.time.points()
     path = out_dir / f"observables_eps{_eps_tag(regime.epsilon)}.csv"
     written.append(path)
     header = ["t [time]"]
     for kind in ("pure", "mixed"):
-        header += [
-            f"mean_x_{kind} [length]",
-            f"sd_x_{kind} [length]",
-            f"mean_p_{kind} [momentum]",
-            f"sd_p_{kind} [momentum]",
-            f"uncertainty_product_{kind} [action]",
-            f"f_nc_{kind} [force]",
-            f"heisenberg_margin_{kind} [action]",
-        ]
+        header += [f"{name}_{kind} [{unit}]" for name, unit in _OBSERVABLE_UNITS.items()]
+        header.append(f"heisenberg_margin_{kind} [action]")
 
     rows = []
     for t in times:
         row = [t]
         for kind in ("pure", "mixed"):
-            record = observable_record(config.ensemble(kind), regime, t, x)
-            margin = record.uncertainty_product - 0.5 * regime.hbar_tilde
-            row += [
-                record.mean_x,
-                record.sd_x,
-                record.mean_p,
-                record.sd_p,
-                record.uncertainty_product,
-                record.f_nc,
-                margin,
-            ]
+            record = observable_record(config.ensemble(kind), regime, t)
+            row += [getattr(record, name) for name in _OBSERVABLE_UNITS]
+            row.append(heisenberg_check(record, regime)[1])
         rows.append(row)
 
     _write_csv(path, header, [np.array(rows)])

@@ -37,8 +37,6 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 
 
 TRACE_GRID = np.linspace(-130.0, 0.0, 8193)
-PURITY_GRID = np.linspace(-130.0, 0.0, 4097)
-MOMENT_GRID = np.linspace(-130.0, 0.0, 4097)
 ARRIVAL_GRID = np.linspace(0.0, 40.0, 4001)
 
 
@@ -61,11 +59,10 @@ def test_criterion_1_epsilon_scaling_equivalence(pure_spec, mixed_spec):
         position_density(pure_spec, folded, x, 3.0),
     )
     register(current(mixed_spec, direct, x, 3.0), current(mixed_spec, folded, x, 3.0))
-    grid = np.linspace(-60.0, 0.0, 1025)
-    register(purity(mixed_spec, direct, 2.0, grid), purity(mixed_spec, folded, 2.0, grid))
+    register(purity(mixed_spec, direct, 2.0), purity(mixed_spec, folded, 2.0))
     for regime_pair in [(direct, folded)]:
-        rec_a = observable_record(mixed_spec, regime_pair[0], 4.0, grid)
-        rec_b = observable_record(mixed_spec, regime_pair[1], 4.0, grid)
+        rec_a = observable_record(mixed_spec, regime_pair[0], 4.0)
+        rec_b = observable_record(mixed_spec, regime_pair[1], 4.0)
         register(
             [rec_a.mean_x, rec_a.mean_p, rec_a.sd_x, rec_a.sd_p, rec_a.f_nc],
             [rec_b.mean_x, rec_b.mean_p, rec_b.sd_x, rec_b.sd_p, rec_b.f_nc],
@@ -100,9 +97,9 @@ def test_criterion_2_norm_and_purity_conservation(pure_spec, mixed_spec):
                     TRACE_GRID, position_density(spec, regime, TRACE_GRID, t)
                 )
                 worst_trace = max(worst_trace, abs(trace - 1.0))
-            baseline = purity(spec, regime, 0.0, PURITY_GRID)
+            baseline = purity(spec, regime, 0.0)
             for t in (5.0, 10.0, 15.0, 20.0):
-                drift = abs(purity(spec, regime, t, PURITY_GRID) - baseline)
+                drift = abs(purity(spec, regime, t) - baseline)
                 worst_purity = max(worst_purity, drift)
     ok = worst_trace < 1e-6 and worst_purity < 1e-4
     _report(
@@ -161,10 +158,9 @@ def test_criterion_4_non_crossing(pure_spec, mixed_spec):
 def test_criterion_5_ehrenfest(mixed_spec):
     """|d<x>/dt - <p>/m| < 1e-4 and |d<p>/dt - f_nc| < 1e-3 at t in {1,5,9}."""
     regime = make_regime(1.0)
-    grid = np.linspace(-60.0, 0.0, 4097)
     worst_r1 = worst_r2 = 0.0
     for t in (1.0, 5.0, 9.0):
-        r1, r2 = ehrenfest_residual(mixed_spec, regime, t, grid)
+        r1, r2 = ehrenfest_residual(mixed_spec, regime, t)
         worst_r1 = max(worst_r1, abs(r1))
         worst_r2 = max(worst_r2, abs(r2))
     ok = worst_r1 < 1e-4 and worst_r2 < 1e-3
@@ -181,7 +177,7 @@ def test_criterion_6_heisenberg_bound(mixed_spec):
     for eps in (1.0, 0.5, 0.01):
         regime = make_regime(eps)
         for t in np.arange(0.0, 20.01, 1.0):
-            record = observable_record(mixed_spec, regime, t, MOMENT_GRID)
+            record = observable_record(mixed_spec, regime, t)
             margin = record.uncertainty_product - 0.5 * regime.hbar_tilde
             worst = min(worst, margin)
     _report("criterion 6 (Heisenberg bound)", worst >= -1e-9, f"min margin {worst:.3e}")

@@ -108,8 +108,7 @@ def test_norm_constant_is_cached(pure_spec, quantum):
 
 
 def test_purity_of_pure_state(pure_spec, quantum):
-    grid = np.linspace(-40.0, 0.0, 2049)
-    assert purity(pure_spec, quantum, 0.0, grid) == pytest.approx(1.0, abs=1e-4)
+    assert purity(pure_spec, quantum, 0.0) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_purity_of_mixture_against_overlap_oracle(mixed_spec, quantum, packet_a, packet_b):
@@ -125,18 +124,23 @@ def test_purity_of_mixture_against_overlap_oracle(mixed_spec, quantum, packet_a,
     d0 = 0.5 * (norm_a + norm_b)
     oracle = (abs(norm_a) ** 2 + 2.0 * abs(overlap) ** 2 + abs(norm_b) ** 2) / (4.0 * d0**2)
 
-    grid = np.linspace(-40.0, 0.0, 2049)
-    value = purity(mixed_spec, quantum, 0.0, grid)
+    value = purity(mixed_spec, quantum, 0.0)
     assert value == pytest.approx(oracle, abs=1e-4)
     assert abs(overlap) < 1e-4
     assert value == pytest.approx(0.5, abs=1e-4)
 
 
+def test_purity_is_exact_after_the_reflection(pure_spec, mixed_spec, quantum):
+    # At t = 20 and eps = 1 about 3% of the mass is beyond x = -60, the
+    # default grid's edge; the closed form has no edge.
+    assert purity(pure_spec, quantum, 20.0) == pytest.approx(1.0, abs=1e-12)
+    assert purity(mixed_spec, quantum, 20.0) == pytest.approx(0.5, abs=1e-12)
+
+
 @pytest.mark.parametrize("kind", ["pure", "mixed"])
 def test_purity_is_conserved(kind, pure_spec, mixed_spec, quantum):
     spec = pure_spec if kind == "pure" else mixed_spec
-    grid = np.linspace(-90.0, 0.0, 4097)
-    values = [purity(spec, quantum, t, grid) for t in (0.0, 5.0, 10.0)]
+    values = [purity(spec, quantum, t) for t in (0.0, 5.0, 10.0)]
     assert np.max(np.abs(np.asarray(values) - values[0])) < 1e-4
 
 

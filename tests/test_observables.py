@@ -14,12 +14,9 @@ from qctl import (
     position_moments,
 )
 
-GRID = np.linspace(-60.0, 0.0, 4097)
-
-
 def test_position_moments_of_initial_gaussian(quantum, packet_a):
     spec = EnsembleSpec("pure", packet_a, packet_a)
-    mean, sd = position_moments(spec, quantum, 0.0, GRID)
+    mean, sd = position_moments(spec, quantum, 0.0)
     assert mean == pytest.approx(-5.0, abs=1e-4)
     assert sd == pytest.approx(1.0, abs=1e-4)
 
@@ -28,49 +25,47 @@ def test_position_spread_follows_complex_width(quantum, packet_a):
     # Oracle: free Gaussian spreading, sd(t) = |st|.
     spec = EnsembleSpec("pure", packet_a, packet_a, wall=False)
     t = 2.0
-    grid = np.linspace(-60.0, 20.0, 4097)
-    _, sd = position_moments(spec, quantum, t, grid)
+    _, sd = position_moments(spec, quantum, t)
     assert sd == pytest.approx(abs(complex_width(packet_a, quantum, t)), rel=1e-6)
 
 
 def test_mixture_mean_position(quantum, mixed_spec):
-    mean, _ = position_moments(mixed_spec, quantum, 0.0, GRID)
+    mean, _ = position_moments(mixed_spec, quantum, 0.0)
     assert mean == pytest.approx(-10.0, abs=1e-4)
 
 
 def test_opposite_kicks_cancel_mean_momentum(quantum, mixed_spec):
     # Cancellation holds up to the wall-truncation tail of the closer packet
     # (relative norm defect ~ 4e-6 at 5 sigma0).
-    mean_p, _ = momentum_moments(mixed_spec, quantum, 0.0, GRID)
+    mean_p, _ = momentum_moments(mixed_spec, quantum, 0.0)
     assert mean_p == pytest.approx(0.0, abs=1e-5)
 
 
 def test_single_packet_momentum_moments(quantum):
     packet = GaussianPacket(sigma0=1.0, x0=-10.0, p0=-2.0, mass=1.0)
     spec = EnsembleSpec("pure", packet, packet)
-    mean_p, sd_p = momentum_moments(spec, quantum, 0.0, np.linspace(-40.0, 0.0, 4097))
+    mean_p, sd_p = momentum_moments(spec, quantum, 0.0)
     assert mean_p == pytest.approx(packet.p0, rel=1e-6)
     assert sd_p == pytest.approx(quantum.hbar_tilde / (2.0 * packet.sigma0), rel=1e-6)
 
 
 def test_mean_momentum_after_reflection(nearly_classical, mixed_spec):
     # Past the collision both lumps move away from the wall.
-    mean_p, _ = momentum_moments(mixed_spec, nearly_classical, 12.0, GRID)
+    mean_p, _ = momentum_moments(mixed_spec, nearly_classical, 12.0)
     assert mean_p < 0.0
     assert mean_p == pytest.approx(-2.0, abs=0.1)
 
 
 @pytest.mark.parametrize("t", [1.0, 5.0, 9.0])
 def test_ehrenfest_identities_for_mixture(t, quantum, mixed_spec):
-    r1, r2 = ehrenfest_residual(mixed_spec, quantum, t, GRID)
+    r1, r2 = ehrenfest_residual(mixed_spec, quantum, t)
     assert abs(r1) < 1e-4
     assert abs(r2) < 1e-3
 
 
 def test_ehrenfest_for_free_packet(quantum, packet_a):
     spec = EnsembleSpec("pure", packet_a, packet_a, wall=False)
-    grid = np.linspace(-60.0, 20.0, 4097)
-    r1, r2 = ehrenfest_residual(spec, quantum, 2.0, grid)
+    r1, r2 = ehrenfest_residual(spec, quantum, 2.0)
     assert abs(r1) < 1e-6
     assert abs(r2) < 1e-6
 
@@ -106,7 +101,7 @@ def test_effective_force_peaks_at_classical_collision_time(nearly_classical, mix
 def test_heisenberg_margin_minimum_uncertainty(quantum):
     packet = GaussianPacket(sigma0=1.0, x0=-10.0, p0=-2.0, mass=1.0)
     spec = EnsembleSpec("pure", packet, packet)
-    record = observable_record(spec, quantum, 0.0, np.linspace(-40.0, 0.0, 4097))
+    record = observable_record(spec, quantum, 0.0)
     ok, margin = heisenberg_check(record, quantum)
     assert ok
     assert margin == pytest.approx(0.0, abs=1e-6)
@@ -115,7 +110,7 @@ def test_heisenberg_margin_minimum_uncertainty(quantum):
 def test_heisenberg_margin_degenerate_mixture(quantum):
     packet = GaussianPacket(sigma0=1.0, x0=-10.0, p0=-2.0, mass=1.0)
     spec = EnsembleSpec("mixed", packet, packet)
-    record = observable_record(spec, quantum, 0.0, np.linspace(-40.0, 0.0, 4097))
+    record = observable_record(spec, quantum, 0.0)
     ok, margin = heisenberg_check(record, quantum)
     assert ok
     assert margin == pytest.approx(0.0, abs=1e-6)
@@ -124,9 +119,8 @@ def test_heisenberg_margin_degenerate_mixture(quantum):
 @pytest.mark.parametrize("epsilon", [1.0, 0.5, 0.01])
 def test_heisenberg_holds_through_collision(epsilon, mixed_spec):
     regime = make_regime(epsilon)
-    grid = np.linspace(-90.0, 0.0, 4097)
     for t in (0.0, 4.0, 7.5, 11.0):
-        record = observable_record(mixed_spec, regime, t, grid)
+        record = observable_record(mixed_spec, regime, t)
         ok, margin = heisenberg_check(record, regime)
         assert ok, f"margin {margin} at t={t}, eps={epsilon}"
 
@@ -134,8 +128,8 @@ def test_heisenberg_holds_through_collision(epsilon, mixed_spec):
 def test_position_spread_shrinks_toward_classical(
     quantum, nearly_classical, mixed_spec
 ):
-    _, sd_quantum = position_moments(mixed_spec, quantum, 3.0, GRID)
-    _, sd_classical = position_moments(mixed_spec, nearly_classical, 3.0, GRID)
+    _, sd_quantum = position_moments(mixed_spec, quantum, 3.0)
+    _, sd_classical = position_moments(mixed_spec, nearly_classical, 3.0)
     assert sd_classical < sd_quantum
 
 
@@ -144,20 +138,17 @@ def test_uncertainty_product_inversion_near_collision(
 ):
     # Around the reflection the nearly classical product exceeds the quantum
     # one somewhere in the window, even though it is smaller at late times.
-    grid = np.linspace(-90.0, 0.0, 4097)
     inverted = False
     for t in np.arange(6.0, 8.01, 0.5):
-        product_q = observable_record(mixed_spec, quantum, t, grid).uncertainty_product
-        product_c = observable_record(
-            mixed_spec, nearly_classical, t, grid
-        ).uncertainty_product
+        product_q = observable_record(mixed_spec, quantum, t).uncertainty_product
+        product_c = observable_record(mixed_spec, nearly_classical, t).uncertainty_product
         if product_c > product_q:
             inverted = True
     assert inverted
 
 
 def test_record_fields_are_consistent(quantum, mixed_spec):
-    record = observable_record(mixed_spec, quantum, 4.0, GRID)
+    record = observable_record(mixed_spec, quantum, 4.0)
     assert record.uncertainty_product == pytest.approx(record.sd_x * record.sd_p, rel=1e-12)
     assert record.sd_x >= 0.0 and record.sd_p >= 0.0
     assert record.f_nc <= 0.0

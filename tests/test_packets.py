@@ -13,7 +13,7 @@ from qctl import (
     wall_amplitude,
     wall_amplitude_gradient,
 )
-from qctl.packets import packet_coefficients
+from qctl.packets import packet_terms
 
 
 @pytest.mark.parametrize(
@@ -166,11 +166,9 @@ def test_coefficients_rebuild_wall_amplitudes():
     regime = make_regime(0.5)
     x = np.linspace(-20.0, 0.0, 81)
     t = 3.0
-    a, k, xt, c0 = packet_coefficients(packets, regime, t)
-    assert a.shape == k.shape == xt.shape == c0.shape == (2,)
-    assert xt == pytest.approx([packet_center(p, t) for p in packets], rel=1e-15)
+    C, A, B, G = packet_terms(packets, regime, t)
+    assert C.shape == A.shape == B.shape == G.shape == (2, 2)
     for i, packet in enumerate(packets):
-        direct = c0[i] * np.exp((a[i] * (x - xt[i]) + k[i]) * (x - xt[i]))
-        image = c0[i] * np.exp((a[i] * (-x - xt[i]) + k[i]) * (-x - xt[i]))
+        terms = C[i][:, None] * np.exp((A[i][:, None] * x + B[i][:, None]) * x + G[i][:, None])
         expected = wall_amplitude(packet, regime, x, t)
-        assert np.max(np.abs(direct - image - expected)) < 1e-14
+        assert np.max(np.abs(terms.sum(axis=0) - expected)) < 1e-14

@@ -13,7 +13,7 @@ from qctl import (
     quad_integrate,
     wigner_transform,
 )
-from qctl.phase_space import _erfcx
+from qctl.gaussians import erfcx
 
 
 def free_single(packet):
@@ -228,14 +228,14 @@ def test_closed_form_matches_fine_simpson(kind, epsilon, pure_spec):
 def test_faddeeva_matches_real_axis_erfcx():
     x = np.linspace(0.0, 25.0, 501)
     reference = np.array([math.erfc(v) * math.exp(v * v) for v in x])
-    assert np.max(np.abs(_erfcx(x + 0j) - reference) / reference) < 1e-12
-    assert np.max(np.abs(_erfcx(x + 0j).imag)) == 0.0
+    assert np.max(np.abs(erfcx(x + 0j) - reference) / reference) < 1e-12
+    assert np.max(np.abs(erfcx(x + 0j).imag)) == 0.0
 
 
 def test_faddeeva_conjugate_symmetry():
     rng = np.random.default_rng(7)
     z = np.abs(rng.normal(scale=3.0, size=2000)) + 1j * rng.normal(scale=30.0, size=2000)
-    assert np.max(np.abs(_erfcx(np.conj(z)) - np.conj(_erfcx(z))) / np.abs(_erfcx(z))) < 1e-14
+    assert np.max(np.abs(erfcx(np.conj(z)) - np.conj(erfcx(z))) / np.abs(erfcx(z))) < 1e-14
 
 
 def test_faddeeva_large_argument_asymptote():
@@ -243,4 +243,4 @@ def test_faddeeva_large_argument_asymptote():
     angles = np.linspace(-0.5 * np.pi, 0.5 * np.pi, 13)
     z = np.concatenate([radius * np.exp(1j * angles) for radius in (1e4, 1e6)])
     asymptote = 1.0 / (z * np.sqrt(np.pi))
-    assert np.max(np.abs(_erfcx(z) / asymptote - 1.0)) < 1e-8
+    assert np.max(np.abs(erfcx(z) / asymptote - 1.0)) < 1e-8

@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qctl import parse_config, run_experiment
+from qctl import make_regime, parse_config, position_density, quad_integrate, run_experiment
 from qctl.cli import main
 
 
@@ -139,6 +140,31 @@ def test_observables_run_columns(tmp_path):
     assert table.shape == (3, 15)
     margins = table[:, 7]  # heisenberg_margin_pure
     assert np.all(margins >= -1e-9)
+
+
+def test_observables_run_is_not_renormalized_by_the_grid(tmp_path):
+    # On the README default grid (x_min = -60) about 3% of the mass has left
+    # by t = 20 at eps = 1; the moments must still be those of the whole state.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Configuration", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(block)
+    out_dir = tmp_path / "out"
+    assert main(["observables", "--config", str(config_path), "--out", str(out_dir)]) == 0
+    header, table = read_table(out_dir / "observables_eps1.csv")
+    row = table[table[:, 0] == 20.0][0]
+    mean_x = row[header.index("mean_x_pure [length]")]
+    sd_x = row[header.index("sd_x_pure [length]")]
+
+    spec = parse_config(block).ensemble("pure")
+    x = np.linspace(-400.0, 0.0, 400_001)
+    rho = position_density(spec, make_regime(1.0), x, 20.0)
+    mean_ref = quad_integrate(x, x * rho)
+    sd_ref = np.sqrt(quad_integrate(x, (x - mean_ref) ** 2 * rho))
+    assert mean_ref == pytest.approx(-35.022013, abs=1e-6)
+    assert sd_ref == pytest.approx(14.122982, abs=1e-6)
+    assert mean_x == pytest.approx(mean_ref, rel=1e-6)
+    assert sd_x == pytest.approx(sd_ref, rel=1e-6)
 
 
 def test_wigner_run_table(tmp_path):
