@@ -34,6 +34,7 @@ from .hydrodynamics import (
     current,
     integrate_trajectory,
     trajectory_fan,
+    trajectory_fans,
     velocity,
 )
 from .observables import (
@@ -108,6 +109,7 @@ __all__ = [
     "run_experiment",
     "serialize_config",
     "trajectory_fan",
+    "trajectory_fans",
     "velocity",
     "wall_amplitude",
     "wall_amplitude_gradient",

@@ -41,6 +41,9 @@ RUN_KINDS = ("density", "trajectories", "arrival", "observables", "wigner")
 
 _TAIL_MASS_LIMIT = 1e-10
 
+# Samples a trajectory run holds at once (2.4 million at the defaults; 200 MB).
+TRAJECTORY_SAMPLE_BUDGET = 25_000_000
+
 
 @dataclass(frozen=True)
 class SpatialGrid:
@@ -269,11 +272,17 @@ def parse_config(text: str) -> ExperimentConfig:
     if not trajectories.t_end > 0.0:
         raise ConfigError("trajectories.t_end", "must be positive")
     try:
-        step_count(trajectories.t_end, trajectories.dt)
+        n_samples = step_count(trajectories.t_end, trajectories.dt) + 1
     except DomainError as exc:
         raise ConfigError("trajectories.t_end", str(exc)) from exc
     if trajectories.n_seeds < 1:
         raise ConfigError("trajectories.n_seeds", "must be at least 1")
+    n_seeds = trajectories.n_seeds if seeds is None else len(seeds)
+    held = len(config.epsilons) * 2 * n_seeds * n_samples
+    if held > TRAJECTORY_SAMPLE_BUDGET:
+        path = "trajectories.n_seeds" if seeds is None else "trajectories.seeds"
+        raise ConfigError(path, f"epsilons x 2 kinds x seeds x (t_end / dt + 1) = {held} "
+                          f"samples exceed the budget of {TRAJECTORY_SAMPLE_BUDGET}")
     if not trajectories.x_lo < trajectories.x_hi < 0.0:
         raise ConfigError("trajectories.x_lo", "need x_lo < x_hi < 0")
     if trajectories.record_every < 1:

@@ -11,10 +11,10 @@ Wanner, *Solving Ordinary Differential Equations I*, II.4-6).
 Every seed has its own time and step size.  The steps are controlled to a
 local error of ``ATOL`` times the smallest packet width, and the samples on
 the record grid ``k * dt`` come from the pair's dense output, so ``dt`` sets
-only the sample spacing, not the accuracy or the cost.  All seeds advance in
-lockstep, one evaluator call per stage for the whole fan, and every per-seed
-combination is written elementwise, so a seed's numbers do not depend on
-which other seeds share its cohort.
+only the sample spacing, not the accuracy or the cost.  All fans (ensemble,
+regime, seeds) advance in lockstep, one evaluator call per stage for every
+running seed of every fan, and every per-seed combination is written
+elementwise, so a seed's numbers do not depend on which seeds share its loop.
 
 The velocity is undefined at density nodes and spikes near them.  A step with
 a stage density below the density floor is rejected and retried with a
@@ -31,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, component_fields
+from .ensembles import COMPONENT_WEIGHT, EnsembleSpec, component_fields, norm_constant
 from .errors import DomainError, LowDensityError
+from .packets import row_constants, term_fields
 from .regime import Regime
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "velocity",
     "integrate_trajectory",
     "trajectory_fan",
+    "trajectory_fans",
     "step_count",
 ]
 
@@ -122,21 +124,16 @@ def current(spec: EnsembleSpec, regime: Regime, x, t):
     return _flux_and_density(spec, regime, x, t)[0]
 
 
-def _velocity_and_density(spec: EnsembleSpec, regime: Regime, x, t):
-    flux, rho = _flux_and_density(spec, regime, x, t)
-    return flux / np.maximum(rho, 1e-300), rho
-
-
 def velocity(
     spec: EnsembleSpec, regime: Regime, x, t, density_floor: float = DENSITY_FLOOR
 ):
     """Guidance velocity j / rho; raises LowDensityError below the floor."""
-    v, rho = _velocity_and_density(spec, regime, x, t)
+    flux, rho = _flux_and_density(spec, regime, x, t)
     if np.any(rho < density_floor):
         raise LowDensityError(
             f"density below floor {density_floor:.0e} at t={t}; velocity undefined"
         )
-    return v
+    return flux / np.maximum(rho, 1e-300)
 
 
 def step_count(t_end: float, dt: float) -> int:
@@ -161,30 +158,85 @@ def _combine(weights, stages):
     return total
 
 
-def _initial_step(spec, regime, x, v, tol, scale, t_stop):
+def _cohort_evaluator(fans, wall: bool):
+    """``evaluate(running, x, t) -> (v, rho)`` from one kernel call with a row per packet of
+    each seed.  The running set only shrinks, so its size identifies it."""
+    rows, row_seed, row_scale, start, unit = [], [], [], [], []
+    for spec, regime, seeds in fans:
+        n, m = seeds.size, len(spec.packets)
+        rows += [(packet, regime) for packet in spec.packets] * n
+        row_seed += [len(unit) + j for j in range(n) for _ in range(m)]
+        row_scale += [np.sqrt(COMPONENT_WEIGHT / norm_constant(spec, regime))] * (m * n)
+        start += [p in spec.component_starts for p in range(m)] * n
+        unit += [regime.hbar_tilde / spec.mass] * n
+    constants = row_constants(rows)
+    row_seed, row_scale, start, unit = map(np.array, (row_seed, row_scale, start, unit))
+    cohort = {}
+
+    def evaluate(running, x, t):
+        if running.size not in cohort:
+            r = np.flatnonzero(np.isin(row_seed, running))
+            starts = np.flatnonzero(start[r])
+            cohort.clear()
+            cohort[running.size] = (
+                tuple(table[..., r] for table in constants),
+                np.searchsorted(running, row_seed[r]),
+                starts,
+                row_scale[r[starts]],
+                np.flatnonzero(np.diff(row_seed[r[starts]], prepend=-1)),
+                unit[running],
+            )
+        table, owner, starts, scale, firsts, flux_unit = cohort[running.size]
+        psi, grad = term_fields(table, x[owner], t[owner], wall)
+        # Components (pure a + b, mixed a and b), then each seed's sum of them.
+        phi = np.add.reduceat(psi[0], starts) * scale
+        dphi = np.add.reduceat(grad[0], starts) * scale
+        rho = np.add.reduceat(np.abs(phi) ** 2, firsts)
+        flux = flux_unit * np.add.reduceat(np.imag(np.conj(phi) * dphi), firsts)
+        return flux / np.maximum(rho, 1e-300), rho
+
+    return evaluate
+
+
+def _initial_step(evaluate, running, x, v, tol, scale, t_stop):
     """Starting step per seed (Hairer, Norsett and Wanner, II.4).
 
     The packet width stands in for |x| as the length scale of the first
     guess: a position's distance from the origin says nothing about the flow.
     """
     h0 = np.minimum(0.01 * scale / np.maximum(np.abs(v), 1e-300), t_stop)
-    v1, _ = _velocity_and_density(spec, regime, x + h0 * v, h0)
+    v1, _ = evaluate(running, x + h0 * v, h0)
     d = np.maximum(np.abs(v), np.abs(v1 - v) / h0) / tol
     return np.minimum(100.0 * h0, (0.01 / np.maximum(d, 1e-15)) ** 0.2)
 
 
-def _integrate_fan(
-    spec: EnsembleSpec,
-    regime: Regime,
-    seeds: np.ndarray,
-    t_end: float,
-    dt: float,
-    density_floor: float,
-) -> list[Trajectory]:
-    """Lockstep Dormand-Prince integration with per-seed steps and stalls."""
+def _checked_seeds(initial_positions) -> np.ndarray:
+    seeds = np.asarray(initial_positions, dtype=float)
+    if seeds.ndim != 1 or seeds.size == 0 or np.any(np.diff(seeds) <= 0.0) or np.any(seeds >= 0.0):
+        raise DomainError("initial positions must be negative, non-empty and strictly increasing")
+    return seeds
+
+
+def trajectory_fans(
+    fans, t_end: float, dt: float = 1e-3, density_floor: float = DENSITY_FLOOR
+) -> tuple[list[list[Trajectory]], dict]:
+    """Integrate fans ``(spec, regime, initial_positions)`` sharing the wall in one loop.
+
+    Returns one list of :class:`Trajectory` per fan, each equal to the fan alone, bit for
+    bit, and the loop's ``evaluator_calls``, ``evaluator_points`` (the sum of the seeds'
+    ``evaluations``) and ``iterations`` (the longest-running seed's step attempts).
+    """
+    fans = [(spec, regime, _checked_seeds(seeds)) for spec, regime, seeds in fans]
+    if not fans or any(spec.wall != fans[0][0].wall for spec, _, _ in fans):
+        raise DomainError("need at least one fan, and all fans must share the wall")
+    if not dt > 0.0 or not t_end > 0.0:
+        raise DomainError("dt and t_end must be positive")
     times = np.arange(step_count(t_end, dt) + 1) * dt
     t_stop = times[-1]
-    scale = min(p.sigma0 for p in spec.packets)
+    wall = fans[0][0].wall
+    evaluate = _cohort_evaluator(fans, wall)
+    seeds = np.concatenate([fan_seeds for _, _, fan_seeds in fans])
+    scale = np.concatenate([np.full(s.size, min(p.sigma0 for p in f.packets)) for f, _, s in fans])
     tol = ATOL * scale
     n = seeds.size
     positions = np.full((n, times.size), np.nan)
@@ -199,13 +251,13 @@ def _integrate_fan(
     t = np.zeros(n)
     x = seeds.copy()
     h = np.zeros(n)
-    v, rho = _velocity_and_density(spec, regime, x, 0.0)
+    v, rho = evaluate(np.arange(n), x, t)
     stalled = rho < density_floor
     running = ~stalled
     grow = np.ones(n, dtype=bool)  # false right after a rejected step
     if running.any():
         i = np.flatnonzero(running)
-        h[i] = _initial_step(spec, regime, x[i], v[i], tol, scale, t_stop)
+        h[i] = _initial_step(evaluate, i, x[i], v[i], tol[i], scale[i], t_stop)
         evaluations[i] += 1
 
     while running.any():
@@ -219,13 +271,13 @@ def _integrate_fan(
         low = np.zeros(i.size, dtype=bool)
         for node, row in zip(_C[1:], _A[1:]):
             increment = h0 * _combine(row, k)
-            k_s, rho_s = _velocity_and_density(spec, regime, x0 + increment, t0 + node * h0)
+            k_s, rho_s = evaluate(i, x0 + increment, t0 + node * h0)
             k.append(k_s)
             low |= rho_s < density_floor
         evaluations[i] += len(_C) - 1
         x1 = x0 + increment
 
-        err = np.abs(h0 * _combine(_E, k)) / tol
+        err = np.abs(h0 * _combine(_E, k)) / tol[i]
         ok = (err <= 1.0) & ~low
         factor = np.clip(_SAFETY * np.maximum(err, 1e-10) ** -0.2, _FACTOR_MIN, _FACTOR_MAX)
         factor = np.where(grow[i], factor, np.minimum(factor, 1.0))
@@ -247,7 +299,7 @@ def _integrate_fan(
         sample = x1[owner] - theta1 * (
             increment[owner] - theta * (q1[owner] + theta * (q2[owner] + theta1 * q3[owner]))
         )
-        if spec.wall:
+        if wall:
             # Accepted positions are inside already: the density, and so
             # every accepted stage, vanishes at x >= 0.  Samples between
             # them may overshoot.
@@ -270,7 +322,7 @@ def _integrate_fan(
         stalled[collapsed] = True
         running[collapsed] = False
 
-    return [
+    members = iter(
         Trajectory(
             float(seeds[j]),
             times[: recorded[j]],
@@ -282,7 +334,11 @@ def _integrate_fan(
             int(evaluations[j]),
         )
         for j in range(n)
-    ]
+    )
+    # Every call evaluates the seeds still running, the longest-running one among them.
+    loop = dict(evaluator_calls=int(evaluations.max()), evaluator_points=int(evaluations.sum()),
+                iterations=int((accepted + rejected).max()))
+    return [[next(members) for _ in fan_seeds] for _, _, fan_seeds in fans], loop
 
 
 def integrate_trajectory(
@@ -305,18 +361,5 @@ def trajectory_fan(
     dt: float = 1e-3,
     density_floor: float = DENSITY_FLOOR,
 ) -> list[Trajectory]:
-    """Integrate one trajectory per seed, sampled every ``dt``.
-
-    Seeds must be strictly increasing.  ``dt`` is the sample spacing only;
-    the step sizes are chosen per seed by the error control.
-    """
-    seeds = np.asarray(initial_positions, dtype=float)
-    if seeds.ndim != 1 or seeds.size == 0:
-        raise DomainError("initial positions must be a non-empty 1-D sequence")
-    if np.any(np.diff(seeds) <= 0.0):
-        raise DomainError("initial positions must be strictly increasing")
-    if not np.all(seeds < 0.0):
-        raise DomainError("initial positions must be negative")
-    if not dt > 0.0 or not t_end > 0.0:
-        raise DomainError("dt and t_end must be positive")
-    return _integrate_fan(spec, regime, seeds, t_end, dt, density_floor)
+    """One trajectory per seed, sampled every ``dt``: a one-fan :func:`trajectory_fans`."""
+    return trajectory_fans([(spec, regime, initial_positions)], t_end, dt, density_floor)[0][0]

@@ -42,23 +42,27 @@ class ObservableRecord:
     f_nc: float
 
 
+def _moments(pairs, hb: float):
+    """(mean_x, sd_x, mean_p, sd_p) from one time's :func:`~qctl.ensembles.diagonal_pairs`."""
+    _, mean_x, second_x = pairs.integrals.sum(axis=1).real
+    (A_i, B_i, _), (A_j, B_j, _) = pairs.left, pairs.right
+    I0, I1, I2 = pairs.integrals
+    mean_p = hb * float(np.sum(2.0 * A_i * I1 + B_i * I0).imag)
+    second_p = hb**2 * float(
+        np.sum(4.0 * A_i * A_j * I2 + 2.0 * (A_i * B_j + B_i * A_j) * I1 + B_i * B_j * I0).real
+    )
+    sd_x = float(np.sqrt(max(second_x - mean_x**2, 0.0)))
+    return float(mean_x), sd_x, mean_p, float(np.sqrt(max(second_p - mean_p**2, 0.0)))
+
+
 def position_moments(spec: EnsembleSpec, regime: Regime, t):
     """Mean and standard deviation of position, exact over the half-line."""
-    _, mean, second = diagonal_pairs(spec, regime, t).integrals.sum(axis=1).real
-    return float(mean), float(np.sqrt(max(second - mean**2, 0.0)))
+    return _moments(diagonal_pairs(spec, regime, t), regime.hbar_tilde)[:2]
 
 
 def momentum_moments(spec: EnsembleSpec, regime: Regime, t):
     """Mean and standard deviation of momentum, exact over the half-line."""
-    hb = regime.hbar_tilde
-    pairs = diagonal_pairs(spec, regime, t)
-    (A_i, B_i, _), (A_j, B_j, _) = pairs.left, pairs.right
-    I0, I1, I2 = pairs.integrals
-    mean = hb * float(np.sum(2.0 * A_i * I1 + B_i * I0).imag)
-    second = hb**2 * float(
-        np.sum(4.0 * A_i * A_j * I2 + 2.0 * (A_i * B_j + B_i * A_j) * I1 + B_i * B_j * I0).real
-    )
-    return mean, float(np.sqrt(max(second - mean**2, 0.0)))
+    return _moments(diagonal_pairs(spec, regime, t), regime.hbar_tilde)[2:]
 
 
 def effective_force(spec: EnsembleSpec, regime: Regime, t):
@@ -84,11 +88,10 @@ def ehrenfest_residual(spec: EnsembleSpec, regime: Regime, t, dt_fd: float = 1e-
     """
     if not t - dt_fd >= 0.0:
         raise DomainError(f"need t >= dt_fd for central differences, got t={t}")
-    x_plus, _ = position_moments(spec, regime, t + dt_fd)
-    x_minus, _ = position_moments(spec, regime, t - dt_fd)
-    p_plus, _ = momentum_moments(spec, regime, t + dt_fd)
-    p_minus, _ = momentum_moments(spec, regime, t - dt_fd)
-    mean_p, _ = momentum_moments(spec, regime, t)
+    hb = regime.hbar_tilde
+    x_plus, _, p_plus, _ = _moments(diagonal_pairs(spec, regime, t + dt_fd), hb)
+    x_minus, _, p_minus, _ = _moments(diagonal_pairs(spec, regime, t - dt_fd), hb)
+    mean_p = _moments(diagonal_pairs(spec, regime, t), hb)[2]
     r1 = (x_plus - x_minus) / (2.0 * dt_fd) - mean_p / spec.mass
     r2 = (p_plus - p_minus) / (2.0 * dt_fd) - float(effective_force(spec, regime, t))
     return r1, r2
@@ -102,8 +105,7 @@ def heisenberg_check(record: ObservableRecord, regime: Regime):
 
 def observable_record(spec: EnsembleSpec, regime: Regime, t) -> ObservableRecord:
     """Assemble the full observable snapshot at time t."""
-    mean_x, sd_x = position_moments(spec, regime, t)
-    mean_p, sd_p = momentum_moments(spec, regime, t)
+    mean_x, sd_x, mean_p, sd_p = _moments(diagonal_pairs(spec, regime, t), regime.hbar_tilde)
     return ObservableRecord(
         t=float(t),
         mean_x=mean_x,

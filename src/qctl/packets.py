@@ -16,9 +16,10 @@ The hard-wall solution is the image construction
 wall.
 
 Each direct or image term is ``c0 exp(a d^2 + k d)`` with ``d = +-x - xt``,
-and its x-gradient reuses the same exponential.  :func:`packet_fields` is the
-only place amplitudes and gradients are evaluated; everything broadcasts over
-numpy arrays in ``x`` and ``t``.  :func:`packet_terms` gives the same terms
+and its x-gradient reuses the same exponential.  One kernel,
+:func:`term_fields`, evaluates every amplitude and gradient: broadcast over
+arrays in ``x`` and ``t`` by :func:`packet_fields`, or on rows that each carry
+their own packet, regime, position and time.  :func:`packet_terms` gives the same terms
 expanded as ``C exp(A x^2 + B x + G)``, the form they are integrated in.
 """
 
@@ -38,6 +39,8 @@ __all__ = [
     "packet_center",
     "packet_fields",
     "packet_terms",
+    "row_constants",
+    "term_fields",
     "free_amplitude",
     "free_amplitude_gradient",
     "wall_amplitude",
@@ -103,15 +106,9 @@ def _term_constants(packets: tuple, regime: Regime, ndim: int):
     return sigma0, rate, -0.25 / sigma0, x0, p0 / mass, 1j * p0 / hb, 0.5j * p0 / hb
 
 
-def _coefficients(packets, regime: Regime, t: np.ndarray, ndim: int):
-    """(a, k, xt, c0) of every packet at t, on the axes packet, term, then ndim more."""
-    # The coefficients are arrays even for a scalar t, so scalar and array
-    # times go through the same array loops: numpy's scalar complex
-    # arithmetic rounds differently.
-    t = t.reshape((1, 1) + (1,) * (ndim - t.ndim) + t.shape)
-    sigma0, rate, a_scale, x0, velocity, k, half_k = _term_constants(
-        tuple(packets), regime, ndim
-    )
+def _coefficients(constants, t: np.ndarray):
+    """(a, k, xt, c0) at t from the constants of :func:`_term_constants`, broadcast."""
+    sigma0, rate, a_scale, x0, velocity, k, half_k = constants
     st = sigma0 + rate * t
     xt = x0 + velocity * t
     a = a_scale / st
@@ -121,33 +118,10 @@ def _coefficients(packets, regime: Regime, t: np.ndarray, ndim: int):
     return a, k, xt, c0
 
 
-def packet_terms(packets, regime: Regime, t: float, wall: bool = True):
-    """Every direct and image term as ``C exp(A x^2 + B x + G)`` at one time.
-
-    Returns ``(C, A, B, G)``, each of shape ``(len(packets), terms)``: the
-    direct and the image term with ``wall``, which sum to the wall amplitude
-    for x <= 0, and the direct term alone without it.
-    """
-    a, k, xt, c0 = _coefficients(packets, regime, np.asarray(t, dtype=float), 0)
-    signs = _TERM_SIGNS if wall else _FREE_SIGNS
-    # s c0 exp(a d^2 + k d) with d = s x - xt, expanded in powers of x.
-    return np.broadcast_arrays(signs * c0, a, signs * (k - 2.0 * a * xt), (a * xt - k) * xt)
-
-
-def packet_fields(packets, regime: Regime, x, t, wall: bool = True, gradient: bool = True):
-    """Amplitudes and x-gradients of several packets from one exp per term.
-
-    Returns ``(psi, grad)``, each of shape ``(len(packets),) + shape`` with
-    ``shape`` the broadcast shape of ``x`` and ``t``; ``grad`` is ``None``
-    when ``gradient`` is false.  With ``wall`` the amplitude is the image
-    pair, zero for x >= 0, and the gradient its one-sided derivative, zero for
-    x > 0; without it both are the free-space values.
-    """
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    ndim = max(x.ndim, t.ndim)
-    a, k, xt, c0 = _coefficients(packets, regime, t, ndim)
-    signs = (_TERM_SIGNS if wall else _FREE_SIGNS).reshape((1, -1) + (1,) * ndim)
+def term_fields(constants, x: np.ndarray, t: np.ndarray, wall: bool = True, gradient: bool = True):
+    """The term kernel: ``(psi, grad)`` on the packet (or :func:`row_constants` row) axis."""
+    a, k, xt, c0 = _coefficients(constants, t)
+    signs = (_TERM_SIGNS if wall else _FREE_SIGNS).reshape((1, -1) + (1,) * (a.ndim - 2))
     d = signs * x - xt
     ad = a * d
     if gradient:
@@ -170,6 +144,44 @@ def packet_fields(packets, regime: Regime, x, t, wall: bool = True, gradient: bo
     if not gradient:
         return psi, None
     return psi, np.where(inside, slopes[:, 0] + slopes[:, 1], 0.0)
+
+
+def packet_terms(packets, regime: Regime, t: float, wall: bool = True):
+    """Every direct and image term as ``C exp(A x^2 + B x + G)`` at one time.
+
+    Returns ``(C, A, B, G)``, each of shape ``(len(packets), terms)``: the
+    direct and the image term with ``wall``, which sum to the wall amplitude
+    for x <= 0, and the direct term alone without it.
+    """
+    t = np.asarray(t, dtype=float).reshape(1, 1)
+    a, k, xt, c0 = _coefficients(_term_constants(tuple(packets), regime, 0), t)
+    signs = _TERM_SIGNS if wall else _FREE_SIGNS
+    # s c0 exp(a d^2 + k d) with d = s x - xt, expanded in powers of x.
+    return np.broadcast_arrays(signs * c0, a, signs * (k - 2.0 * a * xt), (a * xt - k) * xt)
+
+
+def packet_fields(packets, regime: Regime, x, t, wall: bool = True, gradient: bool = True):
+    """Amplitudes and x-gradients of several packets from one exp per term.
+
+    Returns ``(psi, grad)``, each of shape ``(len(packets),) + shape`` with
+    ``shape`` the broadcast shape of ``x`` and ``t``; ``grad`` is ``None``
+    when ``gradient`` is false.  With ``wall`` the amplitude is the image
+    pair, zero for x >= 0, and the gradient its one-sided derivative, zero for
+    x > 0; without it both are the free-space values.
+    """
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    ndim = max(x.ndim, t.ndim)
+    # The coefficients are arrays even for a scalar t, so scalar and array times go
+    # through the same array loops: numpy's scalar complex arithmetic rounds differently.
+    t = t.reshape((1, 1) + (1,) * (ndim - t.ndim) + t.shape)
+    return term_fields(_term_constants(tuple(packets), regime, ndim), x, t, wall, gradient)
+
+
+def row_constants(rows):
+    """Constants of :func:`term_fields` with one ``(packet, regime)`` per row."""
+    columns = zip(*(_term_constants((packet,), regime, 1) for packet, regime in rows))
+    return tuple(np.concatenate(column, axis=2) for column in columns)
 
 
 def free_amplitude(packet: GaussianPacket, regime: Regime, x, t):

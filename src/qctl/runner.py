@@ -19,7 +19,7 @@ import numpy as np
 from .arrival import arrival_distribution
 from .config import ExperimentConfig, config_to_dict
 from .ensembles import EnsembleSpec, position_density
-from .hydrodynamics import step_count, trajectory_fan
+from .hydrodynamics import step_count, trajectory_fans
 from .observables import heisenberg_check, observable_record
 from .phase_space import wigner_transform
 from .quadrature import quad_integrate
@@ -101,22 +101,13 @@ def _run_density(
 
 
 def _run_trajectories(
-    config: ExperimentConfig,
-    regime: Regime,
-    out_dir: Path,
-    written: list[Path],
-    diagnostics: dict,
+    config: ExperimentConfig, out_dir: Path, written: list[Path], diagnostics: dict
 ) -> None:
     settings = config.trajectories
-    path = out_dir / f"trajectories_eps{_eps_tag(regime.epsilon)}.csv"
-    written.append(path)
-    fans = {}
-    seed_lists = {}
-    for kind in ("pure", "mixed"):
-        spec = config.ensemble(kind)
-        seeds = _seed_positions(config, spec, regime)
-        seed_lists[kind] = seeds
-        fans[kind] = trajectory_fan(spec, regime, seeds, settings.t_end, settings.dt)
+    regimes = config.regimes()
+    specs = [(config.ensemble(kind), regime) for regime in regimes for kind in ("pure", "mixed")]
+    seeded = [(spec, regime, _seed_positions(config, spec, regime)) for spec, regime in specs]
+    fans, diagnostics["trajectory_loop"] = trajectory_fans(seeded, settings.t_end, settings.dt)
 
     n_steps = step_count(settings.t_end, settings.dt)
     keep = np.arange(0, n_steps + 1, settings.record_every)
@@ -124,35 +115,34 @@ def _run_trajectories(
         keep = np.append(keep, n_steps)
     times = np.arange(n_steps + 1) * settings.dt
 
-    header = ["t [time]"]
-    for kind in ("pure", "mixed"):
-        header += [f"x_{kind}[{seed:.6g}] [length]" for seed in seed_lists[kind]]
+    for regime, pair in zip(regimes, zip(fans[::2], fans[1::2])):
+        tag = _eps_tag(regime.epsilon)
+        path = out_dir / f"trajectories_eps{tag}.csv"
+        written.append(path)
+        header, columns = ["t [time]"], [times[keep]]
+        for kind, fan in zip(("pure", "mixed"), pair):
+            header += [f"x_{kind}[{tr.initial_position:.6g}] [length]" for tr in fan]
+            for trajectory in fan:
+                # A stalled trajectory has no samples past its stall: nan there.
+                column = np.full(keep.size, np.nan)
+                recorded = keep < trajectory.positions.size
+                column[recorded] = trajectory.positions[keep[recorded]]
+                columns.append(column)
 
-    columns = [times[keep]]
-    for kind in ("pure", "mixed"):
-        for trajectory in fans[kind]:
-            # A stalled trajectory has no samples past its stall: nan there.
-            column = np.full(keep.size, np.nan)
-            recorded = keep < trajectory.positions.size
-            column[recorded] = trajectory.positions[keep[recorded]]
-            columns.append(column)
-
-    _write_csv(path, header, [np.column_stack(columns)])
-    counts = {kind: _integrator_counts(fan) for kind, fan in fans.items()}
-    diagnostics.setdefault("integrator", {})[_eps_tag(regime.epsilon)] = counts
-    diagnostics[f"stalled_eps{_eps_tag(regime.epsilon)}"] = {
-        kind: c["stalled_seeds"] for kind, c in counts.items()
-    }
+        _write_csv(path, header, [np.column_stack(columns)])
+        counts = {kind: _integrator_counts(fan) for kind, fan in zip(("pure", "mixed"), pair)}
+        diagnostics.setdefault("integrator", {})[tag] = counts
+        diagnostics[f"stalled_eps{tag}"] = {kind: c["stalled_seeds"] for kind, c in counts.items()}
 
 
 def _integrator_counts(fan) -> dict:
-    """Work of one lockstep fan; every count is deterministic."""
+    """Work of one fan; every count is deterministic."""
     smallest = min(tr.min_step for tr in fan)
     return {
         "accepted_steps": sum(tr.accepted_steps for tr in fan),
         "rejected_steps": sum(tr.rejected_steps for tr in fan),
-        # Each evaluator call of the fan includes every seed still running,
-        # so the fan makes as many calls as its longest-running seed saw.
+        # The calls that included a seed of this fan: as many as its
+        # longest-running seed saw, and as a fan integrated alone would make.
         "evaluator_calls": max(tr.evaluations for tr in fan),
         "min_step": smallest if np.isfinite(smallest) else None,
         "stalled_seeds": sum(tr.status != "completed" for tr in fan),
@@ -307,12 +297,12 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     try:
         if config.run_kind == "arrival":
             _run_arrival(config, target, written, diagnostics)
+        elif config.run_kind == "trajectories":
+            _run_trajectories(config, target, written, diagnostics)
         else:
             for regime in regimes:
                 if config.run_kind == "density":
                     _run_density(config, regime, target, written)
-                elif config.run_kind == "trajectories":
-                    _run_trajectories(config, regime, target, written, diagnostics)
                 elif config.run_kind == "observables":
                     _run_observables(config, regime, target, written)
                 elif config.run_kind == "wigner":

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from qctl import ConfigError, parse_config, serialize_config
+from qctl.config import TRAJECTORY_SAMPLE_BUDGET
 
 MINIMAL = json.dumps(
     {"packets": {"a": {"x0": -5.0, "p0": -2.0}, "b": {"x0": -15.0, "p0": 2.0}}}
@@ -120,6 +121,29 @@ def test_invalid_documents_report_field_path(mutation, path_fragment):
     with pytest.raises(ConfigError) as excinfo:
         parse_config(json.dumps(doc))
     assert path_fragment in str(excinfo.value)
+
+
+def test_trajectory_sample_budget():
+    # A trajectory run holds epsilons x 2 kinds x seeds x (t_end / dt + 1)
+    # samples at once.  Every rejected document here fails at load time,
+    # before anything is allocated.
+    def load(epsilons, **trajectories):
+        doc = json.loads(MINIMAL)
+        doc.update(epsilons=epsilons, trajectories=trajectories)
+        return parse_config(json.dumps(doc))
+
+    assert TRAJECTORY_SAMPLE_BUDGET == 25_000_000
+    load([1.0], n_seeds=1250, t_end=9.999, dt=0.001)  # exactly at the budget
+    for epsilons, settings, path in (
+        ([1.0], {"n_seeds": 1251, "t_end": 9.999, "dt": 0.001}, "trajectories.n_seeds"),
+        ([1.0, 0.5, 0.1, 0.01], {"n_seeds": 10**7}, "trajectories.n_seeds"),
+        ([1.0, 0.5, 0.1, 0.01], {"dt": 1e-7}, "trajectories.n_seeds"),
+        ([1.0, 0.5, 0.1, 0.01], {"seeds": [-5.0, -4.0], "dt": 1e-6}, "trajectories.seeds"),
+    ):
+        with pytest.raises(ConfigError) as excinfo:
+            load(epsilons, **settings)
+        assert excinfo.value.path == path
+        assert "budget" in str(excinfo.value)
 
 
 def test_tail_mass_guard_names_the_packet():

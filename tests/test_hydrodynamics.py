@@ -15,6 +15,7 @@ from qctl import (
     pure_density,
     quad_integrate,
     trajectory_fan,
+    trajectory_fans,
     velocity,
 )
 from qctl import hydrodynamics
@@ -179,13 +180,13 @@ def test_sample_spacing_does_not_change_steps(pure_spec, nearly_classical, monke
     # dt only sets where the dense output is sampled: the node-rich pure flow
     # takes the same steps, at the same cost, for either spacing.
     calls = {"n": 0}
-    evaluate = hydrodynamics.component_fields
+    evaluate = hydrodynamics.term_fields
 
     def counted(*args, **kwargs):
         calls["n"] += 1
         return evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(hydrodynamics, "component_fields", counted)
+    monkeypatch.setattr(hydrodynamics, "term_fields", counted)
     seeds = [-12.0, -8.0, -5.0]
     fans, cost = {}, {}
     for dt in (2e-3, 1e-3):
@@ -207,6 +208,47 @@ def test_fan_member_equals_single_seed_integration(pure_spec, nearly_classical):
     assert np.array_equal(fan[1].positions, single.positions)
     assert fan[1].accepted_steps == single.accepted_steps
     assert fan[1].rejected_steps == single.rejected_steps
+
+
+def test_cohort_of_fans_equals_each_fan_alone(pure_spec, mixed_spec, quantum, nearly_classical):
+    # One lockstep loop over pure and mixed fans at two epsilons, plus a fan
+    # of narrower packets: every fan's numbers equal its integration alone,
+    # bit for bit.  The far-tail seed stalls at t = 0 and leaves the cohort.
+    narrow = EnsembleSpec(
+        "mixed", GaussianPacket(x0=-6.0, p0=-1.0, sigma0=0.7), GaussianPacket(x0=-12.0, p0=1.5, sigma0=0.7)
+    )
+    seeds = {"pure": [-16.0, -9.0, -4.0], "mixed": [-55.0, -14.0, -4.5]}
+    fans = [
+        (spec, regime, seeds[spec.kind])
+        for regime in (quantum, nearly_classical)
+        for spec in (pure_spec, mixed_spec)
+    ] + [(narrow, nearly_classical, [-13.0, -7.0])]
+    cohort, loop = trajectory_fans(fans, 3.0, 1e-3)
+    assert [len(fan) for fan in cohort] == [3, 3, 3, 3, 2]
+    for (spec, regime, fan_seeds), together in zip(fans, cohort):
+        alone = trajectory_fan(spec, regime, fan_seeds, 3.0, 1e-3)
+        for member, single in zip(together, alone):
+            assert np.array_equal(member.positions, single.positions)
+            assert member.accepted_steps == single.accepted_steps
+            assert member.rejected_steps == single.rejected_steps
+            assert member.evaluations == single.evaluations
+            assert member.status == single.status
+    assert cohort[1][0].status == "stalled-low-density"
+    # The loop counts: every call includes the longest-running seed,
+    # and every seed adds one point to each call it is part of.
+    members = [tr for fan in cohort for tr in fan]
+    assert loop["evaluator_calls"] == max(tr.evaluations for tr in members)
+    assert loop["evaluator_points"] == sum(tr.evaluations for tr in members)
+    assert loop["iterations"] == max(tr.accepted_steps + tr.rejected_steps for tr in members)
+
+
+def test_fans_input_validation(pure_spec, quantum, packet_a):
+    with pytest.raises(DomainError):
+        trajectory_fans([], 1.0)
+    with pytest.raises(DomainError):
+        trajectory_fans([(pure_spec, quantum, [-6.0]), (single_free(packet_a), quantum, [-6.0])], 1.0)
+    with pytest.raises(DomainError):
+        trajectory_fans([(pure_spec, quantum, [-6.0]), (pure_spec, quantum, [-5.0, -6.0])], 1.0)
 
 
 def test_equivariance_mass_left_of_trajectories(pure_spec, nearly_classical):

@@ -13,6 +13,7 @@ from qctl import (
     observable_record,
     position_moments,
 )
+from qctl import observables
 
 def test_position_moments_of_initial_gaussian(quantum, packet_a):
     spec = EnsembleSpec("pure", packet_a, packet_a)
@@ -152,3 +153,20 @@ def test_record_fields_are_consistent(quantum, mixed_spec):
     assert record.uncertainty_product == pytest.approx(record.sd_x * record.sd_p, rel=1e-12)
     assert record.sd_x >= 0.0 and record.sd_p >= 0.0
     assert record.f_nc <= 0.0
+
+
+def test_term_pairs_are_built_once_per_time(mixed_spec, quantum, monkeypatch):
+    # The position and momentum moments of one time share one pair list.
+    built = []
+    build = observables.diagonal_pairs
+
+    def counted(spec, regime, t):
+        built.append(t)
+        return build(spec, regime, t)
+
+    monkeypatch.setattr(observables, "diagonal_pairs", counted)
+    observables.observable_record(mixed_spec, quantum, 4.0)
+    assert built == [4.0]
+    built.clear()
+    observables.ehrenfest_residual(mixed_spec, quantum, 4.0, dt_fd=1e-3)
+    assert sorted(built) == [4.0 - 1e-3, 4.0, 4.0 + 1e-3]

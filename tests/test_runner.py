@@ -102,6 +102,44 @@ def test_trajectory_run_records_integrator_counts(tmp_path):
     assert json.loads((tmp_path / "manifest.json").read_text())["diagnostics"] == diagnostics
 
 
+def test_one_loop_for_all_epsilons_matches_single_epsilon_runs(tmp_path):
+    # A two-epsilon run integrates its four fans in one lockstep loop; every
+    # CSV and every fan's integrator counts equal those of one-epsilon runs.
+    doc = small_config("trajectories", epsilons=[1.0, 0.01])
+    doc["trajectories"].update(t_end=2.0, seeds=[-55.0, -14.0, -9.0, -4.5])
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+
+    def run(out_dir, *extra):
+        assert main(["trajectories", "--config", str(config_path), "--out", str(out_dir), *extra]) == 0
+        return json.loads((out_dir / "manifest.json").read_text())["diagnostics"]
+
+    both = run(tmp_path / "both")
+    loops = []
+    for tag in ("1", "0.01"):
+        single = run(tmp_path / tag, "--epsilon", tag)
+        name = f"trajectories_eps{tag}.csv"
+        assert (tmp_path / "both" / name).read_bytes() == (tmp_path / tag / name).read_bytes()
+        assert both["integrator"][tag] == single["integrator"][tag]
+        loops.append(single["trajectory_loop"])
+    loop = both["trajectory_loop"]
+    per_fan = [c["evaluator_calls"] for per_kind in both["integrator"].values() for c in per_kind.values()]
+    assert loop["evaluator_calls"] == max(per_fan)
+    assert loop["evaluator_points"] == sum(single["evaluator_points"] for single in loops)
+    assert loop["iterations"] == max(single["iterations"] for single in loops)
+
+
+def test_cli_rejects_trajectory_run_above_sample_budget(tmp_path, capsys):
+    doc = small_config("trajectories", epsilons=[1.0])
+    doc["trajectories"]["n_seeds"] = 10**7
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert main(["trajectories", "--config", str(config_path), "--out", str(out_dir)]) == 2
+    assert "trajectories.n_seeds" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_born_seeding_is_deterministic_and_ordered(tmp_path):
     config = parse_config(
         json.dumps(
