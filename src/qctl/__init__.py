@@ -55,7 +55,7 @@ from .packets import (
     wall_amplitude,
     wall_amplitude_gradient,
 )
-from .phase_space import WignerField, free_liouville_residual, wigner_transform
+from .phase_space import WignerField, free_liouville_residual, wigner_transform, wigner_transforms
 from .quadrature import quad_integrate, quadrature_weights
 from .regime import Regime, make_regime
 from .runner import run_experiment
@@ -114,4 +114,5 @@ __all__ = [
     "wall_amplitude",
     "wall_amplitude_gradient",
     "wigner_transform",
+    "wigner_transforms",
 ]

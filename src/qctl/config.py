@@ -44,6 +44,11 @@ _TAIL_MASS_LIMIT = 1e-10
 # Samples a trajectory run holds at once (2.4 million at the defaults; 200 MB).
 TRAJECTORY_SAMPLE_BUDGET = 25_000_000
 
+# (R, u) points of one Wigner time, n_x x n_u (25,921 at the defaults).  Both
+# fields of a time and their pair integrals take about 300 bytes a point, so
+# the budget is about 300 MB; it admits an 81 x 8001 marginal-check grid.
+WIGNER_POINT_BUDGET = 1_000_000
+
 
 @dataclass(frozen=True)
 class SpatialGrid:
@@ -305,6 +310,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("wigner.n_x", "must be at least 9")
     if wigner.n_u < 9:
         raise ConfigError("wigner.n_u", "must be at least 9")
+    if wigner.n_x * wigner.n_u > WIGNER_POINT_BUDGET:
+        raise ConfigError("wigner.n_u", f"n_x x n_u = {wigner.n_x * wigner.n_u} points exceed "
+                          f"the budget of {WIGNER_POINT_BUDGET}")
     if not wigner.u_max > 0.0:
         raise ConfigError("wigner.u_max", "must be positive")
     if not wigner.rel_span > 0.0:

@@ -7,9 +7,10 @@ is the same sum over components.  :func:`component_fields` is the one state
 evaluator.  Components are built from hard-wall packet amplitudes, so
 density-matrix elements vanish whenever either argument is at or beyond the
 wall.  Every trace, moment and overlap is a sum of exact integrals of
-products of two packet terms, listed by :func:`term_pairs`, the one place
-that assigns terms to components.  The normalization ``D`` is the exact
-t = 0 trace, reused at all times.
+products of two packet terms, listed by :func:`term_pairs`; the Wigner
+transform reads the same assignment of terms to components as the weights of
+:func:`pair_weights`.  The normalization ``D`` is the exact t = 0 trace,
+reused at all times.
 
 ``wall=False`` switches the components to free-space amplitudes.  That variant
 exists for oracle checks (free-packet velocity fields, rigid Wigner transport)
@@ -35,6 +36,7 @@ __all__ = [
     "TermPairs",
     "term_pairs",
     "diagonal_pairs",
+    "pair_weights",
     "component_fields",
     "norm_constant",
     "pure_density",
@@ -107,6 +109,13 @@ def component_fields(spec: EnsembleSpec, regime: Regime, x, t, gradient: bool = 
     return psi, grad
 
 
+def _term_components(spec: EnsembleSpec, terms_per_packet: int) -> np.ndarray:
+    """The component of each term, packet-major as :func:`packet_terms` flattens them."""
+    packets = np.arange(len(spec.packets))
+    packet_component = np.searchsorted(spec.component_starts, packets, "right") - 1
+    return np.repeat(packet_component, terms_per_packet)
+
+
 TermPairs = namedtuple("TermPairs", "component coefficient left right integrals")
 
 
@@ -120,8 +129,7 @@ def term_pairs(spec: EnsembleSpec, regime: Regime, t: float) -> TermPairs:
     line without the wall).
     """
     C, A, B, G = packet_terms(spec.packets, regime, t, spec.wall)
-    packet_component = np.searchsorted(spec.component_starts, np.arange(C.shape[0]), "right") - 1
-    component = np.repeat(packet_component, C.shape[1])
+    component = _term_components(spec, C.shape[1])
     exponents = np.stack((A, B, G)).reshape(3, -1)
     C = C.ravel()
     i, j = np.divmod(np.arange(C.size**2), C.size)
@@ -138,6 +146,18 @@ def diagonal_pairs(spec: EnsembleSpec, regime: Regime, t: float) -> TermPairs:
     scale = COMPONENT_WEIGHT / norm_constant(spec, regime)
     component, coefficient, left, right, integrals = (v[..., same] for v in pairs)
     return TermPairs(component, scale * coefficient, left, right, scale * integrals)
+
+
+def pair_weights(spec: EnsembleSpec, regime: Regime, terms_per_packet: int) -> np.ndarray:
+    """Symmetric (n, n) weights of ``rho(x, y) = sum_ij w_ij g_i(x) conj(g_j(y))``.
+
+    The n terms are those of :func:`~qctl.packets.packet_terms`, flattened
+    packet-major; ``w_ij`` is ``COMPONENT_WEIGHT / D`` where terms i and j
+    belong to the same component and 0 elsewhere.
+    """
+    component = _term_components(spec, terms_per_packet)
+    same = component[:, None] == component[None, :]
+    return np.where(same, COMPONENT_WEIGHT / norm_constant(spec, regime), 0.0)
 
 
 @lru_cache(maxsize=64)

@@ -6,17 +6,20 @@ relative coordinate,
     W(R, u, t) = (1 / 2 pi hb) * integral dr exp(-i u r / hb)
                  * rho(R + r/2, R - r/2, t).
 
-Each direct or image term is ``C exp(A x^2 + B x + G)``, so for each ordered
-pair (i, j) of terms in one pure component the integrand
+Each direct or image term is ``C exp(A x^2 + B x + G)``, and
+``rho(x, y) = sum_ij w_ij g_i(x) conj g_j(y)`` with the weights of
+:func:`~qctl.ensembles.pair_weights`.  For each pair (i, j) the integrand
 ``g_i(R + r/2) conj g_j(R - r/2) exp(-i u r / hb)`` is a complex Gaussian in
 r.  The wall cuts it off exactly at |r| <= 2|R| (without the wall the window
 is the whole line), and over that window its integral is a difference of two
 error functions, evaluated through :func:`~qctl.gaussians.erfcx` so that no
 step cancels.  W is therefore exact at every (R, u) up to rounding.
 
-All ordered pairs are summed, so the hermiticity of rho makes W real only
-through the (i, j) and (j, i) terms cancelling; the imaginary residue is
-checked and dropped.
+The window is symmetric in r, so the (j, i) integral is the complex
+conjugate of the (i, j) one: only the pairs i <= j are integrated, and the
+pair i < j enters as twice its real part.  W is real by construction.  The
+fields of several ensembles of the same packets share one table of pair
+integrals.
 """
 
 from __future__ import annotations
@@ -25,15 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, diagonal_pairs
+from .ensembles import EnsembleSpec, pair_weights
 from .errors import DomainError, NumericalGuardError
 from .gaussians import SQRT_PI, erfcx
+from .packets import packet_terms
 from .quadrature import quadrature_weights
 from .regime import Regime
 
-__all__ = ["WignerField", "wigner_transform", "free_liouville_residual"]
-
-_IMAG_RESIDUE_LIMIT = 1e-8
+__all__ = ["WignerField", "wigner_transform", "wigner_transforms", "free_liouville_residual"]
 
 
 @dataclass(frozen=True)
@@ -41,6 +43,9 @@ class WignerField:
     """Sampled W(R, u) at one time; ``values`` has shape (len(R), len(u)).
 
     ``total_mass()`` approximates 1 when the grids cover the full support.
+    ``pair_integrals`` and ``pair_points`` are the work of the
+    :func:`wigner_transforms` call that made the field, shared by all its
+    fields: the pair integrals evaluated, and the (R, u) points of each.
     """
 
     R_grid: np.ndarray
@@ -48,6 +53,8 @@ class WignerField:
     values: np.ndarray
     t: float
     regime: Regime
+    pair_integrals: int = 0
+    pair_points: int = 0
 
     def total_mass(self) -> float:
         w_R = quadrature_weights(self.R_grid)
@@ -104,33 +111,56 @@ def wigner_transform(
 
     With the wall, W vanishes for R >= 0, where the window |r| <= 2|R| is empty.
     """
+    return wigner_transforms([spec], regime, t, R_grid, u_grid)[0]
+
+
+def wigner_transforms(specs, regime: Regime, t: float, R_grid, u_grid) -> list[WignerField]:
+    """:func:`wigner_transform` of several ensembles of the same packets at once.
+
+    Each unordered pair of terms that any ensemble uses is integrated once and
+    added, with that ensemble's weight, to every field it belongs to; each
+    field is bit-identical to the one-ensemble call.
+    """
     R = np.asarray(R_grid, dtype=float)
     u = np.asarray(u_grid, dtype=float)
     if R.ndim != 1 or u.ndim != 1 or R.size < 3 or u.size < 3:
         raise DomainError("R_grid and u_grid must be 1-D with at least 3 points")
+    first = specs[0]
+    if any(s.packets != first.packets or s.wall != first.wall for s in specs[1:]):
+        raise DomainError("the ensembles of one Wigner table must share packets and wall")
 
     hb = regime.hbar_tilde
-    rows = R < 0.0 if spec.wall else np.ones(R.size, dtype=bool)
+    rows = R < 0.0 if first.wall else np.ones(R.size, dtype=bool)
     R_in = R[rows][:, None]
     phase = (-1j / hb) * u[None, :]
     edges = edge_phase = None
-    if spec.wall:
+    if first.wall:
         edges = np.stack((2.0 * R_in, -2.0 * R_in))
         edge_phase = np.exp(phase * edges)
-    total = np.zeros((R_in.shape[0], u.size), dtype=complex)
-    pairs = diagonal_pairs(spec, regime, t)
-    for coefficient, left, right in zip(pairs.coefficient, pairs.left.T, pairs.right.T):
-        total += coefficient * _pair_integral(left, right, R_in, phase, edges, edge_phase)
-    values = np.zeros((R.size, u.size), dtype=complex)
-    values[rows] = total / (2.0 * np.pi * hb)
 
-    scale = float(np.max(np.abs(values.real)))
-    imag_residue = float(np.max(np.abs(values.imag)))
-    if scale > 0.0 and imag_residue > _IMAG_RESIDUE_LIMIT * scale:
-        raise NumericalGuardError(
-            f"Wigner transform has imaginary residue {imag_residue:.3e} (peak {scale:.3e})"
+    C, A, B, G = packet_terms(first.packets, regime, t, first.wall)
+    weights = np.stack([pair_weights(spec, regime, C.shape[1]) for spec in specs])
+    # (j, i) is the conjugate of (i, j): keep i <= j, doubling i < j.
+    weights = (np.triu(weights) + np.triu(weights, 1)) / (2.0 * np.pi * hb)
+    C = C.ravel()
+    exponents = np.stack((A, B, G)).reshape(3, -1)
+    totals = np.zeros((len(specs), R_in.shape[0], u.size))
+    pairs = np.argwhere(weights.any(axis=0))
+    for i, j in pairs:
+        integral = _pair_integral(
+            exponents[:, i], np.conj(exponents[:, j]), R_in, phase, edges, edge_phase
         )
-    return WignerField(R_grid=R, u_grid=u, values=values.real, t=float(t), regime=regime)
+        value = (C[i] * np.conj(C[j]) * integral).real
+        for total, weight in zip(totals, weights[:, i, j]):
+            if weight:
+                total += weight * value
+    if not np.isfinite(totals).all():
+        raise NumericalGuardError(f"Wigner transform is not finite at t = {t}")
+
+    values = np.zeros((len(specs), R.size, u.size))
+    values[:, rows] = totals
+    work = {"pair_integrals": len(pairs), "pair_points": totals[0].size}
+    return [WignerField(R, u, field, float(t), regime, **work) for field in values]
 
 
 def free_liouville_residual(

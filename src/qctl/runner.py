@@ -21,7 +21,7 @@ from .config import ExperimentConfig, config_to_dict
 from .ensembles import EnsembleSpec, position_density
 from .hydrodynamics import step_count, trajectory_fans
 from .observables import heisenberg_check, observable_record
-from .phase_space import wigner_transform
+from .phase_space import wigner_transforms
 from .quadrature import quad_integrate
 from .regime import Regime
 
@@ -48,14 +48,37 @@ _OBSERVABLE_UNITS = {
 
 
 def _write_csv(path: Path, header: list[str], blocks) -> None:
-    """Write the header, then the rows of each 2-D block of floats to 17 digits."""
-    template = ",".join(["%.17g"] * len(header)) + "\n"
+    """Write the header, then the rows of each block, every float to 17 digits.
+
+    A block is a 2-D array of floats, or a triple ``(head, leads, values)``
+    for leading columns that repeat: row k is ``head + leads[k]`` followed by
+    the floats of ``values[k]``, where ``head`` and ``leads`` are fields
+    already formatted by :func:`_csv_fields`.  Each chunk of rows is written
+    by one %-template.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
+        key = rows = None
         for block in blocks:
+            head, leads = "", None
+            if isinstance(block, tuple):
+                head, leads, block = block
+            row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+            if leads is not None and (leads, row) != key:
+                # Blocks with the same leads and width share these row templates.
+                key, rows = (leads, row), [lead + row for lead in leads]
             for start in range(0, len(block), _CSV_CHUNK_ROWS):
-                rows = block[start : start + _CSV_CHUNK_ROWS].tolist()
-                handle.writelines(template % tuple(row) for row in rows)
+                chunk = block[start : start + _CSV_CHUNK_ROWS]
+                if leads is None:
+                    template = row * len(chunk)
+                else:
+                    template = head + head.join(rows[start : start + len(chunk)])
+                handle.write(template % tuple(chunk.ravel().tolist()))
+
+
+def _csv_fields(values) -> list[str]:
+    """Each float formatted as one leading CSV field, with its comma."""
+    return ["%.17g," % value for value in np.asarray(values, dtype=float).tolist()]
 
 
 def _eps_tag(epsilon: float) -> str:
@@ -88,10 +111,11 @@ def _run_density(
     written.append(path)
 
     def blocks():
-        for t in times:
+        x_fields = _csv_fields(x)
+        for t, t_field in zip(times, _csv_fields(times)):
             rho_p = np.asarray(position_density(pure, regime, x, t))
             rho_m = np.asarray(position_density(mixed, regime, x, t))
-            yield np.column_stack((np.full(x.size, t), x, rho_p, rho_m))
+            yield t_field, x_fields, np.column_stack((rho_p, rho_m))
 
     _write_csv(
         path,
@@ -225,28 +249,26 @@ def _run_observables(
 
 
 def _run_wigner(
-    config: ExperimentConfig, regime: Regime, out_dir: Path, written: list[Path]
+    config: ExperimentConfig, regime: Regime, out_dir: Path, written: list[Path], diagnostics: dict
 ) -> None:
     settings = config.wigner
     R = np.linspace(settings.x_min, 0.0, settings.n_x)
     u = np.linspace(-settings.u_max, settings.u_max, settings.n_u)
+    specs = [config.ensemble(kind) for kind in ("pure", "mixed")]
     path = out_dir / f"wigner_eps{_eps_tag(regime.epsilon)}.csv"
     written.append(path)
+    work = {"pair_integrals": 0, "points": 0}
+    diagnostics.setdefault("wigner", {})[_eps_tag(regime.epsilon)] = work
 
     def blocks():
-        for t in settings.times:
-            fields = {
-                kind: wigner_transform(config.ensemble(kind), regime, t, R, u)
-                for kind in ("pure", "mixed")
-            }
-            block = (
-                np.full(R.size * u.size, t),
-                np.repeat(R, u.size),
-                np.tile(u, R.size),
-                fields["pure"].values.ravel(),
-                fields["mixed"].values.ravel(),
-            )
-            yield np.column_stack(block)
+        R_fields, u_fields = _csv_fields(R), _csv_fields(u)
+        for t, t_field in zip(settings.times, _csv_fields(settings.times)):
+            pure, mixed = wigner_transforms(specs, regime, t, R, u)
+            work["pair_integrals"] += pure.pair_integrals
+            work["points"] = pure.pair_points
+            values = np.stack((pure.values, mixed.values), axis=-1)
+            for R_field, row in zip(R_fields, values):
+                yield t_field + R_field, u_fields, row
 
     _write_csv(
         path,
@@ -306,7 +328,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
                 elif config.run_kind == "observables":
                     _run_observables(config, regime, target, written)
                 elif config.run_kind == "wigner":
-                    _run_wigner(config, regime, target, written)
+                    _run_wigner(config, regime, target, written, diagnostics)
         for regime in regimes:
             diagnostics["trace"][_eps_tag(regime.epsilon)] = _trace_drift(config, regime)
     except Exception:

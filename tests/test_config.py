@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from qctl import ConfigError, parse_config, serialize_config
-from qctl.config import TRAJECTORY_SAMPLE_BUDGET
+from qctl.config import TRAJECTORY_SAMPLE_BUDGET, WIGNER_POINT_BUDGET
 
 MINIMAL = json.dumps(
     {"packets": {"a": {"x0": -5.0, "p0": -2.0}, "b": {"x0": -15.0, "p0": 2.0}}}
@@ -143,6 +143,24 @@ def test_trajectory_sample_budget():
         with pytest.raises(ConfigError) as excinfo:
             load(epsilons, **settings)
         assert excinfo.value.path == path
+        assert "budget" in str(excinfo.value)
+
+
+def test_wigner_point_budget():
+    # One Wigner time holds n_x x n_u points; every rejected document fails
+    # at load time, before anything is allocated.
+    def load(**wigner):
+        doc = json.loads(MINIMAL)
+        doc["wigner"] = wigner
+        return parse_config(json.dumps(doc))
+
+    assert WIGNER_POINT_BUDGET == 1_000_000
+    load(n_x=81, n_u=8001)  # the marginal-check grid of the acceptance suite
+    load(n_x=1000, n_u=1000)  # exactly at the budget
+    for settings in ({"n_x": 1000, "n_u": 1001}, {"n_x": 10**9}, {"n_u": 10**9}):
+        with pytest.raises(ConfigError) as excinfo:
+            load(**settings)
+        assert excinfo.value.path == "wigner.n_u"
         assert "budget" in str(excinfo.value)
 
 

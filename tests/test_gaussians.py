@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qctl
 from qctl import GaussianPacket, make_regime
 from qctl.gaussians import gaussian_moments
 from qctl.packets import packet_terms
@@ -64,3 +69,32 @@ def test_moments_broadcast_over_pairs():
     assert batch.shape == (3, alpha.size)
     for k in range(alpha.size):
         assert np.array_equal(batch[:, k], gaussian_moments(alpha[k], beta[k], gamma[k]))
+
+
+def test_faddeeva_literals_equal_their_fft():
+    # Weideman's construction: the real part of an 80-point FFT of
+    # exp(-s^2) (L^2 + s^2) at s = L tan(theta / 2), highest power first.
+    n = 40
+    m = 2 * n
+    scale = np.sqrt(n / np.sqrt(2.0))
+    theta = np.arange(-m + 1, m) * np.pi / m
+    s = scale * np.tan(0.5 * theta)
+    f = np.concatenate(([0.0], np.exp(-s * s) * (scale * scale + s * s)))
+    a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
+    assert qctl.gaussians._FADDEEVA_SCALE == scale
+    assert np.array_equal(np.array(qctl.gaussians._FADDEEVA_COEFFICIENTS), a[n:0:-1])
+
+
+def test_no_run_imports_the_fft():
+    code = (
+        "import sys, numpy as np, qctl\n"
+        "a = qctl.GaussianPacket(x0=-5.0, p0=-2.0)\n"
+        "b = qctl.GaussianPacket(x0=-15.0, p0=2.0)\n"
+        "spec = qctl.EnsembleSpec('pure', a, b)\n"
+        "qctl.position_density(spec, qctl.make_regime(1.0), np.linspace(-9, 0, 5), 1.0)\n"
+        "qctl.wigner_transform(spec, qctl.make_regime(1.0), 1.0, np.linspace(-9, 0, 5), np.linspace(-1, 1, 5))\n"
+        "sys.exit('numpy.fft' in sys.modules)\n"
+    )
+    src = str(Path(qctl.__file__).parents[1])
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0

@@ -6,13 +6,17 @@ import pytest
 from qctl import (
     DomainError,
     EnsembleSpec,
+    NumericalGuardError,
     density,
     free_liouville_residual,
     make_regime,
     position_density,
     quad_integrate,
     wigner_transform,
+    wigner_transforms,
 )
+from qctl import phase_space
+from qctl.ensembles import diagonal_pairs
 from qctl.gaussians import erfcx
 
 
@@ -223,6 +227,82 @@ def test_closed_form_matches_fine_simpson(kind, epsilon, pure_spec):
         reference = simpson_wigner(spec, regime, t, R_i, u)
         assert np.max(np.abs(reference.imag)) < 1e-12 * peak
         assert np.max(np.abs(field.values[i] - reference.real)) < 1e-9 * peak
+
+
+def ordered_pair_wigner(spec, regime, t, R, u):
+    """Every ordered pair (i, j) of same-component terms, each integrated on its own."""
+    hb = regime.hbar_tilde
+    rows = R < 0.0 if spec.wall else np.ones(R.size, dtype=bool)
+    R_in = R[rows][:, None]
+    phase = (-1j / hb) * u[None, :]
+    edges = edge_phase = None
+    if spec.wall:
+        edges = np.stack((2.0 * R_in, -2.0 * R_in))
+        edge_phase = np.exp(phase * edges)
+    pairs = diagonal_pairs(spec, regime, t)
+    total = np.zeros((R_in.shape[0], u.size), dtype=complex)
+    for coefficient, left, right in zip(pairs.coefficient, pairs.left.T, pairs.right.T):
+        total += coefficient * phase_space._pair_integral(left, right, R_in, phase, edges, edge_phase)
+    values = np.zeros((R.size, u.size), dtype=complex)
+    values[rows] = total / (2.0 * np.pi * hb)
+    return values
+
+
+@pytest.mark.parametrize("wall", [True, False])
+@pytest.mark.parametrize("epsilon", [1.0, 0.01])
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_folded_pairs_match_every_ordered_pair(kind, epsilon, wall, packet_a, packet_b):
+    # Reference: both (i, j) and (j, i) integrated, the imaginary parts left
+    # to cancel; the folded sum integrates i <= j once.
+    spec = EnsembleSpec(kind, packet_a, packet_b, wall=wall)
+    regime = make_regime(epsilon)
+    R = np.linspace(-30.0, 0.0, 61)
+    u = np.linspace(-6.0, 6.0, 81)
+    for t in (0.0, 3.0):
+        reference = ordered_pair_wigner(spec, regime, t, R, u)
+        field = wigner_transform(spec, regime, t, R, u)
+        peak = np.max(np.abs(reference.real))
+        assert np.max(np.abs(reference.imag)) < 1e-12 * peak
+        assert np.max(np.abs(field.values - reference.real)) < 1e-13 * peak
+
+
+@pytest.mark.parametrize("wall", [True, False])
+def test_shared_pair_table_equals_one_ensemble_calls(wall, packet_a, packet_b, quantum):
+    pure = EnsembleSpec("pure", packet_a, packet_b, wall=wall)
+    mixed = pure.as_kind("mixed")
+    R = np.linspace(-20.0, 0.0, 41)
+    u = np.linspace(-5.0, 5.0, 31)
+    shared = wigner_transforms([pure, mixed], quantum, 3.0, R, u)
+    alone = [wigner_transform(spec, quantum, 3.0, R, u) for spec in (pure, mixed)]
+    for together, single in zip(shared, alone):
+        assert np.array_equal(together.values, single.values)
+    # Wall: 10 unordered pairs of the 4 terms, the mixture's 6 among them.
+    # Free: the 3 pairs of the 2 direct terms, the mixture's 2 among them.
+    expected = (10, 10, 6) if wall else (3, 3, 2)
+    assert (shared[0].pair_integrals, alone[0].pair_integrals, alone[1].pair_integrals) == expected
+    assert shared[1].pair_points == (40 if wall else 41) * u.size
+
+
+def test_shared_pair_table_needs_one_set_of_packets(packet_a, packet_b, quantum):
+    from qctl import GaussianPacket
+
+    R = np.linspace(-20.0, 0.0, 11)
+    u = np.linspace(-5.0, 5.0, 11)
+    pure = EnsembleSpec("pure", packet_a, packet_b)
+    moved = EnsembleSpec("mixed", packet_a, GaussianPacket(x0=-14.0, p0=2.0))
+    with pytest.raises(DomainError):
+        wigner_transforms([pure, moved], quantum, 0.0, R, u)
+    with pytest.raises(DomainError):
+        wigner_transforms([pure, EnsembleSpec("mixed", packet_a, packet_b, wall=False)], quantum, 0.0, R, u)
+
+
+def test_non_finite_wigner_values_trip_the_guard(pure_spec, quantum, monkeypatch):
+    def not_a_number(*args):
+        return np.full(args[2].shape[:1] + args[3].shape[1:], np.nan + 0j)
+
+    monkeypatch.setattr(phase_space, "_pair_integral", not_a_number)
+    with pytest.raises(NumericalGuardError):
+        wigner_transform(pure_spec, quantum, 0.0, np.linspace(-5.0, 0.0, 6), np.linspace(-1.0, 1.0, 5))
 
 
 def test_faddeeva_matches_real_axis_erfcx():

@@ -140,6 +140,44 @@ def test_cli_rejects_trajectory_run_above_sample_budget(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_cli_rejects_wigner_run_above_point_budget(tmp_path, capsys):
+    doc = small_config("wigner", epsilons=[1.0])
+    doc["wigner"].update(n_x=81, n_u=10**6)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert main(["wigner", "--config", str(config_path), "--out", str(out_dir)]) == 2
+    assert "wigner.n_u" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_csv_cached_leading_fields_match_the_plain_template(tmp_path):
+    import qctl.runner as runner
+
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300, 0.1, 1.0 / 3.0]
+    t = np.array([0.0, -0.0, 7.0, np.nan])
+    # More rows than one formatting chunk.
+    x = np.concatenate((special, np.linspace(-3.0, 3.0, 70)))
+    values = np.random.default_rng(3).normal(size=(t.size, x.size, 2))
+    values[0, : len(special)] = np.array(special)[:, None]
+    values[1, : len(special), 1] = special[::-1]
+    header = ["t", "x", "a", "b"]
+
+    def plain():
+        for k, t_k in enumerate(t):
+            yield np.column_stack((np.full(x.size, t_k), x, values[k]))
+
+    def cached():
+        x_fields = runner._csv_fields(x)
+        for t_field, block in zip(runner._csv_fields(t), values):
+            yield t_field, x_fields, block
+
+    runner._write_csv(tmp_path / "plain.csv", header, plain())
+    runner._write_csv(tmp_path / "cached.csv", header, cached())
+    assert (tmp_path / "cached.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert b"\nnan,inf," in (tmp_path / "plain.csv").read_bytes()
+
+
 def test_born_seeding_is_deterministic_and_ordered(tmp_path):
     config = parse_config(
         json.dumps(
@@ -207,7 +245,9 @@ def test_observables_run_is_not_renormalized_by_the_grid(tmp_path):
 
 def test_wigner_run_table(tmp_path):
     config = parse_config(json.dumps(small_config("wigner", epsilons=[1.0])))
-    run_experiment(config, out_dir=tmp_path)
+    manifest = run_experiment(config, out_dir=tmp_path)
+    # One time: the 10 distinct term pairs of both kinds, on the 40 rows R < 0.
+    assert manifest["diagnostics"]["wigner"] == {"1": {"pair_integrals": 10, "points": 40 * 41}}
     header, table = read_table(tmp_path / "wigner_eps1.csv")
     assert header == [
         "t [time]",
