@@ -23,6 +23,7 @@ from .ensembles import (
     fringe_visibility,
     mixed_density,
     norm_constant,
+    position_densities,
     position_density,
     pure_density,
     purity,
@@ -100,6 +101,7 @@ __all__ = [
     "observable_record",
     "packet_center",
     "parse_config",
+    "position_densities",
     "position_density",
     "position_moments",
     "pure_density",

@@ -41,12 +41,17 @@ RUN_KINDS = ("density", "trajectories", "arrival", "observables", "wigner")
 
 _TAIL_MASS_LIMIT = 1e-10
 
-# Samples a trajectory run holds at once (2.4 million at the defaults; 200 MB).
+# Dense samples of a trajectory run, epsilons x 2 kinds x seeds x
+# (t_end / dt + 1) (2.4 million at the defaults; 200 MB of float64).  A run
+# keeps only every record_every-th sample, so the count over-counts what it
+# holds by about that factor.
 TRAJECTORY_SAMPLE_BUDGET = 25_000_000
 
-# (R, u) points of one Wigner time, n_x x n_u (25,921 at the defaults).  Both
-# fields of a time and their pair integrals take about 300 bytes a point, so
-# the budget is about 300 MB; it admits an 81 x 8001 marginal-check grid.
+# (R, u) points of one Wigner time, n_x x n_u (25,921 at the defaults).  A run
+# holds both fields of two consecutive times, 32 bytes a point (34 measured in
+# peak RSS), and evaluates the pair integrals in blocks of
+# phase_space.BLOCK_POINTS points, so the budget is about 34 MB; it admits an
+# 81 x 8001 marginal-check grid.
 WIGNER_POINT_BUDGET = 1_000_000
 
 

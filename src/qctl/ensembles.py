@@ -43,6 +43,7 @@ __all__ = [
     "mixed_density",
     "density",
     "position_density",
+    "position_densities",
     "purity",
     "fringe_visibility",
 ]
@@ -102,11 +103,16 @@ def component_fields(spec: EnsembleSpec, regime: Regime, x, t, gradient: bool = 
     ``gradient`` is false.
     """
     psi, grad = packet_fields(spec.packets, regime, x, t, wall=spec.wall, gradient=gradient)
-    scale = math.sqrt(COMPONENT_WEIGHT / norm_constant(spec, regime))
-    psi = np.add.reduceat(psi, spec.component_starts, axis=0) * scale
+    psi = _components(spec, regime, psi)
     if gradient:
-        grad = np.add.reduceat(grad, spec.component_starts, axis=0) * scale
+        grad = _components(spec, regime, grad)
     return psi, grad
+
+
+def _components(spec: EnsembleSpec, regime: Regime, fields):
+    """Per-packet fields summed into the spec's normalized components."""
+    scale = math.sqrt(COMPONENT_WEIGHT / norm_constant(spec, regime))
+    return np.add.reduceat(fields, spec.component_starts, axis=0) * scale
 
 
 def _term_components(spec: EnsembleSpec, terms_per_packet: int) -> np.ndarray:
@@ -179,6 +185,11 @@ def _density_matrix(spec: EnsembleSpec, regime: Regime, x, y, t):
     phi_x, _ = component_fields(spec, regime, x, t, gradient=False)
     # On the diagonal one evaluation serves both arguments.
     phi_y = phi_x if y is x else component_fields(spec, regime, y, t, gradient=False)[0]
+    return _contract(phi_x, phi_y)
+
+
+def _contract(phi_x, phi_y):
+    """rho(x, y) = sum_c phi_c(x) conj(phi_c(y)) from the components at x and at y."""
     return (phi_x * np.conj(phi_y)).sum(axis=0)
 
 
@@ -210,7 +221,25 @@ def position_density(spec: EnsembleSpec, regime: Regime, x, t):
     diagonal exceeds 1e-9; hermiticity makes it vanish identically, so a large
     residue means a broken formula rather than roundoff.
     """
-    diagonal = density(spec, regime, x, x, t)
+    return position_densities([spec], regime, x, t)[0]
+
+
+def position_densities(specs, regime: Regime, x, t) -> list:
+    """:func:`position_density` of several ensembles of the same packets and wall.
+
+    The packets are evaluated once and each spec sums them into its own
+    components, so every density is bit-identical to the one-spec call.
+    """
+    first = specs[0]
+    if any(s.packets != first.packets or s.wall != first.wall for s in specs[1:]):
+        raise DomainError("the ensembles of one density evaluation must share packets and wall")
+    psi, _ = packet_fields(first.packets, regime, x, t, wall=first.wall, gradient=False)
+    return [_real_diagonal(_components(spec, regime, psi)) for spec in specs]
+
+
+def _real_diagonal(phi):
+    """sum_c |phi_c|^2, checked for the imaginary residue of a broken formula."""
+    diagonal = _contract(phi, phi)
     imag_max = float(np.max(np.abs(np.imag(np.atleast_1d(diagonal)))))
     if imag_max > _IMAG_FAIL:
         raise NumericalGuardError(

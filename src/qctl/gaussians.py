@@ -43,10 +43,11 @@ def erfcx(z: np.ndarray) -> np.ndarray:
     """
     lz = _FADDEEVA_SCALE + z
     ratio = (_FADDEEVA_SCALE - z) / lz
-    p = np.full(z.shape, _FADDEEVA_COEFFICIENTS[0], dtype=complex)
-    for c in _FADDEEVA_COEFFICIENTS[1:]:
-        p *= ratio
+    p = ratio * _FADDEEVA_COEFFICIENTS[0]
+    for c in _FADDEEVA_COEFFICIENTS[1:-1]:
         p += c
+        p *= ratio
+    p += _FADDEEVA_COEFFICIENTS[-1]
     return (2.0 * p / lz + 1.0 / SQRT_PI) / lz
 
 

@@ -10,11 +10,12 @@ Wanner, *Solving Ordinary Differential Equations I*, II.4-6).
 
 Every seed has its own time and step size.  The steps are controlled to a
 local error of ``ATOL`` times the smallest packet width, and the samples on
-the record grid ``k * dt`` come from the pair's dense output, so ``dt`` sets
-only the sample spacing, not the accuracy or the cost.  All fans (ensemble,
-regime, seeds) advance in lockstep, one evaluator call per stage for every
-running seed of every fan, and every per-seed combination is written
-elementwise, so a seed's numbers do not depend on which seeds share its loop.
+the record grid ``k * dt`` (every ``record_every``-th one) come from the
+pair's dense output, so ``dt`` sets only the sample spacing, not the accuracy
+or the cost.  All fans (ensemble, regime, seeds) advance in lockstep, one
+evaluator call per stage for every running seed of every fan, and every
+per-seed combination is written elementwise, so a seed's numbers do not
+depend on which seeds share its loop.
 
 The velocity is undefined at density nodes and spikes near them.  A step with
 a stage density below the density floor is rejected and retried with a
@@ -46,6 +47,7 @@ __all__ = [
     "integrate_trajectory",
     "trajectory_fan",
     "trajectory_fans",
+    "record_times",
     "step_count",
 ]
 
@@ -149,6 +151,21 @@ def step_count(t_end: float, dt: float) -> int:
     return n_steps
 
 
+def record_times(t_end: float, dt: float, record_every: int = 1) -> np.ndarray:
+    """The sample times ``k * dt`` up to ``t_end``, every ``record_every``-th one.
+
+    The last time is always ``t_end`` itself, also when the step count is not
+    a multiple of ``record_every``.
+    """
+    if not (isinstance(record_every, (int, np.integer)) and record_every >= 1):
+        raise DomainError(f"record_every must be an integer >= 1, got {record_every!r}")
+    n_steps = step_count(t_end, dt)
+    keep = np.arange(0, n_steps + 1, record_every)
+    if keep[-1] != n_steps:
+        keep = np.append(keep, n_steps)
+    return (np.arange(n_steps + 1) * dt)[keep]
+
+
 def _combine(weights, stages):
     """``sum_j w_j k_j`` over the nonzero weights, elementwise in a fixed order."""
     total = None
@@ -218,20 +235,29 @@ def _checked_seeds(initial_positions) -> np.ndarray:
 
 
 def trajectory_fans(
-    fans, t_end: float, dt: float = 1e-3, density_floor: float = DENSITY_FLOOR
+    fans,
+    t_end: float,
+    dt: float = 1e-3,
+    density_floor: float = DENSITY_FLOOR,
+    record_every: int = 1,
 ) -> tuple[list[list[Trajectory]], dict]:
     """Integrate fans ``(spec, regime, initial_positions)`` sharing the wall in one loop.
 
     Returns one list of :class:`Trajectory` per fan, each equal to the fan alone, bit for
     bit, and the loop's ``evaluator_calls``, ``evaluator_points`` (the sum of the seeds'
     ``evaluations``) and ``iterations`` (the longest-running seed's step attempts).
+
+    Each trajectory holds the samples at :func:`record_times`: every
+    ``record_every``-th multiple of ``dt``, and ``t_end``.  Only those are
+    evaluated and kept; the steps, and every kept sample, are the same for any
+    ``record_every``.
     """
     fans = [(spec, regime, _checked_seeds(seeds)) for spec, regime, seeds in fans]
     if not fans or any(spec.wall != fans[0][0].wall for spec, _, _ in fans):
         raise DomainError("need at least one fan, and all fans must share the wall")
     if not dt > 0.0 or not t_end > 0.0:
         raise DomainError("dt and t_end must be positive")
-    times = np.arange(step_count(t_end, dt) + 1) * dt
+    times = record_times(t_end, dt, record_every)
     t_stop = times[-1]
     wall = fans[0][0].wall
     evaluate = _cohort_evaluator(fans, wall)
@@ -360,6 +386,10 @@ def trajectory_fan(
     t_end: float,
     dt: float = 1e-3,
     density_floor: float = DENSITY_FLOOR,
+    record_every: int = 1,
 ) -> list[Trajectory]:
-    """One trajectory per seed, sampled every ``dt``: a one-fan :func:`trajectory_fans`."""
-    return trajectory_fans([(spec, regime, initial_positions)], t_end, dt, density_floor)[0][0]
+    """One trajectory per seed, sampled at :func:`record_times`: a one-fan :func:`trajectory_fans`."""
+    fans, _ = trajectory_fans(
+        [(spec, regime, initial_positions)], t_end, dt, density_floor, record_every
+    )
+    return fans[0]

@@ -20,6 +20,12 @@ conjugate of the (i, j) one: only the pairs i <= j are integrated, and the
 pair i < j enters as twice its real part.  W is real by construction.  The
 fields of several ensembles of the same packets share one table of pair
 integrals.
+
+Every step is elementwise in (R, u), so the grid is evaluated in blocks of
+whole R rows of at most :data:`BLOCK_POINTS` points (one row if a row is
+longer), each block bit-identical to the whole grid at once.  The pair
+integrals' temporaries are block-sized, and only the fields themselves,
+8 bytes a point per ensemble, span the grid.
 """
 
 from __future__ import annotations
@@ -36,6 +42,10 @@ from .quadrature import quadrature_weights
 from .regime import Regime
 
 __all__ = ["WignerField", "wigner_transform", "wigner_transforms", "free_liouville_residual"]
+
+# (R, u) points evaluated at once.  A pair integral holds about ten complex
+# temporaries of a block's size, a few hundred kB at 4096 points.
+BLOCK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -130,13 +140,8 @@ def wigner_transforms(specs, regime: Regime, t: float, R_grid, u_grid) -> list[W
         raise DomainError("the ensembles of one Wigner table must share packets and wall")
 
     hb = regime.hbar_tilde
-    rows = R < 0.0 if first.wall else np.ones(R.size, dtype=bool)
-    R_in = R[rows][:, None]
+    inside = np.flatnonzero(R < 0.0) if first.wall else np.arange(R.size)
     phase = (-1j / hb) * u[None, :]
-    edges = edge_phase = None
-    if first.wall:
-        edges = np.stack((2.0 * R_in, -2.0 * R_in))
-        edge_phase = np.exp(phase * edges)
 
     C, A, B, G = packet_terms(first.packets, regime, t, first.wall)
     weights = np.stack([pair_weights(spec, regime, C.shape[1]) for spec in specs])
@@ -144,22 +149,30 @@ def wigner_transforms(specs, regime: Regime, t: float, R_grid, u_grid) -> list[W
     weights = (np.triu(weights) + np.triu(weights, 1)) / (2.0 * np.pi * hb)
     C = C.ravel()
     exponents = np.stack((A, B, G)).reshape(3, -1)
-    totals = np.zeros((len(specs), R_in.shape[0], u.size))
     pairs = np.argwhere(weights.any(axis=0))
-    for i, j in pairs:
-        integral = _pair_integral(
-            exponents[:, i], np.conj(exponents[:, j]), R_in, phase, edges, edge_phase
-        )
-        value = (C[i] * np.conj(C[j]) * integral).real
-        for total, weight in zip(totals, weights[:, i, j]):
-            if weight:
-                total += weight * value
-    if not np.isfinite(totals).all():
-        raise NumericalGuardError(f"Wigner transform is not finite at t = {t}")
-
     values = np.zeros((len(specs), R.size, u.size))
-    values[:, rows] = totals
-    work = {"pair_integrals": len(pairs), "pair_points": totals[0].size}
+    block_rows = max(1, BLOCK_POINTS // u.size)
+    for start in range(0, inside.size, block_rows):
+        rows = inside[start : start + block_rows]
+        R_in = R[rows][:, None]
+        edges = edge_phase = None
+        if first.wall:
+            edges = np.stack((2.0 * R_in, -2.0 * R_in))
+            edge_phase = np.exp(phase * edges)
+        totals = np.zeros((len(specs), rows.size, u.size))
+        for i, j in pairs:
+            integral = _pair_integral(
+                exponents[:, i], np.conj(exponents[:, j]), R_in, phase, edges, edge_phase
+            )
+            value = (C[i] * np.conj(C[j]) * integral).real
+            for total, weight in zip(totals, weights[:, i, j]):
+                if weight:
+                    total += weight * value
+        if not np.isfinite(totals).all():
+            raise NumericalGuardError(f"Wigner transform is not finite at t = {t}")
+        values[:, rows] = totals
+
+    work = {"pair_integrals": len(pairs), "pair_points": inside.size * u.size}
     return [WignerField(R, u, field, float(t), regime, **work) for field in values]
 
 

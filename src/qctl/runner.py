@@ -18,8 +18,8 @@ import numpy as np
 
 from .arrival import arrival_distribution
 from .config import ExperimentConfig, config_to_dict
-from .ensembles import EnsembleSpec, position_density
-from .hydrodynamics import step_count, trajectory_fans
+from .ensembles import EnsembleSpec, position_densities, position_density
+from .hydrodynamics import record_times, trajectory_fans
 from .observables import heisenberg_check, observable_record
 from .phase_space import wigner_transforms
 from .quadrature import quad_integrate
@@ -105,17 +105,14 @@ def _run_density(
 ) -> None:
     x = config.grid.points()
     times = config.time.points()
-    pure = config.ensemble("pure")
-    mixed = config.ensemble("mixed")
+    specs = [config.ensemble(kind) for kind in ("pure", "mixed")]
     path = out_dir / f"density_eps{_eps_tag(regime.epsilon)}.csv"
     written.append(path)
 
     def blocks():
         x_fields = _csv_fields(x)
         for t, t_field in zip(times, _csv_fields(times)):
-            rho_p = np.asarray(position_density(pure, regime, x, t))
-            rho_m = np.asarray(position_density(mixed, regime, x, t))
-            yield t_field, x_fields, np.column_stack((rho_p, rho_m))
+            yield t_field, x_fields, np.column_stack(position_densities(specs, regime, x, t))
 
     _write_csv(
         path,
@@ -131,26 +128,22 @@ def _run_trajectories(
     regimes = config.regimes()
     specs = [(config.ensemble(kind), regime) for regime in regimes for kind in ("pure", "mixed")]
     seeded = [(spec, regime, _seed_positions(config, spec, regime)) for spec, regime in specs]
-    fans, diagnostics["trajectory_loop"] = trajectory_fans(seeded, settings.t_end, settings.dt)
-
-    n_steps = step_count(settings.t_end, settings.dt)
-    keep = np.arange(0, n_steps + 1, settings.record_every)
-    if keep[-1] != n_steps:
-        keep = np.append(keep, n_steps)
-    times = np.arange(n_steps + 1) * settings.dt
+    fans, diagnostics["trajectory_loop"] = trajectory_fans(
+        seeded, settings.t_end, settings.dt, record_every=settings.record_every
+    )
+    times = record_times(settings.t_end, settings.dt, settings.record_every)
 
     for regime, pair in zip(regimes, zip(fans[::2], fans[1::2])):
         tag = _eps_tag(regime.epsilon)
         path = out_dir / f"trajectories_eps{tag}.csv"
         written.append(path)
-        header, columns = ["t [time]"], [times[keep]]
+        header, columns = ["t [time]"], [times]
         for kind, fan in zip(("pure", "mixed"), pair):
             header += [f"x_{kind}[{tr.initial_position:.6g}] [length]" for tr in fan]
             for trajectory in fan:
                 # A stalled trajectory has no samples past its stall: nan there.
-                column = np.full(keep.size, np.nan)
-                recorded = keep < trajectory.positions.size
-                column[recorded] = trajectory.positions[keep[recorded]]
+                column = np.full(times.size, np.nan)
+                column[: trajectory.positions.size] = trajectory.positions
                 columns.append(column)
 
         _write_csv(path, header, [np.column_stack(columns)])
@@ -266,9 +259,9 @@ def _run_wigner(
             pure, mixed = wigner_transforms(specs, regime, t, R, u)
             work["pair_integrals"] += pure.pair_integrals
             work["points"] = pure.pair_points
-            values = np.stack((pure.values, mixed.values), axis=-1)
-            for R_field, row in zip(R_fields, values):
-                yield t_field + R_field, u_fields, row
+            # Row by row, so the fields are never copied whole.
+            for R_field, *row in zip(R_fields, pure.values, mixed.values):
+                yield t_field + R_field, u_fields, np.column_stack(row)
 
     _write_csv(
         path,
@@ -285,13 +278,13 @@ def _run_wigner(
 
 def _trace_drift(config: ExperimentConfig, regime: Regime) -> dict:
     x = config.grid.points()
+    specs = [config.ensemble(kind) for kind in ("pure", "mixed")]
+    start = position_densities(specs, regime, x, 0.0)
+    end = position_densities(specs, regime, x, config.time.t_max)
     drift = {}
-    for kind in ("pure", "mixed"):
-        spec = config.ensemble(kind)
-        trace_start = float(quad_integrate(x, position_density(spec, regime, x, 0.0)))
-        trace_end = float(
-            quad_integrate(x, position_density(spec, regime, x, config.time.t_max))
-        )
+    for kind, rho_start, rho_end in zip(("pure", "mixed"), start, end):
+        trace_start = float(quad_integrate(x, rho_start))
+        trace_end = float(quad_integrate(x, rho_end))
         drift[kind] = {
             "trace_t0": trace_start,
             "trace_t_end": trace_end,

@@ -10,6 +10,7 @@ from qctl import (
     make_regime,
     mixed_density,
     norm_constant,
+    position_densities,
     position_density,
     pure_density,
     purity,
@@ -153,12 +154,40 @@ def test_position_density_is_real(pure_spec, quantum):
 def test_position_density_guard_trips_on_bad_input(pure_spec, quantum, monkeypatch):
     import qctl.ensembles as ensembles
 
-    def broken_density(spec, regime, x, y, t):
-        return np.asarray(x, dtype=complex) * 0.0 + 1e-6j
+    def broken_contraction(phi_x, phi_y):
+        return phi_x.sum(axis=0) * 0.0 + 1e-6j
 
-    monkeypatch.setattr(ensembles, "pure_density", broken_density)
+    monkeypatch.setattr(ensembles, "_contract", broken_contraction)
     with pytest.raises(NumericalGuardError):
         ensembles.position_density(pure_spec, quantum, np.array([-1.0]), 0.0)
+    with pytest.raises(NumericalGuardError):
+        ensembles.position_densities([pure_spec, pure_spec.as_kind("mixed")], quantum, np.array([-1.0]), 0.0)
+
+
+@pytest.mark.parametrize("wall", [True, False])
+def test_shared_densities_equal_one_spec_calls(wall, packet_a, packet_b, quantum):
+    pure = EnsembleSpec("pure", packet_a, packet_b, wall=wall)
+    mixed = pure.as_kind("mixed")
+    x = np.linspace(-40.0, 5.0, 901)
+    for t in (0.0, 7.0):
+        shared = position_densities([pure, mixed, pure], quantum, x, t)
+        alone = [position_density(spec, quantum, x, t) for spec in (pure, mixed, pure)]
+        for together, single in zip(shared, alone):
+            assert together.tobytes() == single.tobytes()
+    scalar = position_densities([mixed, pure], quantum, -6.0, 1.0)
+    assert [float(rho) for rho in scalar] == [
+        float(position_density(spec, quantum, -6.0, 1.0)) for spec in (mixed, pure)
+    ]
+
+
+def test_shared_densities_need_one_set_of_packets(packet_a, packet_b, quantum):
+    pure = EnsembleSpec("pure", packet_a, packet_b)
+    moved = EnsembleSpec("mixed", packet_a, GaussianPacket(x0=-14.0, p0=2.0))
+    x = np.linspace(-20.0, 0.0, 11)
+    with pytest.raises(DomainError):
+        position_densities([pure, moved], quantum, x, 0.0)
+    with pytest.raises(DomainError):
+        position_densities([pure, EnsembleSpec("mixed", packet_a, packet_b, wall=False)], quantum, x, 0.0)
 
 
 def test_interference_fringes_in_reflection_window(pure_spec, quantum):

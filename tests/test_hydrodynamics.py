@@ -285,6 +285,31 @@ def test_collapsing_step_stalls_instead_of_hanging(quantum):
     assert trajectory.evaluations <= 1000
 
 
+def test_recorded_samples_equal_dense_ones(quantum):
+    # Keeping every 10th sample changes neither the steps nor a kept sample,
+    # also for a seed that stalls mid-run (as in the test above), and the
+    # last sample stays on t_end = 2.003, which is no multiple of 10 dt.
+    spec = single_free(GaussianPacket(sigma0=1.0, x0=-10.0, p0=1.0, mass=1.0))
+    floor = 0.9 * float(position_density(spec, quantum, -12.0, 0.0))
+    dense, kept = (
+        trajectory_fan(spec, quantum, [-12.0, -10.0], 2.003, 1e-3, floor, record_every=every)
+        for every in (1, 10)
+    )
+    keep = np.append(np.arange(0, 2004, 10), 2003)
+    assert np.array_equal(hydrodynamics.record_times(2.003, 1e-3, 10), dense[1].times[keep])
+    assert [tr.status for tr in kept] == ["stalled-low-density", "completed"]
+    for full, sparse in zip(dense, kept):
+        recorded = keep[keep < full.positions.size]
+        assert sparse.positions.tobytes() == full.positions[recorded].tobytes()
+        assert np.array_equal(sparse.times, full.times[recorded])
+        assert (sparse.accepted_steps, sparse.rejected_steps, sparse.evaluations) == (
+            full.accepted_steps, full.rejected_steps, full.evaluations
+        )
+    assert kept[1].times[-1] == dense[1].times[-1]
+    with pytest.raises(DomainError):
+        hydrodynamics.record_times(2.0, 1e-3, 0)
+
+
 def test_collision_reversal_of_rear_seed(nearly_classical, mixed_spec):
     # Non-crossing makes the seed launched behind the right-moving packet
     # turn around at the packet-packet collision and recede from the wall.

@@ -296,6 +296,42 @@ def test_shared_pair_table_needs_one_set_of_packets(packet_a, packet_b, quantum)
         wigner_transforms([pure, EnsembleSpec("mixed", packet_a, packet_b, wall=False)], quantum, 0.0, R, u)
 
 
+@pytest.mark.parametrize("wall", [True, False])
+def test_blocked_fields_equal_one_block(wall, packet_a, packet_b, nearly_classical, monkeypatch):
+    # 41 u points: the default block is 99 rows, which 301 R rows (some of
+    # them beyond the wall) are not a multiple of; one row and the whole
+    # grid are the extremes.
+    pure = EnsembleSpec("pure", packet_a, packet_b, wall=wall)
+    R = np.linspace(-30.0, 5.0, 301)
+    u = np.linspace(-6.0, 6.0, 41)
+    blocked = wigner_transforms([pure, pure.as_kind("mixed")], nearly_classical, 3.0, R, u)
+    for points in (u.size, 7 * u.size, R.size * u.size):
+        monkeypatch.setattr(phase_space, "BLOCK_POINTS", points)
+        other = wigner_transforms([pure, pure.as_kind("mixed")], nearly_classical, 3.0, R, u)
+        for mine, theirs in zip(blocked, other):
+            assert mine.values.tobytes() == theirs.values.tobytes()
+            assert (mine.pair_integrals, mine.pair_points) == (theirs.pair_integrals, theirs.pair_points)
+    assert blocked[0].pair_points == (np.count_nonzero(R < 0.0) if wall else R.size) * u.size
+
+
+def test_pair_integrals_see_one_block_at_a_time(mixed_spec, quantum, monkeypatch):
+    # Criterion 9's 81 x 8001 grid: one R row per block, so erfcx sees both
+    # window ends of 8001 points, never the whole grid.
+    sizes = []
+
+    def spy(z):
+        sizes.append(z.size)
+        return erfcx(z)
+
+    monkeypatch.setattr(phase_space, "erfcx", spy)
+    R = np.linspace(-40.0, 0.0, 81)
+    u = np.linspace(-200.0, 200.0, 8001)
+    wigner_transform(mixed_spec, quantum, 0.0, R, u)
+    block = max(1, phase_space.BLOCK_POINTS // u.size) * u.size
+    assert len(sizes) == 6 * 80
+    assert max(sizes) <= 2 * block < R.size * u.size
+
+
 def test_non_finite_wigner_values_trip_the_guard(pure_spec, quantum, monkeypatch):
     def not_a_number(*args):
         return np.full(args[2].shape[:1] + args[3].shape[1:], np.nan + 0j)
