@@ -1,0 +1,76 @@
+"""Microseconds per call of the two state evaluators, the benchmark's L0 layer.
+
+    python scripts/l0_evaluator.py [--repeat 200]
+
+On the README default packets at epsilon = 0.01 and t = 3, with N positions
+evenly spread over [-18, -2], for N = 20, 80, 160 and 2048, it times:
+
+- ``stage``: one stage of the trajectory loop, the velocity and density of N
+  seeds (``hydrodynamics._Cohort.evaluate``);
+- ``coeffs``: the term coefficients of those N seeds at the stage times of
+  one step attempt (``hydrodynamics._Cohort.coefficients``), paid once per
+  six stages;
+- ``flux_and_density``: ``hydrodynamics._flux_and_density`` on the same N
+  positions at one time, the evaluator of the current and density fields.
+
+Each number is the median over ``--repeat`` timed batches of the time per
+call.  The numbers are timings only: the script checks nothing and always
+exits 0 once it has run.
+"""
+
+import argparse
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from qctl import EnsembleSpec, GaussianPacket, make_regime  # noqa: E402
+from qctl.hydrodynamics import _NODES, _Cohort, _flux_and_density  # noqa: E402
+
+POINTS = (20, 80, 160, 2048)
+T = 3.0
+
+
+def _per_call_us(call, repeat: int) -> float:
+    """Median microseconds per call over ``repeat`` batches of about 1 ms."""
+    start = time.perf_counter()
+    call()
+    number = max(1, int(1e-3 / max(time.perf_counter() - start, 1e-7)))
+    samples = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        for _ in range(number):
+            call()
+        samples.append((time.perf_counter() - start) / number)
+    return 1e6 * statistics.median(samples)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=200, help="timed batches per number")
+    args = parser.parse_args(argv)
+    regime = make_regime(0.01)
+    a = GaussianPacket(x0=-5.0, p0=-2.0)
+    b = GaussianPacket(x0=-15.0, p0=2.0)
+    header = ("kind", 6), ("points", 6), ("stage_us", 10), ("coeffs_us", 10), ("flux_and_density_us", 20)
+    print(*(name.rjust(width) for name, width in header))
+    for kind in ("pure", "mixed"):
+        spec = EnsembleSpec(kind, a, b)
+        for n in POINTS:
+            x = np.linspace(-18.0, -2.0, n)
+            cohort = _Cohort([(spec, regime, x)], spec.wall)
+            stage_times = T + _NODES * np.full(n, 0.01)
+            coefficients = cohort.coefficients(stage_times)
+            stage = _per_call_us(lambda: cohort.evaluate(coefficients, 0, x), args.repeat)
+            coeffs = _per_call_us(lambda: cohort.coefficients(stage_times), args.repeat)
+            fields = _per_call_us(lambda: _flux_and_density(spec, regime, x, T), args.repeat)
+            print(f"{kind:>6} {n:>6} {stage:>10.1f} {coeffs:>10.1f} {fields:>20.1f}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

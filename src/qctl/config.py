@@ -41,18 +41,25 @@ RUN_KINDS = ("density", "trajectories", "arrival", "observables", "wigner")
 
 _TAIL_MASS_LIMIT = 1e-10
 
-# Dense samples of a trajectory run, epsilons x 2 kinds x seeds x
-# (t_end / dt + 1) (2.4 million at the defaults; 200 MB of float64).  A run
-# keeps only every record_every-th sample, so the count over-counts what it
-# holds by about that factor.
+# Samples a trajectory run holds, epsilons x 2 kinds x seeds x the
+# len(hydrodynamics.record_times(t_end, dt, record_every)) recorded times
+# (240,160 at the defaults; the budget is 200 MB of float64).
 TRAJECTORY_SAMPLE_BUDGET = 25_000_000
 
 # (R, u) points of one Wigner time, n_x x n_u (25,921 at the defaults).  A run
-# holds both fields of two consecutive times, 32 bytes a point (34 measured in
-# peak RSS), and evaluates the pair integrals in blocks of
-# phase_space.BLOCK_POINTS points, so the budget is about 34 MB; it admits an
-# 81 x 8001 marginal-check grid.
+# holds both fields of one time, 16 bytes a point (18 measured as the peak RSS
+# slope from 81 x 1001 to 161 x 6211 points), and evaluates the pair
+# integrals in blocks of phase_space.BLOCK_POINTS points, so the budget is
+# about 18 MB; it admits an 81 x 8001 marginal-check grid.
 WIGNER_POINT_BUDGET = 1_000_000
+
+# Points of the position grid (grid.n_points, which every run kind evaluates
+# for the manifest's trace diagnostic) and of the arrival time grid
+# (arrival.n_points).  The density and arrival runs peak at about 380 bytes a
+# point (peak RSS slope from the defaults to 500,001 points), so each budget
+# is about 190 MB.
+GRID_POINT_BUDGET = 500_000
+ARRIVAL_POINT_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -250,6 +257,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("grid.x_min", f"must be negative, got {grid.x_min}")
     if grid.n_points < 64:
         raise ConfigError("grid.n_points", f"must be at least 64, got {grid.n_points}")
+    if grid.n_points > GRID_POINT_BUDGET:
+        raise ConfigError("grid.n_points", f"{grid.n_points} points exceed the budget of "
+                          f"{GRID_POINT_BUDGET}")
     for name, packet in (("a", config.packet_a), ("b", config.packet_b)):
         tail = _gaussian_tail_mass(grid.x_min, packet.x0, packet.sigma0)
         if tail > _TAIL_MASS_LIMIT:
@@ -282,26 +292,32 @@ def parse_config(text: str) -> ExperimentConfig:
     if not trajectories.t_end > 0.0:
         raise ConfigError("trajectories.t_end", "must be positive")
     try:
-        n_samples = step_count(trajectories.t_end, trajectories.dt) + 1
+        n_steps = step_count(trajectories.t_end, trajectories.dt)
     except DomainError as exc:
         raise ConfigError("trajectories.t_end", str(exc)) from exc
+    if trajectories.record_every < 1:
+        raise ConfigError("trajectories.record_every", "must be at least 1")
     if trajectories.n_seeds < 1:
         raise ConfigError("trajectories.n_seeds", "must be at least 1")
     n_seeds = trajectories.n_seeds if seeds is None else len(seeds)
-    held = len(config.epsilons) * 2 * n_seeds * n_samples
+    # len(record_times(...)), without building them: every record_every-th
+    # step from 0, and the last step if it is not one of them.
+    n_recorded = -(-n_steps // trajectories.record_every) + 1
+    held = len(config.epsilons) * 2 * n_seeds * n_recorded
     if held > TRAJECTORY_SAMPLE_BUDGET:
         path = "trajectories.n_seeds" if seeds is None else "trajectories.seeds"
-        raise ConfigError(path, f"epsilons x 2 kinds x seeds x (t_end / dt + 1) = {held} "
+        raise ConfigError(path, f"epsilons x 2 kinds x seeds x recorded times = {held} "
                           f"samples exceed the budget of {TRAJECTORY_SAMPLE_BUDGET}")
     if not trajectories.x_lo < trajectories.x_hi < 0.0:
         raise ConfigError("trajectories.x_lo", "need x_lo < x_hi < 0")
-    if trajectories.record_every < 1:
-        raise ConfigError("trajectories.record_every", "must be at least 1")
 
     if not config.arrival.t_max > 0.0:
         raise ConfigError("arrival.t_max", "must be positive")
     if config.arrival.n_points < 3:
         raise ConfigError("arrival.n_points", "must be at least 3")
+    if config.arrival.n_points > ARRIVAL_POINT_BUDGET:
+        raise ConfigError("arrival.n_points", f"{config.arrival.n_points} points exceed the "
+                          f"budget of {ARRIVAL_POINT_BUDGET}")
 
     wigner = config.wigner
     for i, t in enumerate(wigner.times):

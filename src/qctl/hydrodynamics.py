@@ -15,7 +15,12 @@ pair's dense output, so ``dt`` sets only the sample spacing, not the accuracy
 or the cost.  All fans (ensemble, regime, seeds) advance in lockstep, one
 evaluator call per stage for every running seed of every fan, and every
 per-seed combination is written elementwise, so a seed's numbers do not
-depend on which seeds share its loop.
+depend on which seeds share its loop.  The evaluator is the flat term kernel
+of :mod:`~qctl.packets` (:func:`~qctl.packets.row_coefficients` once per
+step for all stage times, :func:`~qctl.packets.term_sums` once per stage),
+equal bit for bit to :func:`velocity` and the density of the fields.  The
+loop holds the state of the running seeds only and compacts it, and the
+kernel's rows, when a seed finishes or stalls.
 
 The velocity is undefined at density nodes and spikes near them.  A step with
 a stage density below the density floor is rejected and retried with a
@@ -34,7 +39,7 @@ import numpy as np
 
 from .ensembles import COMPONENT_WEIGHT, EnsembleSpec, component_fields, norm_constant
 from .errors import DomainError, LowDensityError
-from .packets import row_constants, term_fields
+from .packets import row_constants, row_coefficients, term_sums
 from .regime import Regime
 
 __all__ = [
@@ -166,63 +171,92 @@ def record_times(t_end: float, dt: float, record_every: int = 1) -> np.ndarray:
     return (np.arange(n_steps + 1) * dt)[keep]
 
 
+# Stage times are t0 + c_s h0 for the stages after the first.  The last two
+# share the node 1, so five rows of term coefficients serve the six stages.
+_NODES = np.array(_C[1:-1])[:, None]
+_STAGE_NODE = (0, 1, 2, 3, 4, 4)
+
+
+def _nonzero(weights):
+    """The nonzero weights as a column, and the stages they weigh."""
+    weights = np.array(weights)
+    nonzero = np.flatnonzero(weights)
+    return weights[nonzero, None], nonzero
+
+
+_A_NONZERO = [_nonzero(row) for row in _A[1:]]
+_E_NONZERO = _nonzero(_E)
+_D_NONZERO = _nonzero(_D)
+
+
 def _combine(weights, stages):
-    """``sum_j w_j k_j`` over the nonzero weights, elementwise in a fixed order."""
-    total = None
-    for w, k in zip(weights, stages):
-        if w != 0.0:
-            total = w * k if total is None else total + w * k
-    return total
+    """``sum_j w_j k_j`` over the nonzero weights of :func:`_nonzero`, from ``stages``
+    (a stage per row), elementwise and in the order of the rows."""
+    w, nonzero = weights
+    return np.add.reduce(w * stages[nonzero], axis=0)
 
 
-def _cohort_evaluator(fans, wall: bool):
-    """``evaluate(running, x, t) -> (v, rho)`` from one kernel call with a row per packet of
-    each seed.  The running set only shrinks, so its size identifies it."""
-    rows, row_seed, row_scale, start, unit = [], [], [], [], []
-    for spec, regime, seeds in fans:
-        n, m = seeds.size, len(spec.packets)
-        rows += [(packet, regime) for packet in spec.packets] * n
-        row_seed += [len(unit) + j for j in range(n) for _ in range(m)]
-        row_scale += [np.sqrt(COMPONENT_WEIGHT / norm_constant(spec, regime))] * (m * n)
-        start += [p in spec.component_starts for p in range(m)] * n
-        unit += [regime.hbar_tilde / spec.mass] * n
-    constants = row_constants(rows)
-    row_seed, row_scale, start, unit = map(np.array, (row_seed, row_scale, start, unit))
-    cohort = {}
+class _Cohort:
+    """The running seeds of every fan as rows of the flat term kernel, one per packet.
 
-    def evaluate(running, x, t):
-        if running.size not in cohort:
-            r = np.flatnonzero(np.isin(row_seed, running))
-            starts = np.flatnonzero(start[r])
-            cohort.clear()
-            cohort[running.size] = (
-                tuple(table[..., r] for table in constants),
-                np.searchsorted(running, row_seed[r]),
-                starts,
-                row_scale[r[starts]],
-                np.flatnonzero(np.diff(row_seed[r[starts]], prepend=-1)),
-                unit[running],
-            )
-        table, owner, starts, scale, firsts, flux_unit = cohort[running.size]
-        psi, grad = term_fields(table, x[owner], t[owner], wall)
-        # Components (pure a + b, mixed a and b), then each seed's sum of them.
-        phi = np.add.reduceat(psi[0], starts) * scale
-        dphi = np.add.reduceat(grad[0], starts) * scale
-        rho = np.add.reduceat(np.abs(phi) ** 2, firsts)
-        flux = flux_unit * np.add.reduceat(np.imag(np.conj(phi) * dphi), firsts)
+    :meth:`select` keeps the rows of the running seeds, :meth:`coefficients`
+    computes their term coefficients at a table of seed times, and
+    :meth:`evaluate` the velocity and density of every running seed at one
+    row of that table.
+    """
+
+    def __init__(self, fans, wall: bool):
+        rows, row_seed, row_scale, start, unit = [], [], [], [], []
+        for spec, regime, seeds in fans:
+            n, m = seeds.size, len(spec.packets)
+            rows += [(packet, regime) for packet in spec.packets] * n
+            row_seed += [len(unit) + j for j in range(n) for _ in range(m)]
+            row_scale += [np.sqrt(COMPONENT_WEIGHT / norm_constant(spec, regime))] * (m * n)
+            start += [p in spec.component_starts for p in range(m)] * n
+            unit += [regime.hbar_tilde / spec.mass] * n
+        self.wall = wall
+        self.all_constants = row_constants(rows)
+        self.row_seed, self.row_scale, self.start, self.unit = map(
+            np.array, (row_seed, row_scale, start, unit)
+        )
+        self.select(np.arange(len(unit)))
+
+    def select(self, running):
+        """Keep the rows of the seeds ``running`` (increasing), in that order."""
+        r = np.flatnonzero(np.isin(self.row_seed, running))
+        self.constants = tuple(column[r] for column in self.all_constants)
+        self.owner = np.searchsorted(running, self.row_seed[r])
+        self.term_owner = np.concatenate((self.owner, self.owner)) if self.wall else self.owner
+        # The first row of each component, and the first component of each seed.
+        self.starts = np.flatnonzero(self.start[r])
+        self.scale = self.row_scale[r[self.starts]]
+        self.firsts = np.flatnonzero(np.diff(self.row_seed[r[self.starts]], prepend=-1))
+        self.flux_unit = self.unit[running]
+
+    def coefficients(self, t):
+        """Term coefficients at the times ``t`` (times, running seeds), a row per time."""
+        return row_coefficients(self.constants, t[:, self.owner], self.wall)
+
+    def evaluate(self, coefficients, stage: int, x):
+        """``(v, rho)`` of every running seed at positions ``x`` and the time of row
+        ``stage`` of ``coefficients``."""
+        a, k, xt, c0 = coefficients
+        at_stage = (a[stage], k, xt[stage], c0[stage])
+        phi, dphi = term_sums(at_stage, x[self.term_owner], self.starts, self.scale, self.wall)
+        # Each seed's sum over its components (pure a + b, mixed a and b).
+        rho = np.add.reduceat(np.abs(phi) ** 2, self.firsts)
+        flux = self.flux_unit * np.add.reduceat((np.conj(phi) * dphi).imag, self.firsts)
         return flux / np.maximum(rho, 1e-300), rho
 
-    return evaluate
 
-
-def _initial_step(evaluate, running, x, v, tol, scale, t_stop):
+def _initial_step(cohort, x, v, tol, scale, t_stop):
     """Starting step per seed (Hairer, Norsett and Wanner, II.4).
 
     The packet width stands in for |x| as the length scale of the first
     guess: a position's distance from the origin says nothing about the flow.
     """
     h0 = np.minimum(0.01 * scale / np.maximum(np.abs(v), 1e-300), t_stop)
-    v1, _ = evaluate(running, x + h0 * v, h0)
+    v1, _ = cohort.evaluate(cohort.coefficients(h0[None]), 0, x + h0 * v)
     d = np.maximum(np.abs(v), np.abs(v1 - v) / h0) / tol
     return np.minimum(100.0 * h0, (0.01 / np.maximum(d, 1e-15)) ** 0.2)
 
@@ -260,94 +294,108 @@ def trajectory_fans(
     times = record_times(t_end, dt, record_every)
     t_stop = times[-1]
     wall = fans[0][0].wall
-    evaluate = _cohort_evaluator(fans, wall)
+    cohort = _Cohort(fans, wall)
     seeds = np.concatenate([fan_seeds for _, _, fan_seeds in fans])
     scale = np.concatenate([np.full(s.size, min(p.sigma0 for p in f.packets)) for f, _, s in fans])
-    tol = ATOL * scale
     n = seeds.size
     positions = np.full((n, times.size), np.nan)
     positions[:, 0] = seeds
-    recorded = np.ones(n, dtype=int)
-    accepted = np.zeros(n, dtype=int)
-    rejected = np.zeros(n, dtype=int)
+    # Per seed: samples recorded, steps accepted and rejected, evaluator calls
+    # (written when the seed leaves the loop), and the smallest inner step.
+    counts = np.zeros((4, n), dtype=int)
+    counts[0] = counts[3] = 1
     min_step = np.full(n, np.inf)
-    evaluations = np.ones(n, dtype=int)
 
-    # Time, position, step size and first stage (the velocity) of every seed.
-    t = np.zeros(n)
-    x = seeds.copy()
-    h = np.zeros(n)
-    v, rho = evaluate(np.arange(n), x, t)
+    v, rho = cohort.evaluate(cohort.coefficients(np.zeros((1, n))), 0, seeds)
     stalled = rho < density_floor
-    running = ~stalled
-    grow = np.ones(n, dtype=bool)  # false right after a rejected step
-    if running.any():
-        i = np.flatnonzero(running)
-        h[i] = _initial_step(evaluate, i, x[i], v[i], tol[i], scale[i], t_stop)
-        evaluations[i] += 1
+    # The running seeds only: their indices, and position, time, step size,
+    # first stage (the velocity), smallest inner step and tolerance.
+    ids = np.flatnonzero(~stalled)
+    if ids.size < n:
+        cohort.select(ids)
+    state = np.stack((seeds, np.zeros(n), np.zeros(n), v, min_step, ATOL * scale))[:, ids]
+    x, t, h, v, inner_min, tol = state
+    held = counts[:, ids]
+    recorded, accepted, rejected, evaluations = held
+    grow = np.ones(ids.size, dtype=bool)  # false right after a rejected step
+    if ids.size:
+        h[:] = _initial_step(cohort, x, v, tol, scale[ids], t_stop)
+        evaluations += 1
+    stages = np.empty((len(_C), ids.size))
+    densities = np.empty((len(_C) - 1, ids.size))
 
-    while running.any():
-        i = np.flatnonzero(running)
-        x0, t0 = x[i], t[i]
+    while ids.size:
         # A step that would end within 1% of t_stop is stretched to end on
         # it, so no sliver of a step is left over.
-        last = t0 + 1.01 * h[i] >= t_stop
-        h0 = np.where(last, t_stop - t0, h[i])
-        k = [v[i]]
-        low = np.zeros(i.size, dtype=bool)
-        for node, row in zip(_C[1:], _A[1:]):
-            increment = h0 * _combine(row, k)
-            k_s, rho_s = evaluate(i, x0 + increment, t0 + node * h0)
-            k.append(k_s)
-            low |= rho_s < density_floor
-        evaluations[i] += len(_C) - 1
-        x1 = x0 + increment
+        last = t + 1.01 * h >= t_stop
+        h0 = np.where(last, t_stop - t, h)
+        coefficients = cohort.coefficients(t + _NODES * h0)
+        stages[0] = v
+        for s, (row, node) in enumerate(zip(_A_NONZERO, _STAGE_NODE)):
+            increment = h0 * _combine(row, stages)
+            stages[s + 1], densities[s] = cohort.evaluate(coefficients, node, x + increment)
+        evaluations += len(_C) - 1
+        x1 = x + increment
 
-        err = np.abs(h0 * _combine(_E, k)) / tol[i]
+        low = np.logical_or.reduce(densities < density_floor, axis=0)
+        err = np.abs(h0 * _combine(_E_NONZERO, stages)) / tol
         ok = (err <= 1.0) & ~low
-        factor = np.clip(_SAFETY * np.maximum(err, 1e-10) ** -0.2, _FACTOR_MIN, _FACTOR_MAX)
-        factor = np.where(grow[i], factor, np.minimum(factor, 1.0))
+        factor = np.maximum(_SAFETY * np.maximum(err, 1e-10) ** -0.2, _FACTOR_MIN)
+        factor = np.minimum(factor, _FACTOR_MAX)
+        factor = np.where(grow, factor, np.minimum(factor, 1.0))
         factor[low] = _FLOOR_SHRINK
 
         # Dense output at the record times in (t0, t1] of each accepted seed,
         # anchored at x1 so that theta = 1 gives x1 exactly.
-        a = np.flatnonzero(ok)
-        t1 = np.where(last[a], t_stop, t0[a] + h0[a])
-        stop = np.searchsorted(times, t1, side="right")
-        counts = stop - recorded[i[a]]
-        owner = np.repeat(a, counts)
-        cols = np.arange(owner.size) + np.repeat(stop - np.cumsum(counts), counts)
-        theta = (times[cols] - t0[owner]) / h0[owner]
-        theta1 = 1.0 - theta
-        q1 = h0 * k[0] - increment
-        q2 = increment - h0 * k[-1] - q1
-        q3 = h0 * _combine(_D, k)
-        sample = x1[owner] - theta1 * (
-            increment[owner] - theta * (q1[owner] + theta * (q2[owner] + theta1 * q3[owner]))
-        )
-        if wall:
-            # Accepted positions are inside already: the density, and so
-            # every accepted stage, vanishes at x >= 0.  Samples between
-            # them may overshoot.
-            sample = np.minimum(sample, 0.0)
-        positions[i[owner], cols] = sample
-        recorded[i[a]] = stop
+        t1 = np.where(last, t_stop, t + h0)
+        stop = np.where(ok, np.searchsorted(times, t1, side="right"), recorded)
+        new = stop - recorded
+        if new.any():
+            owner = np.repeat(np.arange(ids.size), new)
+            cols = np.arange(owner.size) + np.repeat(stop - np.cumsum(new), new)
+            theta = (times[cols] - t[owner]) / h0[owner]
+            theta1 = 1.0 - theta
+            q1 = h0 * stages[0] - increment
+            q2 = increment - h0 * stages[-1] - q1
+            q3 = h0 * _combine(_D_NONZERO, stages)
+            sample = x1[owner] - theta1 * (
+                increment[owner] - theta * (q1[owner] + theta * (q2[owner] + theta1 * q3[owner]))
+            )
+            if wall:
+                # Accepted positions are inside already: the density, and so
+                # every accepted stage, vanishes at x >= 0.  Samples between
+                # them may overshoot.
+                sample = np.minimum(sample, 0.0)
+            positions[ids[owner], cols] = sample
+            recorded[:] = stop
 
-        t[i[a]] = t1
-        x[i[a]] = x1[a]
-        v[i[a]] = k[-1][a]
-        accepted[i[a]] += 1
-        rejected[i[~ok]] += 1
-        inner = a[~last[a]]
-        min_step[i[inner]] = np.minimum(min_step[i[inner]], h0[inner])
-        running[i[a[last[a]]]] = False
+        np.copyto(t, t1, where=ok)
+        np.copyto(x, x1, where=ok)
+        np.copyto(v, stages[-1], where=ok)
+        accepted += ok
+        rejected += ~ok
+        inner = ok & ~last
+        np.copyto(inner_min, np.minimum(inner_min, h0), where=inner)
+        np.multiply(h0, factor, out=h)
+        grow = ok
 
-        h[i] = h0 * factor
-        grow[i] = ok
-        collapsed = i[running[i] & (h[i] < H_MIN)]
-        stalled[collapsed] = True
-        running[collapsed] = False
+        done = ok & last
+        collapsed = ~done & (h < H_MIN)
+        leaving = done | collapsed
+        if leaving.any():
+            gone = ids[leaving]
+            counts[:, gone] = held[:, leaving]
+            min_step[gone] = inner_min[leaving]
+            stalled[ids[collapsed]] = True
+            keep = ~leaving
+            ids, state, held, grow = ids[keep], state[:, keep], held[:, keep], grow[keep]
+            x, t, h, v, inner_min, tol = state
+            recorded, accepted, rejected, evaluations = held
+            stages, densities = stages[:, keep], densities[:, keep]
+            if ids.size:
+                cohort.select(ids)
 
+    recorded, accepted, rejected, evaluations = counts
     members = iter(
         Trajectory(
             float(seeds[j]),

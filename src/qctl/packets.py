@@ -16,11 +16,17 @@ The hard-wall solution is the image construction
 wall.
 
 Each direct or image term is ``c0 exp(a d^2 + k d)`` with ``d = +-x - xt``,
-and its x-gradient reuses the same exponential.  One kernel,
-:func:`term_fields`, evaluates every amplitude and gradient: broadcast over
-arrays in ``x`` and ``t`` by :func:`packet_fields`, or on rows that each carry
-their own packet, regime, position and time.  :func:`packet_terms` gives the same terms
-expanded as ``C exp(A x^2 + B x + G)``, the form they are integrated in.
+and its x-gradient reuses the same exponential.  :func:`packet_fields`
+evaluates every amplitude and gradient broadcast over arrays in ``x`` and
+``t``.  The trajectory loop instead evaluates rows that each carry their own
+packet, regime, position and time, on one flat term axis:
+:func:`row_coefficients` lays out the direct terms of all rows followed by
+their image terms, with the image sign folded into ``xt``, ``k`` and ``c0``
+so that every term has ``d = x - xt``, and :func:`term_sums` evaluates them
+and sums them over runs of rows.  Both kernels fill the terms with the same arithmetic in the same
+order, and the folding negates exactly, so they agree bit for bit.
+:func:`packet_terms` gives the same terms expanded as ``C exp(A x^2 + B x +
+G)``, the form they are integrated in.
 """
 
 from __future__ import annotations
@@ -40,7 +46,8 @@ __all__ = [
     "packet_fields",
     "packet_terms",
     "row_constants",
-    "term_fields",
+    "row_coefficients",
+    "term_sums",
     "free_amplitude",
     "free_amplitude_gradient",
     "wall_amplitude",
@@ -118,32 +125,18 @@ def _coefficients(constants, t: np.ndarray):
     return a, k, xt, c0
 
 
-def term_fields(constants, x: np.ndarray, t: np.ndarray, wall: bool = True, gradient: bool = True):
-    """The term kernel: ``(psi, grad)`` on the packet (or :func:`row_constants` row) axis."""
-    a, k, xt, c0 = _coefficients(constants, t)
-    signs = (_TERM_SIGNS if wall else _FREE_SIGNS).reshape((1, -1) + (1,) * (a.ndim - 2))
-    d = signs * x - xt
-    ad = a * d
-    if gradient:
-        # d/dx of every term is (2 a d + k) * term: the image term enters
-        # with a minus sign and d(-x)/dx = -1, and the two signs cancel.
-        slopes = ad + ad
+def _fill_terms(terms, k, d, c0, slopes=None):
+    """Turn ``terms``, holding ``a d``, into ``c0 exp(a d^2 + k d)`` in place and,
+    given ``slopes`` holding ``2 a d``, turn it into ``(2 a d + k)`` times the
+    term: its x-gradient."""
+    if slopes is not None:
         slopes += k
-    # c0 exp(a d^2 + k d), built in place of a d.
-    terms = ad
     terms += k
     terms *= d
     np.exp(terms, out=terms)
     terms *= c0
-    if gradient:
+    if slopes is not None:
         slopes *= terms
-    if not wall:
-        return terms[:, 0], (slopes[:, 0] if gradient else None)
-    inside = x <= 0.0  # the image pair is exactly zero at x = 0 itself
-    psi = np.where(inside, terms[:, 0] - terms[:, 1], 0.0)
-    if not gradient:
-        return psi, None
-    return psi, np.where(inside, slopes[:, 0] + slopes[:, 1], 0.0)
 
 
 def packet_terms(packets, regime: Regime, t: float, wall: bool = True):
@@ -175,13 +168,70 @@ def packet_fields(packets, regime: Regime, x, t, wall: bool = True, gradient: bo
     # The coefficients are arrays even for a scalar t, so scalar and array times go
     # through the same array loops: numpy's scalar complex arithmetic rounds differently.
     t = t.reshape((1, 1) + (1,) * (ndim - t.ndim) + t.shape)
-    return term_fields(_term_constants(tuple(packets), regime, ndim), x, t, wall, gradient)
+    a, k, xt, c0 = _coefficients(_term_constants(tuple(packets), regime, ndim), t)
+    signs = (_TERM_SIGNS if wall else _FREE_SIGNS).reshape((1, -1) + (1,) * ndim)
+    d = signs * x - xt
+    terms = a * d
+    slopes = terms + terms if gradient else None
+    _fill_terms(terms, k, d, c0, slopes)
+    if not wall:
+        return terms[:, 0], (slopes[:, 0] if gradient else None)
+    inside = x <= 0.0  # the image pair is exactly zero at x = 0 itself
+    psi = np.where(inside, terms[:, 0] - terms[:, 1], 0.0)
+    if not gradient:
+        return psi, None
+    # The image term enters with a minus sign and d(-x)/dx = -1: the signs cancel.
+    return psi, np.where(inside, slopes[:, 0] + slopes[:, 1], 0.0)
 
 
 def row_constants(rows):
-    """Constants of :func:`term_fields` with one ``(packet, regime)`` per row."""
-    columns = zip(*(_term_constants((packet,), regime, 1) for packet, regime in rows))
-    return tuple(np.concatenate(column, axis=2) for column in columns)
+    """Time-independent constants of :func:`row_coefficients`, one ``(packet, regime)`` per row."""
+    columns = zip(*(_term_constants((packet,), regime, 0) for packet, regime in rows))
+    return tuple(np.concatenate(column, axis=None) for column in columns)
+
+
+def row_coefficients(constants, t, wall: bool = True):
+    """``(a, k, xt, c0)`` of every term of the rows at times ``t``, shape ``(..., rows)``.
+
+    The last axis is the flat term axis: the direct term of every row, then,
+    with ``wall``, the image term of every row with its sign folded into
+    ``xt``, ``k`` and ``c0``.  ``c0 exp(a d^2 + k d)`` with ``d = x - xt`` is
+    then ``-psi_f(-x)`` exactly, since every folded factor is an exact
+    negation, and ``(2 a d + k)`` times it is its x-gradient.
+    """
+    a, k, xt, c0 = _coefficients(constants, t)
+    if not wall:
+        return a, k, xt, c0
+    return (
+        np.concatenate((a, a), axis=-1),
+        np.concatenate((k, -k)),
+        np.concatenate((xt, -xt), axis=-1),
+        np.concatenate((c0, -c0), axis=-1),
+    )
+
+
+def term_sums(coefficients, x, starts, scale, wall: bool = True):
+    """The trajectory kernel: amplitude and gradient summed over runs of rows.
+
+    ``coefficients`` are :func:`row_coefficients` at one time per row and
+    ``x`` the position of every term.  Returns a ``(2, len(starts))`` array: the sums of the
+    amplitudes (first) and of the gradients (second) over the runs of rows
+    beginning at ``starts``, times ``scale``.  With ``wall`` each row is its
+    image pair, zero for x > 0 as in :func:`packet_fields`.
+    """
+    a, k, xt, c0 = coefficients
+    d = x - xt
+    fields = np.empty((2, d.size), dtype=complex)
+    terms, slopes = fields
+    np.multiply(a, d, out=terms)
+    np.add(terms, terms, out=slopes)
+    _fill_terms(terms, k, d, c0, slopes)
+    if wall:
+        n = d.size // 2
+        fields = fields[:, :n] + fields[:, n:]
+        if not np.maximum.reduce(x) <= 0.0:  # also for a NaN position
+            fields = np.where(x[:n] <= 0.0, fields, 0.0)
+    return np.add.reduceat(fields, starts, axis=1) * scale
 
 
 def free_amplitude(packet: GaussianPacket, regime: Regime, x, t):

@@ -262,6 +262,9 @@ def _run_wigner(
             # Row by row, so the fields are never copied whole.
             for R_field, *row in zip(R_fields, pure.values, mixed.values):
                 yield t_field + R_field, u_fields, np.column_stack(row)
+            # Release this time's fields (``row`` views them) before the next
+            # time's are computed, so only one time's fields are held.
+            del pure, mixed, row
 
     _write_csv(
         path,

@@ -5,7 +5,13 @@ from pathlib import Path
 import pytest
 
 from qctl import ConfigError, parse_config, serialize_config
-from qctl.config import TRAJECTORY_SAMPLE_BUDGET, WIGNER_POINT_BUDGET
+from qctl.config import (
+    ARRIVAL_POINT_BUDGET,
+    GRID_POINT_BUDGET,
+    TRAJECTORY_SAMPLE_BUDGET,
+    WIGNER_POINT_BUDGET,
+)
+from qctl.hydrodynamics import record_times
 
 MINIMAL = json.dumps(
     {"packets": {"a": {"x0": -5.0, "p0": -2.0}, "b": {"x0": -15.0, "p0": 2.0}}}
@@ -124,26 +130,38 @@ def test_invalid_documents_report_field_path(mutation, path_fragment):
 
 
 def test_trajectory_sample_budget():
-    # A trajectory run holds epsilons x 2 kinds x seeds x (t_end / dt + 1)
-    # samples at once.  Every rejected document here fails at load time,
-    # before anything is allocated.
+    # A trajectory run holds epsilons x 2 kinds x seeds x recorded times
+    # samples at once: every record_every-th multiple of dt, and t_end.
+    # Every rejected document here fails at load time, before anything is
+    # allocated.
     def load(epsilons, **trajectories):
         doc = json.loads(MINIMAL)
         doc.update(epsilons=epsilons, trajectories=trajectories)
         return parse_config(json.dumps(doc))
 
     assert TRAJECTORY_SAMPLE_BUDGET == 25_000_000
-    load([1.0], n_seeds=1250, t_end=9.999, dt=0.001)  # exactly at the budget
+    load([1.0], n_seeds=1250, t_end=9.999, dt=0.001, record_every=1)  # exactly at the budget
+    # 9981 steps keep 999 multiples of 10 dt and t_end: 1000 recorded times.
+    assert len(record_times(9.981, 0.001, 10)) == 1000
+    load([1.0], n_seeds=12500, t_end=9.981, dt=0.001, record_every=10)  # exactly at the budget
+    every_step = {"t_end": 9.999, "dt": 0.001, "record_every": 1}
+    every_tenth = {"t_end": 9.981, "dt": 0.001, "record_every": 10}
+    four = [1.0, 0.5, 0.1, 0.01]
     for epsilons, settings, path in (
-        ([1.0], {"n_seeds": 1251, "t_end": 9.999, "dt": 0.001}, "trajectories.n_seeds"),
-        ([1.0, 0.5, 0.1, 0.01], {"n_seeds": 10**7}, "trajectories.n_seeds"),
-        ([1.0, 0.5, 0.1, 0.01], {"dt": 1e-7}, "trajectories.n_seeds"),
-        ([1.0, 0.5, 0.1, 0.01], {"seeds": [-5.0, -4.0], "dt": 1e-6}, "trajectories.seeds"),
+        ([1.0], {"n_seeds": 1251, **every_step}, "trajectories.n_seeds"),
+        ([1.0], {"n_seeds": 12501, **every_tenth}, "trajectories.n_seeds"),
+        (four, {"n_seeds": 10**7, "record_every": 1}, "trajectories.n_seeds"),
+        (four, {"dt": 1e-7, "record_every": 1}, "trajectories.n_seeds"),
+        (four, {"seeds": [-5.0, -4.0], "dt": 1e-6, "record_every": 1}, "trajectories.seeds"),
     ):
         with pytest.raises(ConfigError) as excinfo:
             load(epsilons, **settings)
         assert excinfo.value.path == path
         assert "budget" in str(excinfo.value)
+    # record_every is checked before it divides the sample count.
+    with pytest.raises(ConfigError) as excinfo:
+        load([1.0], record_every=0)
+    assert excinfo.value.path == "trajectories.record_every"
 
 
 def test_wigner_point_budget():
@@ -162,6 +180,22 @@ def test_wigner_point_budget():
             load(**settings)
         assert excinfo.value.path == "wigner.n_u"
         assert "budget" in str(excinfo.value)
+
+
+def test_grid_and_arrival_point_budgets():
+    # Both grids are bounded at load time; nothing here is allocated.
+    def load(section, n_points):
+        doc = json.loads(MINIMAL)
+        doc[section] = {"n_points": n_points}
+        return parse_config(json.dumps(doc))
+
+    assert (GRID_POINT_BUDGET, ARRIVAL_POINT_BUDGET) == (500_000, 500_000)
+    for section, budget in (("grid", GRID_POINT_BUDGET), ("arrival", ARRIVAL_POINT_BUDGET)):
+        for n_points in (budget + 1, 10**12):
+            with pytest.raises(ConfigError) as excinfo:
+                load(section, n_points)
+            assert excinfo.value.path == f"{section}.n_points"
+            assert "budget" in str(excinfo.value)
 
 
 def test_tail_mass_guard_names_the_packet():

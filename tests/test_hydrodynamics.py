@@ -180,13 +180,13 @@ def test_sample_spacing_does_not_change_steps(pure_spec, nearly_classical, monke
     # dt only sets where the dense output is sampled: the node-rich pure flow
     # takes the same steps, at the same cost, for either spacing.
     calls = {"n": 0}
-    evaluate = hydrodynamics.term_fields
+    evaluate = hydrodynamics.term_sums
 
     def counted(*args, **kwargs):
         calls["n"] += 1
         return evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(hydrodynamics, "term_fields", counted)
+    monkeypatch.setattr(hydrodynamics, "term_sums", counted)
     seeds = [-12.0, -8.0, -5.0]
     fans, cost = {}, {}
     for dt in (2e-3, 1e-3):
@@ -240,6 +240,48 @@ def test_cohort_of_fans_equals_each_fan_alone(pure_spec, mixed_spec, quantum, ne
     assert loop["evaluator_calls"] == max(tr.evaluations for tr in members)
     assert loop["evaluator_points"] == sum(tr.evaluations for tr in members)
     assert loop["iterations"] == max(tr.accepted_steps + tr.rejected_steps for tr in members)
+
+
+def test_trajectory_evaluator_equals_field_evaluator(
+    pure_spec, mixed_spec, quantum, nearly_classical
+):
+    # The lockstep loop evaluates the velocity and density with the flat term
+    # kernel (packets.term_sums); the current and density fields with
+    # packet_fields.  Both agree bit for bit at every seed of a cohort that
+    # spans ensembles and regimes, also at and beyond the wall and after the
+    # cohort has shrunk.
+    fans = [
+        (spec, regime, np.array([-16.0, -9.0, -4.0]))
+        for regime in (quantum, nearly_classical)
+        for spec in (pure_spec, mixed_spec)
+    ]
+    owners = [(spec, regime) for spec, regime, seeds in fans for _ in seeds]
+    cohort = hydrodynamics._Cohort(fans, wall=True)
+    rng = np.random.default_rng(5)
+    beyond = guided = 0
+    shrinking = (range(12), [0, 2, 4, 5, 7, 9, 10, 11], [1, 6, 11], [8])
+    for running in map(np.array, shrinking):
+        cohort.select(running)
+        t = rng.uniform(0.0, 9.0, size=(3, running.size))
+        x = rng.uniform(-18.0, -1.0, size=(3, running.size))
+        if running.size > 1:
+            x[1, :2] = (0.0, 0.5)  # on and beyond the wall, in one stage only
+        coefficients = cohort.coefficients(t)
+        for stage in range(3):
+            v, rho = cohort.evaluate(coefficients, stage, x[stage])
+            for j, seed in enumerate(running):
+                spec, regime = owners[seed]
+                point = (x[stage, j], t[stage, j])
+                flux_ref, rho_ref = hydrodynamics._flux_and_density(spec, regime, *point)
+                assert rho[j] == rho_ref
+                assert v[j] == flux_ref / max(rho_ref, 1e-300)
+                if rho_ref >= hydrodynamics.DENSITY_FLOOR:
+                    assert v[j] == velocity(spec, regime, *point)
+                    guided += 1
+                if point[0] >= 0.0:
+                    beyond += 1
+                    assert rho[j] == 0.0
+    assert beyond == 6 and guided > 50
 
 
 def test_fans_input_validation(pure_spec, quantum, packet_a):
