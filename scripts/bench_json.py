@@ -1,0 +1,120 @@
+"""Write a BENCH_<n>.json: benchmark pairs, line counts, Tier-1 and acceptance margins.
+
+    python scripts/bench_json.py --parent PARENT_TREE --out BENCH_11.json
+        [--pairs 10] [--seconds 10] [--workloads trajectories,wigner,fields]
+
+Run from the root of this repository.  ``PARENT_TREE`` is a checkout of the
+commit to compare against (``git clone`` plus ``git checkout``).  For each
+workload the script runs ``perfbench/run.py --workload W --seconds S``
+``--pairs`` times in each tree, alternating which tree goes first, and
+records the median and quartiles of ``run_s``, ``setup_s`` and
+``peak_rss_mb`` per tree, the raw values, and in how many pairs this tree
+was lower.  It also records the commit of each tree, ``nproc``, the line
+count of ``src/qctl/*.py`` in each tree, the Tier-1 test count and seconds
+of this tree, and the ``[acceptance]`` lines of ``tests/test_acceptance.py
+-s``.  Only the standard library is used; the trees need their own
+dependencies.
+"""
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+METRICS = ("run_s", "setup_s", "peak_rss_mb")
+WORKLOADS = ("trajectories", "wigner", "fields")
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+
+
+def _commit(tree: Path) -> str:
+    result = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True, text=True)
+    dirty = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=tree,
+                           capture_output=True, text=True).stdout.strip()
+    commit = result.stdout.strip() or "unknown"
+    return commit + ("+uncommitted-src" if dirty else "")
+
+
+def _src_lines(tree: Path) -> int:
+    return sum(len(p.read_bytes().splitlines()) for p in sorted((tree / "src" / "qctl").glob("*.py")))
+
+
+def _bench(tree: Path, workload: str, seconds: float) -> dict:
+    """One ``perfbench/run.py`` run in ``tree``: the JSON object of its last output line."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", str(seconds)]
+    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def _summary(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "quartiles": [q1, q3], "values": values}
+
+
+def _pairs(parent: Path, change: Path, workload: str, pairs: int, seconds: float) -> dict:
+    runs = {"parent": [], "change": []}
+    for i in range(pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(_bench(parent if side == "parent" else change, workload, seconds))
+            print(workload, i, side, json.dumps(runs[side][-1]["metrics"]), file=sys.stderr, flush=True)
+    result = {}
+    for side, results in runs.items():
+        result[side] = {m: _summary([r["metrics"][m]["value"] for r in results]) for m in METRICS}
+        result[side]["correct"] = all(r["correct"] is True for r in results)
+        result[side]["attempted"] = sum(r["attempted"] for r in results)
+        result[side]["failed"] = sum(r["failed"] for r in results)
+    result["change_lower_pairs"] = {
+        m: sum(c < p for p, c in zip(result["parent"][m]["values"], result["change"][m]["values"]))
+        for m in METRICS
+    }
+    return result
+
+
+def _tier1(tree: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH="src")
+    out = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True).stdout
+    last = out.strip().splitlines()[-1]
+    counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed|error|errors|skipped)", last)}
+    seconds = re.search(r"in ([\d.]+)s", last)
+    return {"summary": last, **counts, "seconds": float(seconds.group(1)) if seconds else None}
+
+
+def _acceptance(tree: Path) -> list:
+    env = dict(os.environ, PYTHONPATH="src")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider", "tests/test_acceptance.py"]
+    out = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True).stdout
+    return [line[line.index("[acceptance]"):] for line in out.splitlines() if "[acceptance]" in line]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
+    parser.add_argument("--out", required=True, type=Path, help="BENCH json file to write")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--workloads", default=",".join(WORKLOADS))
+    args = parser.parse_args(argv)
+    change, parent = Path.cwd(), args.parent.resolve()
+    report = {
+        "commit": _commit(change),
+        "parent_commit": _commit(parent),
+        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "python": platform.python_version(),
+        "benchmark": {"pairs": args.pairs, "seconds": args.seconds, "workloads": {}},
+        "src_lines": {"parent": _src_lines(parent), "change": _src_lines(change)},
+    }
+    for workload in args.workloads.split(","):
+        report["benchmark"]["workloads"][workload] = _pairs(parent, change, workload, args.pairs, args.seconds)
+    report["tier1"] = _tier1(change)
+    report["acceptance"] = _acceptance(change)
+    args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

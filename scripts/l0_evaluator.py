@@ -1,17 +1,20 @@
-"""Microseconds per call of the two state evaluators, the benchmark's L0 layer.
+"""Microseconds per call of the state evaluator, the benchmark's L0 layer.
 
     python scripts/l0_evaluator.py [--repeat 200]
 
-On the README default packets at epsilon = 0.01 and t = 3, with N positions
-evenly spread over [-18, -2], for N = 20, 80, 160 and 2048, it times:
+Every state evaluation runs through one term kernel,
+``qctl.packets.term_fields``.  On the README default packets at epsilon =
+0.01 and t = 3, with N positions evenly spread over [-18, -2], for N = 20,
+80, 160 and 2048, this times its two callers:
 
 - ``stage``: one stage of the trajectory loop, the velocity and density of N
-  seeds (``hydrodynamics._Cohort.evaluate``);
+  seeds, one kernel row per packet and seed (``hydrodynamics._Cohort.evaluate``);
 - ``coeffs``: the term coefficients of those N seeds at the stage times of
   one step attempt (``hydrodynamics._Cohort.coefficients``), paid once per
   six stages;
 - ``flux_and_density``: ``hydrodynamics._flux_and_density`` on the same N
-  positions at one time, the evaluator of the current and density fields.
+  positions at one time, the kernel broadcast over the positions as the
+  current and density fields call it.
 
 Each number is the median over ``--repeat`` timed batches of the time per
 call.  The numbers are timings only: the script checks nothing and always

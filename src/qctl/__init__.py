@@ -5,7 +5,7 @@ hard wall while a transition parameter rescales Planck's constant, sweeping
 the dynamics continuously between the quantum and classical regimes.
 """
 
-from .arrival import ArrivalStatistics, arrival_distribution, arrival_sweep
+from .arrival import ArrivalStatistics, arrival_distribution
 from .config import (
     ArrivalSettings,
     ExperimentConfig,
@@ -21,11 +21,9 @@ from .ensembles import (
     EnsembleSpec,
     density,
     fringe_visibility,
-    mixed_density,
     norm_constant,
     position_densities,
     position_density,
-    pure_density,
     purity,
 )
 from .errors import ConfigError, DomainError, LowDensityError, NumericalGuardError
@@ -51,10 +49,8 @@ from .packets import (
     GaussianPacket,
     complex_width,
     free_amplitude,
-    free_amplitude_gradient,
     packet_center,
     wall_amplitude,
-    wall_amplitude_gradient,
 )
 from .phase_space import WignerField, free_liouville_residual, wigner_transform, wigner_transforms
 from .quadrature import quad_integrate, quadrature_weights
@@ -81,21 +77,18 @@ __all__ = [
     "WignerField",
     "WignerSettings",
     "arrival_distribution",
-    "arrival_sweep",
     "complex_width",
     "current",
     "density",
     "effective_force",
     "ehrenfest_residual",
     "free_amplitude",
-    "free_amplitude_gradient",
     "free_liouville_residual",
     "fringe_visibility",
     "heisenberg_check",
     "integrate_trajectory",
     "load_config",
     "make_regime",
-    "mixed_density",
     "momentum_moments",
     "norm_constant",
     "observable_record",
@@ -104,7 +97,6 @@ __all__ = [
     "position_densities",
     "position_density",
     "position_moments",
-    "pure_density",
     "purity",
     "quad_integrate",
     "quadrature_weights",
@@ -114,7 +106,6 @@ __all__ = [
     "trajectory_fans",
     "velocity",
     "wall_amplitude",
-    "wall_amplitude_gradient",
     "wigner_transform",
     "wigner_transforms",
 ]

@@ -17,7 +17,7 @@ from .hydrodynamics import current
 from .quadrature import quad_integrate
 from .regime import Regime
 
-__all__ = ["ArrivalStatistics", "arrival_distribution", "arrival_sweep"]
+__all__ = ["ArrivalStatistics", "arrival_distribution"]
 
 
 @dataclass(frozen=True)
@@ -66,17 +66,3 @@ def arrival_distribution(
         sd_t=float(np.sqrt(max(var_t, 0.0))),
         tail_fraction=float(flux_mod[-1] / peak) if peak > 0.0 else 0.0,
     )
-
-
-def arrival_sweep(
-    spec: EnsembleSpec, regimes, detector_x: float, t_grid
-) -> list[ArrivalStatistics]:
-    """One arrival distribution per regime; regimes must be ordered in epsilon."""
-    regimes = list(regimes)
-    if not regimes:
-        raise DomainError("regime list must be non-empty")
-    eps = [r.epsilon for r in regimes]
-    diffs = np.diff(eps)
-    if len(eps) > 1 and not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
-        raise DomainError("regimes must be strictly ordered by epsilon")
-    return [arrival_distribution(spec, r, detector_x, t_grid) for r in regimes]

@@ -39,8 +39,6 @@ __all__ = [
     "pair_weights",
     "component_fields",
     "norm_constant",
-    "pure_density",
-    "mixed_density",
     "density",
     "position_density",
     "position_densities",
@@ -181,7 +179,8 @@ def norm_constant(spec: EnsembleSpec, regime: Regime) -> float:
     return value
 
 
-def _density_matrix(spec: EnsembleSpec, regime: Regime, x, y, t):
+def density(spec: EnsembleSpec, regime: Regime, x, y, t):
+    """Density-matrix element ``rho(x, y)`` for either ensemble kind."""
     phi_x, _ = component_fields(spec, regime, x, t, gradient=False)
     # On the diagonal one evaluation serves both arguments.
     phi_y = phi_x if y is x else component_fields(spec, regime, y, t, gradient=False)[0]
@@ -191,27 +190,6 @@ def _density_matrix(spec: EnsembleSpec, regime: Regime, x, y, t):
 def _contract(phi_x, phi_y):
     """rho(x, y) = sum_c phi_c(x) conj(phi_c(y)) from the components at x and at y."""
     return (phi_x * np.conj(phi_y)).sum(axis=0)
-
-
-def pure_density(spec: EnsembleSpec, regime: Regime, x, y, t):
-    """Superposition density matrix N^2 (psi_a+psi_b)(x) conj(psi_a+psi_b)(y) / 2."""
-    if spec.kind != "pure":
-        raise DomainError(f"pure_density requires a pure spec, got {spec.kind!r}")
-    return _density_matrix(spec, regime, x, y, t)
-
-
-def mixed_density(spec: EnsembleSpec, regime: Regime, x, y, t):
-    """Statistical mixture (psi_a(x) conj psi_a(y) + psi_b(x) conj psi_b(y)) / 2."""
-    if spec.kind != "mixed":
-        raise DomainError(f"mixed_density requires a mixed spec, got {spec.kind!r}")
-    return _density_matrix(spec, regime, x, y, t)
-
-
-def density(spec: EnsembleSpec, regime: Regime, x, y, t):
-    """Density-matrix element for either ensemble kind."""
-    if spec.kind == "pure":
-        return pure_density(spec, regime, x, y, t)
-    return mixed_density(spec, regime, x, y, t)
 
 
 def position_density(spec: EnsembleSpec, regime: Regime, x, t):

@@ -15,12 +15,13 @@ pair's dense output, so ``dt`` sets only the sample spacing, not the accuracy
 or the cost.  All fans (ensemble, regime, seeds) advance in lockstep, one
 evaluator call per stage for every running seed of every fan, and every
 per-seed combination is written elementwise, so a seed's numbers do not
-depend on which seeds share its loop.  The evaluator is the flat term kernel
-of :mod:`~qctl.packets` (:func:`~qctl.packets.row_coefficients` once per
-step for all stage times, :func:`~qctl.packets.term_sums` once per stage),
-equal bit for bit to :func:`velocity` and the density of the fields.  The
-loop holds the state of the running seeds only and compacts it, and the
-kernel's rows, when a seed finishes or stalls.
+depend on which seeds share its loop.  The evaluator is the term kernel of
+the fields, :func:`~qctl.packets.term_fields`, on one row per packet of
+every running seed (:func:`~qctl.packets.row_coefficients` once per step for
+all stage times, the kernel once per stage), so it equals :func:`velocity`
+and the density of the fields bit for bit.  The loop holds the state of the
+running seeds only and compacts it, and the kernel's rows, when a seed
+finishes or stalls.
 
 The velocity is undefined at density nodes and spikes near them.  A step with
 a stage density below the density floor is rejected and retried with a
@@ -39,7 +40,7 @@ import numpy as np
 
 from .ensembles import COMPONENT_WEIGHT, EnsembleSpec, component_fields, norm_constant
 from .errors import DomainError, LowDensityError
-from .packets import row_constants, row_coefficients, term_sums
+from .packets import row_constants, row_coefficients, term_fields
 from .regime import Regime
 
 __all__ = [
@@ -112,10 +113,6 @@ class Trajectory:
     rejected_steps: int
     min_step: float
     evaluations: int
-
-    @property
-    def samples(self):
-        return list(zip(self.times, self.positions))
 
 
 def _flux_and_density(spec: EnsembleSpec, regime: Regime, x, t):
@@ -197,7 +194,7 @@ def _combine(weights, stages):
 
 
 class _Cohort:
-    """The running seeds of every fan as rows of the flat term kernel, one per packet.
+    """The running seeds of every fan as rows of the term kernel, one per packet.
 
     :meth:`select` keeps the rows of the running seeds, :meth:`coefficients`
     computes their term coefficients at a table of seed times, and
@@ -226,7 +223,6 @@ class _Cohort:
         r = np.flatnonzero(np.isin(self.row_seed, running))
         self.constants = tuple(column[r] for column in self.all_constants)
         self.owner = np.searchsorted(running, self.row_seed[r])
-        self.term_owner = np.concatenate((self.owner, self.owner)) if self.wall else self.owner
         # The first row of each component, and the first component of each seed.
         self.starts = np.flatnonzero(self.start[r])
         self.scale = self.row_scale[r[self.starts]]
@@ -242,7 +238,8 @@ class _Cohort:
         ``stage`` of ``coefficients``."""
         a, k, xt, c0 = coefficients
         at_stage = (a[stage], k, xt[stage], c0[stage])
-        phi, dphi = term_sums(at_stage, x[self.term_owner], self.starts, self.scale, self.wall)
+        fields = term_fields(at_stage, x[self.owner], self.wall)
+        phi, dphi = np.add.reduceat(fields, self.starts, axis=1) * self.scale
         # Each seed's sum over its components (pure a + b, mixed a and b).
         rho = np.add.reduceat(np.abs(phi) ** 2, self.firsts)
         flux = self.flux_unit * np.add.reduceat((np.conj(phi) * dphi).imag, self.firsts)

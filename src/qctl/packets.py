@@ -15,18 +15,17 @@ The hard-wall solution is the image construction
 ``-xt`` and flipped momentum, and the difference vanishes identically at the
 wall.
 
-Each direct or image term is ``c0 exp(a d^2 + k d)`` with ``d = +-x - xt``,
-and its x-gradient reuses the same exponential.  :func:`packet_fields`
-evaluates every amplitude and gradient broadcast over arrays in ``x`` and
-``t``.  The trajectory loop instead evaluates rows that each carry their own
-packet, regime, position and time, on one flat term axis:
-:func:`row_coefficients` lays out the direct terms of all rows followed by
-their image terms, with the image sign folded into ``xt``, ``k`` and ``c0``
-so that every term has ``d = x - xt``, and :func:`term_sums` evaluates them
-and sums them over runs of rows.  Both kernels fill the terms with the same arithmetic in the same
-order, and the folding negates exactly, so they agree bit for bit.
-:func:`packet_terms` gives the same terms expanded as ``C exp(A x^2 + B x +
-G)``, the form they are integrated in.
+Each direct or image term is ``c0 exp(a d^2 + k d)`` with ``d = x - xt``:
+:func:`_folded` lays out the direct terms and then the image terms on a
+leading axis, with the image sign folded into ``xt``, ``k`` and ``c0``.  Its
+x-gradient ``(2 a d + k)`` times the term reuses the same exponential.
+:func:`term_fields` is the one kernel that evaluates the folded terms and
+sums each packet's direct and image term.  :func:`packet_fields` calls it
+broadcast over arrays in ``x`` and ``t``; the trajectory loop calls it on
+rows that each carry their own packet, regime, position and time, with the
+coefficients of :func:`row_coefficients`.  :func:`packet_terms` gives the
+same terms expanded as ``C exp(A x^2 + B x + G)``, the form they are
+integrated in.
 """
 
 from __future__ import annotations
@@ -47,16 +46,11 @@ __all__ = [
     "packet_terms",
     "row_constants",
     "row_coefficients",
-    "term_sums",
+    "term_fields",
     "free_amplitude",
-    "free_amplitude_gradient",
     "wall_amplitude",
-    "wall_amplitude_gradient",
 ]
 
-# d = sign * x - xt for the direct (+1) and the image (-1) term.
-_TERM_SIGNS = np.array([1.0, -1.0])
-_FREE_SIGNS = _TERM_SIGNS[:1]
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
@@ -101,13 +95,12 @@ def packet_center(packet: GaussianPacket, t):
 
 
 @lru_cache(maxsize=64)
-def _term_constants(packets: tuple, regime: Regime, ndim: int):
-    """Time-independent coefficient parts: packet axis, then ndim + 1 unit axes.
+def _term_constants(packets: tuple, regime: Regime):
+    """Time-independent coefficient parts, one entry per packet.
 
     ``sigma0 + rate t`` is :func:`complex_width`, ``x0 + velocity t`` :func:`packet_center`.
     """
-    columns = np.array([(p.sigma0, p.x0, p.p0, p.mass) for p in packets])
-    sigma0, x0, p0, mass = columns.T.reshape((4, len(packets), 1) + (1,) * ndim)
+    sigma0, x0, p0, mass = np.array([(p.sigma0, p.x0, p.p0, p.mass) for p in packets]).T
     hb = regime.hbar_tilde
     rate = 1j * hb / (2.0 * mass * sigma0)
     return sigma0, rate, -0.25 / sigma0, x0, p0 / mass, 1j * p0 / hb, 0.5j * p0 / hb
@@ -125,6 +118,21 @@ def _coefficients(constants, t: np.ndarray):
     return a, k, xt, c0
 
 
+def _folded(coefficients, wall: bool):
+    """``(a, k, xt, c0)`` of every term, stacked on a new first axis.
+
+    The direct terms come first and, with ``wall``, the image terms follow
+    with ``xt``, ``k`` and ``c0`` negated, so that every term is ``c0 exp(a d^2
+    + k d)`` with ``d = x - xt``: the image term is then ``-psi_f(-x)``
+    exactly, since every folded factor is an exact negation.  ``a`` is the
+    same for both and keeps a unit axis.
+    """
+    a, k, xt, c0 = coefficients
+    if not wall:
+        return a[None], k[None], xt[None], c0[None]
+    return a[None], np.array((k, -k)), np.array((xt, -xt)), np.array((c0, -c0))
+
+
 def _fill_terms(terms, k, d, c0, slopes=None):
     """Turn ``terms``, holding ``a d``, into ``c0 exp(a d^2 + k d)`` in place and,
     given ``slopes`` holding ``2 a d``, turn it into ``(2 a d + k)`` times the
@@ -139,6 +147,28 @@ def _fill_terms(terms, k, d, c0, slopes=None):
         slopes *= terms
 
 
+def term_fields(coefficients, x, wall: bool = True, gradient: bool = True):
+    """The term kernel: amplitude and x-gradient of every row of folded terms.
+
+    ``coefficients`` are :func:`_folded` ones, term axis first, and ``x``
+    broadcasts against the rest.  Returns a ``(2,) + shape`` array, the
+    amplitude of every row (the sum over its terms) and then its gradient, or
+    ``(1,) + shape`` without ``gradient``.  With ``wall`` each row is its image
+    pair, zero for x > 0.
+    """
+    a, k, xt, c0 = coefficients
+    d = x - xt
+    fields = np.empty((1 + gradient,) + d.shape, dtype=complex)
+    terms = np.multiply(a, d, out=fields[0])
+    slopes = np.add(terms, terms, out=fields[1]) if gradient else None
+    _fill_terms(terms, k, d, c0, slopes)
+    fields = fields[:, 0] + fields[:, 1] if wall else fields[:, 0]
+    # The image pair is exactly zero at x = 0 itself; NaN positions fail the test too.
+    if wall and not np.maximum.reduce(x, axis=None, initial=0.0) <= 0.0:
+        fields = np.where(x <= 0.0, fields, 0.0)
+    return fields
+
+
 def packet_terms(packets, regime: Regime, t: float, wall: bool = True):
     """Every direct and image term as ``C exp(A x^2 + B x + G)`` at one time.
 
@@ -146,11 +176,10 @@ def packet_terms(packets, regime: Regime, t: float, wall: bool = True):
     direct and the image term with ``wall``, which sum to the wall amplitude
     for x <= 0, and the direct term alone without it.
     """
-    t = np.asarray(t, dtype=float).reshape(1, 1)
-    a, k, xt, c0 = _coefficients(_term_constants(tuple(packets), regime, 0), t)
-    signs = _TERM_SIGNS if wall else _FREE_SIGNS
-    # s c0 exp(a d^2 + k d) with d = s x - xt, expanded in powers of x.
-    return np.broadcast_arrays(signs * c0, a, signs * (k - 2.0 * a * xt), (a * xt - k) * xt)
+    t = np.asarray(t, dtype=float).reshape(1)
+    a, k, xt, c0 = _folded(_coefficients(_term_constants(tuple(packets), regime), t), wall)
+    # c0 exp(a d^2 + k d) with d = x - xt, expanded in powers of x.
+    return np.broadcast_arrays(c0.T, a.T, (k - 2.0 * a * xt).T, ((a * xt - k) * xt).T)
 
 
 def packet_fields(packets, regime: Regime, x, t, wall: bool = True, gradient: bool = True):
@@ -167,81 +196,33 @@ def packet_fields(packets, regime: Regime, x, t, wall: bool = True, gradient: bo
     ndim = max(x.ndim, t.ndim)
     # The coefficients are arrays even for a scalar t, so scalar and array times go
     # through the same array loops: numpy's scalar complex arithmetic rounds differently.
-    t = t.reshape((1, 1) + (1,) * (ndim - t.ndim) + t.shape)
-    a, k, xt, c0 = _coefficients(_term_constants(tuple(packets), regime, ndim), t)
-    signs = (_TERM_SIGNS if wall else _FREE_SIGNS).reshape((1, -1) + (1,) * ndim)
-    d = signs * x - xt
-    terms = a * d
-    slopes = terms + terms if gradient else None
-    _fill_terms(terms, k, d, c0, slopes)
-    if not wall:
-        return terms[:, 0], (slopes[:, 0] if gradient else None)
-    inside = x <= 0.0  # the image pair is exactly zero at x = 0 itself
-    psi = np.where(inside, terms[:, 0] - terms[:, 1], 0.0)
-    if not gradient:
-        return psi, None
-    # The image term enters with a minus sign and d(-x)/dx = -1: the signs cancel.
-    return psi, np.where(inside, slopes[:, 0] + slopes[:, 1], 0.0)
+    t = t.reshape((1,) * (ndim + 1 - t.ndim) + t.shape)
+    shape = (-1,) + (1,) * ndim
+    constants = [c.reshape(shape) for c in _term_constants(tuple(packets), regime)]
+    fields = term_fields(_folded(_coefficients(constants, t), wall), x, wall, gradient)
+    return fields[0], (fields[1] if gradient else None)
 
 
 def row_constants(rows):
     """Time-independent constants of :func:`row_coefficients`, one ``(packet, regime)`` per row."""
-    columns = zip(*(_term_constants((packet,), regime, 0) for packet, regime in rows))
-    return tuple(np.concatenate(column, axis=None) for column in columns)
+    columns = zip(*(_term_constants((packet,), regime) for packet, regime in rows))
+    return tuple(np.concatenate(column) for column in columns)
 
 
 def row_coefficients(constants, t, wall: bool = True):
-    """``(a, k, xt, c0)`` of every term of the rows at times ``t``, shape ``(..., rows)``.
+    """:func:`_folded` ``(a, k, xt, c0)`` of the rows at the ``(times, rows)`` table ``t``.
 
-    The last axis is the flat term axis: the direct term of every row, then,
-    with ``wall``, the image term of every row with its sign folded into
-    ``xt``, ``k`` and ``c0``.  ``c0 exp(a d^2 + k d)`` with ``d = x - xt`` is
-    then ``-psi_f(-x)`` exactly, since every folded factor is an exact
-    negation, and ``(2 a d + k)`` times it is its x-gradient.
+    Each row carries its own packet and regime.  The time axis comes first,
+    so each time's ``(terms, rows)`` block is contiguous for the kernel; ``k``
+    does not depend on the time and is ``(terms, rows)``.
     """
-    a, k, xt, c0 = _coefficients(constants, t)
-    if not wall:
-        return a, k, xt, c0
-    return (
-        np.concatenate((a, a), axis=-1),
-        np.concatenate((k, -k)),
-        np.concatenate((xt, -xt), axis=-1),
-        np.concatenate((c0, -c0), axis=-1),
-    )
-
-
-def term_sums(coefficients, x, starts, scale, wall: bool = True):
-    """The trajectory kernel: amplitude and gradient summed over runs of rows.
-
-    ``coefficients`` are :func:`row_coefficients` at one time per row and
-    ``x`` the position of every term.  Returns a ``(2, len(starts))`` array: the sums of the
-    amplitudes (first) and of the gradients (second) over the runs of rows
-    beginning at ``starts``, times ``scale``.  With ``wall`` each row is its
-    image pair, zero for x > 0 as in :func:`packet_fields`.
-    """
-    a, k, xt, c0 = coefficients
-    d = x - xt
-    fields = np.empty((2, d.size), dtype=complex)
-    terms, slopes = fields
-    np.multiply(a, d, out=terms)
-    np.add(terms, terms, out=slopes)
-    _fill_terms(terms, k, d, c0, slopes)
-    if wall:
-        n = d.size // 2
-        fields = fields[:, :n] + fields[:, n:]
-        if not np.maximum.reduce(x) <= 0.0:  # also for a NaN position
-            fields = np.where(x[:n] <= 0.0, fields, 0.0)
-    return np.add.reduceat(fields, starts, axis=1) * scale
+    a, k, xt, c0 = _folded(_coefficients(constants, t), wall)
+    return a.swapaxes(0, 1), k, xt.swapaxes(0, 1).copy(), c0.swapaxes(0, 1).copy()
 
 
 def free_amplitude(packet: GaussianPacket, regime: Regime, x, t):
     """Freely evolved Gaussian amplitude at position(s) x and time(s) t."""
     return packet_fields((packet,), regime, x, t, wall=False, gradient=False)[0][0]
-
-
-def free_amplitude_gradient(packet: GaussianPacket, regime: Regime, x, t):
-    """Analytic d/dx of :func:`free_amplitude`."""
-    return packet_fields((packet,), regime, x, t, wall=False)[1][0]
 
 
 def wall_amplitude(packet: GaussianPacket, regime: Regime, x, t):
@@ -252,13 +233,3 @@ def wall_amplitude(packet: GaussianPacket, regime: Regime, x, t):
     wall for all times.
     """
     return packet_fields((packet,), regime, x, t, gradient=False)[0][0]
-
-
-def wall_amplitude_gradient(packet: GaussianPacket, regime: Regime, x, t):
-    """Analytic d/dx of :func:`wall_amplitude` on the half-line x <= 0.
-
-    At x = 0 this is the one-sided boundary derivative of the image pair,
-    2 * d/dx psi_f(0, t); it is nonzero in general and feeds the boundary flux
-    behind the effective wall force.
-    """
-    return packet_fields((packet,), regime, x, t)[1][0]

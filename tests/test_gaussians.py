@@ -93,7 +93,10 @@ def test_no_run_imports_the_fft():
         "spec = qctl.EnsembleSpec('pure', a, b)\n"
         "qctl.position_density(spec, qctl.make_regime(1.0), np.linspace(-9, 0, 5), 1.0)\n"
         "qctl.wigner_transform(spec, qctl.make_regime(1.0), 1.0, np.linspace(-9, 0, 5), np.linspace(-1, 1, 5))\n"
-        "sys.exit('numpy.fft' in sys.modules)\n"
+        "qctl.trajectory_fan(spec, qctl.make_regime(1.0), [-6.0], 0.1, 0.01)\n"
+        "qctl.arrival_distribution(spec, qctl.make_regime(1.0), -10.0, np.linspace(0, 5, 51))\n"
+        "scipy = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
+        "sys.exit(int('numpy.fft' in sys.modules) + 2 * bool(scipy))\n"
     )
     src = str(Path(qctl.__file__).parents[1])
     result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src})

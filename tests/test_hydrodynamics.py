@@ -8,11 +8,11 @@ from qctl import (
     LowDensityError,
     complex_width,
     current,
+    density,
     integrate_trajectory,
     make_regime,
     packet_center,
     position_density,
-    pure_density,
     quad_integrate,
     trajectory_fan,
     trajectory_fans,
@@ -49,8 +49,8 @@ def test_current_matches_finite_difference_of_density_matrix(pure_spec, quantum,
         x = rng.uniform(-12.0, -1.0)
         t = rng.uniform(0.5, 8.0)
         numeric = (
-            pure_density(pure_spec, quantum, x + step, x, t)
-            - pure_density(pure_spec, quantum, x - step, x, t)
+            density(pure_spec, quantum, x + step, x, t)
+            - density(pure_spec, quantum, x - step, x, t)
         ) / (2.0 * step)
         expected = (hb / 1.0) * np.imag(numeric)
         value = current(pure_spec, quantum, x, t)
@@ -141,7 +141,8 @@ def test_trajectory_samples_contract(quantum, mixed_spec):
     assert trajectory.positions[0] == -6.0
     assert np.all(np.diff(trajectory.times) > 0.0)
     assert np.all(trajectory.positions <= 0.0)
-    assert trajectory.samples[0] == (0.0, -6.0)
+    assert trajectory.times.shape == trajectory.positions.shape
+    assert (trajectory.times[0], trajectory.positions[0]) == (0.0, -6.0)
 
 
 def test_trajectory_input_validation(quantum, mixed_spec):
@@ -180,13 +181,13 @@ def test_sample_spacing_does_not_change_steps(pure_spec, nearly_classical, monke
     # dt only sets where the dense output is sampled: the node-rich pure flow
     # takes the same steps, at the same cost, for either spacing.
     calls = {"n": 0}
-    evaluate = hydrodynamics.term_sums
+    evaluate = hydrodynamics.term_fields
 
     def counted(*args, **kwargs):
         calls["n"] += 1
         return evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(hydrodynamics, "term_sums", counted)
+    monkeypatch.setattr(hydrodynamics, "term_fields", counted)
     seeds = [-12.0, -8.0, -5.0]
     fans, cost = {}, {}
     for dt in (2e-3, 1e-3):
@@ -245,11 +246,13 @@ def test_cohort_of_fans_equals_each_fan_alone(pure_spec, mixed_spec, quantum, ne
 def test_trajectory_evaluator_equals_field_evaluator(
     pure_spec, mixed_spec, quantum, nearly_classical
 ):
-    # The lockstep loop evaluates the velocity and density with the flat term
-    # kernel (packets.term_sums); the current and density fields with
-    # packet_fields.  Both agree bit for bit at every seed of a cohort that
-    # spans ensembles and regimes, also at and beyond the wall and after the
-    # cohort has shrunk.
+    # The lockstep loop and the fields share one term kernel, but the loop
+    # keeps its own row bookkeeping: which seed owns each packet row (owner),
+    # where each component's rows begin (starts), each seed's first component
+    # (firsts) and each row's normalization (scale).  Checked against the
+    # one-spec field path, bit for bit, at every seed of a cohort that spans
+    # ensembles and regimes, also at and beyond the wall and after the cohort
+    # has shrunk.
     fans = [
         (spec, regime, np.array([-16.0, -9.0, -4.0]))
         for regime in (quantum, nearly_classical)

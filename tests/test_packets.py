@@ -6,14 +6,12 @@ from qctl import (
     GaussianPacket,
     complex_width,
     free_amplitude,
-    free_amplitude_gradient,
     make_regime,
     packet_center,
     quad_integrate,
     wall_amplitude,
-    wall_amplitude_gradient,
 )
-from qctl.packets import packet_terms
+from qctl.packets import packet_fields, packet_terms
 
 
 @pytest.mark.parametrize(
@@ -124,7 +122,7 @@ def test_gradient_matches_finite_differences(rng):
     for _ in range(20):
         x = rng.uniform(-10.0, -0.5)
         t = rng.uniform(0.0, 5.0)
-        analytic = wall_amplitude_gradient(packet, regime, x, t)
+        analytic = packet_fields((packet,), regime, x, t)[1][0]
         numeric = (
             wall_amplitude(packet, regime, x + step, t)
             - wall_amplitude(packet, regime, x - step, t)
@@ -135,15 +133,15 @@ def test_gradient_matches_finite_differences(rng):
 def test_gradient_vanishes_at_center_of_stationary_packet():
     packet = GaussianPacket(sigma0=1.0, x0=-10.0, p0=0.0, mass=1.0)
     regime = make_regime(1.0)
-    assert abs(wall_amplitude_gradient(packet, regime, -10.0, 0.0)) < 1e-10
+    assert abs(packet_fields((packet,), regime, -10.0, 0.0)[1][0]) < 1e-10
 
 
 def test_gradient_at_wall_is_twice_free_gradient():
     packet = GaussianPacket(sigma0=1.0, x0=-15.0, p0=2.0, mass=1.0)
     regime = make_regime(1.0)
     for t in (5.0, 7.5, 9.0):
-        at_wall = wall_amplitude_gradient(packet, regime, 0.0, t)
-        free_part = free_amplitude_gradient(packet, regime, 0.0, t)
+        at_wall = packet_fields((packet,), regime, 0.0, t)[1][0]
+        free_part = packet_fields((packet,), regime, 0.0, t, wall=False)[1][0]
         assert at_wall == pytest.approx(2.0 * free_part, rel=1e-14)
         assert abs(at_wall) > 0.0
 
