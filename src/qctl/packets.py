@@ -189,7 +189,8 @@ def packet_fields(packets, regime: Regime, x, t, wall: bool = True, gradient: bo
     ``shape`` the broadcast shape of ``x`` and ``t``; ``grad`` is ``None``
     when ``gradient`` is false.  With ``wall`` the amplitude is the image
     pair, zero for x >= 0, and the gradient its one-sided derivative, zero for
-    x > 0; without it both are the free-space values.
+    x > 0; at x = 0 it is ``2 d/dx psi_f(0, t)``, the boundary flux behind the
+    wall force.  Without ``wall`` both are the free-space values.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
