@@ -10,13 +10,16 @@ workload the script runs ``perfbench/run.py --workload W --seconds S``
 records the median and quartiles of ``run_s``, ``setup_s`` and
 ``peak_rss_mb`` per tree, the raw values, and in how many pairs this tree
 was lower.  It also records the commit of each tree, ``nproc``, the line
-count of ``src/qctl/*.py`` in each tree, the Tier-1 test count and seconds
-of this tree, and the ``[acceptance]`` lines of ``tests/test_acceptance.py
--s``.  Only the standard library is used; the trees need their own
-dependencies.
+count of ``src/qctl/*.py`` in each tree and its code lines (blank, comment
+and docstring lines left out), the table of ``scripts/l0_evaluator.py
+--repeat 5`` in each tree, the Tier-1 test count and seconds of this tree,
+and the ``[acceptance]`` lines of ``tests/test_acceptance.py -s``.  Only the
+standard library is used; the trees need their own dependencies.
 """
 
 import argparse
+import ast
+import io
 import json
 import os
 import platform
@@ -24,10 +27,14 @@ import re
 import statistics
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 METRICS = ("run_s", "setup_s", "peak_rss_mb")
 WORKLOADS = ("trajectories", "wigner", "fields")
+L0_REPEAT = 5
+# Token types that are not code: comments, line breaks and indentation.
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
 
@@ -41,6 +48,34 @@ def _commit(tree: Path) -> str:
 
 def _src_lines(tree: Path) -> int:
     return sum(len(p.read_bytes().splitlines()) for p in sorted((tree / "src" / "qctl").glob("*.py")))
+
+
+def _code_lines(path: Path) -> int:
+    """Lines of ``path`` that hold code: not blank, not only a comment, not in a docstring."""
+    source = path.read_text(encoding="utf-8")
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    code = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in NOT_CODE:
+            code.update(range(token.start[0], token.end[0] + 1))
+    return len(code - docstrings)
+
+
+def _src_code_lines(tree: Path) -> int:
+    return sum(_code_lines(p) for p in sorted((tree / "src" / "qctl").glob("*.py")))
+
+
+def _l0_table(tree: Path) -> dict:
+    """The table printed by ``scripts/l0_evaluator.py --repeat L0_REPEAT``, one row per line."""
+    cmd = [sys.executable, "scripts/l0_evaluator.py", "--repeat", str(L0_REPEAT)]
+    lines = subprocess.run(cmd, cwd=tree, capture_output=True, text=True).stdout.split("\n")
+    columns, *rows = [line.split() for line in lines if line.strip()]
+    rows = [[row[0]] + [json.loads(value) for value in row[1:]] for row in rows]
+    return {"repeat": L0_REPEAT, "columns": columns, "rows": rows}
 
 
 def _bench(tree: Path, workload: str, seconds: float) -> dict:
@@ -107,6 +142,8 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "benchmark": {"pairs": args.pairs, "seconds": args.seconds, "workloads": {}},
         "src_lines": {"parent": _src_lines(parent), "change": _src_lines(change)},
+        "src_code_lines": {"parent": _src_code_lines(parent), "change": _src_code_lines(change)},
+        "l0": {"parent": _l0_table(parent), "change": _l0_table(change)},
     }
     for workload in args.workloads.split(","):
         report["benchmark"]["workloads"][workload] = _pairs(parent, change, workload, args.pairs, args.seconds)

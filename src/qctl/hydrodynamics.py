@@ -260,8 +260,10 @@ def _initial_step(cohort, x, v, tol, scale, t_stop):
 
 def _checked_seeds(initial_positions) -> np.ndarray:
     seeds = np.asarray(initial_positions, dtype=float)
-    if seeds.ndim != 1 or seeds.size == 0 or np.any(np.diff(seeds) <= 0.0) or np.any(seeds >= 0.0):
-        raise DomainError("initial positions must be negative, non-empty and strictly increasing")
+    # NaN fails every comparison, so the seeds must pass as finite and negative.
+    valid = seeds.ndim == 1 and seeds.size > 0 and np.all(np.isfinite(seeds) & (seeds < 0.0))
+    if not valid or np.any(np.diff(seeds) <= 0.0):
+        raise DomainError("initial positions must be finite, negative, non-empty and increasing")
     return seeds
 
 

@@ -1,11 +1,14 @@
 """Experiment orchestration: one CSV per (run kind, epsilon) plus a manifest.
 
-Outputs are deterministic: fixed evaluation and summation order, 17
+Each run kind is a generator ``(config, specs, diagnostics)`` over the
+regimes, ``specs`` being the pure and the mixed ensemble, that yields ``(file
+name, header, blocks)`` for every CSV and records its diagnostics;
+:func:`run_experiment` alone writes the CSVs and removes them if any stage
+fails.  Outputs are deterministic: fixed evaluation and summation order, 17
 significant digits, LF line endings, and no run-time data inside CSV bodies.
-The manifest echoes the configuration and records the wall clock and the
-diagnostics.  Mass lost beyond the density grid and arrival current cut off
-by the time window bias those outputs, so both are flagged there, not
-rejected.
+The manifest echoes the configuration, the wall clock and the diagnostics.
+Mass lost beyond the density grid and arrival current cut off by the time
+window bias those outputs, so both are flagged there, not rejected.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import numpy as np
 from .arrival import arrival_distribution
 from .config import ExperimentConfig, config_to_dict
 from .ensembles import EnsembleSpec, position_densities, position_density
+from .errors import ConfigError
 from .hydrodynamics import record_times, trajectory_fans
 from .observables import heisenberg_check, observable_record
 from .phase_space import wigner_transforms
@@ -95,59 +99,49 @@ def _seed_positions(config: ExperimentConfig, spec: EnsembleSpec, regime: Regime
     x = np.linspace(settings.x_lo, settings.x_hi, 4001)
     rho = np.asarray(position_density(spec, regime, x, 0.0))
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(x))))
+    if not cdf[-1] > 0.0:
+        raise ConfigError("trajectories.x_lo", "Born seeding needs t = 0 mass in [x_lo, x_hi]")
     cdf /= cdf[-1]
     quantiles = (np.arange(settings.n_seeds) + 0.5) / settings.n_seeds
     return np.interp(quantiles, cdf, x)
 
 
-def _run_density(
-    config: ExperimentConfig, regime: Regime, out_dir: Path, written: list[Path]
-) -> None:
+def _density(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: dict):
     x = config.grid.points()
     times = config.time.points()
-    specs = [config.ensemble(kind) for kind in ("pure", "mixed")]
-    path = out_dir / f"density_eps{_eps_tag(regime.epsilon)}.csv"
-    written.append(path)
+    header = ["t [time]", "x [length]"] + [f"density_{spec.kind} [1/length]" for spec in specs]
 
-    def blocks():
+    def blocks(regime):
         x_fields = _csv_fields(x)
         for t, t_field in zip(times, _csv_fields(times)):
             yield t_field, x_fields, np.column_stack(position_densities(specs, regime, x, t))
 
-    _write_csv(
-        path,
-        ["t [time]", "x [length]", "density_pure [1/length]", "density_mixed [1/length]"],
-        blocks(),
-    )
+    for regime in config.regimes():
+        yield f"density_eps{_eps_tag(regime.epsilon)}.csv", header, blocks(regime)
 
 
-def _run_trajectories(
-    config: ExperimentConfig, out_dir: Path, written: list[Path], diagnostics: dict
-) -> None:
+def _trajectories(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: dict):
     settings = config.trajectories
     regimes = config.regimes()
-    specs = [(config.ensemble(kind), regime) for regime in regimes for kind in ("pure", "mixed")]
-    seeded = [(spec, regime, _seed_positions(config, spec, regime)) for spec, regime in specs]
+    seeded = [(s, regime, _seed_positions(config, s, regime)) for regime in regimes for s in specs]
     fans, diagnostics["trajectory_loop"] = trajectory_fans(
         seeded, settings.t_end, settings.dt, record_every=settings.record_every
     )
     times = record_times(settings.t_end, settings.dt, settings.record_every)
 
-    for regime, pair in zip(regimes, zip(fans[::2], fans[1::2])):
+    for i, regime in enumerate(regimes):
         tag = _eps_tag(regime.epsilon)
-        path = out_dir / f"trajectories_eps{tag}.csv"
-        written.append(path)
+        group = fans[i * len(specs) : (i + 1) * len(specs)]
         header, columns = ["t [time]"], [times]
-        for kind, fan in zip(("pure", "mixed"), pair):
-            header += [f"x_{kind}[{tr.initial_position:.6g}] [length]" for tr in fan]
+        for spec, fan in zip(specs, group):
+            header += [f"x_{spec.kind}[{tr.initial_position:.6g}] [length]" for tr in fan]
             for trajectory in fan:
                 # A stalled trajectory has no samples past its stall: nan there.
                 column = np.full(times.size, np.nan)
                 column[: trajectory.positions.size] = trajectory.positions
                 columns.append(column)
-
-        _write_csv(path, header, [np.column_stack(columns)])
-        counts = {kind: _integrator_counts(fan) for kind, fan in zip(("pure", "mixed"), pair)}
+        yield f"trajectories_eps{tag}.csv", header, [np.column_stack(columns)]
+        counts = {spec.kind: _integrator_counts(fan) for spec, fan in zip(specs, group)}
         diagnostics.setdefault("integrator", {})[tag] = counts
         diagnostics[f"stalled_eps{tag}"] = {kind: c["stalled_seeds"] for kind, c in counts.items()}
 
@@ -166,130 +160,80 @@ def _integrator_counts(fan) -> dict:
     }
 
 
-def _run_arrival(
-    config: ExperimentConfig, out_dir: Path, written: list[Path], diagnostics: dict
-) -> None:
+def _arrival(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: dict):
     t_grid = np.linspace(0.0, config.arrival.t_max, config.arrival.n_points)
+    header = ["t [time]"] + [f"pdf_{spec.kind} [1/time]" for spec in specs]
+    summary = ["epsilon [1]"] + [f"{m}_{s.kind} [time]" for s in specs for m in ("mean_t", "sd_t")]
     summary_rows = []
     tails = diagnostics.setdefault("arrival_tail", {})
     for regime in config.regimes():
-        eps = regime.epsilon
-        stats = {
-            kind: arrival_distribution(
-                config.ensemble(kind), regime, config.detector_x, t_grid
-            )
-            for kind in ("pure", "mixed")
+        stats = [arrival_distribution(spec, regime, config.detector_x, t_grid) for spec in specs]
+        tag = _eps_tag(regime.epsilon)
+        tails[tag] = {
+            spec.kind: {"tail_fraction": f, "tail_flagged": f > TAIL_FRACTION_FLAG}
+            for spec, f in zip(specs, (s.tail_fraction for s in stats))
         }
-        tails[_eps_tag(eps)] = {
-            kind: {
-                "tail_fraction": s.tail_fraction,
-                "tail_flagged": s.tail_fraction > TAIL_FRACTION_FLAG,
-            }
-            for kind, s in stats.items()
-        }
-        path = out_dir / f"arrival_eps{_eps_tag(eps)}.csv"
-        written.append(path)
-        _write_csv(
-            path,
-            ["t [time]", "pdf_pure [1/time]", "pdf_mixed [1/time]"],
-            [np.column_stack((t_grid, stats["pure"].pdf, stats["mixed"].pdf))],
-        )
-        summary_rows.append(
-            (
-                eps,
-                stats["pure"].mean_t,
-                stats["pure"].sd_t,
-                stats["mixed"].mean_t,
-                stats["mixed"].sd_t,
-            )
-        )
-    summary = out_dir / "arrival_summary.csv"
-    written.append(summary)
-    _write_csv(
-        summary,
-        [
-            "epsilon [1]",
-            "mean_t_pure [time]",
-            "sd_t_pure [time]",
-            "mean_t_mixed [time]",
-            "sd_t_mixed [time]",
-        ],
-        [np.array(summary_rows)],
-    )
+        yield f"arrival_eps{tag}.csv", header, [np.column_stack([t_grid] + [s.pdf for s in stats])]
+        summary_rows.append([regime.epsilon] + [v for s in stats for v in (s.mean_t, s.sd_t)])
+    yield "arrival_summary.csv", summary, [np.array(summary_rows)]
 
 
-def _run_observables(
-    config: ExperimentConfig, regime: Regime, out_dir: Path, written: list[Path]
-) -> None:
+def _observables(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: dict):
     times = config.time.points()
-    path = out_dir / f"observables_eps{_eps_tag(regime.epsilon)}.csv"
-    written.append(path)
     header = ["t [time]"]
-    for kind in ("pure", "mixed"):
-        header += [f"{name}_{kind} [{unit}]" for name, unit in _OBSERVABLE_UNITS.items()]
-        header.append(f"heisenberg_margin_{kind} [action]")
+    for spec in specs:
+        header += [f"{name}_{spec.kind} [{unit}]" for name, unit in _OBSERVABLE_UNITS.items()]
+        header.append(f"heisenberg_margin_{spec.kind} [action]")
+    for regime in config.regimes():
+        rows = []
+        for t in times:
+            row = [t]
+            for spec in specs:
+                record = observable_record(spec, regime, t)
+                row += [getattr(record, name) for name in _OBSERVABLE_UNITS]
+                row.append(heisenberg_check(record, regime)[1])
+            rows.append(row)
+        yield f"observables_eps{_eps_tag(regime.epsilon)}.csv", header, [np.array(rows)]
 
-    rows = []
-    for t in times:
-        row = [t]
-        for kind in ("pure", "mixed"):
-            record = observable_record(config.ensemble(kind), regime, t)
-            row += [getattr(record, name) for name in _OBSERVABLE_UNITS]
-            row.append(heisenberg_check(record, regime)[1])
-        rows.append(row)
 
-    _write_csv(path, header, [np.array(rows)])
-
-
-def _run_wigner(
-    config: ExperimentConfig, regime: Regime, out_dir: Path, written: list[Path], diagnostics: dict
-) -> None:
+def _wigner(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: dict):
     settings = config.wigner
     R = np.linspace(settings.x_min, 0.0, settings.n_x)
     u = np.linspace(-settings.u_max, settings.u_max, settings.n_u)
-    specs = [config.ensemble(kind) for kind in ("pure", "mixed")]
-    path = out_dir / f"wigner_eps{_eps_tag(regime.epsilon)}.csv"
-    written.append(path)
-    work = {"pair_integrals": 0, "points": 0}
-    diagnostics.setdefault("wigner", {})[_eps_tag(regime.epsilon)] = work
+    header = ["t [time]", "R [length]", "u [momentum]"] + [f"w_{s.kind} [1/action]" for s in specs]
 
-    def blocks():
+    def blocks(regime, work):
         R_fields, u_fields = _csv_fields(R), _csv_fields(u)
         for t, t_field in zip(settings.times, _csv_fields(settings.times)):
-            pure, mixed = wigner_transforms(specs, regime, t, R, u)
-            work["pair_integrals"] += pure.pair_integrals
-            work["points"] = pure.pair_points
+            fields = wigner_transforms(specs, regime, t, R, u)
+            work["pair_integrals"] += fields[0].pair_integrals
+            work["points"] = fields[0].pair_points
             # Row by row, so the fields are never copied whole.
-            for R_field, *row in zip(R_fields, pure.values, mixed.values):
+            for R_field, *row in zip(R_fields, *(field.values for field in fields)):
                 yield t_field + R_field, u_fields, np.column_stack(row)
             # Release this time's fields (``row`` views them) before the next
             # time's are computed, so only one time's fields are held.
-            del pure, mixed, row
+            del fields, row
 
-    _write_csv(
-        path,
-        [
-            "t [time]",
-            "R [length]",
-            "u [momentum]",
-            "w_pure [1/action]",
-            "w_mixed [1/action]",
-        ],
-        blocks(),
-    )
+    for regime in config.regimes():
+        work = {"pair_integrals": 0, "points": 0}
+        diagnostics.setdefault("wigner", {})[_eps_tag(regime.epsilon)] = work
+        yield f"wigner_eps{_eps_tag(regime.epsilon)}.csv", header, blocks(regime, work)
 
 
-def _trace_drift(config: ExperimentConfig, regime: Regime) -> dict:
+_RUNS = {"density": _density, "trajectories": _trajectories, "arrival": _arrival,
+         "observables": _observables, "wigner": _wigner}
+
+
+def _trace_drift(config: ExperimentConfig, specs: list[EnsembleSpec], regime: Regime) -> dict:
     x = config.grid.points()
-    specs = [config.ensemble(kind) for kind in ("pure", "mixed")]
     start = position_densities(specs, regime, x, 0.0)
     end = position_densities(specs, regime, x, config.time.t_max)
     drift = {}
-    for kind, rho_start, rho_end in zip(("pure", "mixed"), start, end):
-        trace_start = float(quad_integrate(x, rho_start))
+    for spec, rho_start, rho_end in zip(specs, start, end):
         trace_end = float(quad_integrate(x, rho_end))
-        drift[kind] = {
-            "trace_t0": trace_start,
+        drift[spec.kind] = {
+            "trace_t0": float(quad_integrate(x, rho_start)),
             "trace_t_end": trace_end,
             "support_loss": 1.0 - trace_end,
             "support_loss_flagged": 1.0 - trace_end > SUPPORT_LOSS_FLAG,
@@ -311,22 +255,13 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     started = _time.perf_counter()
     written: list[Path] = []
     diagnostics: dict = {"trace": {}}
-    regimes = config.regimes()
+    specs = [config.ensemble(kind) for kind in ("pure", "mixed")]
     try:
-        if config.run_kind == "arrival":
-            _run_arrival(config, target, written, diagnostics)
-        elif config.run_kind == "trajectories":
-            _run_trajectories(config, target, written, diagnostics)
-        else:
-            for regime in regimes:
-                if config.run_kind == "density":
-                    _run_density(config, regime, target, written)
-                elif config.run_kind == "observables":
-                    _run_observables(config, regime, target, written)
-                elif config.run_kind == "wigner":
-                    _run_wigner(config, regime, target, written, diagnostics)
-        for regime in regimes:
-            diagnostics["trace"][_eps_tag(regime.epsilon)] = _trace_drift(config, regime)
+        for name, header, blocks in _RUNS[config.run_kind](config, specs, diagnostics):
+            written.append(target / name)
+            _write_csv(written[-1], header, blocks)
+        for regime in config.regimes():
+            diagnostics["trace"][_eps_tag(regime.epsilon)] = _trace_drift(config, specs, regime)
     except Exception:
         for path in written:
             path.unlink(missing_ok=True)

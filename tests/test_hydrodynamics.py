@@ -156,6 +156,16 @@ def test_trajectory_input_validation(quantum, mixed_spec):
         trajectory_fan(mixed_spec, quantum, [], 1.0)
 
 
+@pytest.mark.parametrize("wall", [True, False], ids=["wall", "free"])
+@pytest.mark.parametrize("seeds", [[-6.0, np.nan], [-np.inf, -6.0], [-6.0, np.inf]])
+def test_non_finite_seeds_are_rejected(quantum, packet_a, wall, seeds):
+    # A NaN seed fails every comparison: without this check it gave NaN steps
+    # that never ended the loop without the wall, and a silent stall with it.
+    spec = EnsembleSpec("pure", packet_a, packet_a, wall=wall)
+    with pytest.raises(DomainError, match="finite"):
+        trajectory_fan(spec, quantum, seeds, 0.5)
+
+
 def test_far_tail_seed_stalls_immediately(quantum, mixed_spec):
     trajectory = integrate_trajectory(mixed_spec, quantum, -55.0, 1.0, 1e-3)
     assert trajectory.status == "stalled-low-density"

@@ -58,14 +58,19 @@ def test_density_run_layout_and_fringes(tmp_path):
     assert (tmp_path / "manifest.json").exists()
 
 
-def test_runs_are_byte_identical(tmp_path):
-    config = parse_config(json.dumps(small_config("density", epsilons=[0.5])))
+RUN_KINDS = ["density", "trajectories", "arrival", "observables", "wigner"]
+
+
+@pytest.mark.parametrize("run_kind", RUN_KINDS)
+def test_runs_are_byte_identical(tmp_path, run_kind):
+    config = parse_config(json.dumps(small_config(run_kind, epsilons=[0.5])))
     first = tmp_path / "first"
     second = tmp_path / "second"
-    run_experiment(config, out_dir=first)
-    run_experiment(config, out_dir=second)
-    name = "density_eps0.5.csv"
-    assert (first / name).read_bytes() == (second / name).read_bytes()
+    outputs = run_experiment(config, out_dir=first)["outputs"]
+    assert run_experiment(config, out_dir=second)["outputs"] == outputs
+    assert f"{run_kind}_eps0.5.csv" in outputs
+    for name in outputs:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
 def test_trajectory_run_records_fans(tmp_path):
@@ -195,6 +200,20 @@ def test_born_seeding_is_deterministic_and_ordered(tmp_path):
     assert all(-18.0 <= s <= -2.0 for s in seeds)
 
 
+def test_cli_rejects_born_window_without_mass(tmp_path, capsys):
+    # The t = 0 density is zero to double precision on [-300, -250], so the
+    # Born quantiles would be 0/0 and every seed NaN.
+    doc = small_config("trajectories", epsilons=[1.0])
+    doc["trajectories"].update(seeding="born", x_lo=-300.0, x_hi=-250.0)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert main(["trajectories", "--config", str(config_path), "--out", str(out_dir)]) == 2
+    assert "trajectories.x_lo" in capsys.readouterr().err
+    assert list(out_dir.glob("*.csv")) == []
+    assert not (out_dir / "manifest.json").exists()
+
+
 def test_arrival_run_summary_monotone(tmp_path):
     config = parse_config(json.dumps(small_config("arrival", epsilons=[1.0, 0.1, 0.01])))
     manifest = run_experiment(config, out_dir=tmp_path)
@@ -261,26 +280,32 @@ def test_wigner_run_table(tmp_path):
     assert total == pytest.approx(1.0, abs=5e-3)
 
 
-def test_partial_outputs_removed_on_failure(tmp_path, monkeypatch):
+@pytest.mark.parametrize("run_kind", RUN_KINDS)
+def test_partial_outputs_removed_on_failure(tmp_path, monkeypatch, run_kind):
     import qctl.runner as runner
 
     calls = {"n": 0}
-    original = runner._run_density
+    original = runner._write_csv
 
-    def explode_on_second(config, regime, out_dir, written):
+    def explode_on_second(path, header, blocks):
+        # The second CSV is written whole, then the run fails.
         calls["n"] += 1
+        original(path, header, blocks)
         if calls["n"] == 2:
             raise RuntimeError("boom")
-        return original(config, regime, out_dir, written)
 
     # A successful run first: its manifest must not outlive the failed rerun.
-    run_experiment(parse_config(json.dumps(small_config("arrival", epsilons=[1.0]))), tmp_path)
+    earlier = small_config("arrival", epsilons=[1.0])
+    earlier = run_experiment(parse_config(json.dumps(earlier)), tmp_path)["outputs"]
     assert (tmp_path / "manifest.json").exists()
-    monkeypatch.setattr(runner, "_run_density", explode_on_second)
-    config = parse_config(json.dumps(small_config("density")))
+    monkeypatch.setattr(runner, "_write_csv", explode_on_second)
+    config = parse_config(json.dumps(small_config(run_kind)))
     with pytest.raises(RuntimeError):
         run_experiment(config, out_dir=tmp_path)
-    assert list(tmp_path.glob("density_*.csv")) == []
+    assert calls["n"] == 2
+    # Every CSV of the failed run is gone; the earlier CSVs it did not rewrite stay.
+    kept = [name for name in earlier if not name.startswith(f"{run_kind}_eps")]
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == kept
     assert not (tmp_path / "manifest.json").exists()
 
 
