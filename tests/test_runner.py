@@ -6,6 +6,7 @@ import pytest
 
 from qctl import make_regime, parse_config, position_density, quad_integrate, run_experiment
 from qctl.cli import main
+from qctl.config import RUN_KINDS
 
 
 def small_config(run_kind, **overrides):
@@ -56,9 +57,6 @@ def test_density_run_layout_and_fringes(tmp_path):
     maxima = np.sum((rho[1:-1] > rho[:-2]) & (rho[1:-1] > rho[2:]))
     assert maxima >= 3
     assert (tmp_path / "manifest.json").exists()
-
-
-RUN_KINDS = ["density", "trajectories", "arrival", "observables", "wigner"]
 
 
 @pytest.mark.parametrize("run_kind", RUN_KINDS)
