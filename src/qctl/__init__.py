@@ -23,36 +23,19 @@ from .ensembles import (
     fringe_visibility,
     norm_constant,
     position_densities,
-    position_density,
     purity,
 )
 from .errors import ConfigError, DomainError, LowDensityError, NumericalGuardError
-from .hydrodynamics import (
-    DENSITY_FLOOR,
-    Trajectory,
-    current,
-    integrate_trajectory,
-    trajectory_fan,
-    trajectory_fans,
-    velocity,
-)
+from .hydrodynamics import DENSITY_FLOOR, Trajectory, current, trajectory_fans, velocity
 from .observables import (
     ObservableRecord,
     effective_force,
     ehrenfest_residual,
     heisenberg_check,
-    momentum_moments,
     observable_record,
-    position_moments,
 )
-from .packets import (
-    GaussianPacket,
-    complex_width,
-    free_amplitude,
-    packet_center,
-    wall_amplitude,
-)
-from .phase_space import WignerField, free_liouville_residual, wigner_transform, wigner_transforms
+from .packets import GaussianPacket, complex_width, packet_center
+from .phase_space import WignerField, free_liouville_residual, wigner_transforms
 from .quadrature import quad_integrate, quadrature_weights
 from .regime import Regime, make_regime
 from .runner import run_experiment
@@ -82,30 +65,22 @@ __all__ = [
     "density",
     "effective_force",
     "ehrenfest_residual",
-    "free_amplitude",
     "free_liouville_residual",
     "fringe_visibility",
     "heisenberg_check",
-    "integrate_trajectory",
     "load_config",
     "make_regime",
-    "momentum_moments",
     "norm_constant",
     "observable_record",
     "packet_center",
     "parse_config",
     "position_densities",
-    "position_density",
-    "position_moments",
     "purity",
     "quad_integrate",
     "quadrature_weights",
     "run_experiment",
     "serialize_config",
-    "trajectory_fan",
     "trajectory_fans",
     "velocity",
-    "wall_amplitude",
-    "wigner_transform",
     "wigner_transforms",
 ]

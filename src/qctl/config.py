@@ -61,6 +61,13 @@ WIGNER_POINT_BUDGET = 1_000_000
 GRID_POINT_BUDGET = 500_000
 ARRIVAL_POINT_BUDGET = 500_000
 
+# Rows of a density CSV, time.n_times x grid.n_points.  The density run writes
+# each time's grid.n_points rows in turn, at about 3.4 us and 78 bytes of CSV
+# a row per epsilon (measured from 41 x 2048 to 2001 x 2048 rows), so the
+# budget is about 70 s and 1.6 GB a CSV.  It also holds the observables run,
+# which keeps about 0.7 kB a time, under about 220 MB.
+DENSITY_ROW_BUDGET = 20_000_000
+
 
 @dataclass(frozen=True)
 class SpatialGrid:
@@ -273,6 +280,10 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("time.t_max", "must be positive")
     if config.time.n_times < 2:
         raise ConfigError("time.n_times", "must be at least 2")
+    if config.time.n_times * grid.n_points > DENSITY_ROW_BUDGET:
+        raise ConfigError("time.n_times", f"n_times x grid.n_points = "
+                          f"{config.time.n_times * grid.n_points} rows exceed the budget of "
+                          f"{DENSITY_ROW_BUDGET}")
 
     if not config.detector_x < 0.0:
         raise ConfigError("detector_x", f"must be negative, got {config.detector_x}")

@@ -50,8 +50,6 @@ __all__ = [
     "Trajectory",
     "current",
     "velocity",
-    "integrate_trajectory",
-    "trajectory_fan",
     "trajectory_fans",
     "record_times",
     "step_count",
@@ -413,30 +411,3 @@ def trajectory_fans(
                 iterations=int((accepted + rejected).max()))
     return [[next(members) for _ in fan_seeds] for _, _, fan_seeds in fans], loop
 
-
-def integrate_trajectory(
-    spec: EnsembleSpec,
-    regime: Regime,
-    initial_position: float,
-    t_end: float,
-    dt: float = 1e-3,
-    density_floor: float = DENSITY_FLOOR,
-) -> Trajectory:
-    """Integrate one trajectory from ``initial_position`` up to ``t_end``."""
-    return trajectory_fan(spec, regime, [initial_position], t_end, dt, density_floor)[0]
-
-
-def trajectory_fan(
-    spec: EnsembleSpec,
-    regime: Regime,
-    initial_positions,
-    t_end: float,
-    dt: float = 1e-3,
-    density_floor: float = DENSITY_FLOOR,
-    record_every: int = 1,
-) -> list[Trajectory]:
-    """One trajectory per seed, sampled at :func:`record_times`: a one-fan :func:`trajectory_fans`."""
-    fans, _ = trajectory_fans(
-        [(spec, regime, initial_positions)], t_end, dt, density_floor, record_every
-    )
-    return fans[0]

@@ -20,8 +20,6 @@ from .regime import Regime
 
 __all__ = [
     "ObservableRecord",
-    "position_moments",
-    "momentum_moments",
     "effective_force",
     "ehrenfest_residual",
     "heisenberg_check",
@@ -53,16 +51,6 @@ def _moments(pairs, hb: float):
     )
     sd_x = float(np.sqrt(max(second_x - mean_x**2, 0.0)))
     return float(mean_x), sd_x, mean_p, float(np.sqrt(max(second_p - mean_p**2, 0.0)))
-
-
-def position_moments(spec: EnsembleSpec, regime: Regime, t):
-    """Mean and standard deviation of position, exact over the half-line."""
-    return _moments(diagonal_pairs(spec, regime, t), regime.hbar_tilde)[:2]
-
-
-def momentum_moments(spec: EnsembleSpec, regime: Regime, t):
-    """Mean and standard deviation of momentum, exact over the half-line."""
-    return _moments(diagonal_pairs(spec, regime, t), regime.hbar_tilde)[2:]
 
 
 def effective_force(spec: EnsembleSpec, regime: Regime, t):

@@ -47,8 +47,6 @@ __all__ = [
     "row_constants",
     "row_coefficients",
     "term_fields",
-    "free_amplitude",
-    "wall_amplitude",
 ]
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -220,17 +218,3 @@ def row_coefficients(constants, t, wall: bool = True):
     a, k, xt, c0 = _folded(_coefficients(constants, t), wall)
     return a.swapaxes(0, 1), k, xt.swapaxes(0, 1).copy(), c0.swapaxes(0, 1).copy()
 
-
-def free_amplitude(packet: GaussianPacket, regime: Regime, x, t):
-    """Freely evolved Gaussian amplitude at position(s) x and time(s) t."""
-    return packet_fields((packet,), regime, x, t, wall=False, gradient=False)[0][0]
-
-
-def wall_amplitude(packet: GaussianPacket, regime: Regime, x, t):
-    """Hard-wall amplitude: direct term minus its mirror image, zero for x >= 0.
-
-    The image term is the free amplitude evaluated at -x, i.e. a Gaussian with
-    center -xt and reversed momentum; the difference has an exact node at the
-    wall for all times.
-    """
-    return packet_fields((packet,), regime, x, t, gradient=False)[0][0]

@@ -43,7 +43,7 @@ from .packets import packet_terms
 from .quadrature import quadrature_weights
 from .regime import Regime
 
-__all__ = ["WignerField", "wigner_transform", "wigner_transforms", "free_liouville_residual"]
+__all__ = ["WignerField", "wigner_transforms", "free_liouville_residual"]
 
 # (R, u) points evaluated at once.  A pair integral holds about ten complex
 # temporaries of a block's size, a few hundred kB at 4096 points.
@@ -116,22 +116,14 @@ def _pair_integral(left, right, R, phase, edges, edge_phase):
     return (0.5 * SQRT_PI / root) * inner
 
 
-def wigner_transform(
-    spec: EnsembleSpec, regime: Regime, t: float, R_grid, u_grid
-) -> WignerField:
-    """Wigner distribution on the (R, u) grid at time t, exact up to rounding.
-
-    With the wall, W vanishes for R >= 0, where the window |r| <= 2|R| is empty.
-    """
-    return wigner_transforms([spec], regime, t, R_grid, u_grid)[0]
-
-
 def wigner_transforms(specs, regime: Regime, t: float, R_grid, u_grid) -> list[WignerField]:
-    """:func:`wigner_transform` of several ensembles of the same packets at once.
+    """Wigner distribution of ensembles sharing packets and wall on the (R, u) grid at t.
 
-    Each unordered pair of terms that any ensemble uses is integrated once and
-    added, with that ensemble's weight, to every field it belongs to; each
-    field is bit-identical to the one-ensemble call.
+    Each field is exact up to rounding.  With the wall, W vanishes for R >= 0,
+    where the window |r| <= 2|R| is empty.  Each unordered pair of terms that
+    any ensemble uses is integrated once and added, with that ensemble's
+    weight, to every field it belongs to; each field is bit-identical to the
+    one-ensemble call.
     """
     R = np.asarray(R_grid, dtype=float)
     u = np.asarray(u_grid, dtype=float)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .arrival import arrival_distribution
 from .config import ExperimentConfig, config_to_dict
-from .ensembles import EnsembleSpec, position_densities, position_density
+from .ensembles import EnsembleSpec, position_densities
 from .errors import ConfigError
 from .hydrodynamics import record_times, trajectory_fans
 from .observables import heisenberg_check, observable_record
@@ -97,7 +97,7 @@ def _seed_positions(config: ExperimentConfig, spec: EnsembleSpec, regime: Regime
         return np.linspace(settings.x_lo, settings.x_hi, settings.n_seeds)
     # Born-rule seeding: deterministic quantile midpoints of the t=0 density.
     x = np.linspace(settings.x_lo, settings.x_hi, 4001)
-    rho = np.asarray(position_density(spec, regime, x, 0.0))
+    rho = position_densities([spec], regime, x, 0.0)[0]
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(x))))
     if not cdf[-1] > 0.0:
         raise ConfigError("trajectories.x_lo", "Born seeding needs t = 0 mass in [x_lo, x_hi]")

@@ -17,16 +17,15 @@ from qctl import (
     effective_force,
     ehrenfest_residual,
     fringe_visibility,
-    integrate_trajectory,
     make_regime,
     observable_record,
     packet_center,
     complex_width,
-    position_density,
+    position_densities,
     purity,
     quad_integrate,
-    trajectory_fan,
-    wigner_transform,
+    trajectory_fans,
+    wigner_transforms,
 )
 from qctl.ensembles import EnsembleSpec
 
@@ -55,8 +54,8 @@ def test_criterion_1_epsilon_scaling_equivalence(pure_spec, mixed_spec):
         worst = max(worst, float(np.max(np.abs(a - b) / scale)))
 
     register(
-        position_density(pure_spec, direct, x, 3.0),
-        position_density(pure_spec, folded, x, 3.0),
+        position_densities([pure_spec], direct, x, 3.0)[0],
+        position_densities([pure_spec], folded, x, 3.0)[0],
     )
     register(current(mixed_spec, direct, x, 3.0), current(mixed_spec, folded, x, 3.0))
     register(purity(mixed_spec, direct, 2.0), purity(mixed_spec, folded, 2.0))
@@ -75,11 +74,11 @@ def test_criterion_1_epsilon_scaling_equivalence(pure_spec, mixed_spec):
     R = np.linspace(-18.0, -2.0, 33)
     u = np.linspace(-4.0, 4.0, 33)
     register(
-        wigner_transform(mixed_spec, direct, 1.0, R, u).values,
-        wigner_transform(mixed_spec, folded, 1.0, R, u).values,
+        wigner_transforms([mixed_spec], direct, 1.0, R, u)[0].values,
+        wigner_transforms([mixed_spec], folded, 1.0, R, u)[0].values,
     )
-    tr_a = integrate_trajectory(mixed_spec, direct, -14.0, 0.5, 1e-3)
-    tr_b = integrate_trajectory(mixed_spec, folded, -14.0, 0.5, 1e-3)
+    tr_a = trajectory_fans([(mixed_spec, direct, [-14.0])], 0.5, 1e-3)[0][0][0]
+    tr_b = trajectory_fans([(mixed_spec, folded, [-14.0])], 0.5, 1e-3)[0][0][0]
     register(tr_a.positions, tr_b.positions)
 
     _report("criterion 1 (epsilon scaling)", worst <= 1e-12, f"worst rel dev {worst:.3e}")
@@ -94,7 +93,7 @@ def test_criterion_2_norm_and_purity_conservation(pure_spec, mixed_spec):
         for spec in (pure_spec, mixed_spec):
             for t in (0.0, 4.0, 8.0, 12.0, 16.0, 20.0):
                 trace = quad_integrate(
-                    TRACE_GRID, position_density(spec, regime, TRACE_GRID, t)
+                    TRACE_GRID, position_densities([spec], regime, TRACE_GRID, t)[0]
                 )
                 worst_trace = max(worst_trace, abs(trace - 1.0))
             baseline = purity(spec, regime, 0.0)
@@ -116,9 +115,7 @@ def test_criterion_3_dressing_oracle(packet_a):
     offsets = np.linspace(-2.0, 2.0, 10)
     worst = 0.0
     for offset in offsets:
-        trajectory = integrate_trajectory(
-            spec, regime, packet_a.x0 + offset, 5.0, 1e-3
-        )
+        trajectory = trajectory_fans([(spec, regime, [packet_a.x0 + offset])], 5.0, 1e-3)[0][0][0]
         widths = np.abs(complex_width(packet_a, regime, trajectory.times))
         oracle = (
             packet_center(packet_a, trajectory.times)
@@ -139,7 +136,7 @@ def test_criterion_4_non_crossing(pure_spec, mixed_spec):
     for eps in (1.0, 0.01):
         regime = make_regime(eps)
         for spec in (pure_spec, mixed_spec):
-            fan = trajectory_fan(spec, regime, seeds, 15.0, 1e-3)
+            fan = trajectory_fans([(spec, regime, seeds)], 15.0, 1e-3)[0][0]
             stalled += sum(tr.status != "completed" for tr in fan)
             for tr in fan:
                 overshoot = max(overshoot, float(np.max(tr.positions)))
@@ -219,14 +216,14 @@ def test_criterion_9_wigner_marginals_and_ridge(pure_spec, mixed_spec):
     worst = 0.0
     for spec in (pure_spec, mixed_spec):
         for t in (0.0, 7.0):
-            field = wigner_transform(spec, regime, t, R, u)
-            diagonal = np.asarray(position_density(spec, regime, R, t))
+            field = wigner_transforms([spec], regime, t, R, u)[0]
+            diagonal = np.asarray(position_densities([spec], regime, R, t)[0])
             err = float(np.max(np.abs(field.momentum_marginal() - diagonal)))
             worst = max(worst, err / float(diagonal.max()))
     R_mid = np.linspace(-10.5, -9.5, 41)
     u_mid = np.linspace(-2.0, 2.0, 81)
-    ridge_pure = wigner_transform(pure_spec, regime, 0.0, R_mid, u_mid)
-    ridge_mixed = wigner_transform(mixed_spec, regime, 0.0, R_mid, u_mid)
+    ridge_pure = wigner_transforms([pure_spec], regime, 0.0, R_mid, u_mid)[0]
+    ridge_mixed = wigner_transforms([mixed_spec], regime, 0.0, R_mid, u_mid)[0]
     ratio = float(np.max(np.abs(ridge_pure.values)) / np.max(np.abs(ridge_mixed.values)))
     ok = worst < 1e-4 and ratio > 10.0
     _report(

@@ -7,6 +7,7 @@ import pytest
 from qctl import ConfigError, parse_config, serialize_config
 from qctl.config import (
     ARRIVAL_POINT_BUDGET,
+    DENSITY_ROW_BUDGET,
     GRID_POINT_BUDGET,
     TRAJECTORY_SAMPLE_BUDGET,
     WIGNER_POINT_BUDGET,
@@ -196,6 +197,19 @@ def test_grid_and_arrival_point_budgets():
                 load(section, n_points)
             assert excinfo.value.path == f"{section}.n_points"
             assert "budget" in str(excinfo.value)
+
+
+def test_density_row_budget():
+    # time.n_times x grid.n_points is bounded at load time; nothing here is allocated.
+    assert DENSITY_ROW_BUDGET == 20_000_000
+    for n_points, n_times in ((2048, DENSITY_ROW_BUDGET // 2048 + 1), (64, 10**12)):
+        doc = json.loads(MINIMAL)
+        doc["grid"] = {"n_points": n_points}
+        doc["time"] = {"n_times": n_times}
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(json.dumps(doc))
+        assert excinfo.value.path == "time.n_times"
+        assert "budget" in str(excinfo.value)
 
 
 def test_tail_mass_guard_names_the_packet():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,11 @@ from qctl import (
     make_regime,
     norm_constant,
     position_densities,
-    position_density,
     purity,
     quad_integrate,
-    wall_amplitude,
 )
+from qctl import ensembles
+from qctl.packets import packet_fields
 
 
 def test_spec_validation(packet_a, packet_b):
@@ -63,14 +65,14 @@ def test_vanishes_at_and_beyond_wall(kind, pure_spec, mixed_spec, quantum):
 def test_trace_normalization(kind, t, pure_spec, mixed_spec, quantum):
     spec = pure_spec if kind == "pure" else mixed_spec
     x = np.linspace(-90.0, 0.0, 8193)
-    trace = quad_integrate(x, position_density(spec, quantum, x, t))
+    trace = quad_integrate(x, position_densities([spec], quantum, x, t)[0])
     assert trace == pytest.approx(1.0, abs=1e-6)
 
 
 def test_diagonal_positivity(mixed_spec, pure_spec, quantum):
     x = np.linspace(-40.0, 0.0, 2049)
     for spec in (mixed_spec, pure_spec):
-        assert np.all(position_density(spec, quantum, x, 6.0) >= 0.0)
+        assert np.all(position_densities([spec], quantum, x, 6.0)[0] >= 0.0)
 
 
 def test_degenerate_mixture_equals_single_packet_state(packet_a, quantum):
@@ -83,11 +85,14 @@ def test_degenerate_mixture_equals_single_packet_state(packet_a, quantum):
     # Both reduce to the normalized single-packet projector.
     norm = quad_integrate(
         np.linspace(-30.0, 0.0, 4097),
-        np.abs(wall_amplitude(packet_a, quantum, np.linspace(-30.0, 0.0, 4097), 2.0)) ** 2,
+        np.abs(
+            packet_fields((packet_a,), quantum, np.linspace(-30.0, 0.0, 4097), 2.0, gradient=False)[0][0]
+        )
+        ** 2,
     )
     reference = (
-        wall_amplitude(packet_a, quantum, x, 2.0)
-        * np.conj(wall_amplitude(packet_a, quantum, x - 0.7, 2.0))
+        packet_fields((packet_a,), quantum, x, 2.0, gradient=False)[0][0]
+        * np.conj(packet_fields((packet_a,), quantum, x - 0.7, 2.0, gradient=False)[0][0])
         / norm
     )
     assert np.max(np.abs(rho_pure - reference)) < 1e-9
@@ -107,8 +112,8 @@ def test_purity_of_mixture_against_overlap_oracle(mixed_spec, quantum, packet_a,
     # normalized components via 1-D overlap quadrature,
     #   tr(rho^2) = (|<a|a>|^2 + 2 |<a|b>|^2 + |<b|b>|^2) / (4 D^2).
     x = np.linspace(-40.0, 0.0, 8193)
-    psi_a = wall_amplitude(packet_a, quantum, x, 0.0)
-    psi_b = wall_amplitude(packet_b, quantum, x, 0.0)
+    psi_a = packet_fields((packet_a,), quantum, x, 0.0, gradient=False)[0][0]
+    psi_b = packet_fields((packet_b,), quantum, x, 0.0, gradient=False)[0][0]
     norm_a = quad_integrate(x, np.abs(psi_a) ** 2)
     norm_b = quad_integrate(x, np.abs(psi_b) ** 2)
     overlap = quad_integrate(x, np.conj(psi_a) * psi_b)
@@ -137,7 +142,7 @@ def test_purity_is_conserved(kind, pure_spec, mixed_spec, quantum):
 
 def test_position_density_is_real(pure_spec, quantum):
     x = np.linspace(-30.0, 0.0, 501)
-    rho = position_density(pure_spec, quantum, x, 4.0)
+    rho = position_densities([pure_spec], quantum, x, 4.0)[0]
     assert np.isrealobj(rho)
 
 
@@ -149,7 +154,7 @@ def test_position_density_guard_trips_on_bad_input(pure_spec, quantum, monkeypat
 
     monkeypatch.setattr(ensembles, "_contract", broken_contraction)
     with pytest.raises(NumericalGuardError):
-        ensembles.position_density(pure_spec, quantum, np.array([-1.0]), 0.0)
+        ensembles.position_densities([pure_spec], quantum, np.array([-1.0]), 0.0)
     with pytest.raises(NumericalGuardError):
         ensembles.position_densities([pure_spec, pure_spec.as_kind("mixed")], quantum, np.array([-1.0]), 0.0)
 
@@ -161,12 +166,12 @@ def test_shared_densities_equal_one_spec_calls(wall, packet_a, packet_b, quantum
     x = np.linspace(-40.0, 5.0, 901)
     for t in (0.0, 7.0):
         shared = position_densities([pure, mixed, pure], quantum, x, t)
-        alone = [position_density(spec, quantum, x, t) for spec in (pure, mixed, pure)]
+        alone = [position_densities([spec], quantum, x, t)[0] for spec in (pure, mixed, pure)]
         for together, single in zip(shared, alone):
             assert together.tobytes() == single.tobytes()
     scalar = position_densities([mixed, pure], quantum, -6.0, 1.0)
     assert [float(rho) for rho in scalar] == [
-        float(position_density(spec, quantum, -6.0, 1.0)) for spec in (mixed, pure)
+        float(position_densities([spec], quantum, -6.0, 1.0)[0]) for spec in (mixed, pure)
     ]
 
 
@@ -183,7 +188,7 @@ def test_shared_densities_need_one_set_of_packets(packet_a, packet_b, quantum):
 def test_interference_fringes_in_reflection_window(pure_spec, quantum):
     # Quantum regime at the wall-collision time: several interference maxima.
     x = np.linspace(-10.0, 0.0, 1001)
-    rho = np.asarray(position_density(pure_spec, quantum, x, 7.0))
+    rho = np.asarray(position_densities([pure_spec], quantum, x, 7.0)[0])
     interior = rho[1:-1]
     maxima = np.sum((interior > rho[:-2]) & (interior > rho[2:]))
     assert maxima >= 3
@@ -200,6 +205,34 @@ def test_fringe_visibility_window_validation(pure_spec, quantum):
         fringe_visibility(pure_spec, quantum, 2.5, window=(0.0, -10.0))
     with pytest.raises(DomainError):
         fringe_visibility(pure_spec, quantum, 2.5, sigma_obs=0.0)
+
+
+def test_fringe_visibility_evaluates_the_packets_once(pure_spec, quantum, monkeypatch):
+    calls = []
+    evaluate = ensembles.packet_fields
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(ensembles, "packet_fields", counted)
+    for spec in (pure_spec, pure_spec.as_kind("mixed")):
+        fringe_visibility(spec, quantum, 2.5)
+    assert calls == [2.5, 2.5]
+
+
+def test_fringe_visibility_point_budget(pure_spec):
+    # At eps = 1e-10 a sixteenth of the fringe wavelength asks for about 1.3e7
+    # points; the budget rejects them before any array is allocated.
+    assert ensembles.VISIBILITY_POINT_BUDGET == 100_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="budget"):
+            fringe_visibility(pure_spec, make_regime(1e-10), 2.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_norm_constant_cache_is_bounded():

@@ -91,9 +91,9 @@ def test_no_run_imports_the_fft():
         "a = qctl.GaussianPacket(x0=-5.0, p0=-2.0)\n"
         "b = qctl.GaussianPacket(x0=-15.0, p0=2.0)\n"
         "spec = qctl.EnsembleSpec('pure', a, b)\n"
-        "qctl.position_density(spec, qctl.make_regime(1.0), np.linspace(-9, 0, 5), 1.0)\n"
-        "qctl.wigner_transform(spec, qctl.make_regime(1.0), 1.0, np.linspace(-9, 0, 5), np.linspace(-1, 1, 5))\n"
-        "qctl.trajectory_fan(spec, qctl.make_regime(1.0), [-6.0], 0.1, 0.01)\n"
+        "qctl.position_densities([spec], qctl.make_regime(1.0), np.linspace(-9, 0, 5), 1.0)\n"
+        "qctl.wigner_transforms([spec], qctl.make_regime(1.0), 1.0, np.linspace(-9, 0, 5), np.linspace(-1, 1, 5))\n"
+        "qctl.trajectory_fans([(spec, qctl.make_regime(1.0), [-6.0])], 0.1, 0.01)\n"
         "qctl.arrival_distribution(spec, qctl.make_regime(1.0), -10.0, np.linspace(0, 5, 51))\n"
         "scipy = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
         "sys.exit(int('numpy.fft' in sys.modules) + 2 * bool(scipy))\n"

@@ -9,12 +9,10 @@ from qctl import (
     complex_width,
     current,
     density,
-    integrate_trajectory,
     make_regime,
     packet_center,
-    position_density,
+    position_densities,
     quad_integrate,
-    trajectory_fan,
     trajectory_fans,
     velocity,
 )
@@ -36,7 +34,7 @@ def test_current_of_linear_phase_packet(quantum, packet_a):
     spec = single_free(packet_a)
     x = np.linspace(-8.0, -2.0, 61)
     flux = np.asarray(current(spec, quantum, x, 0.0))
-    rho = np.asarray(position_density(spec, quantum, x, 0.0))
+    rho = np.asarray(position_densities([spec], quantum, x, 0.0)[0])
     expected = (packet_a.p0 / packet_a.mass) * rho
     assert np.max(np.abs(flux - expected)) < 1e-10
 
@@ -92,7 +90,7 @@ def test_velocity_is_current_over_density(mixed_spec, quantum):
     t = 3.0
     v = np.asarray(velocity(mixed_spec, quantum, x, t))
     ratio = np.asarray(current(mixed_spec, quantum, x, t)) / np.asarray(
-        position_density(mixed_spec, quantum, x, t)
+        position_densities([mixed_spec], quantum, x, t)[0]
     )
     assert np.max(np.abs(v - ratio)) < 1e-12
 
@@ -114,7 +112,7 @@ def test_trajectory_matches_dressing_solution(quantum, packet_a):
     spec = single_free(packet_a)
     for offset, tol in ((0.0, 1e-4), (1.0, 1e-3)):
         seed = packet_a.x0 + offset
-        trajectory = integrate_trajectory(spec, quantum, seed, 3.0, 1e-3)
+        trajectory = trajectory_fans([(spec, quantum, [seed])], 3.0, 1e-3)[0][0][0]
         widths = np.abs(complex_width(packet_a, quantum, trajectory.times))
         oracle = packet_center(packet_a, trajectory.times) + offset * widths / packet_a.sigma0
         rel = np.max(np.abs(trajectory.positions - oracle) / np.abs(oracle))
@@ -128,7 +126,7 @@ def test_dense_samples_follow_dressing_solution(quantum, packet_a):
     # hundred local errors of ATOL * sigma0 = 1e-12.
     spec = single_free(packet_a)
     for offset in np.linspace(-2.0, 2.0, 5):
-        trajectory = integrate_trajectory(spec, quantum, packet_a.x0 + offset, 5.0, 1e-3)
+        trajectory = trajectory_fans([(spec, quantum, [packet_a.x0 + offset])], 5.0, 1e-3)[0][0][0]
         widths = np.abs(complex_width(packet_a, quantum, trajectory.times))
         oracle = packet_center(packet_a, trajectory.times) + offset * widths / packet_a.sigma0
         assert trajectory.accepted_steps < 200
@@ -136,7 +134,7 @@ def test_dense_samples_follow_dressing_solution(quantum, packet_a):
 
 
 def test_trajectory_samples_contract(quantum, mixed_spec):
-    trajectory = integrate_trajectory(mixed_spec, quantum, -6.0, 1.0, 1e-3)
+    trajectory = trajectory_fans([(mixed_spec, quantum, [-6.0])], 1.0, 1e-3)[0][0][0]
     assert trajectory.times[0] == 0.0
     assert trajectory.positions[0] == -6.0
     assert np.all(np.diff(trajectory.times) > 0.0)
@@ -147,13 +145,13 @@ def test_trajectory_samples_contract(quantum, mixed_spec):
 
 def test_trajectory_input_validation(quantum, mixed_spec):
     with pytest.raises(DomainError):
-        integrate_trajectory(mixed_spec, quantum, 1.0, 1.0)
+        trajectory_fans([(mixed_spec, quantum, [1.0])], 1.0)
     with pytest.raises(DomainError):
-        integrate_trajectory(mixed_spec, quantum, -5.0, -1.0)
+        trajectory_fans([(mixed_spec, quantum, [-5.0])], -1.0)
     with pytest.raises(DomainError):
-        trajectory_fan(mixed_spec, quantum, [-5.0, -5.0], 1.0)
+        trajectory_fans([(mixed_spec, quantum, [-5.0, -5.0])], 1.0)
     with pytest.raises(DomainError):
-        trajectory_fan(mixed_spec, quantum, [], 1.0)
+        trajectory_fans([(mixed_spec, quantum, [])], 1.0)
 
 
 @pytest.mark.parametrize("wall", [True, False], ids=["wall", "free"])
@@ -163,25 +161,18 @@ def test_non_finite_seeds_are_rejected(quantum, packet_a, wall, seeds):
     # that never ended the loop without the wall, and a silent stall with it.
     spec = EnsembleSpec("pure", packet_a, packet_a, wall=wall)
     with pytest.raises(DomainError, match="finite"):
-        trajectory_fan(spec, quantum, seeds, 0.5)
+        trajectory_fans([(spec, quantum, seeds)], 0.5)
 
 
 def test_far_tail_seed_stalls_immediately(quantum, mixed_spec):
-    trajectory = integrate_trajectory(mixed_spec, quantum, -55.0, 1.0, 1e-3)
+    trajectory = trajectory_fans([(mixed_spec, quantum, [-55.0])], 1.0, 1e-3)[0][0][0]
     assert trajectory.status == "stalled-low-density"
     assert trajectory.times.size == 1
 
 
-def test_singleton_fan_equals_integrate_trajectory(nearly_classical, mixed_spec):
-    fan = trajectory_fan(mixed_spec, nearly_classical, [-14.0], 2.0, 1e-3)
-    single = integrate_trajectory(mixed_spec, nearly_classical, -14.0, 2.0, 1e-3)
-    assert np.array_equal(fan[0].positions, single.positions)
-    assert fan[0].status == single.status
-
-
 def test_fan_preserves_ordering(quantum, mixed_spec):
     seeds = np.linspace(-16.0, -4.0, 8)
-    fan = trajectory_fan(mixed_spec, quantum, seeds, 3.0, 1e-3)
+    fan = trajectory_fans([(mixed_spec, quantum, seeds)], 3.0, 1e-3)[0][0]
     for lower, upper in zip(fan, fan[1:]):
         shared = min(lower.positions.size, upper.positions.size)
         assert np.min(upper.positions[:shared] - lower.positions[:shared]) > -1e-6
@@ -202,7 +193,7 @@ def test_sample_spacing_does_not_change_steps(pure_spec, nearly_classical, monke
     fans, cost = {}, {}
     for dt in (2e-3, 1e-3):
         calls["n"] = 0
-        fans[dt] = trajectory_fan(pure_spec, nearly_classical, seeds, 3.0, dt)
+        fans[dt] = trajectory_fans([(pure_spec, nearly_classical, seeds)], 3.0, dt)[0][0]
         cost[dt] = calls["n"]
         assert max(tr.evaluations for tr in fans[dt]) == cost[dt]
     assert cost[2e-3] == cost[1e-3]
@@ -214,8 +205,8 @@ def test_sample_spacing_does_not_change_steps(pure_spec, nearly_classical, monke
 def test_fan_member_equals_single_seed_integration(pure_spec, nearly_classical):
     # Each seed keeps its own steps, so its numbers do not depend on the
     # other seeds in the lockstep cohort.
-    fan = trajectory_fan(pure_spec, nearly_classical, [-16.0, -9.0, -4.0], 3.0, 1e-3)
-    single = integrate_trajectory(pure_spec, nearly_classical, -9.0, 3.0, 1e-3)
+    fan = trajectory_fans([(pure_spec, nearly_classical, [-16.0, -9.0, -4.0])], 3.0, 1e-3)[0][0]
+    single = trajectory_fans([(pure_spec, nearly_classical, [-9.0])], 3.0, 1e-3)[0][0][0]
     assert np.array_equal(fan[1].positions, single.positions)
     assert fan[1].accepted_steps == single.accepted_steps
     assert fan[1].rejected_steps == single.rejected_steps
@@ -237,7 +228,7 @@ def test_cohort_of_fans_equals_each_fan_alone(pure_spec, mixed_spec, quantum, ne
     cohort, loop = trajectory_fans(fans, 3.0, 1e-3)
     assert [len(fan) for fan in cohort] == [3, 3, 3, 3, 2]
     for (spec, regime, fan_seeds), together in zip(fans, cohort):
-        alone = trajectory_fan(spec, regime, fan_seeds, 3.0, 1e-3)
+        alone = trajectory_fans([(spec, regime, fan_seeds)], 3.0, 1e-3)[0][0]
         for member, single in zip(together, alone):
             assert np.array_equal(member.positions, single.positions)
             assert member.accepted_steps == single.accepted_steps
@@ -311,11 +302,12 @@ def test_equivariance_mass_left_of_trajectories(pure_spec, nearly_classical):
     # to the left of every trajectory is conserved, here past the collision
     # of the two packets near t = 2.5 in the node-rich pure flow.
     seeds = np.linspace(-18.0, -2.0, 12)
-    fan = trajectory_fan(pure_spec, nearly_classical, seeds, 5.0, 1e-3)
+    fan = trajectory_fans([(pure_spec, nearly_classical, seeds)], 5.0, 1e-3)[0][0]
 
     def mass_left(x, t):
         grid = np.linspace(-40.0, x, 40001)
-        return float(quad_integrate(grid, position_density(pure_spec, nearly_classical, grid, t)))
+        rho = position_densities([pure_spec], nearly_classical, grid, t)[0]
+        return float(quad_integrate(grid, rho))
 
     for tr in fan:
         assert tr.status == "completed"
@@ -331,8 +323,8 @@ def test_collapsing_step_stalls_instead_of_hanging(quantum):
     packet = GaussianPacket(sigma0=1.0, x0=-10.0, p0=1.0, mass=1.0)
     spec = single_free(packet)
     seed = -12.0
-    floor = 0.9 * float(position_density(spec, quantum, seed, 0.0))
-    trajectory = integrate_trajectory(spec, quantum, seed, 2.0, 1e-3, density_floor=floor)
+    floor = 0.9 * float(position_densities([spec], quantum, seed, 0.0)[0])
+    trajectory = trajectory_fans([(spec, quantum, [seed])], 2.0, 1e-3, density_floor=floor)[0][0][0]
     t_floor = 2.0 * np.sqrt(1.0 / 0.81 - 1.0)  # |s_t| / sigma0 = 1 / 0.9
     assert trajectory.status == "stalled-low-density"
     assert t_floor - 1e-3 <= trajectory.times[-1] <= t_floor
@@ -345,9 +337,11 @@ def test_recorded_samples_equal_dense_ones(quantum):
     # also for a seed that stalls mid-run (as in the test above), and the
     # last sample stays on t_end = 2.003, which is no multiple of 10 dt.
     spec = single_free(GaussianPacket(sigma0=1.0, x0=-10.0, p0=1.0, mass=1.0))
-    floor = 0.9 * float(position_density(spec, quantum, -12.0, 0.0))
+    floor = 0.9 * float(position_densities([spec], quantum, -12.0, 0.0)[0])
     dense, kept = (
-        trajectory_fan(spec, quantum, [-12.0, -10.0], 2.003, 1e-3, floor, record_every=every)
+        trajectory_fans(
+            [(spec, quantum, [-12.0, -10.0])], 2.003, 1e-3, floor, record_every=every
+        )[0][0]
         for every in (1, 10)
     )
     keep = np.append(np.arange(0, 2004, 10), 2003)
@@ -368,7 +362,7 @@ def test_recorded_samples_equal_dense_ones(quantum):
 def test_collision_reversal_of_rear_seed(nearly_classical, mixed_spec):
     # Non-crossing makes the seed launched behind the right-moving packet
     # turn around at the packet-packet collision and recede from the wall.
-    trajectory = integrate_trajectory(mixed_spec, nearly_classical, -14.0, 12.0, 1e-3)
+    trajectory = trajectory_fans([(mixed_spec, nearly_classical, [-14.0])], 12.0, 1e-3)[0][0][0]
     assert trajectory.status == "completed"
     peak_index = int(np.argmax(trajectory.positions))
     assert 1.5 < trajectory.times[peak_index] < 3.5
@@ -378,7 +372,7 @@ def test_collision_reversal_of_rear_seed(nearly_classical, mixed_spec):
 def test_wall_reversal_of_seed_starting_near_wall(nearly_classical, mixed_spec):
     # Seeds in the packet closer to the wall carry the reflected lump: they
     # reverse at the wall near the classical collision time m|x0|/p0 = 7.5.
-    trajectory = integrate_trajectory(mixed_spec, nearly_classical, -4.5, 12.0, 1e-3)
+    trajectory = trajectory_fans([(mixed_spec, nearly_classical, [-4.5])], 12.0, 1e-3)[0][0][0]
     assert trajectory.status == "completed"
     peak_index = int(np.argmax(trajectory.positions))
     assert 6.5 < trajectory.times[peak_index] < 8.5
@@ -391,7 +385,7 @@ def test_fan_localizes_toward_classical_regime(pure_spec, quantum, nearly_classi
     seeds = np.linspace(-16.5, -13.5, 10)
     spreads = {}
     for name, regime in (("quantum", quantum), ("classical", nearly_classical)):
-        fan = trajectory_fan(pure_spec, regime, seeds, 4.0, 1e-3)
+        fan = trajectory_fans([(pure_spec, regime, seeds)], 4.0, 1e-3)[0][0]
         finals = np.array([tr.positions[-1] for tr in fan if tr.status == "completed"])
         assert finals.size == seeds.size
         spreads[name] = finals.max() - finals.min()
@@ -406,10 +400,10 @@ def test_batch_evaluation_equals_pointwise(kind, pure_spec, mixed_spec, nearly_c
     x = np.linspace(-18.0, -2.0, 20)
     t = 3.3
     flux = current(spec, nearly_classical, x, t)
-    rho = position_density(spec, nearly_classical, x, t)
+    rho = position_densities([spec], nearly_classical, x, t)[0]
     for i, x_i in enumerate(x):
         assert current(spec, nearly_classical, x_i, t) == flux[i]
-        assert position_density(spec, nearly_classical, x_i, t) == rho[i]
+        assert position_densities([spec], nearly_classical, x_i, t)[0] == rho[i]
 
 
 @pytest.mark.parametrize("kind", ["pure", "mixed"])
@@ -417,14 +411,14 @@ def test_time_array_evaluation_equals_scalar_times(kind, pure_spec, mixed_spec, 
     spec = pure_spec if kind == "pure" else mixed_spec
     times = np.linspace(0.0, 12.0, 25)
     flux = current(spec, quantum, -6.0, times)
-    rho = position_density(spec, quantum, -6.0, times)
+    rho = position_densities([spec], quantum, -6.0, times)[0]
     for i, t in enumerate(times):
         assert current(spec, quantum, -6.0, t) == flux[i]
-        assert position_density(spec, quantum, -6.0, t) == rho[i]
+        assert position_densities([spec], quantum, -6.0, t)[0] == rho[i]
 
 
 def test_t_end_must_be_whole_multiple_of_dt(quantum, mixed_spec):
     with pytest.raises(DomainError):
-        trajectory_fan(mixed_spec, quantum, [-6.0], 1.0005, 1e-3)
+        trajectory_fans([(mixed_spec, quantum, [-6.0])], 1.0005, 1e-3)
     with pytest.raises(DomainError):
-        integrate_trajectory(mixed_spec, quantum, -6.0, 0.0005, 1e-3)
+        trajectory_fans([(mixed_spec, quantum, [-6.0])], 0.0005, 1e-3)

@@ -9,15 +9,14 @@ from qctl import (
     ehrenfest_residual,
     heisenberg_check,
     make_regime,
-    momentum_moments,
     observable_record,
-    position_moments,
 )
 from qctl import observables
 
 def test_position_moments_of_initial_gaussian(quantum, packet_a):
     spec = EnsembleSpec("pure", packet_a, packet_a)
-    mean, sd = position_moments(spec, quantum, 0.0)
+    record = observable_record(spec, quantum, 0.0)
+    mean, sd = record.mean_x, record.sd_x
     assert mean == pytest.approx(-5.0, abs=1e-4)
     assert sd == pytest.approx(1.0, abs=1e-4)
 
@@ -26,33 +25,34 @@ def test_position_spread_follows_complex_width(quantum, packet_a):
     # Oracle: free Gaussian spreading, sd(t) = |st|.
     spec = EnsembleSpec("pure", packet_a, packet_a, wall=False)
     t = 2.0
-    _, sd = position_moments(spec, quantum, t)
+    sd = observable_record(spec, quantum, t).sd_x
     assert sd == pytest.approx(abs(complex_width(packet_a, quantum, t)), rel=1e-6)
 
 
 def test_mixture_mean_position(quantum, mixed_spec):
-    mean, _ = position_moments(mixed_spec, quantum, 0.0)
+    mean = observable_record(mixed_spec, quantum, 0.0).mean_x
     assert mean == pytest.approx(-10.0, abs=1e-4)
 
 
 def test_opposite_kicks_cancel_mean_momentum(quantum, mixed_spec):
     # Cancellation holds up to the wall-truncation tail of the closer packet
     # (relative norm defect ~ 4e-6 at 5 sigma0).
-    mean_p, _ = momentum_moments(mixed_spec, quantum, 0.0)
+    mean_p = observable_record(mixed_spec, quantum, 0.0).mean_p
     assert mean_p == pytest.approx(0.0, abs=1e-5)
 
 
 def test_single_packet_momentum_moments(quantum):
     packet = GaussianPacket(sigma0=1.0, x0=-10.0, p0=-2.0, mass=1.0)
     spec = EnsembleSpec("pure", packet, packet)
-    mean_p, sd_p = momentum_moments(spec, quantum, 0.0)
+    record = observable_record(spec, quantum, 0.0)
+    mean_p, sd_p = record.mean_p, record.sd_p
     assert mean_p == pytest.approx(packet.p0, rel=1e-6)
     assert sd_p == pytest.approx(quantum.hbar_tilde / (2.0 * packet.sigma0), rel=1e-6)
 
 
 def test_mean_momentum_after_reflection(nearly_classical, mixed_spec):
     # Past the collision both lumps move away from the wall.
-    mean_p, _ = momentum_moments(mixed_spec, nearly_classical, 12.0)
+    mean_p = observable_record(mixed_spec, nearly_classical, 12.0).mean_p
     assert mean_p < 0.0
     assert mean_p == pytest.approx(-2.0, abs=0.1)
 
@@ -129,8 +129,8 @@ def test_heisenberg_holds_through_collision(epsilon, mixed_spec):
 def test_position_spread_shrinks_toward_classical(
     quantum, nearly_classical, mixed_spec
 ):
-    _, sd_quantum = position_moments(mixed_spec, quantum, 3.0)
-    _, sd_classical = position_moments(mixed_spec, nearly_classical, 3.0)
+    sd_quantum = observable_record(mixed_spec, quantum, 3.0).sd_x
+    sd_classical = observable_record(mixed_spec, nearly_classical, 3.0).sd_x
     assert sd_classical < sd_quantum
 
 

@@ -5,11 +5,9 @@ from qctl import (
     DomainError,
     GaussianPacket,
     complex_width,
-    free_amplitude,
     make_regime,
     packet_center,
     quad_integrate,
-    wall_amplitude,
 )
 from qctl.packets import packet_fields, packet_terms
 
@@ -47,7 +45,7 @@ def test_invalid_packet_parameters():
 def test_free_peak_modulus():
     packet = GaussianPacket(sigma0=1.0, x0=-5.0, p0=0.0, mass=1.0)
     regime = make_regime(1.0)
-    peak = abs(free_amplitude(packet, regime, -5.0, 0.0))
+    peak = abs(packet_fields((packet,), regime, -5.0, 0.0, wall=False, gradient=False)[0][0])
     assert peak == pytest.approx((2.0 * np.pi) ** -0.25, abs=1e-12)
     assert peak == pytest.approx(0.63161878, abs=1e-7)
 
@@ -57,7 +55,8 @@ def test_free_evolution_is_unitary(t):
     packet = GaussianPacket(sigma0=1.0, x0=-5.0, p0=-2.0, mass=1.0)
     regime = make_regime(1.0)
     x = np.linspace(-80.0, 40.0, 8193)
-    norm = quad_integrate(x, np.abs(free_amplitude(packet, regime, x, t)) ** 2)
+    psi = packet_fields((packet,), regime, x, t, wall=False, gradient=False)[0][0]
+    norm = quad_integrate(x, np.abs(psi) ** 2)
     assert norm == pytest.approx(1.0, abs=1e-9)
 
 
@@ -67,7 +66,7 @@ def test_free_envelope_width_matches_complex_width():
     regime = make_regime(1.0)
     t = 2.0
     x = np.linspace(-40.0, 30.0, 8193)
-    rho = np.abs(free_amplitude(packet, regime, x, t)) ** 2
+    rho = np.abs(packet_fields((packet,), regime, x, t, wall=False, gradient=False)[0][0]) ** 2
     mean = quad_integrate(x, x * rho)
     sd = np.sqrt(quad_integrate(x, (x - mean) ** 2 * rho))
     assert sd == pytest.approx(abs(complex_width(packet, regime, t)), rel=1e-9)
@@ -78,19 +77,19 @@ def test_wall_node_is_exact():
     packet = GaussianPacket(sigma0=1.0, x0=-15.0, p0=2.0, mass=1.0)
     regime = make_regime(0.25)
     for t in (0.0, 3.0, 7.5, 12.0):
-        assert wall_amplitude(packet, regime, 0.0, t) == 0.0 + 0.0j
-        assert wall_amplitude(packet, regime, 1.0, t) == 0.0 + 0.0j
-        assert wall_amplitude(packet, regime, 17.3, t) == 0.0 + 0.0j
+        assert packet_fields((packet,), regime, 0.0, t, gradient=False)[0][0] == 0.0 + 0.0j
+        assert packet_fields((packet,), regime, 1.0, t, gradient=False)[0][0] == 0.0 + 0.0j
+        assert packet_fields((packet,), regime, 17.3, t, gradient=False)[0][0] == 0.0 + 0.0j
 
 
 def test_wall_matches_free_far_from_wall():
     packet = GaussianPacket(sigma0=1.0, x0=-5.0, p0=-2.0, mass=1.0)
     regime = make_regime(1.0)
-    free = free_amplitude(packet, regime, -5.0, 0.0)
-    walled = wall_amplitude(packet, regime, -5.0, 0.0)
+    free = packet_fields((packet,), regime, -5.0, 0.0, wall=False, gradient=False)[0][0]
+    walled = packet_fields((packet,), regime, -5.0, 0.0, gradient=False)[0][0]
     assert abs(walled - free) / abs(free) < 1e-5
     # The deviation is exactly the image term evaluated directly.
-    image = free_amplitude(packet, regime, 5.0, 0.0)
+    image = packet_fields((packet,), regime, 5.0, 0.0, wall=False, gradient=False)[0][0]
     assert abs(walled - (free - image)) == 0.0
 
 
@@ -99,8 +98,14 @@ def test_mirror_construction_is_odd(rng):
     regime = make_regime(0.5)
     x = rng.uniform(-8.0, 8.0, size=32)
     t = 1.3
-    image_pair = free_amplitude(packet, regime, x, t) - free_amplitude(packet, regime, -x, t)
-    mirrored = free_amplitude(packet, regime, -x, t) - free_amplitude(packet, regime, x, t)
+    image_pair = (
+        packet_fields((packet,), regime, x, t, wall=False, gradient=False)[0][0]
+        - packet_fields((packet,), regime, -x, t, wall=False, gradient=False)[0][0]
+    )
+    mirrored = (
+        packet_fields((packet,), regime, -x, t, wall=False, gradient=False)[0][0]
+        - packet_fields((packet,), regime, x, t, wall=False, gradient=False)[0][0]
+    )
     assert np.max(np.abs(image_pair + mirrored)) == 0.0
 
 
@@ -109,7 +114,7 @@ def test_half_line_norm_is_conserved():
     regime = make_regime(1.0)
     x = np.linspace(-60.0, 0.0, 8193)
     norms = [
-        quad_integrate(x, np.abs(wall_amplitude(packet, regime, x, t)) ** 2)
+        quad_integrate(x, np.abs(packet_fields((packet,), regime, x, t, gradient=False)[0][0]) ** 2)
         for t in (0.0, 2.5, 5.0, 7.5, 10.0)
     ]
     assert np.max(np.abs(np.asarray(norms) / norms[0] - 1.0)) < 1e-6
@@ -124,8 +129,8 @@ def test_gradient_matches_finite_differences(rng):
         t = rng.uniform(0.0, 5.0)
         analytic = packet_fields((packet,), regime, x, t)[1][0]
         numeric = (
-            wall_amplitude(packet, regime, x + step, t)
-            - wall_amplitude(packet, regime, x - step, t)
+            packet_fields((packet,), regime, x + step, t, gradient=False)[0][0]
+            - packet_fields((packet,), regime, x - step, t, gradient=False)[0][0]
         ) / (2.0 * step)
         assert abs(analytic - numeric) / abs(numeric) < 1e-6
 
@@ -150,9 +155,9 @@ def test_broadcasts_over_time_arrays():
     packet = GaussianPacket(sigma0=1.0, x0=-5.0, p0=-2.0, mass=1.0)
     regime = make_regime(0.01)
     t = np.linspace(0.0, 10.0, 11)
-    values = wall_amplitude(packet, regime, -4.0, t)
+    values = packet_fields((packet,), regime, -4.0, t, gradient=False)[0][0]
     assert values.shape == t.shape
-    single = wall_amplitude(packet, regime, -4.0, t[3])
+    single = packet_fields((packet,), regime, -4.0, t[3], gradient=False)[0][0]
     assert values[3] == single
 
 
@@ -168,5 +173,5 @@ def test_coefficients_rebuild_wall_amplitudes():
     assert C.shape == A.shape == B.shape == G.shape == (2, 2)
     for i, packet in enumerate(packets):
         terms = C[i][:, None] * np.exp((A[i][:, None] * x + B[i][:, None]) * x + G[i][:, None])
-        expected = wall_amplitude(packet, regime, x, t)
+        expected = packet_fields((packet,), regime, x, t, gradient=False)[0][0]
         assert np.max(np.abs(terms.sum(axis=0) - expected)) < 1e-14

@@ -10,9 +10,8 @@ from qctl import (
     density,
     free_liouville_residual,
     make_regime,
-    position_density,
+    position_densities,
     quad_integrate,
-    wigner_transform,
     wigner_transforms,
 )
 from qctl import phase_space
@@ -29,7 +28,7 @@ def test_free_gaussian_is_product_gaussian(packet_a, quantum):
     # (sigma0, hb / 2 sigma0).
     R = np.linspace(-9.0, -1.0, 81)
     u = np.linspace(-5.0, 1.0, 81)
-    field = wigner_transform(free_single(packet_a), quantum, 0.0, R, u)
+    field = wigner_transforms([free_single(packet_a)], quantum, 0.0, R, u)[0]
     hb = quantum.hbar_tilde
     oracle = (1.0 / (np.pi * hb)) * np.exp(
         -((R[:, None] - packet_a.x0) ** 2) / (2.0 * packet_a.sigma0**2)
@@ -49,13 +48,13 @@ def test_superposition_matches_two_gaussian_closed_form(packet_a, packet_b, quan
     s0 = packet_a.sigma0
     R = np.linspace(-16.0, -4.0, 121)
     u = np.linspace(-4.0, 4.0, 161)
-    field = wigner_transform(spec, quantum, 0.0, R, u)
+    field = wigner_transforms([spec], quantum, 0.0, R, u)[0]
 
     x_grid = np.linspace(-40.0, 10.0, 8193)
-    from qctl import free_amplitude
+    from qctl.packets import packet_fields
 
-    psi_a = free_amplitude(packet_a, quantum, x_grid, 0.0)
-    psi_b = free_amplitude(packet_b, quantum, x_grid, 0.0)
+    psi_a = packet_fields((packet_a,), quantum, x_grid, 0.0, wall=False, gradient=False)[0][0]
+    psi_b = packet_fields((packet_b,), quantum, x_grid, 0.0, wall=False, gradient=False)[0][0]
     overlap = quad_integrate(x_grid, np.conj(psi_a) * psi_b)
 
     def packet_term(packet):
@@ -87,8 +86,8 @@ def test_superposition_matches_two_gaussian_closed_form(packet_a, packet_b, quan
 def test_interference_ridge_only_for_superposition(pure_spec, mixed_spec, quantum):
     R = np.linspace(-10.5, -9.5, 41)
     u = np.linspace(-2.0, 2.0, 81)
-    ridge_pure = wigner_transform(pure_spec, quantum, 0.0, R, u)
-    ridge_mixed = wigner_transform(mixed_spec, quantum, 0.0, R, u)
+    ridge_pure = wigner_transforms([pure_spec], quantum, 0.0, R, u)[0]
+    ridge_mixed = wigner_transforms([mixed_spec], quantum, 0.0, R, u)[0]
     ratio = np.max(np.abs(ridge_pure.values)) / np.max(np.abs(ridge_mixed.values))
     assert ratio > 10.0
     # Fringe wavevector in u equals the packet separation over hb: count sign
@@ -105,8 +104,8 @@ def test_marginal_identity_at_rest(kind, pure_spec, mixed_spec, quantum):
     spec = pure_spec if kind == "pure" else mixed_spec
     R = np.linspace(-25.0, 0.0, 101)
     u = np.linspace(-8.0, 8.0, 321)
-    field = wigner_transform(spec, quantum, 0.0, R, u)
-    diagonal = np.asarray(position_density(spec, quantum, R, 0.0))
+    field = wigner_transforms([spec], quantum, 0.0, R, u)[0]
+    diagonal = np.asarray(position_densities([spec], quantum, R, 0.0)[0])
     error = np.max(np.abs(field.momentum_marginal() - diagonal)) / diagonal.max()
     assert error < 1e-4
     assert field.total_mass() == pytest.approx(1.0, abs=1e-4)
@@ -123,9 +122,9 @@ def test_mixture_is_average_of_component_fields(packet_a, packet_b, quantum):
     R = np.linspace(-18.0, -2.0, 41)
     u = np.linspace(-4.0, 4.0, 41)
     t = 1.0
-    w_mixed = wigner_transform(mixed, quantum, t, R, u).values
-    w_a = wigner_transform(only_a, quantum, t, R, u).values
-    w_b = wigner_transform(only_b, quantum, t, R, u).values
+    w_mixed = wigner_transforms([mixed], quantum, t, R, u)[0].values
+    w_a = wigner_transforms([only_a], quantum, t, R, u)[0].values
+    w_b = wigner_transforms([only_b], quantum, t, R, u)[0].values
     norm_a = norm_constant(only_a, quantum) / 2.0
     norm_b = norm_constant(only_b, quantum) / 2.0
     combined = (norm_a * w_a + norm_b * w_b) / (2.0 * norm_constant(mixed, quantum))
@@ -138,7 +137,7 @@ def test_free_packet_transports_rigidly(packet_a, quantum):
     t = 1.5
     R = np.linspace(-12.0, -2.0, 81)
     u = np.linspace(-5.0, 1.0, 81)
-    field = wigner_transform(spec, quantum, t, R, u)
+    field = wigner_transforms([spec], quantum, t, R, u)[0]
     hb = quantum.hbar_tilde
     shifted = R[:, None] - u[None, :] * t / packet_a.mass
     oracle = (1.0 / (np.pi * hb)) * np.exp(
@@ -152,14 +151,14 @@ def test_liouville_residual_is_discretization_limited(packet_a, quantum):
     spec = free_single(packet_a)
     R = np.linspace(-9.0, -1.0, 81)
     u = np.linspace(-5.0, 1.0, 81)
-    field_0 = wigner_transform(spec, quantum, 1.0, R, u)
-    field_1 = wigner_transform(spec, quantum, 1.01, R, u)
+    field_0 = wigner_transforms([spec], quantum, 1.0, R, u)[0]
+    field_1 = wigner_transforms([spec], quantum, 1.01, R, u)[0]
     residual = free_liouville_residual(field_0, field_1, spec, quantum)
     assert residual < 1e-2
 
     R_fine = np.linspace(-9.0, -1.0, 161)
-    field_0f = wigner_transform(spec, quantum, 1.0, R_fine, u)
-    field_1f = wigner_transform(spec, quantum, 1.005, R_fine, u)
+    field_0f = wigner_transforms([spec], quantum, 1.0, R_fine, u)[0]
+    field_1f = wigner_transforms([spec], quantum, 1.005, R_fine, u)[0]
     refined = free_liouville_residual(field_0f, field_1f, spec, quantum)
     assert residual / refined >= 2.0
 
@@ -174,8 +173,8 @@ def test_liouville_residual_translation_invariance(quantum):
     def residual(packet, lo, hi):
         spec = free_single(packet)
         R = np.linspace(lo, hi, 81)
-        f0 = wigner_transform(spec, quantum, 1.0, R, u)
-        f1 = wigner_transform(spec, quantum, 1.01, R, u)
+        f0 = wigner_transforms([spec], quantum, 1.0, R, u)[0]
+        f1 = wigner_transforms([spec], quantum, 1.01, R, u)[0]
         return free_liouville_residual(f0, f1, spec, quantum)
 
     first = residual(base, -9.0, -1.0)
@@ -186,12 +185,12 @@ def test_liouville_residual_translation_invariance(quantum):
 def test_grid_validation(pure_spec, quantum):
     R = np.linspace(-18.0, -2.0, 17)
     u = np.linspace(-4.0, 4.0, 17)
-    field = wigner_transform(pure_spec, quantum, 0.0, R, u)
-    other = wigner_transform(pure_spec, quantum, 0.1, R[1:], u[1:])
+    field = wigner_transforms([pure_spec], quantum, 0.0, R, u)[0]
+    other = wigner_transforms([pure_spec], quantum, 0.1, R[1:], u[1:])[0]
     with pytest.raises(DomainError):
         free_liouville_residual(field, other, pure_spec, quantum)
     with pytest.raises(DomainError):
-        wigner_transform(pure_spec, quantum, 0.0, R[:2], u)
+        wigner_transforms([pure_spec], quantum, 0.0, R[:2], u)
 
 
 def simpson_wigner(spec, regime, t, R, u, n=200001):
@@ -216,13 +215,13 @@ def test_closed_form_matches_fine_simpson(kind, epsilon, pure_spec):
     spec = pure_spec.as_kind(kind)
     regime = make_regime(epsilon)
     t = 3.0
-    coarse = wigner_transform(
-        spec, regime, t, np.linspace(-30.0, 0.0, 121), np.linspace(-6.0, 6.0, 121)
-    )
+    coarse = wigner_transforms(
+        [spec], regime, t, np.linspace(-30.0, 0.0, 121), np.linspace(-6.0, 6.0, 121)
+    )[0]
     peak = np.max(np.abs(coarse.values))
     R = np.array([-12.0, -6.0, -2.5, -0.5])
     u = np.linspace(-5.0, 5.0, 9)
-    field = wigner_transform(spec, regime, t, R, u)
+    field = wigner_transforms([spec], regime, t, R, u)[0]
     for i, R_i in enumerate(R):
         reference = simpson_wigner(spec, regime, t, R_i, u)
         assert np.max(np.abs(reference.imag)) < 1e-12 * peak
@@ -260,7 +259,7 @@ def test_folded_pairs_match_every_ordered_pair(kind, epsilon, wall, packet_a, pa
     u = np.linspace(-6.0, 6.0, 81)
     for t in (0.0, 3.0):
         reference = ordered_pair_wigner(spec, regime, t, R, u)
-        field = wigner_transform(spec, regime, t, R, u)
+        field = wigner_transforms([spec], regime, t, R, u)[0]
         peak = np.max(np.abs(reference.real))
         assert np.max(np.abs(reference.imag)) < 1e-12 * peak
         assert np.max(np.abs(field.values - reference.real)) < 1e-13 * peak
@@ -273,7 +272,7 @@ def test_shared_pair_table_equals_one_ensemble_calls(wall, packet_a, packet_b, q
     R = np.linspace(-20.0, 0.0, 41)
     u = np.linspace(-5.0, 5.0, 31)
     shared = wigner_transforms([pure, mixed], quantum, 3.0, R, u)
-    alone = [wigner_transform(spec, quantum, 3.0, R, u) for spec in (pure, mixed)]
+    alone = [wigner_transforms([spec], quantum, 3.0, R, u)[0] for spec in (pure, mixed)]
     for together, single in zip(shared, alone):
         assert np.array_equal(together.values, single.values)
     # Wall: 10 unordered pairs of the 4 terms, the mixture's 6 among them.
@@ -326,7 +325,7 @@ def test_pair_integrals_see_one_block_at_a_time(mixed_spec, quantum, monkeypatch
     monkeypatch.setattr(phase_space, "erfcx", spy)
     R = np.linspace(-40.0, 0.0, 81)
     u = np.linspace(-200.0, 200.0, 8001)
-    wigner_transform(mixed_spec, quantum, 0.0, R, u)
+    wigner_transforms([mixed_spec], quantum, 0.0, R, u)
     block = max(1, phase_space.BLOCK_POINTS // u.size) * u.size
     assert len(sizes) == 6 * 80
     assert max(sizes) <= 2 * block < R.size * u.size
@@ -338,7 +337,9 @@ def test_non_finite_wigner_values_trip_the_guard(pure_spec, quantum, monkeypatch
 
     monkeypatch.setattr(phase_space, "_pair_integral", not_a_number)
     with pytest.raises(NumericalGuardError):
-        wigner_transform(pure_spec, quantum, 0.0, np.linspace(-5.0, 0.0, 6), np.linspace(-1.0, 1.0, 5))
+        wigner_transforms(
+            [pure_spec], quantum, 0.0, np.linspace(-5.0, 0.0, 6), np.linspace(-1.0, 1.0, 5)
+        )
 
 
 def test_faddeeva_matches_real_axis_erfcx():

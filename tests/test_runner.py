@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qctl import make_regime, parse_config, position_density, quad_integrate, run_experiment
+from qctl import make_regime, parse_config, position_densities, quad_integrate, run_experiment
 from qctl.cli import main
 from qctl.config import RUN_KINDS
 
@@ -154,6 +154,17 @@ def test_cli_rejects_wigner_run_above_point_budget(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("kind", ["density", "observables"])
+def test_cli_rejects_time_grid_above_row_budget(kind, tmp_path, capsys):
+    doc = small_config(kind, epsilons=[1.0], time={"t_max": 8.0, "n_times": 10**12})
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert main([kind, "--config", str(config_path), "--out", str(out_dir)]) == 2
+    assert "time.n_times" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_csv_cached_leading_fields_match_the_plain_template(tmp_path):
     import qctl.runner as runner
 
@@ -251,7 +262,7 @@ def test_observables_run_is_not_renormalized_by_the_grid(tmp_path):
 
     spec = parse_config(block).ensemble("pure")
     x = np.linspace(-400.0, 0.0, 400_001)
-    rho = position_density(spec, make_regime(1.0), x, 20.0)
+    rho = position_densities([spec], make_regime(1.0), x, 20.0)[0]
     mean_ref = quad_integrate(x, x * rho)
     sd_ref = np.sqrt(quad_integrate(x, (x - mean_ref) ** 2 * rho))
     assert mean_ref == pytest.approx(-35.022013, abs=1e-6)
