@@ -120,6 +120,14 @@ def test_minimal_round_trip():
         ({"grid": {"x_min": -math.inf}}, "grid.x_min"),
         ({"wigner": {"u_max": math.inf}}, "wigner.u_max"),
         ({"detector_x": -(10**400)}, "detector_x"),
+        ({"out_dir": ""}, "out_dir"),
+        ({"grid": {"x_min": 0.0}}, "grid.x_min"),
+        ({"time": {"n_times": 1}}, "time.n_times"),
+        ({"trajectories": {"t_end": 0.0}}, "trajectories.t_end"),
+        ({"trajectories": {"n_seeds": 0}}, "trajectories.n_seeds"),
+        ({"arrival": {"t_max": 0.0}}, "arrival.t_max"),
+        ({"wigner": {"x_min": 0.0}}, "wigner.x_min"),
+        ({"trajectories": {"x_lo": -2.0, "x_hi": -18.0}}, "trajectories.x_lo"),
     ],
 )
 def test_invalid_documents_report_field_path(mutation, path_fragment):
