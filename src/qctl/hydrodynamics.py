@@ -143,8 +143,10 @@ def step_count(t_end: float, dt: float) -> int:
 
     Raises :class:`DomainError` unless ``t_end`` is a whole multiple of ``dt``
     (to a relative 1e-9): rounding the count would silently move the final
-    time.
+    time.  A ratio that overflows to infinity is no count at all.
     """
+    if not np.isfinite(t_end / dt):
+        raise DomainError(f"t_end={t_end} / dt={dt} is not a finite step count")
     n_steps = int(round(t_end / dt))
     if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * t_end:
         raise DomainError(f"t_end={t_end} must be a whole multiple of dt={dt}")

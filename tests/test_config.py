@@ -128,6 +128,7 @@ def test_minimal_round_trip():
         ({"arrival": {"t_max": 0.0}}, "arrival.t_max"),
         ({"wigner": {"x_min": 0.0}}, "wigner.x_min"),
         ({"trajectories": {"x_lo": -2.0, "x_hi": -18.0}}, "trajectories.x_lo"),
+        ({"trajectories": {"t_end": 1e300, "dt": 1e-300}}, "trajectories.t_end"),
     ],
 )
 def test_invalid_documents_report_field_path(mutation, path_fragment):
