@@ -1,11 +1,14 @@
 """Experiment configuration: JSON schema, validation, defaults, serialization.
 
 A configuration document is a single JSON object.  The settings dataclasses
-below are its schema: each key of a section is a field, checked against the
-field's annotation, and an absent key takes the field's default.  Unknown keys
-and non-finite numbers are rejected with the offending field path, and every
-numeric invariant is checked at load time so the runner never starts from an
-inconsistent state.  Only the ``packets`` section is mandatory.
+below are its only schema: each key of a section is a field, checked against
+the field's annotation and the bounds in its ``bounds`` metadata (negative,
+positive, at least n, one of a fixed set, non-empty, a point budget) as it is
+read, and an absent key takes the field's default.  :func:`config_to_dict`
+walks the same fields back.  Unknown keys, non-finite numbers and values out
+of bounds are rejected with the offending field path; :func:`parse_config`
+then checks only what combines several fields, so the runner never starts
+from an inconsistent state.  Only the ``packets`` section is mandatory.
 """
 
 # No ``from __future__ import annotations``: the loader reads each settings
@@ -13,7 +16,7 @@ inconsistent state.  Only the ``packets`` section is mandatory.
 import json
 import math
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin
 
 import numpy as np
@@ -64,17 +67,42 @@ ARRIVAL_POINT_BUDGET = 500_000
 # Rows of a density CSV, time.n_times x grid.n_points.  The density run writes
 # each time's grid.n_points rows in turn, at about 3.4 us and 78 bytes of CSV
 # a row per epsilon (measured from 41 x 2048 to 2001 x 2048 rows), so the
-# budget is about 70 s and 1.6 GB a CSV.  It also holds the observables run,
-# which keeps about 0.7 kB a time, under about 220 MB.
+# budget is about 70 s and 1.6 GB a CSV.  Through grid.n_points >= 64 it also
+# bounds the observables run at 312,500 times, which it writes one at a time.
 DENSITY_ROW_BUDGET = 20_000_000
+
+# Single-field bounds, (test, requirement) pairs.  A settings field lists its
+# own in its ``bounds`` metadata; the loader checks each value as it reads it,
+# and each item of a list.
+_NEGATIVE = (lambda v: v < 0.0, "must be negative")
+_NON_NEGATIVE = (lambda v: v >= 0.0, "must be non-negative")
+_POSITIVE = (lambda v: v > 0.0, "must be positive")
+_NON_EMPTY = (bool, "must be non-empty")
+
+
+def _at_least(n: int) -> tuple:
+    return (lambda v: v >= n, f"must be at least {n}")
+
+
+def _within(budget: int) -> tuple:
+    return (lambda v: v <= budget, f"must be within the budget of {budget} points")
+
+
+def _one_of(*choices: str) -> tuple:
+    return (lambda v: v in choices, f"must be one of {choices}")
+
+
+def _field(default, *bounds, **metadata):
+    """A settings field with ``default`` whose values must pass every one of ``bounds``."""
+    return field(default=default, metadata={"bounds": bounds, **metadata})
 
 
 @dataclass(frozen=True)
 class SpatialGrid:
     """Uniform position grid on [x_min, 0] of the density run and the trace diagnostic."""
 
-    x_min: float = -60.0
-    n_points: int = 2048
+    x_min: float = _field(-60.0, _NEGATIVE)
+    n_points: int = _field(2048, _at_least(64), _within(GRID_POINT_BUDGET))
 
     def points(self) -> np.ndarray:
         return np.linspace(self.x_min, 0.0, self.n_points)
@@ -82,8 +110,8 @@ class SpatialGrid:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    t_max: float = 20.0
-    n_times: int = 41
+    t_max: float = _field(20.0, _POSITIVE)
+    n_times: int = _field(41, _at_least(2))
 
     def points(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.n_times)
@@ -93,34 +121,34 @@ class TimeGrid:
 class TrajectorySettings:
     """``dt`` is the sample spacing; the integrator chooses its own steps."""
 
-    t_end: float = 15.0
-    dt: float = 1e-3
-    seeding: str = "uniform"
-    n_seeds: int = 20
+    t_end: float = _field(15.0, _POSITIVE)
+    dt: float = _field(1e-3, _POSITIVE)
+    seeding: str = _field("uniform", _one_of("uniform", "born"))
+    n_seeds: int = _field(20, _at_least(1))
     x_lo: float = -18.0
     x_hi: float = -2.0
     seeds: tuple[float, ...] | None = None
-    record_every: int = 10
+    record_every: int = _field(10, _at_least(1))
 
 
 @dataclass(frozen=True)
 class ArrivalSettings:
-    t_max: float = 40.0
-    n_points: int = 4001
+    t_max: float = _field(40.0, _POSITIVE)
+    n_points: int = _field(4001, _at_least(3), _within(ARRIVAL_POINT_BUDGET))
 
 
 @dataclass(frozen=True)
 class WignerSettings:
-    times: tuple[float, ...] = (0.0, 7.0)
-    x_min: float = -40.0
-    n_x: int = 161
-    u_max: float = 8.0
-    n_u: int = 161
+    times: tuple[float, ...] = _field((0.0, 7.0), _NON_NEGATIVE)
+    x_min: float = _field(-40.0, _NEGATIVE)
+    n_x: int = _field(161, _at_least(9))
+    u_max: float = _field(8.0, _POSITIVE)
+    n_u: int = _field(161, _at_least(9))
     # Settings of the former relative-coordinate quadrature.  Still accepted
     # and validated so existing configs load, but the closed-form transform
     # has no window or samples, so they do not affect results.
-    rel_span: float = 12.0
-    n_rel: int | None = None
+    rel_span: float = _field(12.0, _POSITIVE)
+    n_rel: int | None = _field(None, _at_least(9))
 
 
 @dataclass(frozen=True)
@@ -129,13 +157,13 @@ class ExperimentConfig:
 
     packet_a: GaussianPacket
     packet_b: GaussianPacket
-    run_kind: str = field(default="density", metadata={"key": "run"})
-    out_dir: str = "out"
+    run_kind: str = _field("density", _one_of(*RUN_KINDS), key="run")
+    out_dir: str = _field("out", _NON_EMPTY)
     epsilons: tuple[float, ...] = (1.0, 0.5, 0.1, 0.01)
     hbar: float = 1.0
     grid: SpatialGrid = SpatialGrid()
     time: TimeGrid = TimeGrid()
-    detector_x: float = -30.0
+    detector_x: float = _field(-30.0, _NEGATIVE)
     trajectories: TrajectorySettings = TrajectorySettings()
     arrival: ArrivalSettings = ArrivalSettings()
     wigner: WignerSettings = WignerSettings()
@@ -165,16 +193,16 @@ def _object(value, path: str, keys) -> dict:
     return value
 
 
-def _value(value, kind, path: str):
-    """The JSON ``value`` checked against the field annotation ``kind``."""
+def _value(value, kind, path: str, bounds=()):
+    """The JSON ``value`` checked against the field annotation ``kind`` and ``bounds``."""
     if is_dataclass(kind):
         return kind(**_settings(kind, value, path))
     if type(None) in get_args(kind):  # ``X | None``
-        return None if value is None else _value(value, get_args(kind)[0], path)
+        return None if value is None else _value(value, get_args(kind)[0], path, bounds)
     if get_origin(kind) is tuple:  # ``tuple[float, ...]``
         if not isinstance(value, list) or not value:
             raise ConfigError(path, "must be a non-empty list of numbers")
-        return tuple(_value(v, float, f"{path}[{i}]") for i, v in enumerate(value))
+        return tuple(_value(v, float, f"{path}[{i}]", bounds) for i, v in enumerate(value))
     types, noun = _SCALARS[kind]
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(path, f"expected {noun}, got {value!r}")
@@ -183,20 +211,28 @@ def _value(value, kind, path: str):
         # 1e400 (as inf) and integers beyond the float range.
         if not abs(value) <= sys.float_info.max:
             raise ConfigError(path, f"expected a finite number, got {value!r}")
-        return float(value)
+        value = float(value)
+    for test, requirement in bounds:
+        if not test(value):
+            raise ConfigError(path, f"{requirement}, got {value!r}")
     return value
+
+
+def _schema(cls) -> dict:
+    """The fields with defaults of the dataclass ``cls``, by key: a field's ``key`` metadata or name."""
+    return {f.metadata.get("key", f.name): f for f in fields(cls) if f.default is not MISSING}
 
 
 def _settings(cls, obj, path: str) -> dict:
     """Keyword arguments for the dataclass ``cls`` from the JSON object ``obj``.
 
-    The keys are the fields with defaults, renamed by a field's ``key``
-    metadata; an absent key is left to the field default.
+    An absent key is left to the field default.
     """
-    schema = {f.metadata.get("key", f.name): f for f in fields(cls) if f.default is not MISSING}
+    schema = _schema(cls)
     values = {}
     for key, value in _object(obj, path, schema).items():
-        values[schema[key].name] = _value(value, schema[key].type, _join(path, key))
+        f = schema[key]
+        values[f.name] = _value(value, f.type, _join(path, key), f.metadata.get("bounds", ()))
     return values
 
 
@@ -210,9 +246,7 @@ def _parse_packets(doc: dict) -> list[GaussianPacket]:
     """Packets a and b; ``mass`` and ``packets.sigma0`` are shared by both."""
     shared = {}
     if "mass" in doc:
-        shared["mass"] = _value(doc["mass"], float, "mass")
-        if not shared["mass"] > 0.0:
-            raise ConfigError("mass", f"must be positive, got {shared['mass']}")
+        shared["mass"] = _value(doc["mass"], float, "mass", (_POSITIVE,))
     if "packets" not in doc:
         raise ConfigError("packets", "missing required section")
     packets = _object(doc["packets"], "packets", {"sigma0", "a", "b"})
@@ -247,10 +281,6 @@ def parse_config(text: str) -> ExperimentConfig:
     settings = _settings(ExperimentConfig, top, "")
     config = ExperimentConfig(*_parse_packets(doc), **settings)
 
-    if config.run_kind not in RUN_KINDS:
-        raise ConfigError("run", f"must be one of {RUN_KINDS}, got {config.run_kind!r}")
-    if not config.out_dir:
-        raise ConfigError("out_dir", "must be a non-empty string")
     if len(set(config.epsilons)) != len(config.epsilons):
         raise ConfigError("epsilons", "values must be distinct")
     for i, eps in enumerate(config.epsilons):
@@ -260,13 +290,6 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"epsilons[{i}]", str(exc)) from exc
 
     grid = config.grid
-    if not grid.x_min < 0.0:
-        raise ConfigError("grid.x_min", f"must be negative, got {grid.x_min}")
-    if grid.n_points < 64:
-        raise ConfigError("grid.n_points", f"must be at least 64, got {grid.n_points}")
-    if grid.n_points > GRID_POINT_BUDGET:
-        raise ConfigError("grid.n_points", f"{grid.n_points} points exceed the budget of "
-                          f"{GRID_POINT_BUDGET}")
     for name, packet in (("a", config.packet_a), ("b", config.packet_b)):
         tail = _gaussian_tail_mass(grid.x_min, packet.x0, packet.sigma0)
         if tail > _TAIL_MASS_LIMIT:
@@ -275,18 +298,10 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"packet {name} has tail mass {tail:.3e} beyond x_min at t=0 "
                 f"(limit {_TAIL_MASS_LIMIT:.0e})",
             )
-
-    if not config.time.t_max > 0.0:
-        raise ConfigError("time.t_max", "must be positive")
-    if config.time.n_times < 2:
-        raise ConfigError("time.n_times", "must be at least 2")
-    if config.time.n_times * grid.n_points > DENSITY_ROW_BUDGET:
-        raise ConfigError("time.n_times", f"n_times x grid.n_points = "
-                          f"{config.time.n_times * grid.n_points} rows exceed the budget of "
-                          f"{DENSITY_ROW_BUDGET}")
-
-    if not config.detector_x < 0.0:
-        raise ConfigError("detector_x", f"must be negative, got {config.detector_x}")
+    rows = config.time.n_times * grid.n_points
+    if rows > DENSITY_ROW_BUDGET:
+        raise ConfigError("time.n_times", f"n_times x grid.n_points = {rows} rows exceed the "
+                          f"budget of {DENSITY_ROW_BUDGET}")
 
     trajectories = config.trajectories
     seeds = trajectories.seeds
@@ -295,21 +310,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError("trajectories.seeds", "all seeds must be negative")
         if any(b <= a for a, b in zip(seeds, seeds[1:])):
             raise ConfigError("trajectories.seeds", "seeds must be strictly increasing")
-    seeding = trajectories.seeding
-    if seeding not in ("uniform", "born"):
-        raise ConfigError("trajectories.seeding", f"must be 'uniform' or 'born', got {seeding!r}")
-    if not trajectories.dt > 0.0:
-        raise ConfigError("trajectories.dt", "must be positive")
-    if not trajectories.t_end > 0.0:
-        raise ConfigError("trajectories.t_end", "must be positive")
     try:
         n_steps = step_count(trajectories.t_end, trajectories.dt)
     except DomainError as exc:
         raise ConfigError("trajectories.t_end", str(exc)) from exc
-    if trajectories.record_every < 1:
-        raise ConfigError("trajectories.record_every", "must be at least 1")
-    if trajectories.n_seeds < 1:
-        raise ConfigError("trajectories.n_seeds", "must be at least 1")
     n_seeds = trajectories.n_seeds if seeds is None else len(seeds)
     # len(record_times(...)), without building them: every record_every-th
     # step from 0, and the last step if it is not one of them.
@@ -322,65 +326,31 @@ def parse_config(text: str) -> ExperimentConfig:
     if not trajectories.x_lo < trajectories.x_hi < 0.0:
         raise ConfigError("trajectories.x_lo", "need x_lo < x_hi < 0")
 
-    if not config.arrival.t_max > 0.0:
-        raise ConfigError("arrival.t_max", "must be positive")
-    if config.arrival.n_points < 3:
-        raise ConfigError("arrival.n_points", "must be at least 3")
-    if config.arrival.n_points > ARRIVAL_POINT_BUDGET:
-        raise ConfigError("arrival.n_points", f"{config.arrival.n_points} points exceed the "
-                          f"budget of {ARRIVAL_POINT_BUDGET}")
-
-    wigner = config.wigner
-    for i, t in enumerate(wigner.times):
-        if t < 0.0:
-            raise ConfigError(f"wigner.times[{i}]", "expected a non-negative number")
-    if wigner.n_rel is not None and wigner.n_rel < 9:
-        raise ConfigError("wigner.n_rel", "must be an integer >= 9 or null")
-    if not wigner.x_min < 0.0:
-        raise ConfigError("wigner.x_min", "must be negative")
-    if wigner.n_x < 9:
-        raise ConfigError("wigner.n_x", "must be at least 9")
-    if wigner.n_u < 9:
-        raise ConfigError("wigner.n_u", "must be at least 9")
-    if wigner.n_x * wigner.n_u > WIGNER_POINT_BUDGET:
-        raise ConfigError("wigner.n_u", f"n_x x n_u = {wigner.n_x * wigner.n_u} points exceed "
-                          f"the budget of {WIGNER_POINT_BUDGET}")
-    if not wigner.u_max > 0.0:
-        raise ConfigError("wigner.u_max", "must be positive")
-    if not wigner.rel_span > 0.0:
-        raise ConfigError("wigner.rel_span", "must be positive")
+    points = config.wigner.n_x * config.wigner.n_u
+    if points > WIGNER_POINT_BUDGET:
+        raise ConfigError("wigner.n_u", f"n_x x n_u = {points} points exceed the budget of "
+                          f"{WIGNER_POINT_BUDGET}")
     return config
 
 
-def _plain(settings) -> dict:
-    """A settings block as a JSON object, with lists for tuples."""
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(settings).items()}
+def _document(settings) -> dict:
+    """A settings dataclass as a JSON object under its document keys, with lists for tuples."""
+    doc = {}
+    for key, f in _schema(type(settings)).items():
+        value = getattr(settings, f.name)
+        if is_dataclass(value):
+            value = _document(value)
+        doc[key] = list(value) if isinstance(value, tuple) else value
+    return doc
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """Plain-JSON representation; round-trips through :func:`parse_config`."""
-
-    def packet(p: GaussianPacket) -> dict:
-        return {"x0": p.x0, "p0": p.p0, "sigma0": p.sigma0}
-
-    return {
-        "run": config.run_kind,
-        "out_dir": config.out_dir,
-        "epsilons": list(config.epsilons),
-        "hbar": config.hbar,
-        "mass": config.packet_a.mass,
-        "packets": {
-            "sigma0": config.packet_a.sigma0,
-            "a": packet(config.packet_a),
-            "b": packet(config.packet_b),
-        },
-        "grid": _plain(config.grid),
-        "time": _plain(config.time),
-        "detector_x": config.detector_x,
-        "trajectories": _plain(config.trajectories),
-        "arrival": _plain(config.arrival),
-        "wigner": _plain(config.wigner),
-    }
+    a, b = config.packet_a, config.packet_b
+    packets = {"sigma0": a.sigma0}
+    for name, p in (("a", a), ("b", b)):
+        packets[name] = {"x0": p.x0, "p0": p.p0, "sigma0": p.sigma0}
+    return {**_document(config), "mass": a.mass, "packets": packets}
 
 
 def serialize_config(config: ExperimentConfig) -> str:
