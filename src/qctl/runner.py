@@ -184,16 +184,18 @@ def _observables(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostic
     for spec in specs:
         header += [f"{name}_{spec.kind} [{unit}]" for name, unit in _OBSERVABLE_UNITS.items()]
         header.append(f"heisenberg_margin_{spec.kind} [action]")
-    for regime in config.regimes():
-        rows = []
+
+    def blocks(regime):
         for t in times:
             row = [t]
             for spec in specs:
                 record = observable_record(spec, regime, t)
                 row += [getattr(record, name) for name in _OBSERVABLE_UNITS]
                 row.append(heisenberg_check(record, regime)[1])
-            rows.append(row)
-        yield f"observables_eps{_eps_tag(regime.epsilon)}.csv", header, [np.array(rows)]
+            yield np.array([row])
+
+    for regime in config.regimes():
+        yield f"observables_eps{_eps_tag(regime.epsilon)}.csv", header, blocks(regime)
 
 
 def _wigner(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: dict):

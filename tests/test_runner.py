@@ -246,6 +246,27 @@ def test_observables_run_columns(tmp_path):
     assert np.all(margins >= -1e-9)
 
 
+def test_observables_run_streams_one_time_at_a_time(monkeypatch):
+    # Each time's row is a block of its own, so a run holds one time's
+    # records, not the whole series.
+    import qctl.runner as runner
+
+    kinds = []
+    record = runner.observable_record
+
+    def spy(spec, regime, t):
+        kinds.append(spec.kind)
+        return record(spec, regime, t)
+
+    monkeypatch.setattr(runner, "observable_record", spy)
+    config = parse_config(json.dumps(small_config("observables", epsilons=[1.0])))
+    specs = [config.ensemble(kind) for kind in ("pure", "mixed")]
+    name, header, blocks = next(runner._observables(config, specs, {}))
+    first = next(iter(blocks))
+    assert kinds == ["pure", "mixed"]
+    assert first.shape == (1, len(header))
+
+
 def test_observables_run_is_not_renormalized_by_the_grid(tmp_path):
     # On the README default grid (x_min = -60) about 3% of the mass has left
     # by t = 20 at eps = 1; the moments must still be those of the whole state.
