@@ -141,9 +141,9 @@ def velocity(
 def step_count(t_end: float, dt: float) -> int:
     """Number of sample intervals of length ``dt`` that end exactly at ``t_end``.
 
-    Raises :class:`DomainError` unless ``t_end`` is a whole multiple of ``dt``
-    (to a relative 1e-9): rounding the count would silently move the final
-    time.  A ratio that overflows to infinity is no count at all.
+    Raises :class:`DomainError` when ``t_end / dt`` overflows to infinity, and
+    unless ``t_end`` is a whole multiple of ``dt`` (to a relative 1e-9):
+    rounding the count would silently move the final time.
     """
     if not np.isfinite(t_end / dt):
         raise DomainError(f"t_end={t_end} / dt={dt} is not a finite step count")
