@@ -50,7 +50,7 @@ def arrival_distribution(
         raise DomainError("t_grid must start at t >= 0")
     flux_mod = np.abs(current(spec, regime, detector_x, t))
     norm = float(quad_integrate(t, flux_mod))
-    if norm < 1e-12:
+    if not norm >= 1e-12:  # NaN trips it too
         raise NumericalGuardError(
             f"current never reaches detector at x={detector_x} (integral {norm:.3e})"
         )

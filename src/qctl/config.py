@@ -25,7 +25,7 @@ from .ensembles import EnsembleSpec
 from .errors import ConfigError, DomainError
 from .hydrodynamics import step_count
 from .packets import GaussianPacket
-from .regime import Regime, make_regime
+from .regime import Regime, epsilon_tag, make_regime
 
 __all__ = [
     "SpatialGrid",
@@ -281,8 +281,9 @@ def parse_config(text: str) -> ExperimentConfig:
     settings = _settings(ExperimentConfig, top, "")
     config = ExperimentConfig(*_parse_packets(doc), **settings)
 
-    if len(set(config.epsilons)) != len(config.epsilons):
-        raise ConfigError("epsilons", "values must be distinct")
+    # Distinct by output name: two epsilons of one name would overwrite each other's CSV.
+    if len(set(map(epsilon_tag, config.epsilons))) != len(config.epsilons):
+        raise ConfigError("epsilons", "values must be distinct in 6 significant digits")
     for i, eps in enumerate(config.epsilons):
         try:
             make_regime(eps, config.hbar)

@@ -219,7 +219,7 @@ def _real_diagonal(phi):
     """sum_c |phi_c|^2, checked for the imaginary residue of a broken formula."""
     diagonal = _contract(phi, phi)
     imag_max = float(np.max(np.abs(np.imag(np.atleast_1d(diagonal)))))
-    if imag_max > _IMAG_FAIL:
+    if not imag_max <= _IMAG_FAIL:  # NaN trips it too
         raise NumericalGuardError(
             f"diagonal density has imaginary residue {imag_max:.3e} > {_IMAG_FAIL:.0e}"
         )

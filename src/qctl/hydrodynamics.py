@@ -20,8 +20,9 @@ the fields, :func:`~qctl.packets.term_fields`, on one row per packet of
 every running seed (:func:`~qctl.packets.row_coefficients` once per step for
 all stage times, the kernel once per stage), so it equals :func:`velocity`
 and the density of the fields bit for bit.  The loop holds the state of the
-running seeds only and compacts it, and the kernel's rows, when a seed
-finishes or stalls.
+running seeds only.  A seed leaves it when it finishes or stalls, and becomes
+its :class:`Trajectory` then; the loop compacts its state, and the kernel's
+rows, at once.
 
 The velocity is undefined at density nodes and spikes near them.  A step with
 a stage density below the density floor is rejected and retried with a
@@ -29,7 +30,9 @@ quarter of its size, and a seed whose step falls below ``H_MIN`` stalls
 instead of extrapolating through the node.  Every rejection shrinks the step
 by at least 0.9 (by 4 at the floor), so the run of rejections before a stall
 is bounded: log4(h / H_MIN) at the floor, log(h / H_MIN) / log(1 / 0.9) at
-worst.
+worst.  A step that is not finite (the fields overflowed) fails the ``H_MIN``
+test too, and a density that is not finite at t = 0 fails the floor, so such
+a seed stalls at once.
 """
 
 from __future__ import annotations
@@ -74,23 +77,25 @@ _FLOOR_SHRINK = 0.25
 
 # Dormand-Prince 5(4): nodes, stage rows (the last row is the fifth-order
 # solution, whose end velocity is the next step's first stage), error
-# weights (fifth minus fourth order) and the dense-output weights.
+# weights (fifth minus fourth order) and the dense-output weights.  The
+# weights are columns, one entry per stage, zeros included.
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = (
-    (),
+_A = [np.array(row)[:, None] for row in (
     (1 / 5,),
     (3 / 40, 9 / 40),
     (44 / 45, -56 / 15, 32 / 9),
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-_D = (
+)]
+_E = np.array(
+    (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+)[:, None]
+_D = np.array((
     -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
     -10690763975 / 1880347072, 701980252875 / 199316789632,
     -1453857185 / 822651844, 69997945 / 29380423,
-)
+))[:, None]
 
 
 @dataclass(frozen=True)
@@ -174,23 +179,11 @@ _NODES = np.array(_C[1:-1])[:, None]
 _STAGE_NODE = (0, 1, 2, 3, 4, 4)
 
 
-def _nonzero(weights):
-    """The nonzero weights as a column, and the stages they weigh."""
-    weights = np.array(weights)
-    nonzero = np.flatnonzero(weights)
-    return weights[nonzero, None], nonzero
-
-
-_A_NONZERO = [_nonzero(row) for row in _A[1:]]
-_E_NONZERO = _nonzero(_E)
-_D_NONZERO = _nonzero(_D)
-
-
 def _combine(weights, stages):
-    """``sum_j w_j k_j`` over the nonzero weights of :func:`_nonzero`, from ``stages``
-    (a stage per row), elementwise and in the order of the rows."""
-    w, nonzero = weights
-    return np.add.reduce(w * stages[nonzero], axis=0)
+    """``sum_j w_j k_j`` over the weights (a column) and the first ``stages`` (a stage
+    per row), elementwise and in the order of the rows.  A zero weight adds an exact
+    zero."""
+    return np.add.reduce(weights * stages[: len(weights)], axis=0)
 
 
 class _Cohort:
@@ -283,7 +276,9 @@ def trajectory_fans(
     Each trajectory holds the samples at :func:`record_times`: every
     ``record_every``-th multiple of ``dt``, and ``t_end``.  Only those are
     evaluated and kept; the steps, and every kept sample, are the same for any
-    ``record_every``.
+    ``record_every``.  A seed becomes its :class:`Trajectory` when it leaves
+    the loop, through one exit for all three ways out: stalled at t = 0, a
+    step below ``H_MIN`` (or not finite), and finished.
     """
     fans = [(spec, regime, _checked_seeds(seeds)) for spec, regime, seeds in fans]
     if not fans or any(spec.wall != fans[0][0].wall for spec, _, _ in fans):
@@ -299,45 +294,58 @@ def trajectory_fans(
     n = seeds.size
     positions = np.full((n, times.size), np.nan)
     positions[:, 0] = seeds
-    # Per seed: samples recorded, steps accepted and rejected, evaluator calls
-    # (written when the seed leaves the loop), and the smallest inner step.
-    counts = np.zeros((4, n), dtype=int)
-    counts[0] = counts[3] = 1
-    min_step = np.full(n, np.inf)
+    members = [None] * n
 
     v, rho = cohort.evaluate(cohort.coefficients(np.zeros((1, n))), 0, seeds)
-    stalled = rho < density_floor
-    # The running seeds only: their indices, and position, time, step size,
-    # first stage (the velocity), smallest inner step and tolerance.
-    ids = np.flatnonzero(~stalled)
-    if ids.size < n:
-        cohort.select(ids)
-    state = np.stack((seeds, np.zeros(n), np.zeros(n), v, min_step, ATOL * scale))[:, ids]
-    x, t, h, v, inner_min, tol = state
-    held = counts[:, ids]
-    recorded, accepted, rejected, evaluations = held
-    grow = np.ones(ids.size, dtype=bool)  # false right after a rejected step
-    if ids.size:
-        h[:] = _initial_step(cohort, x, v, tol, scale[ids], t_stop)
-        evaluations += 1
-    stages = np.empty((len(_C), ids.size))
-    densities = np.empty((len(_C) - 1, ids.size))
+    # The running seeds only: their indices; position, time, step size, first
+    # stage (the velocity), smallest inner step and tolerance; and samples
+    # recorded, steps accepted and rejected, and evaluator calls.
+    ids = np.arange(n)
+    state = np.stack((seeds, np.zeros(n), np.zeros(n), v, np.full(n, np.inf), ATOL * scale))
+    held = np.repeat([[1], [0], [0], [1]], n, axis=1)
+    grow = np.ones(n, dtype=bool)  # false right after a rejected step
+    # NaN fails both exit tests, so a seed whose density or step is not
+    # finite leaves the loop too.
+    stalled, done = ~(rho >= density_floor), np.zeros(n, dtype=bool)
+    first = True
 
-    while ids.size:
+    while True:
+        leaving = stalled | done
+        if leaving.any():
+            # Each leaving seed becomes its trajectory.
+            for k in np.flatnonzero(leaving):
+                i, (recorded, accepted, rejected, evaluations) = ids[k], held[:, k].tolist()
+                status = STATUS_STALLED if stalled[k] else STATUS_COMPLETED
+                members[i] = Trajectory(float(seeds[i]), times[:recorded], positions[i, :recorded],
+                                        status, accepted, rejected, float(state[4, k]), evaluations)
+            keep = ~leaving
+            if not keep.any():
+                break
+            ids, state, held, grow = ids[keep], state[:, keep], held[:, keep], grow[keep]
+            cohort.select(ids)
+        x, t, h, v, inner_min, tol = state
+        recorded, accepted, rejected, evaluations = held
+        if first:
+            h[:] = _initial_step(cohort, x, v, tol, scale[ids], t_stop)
+            evaluations += 1
+            first = False
+
         # A step that would end within 1% of t_stop is stretched to end on
         # it, so no sliver of a step is left over.
         last = t + 1.01 * h >= t_stop
         h0 = np.where(last, t_stop - t, h)
         coefficients = cohort.coefficients(t + _NODES * h0)
+        stages = np.empty((len(_C), ids.size))
+        densities = np.empty((len(_C) - 1, ids.size))
         stages[0] = v
-        for s, (row, node) in enumerate(zip(_A_NONZERO, _STAGE_NODE)):
+        for s, (row, node) in enumerate(zip(_A, _STAGE_NODE)):
             increment = h0 * _combine(row, stages)
             stages[s + 1], densities[s] = cohort.evaluate(coefficients, node, x + increment)
         evaluations += len(_C) - 1
         x1 = x + increment
 
         low = np.logical_or.reduce(densities < density_floor, axis=0)
-        err = np.abs(h0 * _combine(_E_NONZERO, stages)) / tol
+        err = np.abs(h0 * _combine(_E, stages)) / tol
         ok = (err <= 1.0) & ~low
         factor = np.maximum(_SAFETY * np.maximum(err, 1e-10) ** -0.2, _FACTOR_MIN)
         factor = np.minimum(factor, _FACTOR_MAX)
@@ -356,7 +364,7 @@ def trajectory_fans(
             theta1 = 1.0 - theta
             q1 = h0 * stages[0] - increment
             q2 = increment - h0 * stages[-1] - q1
-            q3 = h0 * _combine(_D_NONZERO, stages)
+            q3 = h0 * _combine(_D, stages)
             sample = x1[owner] - theta1 * (
                 increment[owner] - theta * (q1[owner] + theta * (q2[owner] + theta1 * q3[owner]))
             )
@@ -373,43 +381,15 @@ def trajectory_fans(
         np.copyto(v, stages[-1], where=ok)
         accepted += ok
         rejected += ~ok
-        inner = ok & ~last
-        np.copyto(inner_min, np.minimum(inner_min, h0), where=inner)
+        np.copyto(inner_min, np.minimum(inner_min, h0), where=ok & ~last)
         np.multiply(h0, factor, out=h)
         grow = ok
-
         done = ok & last
-        collapsed = ~done & (h < H_MIN)
-        leaving = done | collapsed
-        if leaving.any():
-            gone = ids[leaving]
-            counts[:, gone] = held[:, leaving]
-            min_step[gone] = inner_min[leaving]
-            stalled[ids[collapsed]] = True
-            keep = ~leaving
-            ids, state, held, grow = ids[keep], state[:, keep], held[:, keep], grow[keep]
-            x, t, h, v, inner_min, tol = state
-            recorded, accepted, rejected, evaluations = held
-            stages, densities = stages[:, keep], densities[:, keep]
-            if ids.size:
-                cohort.select(ids)
+        stalled = ~done & ~(h >= H_MIN)
 
-    recorded, accepted, rejected, evaluations = counts
-    members = iter(
-        Trajectory(
-            float(seeds[j]),
-            times[: recorded[j]],
-            positions[j, : recorded[j]],
-            STATUS_STALLED if stalled[j] else STATUS_COMPLETED,
-            int(accepted[j]),
-            int(rejected[j]),
-            float(min_step[j]),
-            int(evaluations[j]),
-        )
-        for j in range(n)
-    )
     # Every call evaluates the seeds still running, the longest-running one among them.
-    loop = dict(evaluator_calls=int(evaluations.max()), evaluator_points=int(evaluations.sum()),
-                iterations=int((accepted + rejected).max()))
+    calls = [tr.evaluations for tr in members]
+    loop = dict(evaluator_calls=max(calls), evaluator_points=sum(calls),
+                iterations=max(tr.accepted_steps + tr.rejected_steps for tr in members))
+    members = iter(members)
     return [[next(members) for _ in fan_seeds] for _, _, fan_seeds in fans], loop
-

@@ -10,12 +10,12 @@ because the wall node kills the boundary term of the integration by parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .ensembles import EnsembleSpec, component_fields, diagonal_pairs
-from .errors import DomainError
+from .errors import DomainError, NumericalGuardError
 from .regime import Regime
 
 __all__ = [
@@ -45,12 +45,13 @@ def _moments(pairs, hb: float):
     _, mean_x, second_x = pairs.integrals.sum(axis=1).real
     (A_i, B_i, _), (A_j, B_j, _) = pairs.left, pairs.right
     I0, I1, I2 = pairs.integrals
-    mean_p = hb * float(np.sum(2.0 * A_i * I1 + B_i * I0).imag)
+    # A numpy scalar, so that a square past the float range is inf, not an OverflowError.
+    mean_p = hb * np.sum(2.0 * A_i * I1 + B_i * I0).imag
     second_p = hb**2 * float(
         np.sum(4.0 * A_i * A_j * I2 + 2.0 * (A_i * B_j + B_i * A_j) * I1 + B_i * B_j * I0).real
     )
     sd_x = float(np.sqrt(max(second_x - mean_x**2, 0.0)))
-    return float(mean_x), sd_x, mean_p, float(np.sqrt(max(second_p - mean_p**2, 0.0)))
+    return float(mean_x), sd_x, float(mean_p), float(np.sqrt(max(second_p - mean_p**2, 0.0)))
 
 
 def effective_force(spec: EnsembleSpec, regime: Regime, t):
@@ -92,9 +93,12 @@ def heisenberg_check(record: ObservableRecord, regime: Regime):
 
 
 def observable_record(spec: EnsembleSpec, regime: Regime, t) -> ObservableRecord:
-    """Assemble the full observable snapshot at time t."""
+    """Assemble the full observable snapshot at time t.
+
+    Raises :class:`NumericalGuardError` unless every value is finite.
+    """
     mean_x, sd_x, mean_p, sd_p = _moments(diagonal_pairs(spec, regime, t), regime.hbar_tilde)
-    return ObservableRecord(
+    record = ObservableRecord(
         t=float(t),
         mean_x=mean_x,
         mean_p=mean_p,
@@ -103,3 +107,6 @@ def observable_record(spec: EnsembleSpec, regime: Regime, t) -> ObservableRecord
         uncertainty_product=sd_x * sd_p,
         f_nc=float(effective_force(spec, regime, t)),
     )
+    if not np.all(np.isfinite(astuple(record))):
+        raise NumericalGuardError(f"observables are not finite: {record}")
+    return record

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-__all__ = ["Regime", "make_regime"]
+__all__ = ["Regime", "epsilon_tag", "make_regime"]
 
 
 @dataclass(frozen=True)
@@ -40,3 +40,8 @@ def make_regime(epsilon: float, hbar: float = 1.0) -> Regime:
     if not hbar > 0.0:
         raise DomainError(f"hbar must be positive, got {hbar}")
     return Regime(epsilon=epsilon, hbar=hbar, hbar_tilde=math.sqrt(epsilon) * hbar)
+
+
+def epsilon_tag(epsilon: float) -> str:
+    """The name of ``epsilon`` in output file names and diagnostic keys (6 significant digits)."""
+    return f"{epsilon:g}"

@@ -27,7 +27,7 @@ from .hydrodynamics import record_times, trajectory_fans
 from .observables import heisenberg_check, observable_record
 from .phase_space import wigner_transforms
 from .quadrature import quad_integrate
-from .regime import Regime
+from .regime import Regime, epsilon_tag
 
 __all__ = ["run_experiment"]
 
@@ -85,10 +85,6 @@ def _csv_fields(values) -> list[str]:
     return ["%.17g," % value for value in np.asarray(values, dtype=float).tolist()]
 
 
-def _eps_tag(epsilon: float) -> str:
-    return f"{epsilon:g}"
-
-
 def _seed_positions(config: ExperimentConfig, spec: EnsembleSpec, regime: Regime) -> np.ndarray:
     settings = config.trajectories
     if settings.seeds is not None:
@@ -117,7 +113,7 @@ def _density(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: d
             yield t_field, x_fields, np.column_stack(position_densities(specs, regime, x, t))
 
     for regime in config.regimes():
-        yield f"density_eps{_eps_tag(regime.epsilon)}.csv", header, blocks(regime)
+        yield f"density_eps{epsilon_tag(regime.epsilon)}.csv", header, blocks(regime)
 
 
 def _trajectories(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: dict):
@@ -130,7 +126,7 @@ def _trajectories(config: ExperimentConfig, specs: list[EnsembleSpec], diagnosti
     times = record_times(settings.t_end, settings.dt, settings.record_every)
 
     for i, regime in enumerate(regimes):
-        tag = _eps_tag(regime.epsilon)
+        tag = epsilon_tag(regime.epsilon)
         group = fans[i * len(specs) : (i + 1) * len(specs)]
         header, columns = ["t [time]"], [times]
         for spec, fan in zip(specs, group):
@@ -168,7 +164,7 @@ def _arrival(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: d
     tails = diagnostics.setdefault("arrival_tail", {})
     for regime in config.regimes():
         stats = [arrival_distribution(spec, regime, config.detector_x, t_grid) for spec in specs]
-        tag = _eps_tag(regime.epsilon)
+        tag = epsilon_tag(regime.epsilon)
         tails[tag] = {
             spec.kind: {"tail_fraction": f, "tail_flagged": f > TAIL_FRACTION_FLAG}
             for spec, f in zip(specs, (s.tail_fraction for s in stats))
@@ -195,7 +191,7 @@ def _observables(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostic
             yield np.array([row])
 
     for regime in config.regimes():
-        yield f"observables_eps{_eps_tag(regime.epsilon)}.csv", header, blocks(regime)
+        yield f"observables_eps{epsilon_tag(regime.epsilon)}.csv", header, blocks(regime)
 
 
 def _wigner(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: dict):
@@ -219,8 +215,8 @@ def _wigner(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: di
 
     for regime in config.regimes():
         work = {"pair_integrals": 0, "points": 0}
-        diagnostics.setdefault("wigner", {})[_eps_tag(regime.epsilon)] = work
-        yield f"wigner_eps{_eps_tag(regime.epsilon)}.csv", header, blocks(regime, work)
+        diagnostics.setdefault("wigner", {})[epsilon_tag(regime.epsilon)] = work
+        yield f"wigner_eps{epsilon_tag(regime.epsilon)}.csv", header, blocks(regime, work)
 
 
 _RUNS = {"density": _density, "trajectories": _trajectories, "arrival": _arrival,
@@ -263,7 +259,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
             written.append(target / name)
             _write_csv(written[-1], header, blocks)
         for regime in config.regimes():
-            diagnostics["trace"][_eps_tag(regime.epsilon)] = _trace_drift(config, specs, regime)
+            diagnostics["trace"][epsilon_tag(regime.epsilon)] = _trace_drift(config, specs, regime)
     except Exception:
         for path in written:
             path.unlink(missing_ok=True)

@@ -129,6 +129,8 @@ def test_minimal_round_trip():
         ({"wigner": {"x_min": 0.0}}, "wigner.x_min"),
         ({"trajectories": {"x_lo": -2.0, "x_hi": -18.0}}, "trajectories.x_lo"),
         ({"trajectories": {"t_end": 1e300, "dt": 1e-300}}, "trajectories.t_end"),
+        # Distinct floats, but both named eps0.1 in the outputs.
+        ({"epsilons": [0.1, 0.1000001]}, "epsilons"),
     ],
 )
 def test_invalid_documents_report_field_path(mutation, path_fragment):

@@ -332,6 +332,29 @@ def test_collapsing_step_stalls_instead_of_hanging(quantum):
     assert trajectory.evaluations <= 1000
 
 
+def test_non_finite_step_stalls_at_once(quantum, packet_b, monkeypatch):
+    # A kick this large overflows the fields, so the first step is not
+    # finite.  NaN fails the exit test as well: the seeds leave the loop,
+    # which without that test ran on with x = NaN.
+    evaluate = hydrodynamics._Cohort.evaluate
+    calls = []
+
+    def counted(cohort, *args):
+        calls.append(None)
+        if len(calls) > 2000:
+            raise RuntimeError("the loop did not end")
+        return evaluate(cohort, *args)
+
+    monkeypatch.setattr(hydrodynamics._Cohort, "evaluate", counted)
+    spec = EnsembleSpec("mixed", GaussianPacket(sigma0=1.0, x0=-5.0, p0=1e300, mass=1.0), packet_b)
+    with np.errstate(all="ignore"):
+        fan = trajectory_fans([(spec, quantum, np.linspace(-18.0, -2.0, 20))], 15.0)[0][0]
+    assert {tr.status for tr in fan} == {"stalled-low-density"}
+    # The t = 0 evaluation, the starting step and one step's six stages.
+    assert max(tr.evaluations for tr in fan) <= 8
+    assert len(calls) <= 8
+
+
 def test_recorded_samples_equal_dense_ones(quantum):
     # Keeping every 10th sample changes neither the steps nor a kept sample,
     # also for a seed that stalls mid-run (as in the test above), and the

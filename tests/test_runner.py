@@ -404,6 +404,22 @@ def test_cli_numerical_guard_exit_code(tmp_path):
     assert list(out_dir.glob("*.csv")) == []
 
 
+@pytest.mark.parametrize("kind", ["density", "arrival", "observables", "trajectories"])
+def test_cli_non_finite_fields_trip_the_guard(kind, tmp_path, capsys):
+    # The loader accepts any finite kick, but this one overflows the packet
+    # phase, so the fields are not finite.  The trajectory run trips the
+    # density guard of the manifest's trace diagnostic.
+    doc = small_config(kind, epsilons=[1.0], grid={"x_min": -60.0, "n_points": 64})
+    doc["packets"]["a"]["p0"] = 1e155
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main([kind, "--config", str(config_path), "--out", str(out_dir)]) == 3
+    assert "numerical guard" in capsys.readouterr().err
+    assert list(out_dir.glob("*.csv")) == []
+
+
 def test_legacy_wigner_window_keys_do_not_change_output(tmp_path):
     outputs = []
     for extra in ({}, {"rel_span": 0.5, "n_rel": 9}):
