@@ -10,7 +10,8 @@ because the wall node kills the boundary term of the integration by parts.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,6 +108,6 @@ def observable_record(spec: EnsembleSpec, regime: Regime, t) -> ObservableRecord
         uncertainty_product=sd_x * sd_p,
         f_nc=float(effective_force(spec, regime, t)),
     )
-    if not np.all(np.isfinite(astuple(record))):
+    if not all(map(math.isfinite, vars(record).values())):
         raise NumericalGuardError(f"observables are not finite: {record}")
     return record
