@@ -56,11 +56,11 @@ TRAJECTORY_SAMPLE_BUDGET = 25_000_000
 # about 18 MB; it admits an 81 x 8001 marginal-check grid.
 WIGNER_POINT_BUDGET = 1_000_000
 
-# Points of the position grid (grid.n_points, which every run kind evaluates
-# for the manifest's trace diagnostic) and of the arrival time grid
-# (arrival.n_points).  The density and arrival runs peak at about 380 bytes a
-# point (peak RSS slope from the defaults to 500,001 points), so each budget
-# is about 190 MB.
+# Points of the position grid (grid.n_points, which only the density run
+# evaluates: the manifest's trace diagnostic is exact and reads only
+# grid.x_min) and of the arrival time grid (arrival.n_points).  The density
+# and arrival runs peak at about 380 bytes a point (peak RSS slope from the
+# defaults to 500,001 points), so each budget is about 190 MB.
 GRID_POINT_BUDGET = 500_000
 ARRIVAL_POINT_BUDGET = 500_000
 
@@ -99,7 +99,7 @@ def _field(default, *bounds, **metadata):
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Uniform position grid on [x_min, 0] of the density run and the trace diagnostic."""
+    """Uniform position grid on [x_min, 0] of the density run; the trace diagnostic reads x_min."""
 
     x_min: float = _field(-60.0, _NEGATIVE)
     n_points: int = _field(2048, _at_least(64), _within(GRID_POINT_BUDGET))

@@ -21,12 +21,11 @@ import numpy as np
 
 from .arrival import arrival_distribution
 from .config import ExperimentConfig, config_to_dict
-from .ensembles import EnsembleSpec, position_densities
-from .errors import ConfigError
+from .ensembles import EnsembleSpec, mass_below, position_densities
+from .errors import ConfigError, NumericalGuardError
 from .hydrodynamics import record_times, trajectory_fans
 from .observables import heisenberg_check, observable_record
 from .phase_space import wigner_transforms
-from .quadrature import quad_integrate
 from .regime import Regime, epsilon_tag
 
 __all__ = ["run_experiment"]
@@ -224,19 +223,20 @@ _RUNS = {"density": _density, "trajectories": _trajectories, "arrival": _arrival
 
 
 def _trace_drift(config: ExperimentConfig, specs: list[EnsembleSpec], regime: Regime) -> dict:
-    x = config.grid.points()
-    start = position_densities(specs, regime, x, 0.0)
-    end = position_densities(specs, regime, x, config.time.t_max)
-    drift = {}
-    for spec, rho_start, rho_end in zip(specs, start, end):
-        trace_end = float(quad_integrate(x, rho_end))
-        drift[spec.kind] = {
-            "trace_t0": float(quad_integrate(x, rho_start)),
-            "trace_t_end": trace_end,
-            "support_loss": 1.0 - trace_end,
-            "support_loss_flagged": 1.0 - trace_end > SUPPORT_LOSS_FLAG,
+    """Exact mass on the grid [x_min, 0] at t = 0 and t_max, and the mass below x_min at t_max."""
+    bounds = [config.grid.x_min, 0.0]
+    masses = [[mass_below(s, regime, t, bounds) for t in (0.0, config.time.t_max)] for s in specs]
+    if not np.isfinite(masses).all():
+        raise NumericalGuardError(f"trace at epsilon {regime.epsilon:g} is not finite")
+    return {
+        spec.kind: {
+            "trace_t0": total_t0 - lost_t0,
+            "trace_t_end": total - lost,
+            "support_loss": lost,
+            "support_loss_flagged": lost > SUPPORT_LOSS_FLAG,
         }
-    return drift
+        for spec, ((lost_t0, total_t0), (lost, total)) in zip(specs, np.array(masses).tolist())
+    }
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:

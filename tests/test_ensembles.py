@@ -194,6 +194,53 @@ def test_interference_fringes_in_reflection_window(pure_spec, quantum):
     assert maxima >= 3
 
 
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+@pytest.mark.parametrize("eps", [1.0, 0.01])
+def test_mass_below_the_wall_is_one(kind, eps, packet_a, packet_b):
+    # The normalization is the exact t = 0 trace and evolution keeps it.
+    spec, regime = EnsembleSpec(kind, packet_a, packet_b), make_regime(eps)
+    for t in (0.0, 7.0, 15.0):
+        assert abs(ensembles.mass_below(spec, regime, t, 0.0) - 1.0) <= 1e-14
+        # Beyond the wall there is no mass to add.
+        assert ensembles.mass_below(spec, regime, t, 3.0) == ensembles.mass_below(spec, regime, t, 0.0)
+
+
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+@pytest.mark.parametrize("eps", [1.0, 0.01])
+def test_mass_below_differentiates_to_the_density(kind, eps, packet_a, packet_b):
+    spec, regime = EnsembleSpec(kind, packet_a, packet_b), make_regime(eps)
+    X, h = np.linspace(-20.0, -0.5, 397), 1e-5
+    for t in (2.5, 7.0):
+        slope = (ensembles.mass_below(spec, regime, t, X + h)
+                 - ensembles.mass_below(spec, regime, t, X - h)) / (2.0 * h)
+        rho = position_densities([spec], regime, X, t)[0]
+        assert np.max(np.abs(slope - rho)) <= 1e-7
+
+
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_mass_below_with_a_gaussian_weight_matches_quadrature(kind, packet_a, packet_b, quantum):
+    spec = EnsembleSpec(kind, packet_a, packet_b)
+    a = -8.0  # exp(a (x - c)^2): a Gaussian of width 0.25 centred at c
+    for c in (-12.0, -10.0, -3.0, -0.1):
+        for upper in (0.0, -9.0):
+            x = np.linspace(-60.0, upper, 60001)
+            rho = position_densities([spec], quantum, x, 2.5)[0]
+            expected = quad_integrate(x, rho * np.exp(a * (x - c) ** 2))
+            exact = ensembles.mass_below(spec, quantum, 2.5, upper, a, -2.0 * a * c, a * c * c)
+            assert exact == pytest.approx(expected, rel=1e-6, abs=1e-12)
+
+
+def test_mass_below_broadcasts(pure_spec, quantum):
+    upper = np.array([[-12.0], [-8.0]])
+    b = np.array([0.0, 0.5, 1.0])
+    table = ensembles.mass_below(pure_spec, quantum, 3.0, upper, -0.5, b, 0.0)
+    assert table.shape == (2, 3)
+    for i, u in enumerate(upper[:, 0]):
+        for j, bj in enumerate(b):
+            one = ensembles.mass_below(pure_spec, quantum, 3.0, u, -0.5, bj, 0.0)
+            assert table[i, j] == pytest.approx(one, rel=1e-15, abs=0.0)
+
+
 def test_fringe_visibility_washes_out(pure_spec, quantum, nearly_classical):
     high = fringe_visibility(pure_spec, quantum, 2.5)
     low = fringe_visibility(pure_spec, nearly_classical, 2.5)
@@ -207,18 +254,26 @@ def test_fringe_visibility_window_validation(pure_spec, quantum):
         fringe_visibility(pure_spec, quantum, 2.5, sigma_obs=0.0)
 
 
-def test_fringe_visibility_evaluates_the_packets_once(pure_spec, quantum, monkeypatch):
-    calls = []
-    evaluate = ensembles.packet_fields
+def test_fringe_visibility_smooths_each_sample_once_in_blocks(pure_spec, monkeypatch):
+    # The smoothed densities are exact integrals, with no pointwise packet
+    # evaluation; each kind smooths every sample of the window once, a block
+    # of at most _VISIBILITY_BLOCK samples at a time, which bounds the memory.
+    calls, fields = [], []
+    smooth = ensembles.mass_below
 
-    def counted(*args, **kwargs):
-        calls.append(args[3])
-        return evaluate(*args, **kwargs)
+    def recorded(spec, regime, t, upper, a, b, g):
+        calls.append((spec.kind, b / (-2.0 * a)))
+        return smooth(spec, regime, t, upper, a, b, g)
 
-    monkeypatch.setattr(ensembles, "packet_fields", counted)
-    for spec in (pure_spec, pure_spec.as_kind("mixed")):
-        fringe_visibility(spec, quantum, 2.5)
-    assert calls == [2.5, 2.5]
+    monkeypatch.setattr(ensembles, "mass_below", recorded)
+    monkeypatch.setattr(ensembles, "packet_fields", lambda *args, **kwargs: fields.append(args))
+    fringe_visibility(pure_spec, make_regime(1e-4), 2.5)
+    assert fields == []
+    assert max(x.size for _, x in calls) <= ensembles._VISIBILITY_BLOCK
+    pure, mixed = (np.concatenate([x for k, x in calls if k == kind]) for kind in ("pure", "mixed"))
+    assert pure.size > 5 * ensembles._VISIBILITY_BLOCK
+    np.testing.assert_allclose(pure, np.linspace(-10.0, 0.0, pure.size), rtol=0, atol=1e-12)
+    assert np.array_equal(pure, mixed)
 
 
 def test_fringe_visibility_point_budget(pure_spec):

@@ -4,9 +4,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qctl import make_regime, parse_config, position_densities, quad_integrate, run_experiment
+from qctl import (
+    NumericalGuardError,
+    make_regime,
+    parse_config,
+    position_densities,
+    quad_integrate,
+    run_experiment,
+)
+from qctl import runner
 from qctl.cli import main
 from qctl.config import RUN_KINDS
+from qctl.ensembles import mass_below
 
 
 def small_config(run_kind, **overrides):
@@ -459,6 +468,30 @@ def test_manifest_flags_support_lost_beyond_grid(tmp_path):
     small = run_experiment(config, out_dir=tmp_path / "small")["diagnostics"]["trace"]["1"]
     assert not small["pure"]["support_loss_flagged"]
     assert not small["mixed"]["support_loss_flagged"]
+
+
+def test_trace_is_exact_and_reads_only_x_min(tmp_path):
+    traces = []
+    for n_points in (64, 1025):
+        doc = small_config("observables", epsilons=[1.0], grid={"x_min": -30.0, "n_points": n_points})
+        manifest = run_experiment(parse_config(json.dumps(doc)), out_dir=tmp_path / str(n_points))
+        traces.append(manifest["diagnostics"]["trace"]["1"])
+    assert traces[0] == traces[1]
+    config = parse_config(json.dumps(doc))
+    for kind in ("pure", "mixed"):
+        lost = mass_below(config.ensemble(kind), make_regime(1.0), config.time.t_max, -30.0)
+        assert traces[0][kind]["support_loss"] == lost
+        assert traces[0][kind]["trace_t_end"] == pytest.approx(1.0 - lost, abs=1e-15)
+        assert traces[0][kind]["support_loss_flagged"]
+
+
+def test_non_finite_trace_trips_the_guard(tmp_path, monkeypatch):
+    monkeypatch.setattr(runner, "mass_below", lambda *args: np.array([np.nan, 1.0]))
+    config = parse_config(json.dumps(small_config("arrival", epsilons=[1.0])))
+    with pytest.raises(NumericalGuardError, match="trace"):
+        run_experiment(config, out_dir=tmp_path)
+    assert list(tmp_path.glob("*.csv")) == []
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_cli_io_error_exit_code(tmp_path, capsys):
