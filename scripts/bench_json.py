@@ -13,8 +13,9 @@ was lower.  It also records the commit of each tree, ``nproc``, the line
 count of ``src/qctl/*.py`` in each tree and its code lines (blank, comment
 and docstring lines left out), the table of ``scripts/l0_evaluator.py
 --repeat 5`` in each tree, the Tier-1 test count and seconds of this tree,
-and the ``[acceptance]`` lines of ``tests/test_acceptance.py -s``.  Only the
-standard library is used; the trees need their own dependencies.
+and the ``[acceptance]`` lines of ``tests/test_acceptance.py -s`` in each
+tree, so the margins are recorded before and after.  Only the standard
+library is used; the trees need their own dependencies.
 """
 
 import argparse
@@ -148,7 +149,7 @@ def main(argv=None) -> int:
     for workload in args.workloads.split(","):
         report["benchmark"]["workloads"][workload] = _pairs(parent, change, workload, args.pairs, args.seconds)
     report["tier1"] = _tier1(change)
-    report["acceptance"] = _acceptance(change)
+    report["acceptance"] = {"parent": _acceptance(parent), "change": _acceptance(change)}
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0
 

@@ -5,7 +5,7 @@
 Every state evaluation runs through one term kernel,
 ``qctl.packets.term_fields``.  On the README default packets at epsilon =
 0.01 and t = 3, with N positions evenly spread over [-18, -2], for N = 20,
-80, 160 and 2048, this times its two callers:
+80, 160 and 2048, this times its two callers and the exact mass integral:
 
 - ``stage``: one stage of the trajectory loop, the velocity and density of N
   seeds, one kernel row per packet and seed (``hydrodynamics._Cohort.evaluate``);
@@ -14,7 +14,10 @@ Every state evaluation runs through one term kernel,
   six stages;
 - ``flux_and_density``: ``hydrodynamics._flux_and_density`` on the same N
   positions at one time, the kernel broadcast over the positions as the
-  current and density fields call it.
+  current and density fields call it;
+- ``mass``: one ``ensembles.mass_below`` call with N Gaussian weights of width
+  0.25 centred on the same N positions, as ``fringe_visibility`` smooths a
+  block of its samples (it is not a call of the term kernel).
 
 Each number is the median over ``--repeat`` timed batches of the time per
 call.  The numbers are timings only: the script checks nothing and always
@@ -32,10 +35,13 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from qctl import EnsembleSpec, GaussianPacket, make_regime  # noqa: E402
+from qctl.ensembles import mass_below  # noqa: E402
 from qctl.hydrodynamics import _NODES, _Cohort, _flux_and_density  # noqa: E402
 
 POINTS = (20, 80, 160, 2048)
 T = 3.0
+# The exponent factor of a Gaussian of width 0.25, fringe_visibility's default sigma_obs.
+SMOOTHING = -0.5 / 0.25**2
 
 
 def _per_call_us(call, repeat: int) -> float:
@@ -59,7 +65,8 @@ def main(argv=None) -> int:
     regime = make_regime(0.01)
     a = GaussianPacket(x0=-5.0, p0=-2.0)
     b = GaussianPacket(x0=-15.0, p0=2.0)
-    header = ("kind", 6), ("points", 6), ("stage_us", 10), ("coeffs_us", 10), ("flux_and_density_us", 20)
+    header = (("kind", 6), ("points", 6), ("stage_us", 10), ("coeffs_us", 10),
+              ("flux_and_density_us", 20), ("mass_us", 10))
     print(*(name.rjust(width) for name, width in header))
     for kind in ("pure", "mixed"):
         spec = EnsembleSpec(kind, a, b)
@@ -71,7 +78,10 @@ def main(argv=None) -> int:
             stage = _per_call_us(lambda: cohort.evaluate(coefficients, 0, x), args.repeat)
             coeffs = _per_call_us(lambda: cohort.coefficients(stage_times), args.repeat)
             fields = _per_call_us(lambda: _flux_and_density(spec, regime, x, T), args.repeat)
-            print(f"{kind:>6} {n:>6} {stage:>10.1f} {coeffs:>10.1f} {fields:>20.1f}", flush=True)
+            weight = (SMOOTHING, -2.0 * SMOOTHING * x, SMOOTHING * x * x)
+            mass = _per_call_us(lambda: mass_below(spec, regime, T, 0.0, *weight), args.repeat)
+            print(f"{kind:>6} {n:>6} {stage:>10.1f} {coeffs:>10.1f} {fields:>20.1f} {mass:>10.1f}",
+                  flush=True)
     return 0
 
 

@@ -32,7 +32,8 @@ by at least 0.9 (by 4 at the floor), so the run of rejections before a stall
 is bounded: log4(h / H_MIN) at the floor, log(h / H_MIN) / log(1 / 0.9) at
 worst.  A step that is not finite (the fields overflowed) fails the ``H_MIN``
 test too, and a density that is not finite at t = 0 fails the floor, so such
-a seed stalls at once.
+a seed stalls at once, with the status ``stalled-non-finite`` in place of
+``stalled-low-density``.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ H_MIN = 1e-10
 
 STATUS_COMPLETED = "completed"
 STATUS_STALLED = "stalled-low-density"
+STATUS_NON_FINITE = "stalled-non-finite"
 
 # Step-size controller: safety factor, bounds of the change per step, and the
 # shrink after a stage fell below the density floor.
@@ -278,7 +280,9 @@ def trajectory_fans(
     evaluated and kept; the steps, and every kept sample, are the same for any
     ``record_every``.  A seed becomes its :class:`Trajectory` when it leaves
     the loop, through one exit for all three ways out: stalled at t = 0, a
-    step below ``H_MIN`` (or not finite), and finished.
+    step below ``H_MIN``, and finished.  A seed that stalls because its density
+    or step is not finite gets the status ``stalled-non-finite``, every other
+    stalled seed ``stalled-low-density``.
     """
     fans = [(spec, regime, _checked_seeds(seeds)) for spec, regime, seeds in fans]
     if not fans or any(spec.wall != fans[0][0].wall for spec, _, _ in fans):
@@ -305,8 +309,9 @@ def trajectory_fans(
     held = np.repeat([[1], [0], [0], [1]], n, axis=1)
     grow = np.ones(n, dtype=bool)  # false right after a rejected step
     # NaN fails both exit tests, so a seed whose density or step is not
-    # finite leaves the loop too.
+    # finite leaves the loop too, with a status of its own.
     stalled, done = ~(rho >= density_floor), np.zeros(n, dtype=bool)
+    broken = stalled & ~np.isfinite(rho)
     first = True
 
     while True:
@@ -316,6 +321,8 @@ def trajectory_fans(
             for k in np.flatnonzero(leaving):
                 i, (recorded, accepted, rejected, evaluations) = ids[k], held[:, k].tolist()
                 status = STATUS_STALLED if stalled[k] else STATUS_COMPLETED
+                if broken[k]:
+                    status = STATUS_NON_FINITE
                 members[i] = Trajectory(float(seeds[i]), times[:recorded], positions[i, :recorded],
                                         status, accepted, rejected, float(state[4, k]), evaluations)
             keep = ~leaving
@@ -386,6 +393,7 @@ def trajectory_fans(
         grow = ok
         done = ok & last
         stalled = ~done & ~(h >= H_MIN)
+        broken = stalled & ~np.isfinite(h)
 
     # Every call evaluates the seeds still running, the longest-running one among them.
     calls = [tr.evaluations for tr in members]

@@ -23,7 +23,7 @@ from .arrival import arrival_distribution
 from .config import ExperimentConfig, config_to_dict
 from .ensembles import EnsembleSpec, mass_below, position_densities
 from .errors import ConfigError, NumericalGuardError
-from .hydrodynamics import record_times, trajectory_fans
+from .hydrodynamics import STATUS_NON_FINITE, record_times, trajectory_fans
 from .observables import heisenberg_check, observable_record
 from .phase_space import wigner_transforms
 from .regime import Regime, epsilon_tag
@@ -122,6 +122,11 @@ def _trajectories(config: ExperimentConfig, specs: list[EnsembleSpec], diagnosti
     fans, diagnostics["trajectory_loop"] = trajectory_fans(
         seeded, settings.t_end, settings.dt, record_every=settings.record_every
     )
+    for (spec, regime, _), fan in zip(seeded, fans):
+        broken = sum(tr.status == STATUS_NON_FINITE for tr in fan)
+        if broken:
+            raise NumericalGuardError(f"{broken} {spec.kind} seeds at epsilon {regime.epsilon:g} "
+                                      "stalled on a density or step that is not finite")
     times = record_times(settings.t_end, settings.dt, settings.record_every)
 
     for i, regime in enumerate(regimes):

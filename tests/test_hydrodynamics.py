@@ -16,7 +16,7 @@ from qctl import (
     trajectory_fans,
     velocity,
 )
-from qctl import hydrodynamics
+from qctl import ensembles, hydrodynamics
 
 
 def single_free(packet):
@@ -333,9 +333,12 @@ def test_collapsing_step_stalls_instead_of_hanging(quantum):
 
 
 def test_non_finite_step_stalls_at_once(quantum, packet_b, monkeypatch):
-    # A kick this large overflows the fields, so the first step is not
-    # finite.  NaN fails the exit test as well: the seeds leave the loop,
-    # which without that test ran on with x = NaN.
+    # A kick this large overflows the fields, so the first step of the seeds
+    # x0 <= -12.9 is not finite.  NaN fails the exit test as well: the seeds
+    # leave the loop, which without that test ran on with x = NaN, and their
+    # status tells them apart from seeds stopped at a density node.  The
+    # seeds nearer packet a, where the velocity is about 1e300, take one
+    # finite step of about 1e-302 and stall below H_MIN.
     evaluate = hydrodynamics._Cohort.evaluate
     calls = []
 
@@ -349,10 +352,48 @@ def test_non_finite_step_stalls_at_once(quantum, packet_b, monkeypatch):
     spec = EnsembleSpec("mixed", GaussianPacket(sigma0=1.0, x0=-5.0, p0=1e300, mass=1.0), packet_b)
     with np.errstate(all="ignore"):
         fan = trajectory_fans([(spec, quantum, np.linspace(-18.0, -2.0, 20))], 15.0)[0][0]
-    assert {tr.status for tr in fan} == {"stalled-low-density"}
+    assert [tr.status for tr in fan] == ["stalled-non-finite"] * 7 + ["stalled-low-density"] * 13
+    assert all(tr.rejected_steps == 1 for tr in fan[:7])
     # The t = 0 evaluation, the starting step and one step's six stages.
     assert max(tr.evaluations for tr in fan) <= 8
     assert len(calls) <= 8
+
+
+def test_non_finite_density_at_start_stalls_as_non_finite(quantum, mixed_spec, monkeypatch):
+    # A seed whose t = 0 density is NaN leaves at once as non-finite; one in
+    # the far tail leaves as a low-density stall; the others run on.
+    evaluate = hydrodynamics._Cohort.evaluate
+    calls = []
+
+    def first_nan(cohort, *args):
+        v, rho = evaluate(cohort, *args)
+        if not calls:
+            rho[1] = np.nan
+        calls.append(None)
+        return v, rho
+
+    monkeypatch.setattr(hydrodynamics._Cohort, "evaluate", first_nan)
+    fan = trajectory_fans([(mixed_spec, quantum, [-55.0, -12.0, -6.0])], 0.1, 1e-2)[0][0]
+    assert [tr.status for tr in fan] == ["stalled-low-density", "stalled-non-finite", "completed"]
+    assert fan[1].times.size == 1 and fan[1].evaluations == 1
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.01])
+def test_trajectories_keep_their_quantile(eps, pure_spec, mixed_spec):
+    # Exact oracle: in 1D the guidance flow transports the density and
+    # trajectories do not cross, so F_t(x(t)) = F_0(x0), with F_t the exact
+    # cumulative distribution, at every recorded time, past the collision of
+    # the two packets near t = 2.5.  It holds for the mixture too, because
+    # the summed current and density obey continuity.
+    regime = make_regime(eps)
+    seeds = np.linspace(-18.0, -2.0, 20)
+    fans, _ = trajectory_fans([(pure_spec, regime, seeds), (mixed_spec, regime, seeds)], 3.0, 1e-2)
+    for spec, fan in zip((pure_spec, mixed_spec), fans):
+        assert {tr.status for tr in fan} == {"completed"}
+        positions = np.array([tr.positions for tr in fan])
+        start = ensembles.mass_below(spec, regime, 0.0, seeds)
+        for t, x in zip(fan[0].times, positions.T):
+            assert np.max(np.abs(ensembles.mass_below(spec, regime, t, x) - start)) <= 1e-9
 
 
 def test_recorded_samples_equal_dense_ones(quantum):

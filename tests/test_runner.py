@@ -416,8 +416,10 @@ def test_cli_numerical_guard_exit_code(tmp_path):
 @pytest.mark.parametrize("kind", ["density", "arrival", "observables", "trajectories"])
 def test_cli_non_finite_fields_trip_the_guard(kind, tmp_path, capsys):
     # The loader accepts any finite kick, but this one overflows the packet
-    # phase, so the fields are not finite.  The trajectory run trips the
-    # density guard of the manifest's trace diagnostic.
+    # phase, so the fields are not finite.  The trajectory run's seeds stall
+    # on finite steps far below H_MIN (the velocity is about 5e154), and it
+    # trips the guard of the manifest's trace diagnostic, whose exact mass is
+    # not finite.
     doc = small_config(kind, epsilons=[1.0], grid={"x_min": -60.0, "n_points": 64})
     doc["packets"]["a"]["p0"] = 1e155
     config_path = tmp_path / "config.json"
@@ -426,6 +428,21 @@ def test_cli_non_finite_fields_trip_the_guard(kind, tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert main([kind, "--config", str(config_path), "--out", str(out_dir)]) == 3
     assert "numerical guard" in capsys.readouterr().err
+    assert list(out_dir.glob("*.csv")) == []
+
+
+def test_cli_non_finite_trajectory_seeds_trip_the_guard(tmp_path, capsys):
+    # At this kick the first step of packet b's seeds is not finite, so they
+    # stall as non-finite and the run stops before it writes a CSV.
+    doc = small_config("trajectories", epsilons=[1.0], grid={"x_min": -60.0, "n_points": 64})
+    doc["packets"]["a"]["p0"] = 1e300
+    doc["trajectories"].update(x_lo=-18.0, x_hi=-2.0, n_seeds=20)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["trajectories", "--config", str(config_path), "--out", str(out_dir)]) == 3
+    assert "seeds at epsilon 1 stalled on a density or step that is not finite" in capsys.readouterr().err
     assert list(out_dir.glob("*.csv")) == []
 
 
