@@ -12,7 +12,6 @@ from qctl import (
     quad_integrate,
     run_experiment,
 )
-from qctl import runner
 from qctl.cli import main
 from qctl.config import RUN_KINDS
 from qctl.ensembles import mass_below
@@ -503,6 +502,8 @@ def test_trace_is_exact_and_reads_only_x_min(tmp_path):
 
 
 def test_non_finite_trace_trips_the_guard(tmp_path, monkeypatch):
+    import qctl.runner as runner
+
     monkeypatch.setattr(runner, "mass_below", lambda *args: np.array([np.nan, 1.0]))
     config = parse_config(json.dumps(small_config("arrival", epsilons=[1.0])))
     with pytest.raises(NumericalGuardError, match="trace"):
