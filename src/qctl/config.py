@@ -3,8 +3,9 @@
 A configuration document is a single JSON object.  The settings dataclasses
 below are its only schema: each key of a section is a field, checked against
 the field's annotation and the bounds in its ``bounds`` metadata (negative,
-positive, at least n, one of a fixed set, non-empty, a point budget) as it is
-read, and an absent key takes the field's default.  :func:`config_to_dict`
+positive, in (0, 1], at least n, one of a fixed set, non-empty, a point
+budget) as it is read, and an absent key takes the field's default; a packet
+key's bounds are listed in ``_PACKET_BOUNDS``.  :func:`config_to_dict`
 walks the same fields back.  Unknown keys, non-finite numbers and values out
 of bounds are rejected with the offending field path; :func:`parse_config`
 then checks only what combines several fields, so the runner never starts
@@ -25,7 +26,7 @@ from .ensembles import EnsembleSpec
 from .errors import ConfigError, DomainError
 from .hydrodynamics import step_count
 from .packets import GaussianPacket
-from .regime import Regime, epsilon_tag, make_regime
+from .regime import Regime, epsilon_in_range, epsilon_tag, make_regime
 
 __all__ = [
     "SpatialGrid",
@@ -78,6 +79,7 @@ _NEGATIVE = (lambda v: v < 0.0, "must be negative")
 _NON_NEGATIVE = (lambda v: v >= 0.0, "must be non-negative")
 _POSITIVE = (lambda v: v > 0.0, "must be positive")
 _NON_EMPTY = (bool, "must be non-empty")
+_EPSILON = (epsilon_in_range, "must be in (0, 1]")
 
 
 def _at_least(n: int) -> tuple:
@@ -125,9 +127,9 @@ class TrajectorySettings:
     dt: float = _field(1e-3, _POSITIVE)
     seeding: str = _field("uniform", _one_of("uniform", "born"))
     n_seeds: int = _field(20, _at_least(1))
-    x_lo: float = -18.0
-    x_hi: float = -2.0
-    seeds: tuple[float, ...] | None = None
+    x_lo: float = _field(-18.0, _NEGATIVE)
+    x_hi: float = _field(-2.0, _NEGATIVE)
+    seeds: tuple[float, ...] | None = _field(None, _NEGATIVE)
     record_every: int = _field(10, _at_least(1))
 
 
@@ -159,8 +161,8 @@ class ExperimentConfig:
     packet_b: GaussianPacket
     run_kind: str = _field("density", _one_of(*RUN_KINDS), key="run")
     out_dir: str = _field("out", _NON_EMPTY)
-    epsilons: tuple[float, ...] = (1.0, 0.5, 0.1, 0.01)
-    hbar: float = 1.0
+    epsilons: tuple[float, ...] = _field((1.0, 0.5, 0.1, 0.01), _EPSILON)
+    hbar: float = _field(1.0, _POSITIVE)
     grid: SpatialGrid = SpatialGrid()
     time: TimeGrid = TimeGrid()
     detector_x: float = _field(-30.0, _NEGATIVE)
@@ -242,6 +244,10 @@ def _gaussian_tail_mass(x_min: float, x0: float, sigma0: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
+# The bounds of each key of a packet object.
+_PACKET_BOUNDS = {"x0": (_NEGATIVE,), "p0": (), "sigma0": (_POSITIVE,)}
+
+
 def _parse_packets(doc: dict) -> list[GaussianPacket]:
     """Packets a and b; ``mass`` and ``packets.sigma0`` are shared by both."""
     shared = {}
@@ -251,17 +257,17 @@ def _parse_packets(doc: dict) -> list[GaussianPacket]:
         raise ConfigError("packets", "missing required section")
     packets = _object(doc["packets"], "packets", {"sigma0", "a", "b"})
     if "sigma0" in packets:
-        shared["sigma0"] = _value(packets["sigma0"], float, "packets.sigma0")
+        shared["sigma0"] = _value(packets["sigma0"], float, "packets.sigma0", (_POSITIVE,))
     result = []
     for name in ("a", "b"):
         path = f"packets.{name}"
         if not isinstance(packets.get(name), dict):
             raise ConfigError(path, "missing packet object")
-        obj = _object(packets[name], path, {"x0", "p0", "sigma0"})
+        obj = _object(packets[name], path, _PACKET_BOUNDS)
         for key in ("x0", "p0"):
             if key not in obj:
                 raise ConfigError(f"{path}.{key}", "missing required value")
-        own = {key: _value(value, float, f"{path}.{key}") for key, value in obj.items()}
+        own = {k: _value(v, float, f"{path}.{k}", _PACKET_BOUNDS[k]) for k, v in obj.items()}
         try:
             result.append(GaussianPacket(**{**shared, **own}))
         except DomainError as exc:
@@ -284,11 +290,6 @@ def parse_config(text: str) -> ExperimentConfig:
     # Distinct by output name: two epsilons of one name would overwrite each other's CSV.
     if len(set(map(epsilon_tag, config.epsilons))) != len(config.epsilons):
         raise ConfigError("epsilons", "values must be distinct in 6 significant digits")
-    for i, eps in enumerate(config.epsilons):
-        try:
-            make_regime(eps, config.hbar)
-        except DomainError as exc:
-            raise ConfigError(f"epsilons[{i}]", str(exc)) from exc
 
     grid = config.grid
     for name, packet in (("a", config.packet_a), ("b", config.packet_b)):
@@ -306,11 +307,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     trajectories = config.trajectories
     seeds = trajectories.seeds
-    if seeds is not None:
-        if any(v >= 0.0 for v in seeds):
-            raise ConfigError("trajectories.seeds", "all seeds must be negative")
-        if any(b <= a for a, b in zip(seeds, seeds[1:])):
-            raise ConfigError("trajectories.seeds", "seeds must be strictly increasing")
+    if seeds is not None and any(b <= a for a, b in zip(seeds, seeds[1:])):
+        raise ConfigError("trajectories.seeds", "seeds must be strictly increasing")
     try:
         n_steps = step_count(trajectories.t_end, trajectories.dt)
     except DomainError as exc:
@@ -324,8 +322,8 @@ def parse_config(text: str) -> ExperimentConfig:
         path = "trajectories.n_seeds" if seeds is None else "trajectories.seeds"
         raise ConfigError(path, f"epsilons x 2 kinds x seeds x recorded times = {held} "
                           f"samples exceed the budget of {TRAJECTORY_SAMPLE_BUDGET}")
-    if not trajectories.x_lo < trajectories.x_hi < 0.0:
-        raise ConfigError("trajectories.x_lo", "need x_lo < x_hi < 0")
+    if not trajectories.x_lo < trajectories.x_hi:
+        raise ConfigError("trajectories.x_lo", "need x_lo < x_hi")
 
     points = config.wigner.n_x * config.wigner.n_u
     if points > WIGNER_POINT_BUDGET:

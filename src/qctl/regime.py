@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-__all__ = ["Regime", "epsilon_tag", "make_regime"]
+__all__ = ["Regime", "epsilon_in_range", "epsilon_tag", "make_regime"]
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,11 @@ class Regime:
     epsilon: float
     hbar: float
     hbar_tilde: float
+
+
+def epsilon_in_range(epsilon: float) -> bool:
+    """Whether ``epsilon`` lies in (0, 1], the range of the transition parameter."""
+    return 0.0 < epsilon <= 1.0
 
 
 def make_regime(epsilon: float, hbar: float = 1.0) -> Regime:
@@ -35,7 +40,7 @@ def make_regime(epsilon: float, hbar: float = 1.0) -> Regime:
     """
     epsilon = float(epsilon)
     hbar = float(hbar)
-    if not 0.0 < epsilon <= 1.0:
+    if not epsilon_in_range(epsilon):
         raise DomainError(f"epsilon must be in (0, 1], got {epsilon}")
     if not hbar > 0.0:
         raise DomainError(f"hbar must be positive, got {hbar}")

@@ -90,15 +90,20 @@ def _seed_positions(config: ExperimentConfig, spec: EnsembleSpec, regime: Regime
         return np.asarray(settings.seeds, dtype=float)
     if settings.seeding == "uniform":
         return np.linspace(settings.x_lo, settings.x_hi, settings.n_seeds)
-    # Born-rule seeding: deterministic quantile midpoints of the t=0 density.
+    # Born-rule seeding: the quantile midpoints of the t = 0 density in [x_lo, x_hi].  The
+    # exact CDF F_0 is interpolated on a grid, then one Newton step (F_0' = rho) refines it.
     x = np.linspace(settings.x_lo, settings.x_hi, 4001)
-    rho = position_densities([spec], regime, x, 0.0)[0]
-    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(x))))
-    if not cdf[-1] > 0.0:
+    cdf = mass_below(spec, regime, 0.0, x)
+    mass = cdf[-1] - cdf[0]
+    if not mass > 0.0:
         raise ConfigError("trajectories.x_lo", "Born seeding needs t = 0 mass in [x_lo, x_hi]")
-    cdf /= cdf[-1]
     quantiles = (np.arange(settings.n_seeds) + 0.5) / settings.n_seeds
-    return np.interp(quantiles, cdf, x)
+    # Normalized, so that no slope of the interpolation overflows.
+    seeds = np.interp(quantiles, (cdf - cdf[0]) / mass, x)
+    residual = mass_below(spec, regime, 0.0, seeds) - (cdf[0] + mass * quantiles)
+    rho = position_densities([spec], regime, seeds, 0.0)[0]
+    # Where rho underflows the interpolated seed stands; elsewhere |step| <= 1e300.
+    return seeds - np.divide(residual, rho, out=np.zeros_like(rho), where=rho > 1e-300)
 
 
 def _density(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: dict):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from qctl import ConfigError, parse_config, serialize_config
+from qctl import ConfigError, DomainError, make_regime, parse_config, serialize_config
 from qctl.config import (
     ARRIVAL_POINT_BUDGET,
     DENSITY_ROW_BUDGET,
@@ -87,7 +87,7 @@ def test_minimal_round_trip():
         ({"epsilons": [2.0]}, "epsilons[0]"),
         ({"epsilons": [0.5, 0.5]}, "epsilons"),
         ({"epsilons": []}, "epsilons"),
-        ({"hbar": -1.0}, "epsilons[0]"),
+        ({"hbar": -1.0}, "hbar"),
         ({"mass": 0.0}, "mass"),
         ({"detector_x": 3.0}, "detector_x"),
         ({"grid": {"x_min": -16.0}}, "grid.x_min"),
@@ -139,6 +139,48 @@ def test_invalid_documents_report_field_path(mutation, path_fragment):
     with pytest.raises(ConfigError) as excinfo:
         parse_config(json.dumps(doc))
     assert path_fragment in str(excinfo.value)
+
+
+def _packets(sigma0=None, a=None, b=None) -> dict:
+    """The MINIMAL packets, with ``sigma0`` shared and packet keys overridden."""
+    packets = {"a": {"x0": -5.0, "p0": -2.0, **(a or {})}, "b": {"x0": -15.0, "p0": 2.0, **(b or {})}}
+    return packets if sigma0 is None else {"sigma0": sigma0, **packets}
+
+
+@pytest.mark.parametrize(
+    "mutation, path",
+    [
+        ({"hbar": -1.0}, "hbar"),
+        ({"hbar": 0.0}, "hbar"),
+        ({"epsilons": [1.0, 0.0]}, "epsilons[1]"),
+        ({"epsilons": [1.0, math.nextafter(1.0, 2.0)]}, "epsilons[1]"),
+        ({"packets": _packets(sigma0=-1.0)}, "packets.sigma0"),
+        ({"packets": _packets(a={"sigma0": 0.0})}, "packets.a.sigma0"),
+        ({"packets": _packets(b={"x0": 15.0})}, "packets.b.x0"),
+        ({"trajectories": {"seeds": [-5.0, 0.0]}}, "trajectories.seeds[1]"),
+        ({"trajectories": {"x_hi": 0.0}}, "trajectories.x_hi"),
+        ({"trajectories": {"x_lo": 1.0, "x_hi": 2.0}}, "trajectories.x_lo"),
+    ],
+)
+def test_single_field_bounds_report_their_own_path(mutation, path):
+    # Each single-field bound is checked as its field is read, so the error
+    # names that field, not the first field a later cross-field check reads.
+    doc = json.loads(MINIMAL)
+    doc.update(mutation)
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(json.dumps(doc))
+    assert excinfo.value.path == path
+
+
+def test_epsilon_range_is_the_regime_range():
+    # The loader's epsilon bound and make_regime read one predicate.
+    for eps in (1e-300, 0.5, 1.0):
+        doc = json.loads(MINIMAL)
+        doc["epsilons"] = [eps]
+        assert parse_config(json.dumps(doc)).regimes()[0].epsilon == eps
+    for eps in (-1.0, 0.0, math.nextafter(1.0, 2.0)):
+        with pytest.raises(DomainError):
+            make_regime(eps)
 
 
 def test_trajectory_sample_budget():

@@ -217,6 +217,40 @@ def test_born_seeding_is_deterministic_and_ordered(tmp_path):
     assert all(-18.0 <= s <= -2.0 for s in seeds)
 
 
+@pytest.mark.parametrize("eps", [1.0, 0.01])
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_born_seeds_are_exact_quantiles(eps, kind):
+    import qctl.runner as runner
+
+    # The seeds are the quantile midpoints of the exact t = 0 CDF F_0 on
+    # [x_lo, x_hi], to 1e-10 in F_0 (a trapezoid CDF on the same grid read
+    # 4.0e-7).
+    config = parse_config(json.dumps(small_config(
+        "trajectories", trajectories={"seeding": "born", "n_seeds": 40, "x_lo": -18.0, "x_hi": -2.0}
+    )))
+    spec, regime = config.ensemble(kind), make_regime(eps)
+    seeds = runner._seed_positions(config, spec, regime)
+    lo, hi = mass_below(spec, regime, 0.0, np.array([-18.0, -2.0]))
+    targets = lo + (hi - lo) * (np.arange(40) + 0.5) / 40
+    assert np.max(np.abs(mass_below(spec, regime, 0.0, seeds) - targets)) <= 1e-10
+
+
+@pytest.mark.parametrize("x_hi", [-52.0, -52.9, -53.2])
+def test_born_seeds_stay_finite_where_the_density_underflows(x_hi):
+    import qctl.runner as runner
+
+    # On [-60, x_hi] the t = 0 mass is 2.9e-300, 6.4e-315 and 7.0e-320, so
+    # the CDF and the density are subnormal at some or all of the seeds.
+    # The seeds stay finite, increasing and inside the window.
+    config = parse_config(json.dumps(small_config(
+        "trajectories", trajectories={"seeding": "born", "n_seeds": 20, "x_lo": -60.0, "x_hi": x_hi}
+    )))
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        seeds = runner._seed_positions(config, config.ensemble("pure"), make_regime(1.0))
+    assert np.all(np.isfinite(seeds)) and np.all(np.diff(seeds) > 0.0)
+    assert -60.0 <= seeds[0] and seeds[-1] <= x_hi
+
+
 def test_cli_rejects_born_window_without_mass(tmp_path, capsys):
     # The t = 0 density is zero to double precision on [-300, -250], so the
     # Born quantiles would be 0/0 and every seed NaN.
