@@ -12,7 +12,10 @@ records the median and quartiles of ``run_s``, ``setup_s`` and
 was lower.  It also records the commit of each tree, ``nproc``, the line
 count of ``src/qctl/*.py`` in each tree and its code lines (blank, comment
 and docstring lines left out), the table of ``scripts/l0_evaluator.py
---repeat 5`` in each tree, the Tier-1 test count and seconds of this tree,
+--repeat 5`` in each tree, the L1 table of this tree's
+``scripts/l0_evaluator.py --l1 --repeat 5 --src TREE/src`` for each tree
+(so a parent without ``--l1`` is timed too), the Tier-1 test count and
+seconds of this tree,
 and the ``[acceptance]`` lines of ``tests/test_acceptance.py -s`` in each
 tree, so the margins are recorded before and after.  Only the standard
 library is used; the trees need their own dependencies.
@@ -70,13 +73,24 @@ def _src_code_lines(tree: Path) -> int:
     return sum(_code_lines(p) for p in sorted((tree / "src" / "qctl").glob("*.py")))
 
 
-def _l0_table(tree: Path) -> dict:
-    """The table printed by ``scripts/l0_evaluator.py --repeat L0_REPEAT``, one row per line."""
-    cmd = [sys.executable, "scripts/l0_evaluator.py", "--repeat", str(L0_REPEAT)]
-    lines = subprocess.run(cmd, cwd=tree, capture_output=True, text=True).stdout.split("\n")
+def _table(cmd: list, cwd: Path) -> dict:
+    """The table printed by ``cmd`` run in ``cwd``, one row per line."""
+    lines = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True).stdout.split("\n")
     columns, *rows = [line.split() for line in lines if line.strip()]
     rows = [[row[0]] + [json.loads(value) for value in row[1:]] for row in rows]
     return {"repeat": L0_REPEAT, "columns": columns, "rows": rows}
+
+
+def _l0_table(tree: Path) -> dict:
+    """The table printed by ``scripts/l0_evaluator.py --repeat L0_REPEAT`` of ``tree``."""
+    return _table([sys.executable, "scripts/l0_evaluator.py", "--repeat", str(L0_REPEAT)], tree)
+
+
+def _l1_table(tree: Path) -> dict:
+    """The L1 table of ``tree``'s ``qctl``, printed by this repository's ``l0_evaluator.py --l1``."""
+    script = Path(__file__).resolve().parent / "l0_evaluator.py"
+    cmd = [sys.executable, str(script), "--l1", "--repeat", str(L0_REPEAT), "--src", str(tree / "src")]
+    return _table(cmd, tree)
 
 
 def _bench(tree: Path, workload: str, seconds: float) -> dict:
@@ -145,6 +159,7 @@ def main(argv=None) -> int:
         "src_lines": {"parent": _src_lines(parent), "change": _src_lines(change)},
         "src_code_lines": {"parent": _src_code_lines(parent), "change": _src_code_lines(change)},
         "l0": {"parent": _l0_table(parent), "change": _l0_table(change)},
+        "l1": {"parent": _l1_table(parent), "change": _l1_table(change)},
     }
     for workload in args.workloads.split(","):
         report["benchmark"]["workloads"][workload] = _pairs(parent, change, workload, args.pairs, args.seconds)

@@ -1,6 +1,7 @@
-"""Microseconds per call of the state evaluator, the benchmark's L0 layer.
+"""Microseconds per call of the state evaluator (L0) or per trajectory-loop iteration (L1).
 
-    python scripts/l0_evaluator.py [--repeat 200]
+    python scripts/l0_evaluator.py [--repeat 200] [--src SRC]
+    python scripts/l0_evaluator.py --l1 [--repeat 5] [--src SRC]
 
 Every state evaluation runs through one term kernel,
 ``qctl.packets.term_fields``.  On the README default packets at epsilon =
@@ -20,8 +21,21 @@ Every state evaluation runs through one term kernel,
   block of its samples (it is not a call of the term kernel).
 
 Each number is the median over ``--repeat`` timed batches of the time per
-call.  The numbers are timings only: the script checks nothing and always
-exits 0 once it has run.
+call.
+
+With ``--l1`` the script prints the L1 layer instead: the microseconds of
+one iteration of the trajectory loop, ``hydrodynamics.trajectory_fans`` on
+one pure fan of N seeds at the midpoints of N equal cells of [-18, -2], for
+N = 1, 20 and 160, on the same packets at epsilon = 0.01 from t = 0 to 1
+(the node-rich fan; a mixed seed at -10 takes one step to t = 1).  Each
+number is the median over ``--repeat`` runs of the run's process time
+divided by its ``iterations`` (the longest-running seed's step attempts,
+printed too).
+
+``--src`` names the ``src`` directory whose ``qctl`` is timed, by default
+this repository's, so one copy of the script can time another tree.  The
+numbers are timings only: the script checks nothing and always exits 0 once
+it has run.
 """
 
 import argparse
@@ -32,14 +46,11 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from qctl import EnsembleSpec, GaussianPacket, make_regime  # noqa: E402
-from qctl.ensembles import mass_below  # noqa: E402
-from qctl.hydrodynamics import _NODES, _Cohort, _flux_and_density  # noqa: E402
-
 POINTS = (20, 80, 160, 2048)
 T = 3.0
+# Seeds of the L1 fans, and the end of their run.
+L1_SEEDS = (1, 20, 160)
+L1_T_END = 1.0
 # The exponent factor of a Gaussian of width 0.25, fringe_visibility's default sigma_obs.
 SMOOTHING = -0.5 / 0.25**2
 
@@ -58,13 +69,43 @@ def _per_call_us(call, repeat: int) -> float:
     return 1e6 * statistics.median(samples)
 
 
+def _l1(spec, regime, repeat: int) -> None:
+    """Print the L1 table: microseconds of process time per trajectory-loop iteration."""
+    from qctl.hydrodynamics import trajectory_fans
+
+    header = (("kind", 6), ("seeds", 6), ("iterations", 10), ("loop_us", 10))
+    print(*(name.rjust(width) for name, width in header))
+    for n in L1_SEEDS:
+        seeds = -18.0 + 16.0 * (np.arange(n) + 0.5) / n
+        samples = []
+        for _ in range(repeat):
+            start = time.process_time()
+            _, loop = trajectory_fans([(spec, regime, seeds)], L1_T_END, 1e-2)
+            samples.append((time.process_time() - start) / loop["iterations"])
+        us = 1e6 * statistics.median(samples)
+        print(f"{spec.kind:>6} {n:>6} {loop['iterations']:>10} {us:>10.1f}", flush=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=200, help="timed batches per number")
+    parser.add_argument("--repeat", type=int, default=None,
+                        help="timed batches per number (default 200), or runs with --l1 (default 5)")
+    parser.add_argument("--l1", action="store_true", help="time trajectory-loop iterations instead")
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+                        help="the src directory whose qctl is timed")
     args = parser.parse_args(argv)
+    repeat = args.repeat or (5 if args.l1 else 200)
+    sys.path.insert(0, str(args.src.resolve()))
+    from qctl import EnsembleSpec, GaussianPacket, make_regime
+    from qctl.ensembles import mass_below
+    from qctl.hydrodynamics import _NODES, _Cohort, _flux_and_density
+
     regime = make_regime(0.01)
     a = GaussianPacket(x0=-5.0, p0=-2.0)
     b = GaussianPacket(x0=-15.0, p0=2.0)
+    if args.l1:
+        _l1(EnsembleSpec("pure", a, b), regime, repeat)
+        return 0
     header = (("kind", 6), ("points", 6), ("stage_us", 10), ("coeffs_us", 10),
               ("flux_and_density_us", 20), ("mass_us", 10))
     print(*(name.rjust(width) for name, width in header))
@@ -75,11 +116,11 @@ def main(argv=None) -> int:
             cohort = _Cohort([(spec, regime, x)], spec.wall)
             stage_times = T + _NODES * np.full(n, 0.01)
             coefficients = cohort.coefficients(stage_times)
-            stage = _per_call_us(lambda: cohort.evaluate(coefficients, 0, x), args.repeat)
-            coeffs = _per_call_us(lambda: cohort.coefficients(stage_times), args.repeat)
-            fields = _per_call_us(lambda: _flux_and_density(spec, regime, x, T), args.repeat)
+            stage = _per_call_us(lambda: cohort.evaluate(coefficients, 0, x), repeat)
+            coeffs = _per_call_us(lambda: cohort.coefficients(stage_times), repeat)
+            fields = _per_call_us(lambda: _flux_and_density(spec, regime, x, T), repeat)
             weight = (SMOOTHING, -2.0 * SMOOTHING * x, SMOOTHING * x * x)
-            mass = _per_call_us(lambda: mass_below(spec, regime, T, 0.0, *weight), args.repeat)
+            mass = _per_call_us(lambda: mass_below(spec, regime, T, 0.0, *weight), repeat)
             print(f"{kind:>6} {n:>6} {stage:>10.1f} {coeffs:>10.1f} {fields:>20.1f} {mass:>10.1f}",
                   flush=True)
     return 0

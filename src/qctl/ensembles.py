@@ -132,6 +132,17 @@ def _term_components(spec: EnsembleSpec, terms_per_packet: int) -> np.ndarray:
 TermPairs = namedtuple("TermPairs", "component coefficient left right integrals")
 
 
+def _pair_table(spec: EnsembleSpec, regime: Regime, t: float) -> tuple:
+    """The ``component``, ``coefficient``, ``left`` and ``right`` of :func:`term_pairs`."""
+    C, A, B, G = packet_terms(spec.packets, regime, t, spec.wall)
+    component = _term_components(spec, C.shape[1])
+    exponents = np.stack((A, B, G)).reshape(3, -1)
+    C = C.ravel()
+    i, j = np.divmod(np.arange(C.size**2), C.size)
+    left, right = exponents[:, i], np.conj(exponents[:, j])
+    return np.stack((component[i], component[j])), C[i] * np.conj(C[j]), left, right
+
+
 def term_pairs(spec: EnsembleSpec, regime: Regime, t: float) -> TermPairs:
     """Every ordered pair (i, j) of the unnormalized terms ``g = C exp(A x^2 + B x + G)``.
 
@@ -141,15 +152,9 @@ def term_pairs(spec: EnsembleSpec, regime: Regime, t: float) -> TermPairs:
     integrals of ``x^m g_i conj(g_j)``, m = 0, 1, 2, over x <= 0 (the whole
     line without the wall).
     """
-    C, A, B, G = packet_terms(spec.packets, regime, t, spec.wall)
-    component = _term_components(spec, C.shape[1])
-    exponents = np.stack((A, B, G)).reshape(3, -1)
-    C = C.ravel()
-    i, j = np.divmod(np.arange(C.size**2), C.size)
-    left, right = exponents[:, i], np.conj(exponents[:, j])
-    coefficient = C[i] * np.conj(C[j])
+    component, coefficient, left, right = _pair_table(spec, regime, t)
     integrals = coefficient * gaussian_moments(*(left + right), wall=spec.wall)
-    return TermPairs(np.stack((component[i], component[j])), coefficient, left, right, integrals)
+    return TermPairs(component, coefficient, left, right, integrals)
 
 
 def diagonal_pairs(spec: EnsembleSpec, regime: Regime, t: float) -> TermPairs:
@@ -166,17 +171,20 @@ def mass_below(spec: EnsembleSpec, regime: Regime, t: float, upper, a=0.0, b=0.0
 
     ``upper``, ``a``, ``b`` and ``g`` broadcast, with ``a <= 0``.  With
     ``a = b = g = 0`` this is the cumulative distribution ``F_t(upper)``, which
-    reaches 1 at the wall.  Each same-component pair of :func:`diagonal_pairs`
-    is shifted by ``x = y + upper`` onto ``y <= 0`` and integrated by
+    reaches 1 at the wall.  Each same-component pair, weighted as in
+    :func:`diagonal_pairs` but without its unshifted integrals, is shifted by
+    ``x = y + upper`` onto ``y <= 0`` and integrated by
     :func:`~qctl.gaussians.gaussian_moments`.  With the wall, ``rho``
     vanishes at ``x >= 0``, so ``upper`` is capped at 0.
     """
-    pairs = diagonal_pairs(spec, regime, t)
+    component, coefficient, left, right = _pair_table(spec, regime, t)
+    same = component[0] == component[1]
+    coefficient = COMPONENT_WEIGHT / norm_constant(spec, regime) * coefficient[same]
     upper = np.minimum(upper, 0.0 if spec.wall else np.inf)[..., None]
-    alpha, beta, gamma = map(np.add.outer, (a, b, g), pairs.left + pairs.right)
+    alpha, beta, gamma = map(np.add.outer, (a, b, g), (left + right)[:, same])
     # alpha y^2 + beta' y + gamma' is the exponent at x = y + upper.
     shifted = (alpha, beta + 2.0 * alpha * upper, gamma + (alpha * upper + beta) * upper)
-    return (pairs.coefficient * gaussian_moments(*shifted)[0]).sum(axis=-1).real
+    return (coefficient * gaussian_moments(*shifted)[0]).sum(axis=-1).real
 
 
 def pair_weights(spec: EnsembleSpec, regime: Regime, terms_per_packet: int) -> np.ndarray:

@@ -33,7 +33,11 @@ is bounded: log4(h / H_MIN) at the floor, log(h / H_MIN) / log(1 / 0.9) at
 worst.  A step that is not finite (the fields overflowed) fails the ``H_MIN``
 test too, and a density that is not finite at t = 0 fails the floor, so such
 a seed stalls at once, with the status ``stalled-non-finite`` in place of
-``stalled-low-density``.
+``stalled-low-density``.  A finite step that falls below ``H_MIN`` in an
+attempt whose stage densities all reach the floor stalls as
+``stalled-step-collapse``: the error control, not the density floor, shrank
+it (a kick near 1e150 gives velocities near 1e150 and starting steps near
+1e-132).
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ H_MIN = 1e-10
 STATUS_COMPLETED = "completed"
 STATUS_STALLED = "stalled-low-density"
 STATUS_NON_FINITE = "stalled-non-finite"
+STATUS_COLLAPSED = "stalled-step-collapse"
 
 # Step-size controller: safety factor, bounds of the change per step, and the
 # shrink after a stage fell below the density floor.
@@ -281,8 +286,10 @@ def trajectory_fans(
     ``record_every``.  A seed becomes its :class:`Trajectory` when it leaves
     the loop, through one exit for all three ways out: stalled at t = 0, a
     step below ``H_MIN``, and finished.  A seed that stalls because its density
-    or step is not finite gets the status ``stalled-non-finite``, every other
-    stalled seed ``stalled-low-density``.
+    or step is not finite gets the status ``stalled-non-finite``; one whose
+    finite step fell below ``H_MIN`` in an attempt with no stage density below
+    the floor, ``stalled-step-collapse``; every other stalled seed
+    ``stalled-low-density``.
     """
     fans = [(spec, regime, _checked_seeds(seeds)) for spec, regime, seeds in fans]
     if not fans or any(spec.wall != fans[0][0].wall for spec, _, _ in fans):
@@ -311,7 +318,7 @@ def trajectory_fans(
     # NaN fails both exit tests, so a seed whose density or step is not
     # finite leaves the loop too, with a status of its own.
     stalled, done = ~(rho >= density_floor), np.zeros(n, dtype=bool)
-    broken = stalled & ~np.isfinite(rho)
+    broken, collapsed = stalled & ~np.isfinite(rho), np.zeros(n, dtype=bool)
     first = True
 
     while True:
@@ -320,9 +327,8 @@ def trajectory_fans(
             # Each leaving seed becomes its trajectory.
             for k in np.flatnonzero(leaving):
                 i, (recorded, accepted, rejected, evaluations) = ids[k], held[:, k].tolist()
-                status = STATUS_STALLED if stalled[k] else STATUS_COMPLETED
-                if broken[k]:
-                    status = STATUS_NON_FINITE
+                status = (STATUS_NON_FINITE if broken[k] else STATUS_COLLAPSED if collapsed[k]
+                          else STATUS_STALLED if stalled[k] else STATUS_COMPLETED)
                 members[i] = Trajectory(float(seeds[i]), times[:recorded], positions[i, :recorded],
                                         status, accepted, rejected, float(state[4, k]), evaluations)
             keep = ~leaving
@@ -394,6 +400,7 @@ def trajectory_fans(
         done = ok & last
         stalled = ~done & ~(h >= H_MIN)
         broken = stalled & ~np.isfinite(h)
+        collapsed = stalled & ~broken & ~low
 
     # Every call evaluates the seeds still running, the longest-running one among them.
     calls = [tr.evaluations for tr in members]

@@ -241,6 +241,31 @@ def test_mass_below_broadcasts(pure_spec, quantum):
             assert table[i, j] == pytest.approx(one, rel=1e-15, abs=0.0)
 
 
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_mass_below_integrates_only_the_shifted_pairs(kind, packet_a, packet_b, quantum, monkeypatch):
+    # One gaussian_moments call a mass: the shifted same-component pairs.
+    # The unshifted pair integrals of diagonal_pairs are not computed, and
+    # the result equals the diagonal_pairs form bit for bit.
+    spec = EnsembleSpec(kind, packet_a, packet_b)
+    norm_constant(spec, quantum)  # cached, so its own integrals are not counted
+    calls = []
+    moments = ensembles.gaussian_moments
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return moments(*args, **kwargs)
+
+    monkeypatch.setattr(ensembles, "gaussian_moments", counted)
+    upper = np.linspace(-20.0, 0.0, 41)
+    mass = ensembles.mass_below(spec, quantum, 2.5, upper)
+    assert len(calls) == 1
+    pairs = ensembles.diagonal_pairs(spec, quantum, 2.5)
+    alpha, beta, gamma = pairs.left + pairs.right
+    u = upper[:, None]
+    shifted = (alpha + 0.0 * u, beta + 2.0 * alpha * u, gamma + (alpha * u + beta) * u)
+    assert np.array_equal(mass, (pairs.coefficient * moments(*shifted)[0]).sum(axis=-1).real)
+
+
 def test_fringe_visibility_washes_out(pure_spec, quantum, nearly_classical):
     high = fringe_visibility(pure_spec, quantum, 2.5)
     low = fringe_visibility(pure_spec, nearly_classical, 2.5)

@@ -338,7 +338,8 @@ def test_non_finite_step_stalls_at_once(quantum, packet_b, monkeypatch):
     # leave the loop, which without that test ran on with x = NaN, and their
     # status tells them apart from seeds stopped at a density node.  The
     # seeds nearer packet a, where the velocity is about 1e300, take one
-    # finite step of about 1e-302 and stall below H_MIN.
+    # finite step of about 1e-302 and stall below H_MIN with no stage density
+    # below the floor: a collapsed step, not a node.
     evaluate = hydrodynamics._Cohort.evaluate
     calls = []
 
@@ -352,7 +353,7 @@ def test_non_finite_step_stalls_at_once(quantum, packet_b, monkeypatch):
     spec = EnsembleSpec("mixed", GaussianPacket(sigma0=1.0, x0=-5.0, p0=1e300, mass=1.0), packet_b)
     with np.errstate(all="ignore"):
         fan = trajectory_fans([(spec, quantum, np.linspace(-18.0, -2.0, 20))], 15.0)[0][0]
-    assert [tr.status for tr in fan] == ["stalled-non-finite"] * 7 + ["stalled-low-density"] * 13
+    assert [tr.status for tr in fan] == ["stalled-non-finite"] * 7 + ["stalled-step-collapse"] * 13
     assert all(tr.rejected_steps == 1 for tr in fan[:7])
     # The t = 0 evaluation, the starting step and one step's six stages.
     assert max(tr.evaluations for tr in fan) <= 8

@@ -479,6 +479,37 @@ def test_cli_non_finite_trajectory_seeds_trip_the_guard(tmp_path, capsys):
     assert list(out_dir.glob("*.csv")) == []
 
 
+def test_cli_collapsing_steps_stall_with_their_own_status(tmp_path, monkeypatch):
+    # At this kick the fields and steps stay finite, but the velocity is about
+    # 5e149, so the starting steps are 1e-132 to 0 and every seed stalls below
+    # H_MIN within 8 evaluator calls, with no stage density below the floor.
+    # The seeds stall as collapsed steps, not as density nodes; the run still
+    # exits 0 with both fans stalled.
+    import qctl.runner as runner
+
+    fans = []
+    integrate = runner.trajectory_fans
+
+    def recorded(*args, **kwargs):
+        fans.append(integrate(*args, **kwargs))
+        return fans[-1]
+
+    monkeypatch.setattr(runner, "trajectory_fans", recorded)
+    doc = small_config("trajectories", epsilons=[1.0], grid={"x_min": -60.0, "n_points": 64})
+    doc["packets"]["a"]["p0"] = 1e150
+    doc["trajectories"].update(t_end=15.0, x_lo=-18.0, x_hi=-2.0, n_seeds=20)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["trajectories", "--config", str(config_path), "--out", str(out_dir)]) == 0
+    (cohort, loop), = fans
+    assert [tr.status for fan in cohort for tr in fan] == ["stalled-step-collapse"] * 40
+    assert loop["evaluator_calls"] <= 8
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["diagnostics"]["stalled_eps1"] == {"pure": 20, "mixed": 20}
+
+
 def test_legacy_wigner_window_keys_do_not_change_output(tmp_path):
     outputs = []
     for extra in ({}, {"rel_span": 0.5, "n_rel": 9}):
