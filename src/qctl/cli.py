@@ -13,7 +13,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import RUN_KINDS, load_config
+from .config import RUN_KINDS, check_packet_phase, load_config
 from .errors import ConfigError, DomainError, LowDensityError, NumericalGuardError
 from .regime import make_regime
 from .runner import run_experiment
@@ -52,6 +52,7 @@ def main(argv=None) -> int:
             except DomainError as exc:
                 raise ConfigError("--epsilon", str(exc)) from exc
             config = replace(config, epsilons=(args.epsilon,))
+            check_packet_phase(config)
     except (OSError, ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

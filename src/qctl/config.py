@@ -38,12 +38,18 @@ __all__ = [
     "parse_config",
     "serialize_config",
     "load_config",
+    "check_packet_phase",
     "RUN_KINDS",
 ]
 
 RUN_KINDS = ("density", "trajectories", "arrival", "observables", "wigner")
 
 _TAIL_MASS_LIMIT = 1e-10
+
+# Largest packet phase p0 (x0 + x_t) / (2 hbar_tilde), in rad, that a run may
+# evaluate (packets._coefficients): above 2^53 a float64 phase has no correct
+# units digit.  The README default peaks near 9e2 rad.
+PHASE_LIMIT = 2.0**53
 
 # Samples a trajectory run holds, epsilons x 2 kinds x seeds x the
 # len(hydrodynamics.record_times(t_end, dt, record_every)) recorded times
@@ -59,9 +65,13 @@ WIGNER_POINT_BUDGET = 1_000_000
 
 # Points of the position grid (grid.n_points, which only the density run
 # evaluates: the manifest's trace diagnostic is exact and reads only
-# grid.x_min) and of the arrival time grid (arrival.n_points).  The density
-# and arrival runs peak at about 380 bytes a point (peak RSS slope from the
-# defaults to 500,001 points), so each budget is about 190 MB.
+# grid.x_min) and of the arrival time grid (arrival.n_points).  Both runs
+# evaluate their fields in blocks of ensembles.FIELD_BLOCK_POINTS and the
+# density run writes each block as it goes, so what grows with the points is
+# the density run's row templates, about 145 bytes a point, and the arrival
+# run's few float arrays, about 56 bytes a point (peak RSS slopes from
+# 100,001 to 500,000 points, one epsilon, two density times).  At the budgets
+# they peaked at 101 MB and 58 MB on 2 CPUs.
 GRID_POINT_BUDGET = 500_000
 ARRIVAL_POINT_BUDGET = 500_000
 
@@ -329,7 +339,28 @@ def parse_config(text: str) -> ExperimentConfig:
     if points > WIGNER_POINT_BUDGET:
         raise ConfigError("wigner.n_u", f"n_x x n_u = {points} points exceed the budget of "
                           f"{WIGNER_POINT_BUDGET}")
+    check_packet_phase(config)
     return config
+
+
+def check_packet_phase(config: ExperimentConfig) -> None:
+    """Reject, at ``packets.<a|b>.p0``, a packet phase above :data:`PHASE_LIMIT`.
+
+    The phase ``p0 (x0 + x_t) / (2 hbar_tilde)``, with ``x_t = x0 + p0 t / m``,
+    is taken at the smallest ``hbar_tilde`` of the epsilons and at t = 0 and
+    the largest time any run kind evaluates; it is linear in t, so its modulus
+    peaks at one of the two.
+    """
+    t_end = max(config.time.t_max, config.arrival.t_max, config.trajectories.t_end,
+                *config.wigner.times)
+    hbar_tilde = min(regime.hbar_tilde for regime in config.regimes())
+    for name, p in (("a", config.packet_a), ("b", config.packet_b)):
+        phase = max(abs(p.p0 * (2.0 * p.x0 + p.p0 * t / p.mass)) for t in (0.0, t_end))
+        phase /= 2.0 * hbar_tilde
+        if not phase <= PHASE_LIMIT:
+            raise ConfigError(f"packets.{name}.p0", f"packet phase {phase:.3g} rad at "
+                              f"t = {t_end:g} and hbar_tilde = {hbar_tilde:.3g} exceeds 2^53 "
+                              "rad, above which it has no correct units digit")
 
 
 def _document(settings) -> dict:

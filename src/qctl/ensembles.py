@@ -53,12 +53,16 @@ _KINDS = ("pure", "mixed")
 # Statistical weight of every pure component, in both ensemble kinds.
 COMPONENT_WEIGHT = 0.5
 
-# Sampling points of one fringe_visibility call, and the points it smooths at a
-# time.  The cost is linear in the points and the blocks bound the memory:
-# 99,406 points took 1.1 s and 34 MB peak RSS in a fresh process on 2 CPUs,
-# against 1,020 points at eps = 0.01 on the reference packets.
+# Sampling points of one fringe_visibility call.  The cost is linear in the
+# points and the blocks of FIELD_BLOCK_POINTS bound the memory: 99,406 points
+# took 1.1 s and 34 MB peak RSS in a fresh process on 2 CPUs, against 1,020
+# points at eps = 0.01 on the reference packets.
 VISIBILITY_POINT_BUDGET = 100_000
-_VISIBILITY_BLOCK = 1024
+
+# Points of a field evaluated at a time by fringe_visibility, the arrival
+# current and the density run.  Each point is evaluated on its own, so the
+# blocks change no value; they bound the temporaries of one evaluation.
+FIELD_BLOCK_POINTS = 1024
 
 # Imaginary residue limit for diagonal density elements: hermiticity makes the
 # diagonal exactly real, so anything above this is an implementation bug.
@@ -227,6 +231,11 @@ def _contract(phi_x, phi_y):
     return (phi_x * np.conj(phi_y)).sum(axis=0)
 
 
+def point_blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most :data:`FIELD_BLOCK_POINTS` that cover ``range(n)``."""
+    return [slice(i, min(i + FIELD_BLOCK_POINTS, n)) for i in range(0, n, FIELD_BLOCK_POINTS)]
+
+
 def position_densities(specs, regime: Regime, x, t) -> list:
     """Real diagonal of the density matrix of ensembles sharing packets and wall.
 
@@ -312,7 +321,9 @@ def fringe_visibility(
     # to a factor that V does not depend on.
     a = -0.5 / sigma_obs**2
     peaks = []
-    for x in np.array_split(np.linspace(lo, hi, n), -(-n // _VISIBILITY_BLOCK)):
+    samples = np.linspace(lo, hi, n)
+    for block in point_blocks(n):
+        x = samples[block]
         weight = (a, -2.0 * a * x, a * x * x)
         pure_s, mixed_s = (mass_below(spec.as_kind(k), regime, t, 0.0, *weight) for k in _KINDS)
         peaks.append((np.max(np.abs(pure_s - mixed_s)), np.max(mixed_s)))

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import json
 import time as _time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from .arrival import arrival_distribution
 from .config import ExperimentConfig, config_to_dict
-from .ensembles import EnsembleSpec, mass_below, position_densities
+from .ensembles import EnsembleSpec, mass_below, point_blocks, position_densities
 from .errors import ConfigError, NumericalGuardError
 from .hydrodynamics import STATUS_NON_FINITE, record_times, trajectory_fans
 from .observables import heisenberg_check, observable_record
@@ -53,35 +54,42 @@ _OBSERVABLE_UNITS = {
 def _write_csv(path: Path, header: list[str], blocks) -> None:
     """Write the header, then the rows of each block, every float to 17 digits.
 
-    A block is a 2-D array of floats, or a triple ``(head, leads, values)``
-    for leading columns that repeat: row k is ``head + leads[k]`` followed by
-    the floats of ``values[k]``, where ``head`` and ``leads`` are fields
-    already formatted by :func:`_csv_fields`.  Each chunk of rows is written
-    by one %-template.
+    A block is a 2-D array of floats, or a quadruple ``(head, rows, first,
+    values)`` for leading columns that repeat: row k is ``head + rows[first +
+    k]`` with the floats of ``values[k]`` in its fields, where ``rows`` are
+    templates of :func:`_csv_rows` and ``head`` is fields of
+    :func:`_csv_fields`.  Each chunk of rows is written by one %-template.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        key = rows = None
         for block in blocks:
-            head, leads = "", None
+            head, rows, first = "", None, 0
             if isinstance(block, tuple):
-                head, leads, block = block
-            row = ",".join(["%.17g"] * block.shape[1]) + "\n"
-            if leads is not None and (leads, row) != key:
-                # Blocks with the same leads and width share these row templates.
-                key, rows = (leads, row), [lead + row for lead in leads]
+                head, rows, first, block = block
+            else:
+                row = ",".join(["%.17g"] * block.shape[1]) + "\n"
             for start in range(0, len(block), _CSV_CHUNK_ROWS):
                 chunk = block[start : start + _CSV_CHUNK_ROWS]
-                if leads is None:
+                if rows is None:
                     template = row * len(chunk)
                 else:
-                    template = head + head.join(rows[start : start + len(chunk)])
+                    template = head + head.join(rows[first + start : first + start + len(chunk)])
                 handle.write(template % tuple(chunk.ravel().tolist()))
 
 
 def _csv_fields(values) -> list[str]:
     """Each float formatted as one leading CSV field, with its comma."""
     return ["%.17g," % value for value in np.asarray(values, dtype=float).tolist()]
+
+
+def _csv_rows(leads, width: int) -> list[str]:
+    """A row template per float of ``leads``: that float as a leading field,
+    then ``width`` float fields to fill.
+
+    Built once, they serve every block that repeats these leads.
+    """
+    row = ",".join(["%.17g"] * width) + "\n"
+    return ["%.17g,%s" % (lead, row) for lead in np.asarray(leads, dtype=float).tolist()]
 
 
 def _seed_positions(config: ExperimentConfig, spec: EnsembleSpec, regime: Regime) -> np.ndarray:
@@ -110,11 +118,15 @@ def _density(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: d
     x = config.grid.points()
     times = config.time.points()
     header = ["t [time]", "x [length]"] + [f"density_{spec.kind} [1/length]" for spec in specs]
+    x_rows = _csv_rows(x, len(specs))
 
     def blocks(regime):
-        x_fields = _csv_fields(x)
+        # Each time's rows a block of positions at a time, written as they are
+        # evaluated, so only one block's fields are held.
         for t, t_field in zip(times, _csv_fields(times)):
-            yield t_field, x_fields, np.column_stack(position_densities(specs, regime, x, t))
+            for block in point_blocks(x.size):
+                values = position_densities(specs, regime, x[block], t)
+                yield t_field, x_rows, block.start, np.column_stack(values)
 
     for regime in config.regimes():
         yield f"density_eps{epsilon_tag(regime.epsilon)}.csv", header, blocks(regime)
@@ -124,6 +136,13 @@ def _trajectories(config: ExperimentConfig, specs: list[EnsembleSpec], diagnosti
     settings = config.trajectories
     regimes = config.regimes()
     seeded = [(s, regime, _seed_positions(config, s, regime)) for regime in regimes for s in specs]
+    for spec, regime, seeds in seeded:
+        names = Counter(map(_seed_name, seeds.tolist()))
+        if len(names) < seeds.size:
+            shared = sorted(name for name, count in names.items() if count > 1)
+            path = "trajectories.n_seeds" if settings.seeds is None else "trajectories.seeds"
+            raise ConfigError(path, f"{spec.kind} seeds at epsilon {regime.epsilon:g} share the "
+                              f"CSV column names {shared} (6 significant digits)")
     fans, diagnostics["trajectory_loop"] = trajectory_fans(
         seeded, settings.t_end, settings.dt, record_every=settings.record_every
     )
@@ -137,18 +156,23 @@ def _trajectories(config: ExperimentConfig, specs: list[EnsembleSpec], diagnosti
     for i, regime in enumerate(regimes):
         tag = epsilon_tag(regime.epsilon)
         group = fans[i * len(specs) : (i + 1) * len(specs)]
-        header, columns = ["t [time]"], [times]
-        for spec, fan in zip(specs, group):
-            header += [f"x_{spec.kind}[{tr.initial_position:.6g}] [length]" for tr in fan]
-            for trajectory in fan:
-                # A stalled trajectory has no samples past its stall: nan there.
-                column = np.full(times.size, np.nan)
-                column[: trajectory.positions.size] = trajectory.positions
-                columns.append(column)
-        yield f"trajectories_eps{tag}.csv", header, [np.column_stack(columns)]
+        header = ["t [time]"] + [f"x_{spec.kind}[{_seed_name(tr.initial_position)}] [length]"
+                                 for spec, fan in zip(specs, group) for tr in fan]
+        # One block, filled in place; a stalled trajectory has no samples past
+        # its stall, so nan stays there.
+        block = np.full((times.size, len(header)), np.nan)
+        block[:, 0] = times
+        for column, trajectory in enumerate((tr for fan in group for tr in fan), start=1):
+            block[: trajectory.positions.size, column] = trajectory.positions
+        yield f"trajectories_eps{tag}.csv", header, [block]
         counts = {spec.kind: _integrator_counts(fan) for spec, fan in zip(specs, group)}
         diagnostics.setdefault("integrator", {})[tag] = counts
         diagnostics[f"stalled_eps{tag}"] = {kind: c["stalled_seeds"] for kind, c in counts.items()}
+
+
+def _seed_name(seed: float) -> str:
+    """A seed as its trajectory column names it, in 6 significant digits."""
+    return f"{seed:.6g}"
 
 
 def _integrator_counts(fan) -> dict:
@@ -210,14 +234,14 @@ def _wigner(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: di
     header = ["t [time]", "R [length]", "u [momentum]"] + [f"w_{s.kind} [1/action]" for s in specs]
 
     def blocks(regime, work):
-        R_fields, u_fields = _csv_fields(R), _csv_fields(u)
+        R_fields, u_rows = _csv_fields(R), _csv_rows(u, len(specs))
         for t, t_field in zip(settings.times, _csv_fields(settings.times)):
             fields = wigner_transforms(specs, regime, t, R, u)
             work["pair_integrals"] += fields[0].pair_integrals
             work["points"] = fields[0].pair_points
             # Row by row, so the fields are never copied whole.
             for R_field, *row in zip(R_fields, *(field.values for field in fields)):
-                yield t_field + R_field, u_fields, np.column_stack(row)
+                yield t_field + R_field, u_rows, 0, np.column_stack(row)
             # Release this time's fields (``row`` views them) before the next
             # time's are computed, so only one time's fields are held.
             del fields, row

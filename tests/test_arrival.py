@@ -88,3 +88,20 @@ def test_sweep_rows_respect_regime_scaling(pure_spec):
     )
     assert direct.mean_t == folded.mean_t
     assert direct.sd_t == folded.sd_t
+
+
+def test_current_is_evaluated_in_bounded_blocks(pure_spec, quantum):
+    # |j| is evaluated a block of times at a time, so the peak of a call
+    # grows with a few arrays of the grid, not with the fields of every time
+    # (about 22 MB here when the whole grid was evaluated at once).
+    import tracemalloc
+
+    t_grid = np.linspace(0.0, 40.0, 65537)
+    arrival_distribution(pure_spec, quantum, -30.0, T_GRID)  # fill the caches
+    tracemalloc.start()
+    try:
+        arrival_distribution(pure_spec, quantum, -30.0, t_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from qctl import ConfigError, DomainError, make_regime, parse_config, serialize_config
+from qctl.cli import main
 from qctl.config import (
     ARRIVAL_POINT_BUDGET,
     DENSITY_ROW_BUDGET,
@@ -173,10 +174,13 @@ def test_single_field_bounds_report_their_own_path(mutation, path):
 
 
 def test_epsilon_range_is_the_regime_range():
-    # The loader's epsilon bound and make_regime read one predicate.
+    # The loader's epsilon bound and make_regime read one predicate.  The
+    # packets are at rest, so that no packet phase bounds the smallest epsilon.
     for eps in (1e-300, 0.5, 1.0):
         doc = json.loads(MINIMAL)
         doc["epsilons"] = [eps]
+        for packet in doc["packets"].values():
+            packet["p0"] = 0.0
         assert parse_config(json.dumps(doc)).regimes()[0].epsilon == eps
     for eps in (-1.0, 0.0, math.nextafter(1.0, 2.0)):
         with pytest.raises(DomainError):
@@ -263,6 +267,50 @@ def test_density_row_budget():
             parse_config(json.dumps(doc))
         assert excinfo.value.path == "time.n_times"
         assert "budget" in str(excinfo.value)
+
+
+def test_packet_phase_bound():
+    # p0 (x0 + x_t) / (2 hbar_tilde) above 2^53 rad has no correct units
+    # digit.  It is bounded at the largest time any run kind evaluates and the
+    # smallest hbar_tilde.  At eps = 1 a kick of 1e7 peaks near 2e15 rad by
+    # t = 40 (the default arrival window) and near 1e16 rad by t = 200.
+    def load(p0, packet="b", **top):
+        doc = json.loads(MINIMAL)
+        doc["epsilons"] = [1.0]
+        doc["packets"][packet]["p0"] = p0
+        doc.update(top)
+        return parse_config(json.dumps(doc))
+
+    def rejected(p0, packet="b", **top):
+        with pytest.raises(ConfigError) as excinfo:
+            load(p0, packet, **top)
+        assert excinfo.value.path == f"packets.{packet}.p0"
+        assert "exceeds 2^53 rad" in str(excinfo.value)
+
+    load(1e7)
+    load(-1e7, "a")
+    rejected(1e7, time={"t_max": 200.0})
+    rejected(1e7, arrival={"t_max": 200.0})
+    rejected(1e7, trajectories={"t_end": 200.0})
+    rejected(1e7, wigner={"times": [0.0, 200.0]})
+    # A smaller hbar_tilde, through an epsilon or hbar, raises the phase.
+    rejected(-1e7, "a", epsilons=[1.0, 0.01])
+    rejected(-1e7, "a", hbar=0.1)
+    for p0 in (1e150, 1e155, 1e300, -1e300):
+        rejected(p0)
+
+
+def test_cli_packet_phase_bound_follows_the_epsilon_override(tmp_path, capsys):
+    doc = json.loads(MINIMAL)
+    doc.update(epsilons=[1.0], grid={"n_points": 64}, time={"n_times": 2})
+    doc["packets"]["b"]["p0"] = 1e7
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert main(["density", "--config", str(config_path), "--epsilon", "0.01", "--out",
+                 str(out_dir)]) == 2
+    assert "config error: packets.b.p0: packet phase" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_tail_mass_guard_names_the_packet():

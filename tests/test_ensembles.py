@@ -282,7 +282,7 @@ def test_fringe_visibility_window_validation(pure_spec, quantum):
 def test_fringe_visibility_smooths_each_sample_once_in_blocks(pure_spec, monkeypatch):
     # The smoothed densities are exact integrals, with no pointwise packet
     # evaluation; each kind smooths every sample of the window once, a block
-    # of at most _VISIBILITY_BLOCK samples at a time, which bounds the memory.
+    # of at most FIELD_BLOCK_POINTS samples at a time, which bounds the memory.
     calls, fields = [], []
     smooth = ensembles.mass_below
 
@@ -294,9 +294,9 @@ def test_fringe_visibility_smooths_each_sample_once_in_blocks(pure_spec, monkeyp
     monkeypatch.setattr(ensembles, "packet_fields", lambda *args, **kwargs: fields.append(args))
     fringe_visibility(pure_spec, make_regime(1e-4), 2.5)
     assert fields == []
-    assert max(x.size for _, x in calls) <= ensembles._VISIBILITY_BLOCK
+    assert max(x.size for _, x in calls) <= ensembles.FIELD_BLOCK_POINTS
     pure, mixed = (np.concatenate([x for k, x in calls if k == kind]) for kind in ("pure", "mixed"))
-    assert pure.size > 5 * ensembles._VISIBILITY_BLOCK
+    assert pure.size > 5 * ensembles.FIELD_BLOCK_POINTS
     np.testing.assert_allclose(pure, np.linspace(-10.0, 0.0, pure.size), rtol=0, atol=1e-12)
     assert np.array_equal(pure, mixed)
 

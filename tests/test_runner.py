@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -190,9 +191,11 @@ def test_csv_cached_leading_fields_match_the_plain_template(tmp_path):
             yield np.column_stack((np.full(x.size, t_k), x, values[k]))
 
     def cached():
-        x_fields = runner._csv_fields(x)
+        # Each time's rows in two blocks, the second starting inside a chunk.
+        x_rows = runner._csv_rows(x, 2)
         for t_field, block in zip(runner._csv_fields(t), values):
-            yield t_field, x_fields, block
+            yield t_field, x_rows, 0, block[:37]
+            yield t_field, x_rows, 37, block[37:]
 
     runner._write_csv(tmp_path / "plain.csv", header, plain())
     runner._write_csv(tmp_path / "cached.csv", header, cached())
@@ -307,6 +310,73 @@ def test_observables_run_streams_one_time_at_a_time(monkeypatch):
     first = next(iter(blocks))
     assert kinds == ["pure", "mixed"]
     assert first.shape == (1, len(header))
+
+
+def test_density_run_streams_blocks_of_positions(monkeypatch):
+    # Each time's rows come a block of at most FIELD_BLOCK_POINTS positions at
+    # a time, each evaluated as it is written, with one shared list of row
+    # templates.
+    import qctl.ensembles as ensembles
+    import qctl.runner as runner
+
+    monkeypatch.setattr(ensembles, "FIELD_BLOCK_POINTS", 400)
+    config = parse_config(json.dumps(small_config("density", epsilons=[1.0])))
+    specs = [config.ensemble(kind) for kind in ("pure", "mixed")]
+    name, header, blocks = next(runner._density(config, specs, {}))
+    blocks = list(blocks)
+    assert [(first, len(values)) for _, _, first, values in blocks[:3]] == [
+        (0, 400), (400, 400), (800, 225)]
+    assert len(blocks) == 3 * config.time.n_times
+    assert len({id(rows) for _, rows, _, _ in blocks}) == 1
+
+
+@pytest.mark.parametrize("block", [7, 10**9])
+def test_field_blocks_do_not_change_the_csvs(block, tmp_path, monkeypatch):
+    # Every point is evaluated on its own, so the block size changes no byte.
+    # The grids straddle a block of 7: one block, one and a point, three and a point.
+    import qctl.ensembles as ensembles
+
+    def csvs(out_dir):
+        for n_points in (64, 70):
+            doc = small_config("density", grid={"x_min": -60.0, "n_points": n_points})
+            run_experiment(parse_config(json.dumps(doc)), out_dir=out_dir / f"density{n_points}")
+        for n_points in (7, 8, 22):
+            doc = small_config("arrival", arrival={"t_max": 40.0, "n_points": n_points})
+            run_experiment(parse_config(json.dumps(doc)), out_dir=out_dir / f"arrival{n_points}")
+        return {p.relative_to(out_dir): p.read_bytes() for p in sorted(out_dir.rglob("*.csv"))}
+
+    default = csvs(tmp_path / "default")
+    monkeypatch.setattr(ensembles, "FIELD_BLOCK_POINTS", block)
+    assert csvs(tmp_path / "patched") == default
+    assert len(default) == 2 * 2 + 3 * 3
+
+
+@pytest.mark.parametrize(
+    "settings, path",
+    [
+        ({"x_lo": -5.00001, "x_hi": -5.0, "n_seeds": 3}, "trajectories.n_seeds"),
+        ({"seeding": "born", "x_lo": -5.00001, "x_hi": -5.0, "n_seeds": 3}, "trajectories.n_seeds"),
+        ({"seeds": [-5.0000011, -5.000001]}, "trajectories.seeds"),
+    ],
+)
+def test_cli_rejects_seeds_sharing_a_column_name(settings, path, tmp_path, capsys, monkeypatch):
+    # Trajectory columns name each seed in 6 significant digits; seeds that
+    # share a name exit 2 before any trajectory is integrated or CSV written.
+    import qctl.runner as runner
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("integrated seeds that share a column name")
+
+    monkeypatch.setattr(runner, "trajectory_fans", unreachable)
+    doc = small_config("trajectories")
+    doc["trajectories"].update(settings)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert main(["trajectories", "--config", str(config_path), "--out", str(out_dir)]) == 2
+    assert f"config error: {path}: pure seeds at epsilon 1 share the CSV column names ['-5" in (
+        capsys.readouterr().err)
+    assert list(out_dir.glob("*")) == []
 
 
 def test_observables_run_is_not_renormalized_by_the_grid(tmp_path):
@@ -446,47 +516,62 @@ def test_cli_numerical_guard_exit_code(tmp_path):
     assert list(out_dir.glob("*.csv")) == []
 
 
-@pytest.mark.parametrize("kind", ["density", "arrival", "observables", "trajectories"])
-def test_cli_non_finite_fields_trip_the_guard(kind, tmp_path, capsys):
-    # The loader accepts any finite kick, but this one overflows the packet
-    # phase, so the fields are not finite.  The trajectory run's seeds stall
-    # on finite steps far below H_MIN (the velocity is about 5e154), and it
-    # trips the guard of the manifest's trace diagnostic, whose exact mass is
-    # not finite.
+def huge_kick(kind, p0, tmp_path, **trajectories):
+    """The CLI's exit code on a one-epsilon config kicking packet a by ``p0``, and
+    that config with the kick set after loading, which no load-time check sees."""
     doc = small_config(kind, epsilons=[1.0], grid={"x_min": -60.0, "n_points": 64})
-    doc["packets"]["a"]["p0"] = 1e155
+    doc["trajectories"].update(trajectories)
+    doc["packets"]["a"]["p0"] = p0
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(doc))
-    out_dir = tmp_path / "out"
-    with np.errstate(all="ignore"):
-        assert main([kind, "--config", str(config_path), "--out", str(out_dir)]) == 3
-    assert "numerical guard" in capsys.readouterr().err
-    assert list(out_dir.glob("*.csv")) == []
+    code = main([kind, "--config", str(config_path), "--out", str(tmp_path / "cli")])
+    assert list((tmp_path / "cli").glob("*.csv")) == []
+    doc["packets"]["a"]["p0"] = -2.0
+    config = parse_config(json.dumps(doc))
+    return code, replace(config, packet_a=replace(config.packet_a, p0=p0))
+
+
+@pytest.mark.parametrize("kind", ["density", "arrival", "observables", "trajectories"])
+def test_cli_non_finite_fields_trip_the_guard(kind, tmp_path, capsys):
+    # The loader rejects this kick, whose packet phase overflows.  Run anyway,
+    # the fields are not finite and trip the guards.  The trajectory run's
+    # seeds stall on finite steps far below H_MIN (the velocity is about
+    # 5e154), and it trips the guard of the manifest's trace diagnostic,
+    # whose exact mass is not finite.
+    code, config = huge_kick(kind, 1e155, tmp_path)
+    assert code == 2
+    assert "config error: packets.a.p0: packet phase inf rad" in capsys.readouterr().err
+    with np.errstate(all="ignore"), pytest.raises(NumericalGuardError):
+        run_experiment(config, out_dir=tmp_path / "out")
+    assert list((tmp_path / "out").glob("*.csv")) == []
 
 
 def test_cli_non_finite_trajectory_seeds_trip_the_guard(tmp_path, capsys):
-    # At this kick the first step of packet b's seeds is not finite, so they
-    # stall as non-finite and the run stops before it writes a CSV.
-    doc = small_config("trajectories", epsilons=[1.0], grid={"x_min": -60.0, "n_points": 64})
-    doc["packets"]["a"]["p0"] = 1e300
-    doc["trajectories"].update(x_lo=-18.0, x_hi=-2.0, n_seeds=20)
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(doc))
-    out_dir = tmp_path / "out"
-    with np.errstate(all="ignore"):
-        assert main(["trajectories", "--config", str(config_path), "--out", str(out_dir)]) == 3
-    assert "seeds at epsilon 1 stalled on a density or step that is not finite" in capsys.readouterr().err
-    assert list(out_dir.glob("*.csv")) == []
+    # The loader rejects this kick.  Run anyway, the first step of packet b's
+    # seeds is not finite, so they stall as non-finite and the run stops
+    # before it writes a CSV.
+    code, config = huge_kick("trajectories", 1e300, tmp_path, x_lo=-18.0, x_hi=-2.0, n_seeds=20)
+    assert code == 2
+    assert "config error: packets.a.p0" in capsys.readouterr().err
+    message = "seeds at epsilon 1 stalled on a density or step that is not finite"
+    with np.errstate(all="ignore"), pytest.raises(NumericalGuardError, match=message):
+        run_experiment(config, out_dir=tmp_path / "out")
+    assert list((tmp_path / "out").glob("*.csv")) == []
 
 
-def test_cli_collapsing_steps_stall_with_their_own_status(tmp_path, monkeypatch):
-    # At this kick the fields and steps stay finite, but the velocity is about
-    # 5e149, so the starting steps are 1e-132 to 0 and every seed stalls below
-    # H_MIN within 8 evaluator calls, with no stage density below the floor.
-    # The seeds stall as collapsed steps, not as density nodes; the run still
-    # exits 0 with both fans stalled.
+def test_cli_collapsing_steps_stall_with_their_own_status(tmp_path, capsys, monkeypatch):
+    # The loader rejects this kick, whose phase has no correct digit.  Run
+    # anyway, the fields and steps stay finite, but the velocity is about
+    # 5e149, so the starting steps are 1e-132 to 0 and every seed stalls
+    # below H_MIN within 8 evaluator calls, with no stage density below the
+    # floor.  The seeds stall as collapsed steps, not as density nodes; the
+    # run writes both fans stalled.
     import qctl.runner as runner
 
+    code, config = huge_kick("trajectories", 1e150, tmp_path, t_end=15.0, x_lo=-18.0, x_hi=-2.0,
+                             n_seeds=20)
+    assert code == 2
+    assert "config error: packets.a.p0: packet phase 2e+301 rad" in capsys.readouterr().err
     fans = []
     integrate = runner.trajectory_fans
 
@@ -495,18 +580,11 @@ def test_cli_collapsing_steps_stall_with_their_own_status(tmp_path, monkeypatch)
         return fans[-1]
 
     monkeypatch.setattr(runner, "trajectory_fans", recorded)
-    doc = small_config("trajectories", epsilons=[1.0], grid={"x_min": -60.0, "n_points": 64})
-    doc["packets"]["a"]["p0"] = 1e150
-    doc["trajectories"].update(t_end=15.0, x_lo=-18.0, x_hi=-2.0, n_seeds=20)
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(doc))
-    out_dir = tmp_path / "out"
     with np.errstate(all="ignore"):
-        assert main(["trajectories", "--config", str(config_path), "--out", str(out_dir)]) == 0
+        manifest = run_experiment(config, out_dir=tmp_path / "out")
     (cohort, loop), = fans
     assert [tr.status for fan in cohort for tr in fan] == ["stalled-step-collapse"] * 40
     assert loop["evaluator_calls"] <= 8
-    manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["diagnostics"]["stalled_eps1"] == {"pure": 20, "mixed": 20}
 
 
