@@ -17,8 +17,17 @@ and docstring lines left out), the table of ``scripts/l0_evaluator.py
 (so a parent without ``--l1`` is timed too), the Tier-1 test count and
 seconds of this tree,
 and the ``[acceptance]`` lines of ``tests/test_acceptance.py -s`` in each
-tree, so the margins are recorded before and after.  Only the standard
-library is used; the trees need their own dependencies.
+tree, so the margins are recorded before and after.
+
+The byte contract: both trees run the 16 comparison configs through the CLI
+with the same relative ``--out``, each tree in its own working directory.
+They are the seed-1 and seed-3 configs of each ``perfbench`` workload in the
+workload's run kinds, the README default config in all five run kinds, and
+that config with Born seeding in the trajectories kind.  The report lists the
+CSVs whose bytes differ and, per run, the manifest keys (dotted paths) whose
+values differ, ``wall_clock_seconds`` left out.  Only the standard library is
+used (this tree's ``perfbench/workloads.py`` needs numpy); the trees need
+their own dependencies.
 """
 
 import argparse
@@ -31,6 +40,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import tokenize
 from pathlib import Path
 
@@ -39,6 +49,8 @@ WORKLOADS = ("trajectories", "wigner", "fields")
 L0_REPEAT = 5
 # Token types that are not code: comments, line breaks and indentation.
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+RUN_KINDS = ("density", "trajectories", "arrival", "observables", "wigner")
+CONTRACT_SEEDS = (1, 3)
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
 
@@ -141,6 +153,79 @@ def _acceptance(tree: Path) -> list:
     return [line[line.index("[acceptance]"):] for line in out.splitlines() if "[acceptance]" in line]
 
 
+def _comparison_configs(change: Path) -> dict:
+    """The comparison runs by name (``config/run kind``): (config document, run kind)."""
+    sys.path.insert(0, str(change / "perfbench"))
+    import workloads
+
+    runs = {}
+    for workload in workloads.WORKLOADS:
+        for seed in CONTRACT_SEEDS:
+            doc = workloads.make_config(workload, seed)
+            for kind in workloads.run_kinds(workload):
+                runs[f"{workload}_seed{seed}/{kind}"] = (doc, kind)
+    readme = (change / "README.md").read_text(encoding="utf-8")
+    default = json.loads(readme.split("## Configuration", 1)[1].split("```json\n", 1)[1].split("```", 1)[0])
+    for kind in RUN_KINDS:
+        runs[f"readme/{kind}"] = (default, kind)
+    born = json.loads(json.dumps(default))
+    born["trajectories"]["seeding"] = "born"
+    runs["readme_born/trajectories"] = (born, "trajectories")
+    return runs
+
+
+def _flatten(value, path: str = "") -> dict:
+    """A JSON value as {dotted path: leaf}; lists are leaves."""
+    if not isinstance(value, dict):
+        return {path: value}
+    flat = {}
+    for key, item in value.items():
+        flat.update(_flatten(item, f"{path}.{key}" if path else key))
+    return flat
+
+
+def _byte_contract(parent: Path, change: Path) -> dict:
+    """Run every comparison config in both trees; report what differs."""
+    runs = _comparison_configs(change)
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        exit_codes, csvs, manifests = {}, {}, {}
+        for side, tree in (("parent", parent), ("change", change)):
+            work = scratch / side
+            env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
+            for i, (name, (doc, kind)) in enumerate(runs.items()):
+                config = scratch / f"config{i}.json"
+                config.write_text(json.dumps(doc), encoding="utf-8")
+                out = Path(f"out{i}")
+                (work / out).mkdir(parents=True)
+                cmd = [sys.executable, "-m", "qctl.cli", kind, "--config", str(config), "--out", str(out)]
+                code = subprocess.run(cmd, cwd=work, env=env, capture_output=True).returncode
+                exit_codes.setdefault(name, {})[side] = code
+                for path in sorted((work / out).glob("*.csv")):
+                    csvs.setdefault(f"{name}/{path.name}", {})[side] = path.read_bytes()
+                manifest = work / out / "manifest.json"
+                if manifest.is_file():
+                    flat = _flatten(json.loads(manifest.read_text(encoding="utf-8")))
+                    flat.pop("wall_clock_seconds", None)
+                    manifests.setdefault(name, {})[side] = flat
+                print("contract", side, name, code, file=sys.stderr, flush=True)
+    differing_keys = {}
+    for name, sides in manifests.items():
+        parent_keys, change_keys = sides.get("parent", {}), sides.get("change", {})
+        keys = sorted(k for k in parent_keys.keys() | change_keys.keys()
+                      if k not in parent_keys or k not in change_keys or parent_keys[k] != change_keys[k])
+        if keys:
+            differing_keys[name] = keys
+    return {
+        "runs": len(runs),
+        "exit_codes": exit_codes,
+        "csvs": len(csvs),
+        "differing_csvs": sorted(name for name, sides in csvs.items()
+                                 if sides.get("parent") != sides.get("change")),
+        "differing_manifest_keys": differing_keys,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
@@ -160,6 +245,7 @@ def main(argv=None) -> int:
         "src_code_lines": {"parent": _src_code_lines(parent), "change": _src_code_lines(change)},
         "l0": {"parent": _l0_table(parent), "change": _l0_table(change)},
         "l1": {"parent": _l1_table(parent), "change": _l1_table(change)},
+        "byte_contract": _byte_contract(parent, change),
     }
     for workload in args.workloads.split(","):
         report["benchmark"]["workloads"][workload] = _pairs(parent, change, workload, args.pairs, args.seconds)

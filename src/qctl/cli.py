@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
-from .config import RUN_KINDS, check_packet_phase, load_config
+from .config import RUN_KINDS, load_config
 from .errors import ConfigError, DomainError, LowDensityError, NumericalGuardError
-from .regime import make_regime
 from .runner import run_experiment
 
 __all__ = ["main"]
@@ -43,21 +41,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # Each flag replaces its document key before any check, so the loader
+    # validates it as that key and every cross-field check sees it.
+    overrides = {"run": args.run_kind}
+    if args.epsilon is not None:
+        overrides["epsilons"] = [args.epsilon]
+    if args.out is not None:
+        overrides["out_dir"] = args.out
     try:
-        config = load_config(args.config)
-        config = replace(config, run_kind=args.run_kind)
-        if args.epsilon is not None:
-            try:
-                make_regime(args.epsilon, config.hbar)
-            except DomainError as exc:
-                raise ConfigError("--epsilon", str(exc)) from exc
-            config = replace(config, epsilons=(args.epsilon,))
-            check_packet_phase(config)
+        config = load_config(args.config, overrides)
     except (OSError, ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        manifest = run_experiment(config, out_dir=args.out)
+        manifest = run_experiment(config)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 4

@@ -38,7 +38,6 @@ __all__ = [
     "parse_config",
     "serialize_config",
     "load_config",
-    "check_packet_phase",
     "RUN_KINDS",
 ]
 
@@ -285,14 +284,19 @@ def _parse_packets(doc: dict) -> list[GaussianPacket]:
     return result
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a JSON configuration document."""
+def parse_config(text: str, overrides=None) -> ExperimentConfig:
+    """Parse and validate a JSON configuration document.
+
+    ``overrides`` maps top-level document keys to values that replace the
+    document's before any check, so each is validated as that key would be.
+    """
     try:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ConfigError("<document>", f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("<document>", "top-level value must be an object")
+    doc.update(overrides or {})
     top = {key: value for key, value in doc.items() if key not in ("mass", "packets")}
     settings = _settings(ExperimentConfig, top, "")
     config = ExperimentConfig(*_parse_packets(doc), **settings)
@@ -339,11 +343,11 @@ def parse_config(text: str) -> ExperimentConfig:
     if points > WIGNER_POINT_BUDGET:
         raise ConfigError("wigner.n_u", f"n_x x n_u = {points} points exceed the budget of "
                           f"{WIGNER_POINT_BUDGET}")
-    check_packet_phase(config)
+    _check_packet_phase(config)
     return config
 
 
-def check_packet_phase(config: ExperimentConfig) -> None:
+def _check_packet_phase(config: ExperimentConfig) -> None:
     """Reject, at ``packets.<a|b>.p0``, a packet phase above :data:`PHASE_LIMIT`.
 
     The phase ``p0 (x0 + x_t) / (2 hbar_tilde)``, with ``x_t = x0 + p0 t / m``,
@@ -387,6 +391,7 @@ def serialize_config(config: ExperimentConfig) -> str:
     return json.dumps(config_to_dict(config), indent=2) + "\n"
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, overrides=None) -> ExperimentConfig:
+    """The configuration in the file at ``path``, with :func:`parse_config`'s ``overrides``."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read())
+        return parse_config(handle.read(), overrides)

@@ -2,7 +2,9 @@
 
 Each run kind is a generator ``(config, specs, diagnostics)`` over the
 regimes, ``specs`` being the pure and the mixed ensemble, that yields ``(file
-name, header, blocks)`` for every CSV and records its diagnostics;
+name, header, blocks)`` for every CSV and records its diagnostics.  Every
+block is one form, ``(head, rows, values)``: leading fields, one row template
+per row, and the floats that fill them (:func:`_write_csv`).
 :func:`run_experiment` alone writes the CSVs and removes them if any stage
 fails.  Outputs are deterministic: fixed evaluation and summation order, 17
 significant digits, LF line endings, and no run-time data inside CSV bodies.
@@ -54,27 +56,25 @@ _OBSERVABLE_UNITS = {
 def _write_csv(path: Path, header: list[str], blocks) -> None:
     """Write the header, then the rows of each block, every float to 17 digits.
 
-    A block is a 2-D array of floats, or a quadruple ``(head, rows, first,
-    values)`` for leading columns that repeat: row k is ``head + rows[first +
-    k]`` with the floats of ``values[k]`` in its fields, where ``rows`` are
-    templates of :func:`_csv_rows` and ``head`` is fields of
-    :func:`_csv_fields`.  Each chunk of rows is written by one %-template.
+    A block is a triple ``(head, rows, values)``: row k is ``head + rows[k]``
+    with the floats of ``values[k]``, a 2-D array, in its fields.  ``head`` is
+    leading fields of :func:`_csv_fields`, or empty, and ``rows`` are templates
+    of :func:`_csv_rows` or :func:`_plain`.  Each chunk of rows is written by
+    one %-template.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for block in blocks:
-            head, rows, first = "", None, 0
-            if isinstance(block, tuple):
-                head, rows, first, block = block
-            else:
-                row = ",".join(["%.17g"] * block.shape[1]) + "\n"
-            for start in range(0, len(block), _CSV_CHUNK_ROWS):
-                chunk = block[start : start + _CSV_CHUNK_ROWS]
-                if rows is None:
-                    template = row * len(chunk)
-                else:
-                    template = head + head.join(rows[first + start : first + start + len(chunk)])
+        for head, rows, values in blocks:
+            for start in range(0, len(values), _CSV_CHUNK_ROWS):
+                chunk = values[start : start + _CSV_CHUNK_ROWS]
+                template = head + head.join(rows[start : start + len(chunk)])
                 handle.write(template % tuple(chunk.ravel().tolist()))
+
+
+def _plain(values: np.ndarray) -> tuple:
+    """The 2-D ``values`` as a block with no leading fields; its rows share one template."""
+    row = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    return "", [row] * len(values), values
 
 
 def _csv_fields(values) -> list[str]:
@@ -126,7 +126,7 @@ def _density(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: d
         for t, t_field in zip(times, _csv_fields(times)):
             for block in point_blocks(x.size):
                 values = position_densities(specs, regime, x[block], t)
-                yield t_field, x_rows, block.start, np.column_stack(values)
+                yield t_field, x_rows[block], np.column_stack(values)
 
     for regime in config.regimes():
         yield f"density_eps{epsilon_tag(regime.epsilon)}.csv", header, blocks(regime)
@@ -164,7 +164,7 @@ def _trajectories(config: ExperimentConfig, specs: list[EnsembleSpec], diagnosti
         block[:, 0] = times
         for column, trajectory in enumerate((tr for fan in group for tr in fan), start=1):
             block[: trajectory.positions.size, column] = trajectory.positions
-        yield f"trajectories_eps{tag}.csv", header, [block]
+        yield f"trajectories_eps{tag}.csv", header, [_plain(block)]
         counts = {spec.kind: _integrator_counts(fan) for spec, fan in zip(specs, group)}
         diagnostics.setdefault("integrator", {})[tag] = counts
         diagnostics[f"stalled_eps{tag}"] = {kind: c["stalled_seeds"] for kind, c in counts.items()}
@@ -202,9 +202,10 @@ def _arrival(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: d
             spec.kind: {"tail_fraction": f, "tail_flagged": f > TAIL_FRACTION_FLAG}
             for spec, f in zip(specs, (s.tail_fraction for s in stats))
         }
-        yield f"arrival_eps{tag}.csv", header, [np.column_stack([t_grid] + [s.pdf for s in stats])]
+        pdfs = np.column_stack([t_grid] + [s.pdf for s in stats])
+        yield f"arrival_eps{tag}.csv", header, [_plain(pdfs)]
         summary_rows.append([regime.epsilon] + [v for s in stats for v in (s.mean_t, s.sd_t)])
-    yield "arrival_summary.csv", summary, [np.array(summary_rows)]
+    yield "arrival_summary.csv", summary, [_plain(np.array(summary_rows))]
 
 
 def _observables(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: dict):
@@ -221,7 +222,7 @@ def _observables(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostic
                 record = observable_record(spec, regime, t)
                 row += [getattr(record, name) for name in _OBSERVABLE_UNITS]
                 row.append(heisenberg_check(record, regime)[1])
-            yield np.array([row])
+            yield _plain(np.array([row]))
 
     for regime in config.regimes():
         yield f"observables_eps{epsilon_tag(regime.epsilon)}.csv", header, blocks(regime)
@@ -241,7 +242,7 @@ def _wigner(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: di
             work["points"] = fields[0].pair_points
             # Row by row, so the fields are never copied whole.
             for R_field, *row in zip(R_fields, *(field.values for field in fields)):
-                yield t_field + R_field, u_rows, 0, np.column_stack(row)
+                yield t_field + R_field, u_rows, np.column_stack(row)
             # Release this time's fields (``row`` views them) before the next
             # time's are computed, so only one time's fields are held.
             del fields, row

@@ -6,6 +6,7 @@ import pytest
 
 from qctl import ConfigError, DomainError, make_regime, parse_config, serialize_config
 from qctl.cli import main
+from qctl.config import load_config
 from qctl.config import (
     ARRIVAL_POINT_BUDGET,
     DENSITY_ROW_BUDGET,
@@ -220,6 +221,35 @@ def test_trajectory_sample_budget():
     with pytest.raises(ConfigError) as excinfo:
         load([1.0], record_every=0)
     assert excinfo.value.path == "trajectories.record_every"
+
+
+def test_sample_budget_sees_the_epsilon_override(tmp_path):
+    # 2 epsilons x 2 kinds x 5,000 seeds x 1,501 recorded times exceed the
+    # budget; one epsilon is within it.  Only loaded, never integrated.
+    doc = json.loads(MINIMAL)
+    doc.update(epsilons=[1.0, 0.5], trajectories={"n_seeds": 5000})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path)
+    assert excinfo.value.path == "trajectories.n_seeds"
+    config = load_config(path, {"epsilons": [0.5]})
+    assert config.epsilons == (0.5,) and config.trajectories.n_seeds == 5000
+
+
+def test_overrides_replace_document_keys_before_every_check():
+    assert parse_config(FULL, {"run": "wigner", "out_dir": "elsewhere"}).out_dir == "elsewhere"
+    assert parse_config(FULL, {"run": "wigner"}).run_kind == "wigner"
+    assert parse_config(FULL).out_dir == "results"
+    for overrides, path in (
+        ({"epsilons": [7.0]}, "epsilons[0]"),
+        ({"epsilons": [0.1, 0.1000001]}, "epsilons"),
+        ({"out_dir": ""}, "out_dir"),
+        ({"run": "everything"}, "run"),
+    ):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(FULL, overrides)
+        assert excinfo.value.path == path
 
 
 def test_wigner_point_budget():

@@ -188,14 +188,14 @@ def test_csv_cached_leading_fields_match_the_plain_template(tmp_path):
 
     def plain():
         for k, t_k in enumerate(t):
-            yield np.column_stack((np.full(x.size, t_k), x, values[k]))
+            yield runner._plain(np.column_stack((np.full(x.size, t_k), x, values[k])))
 
     def cached():
         # Each time's rows in two blocks, the second starting inside a chunk.
         x_rows = runner._csv_rows(x, 2)
         for t_field, block in zip(runner._csv_fields(t), values):
-            yield t_field, x_rows, 0, block[:37]
-            yield t_field, x_rows, 37, block[37:]
+            yield t_field, x_rows[:37], block[:37]
+            yield t_field, x_rows[37:], block[37:]
 
     runner._write_csv(tmp_path / "plain.csv", header, plain())
     runner._write_csv(tmp_path / "cached.csv", header, cached())
@@ -307,15 +307,16 @@ def test_observables_run_streams_one_time_at_a_time(monkeypatch):
     config = parse_config(json.dumps(small_config("observables", epsilons=[1.0])))
     specs = [config.ensemble(kind) for kind in ("pure", "mixed")]
     name, header, blocks = next(runner._observables(config, specs, {}))
-    first = next(iter(blocks))
+    head, rows, values = next(iter(blocks))
     assert kinds == ["pure", "mixed"]
-    assert first.shape == (1, len(header))
+    assert values.shape == (1, len(header))
+    assert head == "" and len(rows) == 1
 
 
 def test_density_run_streams_blocks_of_positions(monkeypatch):
     # Each time's rows come a block of at most FIELD_BLOCK_POINTS positions at
-    # a time, each evaluated as it is written, with one shared list of row
-    # templates.
+    # a time, each evaluated as it is written, with row templates built once
+    # per run and shared by every time.
     import qctl.ensembles as ensembles
     import qctl.runner as runner
 
@@ -324,10 +325,14 @@ def test_density_run_streams_blocks_of_positions(monkeypatch):
     specs = [config.ensemble(kind) for kind in ("pure", "mixed")]
     name, header, blocks = next(runner._density(config, specs, {}))
     blocks = list(blocks)
-    assert [(first, len(values)) for _, _, first, values in blocks[:3]] == [
-        (0, 400), (400, 400), (800, 225)]
+    assert [(len(rows), len(values)) for _, rows, values in blocks[:3]] == [
+        (400, 400), (400, 400), (225, 225)]
     assert len(blocks) == 3 * config.time.n_times
-    assert len({id(rows) for _, rows, _, _ in blocks}) == 1
+    # The same template objects at every time.
+    templates = [[id(row) for _, rows, _ in blocks[k : k + 3] for row in rows]
+                 for k in range(0, len(blocks), 3)]
+    assert len(templates[0]) == config.grid.n_points == len(set(templates[0]))
+    assert all(ids == templates[0] for ids in templates)
 
 
 @pytest.mark.parametrize("block", [7, 10**9])
@@ -488,6 +493,30 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["density", "--config", str(tmp_path / "missing.json")]) == 2
     config_path.write_text(json.dumps(small_config("density")))
     assert main(["density", "--config", str(config_path), "--epsilon", "7.0"]) == 2
+
+
+def test_cli_flags_are_validated_as_the_keys_they_replace(tmp_path, capsys, monkeypatch):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(small_config("density", epsilons=[0.5])))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["density", "--config", str(config_path), "--epsilon", "7"]) == 2
+    assert "config error: epsilons[0]: must be in (0, 1]" in capsys.readouterr().err
+    assert main(["density", "--config", str(config_path), "--out", ""]) == 2
+    assert "config error: out_dir: must be non-empty" in capsys.readouterr().err
+    assert list(work.iterdir()) == []
+
+
+def test_cli_manifest_echoes_the_flags(tmp_path, monkeypatch):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(small_config("density", time={"t_max": 7.0, "n_times": 2})))
+    monkeypatch.chdir(tmp_path)
+    assert main(["observables", "--config", str(config_path), "--epsilon", "0.5", "--out",
+                 "results"]) == 0
+    echoed = json.loads((tmp_path / "results" / "manifest.json").read_text())["config"]
+    assert (echoed["run"], echoed["epsilons"], echoed["out_dir"]) == (
+        "observables", [0.5], "results")
 
 
 @pytest.mark.parametrize(
