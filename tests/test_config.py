@@ -6,13 +6,13 @@ import pytest
 
 from qctl import ConfigError, DomainError, make_regime, parse_config, serialize_config
 from qctl.cli import main
-from qctl.config import load_config
 from qctl.config import (
     ARRIVAL_POINT_BUDGET,
     DENSITY_ROW_BUDGET,
     GRID_POINT_BUDGET,
     TRAJECTORY_SAMPLE_BUDGET,
     WIGNER_POINT_BUDGET,
+    load_config,
 )
 from qctl.hydrodynamics import record_times
 
