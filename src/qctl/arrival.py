@@ -14,7 +14,7 @@ import numpy as np
 from .ensembles import EnsembleSpec, point_blocks
 from .errors import DomainError, NumericalGuardError
 from .hydrodynamics import current
-from .quadrature import quadrature_weights
+from .quadrature import quad_integrate
 from .regime import Regime
 
 __all__ = ["ArrivalStatistics", "arrival_distribution"]
@@ -56,15 +56,14 @@ def arrival_distribution(
     flux_mod = np.empty_like(t)
     for block in point_blocks(t.size):
         flux_mod[block] = np.abs(current(spec, regime, detector_x, t[block]))
-    weights = quadrature_weights(t)
-    norm = float(np.sum(weights * flux_mod))
+    norm = float(quad_integrate(t, flux_mod))
     if not norm >= 1e-12:  # NaN trips it too
         raise NumericalGuardError(
             f"current never reaches detector at x={detector_x} (integral {norm:.3e})"
         )
     pdf = flux_mod / norm
-    mean_t = float(np.sum(weights * (t * pdf)))
-    var_t = float(np.sum(weights * ((t - mean_t) ** 2 * pdf)))
+    mean_t = float(quad_integrate(t, t * pdf))
+    var_t = float(quad_integrate(t, (t - mean_t) ** 2 * pdf))
     peak = float(np.max(flux_mod))
     return ArrivalStatistics(
         detector_x=float(detector_x),

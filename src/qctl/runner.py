@@ -274,13 +274,13 @@ def _trace_drift(config: ExperimentConfig, specs: list[EnsembleSpec], regime: Re
     }
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
-    """Run the configured experiment; returns the manifest dictionary.
+def run_experiment(config: ExperimentConfig) -> dict:
+    """Run the configured experiment into ``config.out_dir``; returns the manifest dictionary.
 
     Any earlier manifest in the output directory is removed first, and
     partial outputs are removed if any stage fails.
     """
-    target = Path(out_dir if out_dir is not None else config.out_dir)
+    target = Path(config.out_dir)
     target.mkdir(parents=True, exist_ok=True)
     # A manifest left by an earlier run would describe outputs that a failure
     # of this one removes.

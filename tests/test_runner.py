@@ -49,8 +49,9 @@ def read_table(path):
 
 def test_density_run_layout_and_fringes(tmp_path):
     config = parse_config(json.dumps(small_config("density", time={"t_max": 7.0, "n_times": 2})))
-    manifest = run_experiment(config, out_dir=tmp_path)
+    manifest = run_experiment(replace(config, out_dir=str(tmp_path)))
     assert sorted(manifest["outputs"]) == ["density_eps0.01.csv", "density_eps1.csv"]
+    assert manifest["config"]["out_dir"] == str(tmp_path)
     header, table = read_table(tmp_path / "density_eps1.csv")
     assert header == [
         "t [time]",
@@ -73,8 +74,8 @@ def test_runs_are_byte_identical(tmp_path, run_kind):
     config = parse_config(json.dumps(small_config(run_kind, epsilons=[0.5])))
     first = tmp_path / "first"
     second = tmp_path / "second"
-    outputs = run_experiment(config, out_dir=first)["outputs"]
-    assert run_experiment(config, out_dir=second)["outputs"] == outputs
+    outputs = run_experiment(replace(config, out_dir=str(first)))["outputs"]
+    assert run_experiment(replace(config, out_dir=str(second)))["outputs"] == outputs
     assert f"{run_kind}_eps0.5.csv" in outputs
     for name in outputs:
         assert (first / name).read_bytes() == (second / name).read_bytes()
@@ -82,7 +83,7 @@ def test_runs_are_byte_identical(tmp_path, run_kind):
 
 def test_trajectory_run_records_fans(tmp_path):
     config = parse_config(json.dumps(small_config("trajectories", epsilons=[1.0])))
-    manifest = run_experiment(config, out_dir=tmp_path)
+    manifest = run_experiment(replace(config, out_dir=str(tmp_path)))
     header, table = read_table(tmp_path / "trajectories_eps1.csv")
     assert header[0] == "t [time]"
     assert len(header) == 1 + 2 * 4
@@ -97,7 +98,7 @@ def test_trajectory_run_records_integrator_counts(tmp_path):
     # The seed in the far tail stalls at t = 0 and takes no step.
     doc = small_config("trajectories", epsilons=[1.0, 0.01])
     doc["trajectories"]["seeds"] = [-55.0, -10.0, -6.0]
-    manifest = run_experiment(parse_config(json.dumps(doc)), out_dir=tmp_path)
+    manifest = run_experiment(parse_config(json.dumps(doc), {"out_dir": str(tmp_path)}))
     diagnostics = manifest["diagnostics"]
     assert sorted(diagnostics["integrator"]) == ["0.01", "1"]
     for tag, per_kind in diagnostics["integrator"].items():
@@ -213,7 +214,7 @@ def test_born_seeding_is_deterministic_and_ordered(tmp_path):
             )
         )
     )
-    run_experiment(config, out_dir=tmp_path)
+    run_experiment(replace(config, out_dir=str(tmp_path)))
     header, _ = read_table(tmp_path / "trajectories_eps1.csv")
     seeds = [float(name.split("[")[1].split("]")[0]) for name in header[1:7]]
     assert all(b > a for a, b in zip(seeds, seeds[1:]))
@@ -270,7 +271,7 @@ def test_cli_rejects_born_window_without_mass(tmp_path, capsys):
 
 def test_arrival_run_summary_monotone(tmp_path):
     config = parse_config(json.dumps(small_config("arrival", epsilons=[1.0, 0.1, 0.01])))
-    manifest = run_experiment(config, out_dir=tmp_path)
+    manifest = run_experiment(replace(config, out_dir=str(tmp_path)))
     assert "arrival_summary.csv" in manifest["outputs"]
     header, table = read_table(tmp_path / "arrival_summary.csv")
     assert header[0] == "epsilon [1]"
@@ -283,7 +284,7 @@ def test_observables_run_columns(tmp_path):
     config = parse_config(
         json.dumps(small_config("observables", epsilons=[1.0], time={"t_max": 4.0, "n_times": 3}))
     )
-    run_experiment(config, out_dir=tmp_path)
+    run_experiment(replace(config, out_dir=str(tmp_path)))
     header, table = read_table(tmp_path / "observables_eps1.csv")
     assert len(header) == 1 + 2 * 7
     assert table.shape == (3, 15)
@@ -344,10 +345,12 @@ def test_field_blocks_do_not_change_the_csvs(block, tmp_path, monkeypatch):
     def csvs(out_dir):
         for n_points in (64, 70):
             doc = small_config("density", grid={"x_min": -60.0, "n_points": n_points})
-            run_experiment(parse_config(json.dumps(doc)), out_dir=out_dir / f"density{n_points}")
+            target = {"out_dir": str(out_dir / f"density{n_points}")}
+            run_experiment(parse_config(json.dumps(doc), target))
         for n_points in (7, 8, 22):
             doc = small_config("arrival", arrival={"t_max": 40.0, "n_points": n_points})
-            run_experiment(parse_config(json.dumps(doc)), out_dir=out_dir / f"arrival{n_points}")
+            target = {"out_dir": str(out_dir / f"arrival{n_points}")}
+            run_experiment(parse_config(json.dumps(doc), target))
         return {p.relative_to(out_dir): p.read_bytes() for p in sorted(out_dir.rglob("*.csv"))}
 
     default = csvs(tmp_path / "default")
@@ -411,7 +414,7 @@ def test_observables_run_is_not_renormalized_by_the_grid(tmp_path):
 
 def test_wigner_run_table(tmp_path):
     config = parse_config(json.dumps(small_config("wigner", epsilons=[1.0])))
-    manifest = run_experiment(config, out_dir=tmp_path)
+    manifest = run_experiment(replace(config, out_dir=str(tmp_path)))
     # One time: the 10 distinct term pairs of both kinds, on the 40 rows R < 0.
     assert manifest["diagnostics"]["wigner"] == {"1": {"pair_integrals": 10, "points": 40 * 41}}
     header, table = read_table(tmp_path / "wigner_eps1.csv")
@@ -442,13 +445,13 @@ def test_partial_outputs_removed_on_failure(tmp_path, monkeypatch, run_kind):
             raise RuntimeError("boom")
 
     # A successful run first: its manifest must not outlive the failed rerun.
-    earlier = small_config("arrival", epsilons=[1.0])
-    earlier = run_experiment(parse_config(json.dumps(earlier)), tmp_path)["outputs"]
+    earlier = small_config("arrival", epsilons=[1.0], out_dir=str(tmp_path))
+    earlier = run_experiment(parse_config(json.dumps(earlier)))["outputs"]
     assert (tmp_path / "manifest.json").exists()
     monkeypatch.setattr(runner, "_write_csv", explode_on_second)
     config = parse_config(json.dumps(small_config(run_kind)))
     with pytest.raises(RuntimeError):
-        run_experiment(config, out_dir=tmp_path)
+        run_experiment(replace(config, out_dir=str(tmp_path)))
     assert calls["n"] == 2
     # Every CSV of the failed run is gone; the earlier CSVs it did not rewrite stay.
     kept = [name for name in earlier if not name.startswith(f"{run_kind}_eps")]
@@ -458,7 +461,7 @@ def test_partial_outputs_removed_on_failure(tmp_path, monkeypatch, run_kind):
 
 def test_manifest_contents(tmp_path):
     config = parse_config(json.dumps(small_config("density", epsilons=[0.5])))
-    manifest = run_experiment(config, out_dir=tmp_path)
+    manifest = run_experiment(replace(config, out_dir=str(tmp_path)))
     stored = json.loads((tmp_path / "manifest.json").read_text())
     assert stored["config"]["epsilons"] == [0.5]
     assert stored["outputs"] == manifest["outputs"]
@@ -571,7 +574,7 @@ def test_cli_non_finite_fields_trip_the_guard(kind, tmp_path, capsys):
     assert code == 2
     assert "config error: packets.a.p0: packet phase inf rad" in capsys.readouterr().err
     with np.errstate(all="ignore"), pytest.raises(NumericalGuardError):
-        run_experiment(config, out_dir=tmp_path / "out")
+        run_experiment(replace(config, out_dir=str(tmp_path / "out")))
     assert list((tmp_path / "out").glob("*.csv")) == []
 
 
@@ -584,7 +587,7 @@ def test_cli_non_finite_trajectory_seeds_trip_the_guard(tmp_path, capsys):
     assert "config error: packets.a.p0" in capsys.readouterr().err
     message = "seeds at epsilon 1 stalled on a density or step that is not finite"
     with np.errstate(all="ignore"), pytest.raises(NumericalGuardError, match=message):
-        run_experiment(config, out_dir=tmp_path / "out")
+        run_experiment(replace(config, out_dir=str(tmp_path / "out")))
     assert list((tmp_path / "out").glob("*.csv")) == []
 
 
@@ -610,7 +613,7 @@ def test_cli_collapsing_steps_stall_with_their_own_status(tmp_path, capsys, monk
 
     monkeypatch.setattr(runner, "trajectory_fans", recorded)
     with np.errstate(all="ignore"):
-        manifest = run_experiment(config, out_dir=tmp_path / "out")
+        manifest = run_experiment(replace(config, out_dir=str(tmp_path / "out")))
     (cohort, loop), = fans
     assert [tr.status for fan in cohort for tr in fan] == ["stalled-step-collapse"] * 40
     assert loop["evaluator_calls"] <= 8
@@ -623,7 +626,7 @@ def test_legacy_wigner_window_keys_do_not_change_output(tmp_path):
         doc = small_config("wigner")
         doc["wigner"].update(extra)
         out_dir = tmp_path / f"out{len(outputs)}"
-        run_experiment(parse_config(json.dumps(doc)), out_dir=out_dir)
+        run_experiment(parse_config(json.dumps(doc), {"out_dir": str(out_dir)}))
         outputs.append({p.name: p.read_bytes() for p in out_dir.glob("*.csv")})
     assert len(outputs[0]) == 2
     assert outputs[0] == outputs[1]
@@ -635,7 +638,7 @@ def default_arrival_manifest(tmp_path):
         "epsilons": [1.0],
         "packets": {"a": {"x0": -5.0, "p0": -2.0}, "b": {"x0": -15.0, "p0": 2.0}},
     }
-    return run_experiment(parse_config(json.dumps(doc)), out_dir=tmp_path)
+    return run_experiment(parse_config(json.dumps(doc), {"out_dir": str(tmp_path)}))
 
 
 def test_manifest_flags_truncated_arrival_window(tmp_path):
@@ -653,7 +656,8 @@ def test_manifest_flags_support_lost_beyond_grid(tmp_path):
         assert trace[kind]["support_loss"] == pytest.approx(0.033, abs=0.002)
         assert trace[kind]["support_loss_flagged"]
     config = parse_config(json.dumps(small_config("density", epsilons=[1.0])))
-    small = run_experiment(config, out_dir=tmp_path / "small")["diagnostics"]["trace"]["1"]
+    small = run_experiment(replace(config, out_dir=str(tmp_path / "small")))
+    small = small["diagnostics"]["trace"]["1"]
     assert not small["pure"]["support_loss_flagged"]
     assert not small["mixed"]["support_loss_flagged"]
 
@@ -662,7 +666,8 @@ def test_trace_is_exact_and_reads_only_x_min(tmp_path):
     traces = []
     for n_points in (64, 1025):
         doc = small_config("observables", epsilons=[1.0], grid={"x_min": -30.0, "n_points": n_points})
-        manifest = run_experiment(parse_config(json.dumps(doc)), out_dir=tmp_path / str(n_points))
+        target = {"out_dir": str(tmp_path / str(n_points))}
+        manifest = run_experiment(parse_config(json.dumps(doc), target))
         traces.append(manifest["diagnostics"]["trace"]["1"])
     assert traces[0] == traces[1]
     config = parse_config(json.dumps(doc))
@@ -679,7 +684,7 @@ def test_non_finite_trace_trips_the_guard(tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "mass_below", lambda *args: np.array([np.nan, 1.0]))
     config = parse_config(json.dumps(small_config("arrival", epsilons=[1.0])))
     with pytest.raises(NumericalGuardError, match="trace"):
-        run_experiment(config, out_dir=tmp_path)
+        run_experiment(replace(config, out_dir=str(tmp_path)))
     assert list(tmp_path.glob("*.csv")) == []
     assert not (tmp_path / "manifest.json").exists()
 
