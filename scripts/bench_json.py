@@ -17,7 +17,10 @@ and docstring lines left out), the table of ``scripts/l0_evaluator.py
 (so a parent without ``--l1`` is timed too), the Tier-1 test count and
 seconds of this tree,
 and the ``[acceptance]`` lines of ``tests/test_acceptance.py -s`` in each
-tree, so the margins are recorded before and after.
+tree, so the margins are recorded before and after.  The L0 and L1 tables
+are each run in alternating rounds, parent, change, change, parent, and so
+on, ``L0_ROUNDS`` per tree, and every cell records its minimum over the
+rounds, since a single run on a shared machine reads a few percent high.
 
 The byte contract: both trees run the 16 comparison configs through the CLI
 with the same relative ``--out``, each tree in its own working directory.
@@ -47,6 +50,7 @@ from pathlib import Path
 METRICS = ("run_s", "setup_s", "peak_rss_mb")
 WORKLOADS = ("trajectories", "wigner", "fields")
 L0_REPEAT = 5
+L0_ROUNDS = 3
 # Token types that are not code: comments, line breaks and indentation.
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 RUN_KINDS = ("density", "trajectories", "arrival", "observables", "wigner")
@@ -103,6 +107,25 @@ def _l1_table(tree: Path) -> dict:
     script = Path(__file__).resolve().parent / "l0_evaluator.py"
     cmd = [sys.executable, str(script), "--l1", "--repeat", str(L0_REPEAT), "--src", str(tree / "src")]
     return _table(cmd, tree)
+
+
+def _rounds(table, parent: Path, change: Path) -> dict:
+    """``table`` of each tree over ``L0_ROUNDS`` alternating rounds, each cell's minimum.
+
+    The trees alternate as parent, change, change, parent, and so on; the
+    first cell of a row names it and is kept.
+    """
+    runs = {"parent": [], "change": []}
+    for i in range(L0_ROUNDS):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            runs[side].append(table(parent if side == "parent" else change))
+            print(table.__name__, i, side, file=sys.stderr, flush=True)
+    result = {}
+    for side, tables in runs.items():
+        rows = [[cells[0][0]] + [min(column) for column in zip(*(cell[1:] for cell in cells))]
+                for cells in zip(*(t["rows"] for t in tables))]
+        result[side] = {**tables[0], "rounds": len(tables), "statistic": "min", "rows": rows}
+    return result
 
 
 def _bench(tree: Path, workload: str, seconds: float) -> dict:
@@ -243,8 +266,8 @@ def main(argv=None) -> int:
         "benchmark": {"pairs": args.pairs, "seconds": args.seconds, "workloads": {}},
         "src_lines": {"parent": _src_lines(parent), "change": _src_lines(change)},
         "src_code_lines": {"parent": _src_code_lines(parent), "change": _src_code_lines(change)},
-        "l0": {"parent": _l0_table(parent), "change": _l0_table(change)},
-        "l1": {"parent": _l1_table(parent), "change": _l1_table(change)},
+        "l0": _rounds(_l0_table, parent, change),
+        "l1": _rounds(_l1_table, parent, change),
         "byte_contract": _byte_contract(parent, change),
     }
     for workload in args.workloads.split(","):

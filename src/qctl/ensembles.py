@@ -9,8 +9,10 @@ fields of :func:`~qctl.packets.packet_fields`, whose kernel
 normalized components.  Components are built from hard-wall packet
 amplitudes, so density-matrix elements vanish whenever either argument is at
 or beyond the wall.  Every trace, moment and overlap is a sum of exact
-integrals of products of two packet terms, listed by :func:`term_pairs`; the
-Wigner transform reads the same assignment of terms to components as the
+integrals of products of two packet terms.  The same-component pairs of
+:func:`diagonal_pairs` and :func:`mass_below` take an array of times, with the
+time axis first and the pair axis last, and a scalar time is its 0-d case;
+the Wigner transform reads the same assignment of terms to components as the
 weights of :func:`pair_weights`.  The normalization ``D`` is the exact t = 0 trace,
 reused at all times.
 
@@ -36,7 +38,6 @@ from .regime import Regime
 __all__ = [
     "EnsembleSpec",
     "TermPairs",
-    "term_pairs",
     "diagonal_pairs",
     "mass_below",
     "pair_weights",
@@ -60,8 +61,9 @@ COMPONENT_WEIGHT = 0.5
 VISIBILITY_POINT_BUDGET = 100_000
 
 # Points of a field evaluated at a time by fringe_visibility, the arrival
-# current and the density run.  Each point is evaluated on its own, so the
-# blocks change no value; they bound the temporaries of one evaluation.
+# current and the density run, and times of a pair table in the observables
+# run.  Each point is evaluated on its own, so the blocks change no value;
+# they bound the temporaries of one evaluation.
 FIELD_BLOCK_POINTS = 1024
 
 # Imaginary residue limit for diagonal density elements: hermiticity makes the
@@ -133,62 +135,59 @@ def _term_components(spec: EnsembleSpec, terms_per_packet: int) -> np.ndarray:
     return np.repeat(packet_component, terms_per_packet)
 
 
-TermPairs = namedtuple("TermPairs", "component coefficient left right integrals")
+TermPairs = namedtuple("TermPairs", "coefficient left right integrals")
 
 
-def _pair_table(spec: EnsembleSpec, regime: Regime, t: float) -> tuple:
-    """The ``component``, ``coefficient``, ``left`` and ``right`` of :func:`term_pairs`."""
-    C, A, B, G = packet_terms(spec.packets, regime, t, spec.wall)
-    component = _term_components(spec, C.shape[1])
-    exponents = np.stack((A, B, G)).reshape(3, -1)
-    C = C.ravel()
-    i, j = np.divmod(np.arange(C.size**2), C.size)
-    left, right = exponents[:, i], np.conj(exponents[:, j])
-    return np.stack((component[i], component[j])), C[i] * np.conj(C[j]), left, right
+def _pair_table(spec: EnsembleSpec, regime: Regime, t) -> tuple:
+    """``coefficient``, ``left`` and ``right`` of :func:`diagonal_pairs`, not yet weighted.
 
-
-def term_pairs(spec: EnsembleSpec, regime: Regime, t: float) -> TermPairs:
-    """Every ordered pair (i, j) of the unnormalized terms ``g = C exp(A x^2 + B x + G)``.
-
-    Over n pairs: ``component`` (2, n), the component of each side;
-    ``coefficient``, ``C_i conj(C_j)``; ``left``, ``(A_i, B_i, G_i)``;
-    ``right``, ``conj(A_j, B_j, G_j)``; and ``integrals`` (3, n), the exact
-    integrals of ``x^m g_i conj(g_j)``, m = 0, 1, 2, over x <= 0 (the whole
-    line without the wall).
+    The same-component pairs (i, j) of the unnormalized terms, in row-major
+    order, are taken on the last axis, which stays contiguous.
     """
-    component, coefficient, left, right = _pair_table(spec, regime, t)
-    integrals = coefficient * gaussian_moments(*(left + right), wall=spec.wall)
-    return TermPairs(component, coefficient, left, right, integrals)
+    C, A, B, G = packet_terms(spec.packets, regime, t, spec.wall)
+    component = _term_components(spec, C.shape[-1])
+    i, j = np.nonzero(component[:, None] == component[None, :])
+    C = C.reshape(C.shape[:-2] + (-1,))
+    exponents = np.stack((A, B, G)).reshape((3,) + C.shape)
+    coefficient = np.multiply(np.take(C, i, axis=-1), np.conj(np.take(C, j, axis=-1)))
+    return coefficient, np.take(exponents, i, axis=-1), np.conj(np.take(exponents, j, axis=-1))
 
 
-def diagonal_pairs(spec: EnsembleSpec, regime: Regime, t: float) -> TermPairs:
-    """Same-component pairs; ``coefficient`` and ``integrals`` carry ``COMPONENT_WEIGHT / D``."""
-    pairs = term_pairs(spec, regime, t)
-    same = pairs.component[0] == pairs.component[1]
+def diagonal_pairs(spec: EnsembleSpec, regime: Regime, t) -> TermPairs:
+    """Every same-component pair (i, j) of the terms ``g = C exp(A x^2 + B x + G)`` at ``t``.
+
+    The pair axis is last, after the shape of ``t``: ``coefficient`` is
+    ``C_i conj(C_j)``; ``left`` stacks ``(A_i, B_i, G_i)`` and ``right``
+    ``conj(A_j, B_j, G_j)`` on a first axis of 3; ``integrals`` stacks the
+    exact integrals of ``x^m g_i conj(g_j)``, m = 0, 1, 2, over x <= 0 (the
+    whole line without the wall).  ``coefficient`` and ``integrals`` carry
+    ``COMPONENT_WEIGHT / D``.
+    """
+    coefficient, left, right = _pair_table(spec, regime, t)
+    integrals = np.multiply(coefficient, gaussian_moments(*(left + right), wall=spec.wall))
     scale = COMPONENT_WEIGHT / norm_constant(spec, regime)
-    component, coefficient, left, right, integrals = (v[..., same] for v in pairs)
-    return TermPairs(component, scale * coefficient, left, right, scale * integrals)
+    return TermPairs(scale * coefficient, left, right, scale * integrals)
 
 
-def mass_below(spec: EnsembleSpec, regime: Regime, t: float, upper, a=0.0, b=0.0, g=0.0):
+def mass_below(spec: EnsembleSpec, regime: Regime, t, upper, a=0.0, b=0.0, g=0.0):
     """Exact integral of ``rho(x, t) exp(a x^2 + b x + g)`` over ``x <= upper``.
 
-    ``upper``, ``a``, ``b`` and ``g`` broadcast, with ``a <= 0``.  With
+    ``t``, ``upper``, ``a``, ``b`` and ``g`` broadcast, with ``a <= 0``.  With
     ``a = b = g = 0`` this is the cumulative distribution ``F_t(upper)``, which
-    reaches 1 at the wall.  Each same-component pair, weighted as in
-    :func:`diagonal_pairs` but without its unshifted integrals, is shifted by
-    ``x = y + upper`` onto ``y <= 0`` and integrated by
+    reaches 1 at the wall.  Each pair of :func:`diagonal_pairs`, weighted as
+    there but without its unshifted integrals, is shifted by ``x = y + upper``
+    onto ``y <= 0`` and integrated by
     :func:`~qctl.gaussians.gaussian_moments`.  With the wall, ``rho``
     vanishes at ``x >= 0``, so ``upper`` is capped at 0.
     """
-    component, coefficient, left, right = _pair_table(spec, regime, t)
-    same = component[0] == component[1]
-    coefficient = COMPONENT_WEIGHT / norm_constant(spec, regime) * coefficient[same]
+    coefficient, left, right = _pair_table(spec, regime, t)
+    coefficient = COMPONENT_WEIGHT / norm_constant(spec, regime) * coefficient
     upper = np.minimum(upper, 0.0 if spec.wall else np.inf)[..., None]
-    alpha, beta, gamma = map(np.add.outer, (a, b, g), (left + right)[:, same])
+    weight = (np.asarray(w)[..., None] for w in (a, b, g))
+    alpha, beta, gamma = map(np.add, weight, left + right)
     # alpha y^2 + beta' y + gamma' is the exponent at x = y + upper.
     shifted = (alpha, beta + 2.0 * alpha * upper, gamma + (alpha * upper + beta) * upper)
-    return (coefficient * gaussian_moments(*shifted)[0]).sum(axis=-1).real
+    return np.multiply(coefficient, gaussian_moments(*shifted)[0]).sum(axis=-1).real
 
 
 def pair_weights(spec: EnsembleSpec, regime: Regime, terms_per_packet: int) -> np.ndarray:
@@ -210,9 +209,9 @@ def norm_constant(spec: EnsembleSpec, regime: Regime) -> float:
     Densities divide by this constant; for the pure state it equals
     1 / N^2 with N the superposition normalization constant.
     """
-    pairs = term_pairs(spec, regime, 0.0)
-    same = pairs.component[0] == pairs.component[1]
-    value = COMPONENT_WEIGHT * float(pairs.integrals[0, same].sum().real)
+    coefficient, left, right = _pair_table(spec, regime, 0.0)
+    integrals = np.multiply(coefficient, gaussian_moments(*(left + right), wall=spec.wall)[0])
+    value = COMPONENT_WEIGHT * float(integrals.sum().real)
     if not value > 0.0:
         raise DomainError("ensemble has no support at t = 0")
     return value
@@ -265,10 +264,13 @@ def _real_diagonal(phi):
 
 def purity(spec: EnsembleSpec, regime: Regime, t) -> float:
     """tr(rho^2) = sum over component pairs of |<phi_c|phi_c'>|^2, from exact overlaps."""
-    pairs = term_pairs(spec, regime, t)
-    n = len(spec.component_starts)
-    overlaps = np.zeros((n, n), dtype=complex)
-    np.add.at(overlaps, tuple(pairs.component), pairs.integrals[0])
+    C, A, B, G = (term.ravel() for term in packet_terms(spec.packets, regime, t, spec.wall))
+    # The exact <g_j|g_i> of every pair of terms, added up per pair of components.
+    exponents = (E[:, None] + np.conj(E) for E in (A, B, G))
+    integrals = C[:, None] * np.conj(C) * gaussian_moments(*exponents, wall=spec.wall)[0]
+    component = _term_components(spec, C.size // len(spec.packets))
+    overlaps = np.zeros((len(spec.component_starts),) * 2, dtype=complex)
+    np.add.at(overlaps, np.ix_(component, component), integrals)
     overlaps *= COMPONENT_WEIGHT / norm_constant(spec, regime)
     return float(np.sum(np.abs(overlaps) ** 2))
 

@@ -1,7 +1,8 @@
 """Moments, uncertainties, Ehrenfest residuals, and the wall's effective force.
 
 The moments are exact sums over the term pairs of the pure components
-(:func:`~qctl.ensembles.diagonal_pairs`).  Momentum moments are taken in the
+(:func:`~qctl.ensembles.diagonal_pairs`), at an array of times in one pair
+table or at one time as its 0-d case.  Momentum moments are taken in the
 position representation, where a term's gradient is ``(2 A x + B)`` times
 the term: the mean from ``hb sum_c Im{conj(phi_c) phi_c'}`` and the second
 moment from ``hb^2 sum_c |phi_c'|^2``, which is exact on the half-line
@@ -10,7 +11,6 @@ because the wall node kills the boundary term of the integration by parts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,29 +30,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ObservableRecord:
-    """Snapshot of ensemble observables at one time."""
+    """Ensemble observables, each of the shape of the times asked for: numpy
+    floats at a scalar time."""
 
-    t: float
-    mean_x: float
-    mean_p: float
-    sd_x: float
-    sd_p: float
-    uncertainty_product: float
-    f_nc: float
+    mean_x: np.ndarray
+    mean_p: np.ndarray
+    sd_x: np.ndarray
+    sd_p: np.ndarray
+    uncertainty_product: np.ndarray
+    f_nc: np.ndarray
 
 
 def _moments(pairs, hb: float):
-    """(mean_x, sd_x, mean_p, sd_p) from one time's :func:`~qctl.ensembles.diagonal_pairs`."""
-    _, mean_x, second_x = pairs.integrals.sum(axis=1).real
+    """(mean_x, sd_x, mean_p, sd_p) at the times of :func:`~qctl.ensembles.diagonal_pairs`."""
+    # The position moments are summed over the pairs in their order, left to right.
+    _, mean_x, second_x = pairs.integrals.cumsum(axis=-1)[..., -1].real
     (A_i, B_i, _), (A_j, B_j, _) = pairs.left, pairs.right
     I0, I1, I2 = pairs.integrals
-    # A numpy scalar, so that a square past the float range is inf, not an OverflowError.
-    mean_p = hb * np.sum(2.0 * A_i * I1 + B_i * I0).imag
-    second_p = hb**2 * float(
-        np.sum(4.0 * A_i * A_j * I2 + 2.0 * (A_i * B_j + B_i * A_j) * I1 + B_i * B_j * I0).real
-    )
-    sd_x = float(np.sqrt(max(second_x - mean_x**2, 0.0)))
-    return float(mean_x), sd_x, float(mean_p), float(np.sqrt(max(second_p - mean_p**2, 0.0)))
+    mean_p = hb * np.sum(2.0 * A_i * I1 + B_i * I0, axis=-1).imag
+    second_p = hb**2 * np.sum(
+        4.0 * A_i * A_j * I2 + 2.0 * (A_i * B_j + B_i * A_j) * I1 + B_i * B_j * I0, axis=-1
+    ).real
+    sd_x = np.sqrt(np.maximum(second_x - mean_x * mean_x, 0.0))
+    return mean_x, sd_x, mean_p, np.sqrt(np.maximum(second_p - mean_p * mean_p, 0.0))
 
 
 def effective_force(spec: EnsembleSpec, regime: Regime, t):
@@ -78,36 +78,30 @@ def ehrenfest_residual(spec: EnsembleSpec, regime: Regime, t, dt_fd: float = 1e-
     """
     if not t - dt_fd >= 0.0:
         raise DomainError(f"need t >= dt_fd for central differences, got t={t}")
-    hb = regime.hbar_tilde
-    x_plus, _, p_plus, _ = _moments(diagonal_pairs(spec, regime, t + dt_fd), hb)
-    x_minus, _, p_minus, _ = _moments(diagonal_pairs(spec, regime, t - dt_fd), hb)
-    mean_p = _moments(diagonal_pairs(spec, regime, t), hb)[2]
+    pairs = diagonal_pairs(spec, regime, (t - dt_fd, t, t + dt_fd))
+    (x_minus, _, x_plus), _, (p_minus, mean_p, p_plus), _ = _moments(pairs, regime.hbar_tilde)
     r1 = (x_plus - x_minus) / (2.0 * dt_fd) - mean_p / spec.mass
     r2 = (p_plus - p_minus) / (2.0 * dt_fd) - float(effective_force(spec, regime, t))
     return r1, r2
 
 
 def heisenberg_check(record: ObservableRecord, regime: Regime):
-    """Margin of the rescaled uncertainty relation; holds iff margin >= -1e-9."""
+    """Margin of the rescaled uncertainty relation; it holds where margin >= -1e-9."""
     margin = record.uncertainty_product - 0.5 * regime.hbar_tilde
     return margin >= -1e-9, margin
 
 
 def observable_record(spec: EnsembleSpec, regime: Regime, t) -> ObservableRecord:
-    """Assemble the full observable snapshot at time t.
+    """The observables at the times ``t``, an array of any shape or a scalar.
 
     Raises :class:`NumericalGuardError` unless every value is finite.
     """
     mean_x, sd_x, mean_p, sd_p = _moments(diagonal_pairs(spec, regime, t), regime.hbar_tilde)
-    record = ObservableRecord(
-        t=float(t),
-        mean_x=mean_x,
-        mean_p=mean_p,
-        sd_x=sd_x,
-        sd_p=sd_p,
-        uncertainty_product=sd_x * sd_p,
-        f_nc=float(effective_force(spec, regime, t)),
-    )
-    if not all(map(math.isfinite, vars(record).values())):
-        raise NumericalGuardError(f"observables are not finite: {record}")
-    return record
+    values = (mean_x, mean_p, sd_x, sd_p, sd_x * sd_p, effective_force(spec, regime, t))
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        times = np.asarray(t)[~finite]
+        raise NumericalGuardError(f"observables are not finite at t = {times.flat[0]:g} "
+                                  f"({times.size} of {finite.size} times)")
+    # [()] makes a scalar time's 0-d values numpy floats and leaves arrays whole.
+    return ObservableRecord(*(value[()] for value in values))

@@ -167,17 +167,19 @@ def term_fields(coefficients, x, wall: bool = True, gradient: bool = True):
     return fields
 
 
-def packet_terms(packets, regime: Regime, t: float, wall: bool = True):
-    """Every direct and image term as ``C exp(A x^2 + B x + G)`` at one time.
+def packet_terms(packets, regime: Regime, t, wall: bool = True):
+    """Every direct and image term as ``C exp(A x^2 + B x + G)`` at the times ``t``.
 
-    Returns ``(C, A, B, G)``, each of shape ``(len(packets), terms)``: the
-    direct and the image term with ``wall``, which sum to the wall amplitude
-    for x <= 0, and the direct term alone without it.
+    Returns ``(C, A, B, G)``, each of shape ``t.shape + (len(packets), terms)``:
+    the direct and the image term with ``wall``, which sum to the wall
+    amplitude for x <= 0, and the direct term alone without it.  A scalar
+    ``t`` gives ``(len(packets), terms)``.
     """
-    t = np.asarray(t, dtype=float).reshape(1)
-    a, k, xt, c0 = _folded(_coefficients(_term_constants(tuple(packets), regime), t), wall)
+    t = np.asarray(t, dtype=float)[..., None]
+    folded = _folded(_coefficients(_term_constants(tuple(packets), regime), t), wall)
+    a, k, xt, c0 = (np.moveaxis(c, 0, -1) for c in folded)
     # c0 exp(a d^2 + k d) with d = x - xt, expanded in powers of x.
-    return np.broadcast_arrays(c0.T, a.T, (k - 2.0 * a * xt).T, ((a * xt - k) * xt).T)
+    return np.broadcast_arrays(c0, a, k - 2.0 * a * xt, (a * xt - k) * xt)
 
 
 def packet_fields(packets, regime: Regime, x, t, wall: bool = True, gradient: bool = True):

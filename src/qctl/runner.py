@@ -216,13 +216,13 @@ def _observables(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostic
         header.append(f"heisenberg_margin_{spec.kind} [action]")
 
     def blocks(regime):
-        for t in times:
-            row = [t]
+        for block in point_blocks(times.size):
+            columns = [times[block]]
             for spec in specs:
-                record = observable_record(spec, regime, t)
-                row += [getattr(record, name) for name in _OBSERVABLE_UNITS]
-                row.append(heisenberg_check(record, regime)[1])
-            yield _plain(np.array([row]))
+                record = observable_record(spec, regime, times[block])
+                columns += [getattr(record, name) for name in _OBSERVABLE_UNITS]
+                columns.append(heisenberg_check(record, regime)[1])
+            yield _plain(np.column_stack(columns))
 
     for regime in config.regimes():
         yield f"observables_eps{epsilon_tag(regime.epsilon)}.csv", header, blocks(regime)
@@ -259,8 +259,8 @@ _RUNS = {"density": _density, "trajectories": _trajectories, "arrival": _arrival
 
 def _trace_drift(config: ExperimentConfig, specs: list[EnsembleSpec], regime: Regime) -> dict:
     """Exact mass on the grid [x_min, 0] at t = 0 and t_max, and the mass below x_min at t_max."""
-    bounds = [config.grid.x_min, 0.0]
-    masses = [[mass_below(s, regime, t, bounds) for t in (0.0, config.time.t_max)] for s in specs]
+    times, bounds = [[0.0], [config.time.t_max]], [config.grid.x_min, 0.0]
+    masses = [mass_below(spec, regime, times, bounds) for spec in specs]
     if not np.isfinite(masses).all():
         raise NumericalGuardError(f"trace at epsilon {regime.epsilon:g} is not finite")
     return {

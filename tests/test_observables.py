@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from qctl import (
     observable_record,
 )
 from qctl import observables
+from qctl.ensembles import mass_below, point_blocks
 
 def test_position_moments_of_initial_gaussian(quantum, packet_a):
     spec = EnsembleSpec("pure", packet_a, packet_a)
@@ -155,18 +158,64 @@ def test_record_fields_are_consistent(quantum, mixed_spec):
     assert record.f_nc <= 0.0
 
 
-def test_term_pairs_are_built_once_per_time(mixed_spec, quantum, monkeypatch):
-    # The position and momentum moments of one time share one pair list.
+def test_pair_table_is_built_once_per_call(mixed_spec, quantum, monkeypatch):
+    # The position and momentum moments of every time of one call share one
+    # pair table; the Ehrenfest residuals take their three times in one.
     built = []
     build = observables.diagonal_pairs
 
     def counted(spec, regime, t):
-        built.append(t)
+        built.append(np.asarray(t).tolist())
         return build(spec, regime, t)
 
     monkeypatch.setattr(observables, "diagonal_pairs", counted)
     observables.observable_record(mixed_spec, quantum, 4.0)
-    assert built == [4.0]
+    observables.observable_record(mixed_spec, quantum, np.linspace(0.0, 8.0, 5))
+    assert built == [4.0, [0.0, 2.0, 4.0, 6.0, 8.0]]
     built.clear()
     observables.ehrenfest_residual(mixed_spec, quantum, 4.0, dt_fd=1e-3)
-    assert sorted(built) == [4.0 - 1e-3, 4.0, 4.0 + 1e-3]
+    assert built == [[4.0 - 1e-3, 4.0, 4.0 + 1e-3]]
+
+
+def test_an_array_of_times_equals_each_time_alone(pure_spec, nearly_classical, monkeypatch):
+    # 1,100 times pass a block of FIELD_BLOCK_POINTS, and their pure pair
+    # table (16 pairs) passes the 256 KiB from which numpy reuses temporaries
+    # in place.  Tables, masses and records are bit-equal to per-time calls
+    # (every 3rd and 10th time, to keep the test short), and sd_x and sd_p
+    # square their means as x * x.
+    spec, regime = pure_spec, nearly_classical
+    times = np.linspace(0.0, 11.0, 1100)
+    tables = []
+    build = observables.diagonal_pairs
+
+    def kept(spec, regime, t):
+        tables.append(build(spec, regime, t))
+        return tables[-1]
+
+    monkeypatch.setattr(observables, "diagonal_pairs", kept)
+    single = [observable_record(spec, regime, t) for t in times[::3]]
+    record = observable_record(spec, regime, times)
+    together = tables.pop()
+    assert together.coefficient.shape == (1100, 16) and together.integrals.shape == (3, 1100, 16)
+    for field in ("coefficient", "left", "right", "integrals"):
+        per_time = np.stack([getattr(table, field) for table in tables], axis=-2)
+        assert np.array_equal(getattr(together, field)[..., ::3, :], per_time), field
+    for field in ("mean_x", "mean_p", "sd_x", "sd_p", "uncertainty_product", "f_nc"):
+        alone = [getattr(r, field) for r in single]
+        assert np.array_equal(getattr(record, field)[::3], alone), field
+    blocks = [observable_record(spec, regime, times[block]).sd_x for block in point_blocks(1100)]
+    assert len(blocks) == 2 and np.array_equal(np.concatenate(blocks), record.sd_x)
+    hb = regime.hbar_tilde
+    for table, r in zip(tables, single):
+        (A_i, B_i, _), (A_j, B_j, _) = table.left, table.right
+        I0, I1, I2 = table.integrals
+        # The position moments are summed in pair order.
+        assert r.mean_x == sum(I1.tolist()).real
+        second_x = sum(I2.tolist()).real
+        second_p = hb**2 * np.sum(
+            4.0 * A_i * A_j * I2 + 2.0 * (A_i * B_j + B_i * A_j) * I1 + B_i * B_j * I0).real
+        assert r.sd_x == math.sqrt(max(second_x - r.mean_x * r.mean_x, 0.0))
+        assert r.sd_p == math.sqrt(max(second_p - r.mean_p * r.mean_p, 0.0))
+    upper = np.array([-20.0, -8.0, 0.0])
+    masses = mass_below(spec, regime, times[:, None], upper)
+    assert np.array_equal(masses[::10], [mass_below(spec, regime, t, upper) for t in times[::10]])

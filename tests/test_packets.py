@@ -175,3 +175,18 @@ def test_coefficients_rebuild_wall_amplitudes():
         terms = C[i][:, None] * np.exp((A[i][:, None] * x + B[i][:, None]) * x + G[i][:, None])
         expected = packet_fields((packet,), regime, x, t, gradient=False)[0][0]
         assert np.max(np.abs(terms.sum(axis=0) - expected)) < 1e-14
+
+
+@pytest.mark.parametrize("wall", [True, False])
+def test_packet_terms_take_an_array_of_times(wall):
+    # The time axis comes first, then packet and term, and every time's terms
+    # are bit-equal to its scalar call.
+    packets = (GaussianPacket(x0=-5.0, p0=-2.0), GaussianPacket(sigma0=0.7, x0=-15.0, p0=2.0))
+    regime = make_regime(0.1)
+    t = np.array([[0.0, 1.5, 3.0], [4.5, 6.0, 20.0]])
+    together = packet_terms(packets, regime, t, wall)
+    for index in np.ndindex(t.shape):
+        alone = packet_terms(packets, regime, t[index], wall)
+        for E, single in zip(together, alone):
+            assert E.shape == t.shape + (2, 1 + wall)
+            assert np.array_equal(E[index], single)

@@ -292,26 +292,33 @@ def test_observables_run_columns(tmp_path):
     assert np.all(margins >= -1e-9)
 
 
-def test_observables_run_streams_one_time_at_a_time(monkeypatch):
-    # Each time's row is a block of its own, so a run holds one time's
-    # records, not the whole series.
+def test_observables_run_streams_blocks_of_times(monkeypatch):
+    # The times come a block of at most FIELD_BLOCK_POINTS at a time, with one
+    # observable_record call per kind and block, so a run holds one block's
+    # records, not the whole series; the blocks change no value.
+    import qctl.ensembles as ensembles
     import qctl.runner as runner
 
-    kinds = []
-    record = runner.observable_record
-
-    def spy(spec, regime, t):
-        kinds.append(spec.kind)
-        return record(spec, regime, t)
-
-    monkeypatch.setattr(runner, "observable_record", spy)
     config = parse_config(json.dumps(small_config("observables", epsilons=[1.0])))
     specs = [config.ensemble(kind) for kind in ("pure", "mixed")]
     name, header, blocks = next(runner._observables(config, specs, {}))
-    head, rows, values = next(iter(blocks))
-    assert kinds == ["pure", "mixed"]
-    assert values.shape == (1, len(header))
-    assert head == "" and len(rows) == 1
+    whole = [values for _, _, values in blocks]
+    calls = []
+    record = runner.observable_record
+
+    def spy(spec, regime, t):
+        calls.append((spec.kind, len(t)))
+        return record(spec, regime, t)
+
+    monkeypatch.setattr(runner, "observable_record", spy)
+    monkeypatch.setattr(ensembles, "FIELD_BLOCK_POINTS", 2)
+    name, header, blocks = next(runner._observables(config, specs, {}))
+    blocks = list(blocks)
+    assert calls == [(kind, n) for n in (2, 2, 1) for kind in ("pure", "mixed")]
+    assert [values.shape for _, _, values in blocks] == [(2, len(header))] * 2 + [(1, len(header))]
+    assert all(head == "" and len(rows) == len(values) for head, rows, values in blocks)
+    assert len(whole) == 1
+    assert np.array_equal(np.concatenate([values for _, _, values in blocks]), whole[0])
 
 
 def test_density_run_streams_blocks_of_positions(monkeypatch):
