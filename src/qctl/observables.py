@@ -43,7 +43,8 @@ class ObservableRecord:
 
 def _moments(pairs, hb: float):
     """(mean_x, sd_x, mean_p, sd_p) at the times of :func:`~qctl.ensembles.diagonal_pairs`."""
-    # The position moments are summed over the pairs in their order, left to right.
+    # A running sum adds the pairs left to right, as a sum over a leading pair axis
+    # did; numpy's sum over the last axis would add them pairwise.
     _, mean_x, second_x = pairs.integrals.cumsum(axis=-1)[..., -1].real
     (A_i, B_i, _), (A_j, B_j, _) = pairs.left, pairs.right
     I0, I1, I2 = pairs.integrals
