@@ -11,7 +11,9 @@ records the median and quartiles of ``run_s``, ``setup_s`` and
 ``peak_rss_mb`` per tree, the raw values, and in how many pairs this tree
 was lower.  It also records the commit of each tree, ``nproc``, the line
 count of ``src/qctl/*.py`` in each tree and its code lines (blank, comment
-and docstring lines left out), the table of ``scripts/l0_evaluator.py
+and docstring lines left out), the configuration keys of each tree (the
+leaves of ``config_to_dict(parse_config(MINIMAL))``, a list counting as
+one, so an added or removed option shows), the table of ``scripts/l0_evaluator.py
 --repeat 5`` in each tree, the L1 table of this tree's
 ``scripts/l0_evaluator.py --l1 --repeat 5 --src TREE/src`` for each tree
 (so a parent without ``--l1`` is timed too), the Tier-1 test count and
@@ -55,6 +57,8 @@ L0_ROUNDS = 3
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 RUN_KINDS = ("density", "trajectories", "arrival", "observables", "wigner")
 CONTRACT_SEEDS = (1, 3)
+# The smallest valid configuration document: only the required keys.
+MINIMAL = {"packets": {"a": {"x0": -5.0, "p0": -2.0}, "b": {"x0": -15.0, "p0": 2.0}}}
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
 
@@ -87,6 +91,16 @@ def _code_lines(path: Path) -> int:
 
 def _src_code_lines(tree: Path) -> int:
     return sum(_code_lines(p) for p in sorted((tree / "src" / "qctl").glob("*.py")))
+
+
+def _config_keys(tree: Path) -> int:
+    """Leaves of ``tree``'s ``config_to_dict(parse_config(MINIMAL))``, a list counting as one."""
+    code = ("import json, sys; from qctl.config import config_to_dict, parse_config; "
+            "print(json.dumps(config_to_dict(parse_config(sys.argv[1]))))")
+    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(MINIMAL)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return len(_flatten(json.loads(out)))
 
 
 def _table(cmd: list, cwd: Path) -> dict:
@@ -266,6 +280,7 @@ def main(argv=None) -> int:
         "benchmark": {"pairs": args.pairs, "seconds": args.seconds, "workloads": {}},
         "src_lines": {"parent": _src_lines(parent), "change": _src_lines(change)},
         "src_code_lines": {"parent": _src_code_lines(parent), "change": _src_code_lines(change)},
+        "config_keys": {"parent": _config_keys(parent), "change": _config_keys(change)},
         "l0": _rounds(_l0_table, parent, change),
         "l1": _rounds(_l1_table, parent, change),
         "byte_contract": _byte_contract(parent, change),

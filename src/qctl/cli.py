@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .config import RUN_KINDS, load_config
-from .errors import ConfigError, DomainError, LowDensityError, NumericalGuardError
+from .errors import ConfigError, DomainError, NumericalGuardError
 from .runner import run_experiment
 
 __all__ = ["main"]
@@ -25,17 +25,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Quantum-to-classical transition simulations for Gaussian "
         "ensembles against a hard wall.",
     )
-    subparsers = parser.add_subparsers(dest="run_kind", required=True)
-    for kind in RUN_KINDS:
-        sub = subparsers.add_parser(kind, help=f"run the {kind} experiment")
-        sub.add_argument("--config", required=True, help="path to the JSON configuration")
-        sub.add_argument(
-            "--epsilon",
-            type=float,
-            default=None,
-            help="override the configured epsilon list with this single value",
-        )
-        sub.add_argument("--out", default=None, help="override the output directory")
+    parser.add_argument("run_kind", choices=RUN_KINDS, help="the experiment to run")
+    parser.add_argument("--config", required=True, help="path to the JSON configuration")
+    parser.add_argument(
+        "--epsilon",
+        type=float,
+        default=None,
+        help="override the configured epsilon list with this single value",
+    )
+    parser.add_argument("--out", default=None, help="override the output directory")
     return parser
 
 
@@ -61,7 +59,7 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalGuardError, LowDensityError) as exc:
+    except NumericalGuardError as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 3
     for name in manifest["outputs"]:

@@ -4,12 +4,13 @@ A configuration document is a single JSON object.  The settings dataclasses
 below are its only schema: each key of a section is a field, checked against
 the field's annotation and the bounds in its ``bounds`` metadata (negative,
 positive, in (0, 1], at least n, one of a fixed set, non-empty, a point
-budget) as it is read, and an absent key takes the field's default; a packet
-key's bounds are listed in ``_PACKET_BOUNDS``.  :func:`config_to_dict`
-walks the same fields back.  Unknown keys, non-finite numbers and values out
-of bounds are rejected with the offending field path; :func:`parse_config`
-then checks only what combines several fields, so the runner never starts
-from an inconsistent state.  Only the ``packets`` section is mandatory.
+budget) as it is read.  An absent key takes the field's default; a field
+without one, such as the ``packets`` section and each packet's ``x0`` and
+``p0``, is required.  :func:`config_to_dict` walks the same fields back.
+Unknown keys, missing required values, non-finite numbers and values out of
+bounds are rejected with the offending field path; :func:`parse_config` then
+checks only what combines several fields, so the runner never starts from an
+inconsistent state.
 """
 
 # No ``from __future__ import annotations``: the loader reads each settings
@@ -17,7 +18,8 @@ from an inconsistent state.  Only the ``packets`` section is mandatory.
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import cached_property
 from typing import get_args, get_origin
 
 import numpy as np
@@ -29,6 +31,8 @@ from .packets import GaussianPacket
 from .regime import Regime, epsilon_in_range, epsilon_tag, make_regime
 
 __all__ = [
+    "PacketSettings",
+    "PacketPair",
     "SpatialGrid",
     "TimeGrid",
     "TrajectorySettings",
@@ -106,8 +110,36 @@ def _one_of(*choices: str) -> tuple:
 
 
 def _field(default, *bounds, **metadata):
-    """A settings field with ``default`` whose values must pass every one of ``bounds``."""
+    """A settings field with ``default`` whose values must pass every one of ``bounds``.
+
+    A ``MISSING`` default makes the field required.
+    """
     return field(default=default, metadata={"bounds": bounds, **metadata})
+
+
+@dataclass(frozen=True)
+class PacketSettings:
+    """One packet of the pair; ``sigma0`` None takes the pair's shared ``sigma0``."""
+
+    x0: float = _field(MISSING, _NEGATIVE)
+    p0: float
+    sigma0: float | None = _field(None, _POSITIVE)
+
+
+@dataclass(frozen=True)
+class PacketPair:
+    """The ``packets`` section: packets a and b, and the ``sigma0`` they share."""
+
+    a: PacketSettings
+    b: PacketSettings
+    sigma0: float = _field(1.0, _POSITIVE)
+
+    def __post_init__(self):
+        # A packet without its own sigma0 takes the shared one here, so every
+        # packet carries its width and the document written back names it.
+        for name, packet in (("a", self.a), ("b", self.b)):
+            if packet.sigma0 is None:
+                object.__setattr__(self, name, replace(packet, sigma0=self.sigma0))
 
 
 @dataclass(frozen=True)
@@ -166,10 +198,9 @@ class WignerSettings:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """The whole run; the packets come from the ``packets`` and ``mass`` keys."""
+    """The whole run; ``packet_a`` and ``packet_b`` are the packets of ``packets`` at ``mass``."""
 
-    packet_a: GaussianPacket
-    packet_b: GaussianPacket
+    packets: PacketPair
     run_kind: str = _field("density", _one_of(*RUN_KINDS), key="run")
     out_dir: str = _field("out", _NON_EMPTY)
     epsilons: tuple[float, ...] = _field((1.0, 0.5, 0.1, 0.01), _EPSILON)
@@ -180,6 +211,15 @@ class ExperimentConfig:
     trajectories: TrajectorySettings = TrajectorySettings()
     arrival: ArrivalSettings = ArrivalSettings()
     wigner: WignerSettings = WignerSettings()
+    mass: float = _field(1.0, _POSITIVE)
+
+    @cached_property
+    def packet_a(self) -> GaussianPacket:
+        return GaussianPacket(**vars(self.packets.a), mass=self.mass)
+
+    @cached_property
+    def packet_b(self) -> GaussianPacket:
+        return GaussianPacket(**vars(self.packets.b), mass=self.mass)
 
     def regimes(self) -> list[Regime]:
         return [make_regime(eps, self.hbar) for eps in self.epsilons]
@@ -232,18 +272,22 @@ def _value(value, kind, path: str, bounds=()):
 
 
 def _schema(cls) -> dict:
-    """The fields with defaults of the dataclass ``cls``, by key: a field's ``key`` metadata or name."""
-    return {f.metadata.get("key", f.name): f for f in fields(cls) if f.default is not MISSING}
+    """The fields of the dataclass ``cls``, by key: a field's ``key`` metadata or name."""
+    return {f.metadata.get("key", f.name): f for f in fields(cls)}
 
 
 def _settings(cls, obj, path: str) -> dict:
     """Keyword arguments for the dataclass ``cls`` from the JSON object ``obj``.
 
-    An absent key is left to the field default.
+    An absent key is left to the field default, and is an error if it has none.
     """
     schema = _schema(cls)
+    obj = _object(obj, path, schema)
+    for key, f in schema.items():
+        if key not in obj and f.default is MISSING:
+            raise ConfigError(_join(path, key), "missing required value")
     values = {}
-    for key, value in _object(obj, path, schema).items():
+    for key, value in obj.items():
         f = schema[key]
         values[f.name] = _value(value, f.type, _join(path, key), f.metadata.get("bounds", ()))
     return values
@@ -253,37 +297,6 @@ def _gaussian_tail_mass(x_min: float, x0: float, sigma0: float) -> float:
     """Probability mass of a unit Gaussian N(x0, sigma0^2) below x_min."""
     z = (x_min - x0) / sigma0
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
-# The bounds of each key of a packet object.
-_PACKET_BOUNDS = {"x0": (_NEGATIVE,), "p0": (), "sigma0": (_POSITIVE,)}
-
-
-def _parse_packets(doc: dict) -> list[GaussianPacket]:
-    """Packets a and b; ``mass`` and ``packets.sigma0`` are shared by both."""
-    shared = {}
-    if "mass" in doc:
-        shared["mass"] = _value(doc["mass"], float, "mass", (_POSITIVE,))
-    if "packets" not in doc:
-        raise ConfigError("packets", "missing required section")
-    packets = _object(doc["packets"], "packets", {"sigma0", "a", "b"})
-    if "sigma0" in packets:
-        shared["sigma0"] = _value(packets["sigma0"], float, "packets.sigma0", (_POSITIVE,))
-    result = []
-    for name in ("a", "b"):
-        path = f"packets.{name}"
-        if not isinstance(packets.get(name), dict):
-            raise ConfigError(path, "missing packet object")
-        obj = _object(packets[name], path, _PACKET_BOUNDS)
-        for key in ("x0", "p0"):
-            if key not in obj:
-                raise ConfigError(f"{path}.{key}", "missing required value")
-        own = {k: _value(v, float, f"{path}.{k}", _PACKET_BOUNDS[k]) for k, v in obj.items()}
-        try:
-            result.append(GaussianPacket(**{**shared, **own}))
-        except DomainError as exc:
-            raise ConfigError(path, str(exc)) from exc
-    return result
 
 
 def parse_config(text: str, overrides=None) -> ExperimentConfig:
@@ -299,16 +312,18 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("<document>", "top-level value must be an object")
     doc.update(overrides or {})
-    top = {key: value for key, value in doc.items() if key not in ("mass", "packets")}
-    settings = _settings(ExperimentConfig, top, "")
-    config = ExperimentConfig(*_parse_packets(doc), **settings)
+    config = ExperimentConfig(**_settings(ExperimentConfig, doc, ""))
 
     # Distinct by output name: two epsilons of one name would overwrite each other's CSV.
     if len(set(map(epsilon_tag, config.epsilons))) != len(config.epsilons):
         raise ConfigError("epsilons", "values must be distinct in 6 significant digits")
 
     grid = config.grid
-    for name, packet in (("a", config.packet_a), ("b", config.packet_b)):
+    for name in ("a", "b"):
+        try:
+            packet = getattr(config, f"packet_{name}")
+        except DomainError as exc:  # |x0| below 3 sigma0
+            raise ConfigError(f"packets.{name}", str(exc)) from exc
         tail = _gaussian_tail_mass(grid.x_min, packet.x0, packet.sigma0)
         if tail > _TAIL_MASS_LIMIT:
             raise ConfigError(
@@ -369,24 +384,18 @@ def _check_packet_phase(config: ExperimentConfig) -> None:
                               "rad, above which it has no correct units digit")
 
 
-def _document(settings) -> dict:
-    """A settings dataclass as a JSON object under its document keys, with lists for tuples."""
+def config_to_dict(settings) -> dict:
+    """A settings dataclass as a JSON object under its document keys, with lists for tuples.
+
+    For an :class:`ExperimentConfig` it round-trips through :func:`parse_config`.
+    """
     doc = {}
     for key, f in _schema(type(settings)).items():
         value = getattr(settings, f.name)
         if is_dataclass(value):
-            value = _document(value)
+            value = config_to_dict(value)
         doc[key] = list(value) if isinstance(value, tuple) else value
     return doc
-
-
-def config_to_dict(config: ExperimentConfig) -> dict:
-    """Plain-JSON representation; round-trips through :func:`parse_config`."""
-    a, b = config.packet_a, config.packet_b
-    packets = {"sigma0": a.sigma0}
-    for name, p in (("a", a), ("b", b)):
-        packets[name] = {"x0": p.x0, "p0": p.p0, "sigma0": p.sigma0}
-    return {**_document(config), "mass": a.mass, "packets": packets}
 
 
 def serialize_config(config: ExperimentConfig) -> str:

@@ -138,14 +138,12 @@ def current(spec: EnsembleSpec, regime: Regime, x, t):
     return _flux_and_density(spec, regime, x, t)[0]
 
 
-def velocity(
-    spec: EnsembleSpec, regime: Regime, x, t, density_floor: float = DENSITY_FLOOR
-):
-    """Guidance velocity j / rho; raises LowDensityError below the floor."""
+def velocity(spec: EnsembleSpec, regime: Regime, x, t):
+    """Guidance velocity j / rho; raises LowDensityError below :data:`DENSITY_FLOOR`."""
     flux, rho = _flux_and_density(spec, regime, x, t)
-    if np.any(rho < density_floor):
+    if np.any(rho < DENSITY_FLOOR):
         raise LowDensityError(
-            f"density below floor {density_floor:.0e} at t={t}; velocity undefined"
+            f"density below floor {DENSITY_FLOOR:.0e} at t={t}; velocity undefined"
         )
     return flux / np.maximum(rho, 1e-300)
 
@@ -271,7 +269,6 @@ def trajectory_fans(
     fans,
     t_end: float,
     dt: float = 1e-3,
-    density_floor: float = DENSITY_FLOOR,
     record_every: int = 1,
 ) -> tuple[list[list[Trajectory]], dict]:
     """Integrate fans ``(spec, regime, initial_positions)`` sharing the wall in one loop.
@@ -317,7 +314,7 @@ def trajectory_fans(
     grow = np.ones(n, dtype=bool)  # false right after a rejected step
     # NaN fails both exit tests, so a seed whose density or step is not
     # finite leaves the loop too, with a status of its own.
-    stalled, done = ~(rho >= density_floor), np.zeros(n, dtype=bool)
+    stalled, done = ~(rho >= DENSITY_FLOOR), np.zeros(n, dtype=bool)
     broken, collapsed = stalled & ~np.isfinite(rho), np.zeros(n, dtype=bool)
     first = True
 
@@ -357,7 +354,7 @@ def trajectory_fans(
         evaluations += len(_C) - 1
         x1 = x + increment
 
-        low = np.logical_or.reduce(densities < density_floor, axis=0)
+        low = np.logical_or.reduce(densities < DENSITY_FLOOR, axis=0)
         err = np.abs(h0 * _combine(_E, stages)) / tol
         ok = (err <= 1.0) & ~low
         factor = np.maximum(_SAFETY * np.maximum(err, 1e-10) ** -0.2, _FACTOR_MIN)

@@ -64,7 +64,6 @@ class WignerField:
     u_grid: np.ndarray
     values: np.ndarray
     t: float
-    regime: Regime
     pair_integrals: int = 0
     pair_points: int = 0
 
@@ -167,11 +166,11 @@ def wigner_transforms(specs, regime: Regime, t: float, R_grid, u_grid) -> list[W
         values[:, rows] = totals
 
     work = {"pair_integrals": len(pairs), "pair_points": inside.size * u.size}
-    return [WignerField(R, u, field, float(t), regime, **work) for field in values]
+    return [WignerField(R, u, field, float(t), **work) for field in values]
 
 
 def free_liouville_residual(
-    field_t0: WignerField, field_t1: WignerField, spec: EnsembleSpec, regime: Regime
+    field_t0: WignerField, field_t1: WignerField, spec: EnsembleSpec
 ) -> float:
     """Residual of free-streaming transport between two nearby snapshots.
 

@@ -71,6 +71,10 @@ def test_minimal_document_gets_defaults():
     assert config.packet_b.p0 == 2.0
 
 
+# A mutation value that removes its key from the document.
+ABSENT = object()
+
+
 def test_round_trip():
     config = parse_config(FULL)
     assert parse_config(serialize_config(config)) == config
@@ -78,6 +82,19 @@ def test_round_trip():
 
 def test_minimal_round_trip():
     config = parse_config(MINIMAL)
+    assert parse_config(serialize_config(config)) == config
+
+
+def test_round_trip_keeps_a_packet_width_of_its_own():
+    # Packet a has its own sigma0; packet b's null takes the shared one.
+    doc = json.loads(MINIMAL)
+    doc["packets"].update(sigma0=0.5)
+    doc["packets"]["a"]["sigma0"] = 1.5
+    doc["packets"]["b"]["sigma0"] = None
+    config = parse_config(json.dumps(doc))
+    assert (config.packet_a.sigma0, config.packet_b.sigma0) == (1.5, 0.5)
+    echo = json.loads(serialize_config(config))["packets"]
+    assert (echo["sigma0"], echo["a"]["sigma0"], echo["b"]["sigma0"]) == (0.5, 1.5, 0.5)
     assert parse_config(serialize_config(config)) == config
 
 
@@ -133,14 +150,22 @@ def test_minimal_round_trip():
         ({"trajectories": {"t_end": 1e300, "dt": 1e-300}}, "trajectories.t_end"),
         # Distinct floats, but both named eps0.1 in the outputs.
         ({"epsilons": [0.1, 0.1000001]}, "epsilons"),
+        # Required values, absent or not an object.
+        ({"packets": ABSENT}, "packets"),
+        ({"packets": {"a": {"x0": -5.0, "p0": -2.0}}}, "packets.b"),
+        ({"packets": {"a": {"x0": -5.0}, "b": {"x0": -15.0, "p0": 2.0}}}, "packets.a.p0"),
+        ({"packets": {"a": [-5.0, -2.0], "b": {"x0": -15.0, "p0": 2.0}}}, "packets.a"),
     ],
 )
 def test_invalid_documents_report_field_path(mutation, path_fragment):
     doc = json.loads(MINIMAL)
     doc.update(mutation)
+    doc = {key: value for key, value in doc.items() if value is not ABSENT}
     with pytest.raises(ConfigError) as excinfo:
         parse_config(json.dumps(doc))
-    assert path_fragment in str(excinfo.value)
+    # The field itself, or one item of it.
+    path = excinfo.value.path
+    assert path == path_fragment or path.startswith(path_fragment + "[")
 
 
 def _packets(sigma0=None, a=None, b=None) -> dict:

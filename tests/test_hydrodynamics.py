@@ -316,7 +316,7 @@ def test_equivariance_mass_left_of_trajectories(pure_spec, nearly_classical):
             assert abs(mass_left(tr.positions[k], tr.times[k]) - start) <= 1e-6
 
 
-def test_collapsing_step_stalls_instead_of_hanging(quantum):
+def test_collapsing_step_stalls_instead_of_hanging(quantum, monkeypatch):
     # Along a trajectory of a spreading free packet the density falls as
     # sigma0 / |s_t|.  A floor at 0.9 of the seed's density is reached at
     # |s_t| = sigma0 / 0.9, where the step shrinks until it drops below H_MIN.
@@ -324,7 +324,8 @@ def test_collapsing_step_stalls_instead_of_hanging(quantum):
     spec = single_free(packet)
     seed = -12.0
     floor = 0.9 * float(position_densities([spec], quantum, seed, 0.0)[0])
-    trajectory = trajectory_fans([(spec, quantum, [seed])], 2.0, 1e-3, density_floor=floor)[0][0][0]
+    monkeypatch.setattr(hydrodynamics, "DENSITY_FLOOR", floor)
+    trajectory = trajectory_fans([(spec, quantum, [seed])], 2.0, 1e-3)[0][0][0]
     t_floor = 2.0 * np.sqrt(1.0 / 0.81 - 1.0)  # |s_t| / sigma0 = 1 / 0.9
     assert trajectory.status == "stalled-low-density"
     assert t_floor - 1e-3 <= trajectory.times[-1] <= t_floor
@@ -397,16 +398,15 @@ def test_trajectories_keep_their_quantile(eps, pure_spec, mixed_spec):
             assert np.max(np.abs(ensembles.mass_below(spec, regime, t, x) - start)) <= 1e-9
 
 
-def test_recorded_samples_equal_dense_ones(quantum):
+def test_recorded_samples_equal_dense_ones(quantum, monkeypatch):
     # Keeping every 10th sample changes neither the steps nor a kept sample,
     # also for a seed that stalls mid-run (as in the test above), and the
     # last sample stays on t_end = 2.003, which is no multiple of 10 dt.
     spec = single_free(GaussianPacket(sigma0=1.0, x0=-10.0, p0=1.0, mass=1.0))
     floor = 0.9 * float(position_densities([spec], quantum, -12.0, 0.0)[0])
+    monkeypatch.setattr(hydrodynamics, "DENSITY_FLOOR", floor)
     dense, kept = (
-        trajectory_fans(
-            [(spec, quantum, [-12.0, -10.0])], 2.003, 1e-3, floor, record_every=every
-        )[0][0]
+        trajectory_fans([(spec, quantum, [-12.0, -10.0])], 2.003, 1e-3, record_every=every)[0][0]
         for every in (1, 10)
     )
     keep = np.append(np.arange(0, 2004, 10), 2003)

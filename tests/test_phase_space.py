@@ -153,13 +153,13 @@ def test_liouville_residual_is_discretization_limited(packet_a, quantum):
     u = np.linspace(-5.0, 1.0, 81)
     field_0 = wigner_transforms([spec], quantum, 1.0, R, u)[0]
     field_1 = wigner_transforms([spec], quantum, 1.01, R, u)[0]
-    residual = free_liouville_residual(field_0, field_1, spec, quantum)
+    residual = free_liouville_residual(field_0, field_1, spec)
     assert residual < 1e-2
 
     R_fine = np.linspace(-9.0, -1.0, 161)
     field_0f = wigner_transforms([spec], quantum, 1.0, R_fine, u)[0]
     field_1f = wigner_transforms([spec], quantum, 1.005, R_fine, u)[0]
-    refined = free_liouville_residual(field_0f, field_1f, spec, quantum)
+    refined = free_liouville_residual(field_0f, field_1f, spec)
     assert residual / refined >= 2.0
 
 
@@ -175,7 +175,7 @@ def test_liouville_residual_translation_invariance(quantum):
         R = np.linspace(lo, hi, 81)
         f0 = wigner_transforms([spec], quantum, 1.0, R, u)[0]
         f1 = wigner_transforms([spec], quantum, 1.01, R, u)[0]
-        return free_liouville_residual(f0, f1, spec, quantum)
+        return free_liouville_residual(f0, f1, spec)
 
     first = residual(base, -9.0, -1.0)
     second = residual(moved, -12.0, -4.0)
@@ -188,7 +188,7 @@ def test_grid_validation(pure_spec, quantum):
     field = wigner_transforms([pure_spec], quantum, 0.0, R, u)[0]
     other = wigner_transforms([pure_spec], quantum, 0.1, R[1:], u[1:])[0]
     with pytest.raises(DomainError):
-        free_liouville_residual(field, other, pure_spec, quantum)
+        free_liouville_residual(field, other, pure_spec)
     with pytest.raises(DomainError):
         wigner_transforms([pure_spec], quantum, 0.0, R[:2], u)
 

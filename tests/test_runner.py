@@ -567,7 +567,7 @@ def huge_kick(kind, p0, tmp_path, **trajectories):
     assert list((tmp_path / "cli").glob("*.csv")) == []
     doc["packets"]["a"]["p0"] = -2.0
     config = parse_config(json.dumps(doc))
-    return code, replace(config, packet_a=replace(config.packet_a, p0=p0))
+    return code, replace(config, packets=replace(config.packets, a=replace(config.packets.a, p0=p0)))
 
 
 @pytest.mark.parametrize("kind", ["density", "arrival", "observables", "trajectories"])
