@@ -30,7 +30,8 @@ They are the seed-1 and seed-3 configs of each ``perfbench`` workload in the
 workload's run kinds, the README default config in all five run kinds, and
 that config with Born seeding in the trajectories kind.  The report lists the
 CSVs whose bytes differ and, per run, the manifest keys (dotted paths) whose
-values differ, ``wall_clock_seconds`` left out.  Only the standard library is
+values differ, the timings ``wall_clock_seconds`` and ``writers.*`` (each CSV
+writer's CPU seconds and peak RSS) left out.  Only the standard library is
 used (this tree's ``perfbench/workloads.py`` needs numpy); the trees need
 their own dependencies.
 """
@@ -243,8 +244,9 @@ def _byte_contract(parent: Path, change: Path) -> dict:
                 manifest = work / out / "manifest.json"
                 if manifest.is_file():
                     flat = _flatten(json.loads(manifest.read_text(encoding="utf-8")))
-                    flat.pop("wall_clock_seconds", None)
-                    manifests.setdefault(name, {})[side] = flat
+                    manifests.setdefault(name, {})[side] = {
+                        key: value for key, value in flat.items()
+                        if key != "wall_clock_seconds" and not key.startswith("writers.")}
                 print("contract", side, name, code, file=sys.stderr, flush=True)
     differing_keys = {}
     for name, sides in manifests.items():

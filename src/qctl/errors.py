@@ -13,7 +13,13 @@ class ConfigError(ValueError):
 
     def __init__(self, path: str, message: str):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")
+
+    def __reduce__(self):
+        # Rebuilt from both arguments, so a pickled copy, such as one sent by
+        # a forked CSV writer, keeps its class, path and message.
+        return type(self), (self.path, self.message)
 
 
 class LowDensityError(RuntimeError):

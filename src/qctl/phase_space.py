@@ -43,7 +43,7 @@ from .packets import packet_terms
 from .quadrature import quadrature_weights
 from .regime import Regime
 
-__all__ = ["WignerField", "wigner_transforms", "free_liouville_residual"]
+__all__ = ["WignerField", "wigner_transforms", "wigner_work", "free_liouville_residual"]
 
 # (R, u) points evaluated at once.  A pair integral holds about ten complex
 # temporaries of a block's size, a few hundred kB at 4096 points.
@@ -55,17 +55,12 @@ class WignerField:
     """Sampled W(R, u) at one time; ``values`` has shape (len(R), len(u)).
 
     ``total_mass()`` approximates 1 when the grids cover the full support.
-    ``pair_integrals`` and ``pair_points`` are the work of the
-    :func:`wigner_transforms` call that made the field, shared by all its
-    fields: the pair integrals evaluated, and the (R, u) points of each.
     """
 
     R_grid: np.ndarray
     u_grid: np.ndarray
     values: np.ndarray
     t: float
-    pair_integrals: int = 0
-    pair_points: int = 0
 
     def total_mass(self) -> float:
         w_R = quadrature_weights(self.R_grid)
@@ -132,17 +127,13 @@ def wigner_transforms(specs, regime: Regime, t: float, R_grid, u_grid) -> list[W
     if any(s.packets != first.packets or s.wall != first.wall for s in specs[1:]):
         raise DomainError("the ensembles of one Wigner table must share packets and wall")
 
-    hb = regime.hbar_tilde
-    inside = np.flatnonzero(R < 0.0) if first.wall else np.arange(R.size)
-    phase = (-1j / hb) * u[None, :]
+    inside = _inside(R, first.wall)
+    phase = (-1j / regime.hbar_tilde) * u[None, :]
 
     C, A, B, G = packet_terms(first.packets, regime, t, first.wall)
-    weights = np.stack([pair_weights(spec, regime, C.shape[1]) for spec in specs])
-    # (j, i) is the conjugate of (i, j): keep i <= j, doubling i < j.
-    weights = (np.triu(weights) + np.triu(weights, 1)) / (2.0 * np.pi * hb)
+    weights, pairs = _pair_weights(specs, regime, C.shape[1])
     C = C.ravel()
     exponents = np.stack((A, B, G)).reshape(3, -1)
-    pairs = np.argwhere(weights.any(axis=0))
     values = np.zeros((len(specs), R.size, u.size))
     block_rows = max(1, BLOCK_POINTS // u.size)
     for start in range(0, inside.size, block_rows):
@@ -165,8 +156,34 @@ def wigner_transforms(specs, regime: Regime, t: float, R_grid, u_grid) -> list[W
             raise NumericalGuardError(f"Wigner transform is not finite at t = {t}")
         values[:, rows] = totals
 
-    work = {"pair_integrals": len(pairs), "pair_points": inside.size * u.size}
-    return [WignerField(R, u, field, float(t), **work) for field in values]
+    return [WignerField(R, u, field, float(t)) for field in values]
+
+
+def wigner_work(specs, regime: Regime, R_grid, u_grid) -> tuple[int, int]:
+    """Work of each :func:`wigner_transforms` call on these arguments, at any time.
+
+    Returns the pair integrals it evaluates and the (R, u) points of each.
+    """
+    first = specs[0]
+    terms = packet_terms(first.packets, regime, 0.0, first.wall)[0].shape[1]
+    pairs = _pair_weights(specs, regime, terms)[1]
+    return len(pairs), _inside(np.asarray(R_grid, dtype=float), first.wall).size * len(u_grid)
+
+
+def _inside(R: np.ndarray, wall: bool) -> np.ndarray:
+    """Indices of the R rows where W can be nonzero: R < 0 with the wall, else all."""
+    return np.flatnonzero(R < 0.0) if wall else np.arange(R.size)
+
+
+def _pair_weights(specs, regime: Regime, terms_per_packet: int) -> tuple:
+    """Each ensemble's weights of the term pairs (i, j) over 2 pi hb, and the pairs any uses.
+
+    (j, i) is the conjugate of (i, j): the weights keep i <= j, doubling
+    i < j, and the pairs are the (i, j) with a nonzero weight in some ensemble.
+    """
+    weights = np.stack([pair_weights(spec, regime, terms_per_packet) for spec in specs])
+    weights = (np.triu(weights) + np.triu(weights, 1)) / (2.0 * np.pi * regime.hbar_tilde)
+    return weights, np.argwhere(weights.any(axis=0))
 
 
 def free_liouville_residual(

@@ -2,11 +2,26 @@
 
 Each run kind is a generator ``(config, specs, diagnostics)`` over the
 regimes, ``specs`` being the pure and the mixed ensemble, that yields ``(file
-name, header, blocks)`` for every CSV and records its diagnostics.  Every
-block is one form, ``(head, rows, values)``: leading fields, one row template
-per row, and the floats that fill them (:func:`_write_csv`).
-:func:`run_experiment` alone writes the CSVs and removes them if any stage
-fails.  Outputs are deterministic: fixed evaluation and summation order, 17
+name, header, blocks)`` for every CSV.  It records its diagnostics in its own
+body, never while ``blocks`` is consumed, since that happens in another
+process.  Every block is one form, ``(head, rows, values)``: leading fields,
+one row template per row, and the floats that fill them (:func:`_write_csv`).
+
+:func:`run_experiment` alone writes the CSVs, one forked writer per CSV
+(``os.fork``).  The parent iterates the generator; for each file a child
+evaluates the blocks, formats the rows and exits.  At most as many writers
+run at once as the process has CPUs (``os.sched_getaffinity``), while the
+parent takes the next file.  The parent reaps every writer before it writes
+the manifest, which records each writer's CPU seconds and peak RSS under
+``writers``.  A failing writer sends its exception through a pipe.  The
+parent then forks no more, kills and reaps the writers still running,
+removes every CSV of the run and raises that exception, so its class and
+message are the writer's (a RuntimeError with the writer's traceback if it
+cannot be rebuilt).  A failure in the parent is handled the same way.  This
+is POSIX-only: it needs ``os.fork``, and ``os.sched_getaffinity``, which
+Linux has.
+
+Outputs are deterministic: fixed evaluation and summation order, 17
 significant digits, LF line endings, and no run-time data inside CSV bodies.
 The manifest echoes the configuration, the wall clock and the diagnostics.
 Mass lost beyond the density grid and arrival current cut off by the time
@@ -16,7 +31,12 @@ window bias those outputs, so both are flagged there, not rejected.
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import select
+import signal
 import time as _time
+import traceback
 from collections import Counter
 from pathlib import Path
 
@@ -28,7 +48,7 @@ from .ensembles import EnsembleSpec, mass_below, point_blocks, position_densitie
 from .errors import ConfigError, NumericalGuardError
 from .hydrodynamics import STATUS_NON_FINITE, record_times, trajectory_fans
 from .observables import heisenberg_check, observable_record
-from .phase_space import wigner_transforms
+from .phase_space import wigner_transforms, wigner_work
 from .regime import Regime, epsilon_tag
 
 __all__ = ["run_experiment"]
@@ -234,12 +254,10 @@ def _wigner(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: di
     u = np.linspace(-settings.u_max, settings.u_max, settings.n_u)
     header = ["t [time]", "R [length]", "u [momentum]"] + [f"w_{s.kind} [1/action]" for s in specs]
 
-    def blocks(regime, work):
+    def blocks(regime):
         R_fields, u_rows = _csv_fields(R), _csv_rows(u, len(specs))
         for t, t_field in zip(settings.times, _csv_fields(settings.times)):
             fields = wigner_transforms(specs, regime, t, R, u)
-            work["pair_integrals"] += fields[0].pair_integrals
-            work["points"] = fields[0].pair_points
             # Row by row, so the fields are never copied whole.
             for R_field, *row in zip(R_fields, *(field.values for field in fields)):
                 yield t_field + R_field, u_rows, np.column_stack(row)
@@ -248,13 +266,125 @@ def _wigner(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: di
             del fields, row
 
     for regime in config.regimes():
-        work = {"pair_integrals": 0, "points": 0}
+        pair_integrals, points = wigner_work(specs, regime, R, u)
+        work = {"pair_integrals": pair_integrals * len(settings.times), "points": points}
         diagnostics.setdefault("wigner", {})[epsilon_tag(regime.epsilon)] = work
-        yield f"wigner_eps{epsilon_tag(regime.epsilon)}.csv", header, blocks(regime, work)
+        yield f"wigner_eps{epsilon_tag(regime.epsilon)}.csv", header, blocks(regime)
 
 
 _RUNS = {"density": _density, "trajectories": _trajectories, "arrival": _arrival,
          "observables": _observables, "wigner": _wigner}
+
+
+def _fork_writer(path: Path, header: list[str], blocks) -> tuple[int, int]:
+    """Fork a child that writes ``path`` from ``blocks`` and exits.
+
+    Returns the child's pid and the read end of a pipe.  On success the child
+    closes the pipe unused.  On failure it sends its traceback text and its
+    exception, pickled (None if the exception cannot be), and exits 1.
+    """
+    pipe, child_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(pipe)
+        os.close(child_end)
+        raise
+    if pid:
+        os.close(child_end)
+        return pid, pipe
+    status = 1
+    try:
+        os.close(pipe)
+        _write_csv(path, header, blocks)
+        status = 0
+    except BaseException as exc:
+        try:
+            raised = pickle.dumps(exc)
+        except Exception:
+            raised = None
+        with open(child_end, "wb") as handle:
+            handle.write(pickle.dumps((traceback.format_exc(), raised)))
+    finally:
+        # The child never returns into the caller's code, nor runs its exit handlers.
+        os._exit(status)
+
+
+def _writer_failure(name: str, status: int, payload: bytes) -> BaseException:
+    """The exception that the writer of ``name`` sent, its traceback text as the cause.
+
+    An exception that cannot be rebuilt, or a writer that ended without
+    sending one whole, gives a RuntimeError.
+    """
+    try:
+        text, raised = pickle.loads(payload)
+    except Exception:
+        code = os.waitstatus_to_exitcode(status)
+        return RuntimeError(f"the writer of {name} exited with code {code}")
+    try:
+        exc = pickle.loads(raised)
+    except Exception:
+        return RuntimeError(f"the writer of {name} failed:\n{text}")
+    exc.__cause__ = RuntimeError(f"in the writer of {name}:\n{text}")
+    return exc
+
+
+class _Writers:
+    """The forked CSV writers of one run, at most one per available CPU at a time."""
+
+    def __init__(self):
+        self.slots = len(os.sched_getaffinity(0))
+        # The CSVs of the writers forked, in order.
+        self.paths: list[Path] = []
+        # Read end of each running writer's pipe -> its pid, CSV name and bytes read.
+        self.running: dict[int, tuple[int, str, bytearray]] = {}
+        # CSV name -> CPU seconds and peak RSS of its writer, once reaped.
+        self.usage: dict[str, dict | None] = {}
+
+    def start(self, path: Path, header: list[str], blocks) -> None:
+        """Fork the writer of ``path`` once a CPU is free; raise an earlier writer's failure."""
+        while len(self.running) >= self.slots:
+            self._wait()
+        pid, pipe = _fork_writer(path, header, blocks)
+        self.paths.append(path)
+        self.running[pipe] = pid, path.name, bytearray()
+        self.usage[path.name] = None
+
+    def join(self) -> None:
+        """Reap every writer; raise the first failure seen."""
+        while self.running:
+            self._wait()
+
+    def kill(self) -> None:
+        """Kill and reap the writers still running."""
+        for pipe, (pid, _, _) in self.running.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(pipe)
+        self.running.clear()
+
+    def _wait(self) -> None:
+        """Read one pipe that is ready; at its end of file, reap its writer.
+
+        Each pipe is read to its end before its writer is waited for, so a
+        failure larger than the pipe's buffer cannot block the writer's exit.
+        """
+        poller = select.poll()
+        for pipe in self.running:
+            poller.register(pipe, select.POLLIN)
+        pipe = poller.poll()[0][0]
+        pid, name, payload = self.running[pipe]
+        chunk = os.read(pipe, 1 << 16)
+        if chunk:
+            payload += chunk
+            return
+        _, status, usage = os.wait4(pid, 0)
+        del self.running[pipe]
+        os.close(pipe)
+        self.usage[name] = {"cpu_s": usage.ru_utime + usage.ru_stime,
+                            "peak_rss_mb": usage.ru_maxrss / 1024}  # Linux: kB
+        if status:
+            raise _writer_failure(name, status, bytes(payload))
 
 
 def _trace_drift(config: ExperimentConfig, specs: list[EnsembleSpec], regime: Regime) -> dict:
@@ -286,24 +416,27 @@ def run_experiment(config: ExperimentConfig) -> dict:
     # of this one removes.
     (target / "manifest.json").unlink(missing_ok=True)
     started = _time.perf_counter()
-    written: list[Path] = []
     diagnostics: dict = {"trace": {}}
     specs = [config.ensemble(kind) for kind in ("pure", "mixed")]
+    writers = _Writers()
     try:
         for name, header, blocks in _RUNS[config.run_kind](config, specs, diagnostics):
-            written.append(target / name)
-            _write_csv(written[-1], header, blocks)
+            writers.start(target / name, header, blocks)
+        writers.join()
         for regime in config.regimes():
             diagnostics["trace"][epsilon_tag(regime.epsilon)] = _trace_drift(config, specs, regime)
-    except Exception:
-        for path in written:
+    except BaseException:
+        # No writer may outlive the run, nor write after its CSVs are removed.
+        writers.kill()
+        for path in writers.paths:
             path.unlink(missing_ok=True)
         raise
 
     manifest = {
         "config": config_to_dict(config),
-        "outputs": sorted(p.name for p in written),
+        "outputs": sorted(p.name for p in writers.paths),
         "diagnostics": diagnostics,
+        "writers": writers.usage,
         "wall_clock_seconds": _time.perf_counter() - started,
     }
     with open(target / "manifest.json", "w", encoding="utf-8", newline="\n") as handle:

@@ -15,6 +15,7 @@ from qctl import (
     wigner_transforms,
 )
 from qctl import phase_space
+from qctl.phase_space import wigner_work
 from qctl.ensembles import diagonal_pairs
 from qctl.gaussians import erfcx
 
@@ -278,8 +279,9 @@ def test_shared_pair_table_equals_one_ensemble_calls(wall, packet_a, packet_b, q
     # Wall: 10 unordered pairs of the 4 terms, the mixture's 6 among them.
     # Free: the 3 pairs of the 2 direct terms, the mixture's 2 among them.
     expected = (10, 10, 6) if wall else (3, 3, 2)
-    assert (shared[0].pair_integrals, alone[0].pair_integrals, alone[1].pair_integrals) == expected
-    assert shared[1].pair_points == (40 if wall else 41) * u.size
+    work = [wigner_work(specs, quantum, R, u) for specs in ([pure, mixed], [pure], [mixed])]
+    assert tuple(pair_integrals for pair_integrals, _ in work) == expected
+    assert {points for _, points in work} == {(40 if wall else 41) * u.size}
 
 
 def test_shared_pair_table_needs_one_set_of_packets(packet_a, packet_b, quantum):
@@ -309,8 +311,8 @@ def test_blocked_fields_equal_one_block(wall, packet_a, packet_b, nearly_classic
         other = wigner_transforms([pure, pure.as_kind("mixed")], nearly_classical, 3.0, R, u)
         for mine, theirs in zip(blocked, other):
             assert mine.values.tobytes() == theirs.values.tobytes()
-            assert (mine.pair_integrals, mine.pair_points) == (theirs.pair_integrals, theirs.pair_points)
-    assert blocked[0].pair_points == (np.count_nonzero(R < 0.0) if wall else R.size) * u.size
+    points = wigner_work([pure], nearly_classical, R, u)[1]
+    assert points == (np.count_nonzero(R < 0.0) if wall else R.size) * u.size
 
 
 def test_pair_integrals_see_one_block_at_a_time(mixed_spec, quantum, monkeypatch):

@@ -1,4 +1,9 @@
+import errno
 import json
+import os
+import pickle
+import signal
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +18,7 @@ from qctl import (
     quad_integrate,
     run_experiment,
 )
+from qctl import errors
 from qctl.cli import main
 from qctl.config import RUN_KINDS
 from qctl.ensembles import mass_below
@@ -437,33 +443,174 @@ def test_wigner_run_table(tmp_path):
     assert total == pytest.approx(1.0, abs=5e-3)
 
 
+def raise_after(blocks, exc):
+    """``blocks``, then ``exc`` raised in the writer that consumes them."""
+    yield from blocks
+    raise exc
+
+
 @pytest.mark.parametrize("run_kind", RUN_KINDS)
 def test_partial_outputs_removed_on_failure(tmp_path, monkeypatch, run_kind):
     import qctl.runner as runner
 
-    calls = {"n": 0}
-    original = runner._write_csv
+    handed = []
+    run = runner._RUNS[run_kind]
 
-    def explode_on_second(path, header, blocks):
-        # The second CSV is written whole, then the run fails.
-        calls["n"] += 1
-        original(path, header, blocks)
-        if calls["n"] == 2:
-            raise RuntimeError("boom")
+    def explode_on_second(config, specs, diagnostics):
+        # The second CSV is written whole, then its writer fails.  The run
+        # ends there: the parent takes the next file before it waits for a
+        # writer, so a third file would be handed out on any CPU count.
+        for name, header, blocks in run(config, specs, diagnostics):
+            handed.append(name)
+            if len(handed) == 2:
+                yield name, header, raise_after(blocks, RuntimeError("boom"))
+                return
+            yield name, header, blocks
 
     # A successful run first: its manifest must not outlive the failed rerun.
     earlier = small_config("arrival", epsilons=[1.0], out_dir=str(tmp_path))
     earlier = run_experiment(parse_config(json.dumps(earlier)))["outputs"]
     assert (tmp_path / "manifest.json").exists()
-    monkeypatch.setattr(runner, "_write_csv", explode_on_second)
+    monkeypatch.setitem(runner._RUNS, run_kind, explode_on_second)
     config = parse_config(json.dumps(small_config(run_kind)))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="^boom$"):
         run_experiment(replace(config, out_dir=str(tmp_path)))
-    assert calls["n"] == 2
+    assert len(handed) == 2
     # Every CSV of the failed run is gone; the earlier CSVs it did not rewrite stay.
     kept = [name for name in earlier if not name.startswith(f"{run_kind}_eps")]
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == kept
     assert not (tmp_path / "manifest.json").exists()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_writer_outlives_the_run(tmp_path, monkeypatch):
+    # After a run, and after a run whose first writer fails while the second
+    # would sleep for a minute: that one is killed, not waited for.
+    import qctl.runner as runner
+
+    config = parse_config(json.dumps(small_config("density", out_dir=str(tmp_path))))
+    manifest = run_experiment(config)
+    assert_no_child_left()
+    assert sorted(manifest["writers"]) == manifest["outputs"]
+    for usage in manifest["writers"].values():
+        assert usage["cpu_s"] >= 0.0 and usage["peak_rss_mb"] > 0.0
+
+    def sleeper(blocks):
+        time.sleep(60.0)
+        yield from blocks
+
+    def first_fails(config, specs, diagnostics):
+        files = runner._density(config, specs, diagnostics)
+        name, header, blocks = next(files)
+        yield name, header, raise_after(blocks, NumericalGuardError("first"))
+        for name, header, blocks in files:
+            yield name, header, sleeper(blocks)
+
+    monkeypatch.setitem(runner._RUNS, "density", first_fails)
+    started = time.monotonic()
+    with pytest.raises(NumericalGuardError, match="^first$"):
+        run_experiment(config)
+    assert time.monotonic() - started < 30.0
+    assert_no_child_left()
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_cli_writer_io_error_exit_code(tmp_path, capsys, monkeypatch):
+    # An OSError in a writer, such as a full disk, exits 4 as in the parent.
+    import qctl.runner as runner
+
+    def disk_full(config, specs, diagnostics):
+        for name, header, blocks in runner._density(config, specs, diagnostics):
+            yield name, header, raise_after(blocks, OSError(errno.ENOSPC, "No space left on device"))
+
+    monkeypatch.setitem(runner._RUNS, "density", disk_full)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(small_config("density")))
+    out_dir = tmp_path / "out"
+    assert main(["density", "--config", str(config_path), "--out", str(out_dir)]) == 4
+    assert "I/O error: [Errno 28] No space left on device" in capsys.readouterr().err
+    assert list(out_dir.glob("*")) == []
+    assert_no_child_left()
+
+
+class TwoArgumentError(Exception):
+    # Pickles, but cannot be rebuilt from its args, which hold one string.
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+def test_error_classes_survive_a_pickle_round_trip():
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)]
+    assert {c.__name__ for c in classes} >= {"ConfigError", "DomainError", "NumericalGuardError"}
+    for cls in classes:
+        exc = cls("trajectories.dt", "must be positive") if cls is errors.ConfigError else cls("boom")
+        copy = pickle.loads(pickle.dumps(exc))
+        assert type(copy) is cls
+        assert (str(copy), copy.args) == (str(exc), exc.args)
+        assert getattr(copy, "path", None) == getattr(exc, "path", None)
+
+
+@pytest.mark.parametrize("local", [True, False])
+def test_writer_failure_that_cannot_be_rebuilt(tmp_path, monkeypatch, local):
+    # An exception that cannot be pickled, or rebuilt, arrives as a
+    # RuntimeError carrying the writer's traceback text.
+    import qctl.runner as runner
+
+    class LocalError(Exception):
+        pass
+
+    exc = LocalError("unpicklable") if local else TwoArgumentError("what", "why")
+
+    def failing(config, specs, diagnostics):
+        for name, header, blocks in runner._density(config, specs, diagnostics):
+            yield name, header, raise_after(blocks, exc)
+
+    monkeypatch.setitem(runner._RUNS, "density", failing)
+    config = parse_config(json.dumps(small_config("density", out_dir=str(tmp_path))))
+    with pytest.raises(RuntimeError, match="the writer of density_eps.* failed") as raised:
+        run_experiment(config)
+    assert type(exc).__name__ in str(raised.value) and "raise_after" in str(raised.value)
+    assert list(tmp_path.glob("*.csv")) == []
+    assert_no_child_left()
+
+
+def test_writer_failure_larger_than_a_pipe_buffer(tmp_path, monkeypatch):
+    # A 1 MB message fills the pipe many times over, so it must be read while
+    # the writer sends it.  Were it not, the alarm would end the test run.
+    import qctl.runner as runner
+
+    message = "x" * 2**20
+
+    def failing(config, specs, diagnostics):
+        for name, header, blocks in runner._density(config, specs, diagnostics):
+            yield name, header, raise_after(blocks, NumericalGuardError(message))
+
+    monkeypatch.setitem(runner._RUNS, "density", failing)
+    config = parse_config(json.dumps(small_config("density", out_dir=str(tmp_path))))
+    signal.alarm(60)
+    try:
+        with pytest.raises(NumericalGuardError) as raised:
+            run_experiment(config)
+    finally:
+        signal.alarm(0)
+    assert str(raised.value) == message
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("run_kind", RUN_KINDS)
+def test_one_cpu_writes_the_same_csvs(tmp_path, monkeypatch, run_kind):
+    def csvs(out_dir):
+        run_experiment(parse_config(json.dumps(small_config(run_kind, out_dir=str(out_dir)))))
+        return {p.name: p.read_bytes() for p in sorted(out_dir.glob("*.csv"))}
+
+    default = csvs(tmp_path / "default")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert csvs(tmp_path / "one") == default
+    assert len(default) == (3 if run_kind == "arrival" else 2)
 
 
 def test_manifest_contents(tmp_path):
