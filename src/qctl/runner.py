@@ -34,9 +34,7 @@ import json
 import os
 import pickle
 import select
-import signal
 import time as _time
-import traceback
 from collections import Counter
 from pathlib import Path
 
@@ -299,6 +297,9 @@ def _fork_writer(path: Path, header: list[str], blocks) -> tuple[int, int]:
         _write_csv(path, header, blocks)
         status = 0
     except BaseException as exc:
+        # Imported here, where a writer fails, not at every start-up.
+        import traceback
+
         try:
             raised = pickle.dumps(exc)
         except Exception:
@@ -357,8 +358,11 @@ class _Writers:
 
     def kill(self) -> None:
         """Kill and reap the writers still running."""
+        # Imported here, where a run fails, not at every start-up.
+        from signal import SIGKILL
+
         for pipe, (pid, _, _) in self.running.items():
-            os.kill(pid, signal.SIGKILL)
+            os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
             os.close(pipe)
         self.running.clear()
