@@ -4,12 +4,15 @@
          [--epsilon 0.5] [--out results]
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-guard trip,
-4 I/O error while running (e.g. an output directory that cannot be created).
+4 I/O error while running (e.g. an output directory that cannot be created),
+143 (128 + SIGTERM) on SIGTERM, once the run's CSV writers are stopped and its CSVs
+removed.
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 
 from .config import RUN_KINDS, load_config
@@ -51,6 +54,9 @@ def main(argv=None) -> int:
     except (OSError, ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    # SIGTERM unwinds the run as an exception would, so that its forked CSV
+    # writers are killed and its partial outputs removed.
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
         manifest = run_experiment(config)
     except OSError as exc:
@@ -62,6 +68,8 @@ def main(argv=None) -> int:
     except NumericalGuardError as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 3
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     for name in manifest["outputs"]:
         print(name)
     return 0

@@ -13,13 +13,16 @@ evaluates the blocks, formats the rows and exits.  At most as many writers
 run at once as the process has CPUs (``os.sched_getaffinity``), while the
 parent takes the next file.  The parent reaps every writer before it writes
 the manifest, which records each writer's CPU seconds and peak RSS under
-``writers``.  A failing writer sends its exception through a pipe.  The
-parent then forks no more, kills and reaps the writers still running,
-removes every CSV of the run and raises that exception, so its class and
-message are the writer's (a RuntimeError with the writer's traceback if it
-cannot be rebuilt).  A failure in the parent is handled the same way.  This
-is POSIX-only: it needs ``os.fork``, and ``os.sched_getaffinity``, which
-Linux has.
+``writers``.  A failing writer sends its exception through a pipe, and the
+parent raises it with the writer's class and message (a RuntimeError with
+the writer's traceback if it cannot be rebuilt).  The run raises what one
+process writing the files in order would: the failure of the earliest file
+that fails, else the parent's own.  So on a failure the parent forks no
+more, kills and reaps the writers of later files, lets those of earlier
+files finish, removes every CSV of the run and raises.  Any other exit, such
+as KeyboardInterrupt or the SystemExit that the CLI raises on SIGTERM,
+kills and reaps every writer at once.  This is POSIX-only: it needs
+``os.fork``, and ``os.sched_getaffinity``, which Linux has.
 
 Outputs are deterministic: fixed evaluation and summation order, 17
 significant digits, LF line endings, and no run-time data inside CSV bodies.
@@ -35,8 +38,10 @@ import os
 import pickle
 import select
 import time as _time
+import traceback
 from collections import Counter
 from pathlib import Path
+from signal import SIGKILL
 
 import numpy as np
 
@@ -297,9 +302,6 @@ def _fork_writer(path: Path, header: list[str], blocks) -> tuple[int, int]:
         _write_csv(path, header, blocks)
         status = 0
     except BaseException as exc:
-        # Imported here, where a writer fails, not at every start-up.
-        import traceback
-
         try:
             raised = pickle.dumps(exc)
         except Exception:
@@ -337,58 +339,66 @@ class _Writers:
         self.slots = len(os.sched_getaffinity(0))
         # The CSVs of the writers forked, in order.
         self.paths: list[Path] = []
-        # Read end of each running writer's pipe -> its pid, CSV name and bytes read.
-        self.running: dict[int, tuple[int, str, bytearray]] = {}
+        # Read end of each running writer's pipe -> its file's index, its pid,
+        # CSV name and bytes read.
+        self.running: dict[int, tuple[int, int, str, bytearray]] = {}
         # CSV name -> CPU seconds and peak RSS of its writer, once reaped.
         self.usage: dict[str, dict | None] = {}
+        # The index of the earliest file whose writer failed, and its failure.
+        self.failure: tuple[int, BaseException] | None = None
 
     def start(self, path: Path, header: list[str], blocks) -> None:
         """Fork the writer of ``path`` once a CPU is free; raise an earlier writer's failure."""
         while len(self.running) >= self.slots:
             self._wait()
+        if self.failure is not None:
+            self.join()
         pid, pipe = _fork_writer(path, header, blocks)
+        self.running[pipe] = len(self.paths), pid, path.name, bytearray()
         self.paths.append(path)
-        self.running[pipe] = pid, path.name, bytearray()
         self.usage[path.name] = None
 
     def join(self) -> None:
-        """Reap every writer; raise the first failure seen."""
+        """Reap every writer; raise the failure of the earliest file that failed."""
         while self.running:
             self._wait()
+        if self.failure is not None:
+            raise self.failure[1]
 
-    def kill(self) -> None:
-        """Kill and reap the writers still running."""
-        # Imported here, where a run fails, not at every start-up.
-        from signal import SIGKILL
-
-        for pipe, (pid, _, _) in self.running.items():
-            os.kill(pid, SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(pipe)
-        self.running.clear()
+    def kill(self, after: int = -1) -> None:
+        """Kill and reap the running writers of the files after index ``after``."""
+        for pipe, (index, pid, _, _) in list(self.running.items()):
+            if index > after:
+                os.kill(pid, SIGKILL)
+                del self.running[pipe]
+                os.close(pipe)
+                os.waitpid(pid, 0)
 
     def _wait(self) -> None:
         """Read one pipe that is ready; at its end of file, reap its writer.
 
         Each pipe is read to its end before its writer is waited for, so a
         failure larger than the pipe's buffer cannot block the writer's exit.
+        A failure is kept if its file is the earliest yet to fail, and the
+        writers of later files are killed: one process writing the files in
+        order would not have reached them.
         """
         poller = select.poll()
         for pipe in self.running:
             poller.register(pipe, select.POLLIN)
         pipe = poller.poll()[0][0]
-        pid, name, payload = self.running[pipe]
         chunk = os.read(pipe, 1 << 16)
         if chunk:
-            payload += chunk
+            self.running[pipe][3].extend(chunk)
             return
-        _, status, usage = os.wait4(pid, 0)
-        del self.running[pipe]
+        index, pid, name, payload = self.running.pop(pipe)
         os.close(pipe)
+        _, status, usage = os.wait4(pid, 0)
         self.usage[name] = {"cpu_s": usage.ru_utime + usage.ru_stime,
                             "peak_rss_mb": usage.ru_maxrss / 1024}  # Linux: kB
-        if status:
-            raise _writer_failure(name, status, bytes(payload))
+        if status and (self.failure is None or index < self.failure[0]):
+            self.failure = index, _writer_failure(name, status, bytes(payload))
+            self.kill(after=index)
 
 
 def _trace_drift(config: ExperimentConfig, specs: list[EnsembleSpec], regime: Regime) -> dict:
@@ -424,8 +434,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
     specs = [config.ensemble(kind) for kind in ("pure", "mixed")]
     writers = _Writers()
     try:
-        for name, header, blocks in _RUNS[config.run_kind](config, specs, diagnostics):
-            writers.start(target / name, header, blocks)
+        try:
+            for name, header, blocks in _RUNS[config.run_kind](config, specs, diagnostics):
+                writers.start(target / name, header, blocks)
+        except Exception:
+            # An earlier file's failure comes first, as it would in one process.
+            writers.join()
+            raise
         writers.join()
         for regime in config.regimes():
             diagnostics["trace"][epsilon_tag(regime.epsilon)] = _trace_drift(config, specs, regime)

@@ -1,8 +1,11 @@
+import contextlib
 import errno
 import json
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -18,6 +21,7 @@ from qctl import (
     quad_integrate,
     run_experiment,
 )
+import qctl
 from qctl import errors
 from qctl.cli import main
 from qctl.config import RUN_KINDS
@@ -517,6 +521,111 @@ def test_no_writer_outlives_the_run(tmp_path, monkeypatch):
     assert time.monotonic() - started < 30.0
     assert_no_child_left()
     assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_no_writer_is_forked_after_a_failure(tmp_path, monkeypatch):
+    # On one CPU each writer is reaped before the next is forked, so the
+    # second file's failure is seen before a writer of the third is forked.
+    import qctl.runner as runner
+
+    run = runner._RUNS["arrival"]
+
+    def second_fails(config, specs, diagnostics):
+        for index, (name, header, blocks) in enumerate(run(config, specs, diagnostics)):
+            yield name, header, raise_after(blocks, RuntimeError("boom")) if index == 1 else blocks
+
+    forked = []
+    fork_writer = runner._fork_writer
+
+    def counted(path, header, blocks):
+        forked.append(path.name)
+        return fork_writer(path, header, blocks)
+
+    monkeypatch.setitem(runner._RUNS, "arrival", second_fails)
+    monkeypatch.setattr(runner, "_fork_writer", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    config = parse_config(json.dumps(small_config("arrival", out_dir=str(tmp_path))))
+    with pytest.raises(RuntimeError, match="^boom$"):
+        run_experiment(config)
+    assert len(forked) == 2
+    assert list(tmp_path.glob("*")) == []
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("second", ["writer", "parent"])
+def test_the_earliest_file_failure_is_raised(tmp_path, monkeypatch, second):
+    # The first file's writer fails last.  The second file's writer, or the
+    # parent as it takes the second file, fails first.  The run raises the
+    # first file's failure, as one process writing the files in order would.
+    import qctl.runner as runner
+
+    def slow_failure(blocks):
+        yield from blocks
+        time.sleep(0.5)
+        raise NumericalGuardError("first")
+
+    def failing(config, specs, diagnostics):
+        files = runner._density(config, specs, diagnostics)
+        name, header, blocks = next(files)
+        yield name, header, slow_failure(blocks)
+        name, header, blocks = next(files)
+        if second == "parent":
+            raise OSError(errno.EIO, "second")
+        yield name, header, raise_after(blocks, OSError(errno.EIO, "second"))
+
+    monkeypatch.setitem(runner._RUNS, "density", failing)
+    config = parse_config(json.dumps(small_config("density", out_dir=str(tmp_path))))
+    with pytest.raises(NumericalGuardError, match="^first$"):
+        run_experiment(config)
+    assert list(tmp_path.glob("*")) == []
+    assert_no_child_left()
+
+
+# The CLI, its wigner writers stalled before their first block.
+STALLED_WIGNER_CLI = """
+import sys, time
+import qctl.runner as runner
+from qctl.cli import main
+
+def stalled(blocks):
+    time.sleep(60.0)
+    yield from blocks
+
+def wigner(config, specs, diagnostics):
+    for name, header, blocks in runner._wigner(config, specs, diagnostics):
+        yield name, header, stalled(blocks)
+
+runner._RUNS["wigner"] = wigner
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_cli_sigterm_leaves_no_writer_and_no_csv(tmp_path):
+    # SIGTERM sent to the CLI alone, as `timeout` sends it, while its writers
+    # run: they are killed, their CSVs removed, and the CLI exits 128 + 15.
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(small_config("wigner")))
+    out_dir = tmp_path / "out"
+    command = [sys.executable, "-c", STALLED_WIGNER_CLI, "wigner",
+               "--config", str(config_path), "--out", str(out_dir)]
+    src = str(Path(qctl.__file__).parents[1])
+    # A session of its own, so that its process group holds the CLI and its writers.
+    cli = subprocess.Popen(command, env={**os.environ, "PYTHONPATH": src}, start_new_session=True)
+    try:
+        opened = min(2, len(os.sched_getaffinity(0)))
+        deadline = time.monotonic() + 30.0
+        while len(list(out_dir.glob("*.csv"))) < opened and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert len(list(out_dir.glob("*.csv"))) == opened
+        cli.send_signal(signal.SIGTERM)
+        assert cli.wait(timeout=30.0) == 128 + signal.SIGTERM
+        with pytest.raises(ProcessLookupError):
+            os.killpg(cli.pid, 0)
+        assert list(out_dir.glob("*")) == []
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(cli.pid, signal.SIGKILL)
+        cli.wait()
 
 
 def test_cli_writer_io_error_exit_code(tmp_path, capsys, monkeypatch):
