@@ -4,9 +4,13 @@
         [--pairs 10] [--seconds 10] [--workloads trajectories,wigner,fields]
 
 Run from the root of this repository.  ``PARENT_TREE`` is a checkout of the
-commit to compare against (``git clone`` plus ``git checkout``).  For each
-workload the script runs ``perfbench/run.py --workload W --seconds S``
-``--pairs`` times in each tree, alternating which tree goes first, and
+commit to compare against (``git clone`` plus ``git checkout``).  First each
+tree's ``src`` is compiled (``python -m compileall -q src``, with
+``PYTHONDONTWRITEBYTECODE`` removed from its environment), so that no
+benchmark worker compiles ``qctl`` inside ``setup_s``; the report records
+that under ``bytecode_compiled``.  For each workload the script runs
+``perfbench/run.py --workload W --seconds S`` ``--pairs`` times in each
+tree, alternating which tree goes first, and
 records the median and quartiles of ``run_s``, ``setup_s`` and
 ``peak_rss_mb`` per tree, the raw values, and in how many pairs this tree
 was lower.  It also records the commit of each tree, ``nproc``, the line
@@ -69,6 +73,13 @@ def _commit(tree: Path) -> str:
                            capture_output=True, text=True).stdout.strip()
     commit = result.stdout.strip() or "unknown"
     return commit + ("+uncommitted-src" if dirty else "")
+
+
+def _compile(tree: Path) -> bool:
+    """Write the bytecode of ``tree``'s ``src``; whether every file compiled."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
+    cmd = [sys.executable, "-m", "compileall", "-q", "src"]
+    return subprocess.run(cmd, cwd=tree, env=env).returncode == 0
 
 
 def _src_lines(tree: Path) -> int:
@@ -274,11 +285,13 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
     args = parser.parse_args(argv)
     change, parent = Path.cwd(), args.parent.resolve()
+    compiled = {"parent": _compile(parent), "change": _compile(change)}
     report = {
         "commit": _commit(change),
         "parent_commit": _commit(parent),
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "python": platform.python_version(),
+        "bytecode_compiled": compiled,
         "benchmark": {"pairs": args.pairs, "seconds": args.seconds, "workloads": {}},
         "src_lines": {"parent": _src_lines(parent), "change": _src_lines(change)},
         "src_code_lines": {"parent": _src_code_lines(parent), "change": _src_code_lines(change)},

@@ -6,7 +6,7 @@
 Exit codes: 0 success, 2 configuration error, 3 numerical-guard trip,
 4 I/O error while running (e.g. an output directory that cannot be created),
 143 (128 + SIGTERM) on SIGTERM, once the run's CSV writers are stopped and its CSVs
-removed.
+removed.  ``main`` handles SIGTERM only when it runs on the main thread.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
+import threading
 
 from .config import RUN_KINDS, load_config
 from .errors import ConfigError, DomainError, NumericalGuardError
@@ -55,8 +56,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     # SIGTERM unwinds the run as an exception would, so that its forked CSV
-    # writers are killed and its partial outputs removed.
-    previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    # writers are killed and its partial outputs removed.  Only the main
+    # thread may set a handler; a run on another thread keeps the default.
+    handled = threading.current_thread() is threading.main_thread()
+    if handled:
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
         manifest = run_experiment(config)
     except OSError as exc:
@@ -69,7 +73,8 @@ def main(argv=None) -> int:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 3
     finally:
-        signal.signal(signal.SIGTERM, previous)
+        if handled:
+            signal.signal(signal.SIGTERM, previous)
     for name in manifest["outputs"]:
         print(name)
     return 0

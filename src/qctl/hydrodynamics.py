@@ -37,7 +37,11 @@ a seed stalls at once, with the status ``stalled-non-finite`` in place of
 attempt whose stage densities all reach the floor stalls as
 ``stalled-step-collapse``: the error control, not the density floor, shrank
 it (a kick near 1e150 gives velocities near 1e150 and starting steps near
-1e-132).
+1e-132).  Whatever its steps, a seed leaves after ``MAX_ATTEMPTS`` step
+attempts, accepted or rejected, with the status ``stalled-work-budget``, so
+the loop makes at most ``MAX_ATTEMPTS`` iterations and a seed at most
+``2 + 6 * MAX_ATTEMPTS`` evaluator calls.  The default run's longest seed
+takes 4,640 attempts.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ __all__ = [
     "ATOL",
     "DENSITY_FLOOR",
     "H_MIN",
+    "MAX_ATTEMPTS",
     "Trajectory",
     "current",
     "velocity",
@@ -69,11 +74,14 @@ DENSITY_FLOOR = 1e-12
 ATOL = 1e-12
 # Step size below which a seed stalls, in time units.
 H_MIN = 1e-10
+# Step attempts after which a seed stalls.
+MAX_ATTEMPTS = 100_000
 
 STATUS_COMPLETED = "completed"
 STATUS_STALLED = "stalled-low-density"
 STATUS_NON_FINITE = "stalled-non-finite"
 STATUS_COLLAPSED = "stalled-step-collapse"
+STATUS_BUDGET = "stalled-work-budget"
 
 # Step-size controller: safety factor, bounds of the change per step, and the
 # shrink after a stage fell below the density floor.
@@ -281,11 +289,12 @@ def trajectory_fans(
     ``record_every``-th multiple of ``dt``, and ``t_end``.  Only those are
     evaluated and kept; the steps, and every kept sample, are the same for any
     ``record_every``.  A seed becomes its :class:`Trajectory` when it leaves
-    the loop, through one exit for all three ways out: stalled at t = 0, a
-    step below ``H_MIN``, and finished.  A seed that stalls because its density
-    or step is not finite gets the status ``stalled-non-finite``; one whose
-    finite step fell below ``H_MIN`` in an attempt with no stage density below
-    the floor, ``stalled-step-collapse``; every other stalled seed
+    the loop, through one exit for all four ways out: stalled at t = 0, a
+    step below ``H_MIN``, ``MAX_ATTEMPTS`` step attempts, and finished.  A
+    seed that stalls because its density or step is not finite gets the status
+    ``stalled-non-finite``; one whose finite step fell below ``H_MIN`` in an
+    attempt with no stage density below the floor, ``stalled-step-collapse``;
+    one out of attempts, ``stalled-work-budget``; every other stalled seed
     ``stalled-low-density``.
     """
     fans = [(spec, regime, _checked_seeds(seeds)) for spec, regime, seeds in fans]
@@ -316,6 +325,7 @@ def trajectory_fans(
     # finite leaves the loop too, with a status of its own.
     stalled, done = ~(rho >= DENSITY_FLOOR), np.zeros(n, dtype=bool)
     broken, collapsed = stalled & ~np.isfinite(rho), np.zeros(n, dtype=bool)
+    exhausted = np.zeros(n, dtype=bool)
     first = True
 
     while True:
@@ -325,7 +335,8 @@ def trajectory_fans(
             for k in np.flatnonzero(leaving):
                 i, (recorded, accepted, rejected, evaluations) = ids[k], held[:, k].tolist()
                 status = (STATUS_NON_FINITE if broken[k] else STATUS_COLLAPSED if collapsed[k]
-                          else STATUS_STALLED if stalled[k] else STATUS_COMPLETED)
+                          else STATUS_BUDGET if exhausted[k] else STATUS_STALLED if stalled[k]
+                          else STATUS_COMPLETED)
                 members[i] = Trajectory(float(seeds[i]), times[:recorded], positions[i, :recorded],
                                         status, accepted, rejected, float(state[4, k]), evaluations)
             keep = ~leaving
@@ -398,6 +409,8 @@ def trajectory_fans(
         stalled = ~done & ~(h >= H_MIN)
         broken = stalled & ~np.isfinite(h)
         collapsed = stalled & ~broken & ~low
+        exhausted = ~done & ~stalled & (accepted + rejected >= MAX_ATTEMPTS)
+        stalled |= exhausted
 
     # Every call evaluates the seeds still running, the longest-running one among them.
     calls = [tr.evaluations for tr in members]

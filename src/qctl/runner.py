@@ -11,18 +11,27 @@ one row template per row, and the floats that fill them (:func:`_write_csv`).
 (``os.fork``).  The parent iterates the generator; for each file a child
 evaluates the blocks, formats the rows and exits.  At most as many writers
 run at once as the process has CPUs (``os.sched_getaffinity``), while the
-parent takes the next file.  The parent reaps every writer before it writes
-the manifest, which records each writer's CPU seconds and peak RSS under
-``writers``.  A failing writer sends its exception through a pipe, and the
-parent raises it with the writer's class and message (a RuntimeError with
-the writer's traceback if it cannot be rebuilt).  The run raises what one
-process writing the files in order would: the failure of the earliest file
-that fails, else the parent's own.  So on a failure the parent forks no
-more, kills and reaps the writers of later files, lets those of earlier
-files finish, removes every CSV of the run and raises.  Any other exit, such
-as KeyboardInterrupt or the SystemExit that the CLI raises on SIGTERM,
-kills and reaps every writer at once.  This is POSIX-only: it needs
-``os.fork``, and ``os.sched_getaffinity``, which Linux has.
+parent takes the next file.  The parent reaps the writers in the order of
+their files: it reads the oldest writer's pipe to its end, then waits for
+that writer.  It reaps one whenever every CPU is taken, and all of them
+before it writes the manifest, which records each writer's CPU seconds and
+peak RSS under ``writers``, in file order.  A failing writer sends its
+exception through the pipe, and the parent raises it with the writer's class
+and message (a RuntimeError with the writer's traceback if it cannot be
+rebuilt).  Reaped in order, the first failure is the earliest file's, and
+every writer still running belongs to a later file; an exception in the
+parent's generator is raised only once the writers already forked are
+reaped.  So the run raises what one process writing the files in order
+would: the failure of the earliest file that fails, else the parent's own.
+On a failure the parent kills and reaps the running writers, removes every
+CSV of the run and raises.  Any other exit, such as KeyboardInterrupt or the
+SystemExit that the CLI raises on SIGTERM, does the same at once.  The cost
+of the order: a CPU that a later file's writer frees stays idle until the
+oldest writer ends.  One run kind's files cost about the same, and the
+first ends first, so on the benchmark's configs that idles nothing (writer
+CPU seconds: density 0.16 at epsilon 1 against 0.22-0.26 for the others,
+wigner 0.36-0.42 each).  This is POSIX-only: it needs ``os.fork``, and
+``os.sched_getaffinity``, which Linux has.
 
 Outputs are deterministic: fixed evaluation and summation order, 17
 significant digits, LF line endings, and no run-time data inside CSV bodies.
@@ -36,10 +45,9 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import select
 import time as _time
 import traceback
-from collections import Counter
+from collections import Counter, deque
 from pathlib import Path
 from signal import SIGKILL
 
@@ -339,66 +347,51 @@ class _Writers:
         self.slots = len(os.sched_getaffinity(0))
         # The CSVs of the writers forked, in order.
         self.paths: list[Path] = []
-        # Read end of each running writer's pipe -> its file's index, its pid,
-        # CSV name and bytes read.
-        self.running: dict[int, tuple[int, int, str, bytearray]] = {}
-        # CSV name -> CPU seconds and peak RSS of its writer, once reaped.
-        self.usage: dict[str, dict | None] = {}
-        # The index of the earliest file whose writer failed, and its failure.
-        self.failure: tuple[int, BaseException] | None = None
+        # CSV name, pid and pipe read end of each running writer, oldest first.
+        self.running: deque[tuple[str, int, int]] = deque()
+        # CSV name -> CPU seconds and peak RSS of its writer, in file order.
+        self.usage: dict[str, dict] = {}
 
     def start(self, path: Path, header: list[str], blocks) -> None:
         """Fork the writer of ``path`` once a CPU is free; raise an earlier writer's failure."""
         while len(self.running) >= self.slots:
-            self._wait()
-        if self.failure is not None:
-            self.join()
+            self._reap()
         pid, pipe = _fork_writer(path, header, blocks)
-        self.running[pipe] = len(self.paths), pid, path.name, bytearray()
+        self.running.append((path.name, pid, pipe))
         self.paths.append(path)
-        self.usage[path.name] = None
 
     def join(self) -> None:
         """Reap every writer; raise the failure of the earliest file that failed."""
         while self.running:
-            self._wait()
-        if self.failure is not None:
-            raise self.failure[1]
+            self._reap()
 
-    def kill(self, after: int = -1) -> None:
-        """Kill and reap the running writers of the files after index ``after``."""
-        for pipe, (index, pid, _, _) in list(self.running.items()):
-            if index > after:
-                os.kill(pid, SIGKILL)
-                del self.running[pipe]
-                os.close(pipe)
-                os.waitpid(pid, 0)
+    def kill(self) -> None:
+        """Kill and reap every running writer."""
+        while self.running:
+            _, pid, pipe = self.running.popleft()
+            os.kill(pid, SIGKILL)
+            os.close(pipe)
+            os.waitpid(pid, 0)
 
-    def _wait(self) -> None:
-        """Read one pipe that is ready; at its end of file, reap its writer.
+    def _reap(self) -> None:
+        """Read the oldest writer's pipe to its end, then reap that writer.
 
-        Each pipe is read to its end before its writer is waited for, so a
-        failure larger than the pipe's buffer cannot block the writer's exit.
-        A failure is kept if its file is the earliest yet to fail, and the
-        writers of later files are killed: one process writing the files in
-        order would not have reached them.
+        The pipe is read before the writer is waited for, so a failure larger
+        than the pipe's buffer cannot block the writer's exit.  On a failure
+        the writers of later files are killed, as one process writing the
+        files in order would not have reached them, and the failure raised.
         """
-        poller = select.poll()
-        for pipe in self.running:
-            poller.register(pipe, select.POLLIN)
-        pipe = poller.poll()[0][0]
-        chunk = os.read(pipe, 1 << 16)
-        if chunk:
-            self.running[pipe][3].extend(chunk)
-            return
-        index, pid, name, payload = self.running.pop(pipe)
+        name, pid, pipe = self.running[0]
+        with open(pipe, "rb", closefd=False) as handle:
+            payload = handle.read()
+        self.running.popleft()
         os.close(pipe)
         _, status, usage = os.wait4(pid, 0)
         self.usage[name] = {"cpu_s": usage.ru_utime + usage.ru_stime,
                             "peak_rss_mb": usage.ru_maxrss / 1024}  # Linux: kB
-        if status and (self.failure is None or index < self.failure[0]):
-            self.failure = index, _writer_failure(name, status, bytes(payload))
-            self.kill(after=index)
+        if status:
+            self.kill()
+            raise _writer_failure(name, status, payload)
 
 
 def _trace_drift(config: ExperimentConfig, specs: list[EnsembleSpec], regime: Regime) -> dict:

@@ -361,6 +361,23 @@ def test_non_finite_step_stalls_at_once(quantum, packet_b, monkeypatch):
     assert len(calls) <= 8
 
 
+def test_a_seed_out_of_attempts_stalls_with_its_own_status(quantum, pure_spec, monkeypatch):
+    # A budget of 100 step attempts stops the seed at -12, which takes 326
+    # unbudgeted, and not the one at -6, which takes 62 and runs on.
+    seeds = [-12.0, -6.0]
+    unbudgeted = trajectory_fans([(pure_spec, quantum, seeds)], 1.0, 1e-2)[0][0]
+    monkeypatch.setattr(hydrodynamics, "MAX_ATTEMPTS", 100)
+    (fan,), loop = trajectory_fans([(pure_spec, quantum, seeds)], 1.0, 1e-2)
+    assert [tr.status for tr in fan] == ["stalled-work-budget", "completed"]
+    assert fan[0].accepted_steps + fan[0].rejected_steps == 100 == loop["iterations"]
+    assert fan[0].evaluations == 2 + 6 * 100 == loop["evaluator_calls"]
+    # The budget cuts the trajectory short and changes none of its samples.
+    assert 1 < fan[0].times.size < unbudgeted[0].times.size
+    for budgeted, free in zip(fan, unbudgeted):
+        assert budgeted.positions.tobytes() == free.positions[: budgeted.times.size].tobytes()
+    assert fan[1].times.size == unbudgeted[1].times.size
+
+
 def test_non_finite_density_at_start_stalls_as_non_finite(quantum, mixed_spec, monkeypatch):
     # A seed whose t = 0 density is NaN leaves at once as non-finite; one in
     # the far tail leaves as a low-density stall; the others run on.

@@ -6,6 +6,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -523,6 +524,33 @@ def test_no_writer_outlives_the_run(tmp_path, monkeypatch):
     assert list(tmp_path.glob("*.csv")) == []
 
 
+def test_writers_are_recorded_in_file_order(tmp_path, monkeypatch):
+    # The first file's writer starts its blocks 0.3 s late, so on two CPUs
+    # the second file's writer ends first.  The manifest still lists the
+    # writers in the order their files were handed out, each with its usage.
+    import qctl.runner as runner
+
+    handed = []
+
+    def first_late(config, specs, diagnostics):
+        for name, header, blocks in runner._density(config, specs, diagnostics):
+            handed.append(name)
+            yield name, header, late(blocks) if len(handed) == 1 else blocks
+
+    def late(blocks):
+        time.sleep(0.3)
+        yield from blocks
+
+    monkeypatch.setitem(runner._RUNS, "density", first_late)
+    config = parse_config(json.dumps(small_config("density", out_dir=str(tmp_path))))
+    manifest = run_experiment(config)
+    stored = json.loads((tmp_path / "manifest.json").read_text())
+    assert list(manifest["writers"]) == list(stored["writers"]) == handed
+    assert len(handed) == 2
+    for usage in stored["writers"].values():
+        assert usage["cpu_s"] >= 0.0 and usage["peak_rss_mb"] > 0.0
+
+
 def test_no_writer_is_forked_after_a_failure(tmp_path, monkeypatch):
     # On one CPU each writer is reaped before the next is forked, so the
     # second file's failure is seen before a writer of the third is forked.
@@ -626,6 +654,24 @@ def test_cli_sigterm_leaves_no_writer_and_no_csv(tmp_path):
         with contextlib.suppress(ProcessLookupError):
             os.killpg(cli.pid, signal.SIGKILL)
         cli.wait()
+
+
+def test_cli_runs_off_the_main_thread(tmp_path):
+    # No SIGTERM handler can be set there, so the CLI runs without one.
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(small_config("arrival")))
+    out_dir = tmp_path / "out"
+    codes = []
+    argv = ["arrival", "--config", str(config_path), "--out", str(out_dir)]
+    thread = threading.Thread(target=lambda: codes.append(main(argv)))
+    thread.start()
+    thread.join(timeout=60.0)
+    assert not thread.is_alive()
+    assert codes == [0]
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert sorted(p.name for p in out_dir.glob("*.csv")) == manifest["outputs"]
+    assert len(manifest["outputs"]) == 3
+    assert_no_child_left()
 
 
 def test_cli_writer_io_error_exit_code(tmp_path, capsys, monkeypatch):
@@ -881,6 +927,26 @@ def test_cli_collapsing_steps_stall_with_their_own_status(tmp_path, capsys, monk
     assert [tr.status for fan in cohort for tr in fan] == ["stalled-step-collapse"] * 40
     assert loop["evaluator_calls"] <= 8
     assert manifest["diagnostics"]["stalled_eps1"] == {"pure": 20, "mixed": 20}
+
+
+def test_cli_seeds_out_of_attempts_are_written_and_counted(tmp_path, monkeypatch):
+    # A seed over the step-attempt budget is a stall: its trajectory is
+    # written up to its last sample, it is counted, and the run exits 0.
+    import qctl.hydrodynamics as hydrodynamics
+
+    monkeypatch.setattr(hydrodynamics, "MAX_ATTEMPTS", 100)
+    doc = small_config("trajectories", epsilons=[1.0])
+    doc["trajectories"]["seeds"] = [-12.0, -6.0]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert main(["trajectories", "--config", str(config_path), "--out", str(out_dir)]) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    header, table = read_table(out_dir / "trajectories_eps1.csv")
+    cut = {kind: sum(np.isnan(table[-1, i]) for i, name in enumerate(header) if f"x_{kind}[" in name)
+           for kind in ("pure", "mixed")}
+    assert manifest["diagnostics"]["stalled_eps1"] == cut
+    assert cut["pure"] == 1 and not np.isnan(table[1, 1:]).any()
 
 
 def test_legacy_wigner_window_keys_do_not_change_output(tmp_path):
