@@ -409,8 +409,10 @@ def trajectory_fans(
         stalled = ~done & ~(h >= H_MIN)
         broken = stalled & ~np.isfinite(h)
         collapsed = stalled & ~broken & ~low
-        exhausted = ~done & ~stalled & (accepted + rejected >= MAX_ATTEMPTS)
-        stalled |= exhausted
+        # Every running seed attempts one step per iteration, so all reach the budget at once.
+        if accepted[0] + rejected[0] >= MAX_ATTEMPTS:
+            exhausted = ~done & ~stalled
+            stalled |= exhausted
 
     # Every call evaluates the seeds still running, the longest-running one among them.
     calls = [tr.evaluations for tr in members]
