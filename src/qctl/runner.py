@@ -27,11 +27,11 @@ On a failure the parent kills and reaps the running writers, removes every
 CSV of the run and raises.  Any other exit, such as KeyboardInterrupt or the
 SystemExit that the CLI raises on SIGTERM, does the same at once.  The cost
 of the order: a CPU that a later file's writer frees stays idle until the
-oldest writer ends.  One run kind's files cost about the same, and the
-first ends first, so on the benchmark's configs that idles nothing (writer
-CPU seconds: density 0.16 at epsilon 1 against 0.22-0.26 for the others,
-wigner 0.36-0.42 each).  This is POSIX-only: it needs ``os.fork``, and
-``os.sched_getaffinity``, which Linux has.
+oldest writer ends.  One run kind's files cost about the same, so the idle
+is short: on the benchmark's wigner config, four files of about 0.4 s each
+on two CPUs, the second writer ended up to 0.065 s before the first.  This
+is POSIX-only: it needs ``os.fork``, and ``os.sched_getaffinity``, which
+Linux has.
 
 Outputs are deterministic: fixed evaluation and summation order, 17
 significant digits, LF line endings, and no run-time data inside CSV bodies.
