@@ -113,7 +113,7 @@ def main(argv=None) -> int:
         spec = EnsembleSpec(kind, a, b)
         for n in POINTS:
             x = np.linspace(-18.0, -2.0, n)
-            cohort = _Cohort([(spec, regime, x)], spec.wall)
+            cohort = _Cohort([(spec, regime, x)])
             stage_times = T + _NODES * np.full(n, 0.01)
             coefficients = cohort.coefficients(stage_times)
             stage = _per_call_us(lambda: cohort.evaluate(coefficients, 0, x), repeat)

@@ -17,12 +17,15 @@ evaluator call per stage for every running seed of every fan, and every
 per-seed combination is written elementwise, so a seed's numbers do not
 depend on which seeds share its loop.  The evaluator is the term kernel of
 the fields, :func:`~qctl.packets.term_fields`, on one row per packet of
-every running seed (:func:`~qctl.packets.row_coefficients` once per step for
-all stage times, the kernel once per stage), so it equals :func:`velocity`
-and the density of the fields bit for bit.  The loop holds the state of the
-running seeds only.  A seed leaves it when it finishes or stalls, and becomes
-its :class:`Trajectory` then; the loop compacts its state, and the kernel's
-rows, at once.
+every running seed (each fan's rows tiled from its packets' constants by
+:func:`~qctl.packets.row_constants`, :func:`~qctl.packets.row_coefficients`
+once per step for all stage times, the kernel once per stage), so it equals
+:func:`velocity` and the density of the fields bit for bit.  The loop holds
+the state of the running seeds only, with one exit code each: 0 while the
+seed runs, else the index of its status in ``_STATUSES``, set once at t = 0
+and once at the end of each iteration.  A seed leaves when its code is set,
+and becomes its :class:`Trajectory` then; the loop compacts its state, the
+code with it, and the kernel's rows, at once.
 
 The velocity is undefined at density nodes and spikes near them.  A step with
 a stage density below the density floor is rejected and retried with a
@@ -82,6 +85,9 @@ STATUS_STALLED = "stalled-low-density"
 STATUS_NON_FINITE = "stalled-non-finite"
 STATUS_COLLAPSED = "stalled-step-collapse"
 STATUS_BUDGET = "stalled-work-budget"
+# A seed's exit code indexes its status; 0 is a running seed.
+_STATUSES = (None, STATUS_COMPLETED, STATUS_STALLED, STATUS_NON_FINITE, STATUS_COLLAPSED,
+             STATUS_BUDGET)
 
 # Step-size controller: safety factor, bounds of the change per step, and the
 # shrink after a stage fell below the density floor.
@@ -208,17 +214,17 @@ class _Cohort:
     row of that table.
     """
 
-    def __init__(self, fans, wall: bool):
-        rows, row_seed, row_scale, start, unit = [], [], [], [], []
+    def __init__(self, fans):
+        constants, row_seed, row_scale, start, unit = [], [], [], [], []
         for spec, regime, seeds in fans:
             n, m = seeds.size, len(spec.packets)
-            rows += [(packet, regime) for packet in spec.packets] * n
+            constants.append(row_constants(spec.packets, regime, n))
             row_seed += [len(unit) + j for j in range(n) for _ in range(m)]
             row_scale += [np.sqrt(COMPONENT_WEIGHT / norm_constant(spec, regime))] * (m * n)
             start += [p in spec.component_starts for p in range(m)] * n
             unit += [regime.hbar_tilde / spec.mass] * n
-        self.wall = wall
-        self.all_constants = row_constants(rows)
+        self.wall = fans[0][0].wall
+        self.all_constants = tuple(map(np.concatenate, zip(*constants)))
         self.row_seed, self.row_scale, self.start, self.unit = map(
             np.array, (row_seed, row_scale, start, unit)
         )
@@ -290,7 +296,9 @@ def trajectory_fans(
     evaluated and kept; the steps, and every kept sample, are the same for any
     ``record_every``.  A seed becomes its :class:`Trajectory` when it leaves
     the loop, through one exit for all four ways out: stalled at t = 0, a
-    step below ``H_MIN``, ``MAX_ATTEMPTS`` step attempts, and finished.  A
+    step below ``H_MIN``, ``MAX_ATTEMPTS`` step attempts, and finished.  After
+    a step, finishing outranks a next step below ``H_MIN``, which outranks the
+    budget, so a seed that finishes on its last allowed attempt completes.  A
     seed that stalls because its density or step is not finite gets the status
     ``stalled-non-finite``; one whose finite step fell below ``H_MIN`` in an
     attempt with no stage density below the floor, ``stalled-step-collapse``;
@@ -304,8 +312,7 @@ def trajectory_fans(
         raise DomainError("dt and t_end must be positive")
     times = record_times(t_end, dt, record_every)
     t_stop = times[-1]
-    wall = fans[0][0].wall
-    cohort = _Cohort(fans, wall)
+    cohort = _Cohort(fans)
     seeds = np.concatenate([fan_seeds for _, _, fan_seeds in fans])
     scale = np.concatenate([np.full(s.size, min(p.sigma0 for p in f.packets)) for f, _, s in fans])
     n = seeds.size
@@ -316,36 +323,32 @@ def trajectory_fans(
     v, rho = cohort.evaluate(cohort.coefficients(np.zeros((1, n))), 0, seeds)
     # The running seeds only: their indices; position, time, step size, first
     # stage (the velocity), smallest inner step and tolerance; and samples
-    # recorded, steps accepted and rejected, and evaluator calls.
+    # recorded, steps accepted and rejected, evaluator calls and exit code.
     ids = np.arange(n)
     state = np.stack((seeds, np.zeros(n), np.zeros(n), v, np.full(n, np.inf), ATOL * scale))
-    held = np.repeat([[1], [0], [0], [1]], n, axis=1)
-    grow = np.ones(n, dtype=bool)  # false right after a rejected step
     # NaN fails both exit tests, so a seed whose density or step is not
     # finite leaves the loop too, with a status of its own.
-    stalled, done = ~(rho >= DENSITY_FLOOR), np.zeros(n, dtype=bool)
-    broken, collapsed = stalled & ~np.isfinite(rho), np.zeros(n, dtype=bool)
-    exhausted = np.zeros(n, dtype=bool)
+    code = np.where(rho >= DENSITY_FLOOR, 0, np.where(np.isfinite(rho), 2, 3))
+    held = np.vstack((np.repeat([[1], [0], [0], [1]], n, axis=1), code))
+    grow = np.ones(n, dtype=bool)  # false right after a rejected step
     first = True
 
     while True:
-        leaving = stalled | done
+        leaving = held[4] > 0
         if leaving.any():
             # Each leaving seed becomes its trajectory.
             for k in np.flatnonzero(leaving):
-                i, (recorded, accepted, rejected, evaluations) = ids[k], held[:, k].tolist()
-                status = (STATUS_NON_FINITE if broken[k] else STATUS_COLLAPSED if collapsed[k]
-                          else STATUS_BUDGET if exhausted[k] else STATUS_STALLED if stalled[k]
-                          else STATUS_COMPLETED)
+                i, (recorded, accepted, rejected, evaluations, code) = ids[k], held[:, k].tolist()
                 members[i] = Trajectory(float(seeds[i]), times[:recorded], positions[i, :recorded],
-                                        status, accepted, rejected, float(state[4, k]), evaluations)
+                                        _STATUSES[code], accepted, rejected, float(state[4, k]),
+                                        evaluations)
             keep = ~leaving
             if not keep.any():
                 break
             ids, state, held, grow = ids[keep], state[:, keep], held[:, keep], grow[keep]
             cohort.select(ids)
         x, t, h, v, inner_min, tol = state
-        recorded, accepted, rejected, evaluations = held
+        recorded, accepted, rejected, evaluations, code = held
         if first:
             h[:] = _initial_step(cohort, x, v, tol, scale[ids], t_stop)
             evaluations += 1
@@ -389,7 +392,7 @@ def trajectory_fans(
             sample = x1[owner] - theta1 * (
                 increment[owner] - theta * (q1[owner] + theta * (q2[owner] + theta1 * q3[owner]))
             )
-            if wall:
+            if cohort.wall:
                 # Accepted positions are inside already: the density, and so
                 # every accepted stage, vanishes at x >= 0.  Samples between
                 # them may overshoot.
@@ -405,14 +408,12 @@ def trajectory_fans(
         np.copyto(inner_min, np.minimum(inner_min, h0), where=ok & ~last)
         np.multiply(h0, factor, out=h)
         grow = ok
-        done = ok & last
-        stalled = ~done & ~(h >= H_MIN)
-        broken = stalled & ~np.isfinite(h)
-        collapsed = stalled & ~broken & ~low
-        # Every running seed attempts one step per iteration, so all reach the budget at once.
-        if accepted[0] + rejected[0] >= MAX_ATTEMPTS:
-            exhausted = ~done & ~stalled
-            stalled |= exhausted
+        # The exit code: finished (1); else a next step below H_MIN that is not finite (3),
+        # that followed a stage below the floor (2) or neither (4); else out of attempts (5),
+        # which every running seed reaches at once.
+        budget = 5 if accepted[0] + rejected[0] >= MAX_ATTEMPTS else 0
+        small = np.where(np.isfinite(h), np.where(low, 2, 4), 3)
+        code[:] = np.where(ok & last, 1, np.where(h >= H_MIN, budget, small))
 
     # Every call evaluates the seeds still running, the longest-running one among them.
     calls = [tr.evaluations for tr in members]

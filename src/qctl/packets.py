@@ -204,10 +204,9 @@ def packet_fields(packets, regime: Regime, x, t, wall: bool = True, gradient: bo
     return fields[0], (fields[1] if gradient else None)
 
 
-def row_constants(rows):
-    """Time-independent constants of :func:`row_coefficients`, one ``(packet, regime)`` per row."""
-    columns = zip(*(_term_constants((packet,), regime) for packet, regime in rows))
-    return tuple(np.concatenate(column) for column in columns)
+def row_constants(packets, regime: Regime, n: int):
+    """Time-independent constants of :func:`row_coefficients`: ``n`` rows of each packet in turn."""
+    return tuple(np.tile(column, n) for column in _term_constants(tuple(packets), regime))
 
 
 def row_coefficients(constants, t, wall: bool = True):

@@ -57,7 +57,7 @@ from .arrival import arrival_distribution
 from .config import ExperimentConfig, config_to_dict
 from .ensembles import EnsembleSpec, mass_below, point_blocks, position_densities
 from .errors import ConfigError, NumericalGuardError
-from .hydrodynamics import STATUS_NON_FINITE, record_times, trajectory_fans
+from .hydrodynamics import STATUS_COMPLETED, STATUS_NON_FINITE, record_times, trajectory_fans
 from .observables import heisenberg_check, observable_record
 from .phase_space import wigner_transforms, wigner_work
 from .regime import Regime, epsilon_tag
@@ -216,7 +216,7 @@ def _integrator_counts(fan) -> dict:
         # longest-running seed saw, and as a fan integrated alone would make.
         "evaluator_calls": max(tr.evaluations for tr in fan),
         "min_step": smallest if np.isfinite(smallest) else None,
-        "stalled_seeds": sum(tr.status != "completed" for tr in fan),
+        "stalled_seeds": sum(tr.status != STATUS_COMPLETED for tr in fan),
     }
 
 

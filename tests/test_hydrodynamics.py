@@ -260,7 +260,7 @@ def test_trajectory_evaluator_equals_field_evaluator(
         for spec in (pure_spec, mixed_spec)
     ]
     owners = [(spec, regime) for spec, regime, seeds in fans for _ in seeds]
-    cohort = hydrodynamics._Cohort(fans, wall=True)
+    cohort = hydrodynamics._Cohort(fans)
     rng = np.random.default_rng(5)
     beyond = guided = 0
     shrinking = (range(12), [0, 2, 4, 5, 7, 9, 10, 11], [1, 6, 11], [8])
@@ -361,21 +361,25 @@ def test_non_finite_step_stalls_at_once(quantum, packet_b, monkeypatch):
     assert len(calls) <= 8
 
 
-def test_a_seed_out_of_attempts_stalls_with_its_own_status(quantum, pure_spec, monkeypatch):
+@pytest.mark.parametrize("budget", [100, 62, 61])
+def test_a_seed_out_of_attempts_stalls_with_its_own_status(quantum, pure_spec, monkeypatch, budget):
     # A budget of 100 step attempts stops the seed at -12, which takes 326
-    # unbudgeted, and not the one at -6, which takes 62 and runs on.
+    # unbudgeted, and not the one at -6, which takes 62 and runs on.  A seed
+    # that finishes on its last allowed attempt completes; one attempt fewer
+    # stops both.
     seeds = [-12.0, -6.0]
     unbudgeted = trajectory_fans([(pure_spec, quantum, seeds)], 1.0, 1e-2)[0][0]
-    monkeypatch.setattr(hydrodynamics, "MAX_ATTEMPTS", 100)
+    monkeypatch.setattr(hydrodynamics, "MAX_ATTEMPTS", budget)
     (fan,), loop = trajectory_fans([(pure_spec, quantum, seeds)], 1.0, 1e-2)
-    assert [tr.status for tr in fan] == ["stalled-work-budget", "completed"]
-    assert fan[0].accepted_steps + fan[0].rejected_steps == 100 == loop["iterations"]
-    assert fan[0].evaluations == 2 + 6 * 100 == loop["evaluator_calls"]
+    last = "completed" if budget >= 62 else "stalled-work-budget"
+    assert [tr.status for tr in fan] == ["stalled-work-budget", last]
+    assert fan[0].accepted_steps + fan[0].rejected_steps == budget == loop["iterations"]
+    assert fan[0].evaluations == 2 + 6 * budget == loop["evaluator_calls"]
     # The budget cuts the trajectory short and changes none of its samples.
     assert 1 < fan[0].times.size < unbudgeted[0].times.size
     for budgeted, free in zip(fan, unbudgeted):
         assert budgeted.positions.tobytes() == free.positions[: budgeted.times.size].tobytes()
-    assert fan[1].times.size == unbudgeted[1].times.size
+    assert (fan[1].times.size == unbudgeted[1].times.size) == (last == "completed")
 
 
 def test_non_finite_density_at_start_stalls_as_non_finite(quantum, mixed_spec, monkeypatch):
