@@ -4,16 +4,15 @@ Every document goes through ``qctl.cli.main`` in this process, one at a
 time, on a 64-point grid, 3 times, 101 arrival times, a 9 x 9 Wigner grid and
 2 seeds from t = 0 to 1.  Its values are drawn log-uniformly inside the
 loader's bounds, around the README defaults: in half the documents within a
-factor of 2, so that most run to the end, in the others within four decades
-(lengths within one), so that many are rejected or trip a numerical guard.
+factor of 2 (epsilon within 4 of 1), so that most run to the end, in the
+others within four decades (lengths within one, epsilon down to 1e-8), so
+that many are rejected or trip a numerical guard.
 Whatever the document, the run must exit 0, 2 or 3; a failed run leaves no
 CSV and no manifest, and a finished one lists exactly the CSVs it wrote.
 """
 
 import json
 import random
-
-import pytest
 
 from qctl import hydrodynamics
 from qctl.cli import main
