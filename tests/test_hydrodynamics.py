@@ -361,12 +361,7 @@ def test_non_finite_step_stalls_at_once(quantum, packet_b, monkeypatch):
     assert len(calls) <= 8
 
 
-@pytest.mark.parametrize("budget", [100, 62, 61])
-def test_a_seed_out_of_attempts_stalls_with_its_own_status(quantum, pure_spec, monkeypatch, budget):
-    # A budget of 100 step attempts stops the seed at -12, which takes 326
-    # unbudgeted, and not the one at -6, which takes 62 and runs on.  A seed
-    # that finishes on its last allowed attempt completes; one attempt fewer
-    # stops both.
+def _check_attempt_budget(quantum, pure_spec, monkeypatch, budget):
     seeds = [-12.0, -6.0]
     unbudgeted = trajectory_fans([(pure_spec, quantum, seeds)], 1.0, 1e-2)[0][0]
     monkeypatch.setattr(hydrodynamics, "MAX_ATTEMPTS", budget)
@@ -380,6 +375,19 @@ def test_a_seed_out_of_attempts_stalls_with_its_own_status(quantum, pure_spec, m
     for budgeted, free in zip(fan, unbudgeted):
         assert budgeted.positions.tobytes() == free.positions[: budgeted.times.size].tobytes()
     assert (fan[1].times.size == unbudgeted[1].times.size) == (last == "completed")
+
+
+def test_a_seed_out_of_attempts_stalls_with_its_own_status(quantum, pure_spec, monkeypatch):
+    # A budget of 100 step attempts stops the seed at -12, which takes 326
+    # unbudgeted, and not the one at -6, which takes 62 and runs on.
+    _check_attempt_budget(quantum, pure_spec, monkeypatch, 100)
+
+
+@pytest.mark.parametrize("budget", [62, 61])
+def test_a_seed_finishing_on_its_last_attempt_completes(quantum, pure_spec, monkeypatch, budget):
+    # The seed at -6 takes 62 attempts: it completes on its last allowed
+    # attempt, and one attempt fewer stops both seeds.
+    _check_attempt_budget(quantum, pure_spec, monkeypatch, budget)
 
 
 def test_non_finite_density_at_start_stalls_as_non_finite(quantum, mixed_spec, monkeypatch):
