@@ -25,8 +25,9 @@ seconds of this tree,
 and the ``[acceptance]`` lines of ``tests/test_acceptance.py -s`` in each
 tree, so the margins are recorded before and after.  The L0 and L1 tables
 are each run in alternating rounds, parent, change, change, parent, and so
-on, ``L0_ROUNDS`` per tree, and every cell records its minimum over the
-rounds, since a single run on a shared machine reads a few percent high.
+on, ``L0_ROUNDS`` per tree, and every cell records the median and quartiles
+of its rounds and their values: on a shared machine the minimum of three
+rounds moved by half between two trees that ran the same code.
 
 The byte contract: both trees run the 16 comparison configs through the CLI
 with the same relative ``--out``, each tree in its own working directory.
@@ -57,7 +58,7 @@ from pathlib import Path
 METRICS = ("run_s", "setup_s", "peak_rss_mb")
 WORKLOADS = ("trajectories", "wigner", "fields")
 L0_REPEAT = 5
-L0_ROUNDS = 3
+L0_ROUNDS = 7
 # Token types that are not code: comments, line breaks and indentation.
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 RUN_KINDS = ("density", "trajectories", "arrival", "observables", "wigner")
@@ -136,10 +137,12 @@ def _l1_table(tree: Path) -> dict:
 
 
 def _rounds(table, parent: Path, change: Path) -> dict:
-    """``table`` of each tree over ``L0_ROUNDS`` alternating rounds, each cell's minimum.
+    """``table`` of each tree over ``L0_ROUNDS`` alternating rounds.
 
-    The trees alternate as parent, change, change, parent, and so on; the
-    first cell of a row names it and is kept.
+    The trees alternate as parent, change, change, parent, and so on.  A
+    timing cell (a column ending in ``_us``) records the :func:`_summary` of
+    its rounds; the other cells (the name, the points or iterations) are the
+    first round's.
     """
     runs = {"parent": [], "change": []}
     for i in range(L0_ROUNDS):
@@ -148,9 +151,10 @@ def _rounds(table, parent: Path, change: Path) -> dict:
             print(table.__name__, i, side, file=sys.stderr, flush=True)
     result = {}
     for side, tables in runs.items():
-        rows = [[cells[0][0]] + [min(column) for column in zip(*(cell[1:] for cell in cells))]
-                for cells in zip(*(t["rows"] for t in tables))]
-        result[side] = {**tables[0], "rounds": len(tables), "statistic": "min", "rows": rows}
+        timed = [column.endswith("_us") for column in tables[0]["columns"]]
+        rows = [[_summary(list(cells)) if is_timed else cells[0] for is_timed, cells in zip(timed, zip(*row))]
+                for row in zip(*(t["rows"] for t in tables))]
+        result[side] = {**tables[0], "rounds": len(tables), "statistic": "median", "rows": rows}
     return result
 
 

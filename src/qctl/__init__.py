@@ -15,7 +15,6 @@ from .config import (
     WignerSettings,
     load_config,
     parse_config,
-    serialize_config,
 )
 from .ensembles import (
     EnsembleSpec,
@@ -79,7 +78,6 @@ __all__ = [
     "quad_integrate",
     "quadrature_weights",
     "run_experiment",
-    "serialize_config",
     "trajectory_fans",
     "velocity",
     "wigner_transforms",

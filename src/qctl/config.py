@@ -3,14 +3,14 @@
 A configuration document is a single JSON object.  The settings dataclasses
 below are its only schema: each key of a section is a field, checked against
 the field's annotation and the bounds in its ``bounds`` metadata (negative,
-positive, in (0, 1], at least n, one of a fixed set, non-empty, a point
-budget) as it is read.  An absent key takes the field's default; a field
-without one, such as the ``packets`` section and each packet's ``x0`` and
-``p0``, is required.  :func:`config_to_dict` walks the same fields back.
-Unknown keys, missing required values, non-finite numbers and values out of
-bounds are rejected with the offending field path; :func:`parse_config` then
-checks only what combines several fields, so the runner never starts from an
-inconsistent state.
+positive, in (0, 1], at least n, one of a fixed set, non-empty) as it is
+read.  An absent key takes the field's default; a field without one, such as
+the ``packets`` section and each packet's ``x0`` and ``p0``, is required.
+:func:`config_to_dict` walks the same fields back.  Unknown keys, missing
+required values, non-finite numbers and values out of bounds are rejected
+with the offending field path; :func:`parse_config` then checks what
+combines several fields, and every budget in one table, so the runner never
+starts from an inconsistent state.
 """
 
 # No ``from __future__ import annotations``: the loader reads each settings
@@ -26,7 +26,7 @@ import numpy as np
 
 from .ensembles import EnsembleSpec
 from .errors import ConfigError, DomainError
-from .hydrodynamics import step_count
+from .hydrodynamics import record_count
 from .packets import GaussianPacket
 from .regime import Regime, epsilon_in_range, epsilon_tag, make_regime
 
@@ -40,7 +40,6 @@ __all__ = [
     "WignerSettings",
     "ExperimentConfig",
     "parse_config",
-    "serialize_config",
     "load_config",
     "RUN_KINDS",
 ]
@@ -55,7 +54,7 @@ _TAIL_MASS_LIMIT = 1e-10
 PHASE_LIMIT = 2.0**53
 
 # Samples a trajectory run holds, epsilons x 2 kinds x seeds x the
-# len(hydrodynamics.record_times(t_end, dt, record_every)) recorded times
+# hydrodynamics.record_count(t_end, dt, record_every) recorded times
 # (240,160 at the defaults; the budget is 200 MB of float64).
 TRAJECTORY_SAMPLE_BUDGET = 25_000_000
 
@@ -101,10 +100,6 @@ def _at_least(n: int) -> tuple:
     return (lambda v: v >= n, f"must be at least {n}")
 
 
-def _within(budget: int) -> tuple:
-    return (lambda v: v <= budget, f"must be within the budget of {budget} points")
-
-
 def _one_of(*choices: str) -> tuple:
     return (lambda v: v in choices, f"must be one of {choices}")
 
@@ -147,7 +142,7 @@ class SpatialGrid:
     """Uniform position grid on [x_min, 0] of the density run; the trace diagnostic reads x_min."""
 
     x_min: float = _field(-60.0, _NEGATIVE)
-    n_points: int = _field(2048, _at_least(64), _within(GRID_POINT_BUDGET))
+    n_points: int = _field(2048, _at_least(64))
 
     def points(self) -> np.ndarray:
         return np.linspace(self.x_min, 0.0, self.n_points)
@@ -179,7 +174,7 @@ class TrajectorySettings:
 @dataclass(frozen=True)
 class ArrivalSettings:
     t_max: float = _field(40.0, _POSITIVE)
-    n_points: int = _field(4001, _at_least(3), _within(ARRIVAL_POINT_BUDGET))
+    n_points: int = _field(4001, _at_least(3))
 
 
 @dataclass(frozen=True)
@@ -331,35 +326,34 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
                 f"packet {name} has tail mass {tail:.3e} beyond x_min at t=0 "
                 f"(limit {_TAIL_MASS_LIMIT:.0e})",
             )
-    rows = config.time.n_times * grid.n_points
-    if rows > DENSITY_ROW_BUDGET:
-        raise ConfigError("time.n_times", f"n_times x grid.n_points = {rows} rows exceed the "
-                          f"budget of {DENSITY_ROW_BUDGET}")
 
     trajectories = config.trajectories
+    try:
+        n_recorded = record_count(trajectories.t_end, trajectories.dt, trajectories.record_every)
+    except DomainError as exc:
+        raise ConfigError("trajectories.t_end", str(exc)) from exc
     seeds = trajectories.seeds
     if seeds is not None and any(b <= a for a, b in zip(seeds, seeds[1:])):
         raise ConfigError("trajectories.seeds", "seeds must be strictly increasing")
-    try:
-        n_steps = step_count(trajectories.t_end, trajectories.dt)
-    except DomainError as exc:
-        raise ConfigError("trajectories.t_end", str(exc)) from exc
-    n_seeds = trajectories.n_seeds if seeds is None else len(seeds)
-    # len(record_times(...)), without building them: every record_every-th
-    # step from 0, and the last step if it is not one of them.
-    n_recorded = -(-n_steps // trajectories.record_every) + 1
-    held = len(config.epsilons) * 2 * n_seeds * n_recorded
-    if held > TRAJECTORY_SAMPLE_BUDGET:
-        path = "trajectories.n_seeds" if seeds is None else "trajectories.seeds"
-        raise ConfigError(path, f"epsilons x 2 kinds x seeds x recorded times = {held} "
-                          f"samples exceed the budget of {TRAJECTORY_SAMPLE_BUDGET}")
     if not trajectories.x_lo < trajectories.x_hi:
         raise ConfigError("trajectories.x_lo", "need x_lo < x_hi")
 
-    points = config.wigner.n_x * config.wigner.n_u
-    if points > WIGNER_POINT_BUDGET:
-        raise ConfigError("wigner.n_u", f"n_x x n_u = {points} points exceed the budget of "
-                          f"{WIGNER_POINT_BUDGET}")
+    # Every load-time budget: the field path it is reported at, what it counts,
+    # the count and the budget.
+    n_seeds, wigner = trajectories.n_seeds if seeds is None else len(seeds), config.wigner
+    budgets = (
+        ("grid.n_points", "grid points", grid.n_points, GRID_POINT_BUDGET),
+        ("arrival.n_points", "arrival times", config.arrival.n_points, ARRIVAL_POINT_BUDGET),
+        ("time.n_times", "density rows (n_times x grid.n_points)",
+         config.time.n_times * grid.n_points, DENSITY_ROW_BUDGET),
+        ("trajectories.n_seeds" if seeds is None else "trajectories.seeds",
+         "samples (epsilons x 2 kinds x seeds x recorded times)",
+         len(config.epsilons) * 2 * n_seeds * n_recorded, TRAJECTORY_SAMPLE_BUDGET),
+        ("wigner.n_u", "Wigner points (n_x x n_u)", wigner.n_x * wigner.n_u, WIGNER_POINT_BUDGET),
+    )
+    for path, counted, count, budget in budgets:
+        if count > budget:
+            raise ConfigError(path, f"{count} {counted} exceed the budget of {budget}")
     _check_packet_phase(config)
     return config
 
@@ -396,10 +390,6 @@ def config_to_dict(settings) -> dict:
             value = config_to_dict(value)
         doc[key] = list(value) if isinstance(value, tuple) else value
     return doc
-
-
-def serialize_config(config: ExperimentConfig) -> str:
-    return json.dumps(config_to_dict(config), indent=2) + "\n"
 
 
 def load_config(path, overrides=None) -> ExperimentConfig:

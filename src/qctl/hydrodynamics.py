@@ -67,6 +67,7 @@ __all__ = [
     "current",
     "velocity",
     "trajectory_fans",
+    "record_count",
     "record_times",
     "step_count",
 ]
@@ -165,31 +166,40 @@ def velocity(spec: EnsembleSpec, regime: Regime, x, t):
 def step_count(t_end: float, dt: float) -> int:
     """Number of sample intervals of length ``dt`` that end exactly at ``t_end``.
 
-    Raises :class:`DomainError` when ``t_end / dt`` overflows to infinity, and
-    unless ``t_end`` is a whole multiple of ``dt`` (to a relative 1e-9):
-    rounding the count would silently move the final time.
+    Raises :class:`DomainError` unless ``t_end`` and ``dt`` are positive and
+    the count is at most 2^53, past which a float64 step index ``k``, and so
+    ``k * dt``, is not exact (a ``t_end / dt`` that overflows to infinity is
+    above it), and unless ``t_end`` is a whole multiple of ``dt`` (to a
+    relative 1e-9): rounding the count would silently move the final time.
     """
-    if not np.isfinite(t_end / dt):
-        raise DomainError(f"t_end={t_end} / dt={dt} is not a finite step count")
-    n_steps = int(round(t_end / dt))
+    if not (t_end > 0.0 and dt > 0.0 and t_end / dt <= 2.0**53):
+        raise DomainError(f"t_end={t_end} / dt={dt} must be a positive step count of at most 2^53")
+    n_steps = round(t_end / dt)
     if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * t_end:
         raise DomainError(f"t_end={t_end} must be a whole multiple of dt={dt}")
     return n_steps
+
+
+def record_count(t_end: float, dt: float, record_every: int = 1) -> int:
+    """``len(record_times(t_end, dt, record_every))``, without building them.
+
+    Every ``record_every``-th step from 0, and the last step if it is not one
+    of them.
+    """
+    if not (isinstance(record_every, (int, np.integer)) and record_every >= 1):
+        raise DomainError(f"record_every must be an integer >= 1, got {record_every!r}")
+    return -(-step_count(t_end, dt) // record_every) + 1
 
 
 def record_times(t_end: float, dt: float, record_every: int = 1) -> np.ndarray:
     """The sample times ``k * dt`` up to ``t_end``, every ``record_every``-th one.
 
     The last time is always ``t_end`` itself, also when the step count is not
-    a multiple of ``record_every``.
+    a multiple of ``record_every``.  Only the kept steps are built; a
+    ``record_every`` above the step count keeps the same two as the count.
     """
-    if not (isinstance(record_every, (int, np.integer)) and record_every >= 1):
-        raise DomainError(f"record_every must be an integer >= 1, got {record_every!r}")
-    n_steps = step_count(t_end, dt)
-    keep = np.arange(0, n_steps + 1, record_every)
-    if keep[-1] != n_steps:
-        keep = np.append(keep, n_steps)
-    return (np.arange(n_steps + 1) * dt)[keep]
+    count, n_steps = record_count(t_end, dt, record_every), step_count(t_end, dt)
+    return np.minimum(np.arange(count) * min(record_every, n_steps), n_steps) * dt
 
 
 # Stage times are t0 + c_s h0 for the stages after the first.  The last two
@@ -308,8 +318,6 @@ def trajectory_fans(
     fans = [(spec, regime, _checked_seeds(seeds)) for spec, regime, seeds in fans]
     if not fans or any(spec.wall != fans[0][0].wall for spec, _, _ in fans):
         raise DomainError("need at least one fan, and all fans must share the wall")
-    if not dt > 0.0 or not t_end > 0.0:
-        raise DomainError("dt and t_end must be positive")
     times = record_times(t_end, dt, record_every)
     t_stop = times[-1]
     cohort = _Cohort(fans)

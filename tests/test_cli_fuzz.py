@@ -2,7 +2,8 @@
 
 Every document goes through ``qctl.cli.main`` in this process, one at a
 time, on a 64-point grid, 3 times, 101 arrival times, a 9 x 9 Wigner grid and
-2 seeds from t = 0 to 1.  Its values are drawn log-uniformly inside the
+2 seeds from t = 0 to 1, in 1 to 10^6 steps of ``dt`` of which at most about
+1,000 are recorded.  Its values are drawn log-uniformly inside the
 loader's bounds, around the README defaults: in half the documents within a
 factor of 2 (epsilon within 4 of 1), so that most run to the end, in the
 others within four decades (lengths within one, epsilon down to 1e-8), so
@@ -31,6 +32,12 @@ def _document(rng: random.Random) -> dict:
     def packet(x0: float, p0: float) -> dict:
         return {"x0": draw(x0, 0.25), "p0": rng.choice((-1.0, 1.0)) * draw(abs(p0))}
 
+    # t_end / dt log-uniform in [1, 10^6]; record_every log-uniform from the
+    # smallest that records at most about 1,000 samples to twice the steps.
+    n_steps = round(10.0 ** rng.uniform(0.0, 6.0))
+    every = -(-n_steps // 1000)
+    every = round(every * (2.0 * n_steps / every) ** rng.random())
+
     # Lengths within a quarter of the decades, so that more packets pass the loader's
     # width and tail-mass checks; kicks, epsilon, hbar and mass within all of them.
     return {
@@ -42,7 +49,8 @@ def _document(rng: random.Random) -> dict:
         "time": {"t_max": draw(20.0), "n_times": 3},
         "detector_x": draw(-30.0, 0.25),
         "trajectories": {
-            "t_end": 1.0, "dt": 0.01, "seeding": rng.choice(("uniform", "born")),
+            "t_end": 1.0, "dt": 1.0 / n_steps, "record_every": every,
+            "seeding": rng.choice(("uniform", "born")),
             "n_seeds": 2, "x_lo": draw(-18.0, 0.25), "x_hi": draw(-2.0, 0.25),
         },
         "arrival": {"t_max": draw(40.0), "n_points": 101},

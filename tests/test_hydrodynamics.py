@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -451,6 +454,49 @@ def test_recorded_samples_equal_dense_ones(quantum, monkeypatch):
     assert kept[1].times[-1] == dense[1].times[-1]
     with pytest.raises(DomainError):
         hydrodynamics.record_times(2.0, 1e-3, 0)
+
+
+def test_record_count_is_the_length_of_record_times():
+    # Step counts that are multiples of record_every and ones that are not,
+    # and a record_every above the step count, which keeps 0 and t_end.
+    rng = np.random.default_rng(26)
+    remainders = set()
+    for _ in range(400):
+        every = int(rng.integers(1, 300))
+        n_steps = every * int(rng.integers(1, 40)) + int(rng.integers(0, 2)) * int(rng.integers(1, 500))
+        dt = 10.0 ** rng.uniform(-4.0, 0.0)
+        t_end = n_steps * dt
+        assert hydrodynamics.step_count(t_end, dt) == n_steps
+        times = hydrodynamics.record_times(t_end, dt, every)
+        assert hydrodynamics.record_count(t_end, dt, every) == times.size
+        assert times[-1] == n_steps * dt and times[1] == min(every, n_steps) * dt
+        remainders.add(n_steps % every == 0)
+    assert remainders == {True, False}
+    assert hydrodynamics.record_times(1.0, 0.25, 10**30).tolist() == [0.0, 1.0]
+    assert hydrodynamics.record_count(1.0, 0.25, 10**30) == 2
+
+
+def test_record_times_allocates_only_the_kept_steps():
+    # 15 million steps keep 1,501 times, 12 kB; a float for every step would take 120 MB.
+    tracemalloc.start()
+    try:
+        times = hydrodynamics.record_times(15.0, 1e-6, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert times.size == 1501 and times[-1] == 15.0
+    assert peak < 1_000_000
+
+
+def test_step_count_is_the_only_check_of_t_end_and_dt(quantum, pure_spec):
+    # At most 2^53 steps, past which k * dt is not exact; positive t_end and dt.
+    assert hydrodynamics.step_count(2.0**53, 1.0) == 2**53
+    for t_end, dt in ((2.0**54, 1.0), (15.0, 1e-299), (1e300, 1e-300), (0.0, 1e-3), (1.0, 0.0),
+                      (-1.0, -1e-3), (1.0, -1e-3), (math.nan, 1e-3), (1.0005, 1e-3)):
+        with pytest.raises(DomainError):
+            hydrodynamics.step_count(t_end, dt)
+        with pytest.raises(DomainError):
+            trajectory_fans([(pure_spec, quantum, [-5.0])], t_end, dt)
 
 
 def test_collision_reversal_of_rear_seed(nearly_classical, mixed_spec):

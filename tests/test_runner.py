@@ -175,6 +175,19 @@ def test_cli_rejects_wigner_run_above_point_budget(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_cli_rejects_trajectory_run_above_2_53_steps(tmp_path, capsys):
+    # Two recorded times are within the sample budget, but above 2^53 steps
+    # k * dt is not exact; building the steps once crashed this run (exit 1).
+    doc = small_config("trajectories", epsilons=[1.0])
+    doc["trajectories"].update(t_end=15.0, dt=1e-299, record_every=10**299)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert main(["trajectories", "--config", str(config_path), "--out", str(out_dir)]) == 2
+    assert "trajectories.t_end" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("kind", ["density", "observables"])
 def test_cli_rejects_time_grid_above_row_budget(kind, tmp_path, capsys):
     doc = small_config(kind, epsilons=[1.0], time={"t_max": 8.0, "n_times": 10**12})
