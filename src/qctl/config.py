@@ -340,7 +340,8 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
 
     # Every load-time budget: the field path it is reported at, what it counts,
     # the count and the budget.
-    n_seeds, wigner = trajectories.n_seeds if seeds is None else len(seeds), config.wigner
+    n_seeds = trajectories.n_seeds if seeds is None else len(seeds)
+    wigner = config.wigner
     budgets = (
         ("grid.n_points", "grid points", grid.n_points, GRID_POINT_BUDGET),
         ("arrival.n_points", "arrival times", config.arrival.n_points, ARRIVAL_POINT_BUDGET),

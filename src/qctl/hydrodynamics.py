@@ -166,11 +166,11 @@ def velocity(spec: EnsembleSpec, regime: Regime, x, t):
 def step_count(t_end: float, dt: float) -> int:
     """Number of sample intervals of length ``dt`` that end exactly at ``t_end``.
 
-    Raises :class:`DomainError` unless ``t_end`` and ``dt`` are positive and
-    the count is at most 2^53, past which a float64 step index ``k``, and so
-    ``k * dt``, is not exact (a ``t_end / dt`` that overflows to infinity is
-    above it), and unless ``t_end`` is a whole multiple of ``dt`` (to a
-    relative 1e-9): rounding the count would silently move the final time.
+    Raises :class:`DomainError` unless ``t_end`` and ``dt`` are positive, the
+    count is at most 2^53 (past which a float64 step index ``k``, and so
+    ``k * dt``, is not exact; a ``t_end / dt`` that overflows is above it),
+    and ``t_end`` is a whole multiple of ``dt`` to a relative 1e-9: rounding
+    the count would silently move the final time.
     """
     if not (t_end > 0.0 and dt > 0.0 and t_end / dt <= 2.0**53):
         raise DomainError(f"t_end={t_end} / dt={dt} must be a positive step count of at most 2^53")
@@ -198,7 +198,8 @@ def record_times(t_end: float, dt: float, record_every: int = 1) -> np.ndarray:
     a multiple of ``record_every``.  Only the kept steps are built; a
     ``record_every`` above the step count keeps the same two as the count.
     """
-    count, n_steps = record_count(t_end, dt, record_every), step_count(t_end, dt)
+    count = record_count(t_end, dt, record_every)
+    n_steps = step_count(t_end, dt)
     return np.minimum(np.arange(count) * min(record_every, n_steps), n_steps) * dt
 
 
