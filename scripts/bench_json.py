@@ -25,7 +25,8 @@ seconds of this tree,
 and the ``[acceptance]`` lines of ``tests/test_acceptance.py -s`` in each
 tree, so the margins are recorded before and after.  The L0 and L1 tables
 are each run in alternating rounds, parent, change, change, parent, and so
-on, ``L0_ROUNDS`` per tree, and every cell records the median and quartiles
+on, ``L0_ROUNDS`` per tree, and every timing cell (a column ending in ``_us``
+or ``_ns_per_value``; a null cell stays null) records the median and quartiles
 of its rounds and their values: on a shared machine the minimum of three
 rounds moved by half between two trees that ran the same code.
 
@@ -36,7 +37,10 @@ workload's run kinds, the README default config in all five run kinds, and
 that config with Born seeding in the trajectories kind.  The report lists the
 CSVs whose bytes differ and, per run, the manifest keys (dotted paths) whose
 values differ, the timings ``wall_clock_seconds`` and ``writers.*`` (each CSV
-writer's CPU seconds and peak RSS) left out.  Only the standard library is
+writer's CPU seconds and peak RSS) left out.  For a tree with
+``qctl.csvtext``, ``fallback_share`` gives, per CSV of this tree, the share of
+its fields (every value of the body) that the numpy formatter leaves to
+CPython's ``%``.  Only the standard library is
 used (this tree's ``perfbench/workloads.py`` needs numpy); the trees need
 their own dependencies.
 """
@@ -140,9 +144,9 @@ def _rounds(table, parent: Path, change: Path) -> dict:
     """``table`` of each tree over ``L0_ROUNDS`` alternating rounds.
 
     The trees alternate as parent, change, change, parent, and so on.  A
-    timing cell (a column ending in ``_us``) records the :func:`_summary` of
-    its rounds; the other cells (the name, the points or iterations) are the
-    first round's.
+    timing cell (a column ending in ``_us`` or ``_ns_per_value``) records the
+    :func:`_summary` of its rounds; the other cells (the name, the points or
+    iterations), and null cells, are the first round's.
     """
     runs = {"parent": [], "change": []}
     for i in range(L0_ROUNDS):
@@ -151,8 +155,9 @@ def _rounds(table, parent: Path, change: Path) -> dict:
             print(table.__name__, i, side, file=sys.stderr, flush=True)
     result = {}
     for side, tables in runs.items():
-        timed = [column.endswith("_us") for column in tables[0]["columns"]]
-        rows = [[_summary(list(cells)) if is_timed else cells[0] for is_timed, cells in zip(timed, zip(*row))]
+        timed = [column.endswith(("_us", "_ns_per_value")) for column in tables[0]["columns"]]
+        rows = [[_summary(list(cells)) if is_timed and cells[0] is not None else cells[0]
+                 for is_timed, cells in zip(timed, zip(*row))]
                 for row in zip(*(t["rows"] for t in tables))]
         result[side] = {**tables[0], "rounds": len(tables), "statistic": "median", "rows": rows}
     return result
@@ -237,12 +242,33 @@ def _flatten(value, path: str = "") -> dict:
     return flat
 
 
+# Per CSV path argument: the share of its fields that qctl.csvtext leaves to CPython.
+FALLBACK_SHARE = """
+import json, sys
+import numpy as np
+from qctl.csvtext import _words
+shares = {}
+for path in sys.argv[1:]:
+    values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).ravel()
+    shares[path] = _words(values)[1].size / max(values.size, 1)
+print(json.dumps(shares))
+"""
+
+
+def _fallback_share(tree: Path, work: Path, paths: list) -> dict:
+    """``FALLBACK_SHARE`` of the CSVs ``paths`` under ``work``, by ``tree``'s ``qctl``; {} without csvtext."""
+    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
+    result = subprocess.run([sys.executable, "-c", FALLBACK_SHARE, *map(str, paths)], cwd=work, env=env,
+                            capture_output=True, text=True)
+    return json.loads(result.stdout) if result.returncode == 0 else {}
+
+
 def _byte_contract(parent: Path, change: Path) -> dict:
     """Run every comparison config in both trees; report what differs."""
     runs = _comparison_configs(change)
     with tempfile.TemporaryDirectory() as scratch:
         scratch = Path(scratch)
-        exit_codes, csvs, manifests = {}, {}, {}
+        exit_codes, csvs, manifests, fallback = {}, {}, {}, {}
         for side, tree in (("parent", parent), ("change", change)):
             work = scratch / side
             env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
@@ -263,6 +289,11 @@ def _byte_contract(parent: Path, change: Path) -> dict:
                         key: value for key, value in flat.items()
                         if key != "wall_clock_seconds" and not key.startswith("writers.")}
                 print("contract", side, name, code, file=sys.stderr, flush=True)
+            if side == "change":
+                paths = sorted(p.relative_to(work) for p in work.glob("out*/*.csv"))
+                names = {f"out{i}": name for i, name in enumerate(runs)}
+                shares = _fallback_share(tree, work, paths)
+                fallback = {f"{names[p.parts[0]]}/{p.name}": shares[str(p)] for p in paths if str(p) in shares}
     differing_keys = {}
     for name, sides in manifests.items():
         parent_keys, change_keys = sides.get("parent", {}), sides.get("change", {})
@@ -277,6 +308,7 @@ def _byte_contract(parent: Path, change: Path) -> dict:
         "differing_csvs": sorted(name for name, sides in csvs.items()
                                  if sides.get("parent") != sides.get("change")),
         "differing_manifest_keys": differing_keys,
+        "fallback_share": fallback,
     }
 
 

@@ -30,7 +30,13 @@ N = 1, 20 and 160, on the same packets at epsilon = 0.01 from t = 0 to 1
 (the node-rich fan; a mixed seed at -10 takes one step to t = 1).  Each
 number is the median over ``--repeat`` runs of the run's process time
 divided by its ``iterations`` (the longest-running seed's step attempts,
-printed too).
+printed too).  Its first row also holds ``csv_ns_per_value``: the first file
+of the density run on the same packets (epsilon = 1, the default 2048
+positions and 41 times, 167,936 density values), its blocks evaluated first,
+written through ``qctl.runner._write_csv`` to a temporary file; the median
+over ``--repeat`` writes of the process time per density value (the other
+rows print null).  Only the block count and the 2-D values of each block
+are read, so a tree whose blocks have another form is timed too.
 
 ``--src`` names the ``src`` directory whose ``qctl`` is timed, by default
 this repository's, so one copy of the script can time another tree.  The
@@ -39,8 +45,10 @@ it has run.
 """
 
 import argparse
+import json
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -69,11 +77,32 @@ def _per_call_us(call, repeat: int) -> float:
     return 1e6 * statistics.median(samples)
 
 
-def _l1(spec, regime, repeat: int) -> None:
+def _csv_ns_per_value(a, b, repeat: int) -> float:
+    """Process-time nanoseconds per density value of the first density CSV, formatting only."""
+    from qctl import parse_config
+    from qctl.runner import _density, _write_csv
+
+    packets = {name: {"x0": p.x0, "p0": p.p0} for name, p in (("a", a), ("b", b))}
+    config = parse_config(json.dumps({"run": "density", "packets": packets}))
+    specs = [config.ensemble(kind) for kind in ("pure", "mixed")]
+    _, header, blocks = next(_density(config, specs, {}))
+    blocks = list(blocks)
+    values = sum(block[-1].size for block in blocks)
+    samples = []
+    with tempfile.TemporaryDirectory() as scratch:
+        for _ in range(repeat):
+            start = time.process_time()
+            _write_csv(Path(scratch) / "density.csv", header, blocks)
+            samples.append((time.process_time() - start) / values)
+    return 1e9 * statistics.median(samples)
+
+
+def _l1(spec, regime, a, b, repeat: int) -> None:
     """Print the L1 table: microseconds of process time per trajectory-loop iteration."""
     from qctl.hydrodynamics import trajectory_fans
 
-    header = (("kind", 6), ("seeds", 6), ("iterations", 10), ("loop_us", 10))
+    csv = _csv_ns_per_value(a, b, repeat)
+    header = (("kind", 6), ("seeds", 6), ("iterations", 10), ("loop_us", 10), ("csv_ns_per_value", 17))
     print(*(name.rjust(width) for name, width in header))
     for n in L1_SEEDS:
         seeds = -18.0 + 16.0 * (np.arange(n) + 0.5) / n
@@ -83,7 +112,8 @@ def _l1(spec, regime, repeat: int) -> None:
             _, loop = trajectory_fans([(spec, regime, seeds)], L1_T_END, 1e-2)
             samples.append((time.process_time() - start) / loop["iterations"])
         us = 1e6 * statistics.median(samples)
-        print(f"{spec.kind:>6} {n:>6} {loop['iterations']:>10} {us:>10.1f}", flush=True)
+        cell = f"{csv:.1f}" if n == L1_SEEDS[0] else "null"
+        print(f"{spec.kind:>6} {n:>6} {loop['iterations']:>10} {us:>10.1f} {cell:>17}", flush=True)
 
 
 def main(argv=None) -> int:
@@ -104,7 +134,7 @@ def main(argv=None) -> int:
     a = GaussianPacket(x0=-5.0, p0=-2.0)
     b = GaussianPacket(x0=-15.0, p0=2.0)
     if args.l1:
-        _l1(EnsembleSpec("pure", a, b), regime, repeat)
+        _l1(EnsembleSpec("pure", a, b), regime, a, b, repeat)
         return 0
     header = (("kind", 6), ("points", 6), ("stage_us", 10), ("coeffs_us", 10),
               ("flux_and_density_us", 20), ("mass_us", 10))

@@ -4,8 +4,12 @@ Each run kind is a generator ``(config, specs, diagnostics)`` over the
 regimes, ``specs`` being the pure and the mixed ensemble, that yields ``(file
 name, header, blocks)`` for every CSV.  It records its diagnostics in its own
 body, never while ``blocks`` is consumed, since that happens in another
-process.  Every block is one form, ``(head, rows, values)``: leading fields,
-one row template per row, and the floats that fill them (:func:`_write_csv`).
+process.  Every block is one form, ``(lead, values)``: leading fields and a
+2-D float array, one row of it per CSV row (:func:`_write_csv`).  The leading
+fields, such as the t and x of a density row or the t, R and u of a Wigner
+row, are formatted once per file by :func:`qctl.csvtext.lead_fields`; the
+values of each block are formatted by numpy in :func:`qctl.csvtext.csv_chunks`,
+to the bytes that CPython's ``'%.17g' %`` writes.
 
 :func:`run_experiment` alone writes the CSVs, one forked writer per CSV
 (``os.fork``).  The parent iterates the generator; for each file a child
@@ -25,7 +29,10 @@ reaped.  So the run raises what one process writing the files in order
 would: the failure of the earliest file that fails, else the parent's own.
 On a failure the parent kills and reaps the running writers, removes every
 CSV of the run and raises.  Any other exit, such as KeyboardInterrupt or the
-SystemExit that the CLI raises on SIGTERM, does the same at once.  The cost
+SystemExit that the CLI raises on SIGTERM, does the same at once.  A parent
+killed outright, by SIGKILL or the OOM killer, cannot: each writer compares
+its parent's pid with the one it was forked from at every block, and exits at
+once when it has been reparented, leaving its CSV partial.  The cost
 of the order: a CPU that a later file's writer frees stays idle until the
 oldest writer ends.  One run kind's files cost about the same, so the idle
 is short: on the benchmark's wigner config, four files of about 0.4 s each
@@ -55,6 +62,7 @@ import numpy as np
 
 from .arrival import arrival_distribution
 from .config import ExperimentConfig, config_to_dict
+from .csvtext import csv_chunks, lead_fields
 from .ensembles import EnsembleSpec, mass_below, point_blocks, position_densities
 from .errors import ConfigError, NumericalGuardError
 from .hydrodynamics import STATUS_COMPLETED, STATUS_NON_FINITE, record_times, trajectory_fans
@@ -69,9 +77,9 @@ __all__ = ["run_experiment"]
 SUPPORT_LOSS_FLAG = 1e-6
 TAIL_FRACTION_FLAG = 1e-3
 
-# Rows converted to Python floats at a time, which bounds the memory of a
-# large block.
-_CSV_CHUNK_ROWS = 64
+# (R, u) points in a block of Wigner rows: many R rows, so that the
+# formatter's fixed cost per call is spread over many values.
+_WIGNER_BLOCK_POINTS = 4096
 
 # Observables CSV columns per ensemble kind: ObservableRecord fields and units.
 _OBSERVABLE_UNITS = {
@@ -84,43 +92,21 @@ _OBSERVABLE_UNITS = {
 }
 
 
-def _write_csv(path: Path, header: list[str], blocks) -> None:
+def _write_csv(path: Path, header: list[str], blocks, parent: int | None = None) -> None:
     """Write the header, then the rows of each block, every float to 17 digits.
 
-    A block is a triple ``(head, rows, values)``: row k is ``head + rows[k]``
-    with the floats of ``values[k]``, a 2-D array, in its fields.  ``head`` is
-    leading fields of :func:`_csv_fields`, or empty, and ``rows`` are templates
-    of :func:`_csv_rows` or :func:`_plain`.  Each chunk of rows is written by
-    one %-template.
+    A block is a pair ``(lead, values)``: a sequence of leading field arrays
+    of :func:`qctl.csvtext.lead_fields`, each with one row per row of the 2-D
+    float array ``values`` or one row that all of them share, and ``values``.
+    A writer passes the pid of the ``parent`` it was forked from, and exits at
+    once at the first block that finds it reparented.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for head, rows, values in blocks:
-            for start in range(0, len(values), _CSV_CHUNK_ROWS):
-                chunk = values[start : start + _CSV_CHUNK_ROWS]
-                template = head + head.join(rows[start : start + len(chunk)])
-                handle.write(template % tuple(chunk.ravel().tolist()))
-
-
-def _plain(values: np.ndarray) -> tuple:
-    """The 2-D ``values`` as a block with no leading fields; its rows share one template."""
-    row = ",".join(["%.17g"] * values.shape[1]) + "\n"
-    return "", [row] * len(values), values
-
-
-def _csv_fields(values) -> list[str]:
-    """Each float formatted as one leading CSV field, with its comma."""
-    return ["%.17g," % value for value in np.asarray(values, dtype=float).tolist()]
-
-
-def _csv_rows(leads, width: int) -> list[str]:
-    """A row template per float of ``leads``: that float as a leading field,
-    then ``width`` float fields to fill.
-
-    Built once, they serve every block that repeats these leads.
-    """
-    row = ",".join(["%.17g"] * width) + "\n"
-    return ["%.17g,%s" % (lead, row) for lead in np.asarray(leads, dtype=float).tolist()]
+    with open(path, "wb") as handle:
+        handle.write((",".join(header) + "\n").encode("utf-8"))
+        for lead, values in blocks:
+            if parent is not None and os.getppid() != parent:
+                os._exit(1)
+            handle.writelines(csv_chunks(lead, values))
 
 
 def _seed_positions(config: ExperimentConfig, spec: EnsembleSpec, regime: Regime) -> np.ndarray:
@@ -149,15 +135,16 @@ def _density(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: d
     x = config.grid.points()
     times = config.time.points()
     header = ["t [time]", "x [length]"] + [f"density_{spec.kind} [1/length]" for spec in specs]
-    x_rows = _csv_rows(x, len(specs))
 
     def blocks(regime):
         # Each time's rows a block of positions at a time, written as they are
-        # evaluated, so only one block's fields are held.
-        for t, t_field in zip(times, _csv_fields(times)):
+        # evaluated, so only one block's fields are held; the t and x fields
+        # are formatted once per file.
+        t_leads, x_leads = lead_fields(times), lead_fields(x)
+        for t, t_lead in zip(times, t_leads):
             for block in point_blocks(x.size):
                 values = position_densities(specs, regime, x[block], t)
-                yield t_field, x_rows[block], np.column_stack(values)
+                yield (t_lead[None], x_leads[block]), np.column_stack(values)
 
     for regime in config.regimes():
         yield f"density_eps{epsilon_tag(regime.epsilon)}.csv", header, blocks(regime)
@@ -195,7 +182,7 @@ def _trajectories(config: ExperimentConfig, specs: list[EnsembleSpec], diagnosti
         block[:, 0] = times
         for column, trajectory in enumerate((tr for fan in group for tr in fan), start=1):
             block[: trajectory.positions.size, column] = trajectory.positions
-        yield f"trajectories_eps{tag}.csv", header, [_plain(block)]
+        yield f"trajectories_eps{tag}.csv", header, [((), block)]
         counts = {spec.kind: _integrator_counts(fan) for spec, fan in zip(specs, group)}
         diagnostics.setdefault("integrator", {})[tag] = counts
         diagnostics[f"stalled_eps{tag}"] = {kind: c["stalled_seeds"] for kind, c in counts.items()}
@@ -234,9 +221,9 @@ def _arrival(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: d
             for spec, f in zip(specs, (s.tail_fraction for s in stats))
         }
         pdfs = np.column_stack([t_grid] + [s.pdf for s in stats])
-        yield f"arrival_eps{tag}.csv", header, [_plain(pdfs)]
+        yield f"arrival_eps{tag}.csv", header, [((), pdfs)]
         summary_rows.append([regime.epsilon] + [v for s in stats for v in (s.mean_t, s.sd_t)])
-    yield "arrival_summary.csv", summary, [_plain(np.array(summary_rows))]
+    yield "arrival_summary.csv", summary, [((), np.array(summary_rows))]
 
 
 def _observables(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: dict):
@@ -253,7 +240,7 @@ def _observables(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostic
                 record = observable_record(spec, regime, times[block])
                 columns += [getattr(record, name) for name in _OBSERVABLE_UNITS]
                 columns.append(heisenberg_check(record, regime)[1])
-            yield _plain(np.column_stack(columns))
+            yield (), np.column_stack(columns)
 
     for regime in config.regimes():
         yield f"observables_eps{epsilon_tag(regime.epsilon)}.csv", header, blocks(regime)
@@ -265,16 +252,21 @@ def _wigner(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: di
     u = np.linspace(-settings.u_max, settings.u_max, settings.n_u)
     header = ["t [time]", "R [length]", "u [momentum]"] + [f"w_{s.kind} [1/action]" for s in specs]
 
+    # R rows per block: about _WIGNER_BLOCK_POINTS (R, u) points.
+    step = max(1, _WIGNER_BLOCK_POINTS // u.size)
+
     def blocks(regime):
-        R_fields, u_rows = _csv_fields(R), _csv_rows(u, len(specs))
-        for t, t_field in zip(settings.times, _csv_fields(settings.times)):
+        t_leads, R_leads, u_leads = lead_fields(settings.times), lead_fields(R), lead_fields(u)
+        for t, t_lead in zip(settings.times, t_leads):
             fields = wigner_transforms(specs, regime, t, R, u)
-            # Row by row, so the fields are never copied whole.
-            for R_field, *row in zip(R_fields, *(field.values for field in fields)):
-                yield t_field + R_field, u_rows, np.column_stack(row)
-            # Release this time's fields (``row`` views them) before the next
-            # time's are computed, so only one time's fields are held.
-            del fields, row
+            for start in range(0, R.size, step):
+                rows = R_leads[start : start + step]
+                values = np.stack([field.values[start : start + step] for field in fields], axis=-1)
+                lead = (t_lead[None], np.repeat(rows, u.size, axis=0), np.tile(u_leads, (len(rows), 1)))
+                yield lead, values.reshape(-1, len(fields))
+            # Release this time's fields before the next time's are computed,
+            # so only one time's fields are held.
+            del fields
 
     for regime in config.regimes():
         pair_integrals, points = wigner_work(specs, regime, R, u)
@@ -295,6 +287,7 @@ def _fork_writer(path: Path, header: list[str], blocks) -> tuple[int, int]:
     exception, pickled (None if the exception cannot be), and exits 1.
     """
     pipe, child_end = os.pipe()
+    parent = os.getpid()
     try:
         pid = os.fork()
     except OSError:
@@ -307,7 +300,7 @@ def _fork_writer(path: Path, header: list[str], blocks) -> tuple[int, int]:
     status = 1
     try:
         os.close(pipe)
-        _write_csv(path, header, blocks)
+        _write_csv(path, header, blocks, parent)
         status = 0
     except BaseException as exc:
         try:

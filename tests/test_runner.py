@@ -199,33 +199,39 @@ def test_cli_rejects_time_grid_above_row_budget(kind, tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_csv_cached_leading_fields_match_the_plain_template(tmp_path):
+def test_csv_cached_leading_fields_match_the_plain_template(tmp_path, monkeypatch):
+    import qctl.csvtext as csvtext
     import qctl.runner as runner
 
     special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300, 0.1, 1.0 / 3.0]
     t = np.array([0.0, -0.0, 7.0, np.nan])
-    # More rows than one formatting chunk.
     x = np.concatenate((special, np.linspace(-3.0, 3.0, 70)))
     values = np.random.default_rng(3).normal(size=(t.size, x.size, 2))
     values[0, : len(special)] = np.array(special)[:, None]
     values[1, : len(special), 1] = special[::-1]
     header = ["t", "x", "a", "b"]
+    # Chunks of 16 values, so that every block spans several chunks.
+    monkeypatch.setattr(csvtext, "_CHUNK_VALUES", 16)
 
     def plain():
         for k, t_k in enumerate(t):
-            yield runner._plain(np.column_stack((np.full(x.size, t_k), x, values[k])))
+            yield (), np.column_stack((np.full(x.size, t_k), x, values[k]))
 
     def cached():
         # Each time's rows in two blocks, the second starting inside a chunk.
-        x_rows = runner._csv_rows(x, 2)
-        for t_field, block in zip(runner._csv_fields(t), values):
-            yield t_field, x_rows[:37], block[:37]
-            yield t_field, x_rows[37:], block[37:]
+        t_leads, x_leads = runner.lead_fields(t), runner.lead_fields(x)
+        for t_lead, block in zip(t_leads, values):
+            yield (t_lead[None], x_leads[:37]), block[:37]
+            yield (t_lead[None], x_leads[37:]), block[37:]
 
     runner._write_csv(tmp_path / "plain.csv", header, plain())
     runner._write_csv(tmp_path / "cached.csv", header, cached())
-    assert (tmp_path / "cached.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
-    assert b"\nnan,inf," in (tmp_path / "plain.csv").read_bytes()
+    # The bytes of CPython's %-template.
+    rows = "".join("%.17g,%.17g,%.17g,%.17g\n" % (t_k, x_i, *values[k, i])
+                   for k, t_k in enumerate(t.tolist()) for i, x_i in enumerate(x.tolist()))
+    expected = ("t,x,a,b\n" + rows).encode()
+    assert (tmp_path / "cached.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes() == expected
+    assert b"\nnan,inf," in expected
 
 
 def test_born_seeding_is_deterministic_and_ordered(tmp_path):
@@ -326,7 +332,7 @@ def test_observables_run_streams_blocks_of_times(monkeypatch):
     config = parse_config(json.dumps(small_config("observables", epsilons=[1.0])))
     specs = [config.ensemble(kind) for kind in ("pure", "mixed")]
     name, header, blocks = next(runner._observables(config, specs, {}))
-    whole = [values for _, _, values in blocks]
+    whole = [values for _, values in blocks]
     calls = []
     record = runner.observable_record
 
@@ -339,32 +345,45 @@ def test_observables_run_streams_blocks_of_times(monkeypatch):
     name, header, blocks = next(runner._observables(config, specs, {}))
     blocks = list(blocks)
     assert calls == [(kind, n) for n in (2, 2, 1) for kind in ("pure", "mixed")]
-    assert [values.shape for _, _, values in blocks] == [(2, len(header))] * 2 + [(1, len(header))]
-    assert all(head == "" and len(rows) == len(values) for head, rows, values in blocks)
+    assert [values.shape for _, values in blocks] == [(2, len(header))] * 2 + [(1, len(header))]
+    assert all(lead == () for lead, _ in blocks)
     assert len(whole) == 1
-    assert np.array_equal(np.concatenate([values for _, _, values in blocks]), whole[0])
+    assert np.array_equal(np.concatenate([values for _, values in blocks]), whole[0])
 
 
 def test_density_run_streams_blocks_of_positions(monkeypatch):
     # Each time's rows come a block of at most FIELD_BLOCK_POINTS positions at
-    # a time, each evaluated as it is written, with row templates built once
-    # per run and shared by every time.
+    # a time, each evaluated as it is written, with the t and x leading fields
+    # formatted once per file and shared by every time.
     import qctl.ensembles as ensembles
     import qctl.runner as runner
 
+    formatted = []
+    lead_fields = runner.lead_fields
+
+    def spy(values):
+        formatted.append(np.array(values, dtype=float))
+        return lead_fields(values)
+
     monkeypatch.setattr(ensembles, "FIELD_BLOCK_POINTS", 400)
+    monkeypatch.setattr(runner, "lead_fields", spy)
     config = parse_config(json.dumps(small_config("density", epsilons=[1.0])))
     specs = [config.ensemble(kind) for kind in ("pure", "mixed")]
     name, header, blocks = next(runner._density(config, specs, {}))
     blocks = list(blocks)
-    assert [(len(rows), len(values)) for _, rows, values in blocks[:3]] == [
+    assert [(len(x_lead), len(values)) for (_, x_lead), values in blocks[:3]] == [
         (400, 400), (400, 400), (225, 225)]
     assert len(blocks) == 3 * config.time.n_times
-    # The same template objects at every time.
-    templates = [[id(row) for _, rows, _ in blocks[k : k + 3] for row in rows]
-                 for k in range(0, len(blocks), 3)]
-    assert len(templates[0]) == config.grid.n_points == len(set(templates[0]))
-    assert all(ids == templates[0] for ids in templates)
+    # One call for the times and one for the positions, whose fields every
+    # time's blocks view.
+    t, x = config.time.points(), config.grid.points()
+    assert len(formatted) == 2
+    assert np.array_equal(formatted[0], t) and np.array_equal(formatted[1], x)
+    t_leads, x_leads = lead_fields(t), lead_fields(x)
+    for k, ((t_lead, x_lead), _) in enumerate(blocks):
+        assert np.array_equal(t_lead, t_leads[k // 3][None])
+        assert np.array_equal(x_lead, x_leads[400 * (k % 3) : 400 * (k % 3 + 1)])
+    assert len({id(x_lead.base) for (_, x_lead), _ in blocks}) == 1
 
 
 @pytest.mark.parametrize("block", [7, 10**9])
@@ -663,6 +682,71 @@ def test_cli_sigterm_leaves_no_writer_and_no_csv(tmp_path):
         with pytest.raises(ProcessLookupError):
             os.killpg(cli.pid, 0)
         assert list(out_dir.glob("*")) == []
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(cli.pid, signal.SIGKILL)
+        cli.wait()
+
+
+# The CLI, its wigner writers slowed to one row a block, 0.1 s a block.
+SLOWED_WIGNER_CLI = """
+import sys, time
+import qctl.runner as runner
+from qctl.cli import main
+
+def slowed(blocks):
+    for lead, values in blocks:
+        for i in range(len(values)):
+            time.sleep(0.1)
+            yield tuple(part if len(part) == 1 else part[i : i + 1] for part in lead), values[i : i + 1]
+
+def wigner(config, specs, diagnostics):
+    for name, header, blocks in runner._wigner(config, specs, diagnostics):
+        yield name, header, slowed(blocks)
+
+runner._RUNS["wigner"] = wigner
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def live_processes_of_session(session):
+    """Pids of the processes of ``session`` that are not zombies, read from /proc."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        try:
+            stat = Path("/proc", entry, "stat").read_text()
+        except (OSError, ValueError):
+            continue
+        state, _, _, sid = stat.rsplit(")", 1)[1].split()[:4]
+        if int(sid) == session and state != "Z":
+            pids.append(int(entry))
+    return pids
+
+
+def test_cli_sigkill_leaves_no_writer(tmp_path):
+    # SIGKILL leaves the CLI no time to kill its writers, which a whole run
+    # would keep busy for minutes.  Each writer finds itself reparented at its
+    # next block and exits, so the session is empty a few blocks' time later.
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(small_config("wigner")))
+    out_dir = tmp_path / "out"
+    command = [sys.executable, "-c", SLOWED_WIGNER_CLI, "wigner",
+               "--config", str(config_path), "--out", str(out_dir)]
+    src = str(Path(qctl.__file__).parents[1])
+    cli = subprocess.Popen(command, env={**os.environ, "PYTHONPATH": src}, start_new_session=True)
+    try:
+        opened = min(2, len(os.sched_getaffinity(0)))
+        deadline = time.monotonic() + 30.0
+        while len(list(out_dir.glob("*.csv"))) < opened and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert len(list(out_dir.glob("*.csv"))) == opened
+        assert len(live_processes_of_session(cli.pid)) == 1 + opened
+        cli.kill()
+        assert cli.wait(timeout=30.0) == -signal.SIGKILL
+        deadline = time.monotonic() + 5.0
+        while live_processes_of_session(cli.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert live_processes_of_session(cli.pid) == []
     finally:
         with contextlib.suppress(ProcessLookupError):
             os.killpg(cli.pid, signal.SIGKILL)
