@@ -62,7 +62,6 @@ import numpy as np
 
 from .arrival import arrival_distribution
 from .config import ExperimentConfig, config_to_dict
-from .csvtext import csv_chunks, lead_fields
 from .ensembles import EnsembleSpec, mass_below, point_blocks, position_densities
 from .errors import ConfigError, NumericalGuardError
 from .hydrodynamics import STATUS_COMPLETED, STATUS_NON_FINITE, record_times, trajectory_fans
@@ -101,6 +100,10 @@ def _write_csv(path: Path, header: list[str], blocks, parent: int | None = None)
     A writer passes the pid of the ``parent`` it was forked from, and exits at
     once at the first block that finds it reparented.
     """
+    # The formatter is imported by the writers only, which alone format, so
+    # that it adds nothing to the parent's import time and memory.
+    from .csvtext import csv_chunks
+
     with open(path, "wb") as handle:
         handle.write((",".join(header) + "\n").encode("utf-8"))
         for lead, values in blocks:
@@ -139,7 +142,9 @@ def _density(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: d
     def blocks(regime):
         # Each time's rows a block of positions at a time, written as they are
         # evaluated, so only one block's fields are held; the t and x fields
-        # are formatted once per file.
+        # are formatted once per file, in the writer.
+        from .csvtext import lead_fields
+
         t_leads, x_leads = lead_fields(times), lead_fields(x)
         for t, t_lead in zip(times, t_leads):
             for block in point_blocks(x.size):
@@ -256,6 +261,8 @@ def _wigner(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: di
     step = max(1, _WIGNER_BLOCK_POINTS // u.size)
 
     def blocks(regime):
+        from .csvtext import lead_fields
+
         t_leads, R_leads, u_leads = lead_fields(settings.times), lead_fields(R), lead_fields(u)
         for t, t_lead in zip(settings.times, t_leads):
             fields = wigner_transforms(specs, regime, t, R, u)

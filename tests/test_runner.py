@@ -219,7 +219,7 @@ def test_csv_cached_leading_fields_match_the_plain_template(tmp_path, monkeypatc
 
     def cached():
         # Each time's rows in two blocks, the second starting inside a chunk.
-        t_leads, x_leads = runner.lead_fields(t), runner.lead_fields(x)
+        t_leads, x_leads = csvtext.lead_fields(t), csvtext.lead_fields(x)
         for t_lead, block in zip(t_leads, values):
             yield (t_lead[None], x_leads[:37]), block[:37]
             yield (t_lead[None], x_leads[37:]), block[37:]
@@ -355,18 +355,19 @@ def test_density_run_streams_blocks_of_positions(monkeypatch):
     # Each time's rows come a block of at most FIELD_BLOCK_POINTS positions at
     # a time, each evaluated as it is written, with the t and x leading fields
     # formatted once per file and shared by every time.
+    import qctl.csvtext as csvtext
     import qctl.ensembles as ensembles
     import qctl.runner as runner
 
     formatted = []
-    lead_fields = runner.lead_fields
+    lead_fields = csvtext.lead_fields
 
     def spy(values):
         formatted.append(np.array(values, dtype=float))
         return lead_fields(values)
 
     monkeypatch.setattr(ensembles, "FIELD_BLOCK_POINTS", 400)
-    monkeypatch.setattr(runner, "lead_fields", spy)
+    monkeypatch.setattr(csvtext, "lead_fields", spy)
     config = parse_config(json.dumps(small_config("density", epsilons=[1.0])))
     specs = [config.ensemble(kind) for kind in ("pure", "mixed")]
     name, header, blocks = next(runner._density(config, specs, {}))
