@@ -24,7 +24,7 @@ where the rounding of S is certain: a value within 2^-36 of a rounding tie
 all those of one call in one ``%`` call.  ±0 are literal forms.
 
 Layout of a field, as byte offsets into four little-endian 64-bit words (the
-field is bytes 1 to 29): the sign, and for 1e-5 <= |x| < 0.1 the ``0.`` and
+field is bytes 1 to 29): the sign, and for 1e-4 <= |x| < 0.1 the ``0.`` and
 leading zeros, end at byte 6; the 17 digits fill bytes 6 to 23 with the point
 after the leading ones, their trailing zeros (and a point with no digit after
 it) cleared; the exponent ``e±dd`` or ``e±ddd`` ends at byte 28; byte 29 is the
@@ -187,7 +187,8 @@ def _words(x: np.ndarray):
     kept = np.maximum(17 - trailing, point)
     groups = t.groups
     lead_char = lead + (48 - zero.astype(np.uint64))
-    out = np.empty((x.size, 4), np.uint64)
+    # Little-endian words, so that byte b of a field is bits 8b to 8b + 7.
+    out = np.empty((x.size, 4), "<u8")
     out[:, 0] = (t.prefix.take(2 * k + np.signbit(x)) | lead_char << t.lead_shift.take(k)
                  | t.point_at_7.take(k) * (kept > 1))
     out[:, 1] = (groups.take(g0) | groups.take(g1) << np.uint64(32)) & t.keep[1].take(kept)
