@@ -1,39 +1,33 @@
 """Compare the numpy CSV formatter with CPython's ``'%.17g' %`` on random bit patterns.
 
-    python scripts/csvtext_check.py [--count 10000000] [--seed 1] [--src SRC]
+    python scripts/csvtext_check.py
 
-Draws ``--count`` uniformly random 64-bit patterns (every float64, nan and
-±inf included, about half of them 1e16 or more in magnitude), formats them a
-million at a time as CSV rows of two values through ``qctl.csvtext``, and
-compares the bytes with CPython's.  Prints the count checked and the first
-mismatches, and exits 1 if any value differs, else 0.  The default count
-takes about a minute.
+Draws 10^7 uniformly random 64-bit patterns from seed 1 (every float64, nan
+and ±inf included, about half of them 1e16 or more in magnitude), formats
+them a million at a time as CSV rows of two values through this
+repository's ``qctl.csvtext``, and compares the bytes with CPython's.
+Prints the count checked and the first mismatches, and exits 1 if any value
+differs, else 0.  It takes about 30 s.
 """
 
-import argparse
 import sys
 from pathlib import Path
 
 import numpy as np
 
+COUNT = 10_000_000
 BATCH = 1_000_000
+SEED = 1
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--count", type=int, default=10_000_000)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
-                        help="the src directory whose qctl is checked")
-    args = parser.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
+def main() -> int:
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     from qctl.csvtext import csv_chunks
 
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(SEED)
     checked, wrong = 0, []
-    while checked < args.count:
-        size = min(BATCH, args.count - checked)
-        x = rng.integers(0, 2**64, size + size % 2, dtype=np.uint64).view(np.float64).reshape(-1, 2)
+    while checked < COUNT:
+        x = rng.integers(0, 2**64, BATCH, dtype=np.uint64).view(np.float64).reshape(-1, 2)
         got = b"".join(csv_chunks((), x)).split(b"\n")
         for row, text in zip(x.tolist(), got):
             expected = ("%.17g,%.17g" % tuple(row)).encode()

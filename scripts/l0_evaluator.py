@@ -97,11 +97,11 @@ def _csv_ns_per_value(a, b, repeat: int) -> float:
     return 1e9 * statistics.median(samples)
 
 
-def _l1(spec, regime, a, b, repeat: int) -> None:
+def _l1(spec, regime, repeat: int) -> None:
     """Print the L1 table: microseconds of process time per trajectory-loop iteration."""
     from qctl.hydrodynamics import trajectory_fans
 
-    csv = _csv_ns_per_value(a, b, repeat)
+    csv = _csv_ns_per_value(spec.packet_a, spec.packet_b, repeat)
     header = (("kind", 6), ("seeds", 6), ("iterations", 10), ("loop_us", 10), ("csv_ns_per_value", 17))
     print(*(name.rjust(width) for name, width in header))
     for n in L1_SEEDS:
@@ -134,7 +134,7 @@ def main(argv=None) -> int:
     a = GaussianPacket(x0=-5.0, p0=-2.0)
     b = GaussianPacket(x0=-15.0, p0=2.0)
     if args.l1:
-        _l1(EnsembleSpec("pure", a, b), regime, a, b, repeat)
+        _l1(EnsembleSpec("pure", a, b), regime, repeat)
         return 0
     header = (("kind", 6), ("points", 6), ("stage_us", 10), ("coeffs_us", 10),
               ("flux_and_density_us", 20), ("mass_us", 10))

@@ -31,14 +31,14 @@ On a failure the parent kills and reaps the running writers, removes every
 CSV of the run and raises.  Any other exit, such as KeyboardInterrupt or the
 SystemExit that the CLI raises on SIGTERM, does the same at once.  A parent
 killed outright, by SIGKILL or the OOM killer, cannot: each writer compares
-its parent's pid with the one it was forked from at every block, and exits at
-once when it has been reparented, leaving its CSV partial.  The cost
-of the order: a CPU that a later file's writer frees stays idle until the
-oldest writer ends.  One run kind's files cost about the same, so the idle
-is short: on the benchmark's wigner config, four files of about 0.4 s each
-on two CPUs, the second writer ended up to 0.065 s before the first.  This
-is POSIX-only: it needs ``os.fork``, and ``os.sched_getaffinity``, which
-Linux has.
+its parent's pid with the one it was forked from before it writes each chunk
+of about 4,096 values, and exits once it has been reparented, leaving its CSV
+partial.  The cost of the order: a CPU that a later file's writer frees
+stays idle until the oldest writer ends.  One run kind's files cost about
+the same, so the idle is short: on the benchmark's wigner config, four files
+of about 0.4 s each on two CPUs, the second writer ended up to 0.065 s
+before the first.  This is POSIX-only: it needs ``os.fork``, and
+``os.sched_getaffinity``, which Linux has.
 
 Outputs are deterministic: fixed evaluation and summation order, 17
 significant digits, LF line endings, and no run-time data inside CSV bodies.
@@ -97,8 +97,8 @@ def _write_csv(path: Path, header: list[str], blocks, parent: int | None = None)
     A block is a pair ``(lead, values)``: a sequence of leading field arrays
     of :func:`qctl.csvtext.lead_fields`, each with one row per row of the 2-D
     float array ``values`` or one row that all of them share, and ``values``.
-    A writer passes the pid of the ``parent`` it was forked from, and exits at
-    once at the first block that finds it reparented.
+    A writer passes the pid of the ``parent`` it was forked from, and exits
+    before the first chunk of about 4,096 values that finds it reparented.
     """
     # The formatter is imported by the writers only, which alone format, so
     # that it adds nothing to the parent's import time and memory.
@@ -107,9 +107,10 @@ def _write_csv(path: Path, header: list[str], blocks, parent: int | None = None)
     with open(path, "wb") as handle:
         handle.write((",".join(header) + "\n").encode("utf-8"))
         for lead, values in blocks:
-            if parent is not None and os.getppid() != parent:
-                os._exit(1)
-            handle.writelines(csv_chunks(lead, values))
+            for chunk in csv_chunks(lead, values):
+                if parent is not None and os.getppid() != parent:
+                    os._exit(1)
+                handle.write(chunk)
 
 
 def _seed_positions(config: ExperimentConfig, spec: EnsembleSpec, regime: Regime) -> np.ndarray:

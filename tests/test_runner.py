@@ -754,6 +754,28 @@ def test_cli_sigkill_leaves_no_writer(tmp_path):
         cli.wait()
 
 
+def test_reparented_writer_exits_inside_a_single_block(tmp_path, monkeypatch):
+    # Trajectories and arrival hand a whole file to the writer as one block,
+    # so a writer checks its parent before each chunk of rows it writes.
+    import qctl.csvtext as csvtext
+    import qctl.runner as runner
+
+    class Exited(Exception):
+        pass
+
+    def exit_(code):
+        raise Exited(code)
+
+    monkeypatch.setattr(csvtext, "_CHUNK_VALUES", 4)
+    parents = iter([100, 1])
+    monkeypatch.setattr(runner.os, "getppid", lambda: next(parents))
+    monkeypatch.setattr(runner.os, "_exit", exit_)
+    values = np.arange(12.0).reshape(6, 2)
+    with pytest.raises(Exited):
+        runner._write_csv(tmp_path / "one.csv", ["a", "b"], [((), values)], parent=100)
+    assert (tmp_path / "one.csv").read_bytes() == b"a,b\n0,1\n2,3\n"
+
+
 def test_cli_runs_off_the_main_thread(tmp_path):
     # No SIGTERM handler can be set there, so the CLI runs without one.
     config_path = tmp_path / "config.json"
