@@ -35,8 +35,10 @@ of the density run on the same packets (epsilon = 1, the default 2048
 positions and 41 times, 167,936 density values), its blocks evaluated first,
 written through ``qctl.runner._write_csv`` to a temporary file; the median
 over ``--repeat`` writes of the process time per density value (the other
-rows print null).  Only the block count and the 2-D values of each block
-are read, so a tree whose blocks have another form is timed too.
+rows print null).  A density file's blocks are 2-D float arrays of density
+values, its t and x given by its axes; an older tree's blocks are
+``(lead, values)`` pairs.  Only the density values are counted, so both
+forms are timed alike.
 
 ``--src`` names the ``src`` directory whose ``qctl`` is timed, by default
 this repository's, so one copy of the script can time another tree.  The
@@ -85,14 +87,15 @@ def _csv_ns_per_value(a, b, repeat: int) -> float:
     packets = {name: {"x0": p.x0, "p0": p.p0} for name, p in (("a", a), ("b", b))}
     config = parse_config(json.dumps({"run": "density", "packets": packets}))
     specs = [config.ensemble(kind) for kind in ("pure", "mixed")]
-    _, header, blocks = next(_density(config, specs, {}))
-    blocks = list(blocks)
-    values = sum(block[-1].size for block in blocks)
+    # (name, header, axes, blocks), or (name, header, blocks) of (lead, values) pairs.
+    _, *file = next(_density(config, specs, {}))
+    blocks = list(file.pop())
+    values = sum(block.size if isinstance(block, np.ndarray) else block[-1].size for block in blocks)
     samples = []
     with tempfile.TemporaryDirectory() as scratch:
         for _ in range(repeat):
             start = time.process_time()
-            _write_csv(Path(scratch) / "density.csv", header, blocks)
+            _write_csv(Path(scratch) / "density.csv", *file, blocks)
             samples.append((time.process_time() - start) / values)
     return 1e9 * statistics.median(samples)
 

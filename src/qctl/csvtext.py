@@ -1,11 +1,11 @@
 """CSV text of float64 arrays: the bytes of ``'%.17g' % x``, formatted by numpy.
 
 :func:`csv_chunks` writes CSV rows of leading fields and a 2-D block of
-floats; :func:`lead_fields` formats a column of leading fields once, for every
-block that repeats them.  Each value is first laid out as a field of :data:`WIDTH`
-bytes that holds exactly the text of CPython's ``'%.17g' % x`` and its
-separator, with NUL bytes between its parts; one boolean mask then drops the
-NULs of a whole block.
+floats; :func:`lead_fields` formats an axis of a grid once, for every row of
+the grid that repeats its fields.  Each value is first laid out as a field
+of :data:`WIDTH` bytes that holds exactly the text of CPython's
+``'%.17g' % x`` and its separator, with NUL bytes between its parts; one
+boolean mask then drops the NULs of a whole block.
 
 Digits.  A finite |x| in (0, 1e16) is scaled by 10^k, k = 16 - X for its
 decimal exponent X, so that S = |x| 10^k lies in [10^16, 10^17); the nearest
@@ -252,18 +252,21 @@ def _rows(lead, values: np.ndarray) -> bytes:
     return flat[flat != 0].tobytes()
 
 
-def csv_chunks(lead, values):
-    """The CSV rows of the leading fields ``lead`` and the floats of ``values``.
+def csv_chunks(leads, first: int, values):
+    """The CSV rows of the floats of ``values``, each after the fields of its grid point.
 
-    ``values`` is a 2-D float array, one row per CSV row.  ``lead`` is a
-    sequence of byte arrays of :func:`lead_fields`, each with one row per row
-    of ``values`` or a single row that every row shares.  A row's text is its
-    leading fields, then ``'%.17g' % value`` for each value, joined by commas
-    and ended by a newline.  Yields the bytes of about :data:`_CHUNK_VALUES`
-    values' rows at a time.
+    ``leads`` are the :func:`lead_fields` of the 1-D axes of a grid whose
+    points, in C order, are the rows of a CSV; the rows of the 2-D float
+    array ``values`` are its points ``first``, ``first + 1`` and on.  A row's
+    text is its point's leading fields, then ``'%.17g' % value`` for each
+    value, joined by commas and ended by a newline.  Yields the bytes of
+    about :data:`_CHUNK_VALUES` values' rows at a time, each chunk's leading
+    fields picked as it is formatted.
     """
     values = np.ascontiguousarray(values, dtype=float)
+    shape = [len(lead) for lead in leads]
     step = max(1, _CHUNK_VALUES // max(values.shape[1], 1))
     for start in range(0, len(values), step):
-        rows = slice(start, start + step)
-        yield _rows([part if len(part) == 1 else part[rows] for part in lead], values[rows])
+        chunk = values[start : start + step]
+        points = np.unravel_index(first + start + np.arange(len(chunk)), shape) if leads else ()
+        yield _rows([lead[i] for lead, i in zip(leads, points)], chunk)

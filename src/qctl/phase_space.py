@@ -21,13 +21,13 @@ pair i < j enters as twice its real part.  W is real by construction.  The
 fields of several ensembles of the same packets share one table of pair
 integrals.
 
-Every step is elementwise in (R, u), so the grid is evaluated in blocks of
-whole R rows of at most :data:`BLOCK_POINTS` points (one row if a row is
-longer), each block bit-identical to the whole grid at once.  The pair
-integrals' temporaries are block-sized, and only the fields themselves,
-8 bytes a point per ensemble, span the grid.  The Wigner run releases one
-time's fields before it computes the next, so it holds 16 bytes a point for
-the pure and mixed fields (18 measured as the peak RSS slope).
+Every step is elementwise in (R, u), so :func:`wigner_blocks` evaluates
+the grid in blocks of whole R rows of at most :data:`BLOCK_POINTS` points
+(one row if a row is longer), each block bit-identical to the whole grid at
+once.  A block holds the pair integrals' temporaries and its fields, 8 bytes
+a point per ensemble.  The Wigner run formats each block as it is evaluated,
+so it holds no array that spans the grid; :func:`wigner_transforms` joins the
+blocks into whole fields.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .packets import packet_terms
 from .quadrature import quadrature_weights
 from .regime import Regime
 
-__all__ = ["WignerField", "wigner_transforms", "wigner_work", "free_liouville_residual"]
+__all__ = ["WignerField", "wigner_blocks", "wigner_transforms", "wigner_work", "free_liouville_residual"]
 
 # (R, u) points evaluated at once.  A pair integral holds about ten complex
 # temporaries of a block's size, a few hundred kB at 4096 points.
@@ -110,14 +110,17 @@ def _pair_integral(left, right, R, phase, edges, edge_phase):
     return (0.5 * SQRT_PI / root) * inner
 
 
-def wigner_transforms(specs, regime: Regime, t: float, R_grid, u_grid) -> list[WignerField]:
+def wigner_blocks(specs, regime: Regime, t: float, R_grid, u_grid):
     """Wigner distribution of ensembles sharing packets and wall on the (R, u) grid at t.
 
-    Each field is exact up to rounding.  With the wall, W vanishes for R >= 0,
-    where the window |r| <= 2|R| is empty.  Each unordered pair of terms that
-    any ensemble uses is integrated once and added, with that ensemble's
-    weight, to every field it belongs to; each field is bit-identical to the
-    one-ensemble call.
+    Yields the grid a block of whole R rows at a time, in order: arrays of
+    shape (len(specs), rows, len(u_grid)), one field per ensemble, of at most
+    :data:`BLOCK_POINTS` points (one row if a row is longer).  Each value is
+    exact up to rounding.  With the wall, W vanishes for R >= 0, where the
+    window |r| <= 2|R| is empty: those rows are zeros, and a block of them
+    integrates no pair.  Each unordered pair of terms that any ensemble uses
+    is integrated once and added, with that ensemble's weight, to every field
+    it belongs to; each field is bit-identical to the one-ensemble call.
     """
     R = np.asarray(R_grid, dtype=float)
     u = np.asarray(u_grid, dtype=float)
@@ -127,40 +130,44 @@ def wigner_transforms(specs, regime: Regime, t: float, R_grid, u_grid) -> list[W
     if any(s.packets != first.packets or s.wall != first.wall for s in specs[1:]):
         raise DomainError("the ensembles of one Wigner table must share packets and wall")
 
-    inside = _inside(R, first.wall)
     phase = (-1j / regime.hbar_tilde) * u[None, :]
-
     C, A, B, G = packet_terms(first.packets, regime, t, first.wall)
     weights, pairs = _pair_weights(specs, regime, C.shape[1])
     C = C.ravel()
     exponents = np.stack((A, B, G)).reshape(3, -1)
-    values = np.zeros((len(specs), R.size, u.size))
     block_rows = max(1, BLOCK_POINTS // u.size)
-    for start in range(0, inside.size, block_rows):
-        rows = inside[start : start + block_rows]
-        R_in = R[rows][:, None]
-        edges = edge_phase = None
-        if first.wall:
-            edges = np.stack((2.0 * R_in, -2.0 * R_in))
-            edge_phase = np.exp(phase * edges)
-        totals = np.zeros((len(specs), rows.size, u.size))
-        for i, j in pairs:
-            integral = _pair_integral(
-                exponents[:, i], np.conj(exponents[:, j]), R_in, phase, edges, edge_phase
-            )
-            value = (C[i] * np.conj(C[j]) * integral).real
-            for total, weight in zip(totals, weights[:, i, j]):
-                if weight:
-                    total += weight * value
-        if not np.isfinite(totals).all():
-            raise NumericalGuardError(f"Wigner transform is not finite at t = {t}")
-        values[:, rows] = totals
+    for start in range(0, R.size, block_rows):
+        R_block = R[start : start + block_rows]
+        block = np.zeros((len(specs), R_block.size, u.size))
+        rows = _inside(R_block, first.wall)
+        if rows.size:
+            R_in = R_block[rows][:, None]
+            edges = np.stack((2.0 * R_in, -2.0 * R_in)) if first.wall else None
+            edge_phase = None if edges is None else np.exp(phase * edges)
+            totals = np.zeros((len(specs), rows.size, u.size))
+            for i, j in pairs:
+                integral = _pair_integral(
+                    exponents[:, i], np.conj(exponents[:, j]), R_in, phase, edges, edge_phase
+                )
+                value = (C[i] * np.conj(C[j]) * integral).real
+                for total, weight in zip(totals, weights[:, i, j]):
+                    if weight:
+                        total += weight * value
+            if not np.isfinite(totals).all():
+                raise NumericalGuardError(f"Wigner transform is not finite at t = {t}")
+            block[:, rows] = totals
+        yield block
 
+
+def wigner_transforms(specs, regime: Regime, t: float, R_grid, u_grid) -> list[WignerField]:
+    """The fields of :func:`wigner_blocks`, whole: one per ensemble, in the order of ``specs``."""
+    values = np.concatenate(list(wigner_blocks(specs, regime, t, R_grid, u_grid)), axis=1)
+    R, u = np.asarray(R_grid, dtype=float), np.asarray(u_grid, dtype=float)
     return [WignerField(R, u, field, float(t)) for field in values]
 
 
 def wigner_work(specs, regime: Regime, R_grid, u_grid) -> tuple[int, int]:
-    """Work of each :func:`wigner_transforms` call on these arguments, at any time.
+    """Work of one :func:`wigner_blocks` call on these arguments, at any time.
 
     Returns the pair integrals it evaluates and the (R, u) points of each.
     """

@@ -2,14 +2,18 @@
 
 Each run kind is a generator ``(config, specs, diagnostics)`` over the
 regimes, ``specs`` being the pure and the mixed ensemble, that yields ``(file
-name, header, blocks)`` for every CSV.  It records its diagnostics in its own
-body, never while ``blocks`` is consumed, since that happens in another
-process.  Every block is one form, ``(lead, values)``: leading fields and a
-2-D float array, one row of it per CSV row (:func:`_write_csv`).  The leading
-fields, such as the t and x of a density row or the t, R and u of a Wigner
-row, are formatted once per file by :func:`qctl.csvtext.lead_fields`; the
-values of each block are formatted by numpy in :func:`qctl.csvtext.csv_chunks`,
-to the bytes that CPython's ``'%.17g' %`` writes.
+name, header, axes, blocks)`` for every CSV.  It records its diagnostics in
+its own body, never while ``blocks`` is consumed, since that happens in
+another process.  The rows of a CSV are the points of the grid of its 1-D
+``axes`` in C order: (t, x) for density, (t, R, u) for Wigner, (t,) for
+trajectories, arrival and observables, and (epsilon,) for the arrival
+summary.  Each row's leading fields are its grid point, and each block is a
+2-D float array of the next rows' remaining columns.  Only
+:func:`_write_csv` formats the axes, once per file
+(:func:`qctl.csvtext.lead_fields`); :func:`qctl.csvtext.csv_chunks` picks
+each row's leading fields by its grid index, a chunk of rows at a time, so
+blocks need not line up with the axes, and formats the values of each block
+by numpy, to the bytes that CPython's ``'%.17g' %`` writes.
 
 :func:`run_experiment` alone writes the CSVs, one forked writer per CSV
 (``os.fork``).  The parent iterates the generator; for each file a child
@@ -49,6 +53,7 @@ window bias those outputs, so both are flagged there, not rejected.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import pickle
@@ -66,7 +71,7 @@ from .ensembles import EnsembleSpec, mass_below, point_blocks, position_densitie
 from .errors import ConfigError, NumericalGuardError
 from .hydrodynamics import STATUS_COMPLETED, STATUS_NON_FINITE, record_times, trajectory_fans
 from .observables import heisenberg_check, observable_record
-from .phase_space import wigner_transforms, wigner_work
+from .phase_space import wigner_blocks, wigner_work
 from .regime import Regime, epsilon_tag
 
 __all__ = ["run_experiment"]
@@ -75,10 +80,6 @@ __all__ = ["run_experiment"]
 # window relative to its peak, above which the manifest flags truncation.
 SUPPORT_LOSS_FLAG = 1e-6
 TAIL_FRACTION_FLAG = 1e-3
-
-# (R, u) points in a block of Wigner rows: many R rows, so that the
-# formatter's fixed cost per call is spread over many values.
-_WIGNER_BLOCK_POINTS = 4096
 
 # Observables CSV columns per ensemble kind: ObservableRecord fields and units.
 _OBSERVABLE_UNITS = {
@@ -91,26 +92,29 @@ _OBSERVABLE_UNITS = {
 }
 
 
-def _write_csv(path: Path, header: list[str], blocks, parent: int | None = None) -> None:
-    """Write the header, then the rows of each block, every float to 17 digits.
+def _write_csv(path: Path, header: list[str], axes, blocks, parent: int | None = None) -> None:
+    """Write the header, then the rows of the grid of ``axes``, every float to 17 digits.
 
-    A block is a pair ``(lead, values)``: a sequence of leading field arrays
-    of :func:`qctl.csvtext.lead_fields`, each with one row per row of the 2-D
-    float array ``values`` or one row that all of them share, and ``values``.
-    A writer passes the pid of the ``parent`` it was forked from, and exits
-    before the first chunk of about 4,096 values that finds it reparented.
+    The rows are the points of the grid of the 1-D ``axes`` in C order, each
+    row's leading fields its point and its other fields the next row of
+    ``blocks``, 2-D float arrays.  Each axis is formatted once.  A writer
+    passes the pid of the ``parent`` it was forked from, and exits before the
+    first chunk of about 4,096 values that finds it reparented.
     """
     # The formatter is imported by the writers only, which alone format, so
     # that it adds nothing to the parent's import time and memory.
-    from .csvtext import csv_chunks
+    from .csvtext import csv_chunks, lead_fields
 
+    leads = [lead_fields(axis) for axis in axes]
+    row = 0
     with open(path, "wb") as handle:
         handle.write((",".join(header) + "\n").encode("utf-8"))
-        for lead, values in blocks:
-            for chunk in csv_chunks(lead, values):
+        for block in blocks:
+            for chunk in csv_chunks(leads, row, block):
                 if parent is not None and os.getppid() != parent:
                     os._exit(1)
                 handle.write(chunk)
+            row += len(block)
 
 
 def _seed_positions(config: ExperimentConfig, spec: EnsembleSpec, regime: Regime) -> np.ndarray:
@@ -142,18 +146,13 @@ def _density(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: d
 
     def blocks(regime):
         # Each time's rows a block of positions at a time, written as they are
-        # evaluated, so only one block's fields are held; the t and x fields
-        # are formatted once per file, in the writer.
-        from .csvtext import lead_fields
-
-        t_leads, x_leads = lead_fields(times), lead_fields(x)
-        for t, t_lead in zip(times, t_leads):
+        # evaluated, so only one block's fields are held.
+        for t in times:
             for block in point_blocks(x.size):
-                values = position_densities(specs, regime, x[block], t)
-                yield (t_lead[None], x_leads[block]), np.column_stack(values)
+                yield np.column_stack(position_densities(specs, regime, x[block], t))
 
     for regime in config.regimes():
-        yield f"density_eps{epsilon_tag(regime.epsilon)}.csv", header, blocks(regime)
+        yield f"density_eps{epsilon_tag(regime.epsilon)}.csv", header, (times, x), blocks(regime)
 
 
 def _trajectories(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: dict):
@@ -184,11 +183,10 @@ def _trajectories(config: ExperimentConfig, specs: list[EnsembleSpec], diagnosti
                                  for spec, fan in zip(specs, group) for tr in fan]
         # One block, filled in place; a stalled trajectory has no samples past
         # its stall, so nan stays there.
-        block = np.full((times.size, len(header)), np.nan)
-        block[:, 0] = times
-        for column, trajectory in enumerate((tr for fan in group for tr in fan), start=1):
+        block = np.full((times.size, len(header) - 1), np.nan)
+        for column, trajectory in enumerate(tr for fan in group for tr in fan):
             block[: trajectory.positions.size, column] = trajectory.positions
-        yield f"trajectories_eps{tag}.csv", header, [((), block)]
+        yield f"trajectories_eps{tag}.csv", header, (times,), [block]
         counts = {spec.kind: _integrator_counts(fan) for spec, fan in zip(specs, group)}
         diagnostics.setdefault("integrator", {})[tag] = counts
         diagnostics[f"stalled_eps{tag}"] = {kind: c["stalled_seeds"] for kind, c in counts.items()}
@@ -226,10 +224,9 @@ def _arrival(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: d
             spec.kind: {"tail_fraction": f, "tail_flagged": f > TAIL_FRACTION_FLAG}
             for spec, f in zip(specs, (s.tail_fraction for s in stats))
         }
-        pdfs = np.column_stack([t_grid] + [s.pdf for s in stats])
-        yield f"arrival_eps{tag}.csv", header, [((), pdfs)]
-        summary_rows.append([regime.epsilon] + [v for s in stats for v in (s.mean_t, s.sd_t)])
-    yield "arrival_summary.csv", summary, [((), np.array(summary_rows))]
+        yield f"arrival_eps{tag}.csv", header, (t_grid,), [np.column_stack([s.pdf for s in stats])]
+        summary_rows.append([v for s in stats for v in (s.mean_t, s.sd_t)])
+    yield "arrival_summary.csv", summary, (config.epsilons,), [np.array(summary_rows)]
 
 
 def _observables(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: dict):
@@ -241,15 +238,15 @@ def _observables(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostic
 
     def blocks(regime):
         for block in point_blocks(times.size):
-            columns = [times[block]]
+            columns = []
             for spec in specs:
                 record = observable_record(spec, regime, times[block])
                 columns += [getattr(record, name) for name in _OBSERVABLE_UNITS]
                 columns.append(heisenberg_check(record, regime)[1])
-            yield (), np.column_stack(columns)
+            yield np.column_stack(columns)
 
     for regime in config.regimes():
-        yield f"observables_eps{epsilon_tag(regime.epsilon)}.csv", header, blocks(regime)
+        yield f"observables_eps{epsilon_tag(regime.epsilon)}.csv", header, (times,), blocks(regime)
 
 
 def _wigner(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: dict):
@@ -257,38 +254,28 @@ def _wigner(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: di
     R = np.linspace(settings.x_min, 0.0, settings.n_x)
     u = np.linspace(-settings.u_max, settings.u_max, settings.n_u)
     header = ["t [time]", "R [length]", "u [momentum]"] + [f"w_{s.kind} [1/action]" for s in specs]
-
-    # R rows per block: about _WIGNER_BLOCK_POINTS (R, u) points.
-    step = max(1, _WIGNER_BLOCK_POINTS // u.size)
+    axes = (settings.times, R, u)
 
     def blocks(regime):
-        from .csvtext import lead_fields
-
-        t_leads, R_leads, u_leads = lead_fields(settings.times), lead_fields(R), lead_fields(u)
-        for t, t_lead in zip(settings.times, t_leads):
-            fields = wigner_transforms(specs, regime, t, R, u)
-            for start in range(0, R.size, step):
-                rows = R_leads[start : start + step]
-                values = np.stack([field.values[start : start + step] for field in fields], axis=-1)
-                lead = (t_lead[None], np.repeat(rows, u.size, axis=0), np.tile(u_leads, (len(rows), 1)))
-                yield lead, values.reshape(-1, len(fields))
-            # Release this time's fields before the next time's are computed,
-            # so only one time's fields are held.
-            del fields
+        # Each block of R rows formatted as it is evaluated: the pure and
+        # mixed values of a point side by side.
+        for t in settings.times:
+            for block in wigner_blocks(specs, regime, t, R, u):
+                yield block.reshape(len(specs), -1).T
 
     for regime in config.regimes():
         pair_integrals, points = wigner_work(specs, regime, R, u)
         work = {"pair_integrals": pair_integrals * len(settings.times), "points": points}
         diagnostics.setdefault("wigner", {})[epsilon_tag(regime.epsilon)] = work
-        yield f"wigner_eps{epsilon_tag(regime.epsilon)}.csv", header, blocks(regime)
+        yield f"wigner_eps{epsilon_tag(regime.epsilon)}.csv", header, axes, blocks(regime)
 
 
 _RUNS = {"density": _density, "trajectories": _trajectories, "arrival": _arrival,
          "observables": _observables, "wigner": _wigner}
 
 
-def _fork_writer(path: Path, header: list[str], blocks) -> tuple[int, int]:
-    """Fork a child that writes ``path`` from ``blocks`` and exits.
+def _fork_writer(path: Path, header: list[str], axes, blocks) -> tuple[int, int]:
+    """Fork a child that writes ``path`` from ``axes`` and ``blocks`` and exits.
 
     Returns the child's pid and the read end of a pipe.  On success the child
     closes the pipe unused.  On failure it sends its traceback text and its
@@ -308,7 +295,15 @@ def _fork_writer(path: Path, header: list[str], blocks) -> tuple[int, int]:
     status = 1
     try:
         os.close(pipe)
-        _write_csv(path, header, blocks, parent)
+        # By default glibc serves arrays of 128 kB and more by mmap and hands
+        # the freed top of its heap back, so the numpy temporaries of every
+        # block are faulted in afresh: a Wigner block's pair integrals free
+        # about 1.4 MB per pair.  A writer is short-lived and peaks at its
+        # largest block either way, so it keeps and reuses what it frees.
+        libc = ctypes.CDLL(None)
+        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+        _write_csv(path, header, axes, blocks, parent)
         status = 0
     except BaseException as exc:
         try:
@@ -353,11 +348,11 @@ class _Writers:
         # CSV name -> CPU seconds and peak RSS of its writer, in file order.
         self.usage: dict[str, dict] = {}
 
-    def start(self, path: Path, header: list[str], blocks) -> None:
+    def start(self, path: Path, header: list[str], axes, blocks) -> None:
         """Fork the writer of ``path`` once a CPU is free; raise an earlier writer's failure."""
         while len(self.running) >= self.slots:
             self._reap()
-        pid, pipe = _fork_writer(path, header, blocks)
+        pid, pipe = _fork_writer(path, header, axes, blocks)
         self.running.append((path.name, pid, pipe))
         self.paths.append(path)
 
@@ -429,8 +424,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     writers = _Writers()
     try:
         try:
-            for name, header, blocks in _RUNS[config.run_kind](config, specs, diagnostics):
-                writers.start(target / name, header, blocks)
+            for name, header, axes, blocks in _RUNS[config.run_kind](config, specs, diagnostics):
+                writers.start(target / name, header, axes, blocks)
         except Exception:
             # An earlier file's failure comes first, as it would in one process.
             writers.join()

@@ -1,9 +1,10 @@
 """The CLI's exit-code contract on random small documents.
 
 Every document goes through ``qctl.cli.main`` in this process, one at a
-time, on a 64-point grid, 3 times, 101 arrival times, a 9 x 9 Wigner grid and
-2 seeds from t = 0 to 1, in 1 to 10^6 steps of ``dt`` of which at most about
-1,000 are recorded.  Its values are drawn log-uniformly inside the
+time, at 1 to 3 epsilons, on a 64-point grid, 3 times, 101 arrival times, a
+9 x 9 Wigner grid at 1 to 3 times (t = 0 and up to two more) and 2 seeds
+from t = 0 to 1, in 1 to 10^6 steps of ``dt`` of which at most about 1,000
+are recorded.  Its values are drawn log-uniformly inside the
 loader's bounds, around the README defaults: in half the documents within a
 factor of 2 (epsilon within 4 of 1), so that most run to the end, in the
 others within four decades (lengths within one, epsilon down to 1e-8), so
@@ -41,7 +42,7 @@ def _document(rng: random.Random) -> dict:
     # Lengths within a quarter of the decades, so that more packets pass the loader's
     # width and tail-mass checks; kicks, epsilon, hbar and mass within all of them.
     return {
-        "epsilons": [10.0 ** -rng.uniform(0.0, 2.0 * decades) for _ in range(rng.randint(1, 2))],
+        "epsilons": [10.0 ** -rng.uniform(0.0, 2.0 * decades) for _ in range(rng.randint(1, 3))],
         "hbar": draw(1.0),
         "mass": draw(1.0),
         "packets": {"sigma0": draw(1.0, 0.25), "a": packet(-5.0, -2.0), "b": packet(-15.0, 2.0)},
@@ -54,8 +55,8 @@ def _document(rng: random.Random) -> dict:
             "n_seeds": 2, "x_lo": draw(-18.0, 0.25), "x_hi": draw(-2.0, 0.25),
         },
         "arrival": {"t_max": draw(40.0), "n_points": 101},
-        "wigner": {"times": [0.0, draw(7.0)], "x_min": draw(-40.0, 0.25), "n_x": 9,
-                   "u_max": draw(8.0), "n_u": 9},
+        "wigner": {"times": [0.0] + [draw(7.0) for _ in range(rng.randint(0, 2))],
+                   "x_min": draw(-40.0, 0.25), "n_x": 9, "u_max": draw(8.0), "n_u": 9},
     }
 
 

@@ -214,24 +214,37 @@ def test_csv_cached_leading_fields_match_the_plain_template(tmp_path, monkeypatc
     monkeypatch.setattr(csvtext, "_CHUNK_VALUES", 16)
 
     def plain():
-        for k, t_k in enumerate(t):
-            yield (), np.column_stack((np.full(x.size, t_k), x, values[k]))
+        # Every row in one block.
+        yield values.reshape(-1, 2)
 
     def cached():
         # Each time's rows in two blocks, the second starting inside a chunk.
-        t_leads, x_leads = csvtext.lead_fields(t), csvtext.lead_fields(x)
-        for t_lead, block in zip(t_leads, values):
-            yield (t_lead[None], x_leads[:37]), block[:37]
-            yield (t_lead[None], x_leads[37:]), block[37:]
+        for block in values:
+            yield block[:37]
+            yield block[37:]
 
-    runner._write_csv(tmp_path / "plain.csv", header, plain())
-    runner._write_csv(tmp_path / "cached.csv", header, cached())
+    runner._write_csv(tmp_path / "plain.csv", header, (t, x), plain())
+    runner._write_csv(tmp_path / "cached.csv", header, (t, x), cached())
     # The bytes of CPython's %-template.
     rows = "".join("%.17g,%.17g,%.17g,%.17g\n" % (t_k, x_i, *values[k, i])
                    for k, t_k in enumerate(t.tolist()) for i, x_i in enumerate(x.tolist()))
     expected = ("t,x,a,b\n" + rows).encode()
     assert (tmp_path / "cached.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes() == expected
     assert b"\nnan,inf," in expected
+
+    # A (t, R, u) grid of 4 x 4 x 7 rows, its blocks ending mid-u-row and
+    # inside a chunk of 8 rows, one of them spanning two times.
+    R = np.array([-2.5, -0.0, 1e-300, 0.1])
+    u = np.concatenate(([np.inf, -5e-324], np.linspace(-1.0, 1.0, 5)))
+    w = np.random.default_rng(4).normal(size=(t.size * R.size * u.size, 2))
+    w[:3, 0] = [np.nan, -np.inf, 0.0]
+    cuts = [0, 5, 13, 27, 50, 111, len(w)]
+    blocks = [w[start:stop] for start, stop in zip(cuts, cuts[1:])]
+    runner._write_csv(tmp_path / "wigner.csv", ["t", "R", "u", "a", "b"], (t, R, u), blocks)
+    points = [(t_k, R_j, u_i) for t_k in t.tolist() for R_j in R.tolist() for u_i in u.tolist()]
+    rows = "".join("%.17g,%.17g,%.17g,%.17g,%.17g\n" % (*point, *w[row])
+                   for row, point in enumerate(points))
+    assert (tmp_path / "wigner.csv").read_bytes() == ("t,R,u,a,b\n" + rows).encode()
 
 
 def test_born_seeding_is_deterministic_and_ordered(tmp_path):
@@ -331,8 +344,8 @@ def test_observables_run_streams_blocks_of_times(monkeypatch):
 
     config = parse_config(json.dumps(small_config("observables", epsilons=[1.0])))
     specs = [config.ensemble(kind) for kind in ("pure", "mixed")]
-    name, header, blocks = next(runner._observables(config, specs, {}))
-    whole = [values for _, values in blocks]
+    name, header, axes, blocks = next(runner._observables(config, specs, {}))
+    whole = list(blocks)
     calls = []
     record = runner.observable_record
 
@@ -342,16 +355,17 @@ def test_observables_run_streams_blocks_of_times(monkeypatch):
 
     monkeypatch.setattr(runner, "observable_record", spy)
     monkeypatch.setattr(ensembles, "FIELD_BLOCK_POINTS", 2)
-    name, header, blocks = next(runner._observables(config, specs, {}))
+    name, header, axes, blocks = next(runner._observables(config, specs, {}))
     blocks = list(blocks)
     assert calls == [(kind, n) for n in (2, 2, 1) for kind in ("pure", "mixed")]
-    assert [values.shape for _, values in blocks] == [(2, len(header))] * 2 + [(1, len(header))]
-    assert all(lead == () for lead, _ in blocks)
+    # The t column is the file's one axis, not a column of the blocks.
+    assert [values.shape for values in blocks] == [(2, len(header) - 1)] * 2 + [(1, len(header) - 1)]
+    assert len(axes) == 1 and np.array_equal(axes[0], config.time.points())
     assert len(whole) == 1
-    assert np.array_equal(np.concatenate([values for _, values in blocks]), whole[0])
+    assert np.array_equal(np.concatenate(blocks), whole[0])
 
 
-def test_density_run_streams_blocks_of_positions(monkeypatch):
+def test_density_run_streams_blocks_of_positions(tmp_path, monkeypatch):
     # Each time's rows come a block of at most FIELD_BLOCK_POINTS positions at
     # a time, each evaluated as it is written, with the t and x leading fields
     # formatted once per file and shared by every time.
@@ -370,28 +384,33 @@ def test_density_run_streams_blocks_of_positions(monkeypatch):
     monkeypatch.setattr(csvtext, "lead_fields", spy)
     config = parse_config(json.dumps(small_config("density", epsilons=[1.0])))
     specs = [config.ensemble(kind) for kind in ("pure", "mixed")]
-    name, header, blocks = next(runner._density(config, specs, {}))
+    name, header, axes, blocks = next(runner._density(config, specs, {}))
     blocks = list(blocks)
-    assert [(len(x_lead), len(values)) for (_, x_lead), values in blocks[:3]] == [
-        (400, 400), (400, 400), (225, 225)]
+    assert [len(values) for values in blocks[:3]] == [400, 400, 225]
     assert len(blocks) == 3 * config.time.n_times
-    # One call for the times and one for the positions, whose fields every
-    # time's blocks view.
+    # The axes are the times and the positions, and the writer formats them
+    # in one call each, which every time's rows share.
     t, x = config.time.points(), config.grid.points()
+    assert len(axes) == 2 and np.array_equal(axes[0], t) and np.array_equal(axes[1], x)
+    runner._write_csv(tmp_path / name, header, axes, blocks)
     assert len(formatted) == 2
     assert np.array_equal(formatted[0], t) and np.array_equal(formatted[1], x)
-    t_leads, x_leads = lead_fields(t), lead_fields(x)
-    for k, ((t_lead, x_lead), _) in enumerate(blocks):
-        assert np.array_equal(t_lead, t_leads[k // 3][None])
-        assert np.array_equal(x_lead, x_leads[400 * (k % 3) : 400 * (k % 3 + 1)])
-    assert len({id(x_lead.base) for (_, x_lead), _ in blocks}) == 1
+    rows = (tmp_path / name).read_text().splitlines()[1:]
+    for k, values in enumerate(blocks):
+        first = x.size * (k // 3) + 400 * (k % 3)
+        leads = [row.split(",")[:2] for row in rows[first : first + len(values)]]
+        assert leads == [["%.17g" % t[k // 3], "%.17g" % x_i] for x_i in x[400 * (k % 3) :][: len(values)]]
 
 
 @pytest.mark.parametrize("block", [7, 10**9])
 def test_field_blocks_do_not_change_the_csvs(block, tmp_path, monkeypatch):
     # Every point is evaluated on its own, so the block size changes no byte.
     # The grids straddle a block of 7: one block, one and a point, three and a point.
+    # The Wigner grid's 41 R rows of 300 u points are three blocks of 13 rows
+    # and one of 2 by default, and one-row blocks or one block patched; its
+    # last row, R = 0, is zeros.
     import qctl.ensembles as ensembles
+    import qctl.phase_space as phase_space
 
     def csvs(out_dir):
         for n_points in (64, 70):
@@ -402,12 +421,16 @@ def test_field_blocks_do_not_change_the_csvs(block, tmp_path, monkeypatch):
             doc = small_config("arrival", arrival={"t_max": 40.0, "n_points": n_points})
             target = {"out_dir": str(out_dir / f"arrival{n_points}")}
             run_experiment(parse_config(json.dumps(doc), target))
+        wigner = {"times": [0.0, 3.0], "x_min": -25.0, "n_x": 41, "u_max": 6.0, "n_u": 300}
+        doc = small_config("wigner", wigner=wigner)
+        run_experiment(parse_config(json.dumps(doc), {"out_dir": str(out_dir / "wigner")}))
         return {p.relative_to(out_dir): p.read_bytes() for p in sorted(out_dir.rglob("*.csv"))}
 
     default = csvs(tmp_path / "default")
     monkeypatch.setattr(ensembles, "FIELD_BLOCK_POINTS", block)
+    monkeypatch.setattr(phase_space, "BLOCK_POINTS", 300 if block == 7 else block)
     assert csvs(tmp_path / "patched") == default
-    assert len(default) == 2 * 2 + 3 * 3
+    assert len(default) == 2 * 2 + 3 * 3 + 2
 
 
 @pytest.mark.parametrize(
@@ -498,12 +521,12 @@ def test_partial_outputs_removed_on_failure(tmp_path, monkeypatch, run_kind):
         # The second CSV is written whole, then its writer fails.  The run
         # ends there: the parent takes the next file before it waits for a
         # writer, so a third file would be handed out on any CPU count.
-        for name, header, blocks in run(config, specs, diagnostics):
+        for name, header, axes, blocks in run(config, specs, diagnostics):
             handed.append(name)
             if len(handed) == 2:
-                yield name, header, raise_after(blocks, RuntimeError("boom"))
+                yield name, header, axes, raise_after(blocks, RuntimeError("boom"))
                 return
-            yield name, header, blocks
+            yield name, header, axes, blocks
 
     # A successful run first: its manifest must not outlive the failed rerun.
     earlier = small_config("arrival", epsilons=[1.0], out_dir=str(tmp_path))
@@ -543,10 +566,10 @@ def test_no_writer_outlives_the_run(tmp_path, monkeypatch):
 
     def first_fails(config, specs, diagnostics):
         files = runner._density(config, specs, diagnostics)
-        name, header, blocks = next(files)
-        yield name, header, raise_after(blocks, NumericalGuardError("first"))
-        for name, header, blocks in files:
-            yield name, header, sleeper(blocks)
+        name, header, axes, blocks = next(files)
+        yield name, header, axes, raise_after(blocks, NumericalGuardError("first"))
+        for name, header, axes, blocks in files:
+            yield name, header, axes, sleeper(blocks)
 
     monkeypatch.setitem(runner._RUNS, "density", first_fails)
     started = time.monotonic()
@@ -566,9 +589,9 @@ def test_writers_are_recorded_in_file_order(tmp_path, monkeypatch):
     handed = []
 
     def first_late(config, specs, diagnostics):
-        for name, header, blocks in runner._density(config, specs, diagnostics):
+        for name, header, axes, blocks in runner._density(config, specs, diagnostics):
             handed.append(name)
-            yield name, header, late(blocks) if len(handed) == 1 else blocks
+            yield name, header, axes, late(blocks) if len(handed) == 1 else blocks
 
     def late(blocks):
         time.sleep(0.3)
@@ -592,15 +615,15 @@ def test_no_writer_is_forked_after_a_failure(tmp_path, monkeypatch):
     run = runner._RUNS["arrival"]
 
     def second_fails(config, specs, diagnostics):
-        for index, (name, header, blocks) in enumerate(run(config, specs, diagnostics)):
-            yield name, header, raise_after(blocks, RuntimeError("boom")) if index == 1 else blocks
+        for index, (name, header, axes, blocks) in enumerate(run(config, specs, diagnostics)):
+            yield name, header, axes, raise_after(blocks, RuntimeError("boom")) if index == 1 else blocks
 
     forked = []
     fork_writer = runner._fork_writer
 
-    def counted(path, header, blocks):
+    def counted(path, header, axes, blocks):
         forked.append(path.name)
-        return fork_writer(path, header, blocks)
+        return fork_writer(path, header, axes, blocks)
 
     monkeypatch.setitem(runner._RUNS, "arrival", second_fails)
     monkeypatch.setattr(runner, "_fork_writer", counted)
@@ -627,12 +650,12 @@ def test_the_earliest_file_failure_is_raised(tmp_path, monkeypatch, second):
 
     def failing(config, specs, diagnostics):
         files = runner._density(config, specs, diagnostics)
-        name, header, blocks = next(files)
-        yield name, header, slow_failure(blocks)
-        name, header, blocks = next(files)
+        name, header, axes, blocks = next(files)
+        yield name, header, axes, slow_failure(blocks)
+        name, header, axes, blocks = next(files)
         if second == "parent":
             raise OSError(errno.EIO, "second")
-        yield name, header, raise_after(blocks, OSError(errno.EIO, "second"))
+        yield name, header, axes, raise_after(blocks, OSError(errno.EIO, "second"))
 
     monkeypatch.setitem(runner._RUNS, "density", failing)
     config = parse_config(json.dumps(small_config("density", out_dir=str(tmp_path))))
@@ -653,8 +676,8 @@ def stalled(blocks):
     yield from blocks
 
 def wigner(config, specs, diagnostics):
-    for name, header, blocks in runner._wigner(config, specs, diagnostics):
-        yield name, header, stalled(blocks)
+    for name, header, axes, blocks in runner._wigner(config, specs, diagnostics):
+        yield name, header, axes, stalled(blocks)
 
 runner._RUNS["wigner"] = wigner
 sys.exit(main(sys.argv[1:]))
@@ -696,14 +719,14 @@ import qctl.runner as runner
 from qctl.cli import main
 
 def slowed(blocks):
-    for lead, values in blocks:
-        for i in range(len(values)):
+    for block in blocks:
+        for i in range(len(block)):
             time.sleep(0.1)
-            yield tuple(part if len(part) == 1 else part[i : i + 1] for part in lead), values[i : i + 1]
+            yield block[i : i + 1]
 
 def wigner(config, specs, diagnostics):
-    for name, header, blocks in runner._wigner(config, specs, diagnostics):
-        yield name, header, slowed(blocks)
+    for name, header, axes, blocks in runner._wigner(config, specs, diagnostics):
+        yield name, header, axes, slowed(blocks)
 
 runner._RUNS["wigner"] = wigner
 sys.exit(main(sys.argv[1:]))
@@ -766,13 +789,14 @@ def test_reparented_writer_exits_inside_a_single_block(tmp_path, monkeypatch):
     def exit_(code):
         raise Exited(code)
 
-    monkeypatch.setattr(csvtext, "_CHUNK_VALUES", 4)
+    # Chunks of two rows: the first column is the file's axis, not a value.
+    monkeypatch.setattr(csvtext, "_CHUNK_VALUES", 2)
     parents = iter([100, 1])
     monkeypatch.setattr(runner.os, "getppid", lambda: next(parents))
     monkeypatch.setattr(runner.os, "_exit", exit_)
     values = np.arange(12.0).reshape(6, 2)
     with pytest.raises(Exited):
-        runner._write_csv(tmp_path / "one.csv", ["a", "b"], [((), values)], parent=100)
+        runner._write_csv(tmp_path / "one.csv", ["a", "b"], (values[:, 0],), [values[:, 1:]], parent=100)
     assert (tmp_path / "one.csv").read_bytes() == b"a,b\n0,1\n2,3\n"
 
 
@@ -799,8 +823,8 @@ def test_cli_writer_io_error_exit_code(tmp_path, capsys, monkeypatch):
     import qctl.runner as runner
 
     def disk_full(config, specs, diagnostics):
-        for name, header, blocks in runner._density(config, specs, diagnostics):
-            yield name, header, raise_after(blocks, OSError(errno.ENOSPC, "No space left on device"))
+        for name, header, axes, blocks in runner._density(config, specs, diagnostics):
+            yield name, header, axes, raise_after(blocks, OSError(errno.ENOSPC, "No space left on device"))
 
     monkeypatch.setitem(runner._RUNS, "density", disk_full)
     config_path = tmp_path / "config.json"
@@ -841,8 +865,8 @@ def test_writer_failure_that_cannot_be_rebuilt(tmp_path, monkeypatch, local):
     exc = LocalError("unpicklable") if local else TwoArgumentError("what", "why")
 
     def failing(config, specs, diagnostics):
-        for name, header, blocks in runner._density(config, specs, diagnostics):
-            yield name, header, raise_after(blocks, exc)
+        for name, header, axes, blocks in runner._density(config, specs, diagnostics):
+            yield name, header, axes, raise_after(blocks, exc)
 
     monkeypatch.setitem(runner._RUNS, "density", failing)
     config = parse_config(json.dumps(small_config("density", out_dir=str(tmp_path))))
@@ -861,8 +885,8 @@ def test_writer_failure_larger_than_a_pipe_buffer(tmp_path, monkeypatch):
     message = "x" * 2**20
 
     def failing(config, specs, diagnostics):
-        for name, header, blocks in runner._density(config, specs, diagnostics):
-            yield name, header, raise_after(blocks, NumericalGuardError(message))
+        for name, header, axes, blocks in runner._density(config, specs, diagnostics):
+            yield name, header, axes, raise_after(blocks, NumericalGuardError(message))
 
     monkeypatch.setitem(runner._RUNS, "density", failing)
     config = parse_config(json.dumps(small_config("density", out_dir=str(tmp_path))))
