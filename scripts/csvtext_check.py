@@ -28,7 +28,7 @@ def main() -> int:
     checked, wrong = 0, []
     while checked < COUNT:
         x = rng.integers(0, 2**64, BATCH, dtype=np.uint64).view(np.float64).reshape(-1, 2)
-        got = b"".join(csv_chunks((), 0, x)).split(b"\n")
+        got = b"".join(csv_chunks((), [x])).split(b"\n")
         for row, text in zip(x.tolist(), got):
             expected = ("%.17g,%.17g" % tuple(row)).encode()
             if text != expected:

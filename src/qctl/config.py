@@ -71,10 +71,10 @@ WIGNER_POINT_BUDGET = 1_000_000
 # grid.x_min) and of the arrival time grid (arrival.n_points).  Both runs
 # evaluate their fields in blocks of ensembles.FIELD_BLOCK_POINTS and the
 # density run writes each block as it goes, so what grows with the points is
-# the density run's row templates, about 150 bytes a point, and the arrival
-# run's few float arrays, about 66 bytes a point (peak RSS slopes from
-# 100,001 to 500,000 points, one epsilon, two density times).  At the budgets
-# they peaked at 101 MB and 61 MB on 2 CPUs.
+# the density run's x fields and grid, about 36 bytes a point, and the arrival
+# run's few float arrays and t fields, about 66 bytes a point (peak RSS slopes
+# from 100,001 to 500,000 points, one epsilon, two density times).  At the
+# budgets they peaked at 45 MB and 62 MB on 2 CPUs.
 GRID_POINT_BUDGET = 500_000
 ARRIVAL_POINT_BUDGET = 500_000
 

@@ -237,36 +237,46 @@ def lead_fields(values) -> np.ndarray:
     return out[:, :width]
 
 
-def _rows(lead, values: np.ndarray) -> bytes:
-    """The CSV rows of the leading fields ``lead`` and the 2-D float array ``values``."""
-    rows, cols = values.shape
-    start = sum(part.shape[1] for part in lead)
-    block = np.empty((rows, start + cols * WIDTH), np.uint8)
+def _rows(leads, strides, rows: range, values: np.ndarray) -> bytes:
+    """The CSV rows of the grid rows ``rows``, ``values`` a 2-D float array of their values.
+
+    ``leads`` are the fields of the grid's axes and ``strides`` the rows from
+    one point of each axis to the next.  Where the rows share one point of an
+    axis, or run through consecutive points, its fields are copied from a
+    view; else they are picked row by row.
+    """
+    cols = values.shape[1]
+    start = sum(lead.shape[1] for lead in leads)
+    block = np.empty((len(rows), start + cols * WIDTH), np.uint8)
     offset = 0
-    for part in lead:
-        block[:, offset : offset + part.shape[1]] = part
-        offset += part.shape[1]
-    block[:, start:].reshape(rows, cols, WIDTH)[...] = _fields(values)
+    for lead, stride in zip(leads, strides):
+        n, width = lead.shape
+        low, high = rows[0] // stride, rows[-1] // stride
+        run = low // n == high // n and (low == high or stride == 1)
+        index = slice(low % n, high % n + 1) if run else np.arange(rows.start, rows.stop) // stride % n
+        block[:, offset : offset + width] = lead[index]
+        offset += width
+    block[:, start:].reshape(len(rows), cols, WIDTH)[...] = _fields(values)
     block[:, -1] = _NEWLINE
     flat = block.ravel()
     return flat[flat != 0].tobytes()
 
 
-def csv_chunks(leads, first: int, values):
-    """The CSV rows of the floats of ``values``, each after the fields of its grid point.
+def csv_chunks(leads, blocks):
+    """The CSV rows of a grid, ``blocks`` the 2-D float arrays of its rows' values in turn.
 
-    ``leads`` are the :func:`lead_fields` of the 1-D axes of a grid whose
-    points, in C order, are the rows of a CSV; the rows of the 2-D float
-    array ``values`` are its points ``first``, ``first + 1`` and on.  A row's
-    text is its point's leading fields, then ``'%.17g' % value`` for each
-    value, joined by commas and ended by a newline.  Yields the bytes of
-    about :data:`_CHUNK_VALUES` values' rows at a time, each chunk's leading
-    fields picked as it is formatted.
+    ``leads`` are the :func:`lead_fields` of the 1-D axes of the grid, whose
+    points, in C order, are the rows.  A row's text is its point's leading
+    fields, then ``'%.17g' % value`` for each value, joined by commas and
+    ended by a newline; blocks need not line up with the axes.  Yields the
+    bytes of about :data:`_CHUNK_VALUES` values' rows at a time, each chunk's
+    leading fields picked as it is formatted.
     """
-    values = np.ascontiguousarray(values, dtype=float)
-    shape = [len(lead) for lead in leads]
-    step = max(1, _CHUNK_VALUES // max(values.shape[1], 1))
-    for start in range(0, len(values), step):
-        chunk = values[start : start + step]
-        points = np.unravel_index(first + start + np.arange(len(chunk)), shape) if leads else ()
-        yield _rows([lead[i] for lead, i in zip(leads, points)], chunk)
+    strides = [np.prod([len(lead) for lead in leads[k + 1 :]], dtype=int) for k in range(len(leads))]
+    first = 0
+    for values in blocks:
+        step = max(1, _CHUNK_VALUES // max(values.shape[1], 1))
+        for start in range(0, len(values), step):
+            chunk = values[start : start + step]
+            yield _rows(leads, strides, range(first + start, first + start + len(chunk)), chunk)
+        first += len(values)

@@ -105,16 +105,12 @@ def _write_csv(path: Path, header: list[str], axes, blocks, parent: int | None =
     # that it adds nothing to the parent's import time and memory.
     from .csvtext import csv_chunks, lead_fields
 
-    leads = [lead_fields(axis) for axis in axes]
-    row = 0
     with open(path, "wb") as handle:
         handle.write((",".join(header) + "\n").encode("utf-8"))
-        for block in blocks:
-            for chunk in csv_chunks(leads, row, block):
-                if parent is not None and os.getppid() != parent:
-                    os._exit(1)
-                handle.write(chunk)
-            row += len(block)
+        for chunk in csv_chunks([lead_fields(axis) for axis in axes], blocks):
+            if parent is not None and os.getppid() != parent:
+                os._exit(1)
+            handle.write(chunk)
 
 
 def _seed_positions(config: ExperimentConfig, spec: EnsembleSpec, regime: Regime) -> np.ndarray:
@@ -300,9 +296,8 @@ def _fork_writer(path: Path, header: list[str], axes, blocks) -> tuple[int, int]
         # block are faulted in afresh: a Wigner block's pair integrals free
         # about 1.4 MB per pair.  A writer is short-lived and peaks at its
         # largest block either way, so it keeps and reuses what it frees.
-        libc = ctypes.CDLL(None)
-        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+        ctypes.CDLL(None).mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        ctypes.CDLL(None).mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
         _write_csv(path, header, axes, blocks, parent)
         status = 0
     except BaseException as exc:

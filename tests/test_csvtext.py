@@ -13,8 +13,8 @@ def cpython(values, last="\n"):
     return "".join(",".join("%.17g" % v for v in row) + last for row in np.atleast_2d(values).tolist()).encode()
 
 
-def numpy_rows(values, leads=(), first=0):
-    return b"".join(csvtext.csv_chunks(leads, first, values))
+def numpy_rows(values):
+    return b"".join(csvtext.csv_chunks((), [values]))
 
 
 def lead_text(values):
@@ -130,8 +130,8 @@ def test_blocks_starting_inside_a_chunk(chunk, monkeypatch):
     t, x = np.array([0.25, -3.0]), rng.normal(size=50) * 100.0
     values = rng.normal(size=(2, x.size, 3))
     t_leads, x_leads = csvtext.lead_fields(t), csvtext.lead_fields(x)
-    text = b"".join(numpy_rows(values[k, rows], (t_leads, x_leads), x.size * k + rows.start)
-                    for k in range(2) for rows in (slice(0, 13), slice(13, 50)))
+    blocks = [values[k, rows] for k in range(2) for rows in (slice(0, 13), slice(13, 50))]
+    text = b"".join(csvtext.csv_chunks((t_leads, x_leads), blocks))
     expected = cpython([[t_k, x_i, *values[k, i]] for k, t_k in enumerate(t) for i, x_i in enumerate(x)])
     assert text == expected
 
