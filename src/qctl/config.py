@@ -61,9 +61,9 @@ TRAJECTORY_SAMPLE_BUDGET = 25_000_000
 # (R, u) points of one Wigner time, n_x x n_u (25,921 at the defaults).  A run
 # evaluates and writes them a block of whole R rows of about
 # phase_space.BLOCK_POINTS points at a time, so no array it holds spans the
-# grid: a writer peaked at 31.0 MB at 81 x 8001 points and 31.3 MB at
-# 121 x 8001.  The budget bounds a time's CSV, about 48 bytes a point (46 MB
-# at 121 x 8001); it admits an 81 x 8001 marginal-check grid.
+# grid: a writer peaked at about 31 MB at both 81 x 8001 and 121 x 8001
+# points.  The budget bounds a time's CSV, about 48 bytes a point (46 MB at
+# 121 x 8001); it admits an 81 x 8001 marginal-check grid.
 WIGNER_POINT_BUDGET = 1_000_000
 
 # Points of the position grid (grid.n_points, which only the density run
