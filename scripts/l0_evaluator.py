@@ -38,7 +38,16 @@ over ``--repeat`` writes of the process time per density value (the other
 rows print null).  A density file's blocks are 2-D float arrays of density
 values, its t and x given by its axes; an older tree's blocks are
 ``(lead, values)`` pairs.  Only the density values are counted, so both
-forms are timed alike.
+forms are timed alike.  The first row also holds the cost of one forked
+writer against the parent writing the file itself, on the smallest file of
+a run, ``arrival_summary.csv`` of the arrival run on the same packets (the
+default epsilons, four rows), in wall-clock microseconds, each the median
+over ``--repeat`` writes: ``writer_us`` from the fork to the reap of a
+writer (``qctl.runner._fork_writer``, its pipe read to its end, then
+``os.waitpid``), timed before this process has imported the formatter, as
+in a run that forks every file; ``parent_write_us``, ``qctl.runner._write_csv``
+of the same file in this process, the first write paying for the
+formatter's import.
 
 ``--src`` names the ``src`` directory whose ``qctl`` is timed, by default
 this repository's, so one copy of the script can time another tree.  The
@@ -48,6 +57,7 @@ it has run.
 
 import argparse
 import json
+import os
 import statistics
 import sys
 import tempfile
@@ -79,6 +89,32 @@ def _per_call_us(call, repeat: int) -> float:
     return 1e6 * statistics.median(samples)
 
 
+def _writer_us(a, b, repeat: int) -> tuple[float, float]:
+    """Wall microseconds of the arrival summary CSV by a forked writer, and written in-process."""
+    from qctl import parse_config
+    from qctl.runner import _arrival, _fork_writer, _write_csv
+
+    packets = {name: {"x0": p.x0, "p0": p.p0} for name, p in (("a", a), ("b", b))}
+    config = parse_config(json.dumps({"run": "arrival", "packets": packets}))
+    specs = [config.ensemble(kind) for kind in ("pure", "mixed")]
+    *_, (name, *file) = _arrival(config, specs, {})
+    forked, written = [], []
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / name
+        for _ in range(repeat):
+            start = time.perf_counter()
+            pid, pipe = _fork_writer(path, *file)
+            with open(pipe, "rb") as handle:
+                handle.read()
+            os.waitpid(pid, 0)
+            forked.append(time.perf_counter() - start)
+        for _ in range(repeat):
+            start = time.perf_counter()
+            _write_csv(path, *file)
+            written.append(time.perf_counter() - start)
+    return 1e6 * statistics.median(forked), 1e6 * statistics.median(written)
+
+
 def _csv_ns_per_value(a, b, repeat: int) -> float:
     """Process-time nanoseconds per density value of the first density CSV, formatting only."""
     from qctl import parse_config
@@ -104,8 +140,11 @@ def _l1(spec, regime, repeat: int) -> None:
     """Print the L1 table: microseconds of process time per trajectory-loop iteration."""
     from qctl.hydrodynamics import trajectory_fans
 
+    # Before the formatter is imported here, so that each writer imports it.
+    writer, parent_write = _writer_us(spec.packet_a, spec.packet_b, repeat)
     csv = _csv_ns_per_value(spec.packet_a, spec.packet_b, repeat)
-    header = (("kind", 6), ("seeds", 6), ("iterations", 10), ("loop_us", 10), ("csv_ns_per_value", 17))
+    header = (("kind", 6), ("seeds", 6), ("iterations", 10), ("loop_us", 10), ("csv_ns_per_value", 17),
+              ("writer_us", 10), ("parent_write_us", 16))
     print(*(name.rjust(width) for name, width in header))
     for n in L1_SEEDS:
         seeds = -18.0 + 16.0 * (np.arange(n) + 0.5) / n
@@ -115,8 +154,9 @@ def _l1(spec, regime, repeat: int) -> None:
             _, loop = trajectory_fans([(spec, regime, seeds)], L1_T_END, 1e-2)
             samples.append((time.process_time() - start) / loop["iterations"])
         us = 1e6 * statistics.median(samples)
-        cell = f"{csv:.1f}" if n == L1_SEEDS[0] else "null"
-        print(f"{spec.kind:>6} {n:>6} {loop['iterations']:>10} {us:>10.1f} {cell:>17}", flush=True)
+        cells = [f"{csv:.1f}", f"{writer:.1f}", f"{parent_write:.1f}"] if n == L1_SEEDS[0] else ["null"] * 3
+        print(f"{spec.kind:>6} {n:>6} {loop['iterations']:>10} {us:>10.1f} {cells[0]:>17} {cells[1]:>10} "
+              f"{cells[2]:>16}", flush=True)
 
 
 def main(argv=None) -> int:

@@ -226,15 +226,16 @@ def lead_fields(values) -> np.ndarray:
     ``width``, the longest text's length, so that :func:`csv_chunks` drops them.
     """
     values = np.ascontiguousarray(values, dtype=float).ravel()
-    out = np.zeros((values.size, WIDTH), np.uint8)
-    width = 0
+    out = np.zeros((values.size, 0), np.uint8)
     for start in range(0, values.size, _CHUNK_VALUES):
-        fields = _fields(values[start : start + _CHUNK_VALUES, None])[:, 0]
-        filled = fields != 0
-        lengths = filled.sum(axis=1)
-        out[start : start + _CHUNK_VALUES][np.arange(WIDTH) < lengths[:, None]] = fields[filled]
-        width = max(width, lengths.max())
-    return out[:, :width]
+        # The chunk's texts, one after another, each ending in its comma.
+        flat = _words(values[start : start + _CHUNK_VALUES])[0].view(np.uint8).ravel()
+        text = flat[flat != 0]
+        lengths = np.diff(np.flatnonzero(text == ord(",")), prepend=-1)
+        if lengths.max() > out.shape[1]:
+            out = np.pad(out, ((0, 0), (0, lengths.max() - out.shape[1])))
+        out[start : start + lengths.size][np.arange(out.shape[1]) < lengths[:, None]] = text
+    return out
 
 
 def _rows(leads, strides, rows: range, values: np.ndarray) -> bytes:
@@ -262,6 +263,26 @@ def _rows(leads, strides, rows: range, values: np.ndarray) -> bytes:
     return flat[flat != 0].tobytes()
 
 
+def _joined(blocks):
+    """``blocks``, each run of consecutive ones smaller than a chunk joined into one of at most a chunk.
+
+    Each block held back to be joined is also yielded at once, as no rows.
+    """
+    held, size = [], 0
+    for values in blocks:
+        if held and size + values.size > _CHUNK_VALUES:
+            yield np.concatenate(held)
+            held, size = [], 0
+        if values.size >= _CHUNK_VALUES:
+            yield values
+        else:
+            held.append(values)
+            size += values.size
+            yield values[:0]
+    if held:
+        yield np.concatenate(held)
+
+
 def csv_chunks(leads, blocks):
     """The CSV rows of a grid, ``blocks`` the 2-D float arrays of its rows' values in turn.
 
@@ -270,11 +291,16 @@ def csv_chunks(leads, blocks):
     fields, then ``'%.17g' % value`` for each value, joined by commas and
     ended by a newline; blocks need not line up with the axes.  Yields the
     bytes of about :data:`_CHUNK_VALUES` values' rows at a time, each chunk's
-    leading fields picked as it is formatted.
+    leading fields picked as it is formatted.  Consecutive blocks smaller
+    than that are formatted together, up to that many values, and each of
+    them yields no bytes as it is taken, so that the caller has a turn at
+    least once per block and once per chunk.
     """
     strides = [np.prod([len(lead) for lead in leads[k + 1 :]], dtype=int) for k in range(len(leads))]
     first = 0
-    for values in blocks:
+    for values in _joined(blocks):
+        if not len(values):
+            yield b""
         step = max(1, _CHUNK_VALUES // max(values.shape[1], 1))
         for start in range(0, len(values), step):
             chunk = values[start : start + step]

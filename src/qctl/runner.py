@@ -3,7 +3,7 @@
 Each run kind is a generator ``(config, specs, diagnostics)`` over the
 regimes, ``specs`` being the pure and the mixed ensemble, that yields ``(file
 name, header, axes, blocks)`` for every CSV.  It records its diagnostics in
-its own body, never while ``blocks`` is consumed, since that happens in
+its own body, never while ``blocks`` is consumed, since that may happen in
 another process.  The rows of a CSV are the points of the grid of its 1-D
 ``axes`` in C order: (t, x) for density, (t, R, u) for Wigner, (t,) for
 trajectories, arrival and observables, and (epsilon,) for the arrival
@@ -15,20 +15,25 @@ each row's leading fields by its grid index, a chunk of rows at a time, so
 blocks need not line up with the axes, and formats the values of each block
 by numpy, to the bytes that CPython's ``'%.17g' %`` writes.
 
-:func:`run_experiment` alone writes the CSVs, one forked writer per CSV
-(``os.fork``).  The parent iterates the generator; for each file a child
-evaluates the blocks, formats the rows and exits.  At most as many writers
-run at once as the process has CPUs (``os.sched_getaffinity``), while the
-parent takes the next file.  The parent reaps the writers in the order of
-their files: it reads the oldest writer's pipe to its end, then waits for
-that writer.  It reaps one whenever every CPU is taken, and all of them
-before it writes the manifest, which records each writer's CPU seconds and
-peak RSS under ``writers``, in file order.  A failing writer sends its
-exception through the pipe, and the parent raises it with the writer's class
-and message (a RuntimeError with the writer's traceback if it cannot be
-rebuilt).  Reaped in order, the first failure is the earliest file's, and
-every writer still running belongs to a later file; an exception in the
-parent's generator is raised only once the writers already forked are
+:func:`run_experiment` alone writes the CSVs.  A file of fewer than
+:data:`_FORK_FIELDS` fields, counted from its axes and header before any
+block is evaluated, is written by the parent as it takes the file.  Each
+larger file gets a forked writer (``os.fork``): the parent iterates the
+generator, and for each such file a child evaluates the blocks, formats the
+rows and exits.  At most as many writers run at once as the process has
+CPUs (``os.sched_getaffinity``), while the parent takes the next file.  The
+parent reaps the writers in the order of their files: it reads the oldest
+writer's pipe to its end, then waits for that writer.  It reaps one whenever
+every CPU is taken, and all of them before it writes the manifest, which
+records for each file, in file order under ``writers``, whether it was
+``forked``, and its writer's CPU seconds and peak RSS: for a file written by
+the parent, the parent's process time while writing it and its peak RSS so
+far.  A failing writer sends its exception through the pipe, and the parent
+raises it with the writer's class and message (a RuntimeError with the
+writer's traceback if it cannot be rebuilt).  Reaped in order, the first
+failure is the earliest forked file's, and every writer still running
+belongs to a later file; an exception in the parent, from its generator or
+from a file it writes, is raised only once the writers already forked are
 reaped.  So the run raises what one process writing the files in order
 would: the failure of the earliest file that fails, else the parent's own.
 On a failure the parent kills and reaps the running writers, removes every
@@ -36,12 +41,12 @@ CSV of the run and raises.  Any other exit, such as KeyboardInterrupt or the
 SystemExit that the CLI raises on SIGTERM, does the same at once.  A parent
 killed outright, by SIGKILL or the OOM killer, cannot: each writer compares
 its parent's pid with the one it was forked from before it writes each chunk
-of about 4,096 values, and exits once it has been reparented, leaving its CSV
-partial.  The cost of the order: a CPU that a later file's writer frees
-stays idle until the oldest writer ends.  One run kind's files cost about
-the same, so the idle is short: on the benchmark's wigner config, four files
-of about 0.4 s each on two CPUs, the second writer ended up to 0.065 s
-before the first.  This is POSIX-only: it needs ``os.fork``, and
+of about 4,096 values and as it takes each block, and exits once it has been
+reparented, leaving its CSV partial.  The cost of the order: a CPU that a
+later file's writer frees stays idle until the oldest writer ends.  One run
+kind's files cost about the same, so the idle is short: on the benchmark's
+wigner config, four files of about 0.4 s each on two CPUs, the second writer
+ended up to 0.065 s before the first.  This is POSIX-only: it needs ``os.fork``, and
 ``os.sched_getaffinity``, which Linux has.
 
 Outputs are deterministic: fixed evaluation and summation order, 17
@@ -55,8 +60,10 @@ from __future__ import annotations
 
 import ctypes
 import json
+import math
 import os
 import pickle
+import resource
 import time as _time
 import traceback
 from collections import Counter, deque
@@ -81,6 +88,12 @@ __all__ = ["run_experiment"]
 SUPPORT_LOSS_FLAG = 1e-6
 TAIL_FRACTION_FLAG = 1e-3
 
+# Fields of the smallest CSV that gets a forked writer; a smaller one is
+# written by the parent.  A writer costs 11-16 ms of CPU for its fork, page
+# faults and formatter start-up, about what the parent takes to format 2^16
+# fields (~250 ns a field).
+_FORK_FIELDS = 1 << 16
+
 # Observables CSV columns per ensemble kind: ObservableRecord fields and units.
 _OBSERVABLE_UNITS = {
     "mean_x": "length",
@@ -98,11 +111,11 @@ def _write_csv(path: Path, header: list[str], axes, blocks, parent: int | None =
     The rows are the points of the grid of the 1-D ``axes`` in C order, each
     row's leading fields its point and its other fields the next row of
     ``blocks``, 2-D float arrays.  Each axis is formatted once.  A writer
-    passes the pid of the ``parent`` it was forked from, and exits before the
-    first chunk of about 4,096 values that finds it reparented.
+    passes the pid of the ``parent`` it was forked from, and exits at the
+    first chunk of about 4,096 values, or block, that finds it reparented.
     """
-    # The formatter is imported by the writers only, which alone format, so
-    # that it adds nothing to the parent's import time and memory.
+    # The formatter is imported by the first file written, so that it adds
+    # nothing to the import time, nor to a parent that forks every file.
     from .csvtext import csv_chunks, lead_fields
 
     with open(path, "wb") as handle:
@@ -332,24 +345,42 @@ def _writer_failure(name: str, status: int, payload: bytes) -> BaseException:
 
 
 class _Writers:
-    """The forked CSV writers of one run, at most one per available CPU at a time."""
+    """The CSV writers of one run: the parent for a small file, else a forked writer.
+
+    At most one forked writer per available CPU runs at a time.
+    """
 
     def __init__(self):
         self.slots = len(os.sched_getaffinity(0))
-        # The CSVs of the writers forked, in order.
+        # The CSVs of the run, in order.
         self.paths: list[Path] = []
         # CSV name, pid and pipe read end of each running writer, oldest first.
         self.running: deque[tuple[str, int, int]] = deque()
-        # CSV name -> CPU seconds and peak RSS of its writer, in file order.
-        self.usage: dict[str, dict] = {}
+        # CSV name -> its writer's CPU seconds and peak RSS, and whether it
+        # was forked, in file order; None while its forked writer runs.
+        self.usage: dict[str, dict | None] = {}
 
     def start(self, path: Path, header: list[str], axes, blocks) -> None:
-        """Fork the writer of ``path`` once a CPU is free; raise an earlier writer's failure."""
+        """Write ``path``, or fork its writer once a CPU is free; raise an earlier writer's failure.
+
+        A file of fewer than :data:`_FORK_FIELDS` fields, its rows the points
+        of the grid of ``axes``, is written here, while the writers of
+        earlier files run on.
+        """
+        if math.prod(map(len, axes)) * len(header) < _FORK_FIELDS:
+            self.paths.append(path)
+            started = _time.process_time()
+            _write_csv(path, header, axes, blocks)
+            self.usage[path.name] = {"cpu_s": _time.process_time() - started,
+                                     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                                     "forked": False}
+            return
         while len(self.running) >= self.slots:
             self._reap()
         pid, pipe = _fork_writer(path, header, axes, blocks)
         self.running.append((path.name, pid, pipe))
         self.paths.append(path)
+        self.usage[path.name] = None
 
     def join(self) -> None:
         """Reap every writer; raise the failure of the earliest file that failed."""
@@ -379,7 +410,8 @@ class _Writers:
         os.close(pipe)
         _, status, usage = os.wait4(pid, 0)
         self.usage[name] = {"cpu_s": usage.ru_utime + usage.ru_stime,
-                            "peak_rss_mb": usage.ru_maxrss / 1024}  # Linux: kB
+                            "peak_rss_mb": usage.ru_maxrss / 1024,  # Linux: kB
+                            "forked": True}
         if status:
             self.kill()
             raise _writer_failure(name, status, payload)

@@ -11,12 +11,14 @@ others within four decades (lengths within one, epsilon down to 1e-8), so
 that many are rejected or trip a numerical guard.
 Whatever the document, the run must exit 0, 2 or 3; a failed run leaves no
 CSV and no manifest, and a finished one lists exactly the CSVs it wrote.
+Each document's files are all forked, or written as the run chooses (all by
+the parent, at these sizes), one or the other at random.
 """
 
 import json
 import random
 
-from qctl import hydrodynamics
+from qctl import hydrodynamics, runner
 from qctl.cli import main
 from qctl.config import RUN_KINDS
 
@@ -64,10 +66,13 @@ def test_every_document_exits_0_2_or_3_and_leaves_its_outputs_consistent(tmp_pat
     # A small budget bounds the trajectory runs of documents whose steps are tiny.
     monkeypatch.setattr(hydrodynamics, "MAX_ATTEMPTS", 200)
     rng = random.Random(5)
+    # Its own generator, so that the documents do not depend on the draws.
+    fork_rng, fork_fields = random.Random(6), runner._FORK_FIELDS
     codes = []
     for i in range(DOCUMENTS):
         path, out = tmp_path / f"doc{i}.json", tmp_path / f"out{i}"
         path.write_text(json.dumps(_document(rng)), encoding="utf-8")
+        monkeypatch.setattr(runner, "_FORK_FIELDS", fork_rng.choice((0, fork_fields)))
         code = main([rng.choice(RUN_KINDS), "--config", str(path), "--out", str(out)])
         assert code in (0, 2, 3), path.read_text(encoding="utf-8")
         written = sorted(p.name for p in out.glob("*.csv"))

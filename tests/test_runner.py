@@ -553,6 +553,7 @@ def test_no_writer_outlives_the_run(tmp_path, monkeypatch):
     # would sleep for a minute: that one is killed, not waited for.
     import qctl.runner as runner
 
+    monkeypatch.setattr(runner, "_FORK_FIELDS", 0)
     config = parse_config(json.dumps(small_config("density", out_dir=str(tmp_path))))
     manifest = run_experiment(config)
     assert_no_child_left()
@@ -598,6 +599,7 @@ def test_writers_are_recorded_in_file_order(tmp_path, monkeypatch):
         yield from blocks
 
     monkeypatch.setitem(runner._RUNS, "density", first_late)
+    monkeypatch.setattr(runner, "_FORK_FIELDS", 0)
     config = parse_config(json.dumps(small_config("density", out_dir=str(tmp_path))))
     manifest = run_experiment(config)
     stored = json.loads((tmp_path / "manifest.json").read_text())
@@ -627,6 +629,7 @@ def test_no_writer_is_forked_after_a_failure(tmp_path, monkeypatch):
 
     monkeypatch.setitem(runner._RUNS, "arrival", second_fails)
     monkeypatch.setattr(runner, "_fork_writer", counted)
+    monkeypatch.setattr(runner, "_FORK_FIELDS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     config = parse_config(json.dumps(small_config("arrival", out_dir=str(tmp_path))))
     with pytest.raises(RuntimeError, match="^boom$"):
@@ -636,11 +639,12 @@ def test_no_writer_is_forked_after_a_failure(tmp_path, monkeypatch):
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("second", ["writer", "parent"])
+@pytest.mark.parametrize("second", ["writer", "parent", "parent-written"])
 def test_the_earliest_file_failure_is_raised(tmp_path, monkeypatch, second):
     # The first file's writer fails last.  The second file's writer, or the
-    # parent as it takes the second file, fails first.  The run raises the
-    # first file's failure, as one process writing the files in order would.
+    # parent as it takes the second file or writes it, fails first.  The run
+    # raises the first file's failure, as one process writing the files in
+    # order would.
     import qctl.runner as runner
 
     def slow_failure(blocks):
@@ -655,9 +659,14 @@ def test_the_earliest_file_failure_is_raised(tmp_path, monkeypatch, second):
         name, header, axes, blocks = next(files)
         if second == "parent":
             raise OSError(errno.EIO, "second")
+        if second == "parent-written":
+            # One time's rows, 4,100 fields: the parent writes this file.
+            yield name, header, (axes[0][:1], axes[1]), raise_after([], OSError(errno.EIO, "second"))
         yield name, header, axes, raise_after(blocks, OSError(errno.EIO, "second"))
 
     monkeypatch.setitem(runner._RUNS, "density", failing)
+    # The first file's 20,500 fields are forked in every case.
+    monkeypatch.setattr(runner, "_FORK_FIELDS", 10_000 if second == "parent-written" else 0)
     config = parse_config(json.dumps(small_config("density", out_dir=str(tmp_path))))
     with pytest.raises(NumericalGuardError, match="^first$"):
         run_experiment(config)
@@ -680,6 +689,7 @@ def wigner(config, specs, diagnostics):
         yield name, header, axes, stalled(blocks)
 
 runner._RUNS["wigner"] = wigner
+runner._FORK_FIELDS = 0
 sys.exit(main(sys.argv[1:]))
 """
 
@@ -729,6 +739,7 @@ def wigner(config, specs, diagnostics):
         yield name, header, axes, slowed(blocks)
 
 runner._RUNS["wigner"] = wigner
+runner._FORK_FIELDS = 0
 sys.exit(main(sys.argv[1:]))
 """
 
@@ -827,6 +838,7 @@ def test_cli_writer_io_error_exit_code(tmp_path, capsys, monkeypatch):
             yield name, header, axes, raise_after(blocks, OSError(errno.ENOSPC, "No space left on device"))
 
     monkeypatch.setitem(runner._RUNS, "density", disk_full)
+    monkeypatch.setattr(runner, "_FORK_FIELDS", 0)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(small_config("density")))
     out_dir = tmp_path / "out"
@@ -869,6 +881,7 @@ def test_writer_failure_that_cannot_be_rebuilt(tmp_path, monkeypatch, local):
             yield name, header, axes, raise_after(blocks, exc)
 
     monkeypatch.setitem(runner._RUNS, "density", failing)
+    monkeypatch.setattr(runner, "_FORK_FIELDS", 0)
     config = parse_config(json.dumps(small_config("density", out_dir=str(tmp_path))))
     with pytest.raises(RuntimeError, match="the writer of density_eps.* failed") as raised:
         run_experiment(config)
@@ -889,6 +902,7 @@ def test_writer_failure_larger_than_a_pipe_buffer(tmp_path, monkeypatch):
             yield name, header, axes, raise_after(blocks, NumericalGuardError(message))
 
     monkeypatch.setitem(runner._RUNS, "density", failing)
+    monkeypatch.setattr(runner, "_FORK_FIELDS", 0)
     config = parse_config(json.dumps(small_config("density", out_dir=str(tmp_path))))
     signal.alarm(60)
     try:
@@ -906,10 +920,33 @@ def test_one_cpu_writes_the_same_csvs(tmp_path, monkeypatch, run_kind):
         run_experiment(parse_config(json.dumps(small_config(run_kind, out_dir=str(out_dir)))))
         return {p.name: p.read_bytes() for p in sorted(out_dir.glob("*.csv"))}
 
+    import qctl.runner as runner
+
+    monkeypatch.setattr(runner, "_FORK_FIELDS", 0)
     default = csvs(tmp_path / "default")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert csvs(tmp_path / "one") == default
     assert len(default) == (3 if run_kind == "arrival" else 2)
+
+
+@pytest.mark.parametrize("run_kind", RUN_KINDS)
+def test_forked_and_parent_written_files_are_the_same(tmp_path, monkeypatch, run_kind):
+    # Every file forked, then every file written by the parent: the same CSV
+    # bytes and the same manifest, but for the timings and each file's writer.
+    import qctl.runner as runner
+
+    def run(fork_fields):
+        out_dir = tmp_path / str(fork_fields)
+        monkeypatch.setattr(runner, "_FORK_FIELDS", fork_fields)
+        manifest = run_experiment(parse_config(json.dumps(small_config(run_kind, out_dir=str(out_dir)))))
+        writers = manifest.pop("writers")
+        assert sorted(writers) == manifest["outputs"]
+        assert {usage["forked"] for usage in writers.values()} == {fork_fields == 0}
+        del manifest["wall_clock_seconds"], manifest["config"]["out_dir"]
+        return {p.name: p.read_bytes() for p in sorted(out_dir.glob("*.csv"))}, manifest
+
+    assert run(0) == run(10**12)
+    assert_no_child_left()
 
 
 def test_manifest_contents(tmp_path):
