@@ -35,7 +35,11 @@ of the density run on the same packets (epsilon = 1, the default 2048
 positions and 41 times, 167,936 density values), its blocks evaluated first,
 written through ``qctl.runner._write_csv`` to a temporary file; the median
 over ``--repeat`` writes of the process time per density value (the other
-rows print null).  A density file's blocks are 2-D float arrays of density
+rows print null).  It is timed last, under the malloc settings of the forked
+writers that write every density file of a run (glibc's ``mallopt``, as
+``qctl.runner._fork_writer`` sets them): with glibc's defaults the
+formatter's temporaries of about 200 kB a chunk are unmapped or trimmed and
+faulted in again for every chunk, which no writer pays.  A density file's blocks are 2-D float arrays of density
 values, its t and x given by its axes; an older tree's blocks are
 ``(lead, values)`` pairs.  Only the density values are counted, so both
 forms are timed alike.  The first row also holds the cost of one forked
@@ -56,6 +60,7 @@ it has run.
 """
 
 import argparse
+import ctypes
 import json
 import os
 import statistics
@@ -142,10 +147,7 @@ def _l1(spec, regime, repeat: int) -> None:
 
     # Before the formatter is imported here, so that each writer imports it.
     writer, parent_write = _writer_us(spec.packet_a, spec.packet_b, repeat)
-    csv = _csv_ns_per_value(spec.packet_a, spec.packet_b, repeat)
-    header = (("kind", 6), ("seeds", 6), ("iterations", 10), ("loop_us", 10), ("csv_ns_per_value", 17),
-              ("writer_us", 10), ("parent_write_us", 16))
-    print(*(name.rjust(width) for name, width in header))
+    loops = []
     for n in L1_SEEDS:
         seeds = -18.0 + 16.0 * (np.arange(n) + 0.5) / n
         samples = []
@@ -153,10 +155,16 @@ def _l1(spec, regime, repeat: int) -> None:
             start = time.process_time()
             _, loop = trajectory_fans([(spec, regime, seeds)], L1_T_END, 1e-2)
             samples.append((time.process_time() - start) / loop["iterations"])
-        us = 1e6 * statistics.median(samples)
+        loops.append((n, loop["iterations"], 1e6 * statistics.median(samples)))
+    ctypes.CDLL(None).mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    ctypes.CDLL(None).mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    csv = _csv_ns_per_value(spec.packet_a, spec.packet_b, repeat)
+    header = (("kind", 6), ("seeds", 6), ("iterations", 10), ("loop_us", 10), ("csv_ns_per_value", 17),
+              ("writer_us", 10), ("parent_write_us", 16))
+    print(*(name.rjust(width) for name, width in header))
+    for n, iterations, us in loops:
         cells = [f"{csv:.1f}", f"{writer:.1f}", f"{parent_write:.1f}"] if n == L1_SEEDS[0] else ["null"] * 3
-        print(f"{spec.kind:>6} {n:>6} {loop['iterations']:>10} {us:>10.1f} {cells[0]:>17} {cells[1]:>10} "
-              f"{cells[2]:>16}", flush=True)
+        print(f"{spec.kind:>6} {n:>6} {iterations:>10} {us:>10.1f} {cells[0]:>17} {cells[1]:>10} {cells[2]:>16}")
 
 
 def main(argv=None) -> int:

@@ -228,13 +228,17 @@ def lead_fields(values) -> np.ndarray:
     values = np.ascontiguousarray(values, dtype=float).ravel()
     out = np.zeros((values.size, 0), np.uint8)
     for start in range(0, values.size, _CHUNK_VALUES):
-        # The chunk's texts, one after another, each ending in its comma.
-        flat = _words(values[start : start + _CHUNK_VALUES])[0].view(np.uint8).ravel()
-        text = flat[flat != 0]
-        lengths = np.diff(np.flatnonzero(text == ord(",")), prepend=-1)
+        # A field's 32 bytes, its text and NULs: masked contiguous, not as
+        # the strided 29-byte view of _fields, which numpy copies slowly.
+        words = _words(values[start : start + _CHUNK_VALUES])[0].view(np.uint8)
+        filled = words != 0
+        lengths = filled.sum(axis=1)
+        # Only the longest text's bytes are held a value, widened as it grows.
         if lengths.max() > out.shape[1]:
-            out = np.pad(out, ((0, 0), (0, lengths.max() - out.shape[1])))
-        out[start : start + lengths.size][np.arange(out.shape[1]) < lengths[:, None]] = text
+            wider = np.zeros((values.size, lengths.max()), np.uint8)
+            wider[:, : out.shape[1]] = out
+            out = wider
+        out[start : start + lengths.size][np.arange(out.shape[1]) < lengths[:, None]] = words[filled]
     return out
 
 
