@@ -39,10 +39,10 @@ rows print null).  It is timed last, under the malloc settings of the forked
 writers that write every density file of a run (glibc's ``mallopt``, as
 ``qctl.runner._fork_writer`` sets them): with glibc's defaults the
 formatter's temporaries of about 200 kB a chunk are unmapped or trimmed and
-faulted in again for every chunk, which no writer pays.  A density file's blocks are 2-D float arrays of density
-values, its t and x given by its axes; an older tree's blocks are
-``(lead, values)`` pairs.  Only the density values are counted, so both
-forms are timed alike.  The first row also holds the cost of one forked
+faulted in again for every chunk, which no writer pays.  A density file's
+blocks are 2-D float arrays of density values, its t and x given by its
+axes; an older tree's blocks are ``(lead, values)`` pairs.  Only the density
+values are counted, so both forms are timed alike.  The first row also holds the cost of one forked
 writer against the parent writing the file itself, on the smallest file of
 a run, ``arrival_summary.csv`` of the arrival run on the same packets (the
 default epsilons, four rows), in wall-clock microseconds, each the median
