@@ -68,13 +68,14 @@ WIGNER_POINT_BUDGET = 1_000_000
 
 # Points of the position grid (grid.n_points, which only the density run
 # evaluates: the manifest's trace diagnostic is exact and reads only
-# grid.x_min) and of the arrival time grid (arrival.n_points).  Both runs
-# evaluate their fields in blocks of ensembles.FIELD_BLOCK_POINTS and the
-# density run writes each block as it goes, so what grows with the points is
-# the density run's x fields and grid, about 36 bytes a point, and the arrival
-# run's few float arrays and t fields, about 66 bytes a point (peak RSS slopes
-# from 100,001 to 500,000 points, one epsilon, two density times).  At the
-# budgets they peaked at 45 MB and 62 MB on 2 CPUs.
+# grid.x_min) and of the arrival time grid (arrival.n_points).  The arrival
+# run evaluates its fields in blocks of ensembles.FIELD_BLOCK_POINTS, and the
+# density run in blocks of one CSV formatter chunk that it writes as it goes,
+# so what grows with the points is the density run's x fields and grid, about
+# 72 bytes a point, and the arrival run's few float arrays and t fields, about
+# 66 bytes a point (peak RSS slopes from 100,001 to 500,000 points, one
+# epsilon, two density times).  At the budgets they peaked at 61 MB and 62 MB
+# on 2 CPUs.
 GRID_POINT_BUDGET = 500_000
 ARRIVAL_POINT_BUDGET = 500_000
 

@@ -38,7 +38,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-__all__ = ["WIDTH", "csv_chunks", "lead_fields"]
+__all__ = ["CHUNK_VALUES", "WIDTH", "csv_chunks", "lead_fields"]
 
 # Bytes of one padded field, bytes 1 to 29 of its four words.
 WIDTH = 29
@@ -61,7 +61,7 @@ _STAND_IN = 1.2345678901234567
 _NEWLINE = ord("\n")
 # Values formatted by one pass of numpy calls: enough to spread the fixed
 # cost of a pass, few enough that its arrays stay in the CPU's caches.
-_CHUNK_VALUES = 4096
+CHUNK_VALUES = 4096
 
 
 def _word_table(rows) -> np.ndarray:
@@ -227,10 +227,10 @@ def lead_fields(values) -> np.ndarray:
     """
     values = np.ascontiguousarray(values, dtype=float).ravel()
     out = np.zeros((values.size, 0), np.uint8)
-    for start in range(0, values.size, _CHUNK_VALUES):
+    for start in range(0, values.size, CHUNK_VALUES):
         # A field's 32 bytes, its text and NULs: masked contiguous, not as
         # the strided 29-byte view of _fields, which numpy copies slowly.
-        words = _words(values[start : start + _CHUNK_VALUES])[0].view(np.uint8)
+        words = _words(values[start : start + CHUNK_VALUES])[0].view(np.uint8)
         filled = words != 0
         lengths = filled.sum(axis=1)
         # Only the longest text's bytes are held a value, widened as it grows.
@@ -267,26 +267,6 @@ def _rows(leads, strides, rows: range, values: np.ndarray) -> bytes:
     return flat[flat != 0].tobytes()
 
 
-def _joined(blocks):
-    """``blocks``, each run of consecutive ones smaller than a chunk joined into one of at most a chunk.
-
-    Each block held back to be joined is also yielded at once, as no rows.
-    """
-    held, size = [], 0
-    for values in blocks:
-        if held and size + values.size > _CHUNK_VALUES:
-            yield np.concatenate(held)
-            held, size = [], 0
-        if values.size >= _CHUNK_VALUES:
-            yield values
-        else:
-            held.append(values)
-            size += values.size
-            yield values[:0]
-    if held:
-        yield np.concatenate(held)
-
-
 def csv_chunks(leads, blocks):
     """The CSV rows of a grid, ``blocks`` the 2-D float arrays of its rows' values in turn.
 
@@ -294,18 +274,15 @@ def csv_chunks(leads, blocks):
     points, in C order, are the rows.  A row's text is its point's leading
     fields, then ``'%.17g' % value`` for each value, joined by commas and
     ended by a newline; blocks need not line up with the axes.  Yields the
-    bytes of about :data:`_CHUNK_VALUES` values' rows at a time, each chunk's
-    leading fields picked as it is formatted.  Consecutive blocks smaller
-    than that are formatted together, up to that many values, and each of
-    them yields no bytes as it is taken, so that the caller has a turn at
-    least once per block and once per chunk.
+    bytes of about :data:`CHUNK_VALUES` values' rows at a time, each chunk's
+    leading fields picked as it is formatted, and at least one chunk per
+    block of rows.  A block of fewer values is a chunk of its own, so a
+    producer of blocks sizes them to whole chunks.
     """
     strides = [np.prod([len(lead) for lead in leads[k + 1 :]], dtype=int) for k in range(len(leads))]
     first = 0
-    for values in _joined(blocks):
-        if not len(values):
-            yield b""
-        step = max(1, _CHUNK_VALUES // max(values.shape[1], 1))
+    for values in blocks:
+        step = max(1, CHUNK_VALUES // max(values.shape[1], 1))
         for start in range(0, len(values), step):
             chunk = values[start : start + step]
             yield _rows(leads, strides, range(first + start, first + start + len(chunk)), chunk)

@@ -60,10 +60,11 @@ COMPONENT_WEIGHT = 0.5
 # points at eps = 0.01 on the reference packets.
 VISIBILITY_POINT_BUDGET = 100_000
 
-# Points of a field evaluated at a time by fringe_visibility, the arrival
-# current and the density run, and times of a pair table in the observables
-# run.  Each point is evaluated on its own, so the blocks change no value;
-# they bound the temporaries of one evaluation.
+# Points of a field evaluated at a time by fringe_visibility and the arrival
+# current, and times of a pair table in the observables run; the density run
+# sizes its blocks to the CSV formatter's chunks.  Each point is evaluated on
+# its own, so the blocks change no value; they bound the temporaries of one
+# evaluation.
 FIELD_BLOCK_POINTS = 1024
 
 # Imaginary residue limit for diagonal density elements: hermiticity makes the
@@ -230,9 +231,10 @@ def _contract(phi_x, phi_y):
     return (phi_x * np.conj(phi_y)).sum(axis=0)
 
 
-def point_blocks(n: int) -> list[slice]:
-    """Consecutive slices of at most :data:`FIELD_BLOCK_POINTS` that cover ``range(n)``."""
-    return [slice(i, min(i + FIELD_BLOCK_POINTS, n)) for i in range(0, n, FIELD_BLOCK_POINTS)]
+def point_blocks(n: int, size: int | None = None) -> list[slice]:
+    """Consecutive slices of at most ``size`` (:data:`FIELD_BLOCK_POINTS`) that cover ``range(n)``."""
+    size = size or FIELD_BLOCK_POINTS
+    return [slice(i, min(i + size, n)) for i in range(0, n, size)]
 
 
 def position_densities(specs, regime: Regime, x, t) -> list:

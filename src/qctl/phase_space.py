@@ -24,10 +24,11 @@ integrals.
 Every step is elementwise in (R, u), so :func:`wigner_blocks` evaluates
 the grid in blocks of whole R rows of at most :data:`BLOCK_POINTS` points
 (one row if a row is longer), each block bit-identical to the whole grid at
-once.  A block holds the pair integrals' temporaries and its fields, 8 bytes
-a point per ensemble.  The Wigner run formats each block as it is evaluated,
-so it holds no array that spans the grid; :func:`wigner_transforms` joins the
-blocks into whole fields.
+once, and returns the work it did.  A block holds the pair integrals'
+temporaries and its fields, 8 bytes a point per ensemble, as the CSV rows of
+the Wigner run: one row per (R, u) point, one column per ensemble.  The run
+formats each block as it is evaluated, so it holds no array that spans the
+grid; :func:`wigner_transforms` joins the blocks into whole fields.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .packets import packet_terms
 from .quadrature import quadrature_weights
 from .regime import Regime
 
-__all__ = ["WignerField", "wigner_blocks", "wigner_transforms", "wigner_work", "free_liouville_residual"]
+__all__ = ["WignerField", "wigner_blocks", "wigner_transforms", "free_liouville_residual"]
 
 # (R, u) points evaluated at once.  A pair integral holds about ten complex
 # temporaries of a block's size, a few hundred kB at 4096 points.
@@ -114,13 +115,15 @@ def wigner_blocks(specs, regime: Regime, t: float, R_grid, u_grid):
     """Wigner distribution of ensembles sharing packets and wall on the (R, u) grid at t.
 
     Yields the grid a block of whole R rows at a time, in order: arrays of
-    shape (len(specs), rows, len(u_grid)), one field per ensemble, of at most
-    :data:`BLOCK_POINTS` points (one row if a row is longer).  Each value is
-    exact up to rounding.  With the wall, W vanishes for R >= 0, where the
-    window |r| <= 2|R| is empty: those rows are zeros, and a block of them
-    integrates no pair.  Each unordered pair of terms that any ensemble uses
-    is integrated once and added, with that ensemble's weight, to every field
-    it belongs to; each field is bit-identical to the one-ensemble call.
+    shape (rows * len(u_grid), len(specs)), the (R, u) points in C order and
+    one column per ensemble, of at most :data:`BLOCK_POINTS` points (one row
+    if a row is longer).  Each value is exact up to rounding.  With the wall,
+    W vanishes for R >= 0, where the window |r| <= 2|R| is empty: those rows
+    are zeros, and a block of them integrates no pair.  Each unordered pair
+    of terms that any ensemble uses is integrated once and added, with that
+    ensemble's weight, to every field it belongs to; each field is
+    bit-identical to the one-ensemble call.  Returns the work: the pair
+    integrals and the (R, u) points at which each is evaluated.
     """
     R = np.asarray(R_grid, dtype=float)
     u = np.asarray(u_grid, dtype=float)
@@ -136,6 +139,7 @@ def wigner_blocks(specs, regime: Regime, t: float, R_grid, u_grid):
     C = C.ravel()
     exponents = np.stack((A, B, G)).reshape(3, -1)
     block_rows = max(1, BLOCK_POINTS // u.size)
+    points = 0
     for start in range(0, R.size, block_rows):
         R_block = R[start : start + block_rows]
         block = np.zeros((len(specs), R_block.size, u.size))
@@ -156,25 +160,16 @@ def wigner_blocks(specs, regime: Regime, t: float, R_grid, u_grid):
             if not np.isfinite(totals).all():
                 raise NumericalGuardError(f"Wigner transform is not finite at t = {t}")
             block[:, rows] = totals
-        yield block
+            points += rows.size * u.size
+        yield block.reshape(len(specs), -1).T
+    return len(pairs), points
 
 
 def wigner_transforms(specs, regime: Regime, t: float, R_grid, u_grid) -> list[WignerField]:
     """The fields of :func:`wigner_blocks`, whole: one per ensemble, in the order of ``specs``."""
-    values = np.concatenate(list(wigner_blocks(specs, regime, t, R_grid, u_grid)), axis=1)
     R, u = np.asarray(R_grid, dtype=float), np.asarray(u_grid, dtype=float)
-    return [WignerField(R, u, field, float(t)) for field in values]
-
-
-def wigner_work(specs, regime: Regime, R_grid, u_grid) -> tuple[int, int]:
-    """Work of one :func:`wigner_blocks` call on these arguments, at any time.
-
-    Returns the pair integrals it evaluates and the (R, u) points of each.
-    """
-    first = specs[0]
-    terms = packet_terms(first.packets, regime, 0.0, first.wall)[0].shape[1]
-    pairs = _pair_weights(specs, regime, terms)[1]
-    return len(pairs), _inside(np.asarray(R_grid, dtype=float), first.wall).size * len(u_grid)
+    values = np.concatenate(list(wigner_blocks(specs, regime, t, R, u)))
+    return [WignerField(R, u, field.reshape(R.size, u.size), float(t)) for field in values.T]
 
 
 def _inside(R: np.ndarray, wall: bool) -> np.ndarray:

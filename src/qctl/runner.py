@@ -2,18 +2,26 @@
 
 Each run kind is a generator ``(config, specs, diagnostics)`` over the
 regimes, ``specs`` being the pure and the mixed ensemble, that yields ``(file
-name, header, axes, blocks)`` for every CSV.  It records its diagnostics in
-its own body, never while ``blocks`` is consumed, since that may happen in
-another process.  The rows of a CSV are the points of the grid of its 1-D
-``axes`` in C order: (t, x) for density, (t, R, u) for Wigner, (t,) for
-trajectories, arrival and observables, and (epsilon,) for the arrival
-summary.  Each row's leading fields are its grid point, and each block is a
-2-D float array of the next rows' remaining columns.  Only
-:func:`_write_csv` formats the axes, once per file
+name, header, axes, blocks)`` for every CSV.  The rows of a CSV are the
+points of the grid of its 1-D ``axes`` in C order: (t, x) for density,
+(t, R, u) for Wigner, (t,) for trajectories, arrival and observables, and
+(epsilon,) for the arrival summary.  Each row's leading fields are its grid
+point, and each block is a 2-D float array of the next rows' remaining
+columns.  Only :func:`_write_csv` formats the axes, once per file
 (:func:`qctl.csvtext.lead_fields`); :func:`qctl.csvtext.csv_chunks` picks
 each row's leading fields by its grid index, a chunk of rows at a time, so
 blocks need not line up with the axes, and formats the values of each block
-by numpy, to the bytes that CPython's ``'%.17g' %`` writes.
+by numpy, to the bytes that CPython's ``'%.17g' %`` writes.  A block smaller
+than a chunk is formatted as one, so the density run sizes its blocks to a
+chunk, :data:`qctl.csvtext.CHUNK_VALUES` values.
+
+A run kind records its diagnostics in ``diagnostics`` as it yields its
+files.  The work done while ``blocks`` is consumed, which may happen in
+another process, is reported by ``blocks`` itself: a generator of blocks may
+return a dict of manifest sections, each a dict of entries.  The writer of
+the file hands it back, and once every file is written the run merges the
+reports into ``diagnostics`` in file order, a section's entries after those
+already there.
 
 :func:`run_experiment` alone writes the CSVs.  A file of fewer than
 :data:`_FORK_FIELDS` fields, counted from its axes and header before any
@@ -28,26 +36,26 @@ every CPU is taken, and all of them before it writes the manifest, which
 records for each file, in file order under ``writers``, whether it was
 ``forked``, and its writer's CPU seconds and peak RSS: for a file written by
 the parent, the parent's process time while writing it and its peak RSS so
-far.  A failing writer sends its exception through the pipe, and the parent
-raises it with the writer's class and message (a RuntimeError with the
-writer's traceback if it cannot be rebuilt).  Reaped in order, the first
-failure is the earliest forked file's, and every writer still running
-belongs to a later file; an exception in the parent, from its generator or
-from a file it writes, is raised only once the writers already forked are
-reaped.  So the run raises what one process writing the files in order
+far.  A writer sends its file's report through the pipe, pickled; a failing
+writer sends its exception instead, and the parent raises it with the
+writer's class and message (a RuntimeError with the writer's traceback if it
+cannot be rebuilt).  Reaped in order, the first failure is the earliest
+forked file's, and every writer still running belongs to a later file; an
+exception in the parent, from its generator or from a file it writes, is
+raised only once the writers already forked are reaped.  So the run raises what one process writing the files in order
 would: the failure of the earliest file that fails, else the parent's own.
 On a failure the parent kills and reaps the running writers, removes every
 CSV of the run and raises.  Any other exit, such as KeyboardInterrupt or the
 SystemExit that the CLI raises on SIGTERM, does the same at once.  A parent
 killed outright, by SIGKILL or the OOM killer, cannot: each writer compares
 its parent's pid with the one it was forked from before it writes each chunk
-of about 4,096 values and as it takes each block, and exits once it has been
+of about 4,096 values, at least one a block, and exits once it has been
 reparented, leaving its CSV partial.  The cost of the order: a CPU that a
 later file's writer frees stays idle until the oldest writer ends.  One run
 kind's files cost about the same, so the idle is short: on the benchmark's
 wigner config, four files of about 0.4 s each on two CPUs, the second writer
-ended up to 0.065 s before the first.  This is POSIX-only: it needs ``os.fork``, and
-``os.sched_getaffinity``, which Linux has.
+ended up to 0.065 s before the first.  This is POSIX-only: it needs
+``os.fork``, and ``os.sched_getaffinity``, which Linux has.
 
 Outputs are deterministic: fixed evaluation and summation order, 17
 significant digits, LF line endings, and no run-time data inside CSV bodies.
@@ -78,7 +86,7 @@ from .ensembles import EnsembleSpec, mass_below, point_blocks, position_densitie
 from .errors import ConfigError, NumericalGuardError
 from .hydrodynamics import STATUS_COMPLETED, STATUS_NON_FINITE, record_times, trajectory_fans
 from .observables import heisenberg_check, observable_record
-from .phase_space import wigner_blocks, wigner_work
+from .phase_space import wigner_blocks
 from .regime import Regime, epsilon_tag
 
 __all__ = ["run_experiment"]
@@ -105,25 +113,33 @@ _OBSERVABLE_UNITS = {
 }
 
 
-def _write_csv(path: Path, header: list[str], axes, blocks, parent: int | None = None) -> None:
+def _write_csv(path: Path, header: list[str], axes, blocks, parent: int | None = None) -> dict:
     """Write the header, then the rows of the grid of ``axes``, every float to 17 digits.
 
     The rows are the points of the grid of the 1-D ``axes`` in C order, each
     row's leading fields its point and its other fields the next row of
     ``blocks``, 2-D float arrays.  Each axis is formatted once.  A writer
     passes the pid of the ``parent`` it was forked from, and exits at the
-    first chunk of about 4,096 values, or block, that finds it reparented.
+    first chunk of about 4,096 values, at least one a block, that finds it
+    reparented.  Returns the manifest sections that ``blocks`` returned, if
+    any.
     """
     # The formatter is imported by the first file written, so that it adds
     # nothing to the import time, nor to a parent that forks every file.
     from .csvtext import csv_chunks, lead_fields
 
+    report = {}
+
+    def taken():
+        report.update((yield from blocks) or {})
+
     with open(path, "wb") as handle:
         handle.write((",".join(header) + "\n").encode("utf-8"))
-        for chunk in csv_chunks([lead_fields(axis) for axis in axes], blocks):
+        for chunk in csv_chunks([lead_fields(axis) for axis in axes], taken()):
             if parent is not None and os.getppid() != parent:
                 os._exit(1)
             handle.write(chunk)
+    return report
 
 
 def _seed_positions(config: ExperimentConfig, spec: EnsembleSpec, regime: Regime) -> np.ndarray:
@@ -154,10 +170,12 @@ def _density(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: d
     header = ["t [time]", "x [length]"] + [f"density_{spec.kind} [1/length]" for spec in specs]
 
     def blocks(regime):
-        # Each time's rows a block of positions at a time, written as they are
-        # evaluated, so only one block's fields are held.
+        # Each time's rows a formatter chunk of values at a time, written as
+        # they are evaluated, so only one chunk's fields are held.
+        from .csvtext import CHUNK_VALUES
+
         for t in times:
-            for block in point_blocks(x.size):
+            for block in point_blocks(x.size, max(1, CHUNK_VALUES // len(specs))):
                 yield np.column_stack(position_densities(specs, regime, x[block], t))
 
     for regime in config.regimes():
@@ -266,16 +284,17 @@ def _wigner(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: di
     axes = (settings.times, R, u)
 
     def blocks(regime):
-        # Each block of R rows formatted as it is evaluated: the pure and
-        # mixed values of a point side by side.
+        # Each block of R rows formatted as it is evaluated, and the work
+        # counted where it is done: the pair integrals of every time, on the
+        # points of one.
+        pair_integrals = 0
         for t in settings.times:
-            for block in wigner_blocks(specs, regime, t, R, u):
-                yield block.reshape(len(specs), -1).T
+            pairs, points = yield from wigner_blocks(specs, regime, t, R, u)
+            pair_integrals += pairs
+        work = {"pair_integrals": pair_integrals, "points": points}
+        return {"wigner": {epsilon_tag(regime.epsilon): work}}
 
     for regime in config.regimes():
-        pair_integrals, points = wigner_work(specs, regime, R, u)
-        work = {"pair_integrals": pair_integrals * len(settings.times), "points": points}
-        diagnostics.setdefault("wigner", {})[epsilon_tag(regime.epsilon)] = work
         yield f"wigner_eps{epsilon_tag(regime.epsilon)}.csv", header, axes, blocks(regime)
 
 
@@ -287,8 +306,9 @@ def _fork_writer(path: Path, header: list[str], axes, blocks) -> tuple[int, int]
     """Fork a child that writes ``path`` from ``axes`` and ``blocks`` and exits.
 
     Returns the child's pid and the read end of a pipe.  On success the child
-    closes the pipe unused.  On failure it sends its traceback text and its
-    exception, pickled (None if the exception cannot be), and exits 1.
+    sends the report of :func:`_write_csv`, pickled, and exits 0.  On failure
+    it sends its traceback text and its exception, pickled (None if the
+    exception cannot be), and exits 1.
     """
     pipe, child_end = os.pipe()
     parent = os.getpid()
@@ -311,7 +331,9 @@ def _fork_writer(path: Path, header: list[str], axes, blocks) -> tuple[int, int]
         # largest block either way, so it keeps and reuses what it frees.
         ctypes.CDLL(None).mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
         ctypes.CDLL(None).mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-        _write_csv(path, header, axes, blocks, parent)
+        report = _write_csv(path, header, axes, blocks, parent)
+        with open(child_end, "wb") as handle:
+            handle.write(pickle.dumps(report))
         status = 0
     except BaseException as exc:
         try:
@@ -359,6 +381,9 @@ class _Writers:
         # CSV name -> its writer's CPU seconds and peak RSS, and whether it
         # was forked, in file order; None while its forked writer runs.
         self.usage: dict[str, dict | None] = {}
+        # CSV name -> the report of its blocks, in file order; empty while
+        # its forked writer runs.
+        self.reports: dict[str, dict] = {}
 
     def start(self, path: Path, header: list[str], axes, blocks) -> None:
         """Write ``path``, or fork its writer once a CPU is free; raise an earlier writer's failure.
@@ -370,7 +395,7 @@ class _Writers:
         if math.prod(map(len, axes)) * len(header) < _FORK_FIELDS:
             self.paths.append(path)
             started = _time.process_time()
-            _write_csv(path, header, axes, blocks)
+            self.reports[path.name] = _write_csv(path, header, axes, blocks)
             self.usage[path.name] = {"cpu_s": _time.process_time() - started,
                                      "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
                                      "forked": False}
@@ -381,6 +406,7 @@ class _Writers:
         self.running.append((path.name, pid, pipe))
         self.paths.append(path)
         self.usage[path.name] = None
+        self.reports[path.name] = {}
 
     def join(self) -> None:
         """Reap every writer; raise the failure of the earliest file that failed."""
@@ -396,12 +422,13 @@ class _Writers:
             os.waitpid(pid, 0)
 
     def _reap(self) -> None:
-        """Read the oldest writer's pipe to its end, then reap that writer.
+        """Read the oldest writer's pipe to its end, then reap that writer and take its report.
 
-        The pipe is read before the writer is waited for, so a failure larger
-        than the pipe's buffer cannot block the writer's exit.  On a failure
-        the writers of later files are killed, as one process writing the
-        files in order would not have reached them, and the failure raised.
+        The pipe is read before the writer is waited for, so a report or a
+        failure larger than the pipe's buffer cannot block the writer's exit.
+        On a failure the writers of later files are killed, as one process
+        writing the files in order would not have reached them, and the
+        failure raised.
         """
         name, pid, pipe = self.running[0]
         with open(pipe, "rb", closefd=False) as handle:
@@ -415,6 +442,7 @@ class _Writers:
         if status:
             self.kill()
             raise _writer_failure(name, status, payload)
+        self.reports[name] = pickle.loads(payload)
 
 
 def _trace_drift(config: ExperimentConfig, specs: list[EnsembleSpec], regime: Regime) -> dict:
@@ -458,6 +486,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
             writers.join()
             raise
         writers.join()
+        for report in writers.reports.values():
+            for section, entries in report.items():
+                diagnostics.setdefault(section, {}).update(entries)
         for regime in config.regimes():
             diagnostics["trace"][epsilon_tag(regime.epsilon)] = _trace_drift(config, specs, regime)
     except BaseException:

@@ -10,7 +10,8 @@ factor of 2 (epsilon within 4 of 1), so that most run to the end, in the
 others within four decades (lengths within one, epsilon down to 1e-8), so
 that many are rejected or trip a numerical guard.
 Whatever the document, the run must exit 0, 2 or 3; a failed run leaves no
-CSV and no manifest, and a finished one lists exactly the CSVs it wrote.
+CSV and no manifest, and a finished one lists exactly the CSVs it wrote, and
+a finished Wigner run the work its writers counted.
 Each document's files are all forked, or written as the run chooses (all by
 the parent, at these sizes), one or the other at random.
 """
@@ -71,9 +72,11 @@ def test_every_document_exits_0_2_or_3_and_leaves_its_outputs_consistent(tmp_pat
     codes = []
     for i in range(DOCUMENTS):
         path, out = tmp_path / f"doc{i}.json", tmp_path / f"out{i}"
-        path.write_text(json.dumps(_document(rng)), encoding="utf-8")
+        document = _document(rng)
+        path.write_text(json.dumps(document), encoding="utf-8")
         monkeypatch.setattr(runner, "_FORK_FIELDS", fork_rng.choice((0, fork_fields)))
-        code = main([rng.choice(RUN_KINDS), "--config", str(path), "--out", str(out)])
+        kind = rng.choice(RUN_KINDS)
+        code = main([kind, "--config", str(path), "--out", str(out)])
         assert code in (0, 2, 3), path.read_text(encoding="utf-8")
         written = sorted(p.name for p in out.glob("*.csv"))
         if code:
@@ -81,6 +84,10 @@ def test_every_document_exits_0_2_or_3_and_leaves_its_outputs_consistent(tmp_pat
         else:
             manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
             assert manifest["outputs"] == written
+            if kind == "wigner":
+                # Each time the 10 term pairs of both kinds, on the 8 rows R < 0 of 9 u points.
+                work = {"pair_integrals": 10 * len(document["wigner"]["times"]), "points": 8 * 9}
+                assert list(manifest["diagnostics"]["wigner"].values()) == [work] * len(document["epsilons"])
         codes.append(code)
     # Enough documents run to the end that the exit-0 branch is exercised.
     assert codes.count(0) >= DOCUMENTS // 4, codes

@@ -125,7 +125,7 @@ def test_every_decimal_exponent_and_digit_count():
 
 @pytest.mark.parametrize("chunk", [1, 7, 4096])
 def test_blocks_starting_inside_a_chunk(chunk, monkeypatch):
-    monkeypatch.setattr(csvtext, "_CHUNK_VALUES", chunk)
+    monkeypatch.setattr(csvtext, "CHUNK_VALUES", chunk)
     rng = np.random.default_rng(11)
     t, x = np.array([0.25, -3.0]), rng.normal(size=50) * 100.0
     values = rng.normal(size=(2, x.size, 3))
@@ -141,15 +141,3 @@ def test_lead_fields_are_padded_to_the_longest():
     assert fields.shape == (3, len(b"-0.123456789,"))
     assert fields[0].tobytes().rstrip(b"\0") == b"1,"
     assert csvtext.lead_fields([]).shape == (0, 0)
-
-
-def test_small_blocks_are_formatted_together(monkeypatch):
-    # Blocks of 20 values with chunks of 64: three blocks a chunk, each block
-    # also yielding an empty chunk as it is taken.  A block of a chunk or
-    # more is formatted on its own.
-    monkeypatch.setattr(csvtext, "_CHUNK_VALUES", 64)
-    values = np.random.default_rng(3).normal(size=(82, 2))
-    blocks = [values[i : i + 10] for i in range(0, 50, 10)] + [values[50:]]
-    chunks = list(csvtext.csv_chunks((), blocks))
-    assert b"".join(chunks) == cpython(values)
-    assert [chunk.count(b"\n") for chunk in chunks] == [0, 0, 0, 30, 0, 0, 20, 32]

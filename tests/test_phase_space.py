@@ -15,9 +15,19 @@ from qctl import (
     wigner_transforms,
 )
 from qctl import phase_space
-from qctl.phase_space import wigner_work
+from qctl.phase_space import wigner_blocks
 from qctl.ensembles import diagonal_pairs
 from qctl.gaussians import erfcx
+
+
+def wigner_work(specs, regime, t, R, u):
+    """What :func:`wigner_blocks` returns once its blocks are taken: its pair integrals and points."""
+    blocks = wigner_blocks(specs, regime, t, R, u)
+    try:
+        while True:
+            next(blocks)
+    except StopIteration as stop:
+        return stop.value
 
 
 def free_single(packet):
@@ -279,7 +289,7 @@ def test_shared_pair_table_equals_one_ensemble_calls(wall, packet_a, packet_b, q
     # Wall: 10 unordered pairs of the 4 terms, the mixture's 6 among them.
     # Free: the 3 pairs of the 2 direct terms, the mixture's 2 among them.
     expected = (10, 10, 6) if wall else (3, 3, 2)
-    work = [wigner_work(specs, quantum, R, u) for specs in ([pure, mixed], [pure], [mixed])]
+    work = [wigner_work(specs, quantum, 3.0, R, u) for specs in ([pure, mixed], [pure], [mixed])]
     assert tuple(pair_integrals for pair_integrals, _ in work) == expected
     assert {points for _, points in work} == {(40 if wall else 41) * u.size}
 
@@ -306,13 +316,14 @@ def test_blocked_fields_equal_one_block(wall, packet_a, packet_b, nearly_classic
     R = np.linspace(-30.0, 5.0, 301)
     u = np.linspace(-6.0, 6.0, 41)
     blocked = wigner_transforms([pure, pure.as_kind("mixed")], nearly_classical, 3.0, R, u)
-    for points in (u.size, 7 * u.size, R.size * u.size):
-        monkeypatch.setattr(phase_space, "BLOCK_POINTS", points)
+    # Every block size counts the points of the rows it integrates.
+    points = (np.count_nonzero(R < 0.0) if wall else R.size) * u.size
+    for block in (u.size, 7 * u.size, R.size * u.size):
+        monkeypatch.setattr(phase_space, "BLOCK_POINTS", block)
         other = wigner_transforms([pure, pure.as_kind("mixed")], nearly_classical, 3.0, R, u)
         for mine, theirs in zip(blocked, other):
             assert mine.values.tobytes() == theirs.values.tobytes()
-    points = wigner_work([pure], nearly_classical, R, u)[1]
-    assert points == (np.count_nonzero(R < 0.0) if wall else R.size) * u.size
+        assert wigner_work([pure], nearly_classical, 3.0, R, u)[1] == points
 
 
 def test_pair_integrals_see_one_block_at_a_time(mixed_spec, quantum, monkeypatch):

@@ -211,7 +211,7 @@ def test_csv_cached_leading_fields_match_the_plain_template(tmp_path, monkeypatc
     values[1, : len(special), 1] = special[::-1]
     header = ["t", "x", "a", "b"]
     # Chunks of 16 values, so that every block spans several chunks.
-    monkeypatch.setattr(csvtext, "_CHUNK_VALUES", 16)
+    monkeypatch.setattr(csvtext, "CHUNK_VALUES", 16)
 
     def plain():
         # Every row in one block.
@@ -366,11 +366,11 @@ def test_observables_run_streams_blocks_of_times(monkeypatch):
 
 
 def test_density_run_streams_blocks_of_positions(tmp_path, monkeypatch):
-    # Each time's rows come a block of at most FIELD_BLOCK_POINTS positions at
-    # a time, each evaluated as it is written, with the t and x leading fields
-    # formatted once per file and shared by every time.
+    # Each time's rows come a formatter chunk of values at a time, 400
+    # positions of two ensembles in chunks of 800, each evaluated as it is
+    # written, with the t and x leading fields formatted once per file and
+    # shared by every time.
     import qctl.csvtext as csvtext
-    import qctl.ensembles as ensembles
     import qctl.runner as runner
 
     formatted = []
@@ -380,7 +380,7 @@ def test_density_run_streams_blocks_of_positions(tmp_path, monkeypatch):
         formatted.append(np.array(values, dtype=float))
         return lead_fields(values)
 
-    monkeypatch.setattr(ensembles, "FIELD_BLOCK_POINTS", 400)
+    monkeypatch.setattr(csvtext, "CHUNK_VALUES", 800)
     monkeypatch.setattr(csvtext, "lead_fields", spy)
     config = parse_config(json.dumps(small_config("density", epsilons=[1.0])))
     specs = [config.ensemble(kind) for kind in ("pure", "mixed")]
@@ -405,10 +405,13 @@ def test_density_run_streams_blocks_of_positions(tmp_path, monkeypatch):
 @pytest.mark.parametrize("block", [7, 10**9])
 def test_field_blocks_do_not_change_the_csvs(block, tmp_path, monkeypatch):
     # Every point is evaluated on its own, so the block size changes no byte.
-    # The grids straddle a block of 7: one block, one and a point, three and a point.
+    # The grids straddle a block of 7: one block, one and a point, three and a
+    # point; the density run's blocks are a chunk of the formatter, patched to
+    # 7 positions of the 64- and 70-point grids.
     # The Wigner grid's 41 R rows of 300 u points are three blocks of 13 rows
     # and one of 2 by default, and one-row blocks or one block patched; its
     # last row, R = 0, is zeros.
+    import qctl.csvtext as csvtext
     import qctl.ensembles as ensembles
     import qctl.phase_space as phase_space
 
@@ -428,6 +431,7 @@ def test_field_blocks_do_not_change_the_csvs(block, tmp_path, monkeypatch):
 
     default = csvs(tmp_path / "default")
     monkeypatch.setattr(ensembles, "FIELD_BLOCK_POINTS", block)
+    monkeypatch.setattr(csvtext, "CHUNK_VALUES", 2 * block)
     monkeypatch.setattr(phase_space, "BLOCK_POINTS", 300 if block == 7 else block)
     assert csvs(tmp_path / "patched") == default
     assert len(default) == 2 * 2 + 3 * 3 + 2
@@ -486,11 +490,17 @@ def test_observables_run_is_not_renormalized_by_the_grid(tmp_path):
     assert sd_x == pytest.approx(sd_ref, rel=1e-6)
 
 
-def test_wigner_run_table(tmp_path):
+def test_wigner_run_table(tmp_path, monkeypatch):
+    import qctl.runner as runner
+
     config = parse_config(json.dumps(small_config("wigner", epsilons=[1.0])))
-    manifest = run_experiment(replace(config, out_dir=str(tmp_path)))
-    # One time: the 10 distinct term pairs of both kinds, on the 40 rows R < 0.
-    assert manifest["diagnostics"]["wigner"] == {"1": {"pair_integrals": 10, "points": 40 * 41}}
+    # The writer that integrates the pairs counts them, forked or not: one
+    # time, the 10 distinct term pairs of both kinds, on the 40 rows R < 0.
+    for fork_fields in (0, 10**12):
+        monkeypatch.setattr(runner, "_FORK_FIELDS", fork_fields)
+        manifest = run_experiment(replace(config, out_dir=str(tmp_path)))
+        assert manifest["writers"]["wigner_eps1.csv"]["forked"] == (fork_fields == 0)
+        assert manifest["diagnostics"]["wigner"] == {"1": {"pair_integrals": 10, "points": 40 * 41}}
     header, table = read_table(tmp_path / "wigner_eps1.csv")
     assert header == [
         "t [time]",
@@ -801,7 +811,7 @@ def test_reparented_writer_exits_inside_a_single_block(tmp_path, monkeypatch):
         raise Exited(code)
 
     # Chunks of two rows: the first column is the file's axis, not a value.
-    monkeypatch.setattr(csvtext, "_CHUNK_VALUES", 2)
+    monkeypatch.setattr(csvtext, "CHUNK_VALUES", 2)
     parents = iter([100, 1])
     monkeypatch.setattr(runner.os, "getppid", lambda: next(parents))
     monkeypatch.setattr(runner.os, "_exit", exit_)
