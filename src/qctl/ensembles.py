@@ -232,7 +232,7 @@ def _contract(phi_x, phi_y):
 
 
 def point_blocks(n: int, size: int | None = None) -> list[slice]:
-    """Consecutive slices of at most ``size`` (:data:`FIELD_BLOCK_POINTS`) that cover ``range(n)``."""
+    """Consecutive slices of at most ``size``, by default :data:`FIELD_BLOCK_POINTS`, that cover ``range(n)``."""
     size = size or FIELD_BLOCK_POINTS
     return [slice(i, min(i + size, n)) for i in range(0, n, size)]
 
