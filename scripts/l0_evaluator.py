@@ -33,11 +33,11 @@ divided by its ``iterations`` (the longest-running seed's step attempts,
 printed too).  Its first row also holds ``csv_ns_per_value``: the first file
 of the density run on the same packets (epsilon = 1, the default 2048
 positions and 41 times, 167,936 density values), its blocks evaluated first,
-written through ``qctl.runner._write_csv`` to a temporary file; the median
+written through ``qctl.writers._write_csv`` to a temporary file; the median
 over ``--repeat`` writes of the process time per density value (the other
 rows print null).  It is timed last, under the malloc settings of the forked
 writers that write every density file of a run (glibc's ``mallopt``, as
-``qctl.runner._fork_writer`` sets them): with glibc's defaults the
+``qctl.writers._fork_writer`` sets them): with glibc's defaults the
 formatter's temporaries of about 200 kB a chunk are unmapped or trimmed and
 faulted in again for every chunk, which no writer pays.  A density file's
 blocks are 2-D float arrays of density values, its t and x given by its
@@ -47,16 +47,17 @@ writer against the parent writing the file itself, on the smallest file of
 a run, ``arrival_summary.csv`` of the arrival run on the same packets (the
 default epsilons, four rows), in wall-clock microseconds, each the median
 over ``--repeat`` writes: ``writer_us`` from the fork to the reap of a
-writer (``qctl.runner._fork_writer``, its pipe read to its end, then
+writer (``qctl.writers._fork_writer``, its pipe read to its end, then
 ``os.waitpid``), timed before this process has imported the formatter, as
-in a run that forks every file; ``parent_write_us``, ``qctl.runner._write_csv``
+in a run that forks every file; ``parent_write_us``, ``qctl.writers._write_csv``
 of the same file in this process, the first write paying for the
 formatter's import.
 
 ``--src`` names the ``src`` directory whose ``qctl`` is timed, by default
-this repository's, so one copy of the script can time another tree.  The
-numbers are timings only: the script checks nothing and always exits 0 once
-it has run.
+this repository's, so one copy of the script can time another tree.  A tree
+from before ``qctl.writers`` has ``_fork_writer`` and ``_write_csv`` in
+``qctl.runner``, and they are taken from there.  The numbers are timings
+only: the script checks nothing and always exits 0 once it has run.
 """
 
 import argparse
@@ -94,10 +95,21 @@ def _per_call_us(call, repeat: int) -> float:
     return 1e6 * statistics.median(samples)
 
 
+def _writer_functions():
+    """``_fork_writer`` and ``_write_csv`` of the timed tree: ``qctl.writers``'s, or an older tree's ``qctl.runner``'s."""
+    try:
+        from qctl.writers import _fork_writer, _write_csv
+    except ImportError:
+        from qctl.runner import _fork_writer, _write_csv
+    return _fork_writer, _write_csv
+
+
 def _writer_us(a, b, repeat: int) -> tuple[float, float]:
     """Wall microseconds of the arrival summary CSV by a forked writer, and written in-process."""
     from qctl import parse_config
-    from qctl.runner import _arrival, _fork_writer, _write_csv
+    from qctl.runner import _arrival
+
+    _fork_writer, _write_csv = _writer_functions()
 
     packets = {name: {"x0": p.x0, "p0": p.p0} for name, p in (("a", a), ("b", b))}
     config = parse_config(json.dumps({"run": "arrival", "packets": packets}))
@@ -123,7 +135,9 @@ def _writer_us(a, b, repeat: int) -> tuple[float, float]:
 def _csv_ns_per_value(a, b, repeat: int) -> float:
     """Process-time nanoseconds per density value of the first density CSV, formatting only."""
     from qctl import parse_config
-    from qctl.runner import _density, _write_csv
+    from qctl.runner import _density
+
+    _, _write_csv = _writer_functions()
 
     packets = {name: {"x0": p.x0, "p0": p.p0} for name, p in (("a", a), ("b", b))}
     config = parse_config(json.dumps({"run": "density", "packets": packets}))

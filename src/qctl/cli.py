@@ -6,15 +6,15 @@
 Exit codes: 0 success, 2 configuration error, 3 numerical-guard trip,
 4 I/O error while running (e.g. an output directory that cannot be created),
 143 (128 + SIGTERM) on SIGTERM, once the run's CSV writers are stopped and its CSVs
-removed.  ``main`` handles SIGTERM only when it runs on the main thread.
+removed.  The SIGTERM handling belongs to the run's writers
+(:class:`qctl.writers.Writers`), and is set only when the run is on the main
+thread; this module parses the arguments and maps failures to exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
-import signal
 import sys
-import threading
 
 from .config import RUN_KINDS, load_config
 from .errors import ConfigError, DomainError, NumericalGuardError
@@ -55,12 +55,6 @@ def main(argv=None) -> int:
     except (OSError, ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    # SIGTERM unwinds the run as an exception would, so that its forked CSV
-    # writers are killed and its partial outputs removed.  Only the main
-    # thread may set a handler; a run on another thread keeps the default.
-    handled = threading.current_thread() is threading.main_thread()
-    if handled:
-        previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
         manifest = run_experiment(config)
     except OSError as exc:
@@ -72,9 +66,6 @@ def main(argv=None) -> int:
     except NumericalGuardError as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 3
-    finally:
-        if handled:
-            signal.signal(signal.SIGTERM, previous)
     for name in manifest["outputs"]:
         print(name)
     return 0

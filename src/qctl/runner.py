@@ -7,7 +7,7 @@ points of the grid of its 1-D ``axes`` in C order: (t, x) for density,
 (t, R, u) for Wigner, (t,) for trajectories, arrival and observables, and
 (epsilon,) for the arrival summary.  Each row's leading fields are its grid
 point, and each block is a 2-D float array of the next rows' remaining
-columns.  Only :func:`_write_csv` formats the axes, once per file
+columns.  Only :func:`qctl.writers._write_csv` formats the axes, once per file
 (:func:`qctl.csvtext.lead_fields`); :func:`qctl.csvtext.csv_chunks` picks
 each row's leading fields by its grid index, a chunk of rows at a time, so
 blocks need not line up with the axes, and formats the values of each block
@@ -23,39 +23,14 @@ the file hands it back, and once every file is written the run merges the
 reports into ``diagnostics`` in file order, a section's entries after those
 already there.
 
-:func:`run_experiment` alone writes the CSVs.  A file of fewer than
-:data:`_FORK_FIELDS` fields, counted from its axes and header before any
-block is evaluated, is written by the parent as it takes the file.  Each
-larger file gets a forked writer (``os.fork``): the parent iterates the
-generator, and for each such file a child evaluates the blocks, formats the
-rows and exits.  At most as many writers run at once as the process has
-CPUs (``os.sched_getaffinity``), while the parent takes the next file.  The
-parent reaps the writers in the order of their files: it reads the oldest
-writer's pipe to its end, then waits for that writer.  It reaps one whenever
-every CPU is taken, and all of them before it writes the manifest, which
-records for each file, in file order under ``writers``, whether it was
-``forked``, and its writer's CPU seconds and peak RSS: for a file written by
-the parent, the parent's process time while writing it and its peak RSS so
-far.  A writer sends its file's report through the pipe, pickled; a failing
-writer sends its exception instead, and the parent raises it with the
-writer's class and message (a RuntimeError with the writer's traceback if it
-cannot be rebuilt).  Reaped in order, the first failure is the earliest
-forked file's, and every writer still running belongs to a later file; an
-exception in the parent, from its generator or from a file it writes, is
-raised only once the writers already forked are reaped.  So the run raises what one process writing the files in order
-would: the failure of the earliest file that fails, else the parent's own.
-On a failure the parent kills and reaps the running writers, removes every
-CSV of the run and raises.  Any other exit, such as KeyboardInterrupt or the
-SystemExit that the CLI raises on SIGTERM, does the same at once.  A parent
-killed outright, by SIGKILL or the OOM killer, cannot: each writer compares
-its parent's pid with the one it was forked from before it writes each chunk
-of about 4,096 values, at least one a block, and exits once it has been
-reparented, leaving its CSV partial.  The cost of the order: a CPU that a
-later file's writer frees stays idle until the oldest writer ends.  One run
-kind's files cost about the same, so the idle is short: on the benchmark's
-wigner config, four files of about 0.4 s each on two CPUs, the second writer
-ended up to 0.065 s before the first.  This is POSIX-only: it needs
-``os.fork``, and ``os.sched_getaffinity``, which Linux has.
+:func:`run_experiment` hands each file to :class:`qctl.writers.Writers`,
+which owns the process model: which files a forked writer writes, how many
+run at once, the order they are reaped in, which failure is raised, and the
+cleanup on a failure, KeyboardInterrupt or SIGTERM, for a library call as
+for the CLI.  This module holds no process code.  The manifest records, for
+each file in file order under ``writers``, whether it was ``forked``, and
+its writer's CPU seconds and peak RSS.  The trace drift is computed while
+the writers run, so a failure there removes the CSVs too.
 
 Outputs are deterministic: fixed evaluation and summation order, 17
 significant digits, LF line endings, and no run-time data inside CSV bodies.
@@ -66,17 +41,10 @@ window bias those outputs, so both are flagged there, not rejected.
 
 from __future__ import annotations
 
-import ctypes
 import json
-import math
-import os
-import pickle
-import resource
 import time as _time
-import traceback
-from collections import Counter, deque
+from collections import Counter
 from pathlib import Path
-from signal import SIGKILL
 
 import numpy as np
 
@@ -88,6 +56,7 @@ from .hydrodynamics import STATUS_COMPLETED, STATUS_NON_FINITE, record_times, tr
 from .observables import heisenberg_check, observable_record
 from .phase_space import wigner_blocks
 from .regime import Regime, epsilon_tag
+from .writers import Writers
 
 __all__ = ["run_experiment"]
 
@@ -95,12 +64,6 @@ __all__ = ["run_experiment"]
 # window relative to its peak, above which the manifest flags truncation.
 SUPPORT_LOSS_FLAG = 1e-6
 TAIL_FRACTION_FLAG = 1e-3
-
-# Fields of the smallest CSV that gets a forked writer; a smaller one is
-# written by the parent.  A writer costs 11-16 ms of CPU for its fork, page
-# faults and formatter start-up, about what the parent takes to format 2^16
-# fields (~250 ns a field).
-_FORK_FIELDS = 1 << 16
 
 # Observables CSV columns per ensemble kind: ObservableRecord fields and units.
 _OBSERVABLE_UNITS = {
@@ -111,35 +74,6 @@ _OBSERVABLE_UNITS = {
     "uncertainty_product": "action",
     "f_nc": "force",
 }
-
-
-def _write_csv(path: Path, header: list[str], axes, blocks, parent: int | None = None) -> dict:
-    """Write the header, then the rows of the grid of ``axes``, every float to 17 digits.
-
-    The rows are the points of the grid of the 1-D ``axes`` in C order, each
-    row's leading fields its point and its other fields the next row of
-    ``blocks``, 2-D float arrays.  Each axis is formatted once.  A writer
-    passes the pid of the ``parent`` it was forked from, and exits at the
-    first chunk of about 4,096 values, at least one a block, that finds it
-    reparented.  Returns the manifest sections that ``blocks`` returned, if
-    any.
-    """
-    # The formatter is imported by the first file written, so that it adds
-    # nothing to the import time, nor to a parent that forks every file.
-    from .csvtext import csv_chunks, lead_fields
-
-    report = {}
-
-    def taken():
-        report.update((yield from blocks) or {})
-
-    with open(path, "wb") as handle:
-        handle.write((",".join(header) + "\n").encode("utf-8"))
-        for chunk in csv_chunks([lead_fields(axis) for axis in axes], taken()):
-            if parent is not None and os.getppid() != parent:
-                os._exit(1)
-            handle.write(chunk)
-    return report
 
 
 def _seed_positions(config: ExperimentConfig, spec: EnsembleSpec, regime: Regime) -> np.ndarray:
@@ -302,149 +236,6 @@ _RUNS = {"density": _density, "trajectories": _trajectories, "arrival": _arrival
          "observables": _observables, "wigner": _wigner}
 
 
-def _fork_writer(path: Path, header: list[str], axes, blocks) -> tuple[int, int]:
-    """Fork a child that writes ``path`` from ``axes`` and ``blocks`` and exits.
-
-    Returns the child's pid and the read end of a pipe.  On success the child
-    sends the report of :func:`_write_csv`, pickled, and exits 0.  On failure
-    it sends its traceback text and its exception, pickled (None if the
-    exception cannot be), and exits 1.
-    """
-    pipe, child_end = os.pipe()
-    parent = os.getpid()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(pipe)
-        os.close(child_end)
-        raise
-    if pid:
-        os.close(child_end)
-        return pid, pipe
-    status = 1
-    try:
-        os.close(pipe)
-        # By default glibc serves arrays of 128 kB and more by mmap and hands
-        # the freed top of its heap back, so the numpy temporaries of every
-        # block are faulted in afresh: a Wigner block's pair integrals free
-        # about 1.4 MB per pair.  A writer is short-lived and peaks at its
-        # largest block either way, so it keeps and reuses what it frees.
-        ctypes.CDLL(None).mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-        ctypes.CDLL(None).mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-        report = _write_csv(path, header, axes, blocks, parent)
-        with open(child_end, "wb") as handle:
-            handle.write(pickle.dumps(report))
-        status = 0
-    except BaseException as exc:
-        try:
-            raised = pickle.dumps(exc)
-        except Exception:
-            raised = None
-        with open(child_end, "wb") as handle:
-            handle.write(pickle.dumps((traceback.format_exc(), raised)))
-    finally:
-        # The child never returns into the caller's code, nor runs its exit handlers.
-        os._exit(status)
-
-
-def _writer_failure(name: str, status: int, payload: bytes) -> BaseException:
-    """The exception that the writer of ``name`` sent, its traceback text as the cause.
-
-    An exception that cannot be rebuilt, or a writer that ended without
-    sending one whole, gives a RuntimeError.
-    """
-    try:
-        text, raised = pickle.loads(payload)
-    except Exception:
-        code = os.waitstatus_to_exitcode(status)
-        return RuntimeError(f"the writer of {name} exited with code {code}")
-    try:
-        exc = pickle.loads(raised)
-    except Exception:
-        return RuntimeError(f"the writer of {name} failed:\n{text}")
-    exc.__cause__ = RuntimeError(f"in the writer of {name}:\n{text}")
-    return exc
-
-
-class _Writers:
-    """The CSV writers of one run: the parent for a small file, else a forked writer.
-
-    At most one forked writer per available CPU runs at a time.
-    """
-
-    def __init__(self):
-        self.slots = len(os.sched_getaffinity(0))
-        # The CSVs of the run, in order.
-        self.paths: list[Path] = []
-        # CSV name, pid and pipe read end of each running writer, oldest first.
-        self.running: deque[tuple[str, int, int]] = deque()
-        # CSV name -> its writer's CPU seconds and peak RSS, and whether it
-        # was forked, in file order; None while its forked writer runs.
-        self.usage: dict[str, dict | None] = {}
-        # CSV name -> the report of its blocks, in file order; empty while
-        # its forked writer runs.
-        self.reports: dict[str, dict] = {}
-
-    def start(self, path: Path, header: list[str], axes, blocks) -> None:
-        """Write ``path``, or fork its writer once a CPU is free; raise an earlier writer's failure.
-
-        A file of fewer than :data:`_FORK_FIELDS` fields, its rows the points
-        of the grid of ``axes``, is written here, while the writers of
-        earlier files run on.
-        """
-        if math.prod(map(len, axes)) * len(header) < _FORK_FIELDS:
-            self.paths.append(path)
-            started = _time.process_time()
-            self.reports[path.name] = _write_csv(path, header, axes, blocks)
-            self.usage[path.name] = {"cpu_s": _time.process_time() - started,
-                                     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-                                     "forked": False}
-            return
-        while len(self.running) >= self.slots:
-            self._reap()
-        pid, pipe = _fork_writer(path, header, axes, blocks)
-        self.running.append((path.name, pid, pipe))
-        self.paths.append(path)
-        self.usage[path.name] = None
-        self.reports[path.name] = {}
-
-    def join(self) -> None:
-        """Reap every writer; raise the failure of the earliest file that failed."""
-        while self.running:
-            self._reap()
-
-    def kill(self) -> None:
-        """Kill and reap every running writer."""
-        while self.running:
-            _, pid, pipe = self.running.popleft()
-            os.kill(pid, SIGKILL)
-            os.close(pipe)
-            os.waitpid(pid, 0)
-
-    def _reap(self) -> None:
-        """Read the oldest writer's pipe to its end, then reap that writer and take its report.
-
-        The pipe is read before the writer is waited for, so a report or a
-        failure larger than the pipe's buffer cannot block the writer's exit.
-        On a failure the writers of later files are killed, as one process
-        writing the files in order would not have reached them, and the
-        failure raised.
-        """
-        name, pid, pipe = self.running[0]
-        with open(pipe, "rb", closefd=False) as handle:
-            payload = handle.read()
-        self.running.popleft()
-        os.close(pipe)
-        _, status, usage = os.wait4(pid, 0)
-        self.usage[name] = {"cpu_s": usage.ru_utime + usage.ru_stime,
-                            "peak_rss_mb": usage.ru_maxrss / 1024,  # Linux: kB
-                            "forked": True}
-        if status:
-            self.kill()
-            raise _writer_failure(name, status, payload)
-        self.reports[name] = pickle.loads(payload)
-
-
 def _trace_drift(config: ExperimentConfig, specs: list[EnsembleSpec], regime: Regime) -> dict:
     """Exact mass on the grid [x_min, 0] at t = 0 and t_max, and the mass below x_min at t_max."""
     times, bounds = [[0.0], [config.time.t_max]], [config.grid.x_min, 0.0]
@@ -476,33 +267,20 @@ def run_experiment(config: ExperimentConfig) -> dict:
     started = _time.perf_counter()
     diagnostics: dict = {"trace": {}}
     specs = [config.ensemble(kind) for kind in ("pure", "mixed")]
-    writers = _Writers()
-    try:
-        try:
-            for name, header, axes, blocks in _RUNS[config.run_kind](config, specs, diagnostics):
-                writers.start(target / name, header, axes, blocks)
-        except Exception:
-            # An earlier file's failure comes first, as it would in one process.
-            writers.join()
-            raise
-        writers.join()
-        for report in writers.reports.values():
-            for section, entries in report.items():
-                diagnostics.setdefault(section, {}).update(entries)
+    with Writers() as writers:
+        for name, header, axes, blocks in _RUNS[config.run_kind](config, specs, diagnostics):
+            writers.write(target / name, header, axes, blocks)
         for regime in config.regimes():
             diagnostics["trace"][epsilon_tag(regime.epsilon)] = _trace_drift(config, specs, regime)
-    except BaseException:
-        # No writer may outlive the run, nor write after its CSVs are removed.
-        writers.kill()
-        for path in writers.paths:
-            path.unlink(missing_ok=True)
-        raise
+    for file in writers.files.values():
+        for section, entries in file.report.items():
+            diagnostics.setdefault(section, {}).update(entries)
 
     manifest = {
         "config": config_to_dict(config),
-        "outputs": sorted(p.name for p in writers.paths),
+        "outputs": sorted(writers.files),
         "diagnostics": diagnostics,
-        "writers": writers.usage,
+        "writers": {name: file.usage for name, file in writers.files.items()},
         "wall_clock_seconds": _time.perf_counter() - started,
     }
     with open(target / "manifest.json", "w", encoding="utf-8", newline="\n") as handle:

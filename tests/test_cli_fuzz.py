@@ -19,7 +19,7 @@ the parent, at these sizes), one or the other at random.
 import json
 import random
 
-from qctl import hydrodynamics, runner
+from qctl import hydrodynamics, writers
 from qctl.cli import main
 from qctl.config import RUN_KINDS
 
@@ -68,13 +68,13 @@ def test_every_document_exits_0_2_or_3_and_leaves_its_outputs_consistent(tmp_pat
     monkeypatch.setattr(hydrodynamics, "MAX_ATTEMPTS", 200)
     rng = random.Random(5)
     # Its own generator, so that the documents do not depend on the draws.
-    fork_rng, fork_fields = random.Random(6), runner._FORK_FIELDS
+    fork_rng, fork_fields = random.Random(6), writers._FORK_FIELDS
     codes = []
     for i in range(DOCUMENTS):
         path, out = tmp_path / f"doc{i}.json", tmp_path / f"out{i}"
         document = _document(rng)
         path.write_text(json.dumps(document), encoding="utf-8")
-        monkeypatch.setattr(runner, "_FORK_FIELDS", fork_rng.choice((0, fork_fields)))
+        monkeypatch.setattr(writers, "_FORK_FIELDS", fork_rng.choice((0, fork_fields)))
         kind = rng.choice(RUN_KINDS)
         code = main([kind, "--config", str(path), "--out", str(out)])
         assert code in (0, 2, 3), path.read_text(encoding="utf-8")
