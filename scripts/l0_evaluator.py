@@ -41,10 +41,9 @@ writers that write every density file of a run (glibc's ``mallopt``, as
 formatter's temporaries of about 200 kB a chunk are unmapped or trimmed and
 faulted in again for every chunk, which no writer pays.  A density file's
 blocks are 2-D float arrays of density values, its t and x given by its
-axes; an older tree's blocks are ``(lead, values)`` pairs.  Only the density
-values are counted, so both forms are timed alike.  The first row also holds the cost of one forked
-writer against the parent writing the file itself, on the smallest file of
-a run, ``arrival_summary.csv`` of the arrival run on the same packets (the
+axes.  The first row also holds the cost of one forked writer against the
+parent writing the file itself, on the smallest file of a run,
+``arrival_summary.csv`` of the arrival run on the same packets (the
 default epsilons, four rows), in wall-clock microseconds, each the median
 over ``--repeat`` writes: ``writer_us`` from the fork to the reap of a
 writer (``qctl.writers._fork_writer``, its pipe read to its end, then
@@ -54,10 +53,9 @@ of the same file in this process, the first write paying for the
 formatter's import.
 
 ``--src`` names the ``src`` directory whose ``qctl`` is timed, by default
-this repository's, so one copy of the script can time another tree.  A tree
-from before ``qctl.writers`` has ``_fork_writer`` and ``_write_csv`` in
-``qctl.runner``, and they are taken from there.  The numbers are timings
-only: the script checks nothing and always exits 0 once it has run.
+this repository's, so one copy of the script can time another tree.  The
+numbers are timings only: the script checks nothing and always exits 0 once
+it has run.
 """
 
 import argparse
@@ -95,21 +93,11 @@ def _per_call_us(call, repeat: int) -> float:
     return 1e6 * statistics.median(samples)
 
 
-def _writer_functions():
-    """``_fork_writer`` and ``_write_csv`` of the timed tree: ``qctl.writers``'s, or an older tree's ``qctl.runner``'s."""
-    try:
-        from qctl.writers import _fork_writer, _write_csv
-    except ImportError:
-        from qctl.runner import _fork_writer, _write_csv
-    return _fork_writer, _write_csv
-
-
 def _writer_us(a, b, repeat: int) -> tuple[float, float]:
     """Wall microseconds of the arrival summary CSV by a forked writer, and written in-process."""
     from qctl import parse_config
     from qctl.runner import _arrival
-
-    _fork_writer, _write_csv = _writer_functions()
+    from qctl.writers import _fork_writer, _write_csv
 
     packets = {name: {"x0": p.x0, "p0": p.p0} for name, p in (("a", a), ("b", b))}
     config = parse_config(json.dumps({"run": "arrival", "packets": packets}))
@@ -136,16 +124,14 @@ def _csv_ns_per_value(a, b, repeat: int) -> float:
     """Process-time nanoseconds per density value of the first density CSV, formatting only."""
     from qctl import parse_config
     from qctl.runner import _density
-
-    _, _write_csv = _writer_functions()
+    from qctl.writers import _write_csv
 
     packets = {name: {"x0": p.x0, "p0": p.p0} for name, p in (("a", a), ("b", b))}
     config = parse_config(json.dumps({"run": "density", "packets": packets}))
     specs = [config.ensemble(kind) for kind in ("pure", "mixed")]
-    # (name, header, axes, blocks), or (name, header, blocks) of (lead, values) pairs.
     _, *file = next(_density(config, specs, {}))
     blocks = list(file.pop())
-    values = sum(block.size if isinstance(block, np.ndarray) else block[-1].size for block in blocks)
+    values = sum(block.size for block in blocks)
     samples = []
     with tempfile.TemporaryDirectory() as scratch:
         for _ in range(repeat):

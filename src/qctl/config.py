@@ -72,10 +72,11 @@ WIGNER_POINT_BUDGET = 1_000_000
 # run evaluates its fields in blocks of ensembles.FIELD_BLOCK_POINTS, and the
 # density run in blocks of one CSV formatter chunk that it writes as it goes,
 # so what grows with the points is the density run's x fields and grid, about
-# 72 bytes a point, and the arrival run's few float arrays and t fields, about
+# 33 bytes a point, and the arrival run's few float arrays and t fields, about
 # 66 bytes a point (peak RSS slopes from 100,001 to 500,000 points, one
-# epsilon, two density times).  At the budgets they peaked at 61 MB and 62 MB
-# on 2 CPUs.
+# epsilon, two density times).  At the budgets they peaked at 43.6-43.7 MB and
+# 61.2 MB on 2 CPUs; 61.4-61.5 MB and 61.2 MB when csvtext.lead_fields still
+# copied its rows into a wider array as the texts grew.
 GRID_POINT_BUDGET = 500_000
 ARRIVAL_POINT_BUDGET = 500_000
 

@@ -42,6 +42,8 @@ __all__ = ["CHUNK_VALUES", "WIDTH", "csv_chunks", "lead_fields"]
 
 # Bytes of one padded field, bytes 1 to 29 of its four words.
 WIDTH = 29
+# Bytes of the longest text and its comma: a sign, 17 digits, the point and e-ddd.
+_LONGEST = 25
 # |x| at and above this goes to CPython: 10^k is tabulated for k >= 0 only.
 _HIGH = 1e16
 # The largest k: the smallest subnormal has X = -324, and the decade that
@@ -224,22 +226,21 @@ def lead_fields(values) -> np.ndarray:
 
     The text of each row starts at its first byte and ends in NUL bytes up to
     ``width``, the longest text's length, so that :func:`csv_chunks` drops them.
+    The rows are filled in one array of the longest possible text's width,
+    of which this is a view.
     """
     values = np.ascontiguousarray(values, dtype=float).ravel()
-    out = np.zeros((values.size, 0), np.uint8)
+    out = np.zeros((values.size, _LONGEST), np.uint8)
+    width = 0
     for start in range(0, values.size, CHUNK_VALUES):
         # A field's 32 bytes, its text and NULs: masked contiguous, not as
         # the strided 29-byte view of _fields, which numpy copies slowly.
         words = _words(values[start : start + CHUNK_VALUES])[0].view(np.uint8)
         filled = words != 0
         lengths = filled.sum(axis=1)
-        # Only the longest text's bytes are held a value, widened as it grows.
-        if lengths.max() > out.shape[1]:
-            wider = np.zeros((values.size, lengths.max()), np.uint8)
-            wider[:, : out.shape[1]] = out
-            out = wider
-        out[start : start + lengths.size][np.arange(out.shape[1]) < lengths[:, None]] = words[filled]
-    return out
+        width = max(width, lengths.max())
+        out[start : start + lengths.size][np.arange(_LONGEST) < lengths[:, None]] = words[filled]
+    return out[:, :width]
 
 
 def _rows(leads, strides, rows: range, values: np.ndarray) -> bytes:

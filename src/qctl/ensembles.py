@@ -108,19 +108,27 @@ class EnsembleSpec:
         return replace(self, kind=kind)
 
 
-def component_fields(spec: EnsembleSpec, regime: Regime, x, t, gradient: bool = True):
-    """Normalized pure components of the ensemble and their x-gradients.
+def shared_packets(specs) -> EnsembleSpec:
+    """The first of ``specs``; :class:`DomainError` unless there is one and all share its packets and wall."""
+    if not specs or any(s.packets != specs[0].packets or s.wall != specs[0].wall for s in specs):
+        raise DomainError("need at least one ensemble, and all must share packets and wall")
+    return specs[0]
 
-    Returns ``(phi, dphi)`` with the component axis first, followed by the
-    broadcast shape of ``x`` and ``t``, such that
+
+def component_fields(specs, regime: Regime, x, t, gradient: bool = True) -> list:
+    """Normalized pure components and their x-gradients of ensembles sharing packets and wall.
+
+    Returns one ``(phi, dphi)`` per spec, in order, with the component axis
+    first, followed by the broadcast shape of ``x`` and ``t``, such that
     ``rho(x, y) = sum_c phi_c(x) conj(phi_c(y))``; ``dphi`` is ``None`` when
-    ``gradient`` is false.
+    ``gradient`` is false.  The packets are evaluated once and each spec sums
+    them into its own components, so every spec's fields are bit-identical to
+    the one-spec call.
     """
-    psi, grad = packet_fields(spec.packets, regime, x, t, wall=spec.wall, gradient=gradient)
-    psi = _components(spec, regime, psi)
-    if gradient:
-        grad = _components(spec, regime, grad)
-    return psi, grad
+    first = shared_packets(specs)
+    psi, grad = packet_fields(first.packets, regime, x, t, wall=first.wall, gradient=gradient)
+    return [(_components(spec, regime, psi), None if grad is None else _components(spec, regime, grad))
+            for spec in specs]
 
 
 def _components(spec: EnsembleSpec, regime: Regime, fields):
@@ -220,9 +228,9 @@ def norm_constant(spec: EnsembleSpec, regime: Regime) -> float:
 
 def density(spec: EnsembleSpec, regime: Regime, x, y, t):
     """Density-matrix element ``rho(x, y)`` for either ensemble kind."""
-    phi_x, _ = component_fields(spec, regime, x, t, gradient=False)
+    [(phi_x, _)] = component_fields([spec], regime, x, t, gradient=False)
     # On the diagonal one evaluation serves both arguments.
-    phi_y = phi_x if y is x else component_fields(spec, regime, y, t, gradient=False)[0]
+    phi_y = phi_x if y is x else component_fields([spec], regime, y, t, gradient=False)[0][0]
     return _contract(phi_x, phi_y)
 
 
@@ -240,17 +248,13 @@ def point_blocks(n: int, size: int | None = None) -> list[slice]:
 def position_densities(specs, regime: Regime, x, t) -> list:
     """Real diagonal of the density matrix of ensembles sharing packets and wall.
 
-    The packets are evaluated once and each spec sums them into its own
-    components, so every density is bit-identical to the one-spec call.
-    Raises :class:`NumericalGuardError` if the imaginary residue of a
-    diagonal exceeds 1e-9; hermiticity makes it vanish identically, so a large
-    residue means a broken formula rather than roundoff.
+    The diagonal of :func:`component_fields`, so every density is
+    bit-identical to the one-spec call.  Raises :class:`NumericalGuardError`
+    if the imaginary residue of a diagonal exceeds 1e-9; hermiticity makes it
+    vanish identically, so a large residue means a broken formula rather than
+    roundoff.
     """
-    first = specs[0]
-    if any(s.packets != first.packets or s.wall != first.wall for s in specs[1:]):
-        raise DomainError("the ensembles of one density evaluation must share packets and wall")
-    psi, _ = packet_fields(first.packets, regime, x, t, wall=first.wall, gradient=False)
-    return [_real_diagonal(_components(spec, regime, psi)) for spec in specs]
+    return [_real_diagonal(phi) for phi, _ in component_fields(specs, regime, x, t, gradient=False)]
 
 
 def _real_diagonal(phi):
@@ -310,8 +314,8 @@ def fringe_visibility(
     the last bit, so their incoherent parts no longer cancel exactly.
     """
     lo, hi = window
-    if not lo < hi:
-        raise DomainError(f"window must be increasing, got {window}")
+    if not -np.inf < lo < hi < np.inf:
+        raise DomainError(f"window must be finite and increasing, got {window}")
     if not sigma_obs > 0.0:
         raise DomainError(f"sigma_obs must be positive, got {sigma_obs}")
     momentum_gap = abs(spec.packet_a.p0 - spec.packet_b.p0)

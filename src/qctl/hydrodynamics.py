@@ -142,7 +142,7 @@ class Trajectory:
 
 def _flux_and_density(spec: EnsembleSpec, regime: Regime, x, t):
     """Current and diagonal density sharing one component evaluation."""
-    phi, dphi = component_fields(spec, regime, x, t)
+    [(phi, dphi)] = component_fields([spec], regime, x, t)
     rho = (np.abs(phi) ** 2).sum(axis=0)
     flux = (regime.hbar_tilde / spec.mass) * np.imag(np.conj(phi) * dphi).sum(axis=0)
     return flux, rho

@@ -65,7 +65,7 @@ def effective_force(spec: EnsembleSpec, regime: Regime, t):
     state the gradient of the full superposition.  Both are exactly d<p>/dt
     for the corresponding normalized state.
     """
-    _, dphi = component_fields(spec, regime, 0.0, t)
+    [(_, dphi)] = component_fields([spec], regime, 0.0, t)
     scale = regime.hbar_tilde**2 / (2.0 * spec.mass)
     return -scale * (np.abs(dphi) ** 2).sum(axis=0)
 
@@ -77,8 +77,8 @@ def ehrenfest_residual(spec: EnsembleSpec, regime: Regime, t, dt_fd: float = 1e-
     central differences of step ``dt_fd`` (so tolerances should budget for
     O(dt_fd^2) truncation).
     """
-    if not t - dt_fd >= 0.0:
-        raise DomainError(f"need t >= dt_fd for central differences, got t={t}")
+    if not (0.0 < dt_fd < np.inf and t - dt_fd >= 0.0):
+        raise DomainError(f"central differences need a finite 0 < dt_fd <= t, got t={t}, dt_fd={dt_fd}")
     pairs = diagonal_pairs(spec, regime, (t - dt_fd, t, t + dt_fd))
     (x_minus, _, x_plus), _, (p_minus, mean_p, p_plus), _ = _moments(pairs, regime.hbar_tilde)
     r1 = (x_plus - x_minus) / (2.0 * dt_fd) - mean_p / spec.mass

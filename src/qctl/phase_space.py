@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, pair_weights
+from .ensembles import EnsembleSpec, pair_weights, shared_packets
 from .errors import DomainError, NumericalGuardError
 from .gaussians import SQRT_PI, erfcx
 from .packets import packet_terms
@@ -129,9 +129,7 @@ def wigner_blocks(specs, regime: Regime, t: float, R_grid, u_grid):
     u = np.asarray(u_grid, dtype=float)
     if R.ndim != 1 or u.ndim != 1 or R.size < 3 or u.size < 3:
         raise DomainError("R_grid and u_grid must be 1-D with at least 3 points")
-    first = specs[0]
-    if any(s.packets != first.packets or s.wall != first.wall for s in specs[1:]):
-        raise DomainError("the ensembles of one Wigner table must share packets and wall")
+    first = shared_packets(specs)
 
     phase = (-1j / regime.hbar_tilde) * u[None, :]
     C, A, B, G = packet_terms(first.packets, regime, t, first.wall)

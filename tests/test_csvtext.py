@@ -1,5 +1,6 @@
 """The numpy CSV formatter writes exactly the bytes of CPython's ``'%.17g' %``."""
 
+import tracemalloc
 from decimal import ROUND_FLOOR, Decimal, localcontext
 
 import numpy as np
@@ -141,3 +142,26 @@ def test_lead_fields_are_padded_to_the_longest():
     assert fields.shape == (3, len(b"-0.123456789,"))
     assert fields[0].tobytes().rstrip(b"\0") == b"1,"
     assert csvtext.lead_fields([]).shape == (0, 0)
+    # The longest texts: a sign, 17 digits, the point and a three-digit exponent.
+    longest = [-2.2250738585072014e-308, -1.2345678901234567e300, -np.nextafter(0.0, 1.0) * 3]
+    assert csvtext.lead_fields(longest).shape == (3, len(b"-2.2250738585072014e-308,"))
+    assert lead_text(longest) == cpython(np.array(longest)[:, None], last=",")
+
+
+def test_lead_fields_allocate_their_rows_once():
+    # The texts widen halfway, and the rows are still held in one array of
+    # WIDTH bytes a value, not copied from a narrower array into a wider one.
+    chunk = csvtext.CHUNK_VALUES
+    values = np.repeat([1.0 / 3.0, 1e-5 / 3.0], 16 * chunk)
+    csvtext.lead_fields(values[:chunk])  # builds the tables
+    tracemalloc.start()
+    try:
+        fields = csvtext.lead_fields(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fields.shape == (values.size, len(b"%.17g," % (1e-5 / 3.0)))
+    assert lead_text(values) == cpython(values[:, None], last=",")
+    # The rows, and one chunk's temporaries of about 8 fields a value.  The
+    # two arrays of a widening, 20 and 23 bytes a value, would exceed it.
+    assert peak < values.size * csvtext.WIDTH + 12 * 32 * chunk

@@ -103,6 +103,15 @@ def test_norm_constant_is_cached(pure_spec, quantum):
     assert norm_constant(pure_spec, quantum) > 0.0
 
 
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+# Packets this far out overflow and underflow on the way to a zero trace.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_norm_constant_without_support(kind, quantum):
+    far = GaussianPacket(x0=-1e200, p0=1.0)
+    with pytest.raises(DomainError, match="no support"):
+        norm_constant(EnsembleSpec(kind, far, far), quantum)
+
+
 def test_purity_of_pure_state(pure_spec, quantum):
     assert purity(pure_spec, quantum, 0.0) == pytest.approx(1.0, abs=1e-4)
 
@@ -183,6 +192,8 @@ def test_shared_densities_need_one_set_of_packets(packet_a, packet_b, quantum):
         position_densities([pure, moved], quantum, x, 0.0)
     with pytest.raises(DomainError):
         position_densities([pure, EnsembleSpec("mixed", packet_a, packet_b, wall=False)], quantum, x, 0.0)
+    with pytest.raises(DomainError):
+        position_densities([], quantum, x, 0.0)
 
 
 def test_interference_fringes_in_reflection_window(pure_spec, quantum):
@@ -273,10 +284,14 @@ def test_fringe_visibility_washes_out(pure_spec, quantum, nearly_classical):
 
 
 def test_fringe_visibility_window_validation(pure_spec, quantum):
-    with pytest.raises(DomainError):
-        fringe_visibility(pure_spec, quantum, 2.5, window=(0.0, -10.0))
+    for window in [(0.0, -10.0), (-np.inf, 0.0), (-10.0, np.inf), (np.nan, 0.0)]:
+        with pytest.raises(DomainError, match="finite and increasing"):
+            fringe_visibility(pure_spec, quantum, 2.5, window=window)
     with pytest.raises(DomainError):
         fringe_visibility(pure_spec, quantum, 2.5, sigma_obs=0.0)
+    # Far from both packets every smoothed density underflows to zero.
+    with pytest.raises(DomainError, match="no density"):
+        fringe_visibility(pure_spec, quantum, 2.5, window=(-3000.0, -2990.0))
 
 
 def test_fringe_visibility_smooths_each_sample_once_in_blocks(pure_spec, monkeypatch):

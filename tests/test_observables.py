@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qctl import (
+    DomainError,
     EnsembleSpec,
     GaussianPacket,
     complex_width,
@@ -65,6 +66,12 @@ def test_ehrenfest_identities_for_mixture(t, quantum, mixed_spec):
     r1, r2 = ehrenfest_residual(mixed_spec, quantum, t)
     assert abs(r1) < 1e-4
     assert abs(r2) < 1e-3
+
+
+@pytest.mark.parametrize("t, dt_fd", [(5e-4, 1e-3), (1.0, 0.0), (1.0, -1e-3), (1.0, np.inf), (1.0, np.nan)])
+def test_ehrenfest_residual_validation(t, dt_fd, quantum, mixed_spec):
+    with pytest.raises(DomainError, match="central differences"):
+        ehrenfest_residual(mixed_spec, quantum, t, dt_fd=dt_fd)
 
 
 def test_ehrenfest_for_free_packet(quantum, packet_a):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -200,6 +201,12 @@ def test_grid_validation(pure_spec, quantum):
     other = wigner_transforms([pure_spec], quantum, 0.1, R[1:], u[1:])[0]
     with pytest.raises(DomainError):
         free_liouville_residual(field, other, pure_spec)
+    later = wigner_transforms([pure_spec], quantum, 0.1, R, u)[0]
+    with pytest.raises(DomainError, match="ordered in time"):
+        free_liouville_residual(later, field, pure_spec)
+    zero = replace(field, values=np.zeros_like(field.values))
+    with pytest.raises(DomainError, match="identically zero"):
+        free_liouville_residual(zero, replace(zero, t=0.1), pure_spec)
     with pytest.raises(DomainError):
         wigner_transforms([pure_spec], quantum, 0.0, R[:2], u)
 
@@ -305,6 +312,8 @@ def test_shared_pair_table_needs_one_set_of_packets(packet_a, packet_b, quantum)
         wigner_transforms([pure, moved], quantum, 0.0, R, u)
     with pytest.raises(DomainError):
         wigner_transforms([pure, EnsembleSpec("mixed", packet_a, packet_b, wall=False)], quantum, 0.0, R, u)
+    with pytest.raises(DomainError):
+        wigner_transforms([], quantum, 0.0, R, u)
 
 
 @pytest.mark.parametrize("wall", [True, False])

@@ -46,6 +46,11 @@ def test_rejects_too_few_samples():
         quad_integrate(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
 
 
+def test_rejects_samples_off_the_grid():
+    with pytest.raises(DomainError, match="does not match"):
+        quad_integrate(np.linspace(0.0, 1.0, 5), np.ones(4))
+
+
 def test_rejects_non_uniform_grid():
     x = np.array([0.0, 0.1, 0.3, 0.4, 0.5])
     with pytest.raises(DomainError):

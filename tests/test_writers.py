@@ -442,6 +442,54 @@ def test_writer_failure_that_cannot_be_rebuilt(tmp_path, monkeypatch, local):
     assert_no_child_left()
 
 
+def test_writer_killed_before_it_reports(tmp_path, monkeypatch):
+    # A writer that ends without sending a whole report or failure is named
+    # by its exit code: here its blocks SIGKILL it.
+    def killed(blocks):
+        yield from blocks
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    def failing(config, specs, diagnostics):
+        for name, header, axes, blocks in runner._density(config, specs, diagnostics):
+            yield name, header, axes, killed(blocks)
+
+    monkeypatch.setitem(runner._RUNS, "density", failing)
+    monkeypatch.setattr(writers, "_FORK_FIELDS", 0)
+    config = parse_config(json.dumps(small_config("density", out_dir=str(tmp_path))))
+    with pytest.raises(RuntimeError, match="the writer of density_eps.* exited with code -9"):
+        run_experiment(config)
+    assert list(tmp_path.glob("*.csv")) == []
+    assert_no_child_left()
+
+
+def test_failed_fork_closes_the_pipe(tmp_path, monkeypatch):
+    # os.fork fails, as at a process limit: both ends of the writer's pipe
+    # are closed, the error is raised and no CSV is left.
+    opened, closed = [], []
+    pipe, close = os.pipe, os.close
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "no fork")
+
+    def recorded_pipe():
+        opened.extend(pipe())
+        return tuple(opened[-2:])
+
+    def recorded_close(fd):
+        closed.append(fd)
+        close(fd)
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(os, "close", recorded_close)
+    monkeypatch.setattr(writers, "_FORK_FIELDS", 0)
+    config = parse_config(json.dumps(small_config("density", out_dir=str(tmp_path))))
+    with pytest.raises(OSError, match="no fork"):
+        run_experiment(config)
+    assert len(opened) == 2 and set(opened) <= set(closed)
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def test_writer_failure_larger_than_a_pipe_buffer(tmp_path, monkeypatch):
     # A 1 MB message fills the pipe many times over, so it must be read while
     # the writer sends it.  Were it not, the alarm would end the test run.
