@@ -15,7 +15,8 @@ records the median and quartiles of ``run_s``, ``setup_s`` and
 ``peak_rss_mb`` per tree, the raw values, and in how many pairs this tree
 was lower.  It also records the commit of each tree, ``nproc``, the line
 count of ``src/qctl/*.py`` in each tree and its code lines (blank, comment
-and docstring lines left out), the configuration keys of each tree (the
+and docstring lines left out), in all and per module (largest first), the
+configuration keys of each tree (the
 leaves of ``config_to_dict(parse_config(MINIMAL))``, a list counting as
 one, so an added or removed option shows), the table of ``scripts/l0_evaluator.py
 --repeat 5`` in each tree, the L1 table of this tree's
@@ -106,8 +107,14 @@ def _code_lines(path: Path) -> int:
     return len(code - docstrings)
 
 
+def _module_code_lines(tree: Path) -> dict:
+    """Code lines of each module of ``tree``'s ``src/qctl``, by file name, largest first."""
+    counts = {p.name: _code_lines(p) for p in sorted((tree / "src" / "qctl").glob("*.py"))}
+    return dict(sorted(counts.items(), key=lambda item: -item[1]))
+
+
 def _src_code_lines(tree: Path) -> int:
-    return sum(_code_lines(p) for p in sorted((tree / "src" / "qctl").glob("*.py")))
+    return sum(_module_code_lines(tree).values())
 
 
 def _config_keys(tree: Path) -> int:
@@ -331,6 +338,7 @@ def main(argv=None) -> int:
         "benchmark": {"pairs": args.pairs, "seconds": args.seconds, "workloads": {}},
         "src_lines": {"parent": _src_lines(parent), "change": _src_lines(change)},
         "src_code_lines": {"parent": _src_code_lines(parent), "change": _src_code_lines(change)},
+        "module_code_lines": {"parent": _module_code_lines(parent), "change": _module_code_lines(change)},
         "config_keys": {"parent": _config_keys(parent), "change": _config_keys(change)},
         "l0": _rounds(_l0_table, parent, change),
         "l1": _rounds(_l1_table, parent, change),

@@ -6,7 +6,7 @@ the field's annotation and the bounds in its ``bounds`` metadata (negative,
 positive, in (0, 1], at least n, one of a fixed set, non-empty) as it is
 read.  An absent key takes the field's default; a field without one, such as
 the ``packets`` section and each packet's ``x0`` and ``p0``, is required.
-:func:`config_to_dict` walks the same fields back.  Unknown keys, missing
+:func:`config_to_dict` writes the same fields back.  Unknown keys, missing
 required values, non-finite numbers and values out of bounds are rejected
 with the offending field path; :func:`parse_config` then checks what
 combines several fields, and every budget in one table, so the runner never
@@ -18,7 +18,7 @@ starts from an inconsistent state.
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
 from typing import get_args, get_origin
 
@@ -383,17 +383,13 @@ def _check_packet_phase(config: ExperimentConfig) -> None:
 
 
 def config_to_dict(settings) -> dict:
-    """A settings dataclass as a JSON object under its document keys, with lists for tuples.
+    """A settings dataclass as a JSON object under its document keys, tuples kept as tuples.
 
-    For an :class:`ExperimentConfig` it round-trips through :func:`parse_config`.
+    :func:`dataclasses.asdict` under the keys of :func:`_schema`: only the
+    top-level ``run`` is renamed.  ``json.dump`` writes the tuples as lists, so
+    for an :class:`ExperimentConfig` the text round-trips through :func:`parse_config`.
     """
-    doc = {}
-    for key, f in _schema(type(settings)).items():
-        value = getattr(settings, f.name)
-        if is_dataclass(value):
-            value = config_to_dict(value)
-        doc[key] = list(value) if isinstance(value, tuple) else value
-    return doc
+    return dict(zip(_schema(type(settings)), asdict(settings).values()))
 
 
 def load_config(path, overrides=None) -> ExperimentConfig:

@@ -316,8 +316,8 @@ def fringe_visibility(
     lo, hi = window
     if not -np.inf < lo < hi < np.inf:
         raise DomainError(f"window must be finite and increasing, got {window}")
-    if not sigma_obs > 0.0:
-        raise DomainError(f"sigma_obs must be positive, got {sigma_obs}")
+    if not 0.0 < sigma_obs < np.inf:
+        raise DomainError(f"sigma_obs must be positive and finite, got {sigma_obs}")
     momentum_gap = abs(spec.packet_a.p0 - spec.packet_b.p0)
     wavelength = 2.0 * np.pi * regime.hbar_tilde / momentum_gap if momentum_gap > 0.0 else np.inf
     dx = min(sigma_obs / 8.0, wavelength / 16.0)

@@ -104,6 +104,14 @@ def _term_constants(packets: tuple, regime: Regime):
     return sigma0, rate, -0.25 / sigma0, x0, p0 / mass, 1j * p0 / hb, 0.5j * p0 / hb
 
 
+def _times(t) -> np.ndarray:
+    """``t`` as a float array; raises :class:`DomainError` unless every time is finite."""
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise DomainError("times must be finite")
+    return t
+
+
 def _coefficients(constants, t: np.ndarray):
     """(a, k, xt, c0) at t from the constants of :func:`_term_constants`, broadcast."""
     sigma0, rate, a_scale, x0, velocity, k, half_k = constants
@@ -175,7 +183,7 @@ def packet_terms(packets, regime: Regime, t, wall: bool = True):
     amplitude for x <= 0, and the direct term alone without it.  A scalar
     ``t`` gives ``(len(packets), terms)``.
     """
-    t = np.asarray(t, dtype=float)[..., None]
+    t = _times(t)[..., None]
     folded = _folded(_coefficients(_term_constants(tuple(packets), regime), t), wall)
     a, k, xt, c0 = (np.moveaxis(c, 0, -1) for c in folded)
     # c0 exp(a d^2 + k d) with d = x - xt, expanded in powers of x.
@@ -193,7 +201,7 @@ def packet_fields(packets, regime: Regime, x, t, wall: bool = True, gradient: bo
     wall force.  Without ``wall`` both are the free-space values.
     """
     x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
+    t = _times(t)
     ndim = max(x.ndim, t.ndim)
     # The coefficients are arrays even for a scalar t, so scalar and array times go
     # through the same array loops: numpy's scalar complex arithmetic rounds differently.
@@ -214,7 +222,9 @@ def row_coefficients(constants, t, wall: bool = True):
 
     Each row carries its own packet and regime.  The time axis comes first,
     so each time's ``(terms, rows)`` block is contiguous for the kernel; ``k``
-    does not depend on the time and is ``(terms, rows)``.
+    does not depend on the time and is ``(terms, rows)``.  The times are not
+    checked to be finite: a trajectory step that is not ends its seed as
+    ``stalled-non-finite``.
     """
     a, k, xt, c0 = _folded(_coefficients(constants, t), wall)
     return a.swapaxes(0, 1), k, xt.swapaxes(0, 1).copy(), c0.swapaxes(0, 1).copy()

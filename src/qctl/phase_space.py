@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, pair_weights, shared_packets
+from .ensembles import EnsembleSpec, pair_weights, point_blocks, shared_packets
 from .errors import DomainError, NumericalGuardError
 from .gaussians import SQRT_PI, erfcx
 from .packets import packet_terms
@@ -119,11 +119,13 @@ def wigner_blocks(specs, regime: Regime, t: float, R_grid, u_grid):
     one column per ensemble, of at most :data:`BLOCK_POINTS` points (one row
     if a row is longer).  Each value is exact up to rounding.  With the wall,
     W vanishes for R >= 0, where the window |r| <= 2|R| is empty: those rows
-    are zeros, and a block of them integrates no pair.  Each unordered pair
-    of terms that any ensemble uses is integrated once and added, with that
-    ensemble's weight, to every field it belongs to; each field is
-    bit-identical to the one-ensemble call.  Returns the work: the pair
-    integrals and the (R, u) points at which each is evaluated.
+    are zeros, and a block of them integrates no pair.  The blocks are the
+    :func:`~qctl.ensembles.point_blocks` of the R rows.  Each unordered pair of
+    terms that any ensemble uses is integrated once and added to every field
+    in one broadcast, times each ensemble's weight; a zero weight adds an
+    exact zero, so each field is bit-identical to the one-ensemble call.
+    Returns the work: the pair integrals and the (R, u) points at which each
+    is evaluated.
     """
     R = np.asarray(R_grid, dtype=float)
     u = np.asarray(u_grid, dtype=float)
@@ -136,29 +138,25 @@ def wigner_blocks(specs, regime: Regime, t: float, R_grid, u_grid):
     weights, pairs = _pair_weights(specs, regime, C.shape[1])
     C = C.ravel()
     exponents = np.stack((A, B, G)).reshape(3, -1)
-    block_rows = max(1, BLOCK_POINTS // u.size)
     points = 0
-    for start in range(0, R.size, block_rows):
-        R_block = R[start : start + block_rows]
+    for rows in point_blocks(R.size, max(1, BLOCK_POINTS // u.size)):
+        R_block = R[rows]
         block = np.zeros((len(specs), R_block.size, u.size))
-        rows = _inside(R_block, first.wall)
-        if rows.size:
-            R_in = R_block[rows][:, None]
+        inside = _inside(R_block, first.wall)
+        if inside.size:
+            R_in = R_block[inside][:, None]
             edges = np.stack((2.0 * R_in, -2.0 * R_in)) if first.wall else None
             edge_phase = None if edges is None else np.exp(phase * edges)
-            totals = np.zeros((len(specs), rows.size, u.size))
+            totals = np.zeros((len(specs), inside.size, u.size))
             for i, j in pairs:
                 integral = _pair_integral(
                     exponents[:, i], np.conj(exponents[:, j]), R_in, phase, edges, edge_phase
                 )
-                value = (C[i] * np.conj(C[j]) * integral).real
-                for total, weight in zip(totals, weights[:, i, j]):
-                    if weight:
-                        total += weight * value
+                totals += weights[:, i, j, None, None] * (C[i] * np.conj(C[j]) * integral).real
             if not np.isfinite(totals).all():
                 raise NumericalGuardError(f"Wigner transform is not finite at t = {t}")
-            block[:, rows] = totals
-            points += rows.size * u.size
+            block[:, inside] = totals
+            points += inside.size * u.size
         yield block.reshape(len(specs), -1).T
     return len(pairs), points
 

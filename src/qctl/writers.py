@@ -213,15 +213,13 @@ class Writers:
         of the grid of ``axes``, is written here, while the writers of
         earlier files run on.
         """
+        file = self.files[path.name] = SimpleNamespace(path=path)
         if math.prod(map(len, axes)) * len(header) < _FORK_FIELDS:
-            file = self.files[path.name] = SimpleNamespace(path=path)
             file.usage, file.report = _write_csv(path, header, axes, blocks)
             return
         while len(self.running) >= self.slots:
             self._reap()
-        pid, pipe = _fork_writer(path, header, axes, blocks)
-        file = self.files[path.name] = SimpleNamespace(path=path)
-        self.running.append((file, pid, pipe))
+        self.running.append((file, *_fork_writer(path, header, axes, blocks)))
 
     def _reap(self) -> None:
         """Read the oldest writer's pipe to its end, then reap that writer and take its usage and report.

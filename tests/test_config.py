@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from qctl.config import (
     GRID_POINT_BUDGET,
     TRAJECTORY_SAMPLE_BUDGET,
     WIGNER_POINT_BUDGET,
+    ExperimentConfig,
     config_to_dict,
     load_config,
 )
@@ -79,6 +81,15 @@ ABSENT = object()
 def test_round_trip():
     config = parse_config(FULL)
     assert parse_config(json.dumps(config_to_dict(config))) == config
+    # The manifest's echo: the document keys in field order, the run kind
+    # second, and as JSON the full document with each packet's width filled in.
+    echo = config_to_dict(config)
+    assert list(echo) == [f.metadata.get("key", f.name) for f in fields(ExperimentConfig)]
+    assert list(echo)[1] == "run"
+    expected = json.loads(FULL)
+    for packet in ("a", "b"):
+        expected["packets"][packet]["sigma0"] = expected["packets"]["sigma0"]
+    assert json.loads(json.dumps(echo)) == expected
 
 
 def test_minimal_round_trip():

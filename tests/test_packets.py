@@ -5,10 +5,18 @@ from qctl import (
     DomainError,
     GaussianPacket,
     complex_width,
+    current,
+    ehrenfest_residual,
+    fringe_visibility,
     make_regime,
+    observable_record,
     packet_center,
+    position_densities,
+    purity,
     quad_integrate,
+    wigner_transforms,
 )
+from qctl.ensembles import mass_below
 from qctl.packets import packet_fields, packet_terms
 
 
@@ -190,3 +198,28 @@ def test_packet_terms_take_an_array_of_times(wall):
         for E, single in zip(together, alone):
             assert E.shape == t.shape + (2, 1 + wall)
             assert np.array_equal(E[index], single)
+
+
+# Library calls at a time that is not finite, and the smoothing width that is
+# not: each used to warn from numpy and return nan, a tiny visibility or a
+# NumericalGuardError.
+_R = np.linspace(-10.0, 0.0, 9)
+_NON_FINITE_CALLS = {
+    "ehrenfest_residual inf": lambda spec, regime: ehrenfest_residual(spec, regime, np.inf),
+    "fringe_visibility inf": lambda spec, regime: fringe_visibility(spec, regime, np.inf),
+    "fringe_visibility nan": lambda spec, regime: fringe_visibility(spec, regime, np.nan),
+    "fringe_visibility sigma_obs inf": lambda spec, regime: fringe_visibility(
+        spec, regime, 2.5, sigma_obs=np.inf),
+    "purity inf": lambda spec, regime: purity(spec, regime, np.inf),
+    "mass_below nan": lambda spec, regime: mass_below(spec, regime, np.nan, -1.0),
+    "current nan": lambda spec, regime: current(spec, regime, -3.0, np.nan),
+    "position_densities inf": lambda spec, regime: position_densities([spec], regime, -3.0, np.inf),
+    "observable_record inf": lambda spec, regime: observable_record(spec, regime, np.inf),
+    "wigner_transforms inf": lambda spec, regime: wigner_transforms([spec], regime, np.inf, _R, _R),
+}
+
+
+@pytest.mark.parametrize("call", _NON_FINITE_CALLS.values(), ids=_NON_FINITE_CALLS)
+def test_non_finite_time_is_a_domain_error(call, pure_spec, quantum):
+    with pytest.raises(DomainError):
+        call(pure_spec, quantum)
