@@ -9,8 +9,9 @@ the ``packets`` section and each packet's ``x0`` and ``p0``, is required.
 :func:`config_to_dict` writes the same fields back.  Unknown keys, missing
 required values, non-finite numbers and values out of bounds are rejected
 with the offending field path; :func:`parse_config` then checks what
-combines several fields, and every budget in one table, so the runner never
-starts from an inconsistent state.
+combines several fields, the budgets of the configured run kind in one table
+and each packet in one pass, so the runner never starts from an inconsistent
+state.
 """
 
 # No ``from __future__ import annotations``: the loader reads each settings
@@ -48,45 +49,60 @@ RUN_KINDS = ("density", "trajectories", "arrival", "observables", "wigner")
 
 _TAIL_MASS_LIMIT = 1e-10
 
+# Largest predicted relative error of the pair integrals.  For a packet at x0,
+# the expanded pair exponents B^2 / 4A and G are each about (x0 / sigma0)^2 / 2
+# and cancel, leaving a relative error of about (x0 / sigma0)^2 2^-54.  1e-6 is
+# the acceptance suite's trace tolerance; the bound trips near |x0| = 1.34e5 sigma0.
+_PAIR_ERROR_LIMIT = 1e-6
+
 # Largest packet phase p0 (x0 + x_t) / (2 hbar_tilde), in rad, that a run may
 # evaluate (packets._coefficients): above 2^53 a float64 phase has no correct
 # units digit.  The README default peaks near 9e2 rad.
 PHASE_LIMIT = 2.0**53
 
+# Each budget below bounds one run kind's whole run, every epsilon included;
+# parse_config checks only the configured kind's.  The figures are from the
+# command line on 2 CPUs, at the defaults but for the field named.
+
 # Samples a trajectory run holds, epsilons x 2 kinds x seeds x the
 # hydrodynamics.record_count(t_end, dt, record_every) recorded times
-# (240,160 at the defaults; the budget is 200 MB of float64).
+# (240,160 at the defaults; the budget is 200 MB of float64).  At 24,000,160
+# samples (dt = 1e-4, record_every = 1) the run took 6.7 s, peaked at 310 MB
+# and wrote 489 MB of CSV.
 TRAJECTORY_SAMPLE_BUDGET = 25_000_000
 
-# (R, u) points of one Wigner time, n_x x n_u (25,921 at the defaults).  A run
-# evaluates and writes them a block of whole R rows of about
-# phase_space.BLOCK_POINTS points at a time, so no array it holds spans the
-# grid: a writer peaked at about 31 MB at both 81 x 8001 and 121 x 8001
-# points.  The budget bounds a time's CSV, about 48 bytes a point (46 MB at
-# 121 x 8001); it admits an 81 x 8001 marginal-check grid.
-WIGNER_POINT_BUDGET = 1_000_000
+# (R, u) points of a Wigner run, epsilons x times x n_x x n_u (207,368 at the
+# defaults): the 1,000,000 points a time that the budget was at the default 4
+# epsilons x 2 times.  A run evaluates and writes them a block of whole R rows
+# of about phase_space.BLOCK_POINTS points at a time, so no array it holds
+# spans a time's grid: a writer peaked at about 31 MB at both 81 x 8001 and
+# 121 x 8001 points.  At the budget (1000 x 1000) the run took 10.3 s (19.4 s
+# of writer CPU), its writers peaked at 28.7 MB, and it wrote 696 MB of CSV,
+# 87 bytes a point.
+WIGNER_POINT_BUDGET = 8_000_000
 
 # Points of the position grid (grid.n_points, which only the density run
 # evaluates: the manifest's trace diagnostic is exact and reads only
-# grid.x_min) and of the arrival time grid (arrival.n_points).  The arrival
-# run evaluates its fields in blocks of ensembles.FIELD_BLOCK_POINTS, and the
-# density run in blocks of one CSV formatter chunk that it writes as it goes,
-# so what grows with the points is the density run's x fields and grid, about
-# 33 bytes a point, and the arrival run's few float arrays and t fields, about
-# 66 bytes a point (peak RSS slopes from 100,001 to 500,000 points, one
-# epsilon, two density times).  At the budgets they peaked at 43.6-43.7 MB and
-# 61.2 MB on 2 CPUs; 61.4-61.5 MB and 61.2 MB when csvtext.lead_fields still
-# copied its rows into a wider array as the texts grew.
+# grid.x_min).  The density run evaluates it in blocks of one CSV formatter
+# chunk that it writes as it goes, so what grows with the points is its x
+# fields and grid, about 33 bytes a point (peak RSS slope from 100,001 to
+# 500,000 points, one epsilon, two times): 43.6-43.7 MB at the budget.  Each
+# epsilon's writer holds its own grid, so the budget counts one grid.
 GRID_POINT_BUDGET = 500_000
-ARRIVAL_POINT_BUDGET = 500_000
 
-# Rows of a density CSV, time.n_times x grid.n_points.  The density run writes
-# each time's grid.n_points rows in turn, at about 3.4 us and 78 bytes of CSV
-# a row per epsilon (measured from 41 x 2048 to 2001 x 2048 rows), so the
-# budget is about 70 s and 1.6 GB a CSV.  Through grid.n_points >= 64 it also
-# bounds the observables run at 312,500 times, which it evaluates and writes a
-# block of ensembles.FIELD_BLOCK_POINTS times at a time: 8.4 s and 39 MB peak
-# RSS per epsilon on 2 CPUs.
+# Times of the observables run (epsilons x time.n_times) and of the arrival
+# run (epsilons x arrival.n_points), each evaluated in blocks of
+# ensembles.FIELD_BLOCK_POINTS.  At one epsilon, 500,000 observables times
+# took 6.2-6.9 s (5.9-6.5 s of writer CPU), 48.7-48.9 MB peak RSS and a 148 MB
+# CSV; 500,000 arrival times took 1.1-1.3 s, 61.1-61.3 MB (its few float
+# arrays and t fields, about 66 bytes a point) and a 31 MB CSV.  At 4 epsilons
+# of 125,000 they took 3.6 s and 37.2 MB, and 0.9 s and 42.9 MB.
+TIME_POINT_BUDGET = 500_000
+
+# Rows of a density run's CSVs, epsilons x time.n_times x grid.n_points.  The
+# density run writes each time's grid.n_points rows in turn.  At 19,996,672
+# rows (4 epsilons x 2441 times x 2048 points) it took 8.4 s, 14.4 s of writer
+# CPU (0.72 us a row), 30.4 MB peak RSS and 1.64 GB of CSV (82 bytes a row).
 DENSITY_ROW_BUDGET = 20_000_000
 
 # Single-field bounds, (test, requirement) pairs.  A settings field lists its
@@ -291,12 +307,6 @@ def _settings(cls, obj, path: str) -> dict:
     return values
 
 
-def _gaussian_tail_mass(x_min: float, x0: float, sigma0: float) -> float:
-    """Probability mass of a unit Gaussian N(x0, sigma0^2) below x_min."""
-    z = (x_min - x0) / sigma0
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
 def parse_config(text: str, overrides=None) -> ExperimentConfig:
     """Parse and validate a JSON configuration document.
 
@@ -316,20 +326,6 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
     if len(set(map(epsilon_tag, config.epsilons))) != len(config.epsilons):
         raise ConfigError("epsilons", "values must be distinct in 6 significant digits")
 
-    grid = config.grid
-    for name in ("a", "b"):
-        try:
-            packet = getattr(config, f"packet_{name}")
-        except DomainError as exc:  # |x0| below 3 sigma0
-            raise ConfigError(f"packets.{name}", str(exc)) from exc
-        tail = _gaussian_tail_mass(grid.x_min, packet.x0, packet.sigma0)
-        if tail > _TAIL_MASS_LIMIT:
-            raise ConfigError(
-                "grid.x_min",
-                f"packet {name} has tail mass {tail:.3e} beyond x_min at t=0 "
-                f"(limit {_TAIL_MASS_LIMIT:.0e})",
-            )
-
     trajectories = config.trajectories
     try:
         n_recorded = record_count(trajectories.t_end, trajectories.dt, trajectories.record_every)
@@ -341,45 +337,57 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
     if not trajectories.x_lo < trajectories.x_hi:
         raise ConfigError("trajectories.x_lo", "need x_lo < x_hi")
 
-    # Every load-time budget: the field path it is reported at, what it counts,
-    # the count and the budget.
+    # Each run kind's last evaluated time and budget rows: the field path a
+    # row is reported at, what it counts over the whole run, the count and the
+    # budget.  Only the configured kind's rows are checked.
+    grid, time, arrival, wigner = config.grid, config.time, config.arrival, config.wigner
+    n_eps = len(config.epsilons)
     n_seeds = trajectories.n_seeds if seeds is None else len(seeds)
-    wigner = config.wigner
-    budgets = (
-        ("grid.n_points", "grid points", grid.n_points, GRID_POINT_BUDGET),
-        ("arrival.n_points", "arrival times", config.arrival.n_points, ARRIVAL_POINT_BUDGET),
-        ("time.n_times", "density rows (n_times x grid.n_points)",
-         config.time.n_times * grid.n_points, DENSITY_ROW_BUDGET),
-        ("trajectories.n_seeds" if seeds is None else "trajectories.seeds",
-         "samples (epsilons x 2 kinds x seeds x recorded times)",
-         len(config.epsilons) * 2 * n_seeds * n_recorded, TRAJECTORY_SAMPLE_BUDGET),
-        ("wigner.n_u", "Wigner points (n_x x n_u)", wigner.n_x * wigner.n_u, WIGNER_POINT_BUDGET),
-    )
+    last_time, *budgets = {
+        "density": (time.t_max, ("grid.n_points", "grid points", grid.n_points, GRID_POINT_BUDGET),
+                    ("time.n_times", "density rows (epsilons x n_times x grid.n_points)",
+                     n_eps * time.n_times * grid.n_points, DENSITY_ROW_BUDGET)),
+        "observables": (time.t_max, ("time.n_times", "times (epsilons x n_times)",
+                                     n_eps * time.n_times, TIME_POINT_BUDGET)),
+        "arrival": (arrival.t_max, ("arrival.n_points", "arrival times (epsilons x n_points)",
+                                    n_eps * arrival.n_points, TIME_POINT_BUDGET)),
+        "trajectories": (trajectories.t_end, (
+            "trajectories.n_seeds" if seeds is None else "trajectories.seeds",
+            "samples (epsilons x 2 kinds x seeds x recorded times)",
+            n_eps * 2 * n_seeds * n_recorded, TRAJECTORY_SAMPLE_BUDGET)),
+        "wigner": (max(wigner.times), ("wigner.n_u", "Wigner points (epsilons x times x n_x x n_u)",
+                                       n_eps * len(wigner.times) * wigner.n_x * wigner.n_u,
+                                       WIGNER_POINT_BUDGET)),
+    }[config.run_kind]
     for path, counted, count, budget in budgets:
         if count > budget:
             raise ConfigError(path, f"{count} {counted} exceed the budget of {budget}")
-    _check_packet_phase(config)
-    return config
 
-
-def _check_packet_phase(config: ExperimentConfig) -> None:
-    """Reject, at ``packets.<a|b>.p0``, a packet phase above :data:`PHASE_LIMIT`.
-
-    The phase ``p0 (x0 + x_t) / (2 hbar_tilde)``, with ``x_t = x0 + p0 t / m``,
-    is taken at the smallest ``hbar_tilde`` of the epsilons and at t = 0 and
-    the largest time any run kind evaluates; it is linear in t, so its modulus
-    peaks at one of the two.
-    """
-    t_end = max(config.time.t_max, config.arrival.t_max, config.trajectories.t_end,
-                *config.wigner.times)
+    # Every run kind's trace diagnostic evaluates time.t_max.  The phase
+    # p0 (x0 + x_t) / (2 hbar_tilde), with x_t = x0 + p0 t / m, is linear in
+    # t, so its modulus peaks at t = 0 or at the last time.
+    t_end = max(last_time, time.t_max)
     hbar_tilde = min(regime.hbar_tilde for regime in config.regimes())
-    for name, p in (("a", config.packet_a), ("b", config.packet_b)):
+    for name in ("a", "b"):
+        try:
+            p = getattr(config, f"packet_{name}")
+        except DomainError as exc:  # |x0| below 3 sigma0
+            raise ConfigError(f"packets.{name}", str(exc)) from exc
+        if (error := (p.x0 / p.sigma0) ** 2 * 2.0**-54) > _PAIR_ERROR_LIMIT:
+            raise ConfigError(f"packets.{name}", f"(x0 / sigma0)^2 2^-54 = {error:.3g}, the pair "
+                              f"integrals' relative error, exceeds {_PAIR_ERROR_LIMIT:.0e}")
+        # The mass of N(x0, sigma0^2) below x_min at t = 0.
+        tail = 0.5 * math.erfc((p.x0 - grid.x_min) / p.sigma0 / math.sqrt(2.0))
+        if tail > _TAIL_MASS_LIMIT:
+            raise ConfigError("grid.x_min", f"packet {name} has tail mass {tail:.3e} beyond "
+                              f"x_min at t=0 (limit {_TAIL_MASS_LIMIT:.0e})")
         phase = max(abs(p.p0 * (2.0 * p.x0 + p.p0 * t / p.mass)) for t in (0.0, t_end))
         phase /= 2.0 * hbar_tilde
         if not phase <= PHASE_LIMIT:
             raise ConfigError(f"packets.{name}.p0", f"packet phase {phase:.3g} rad at "
                               f"t = {t_end:g} and hbar_tilde = {hbar_tilde:.3g} exceeds 2^53 "
                               "rad, above which it has no correct units digit")
+    return config
 
 
 def config_to_dict(settings) -> dict:

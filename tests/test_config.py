@@ -8,9 +8,10 @@ import pytest
 from qctl import ConfigError, DomainError, make_regime, parse_config
 from qctl.cli import main
 from qctl.config import (
-    ARRIVAL_POINT_BUDGET,
     DENSITY_ROW_BUDGET,
     GRID_POINT_BUDGET,
+    RUN_KINDS,
+    TIME_POINT_BUDGET,
     TRAJECTORY_SAMPLE_BUDGET,
     WIGNER_POINT_BUDGET,
     ExperimentConfig,
@@ -234,7 +235,7 @@ def test_trajectory_sample_budget():
     # allocated.
     def load(epsilons, **trajectories):
         doc = json.loads(MINIMAL)
-        doc.update(epsilons=epsilons, trajectories=trajectories)
+        doc.update(run="trajectories", epsilons=epsilons, trajectories=trajectories)
         return parse_config(json.dumps(doc))
 
     assert TRAJECTORY_SAMPLE_BUDGET == 25_000_000
@@ -266,7 +267,7 @@ def test_sample_budget_sees_the_epsilon_override(tmp_path):
     # 2 epsilons x 2 kinds x 5,000 seeds x 1,501 recorded times exceed the
     # budget; one epsilon is within it.  Only loaded, never integrated.
     doc = json.loads(MINIMAL)
-    doc.update(epsilons=[1.0, 0.5], trajectories={"n_seeds": 5000})
+    doc.update(run="trajectories", epsilons=[1.0, 0.5], trajectories={"n_seeds": 5000})
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError) as excinfo:
@@ -292,14 +293,15 @@ def test_overrides_replace_document_keys_before_every_check():
 
 
 def test_wigner_point_budget():
-    # One Wigner time holds n_x x n_u points; every rejected document fails
-    # at load time, before anything is allocated.
+    # A Wigner run evaluates epsilons x times x n_x x n_u points (4 x 2 x
+    # n_x x n_u here); every rejected document fails at load time, before
+    # anything is allocated.
     def load(**wigner):
         doc = json.loads(MINIMAL)
-        doc["wigner"] = wigner
+        doc.update(run="wigner", wigner=wigner)
         return parse_config(json.dumps(doc))
 
-    assert WIGNER_POINT_BUDGET == 1_000_000
+    assert WIGNER_POINT_BUDGET == 8_000_000
     load(n_x=81, n_u=8001)  # the marginal-check grid of the acceptance suite
     load(n_x=1000, n_u=1000)  # exactly at the budget
     for settings in ({"n_x": 1000, "n_u": 1001}, {"n_x": 10**9}, {"n_u": 10**9}):
@@ -310,17 +312,19 @@ def test_wigner_point_budget():
 
 
 def test_grid_and_arrival_point_budgets():
-    # Both grids are bounded at load time; nothing here is allocated.
-    def load(section, n_points):
+    # Both grids are bounded at load time, each in the run that evaluates it;
+    # nothing here is allocated.
+    def load(kind, section, n_points):
         doc = json.loads(MINIMAL)
-        doc[section] = {"n_points": n_points}
+        doc.update({"run": kind, "epsilons": [1.0], section: {"n_points": n_points}})
         return parse_config(json.dumps(doc))
 
-    assert (GRID_POINT_BUDGET, ARRIVAL_POINT_BUDGET) == (500_000, 500_000)
-    for section, budget in (("grid", GRID_POINT_BUDGET), ("arrival", ARRIVAL_POINT_BUDGET)):
+    assert (GRID_POINT_BUDGET, TIME_POINT_BUDGET) == (500_000, 500_000)
+    for kind, section, budget in (("density", "grid", GRID_POINT_BUDGET),
+                                  ("arrival", "arrival", TIME_POINT_BUDGET)):
         for n_points in (budget + 1, 10**12):
             with pytest.raises(ConfigError) as excinfo:
-                load(section, n_points)
+                load(kind, section, n_points)
             assert excinfo.value.path == f"{section}.n_points"
             assert "budget" in str(excinfo.value)
 
@@ -338,10 +342,123 @@ def test_density_row_budget():
         assert "budget" in str(excinfo.value)
 
 
+def _loaded(mutation, kind):
+    doc = json.loads(MINIMAL)
+    doc.update(mutation)
+    return parse_config(json.dumps(doc), {"run": kind})
+
+
+# One document per row of each run kind's budgets, one epsilon and exactly at
+# the row's budget; one more unit of the field at the row's path is past it.
+# The last item names every kind with a row at that path.
+BUDGET_EDGES = [
+    ("density", "grid.n_points", {"grid": {"n_points": 500_000}, "time": {"n_times": 2}},
+     {"density"}),
+    ("density", "time.n_times", {"grid": {"n_points": 64}, "time": {"n_times": 312_500}},
+     {"density", "observables"}),
+    ("observables", "time.n_times", {"time": {"n_times": 500_000}}, {"density", "observables"}),
+    ("arrival", "arrival.n_points", {"arrival": {"n_points": 500_000}}, {"arrival"}),
+    ("trajectories", "trajectories.n_seeds",
+     {"trajectories": {"n_seeds": 1250, "t_end": 9.999, "dt": 0.001, "record_every": 1}},
+     {"trajectories"}),
+    ("trajectories", "trajectories.seeds",
+     {"trajectories": {"seeds": [-18.0 + 0.01 * i for i in range(1250)], "t_end": 9.999,
+                       "dt": 0.001, "record_every": 1}},
+     {"trajectories"}),
+    ("wigner", "wigner.n_u", {"wigner": {"times": [0.0], "n_x": 1000, "n_u": 8000}}, {"wigner"}),
+]
+
+
+@pytest.mark.parametrize("kind, path, edge, readers", BUDGET_EDGES,
+                         ids=[f"{kind}-{path}" for kind, path, *_ in BUDGET_EDGES])
+def test_budget_edges_bound_only_their_run_kind(kind, path, edge, readers):
+    # Only loaded, never run: each budget counts its kind's whole run.
+    edge = {"epsilons": [1.0], **edge}
+    _loaded(edge, kind)
+    past = json.loads(json.dumps(edge))
+    section, key = path.split(".")
+    value = past[section][key]
+    past[section][key] = value + [value[-1] + 0.01] if isinstance(value, list) else value + 1
+    with pytest.raises(ConfigError) as excinfo:
+        _loaded(past, kind)
+    assert excinfo.value.path == path
+    assert "budget" in str(excinfo.value)
+    for other in set(RUN_KINDS) - readers:
+        _loaded(past, other)
+
+
+KICK = {"epsilons": [1.0], "packets": {"a": {"x0": -5.0, "p0": -2.0},
+                                       "b": {"x0": -15.0, "p0": 1e7}}}
+# Documents that the loader misjudged when it checked every section's budget
+# per CSV, whatever the run kind.  Each loads under the kinds that do not read
+# what it exceeds, and exits 2 at its path under each (kind, path) that does.
+# The last two exceed their own kind's whole-run budget: the first was rejected
+# at trajectories.n_seeds under every kind, the second loaded under every kind.
+RUN_KIND_CASES = {
+    "arrival-points": ({"arrival": {"n_points": 10**6}}, ["wigner"],
+                       [("arrival", "arrival.n_points")]),
+    "wigner-grid": ({"wigner": {"n_x": 1001, "n_u": 1000}}, ["density", "arrival"],
+                    [("wigner", "wigner.n_u")]),
+    "grid-points": ({"grid": {"n_points": 500_001}}, ["arrival"],
+                    [("density", "grid.n_points")]),
+    "observables-times": ({"time": {"n_times": 10_000}}, ["observables"],
+                          [("density", "time.n_times")]),
+    "trajectory-steps": ({"trajectories": {"dt": 1e-7, "record_every": 1}}, ["wigner"],
+                         [("trajectories", "trajectories.n_seeds")]),
+    # At eps = 1 a kick of 1e7 reaches 1e16 rad by t = 200.
+    "arrival-phase": ({**KICK, "arrival": {"t_max": 200.0}}, ["density"],
+                      [("arrival", "packets.b.p0")]),
+    "wigner-phase": ({**KICK, "wigner": {"times": [0.0, 200.0]}}, ["trajectories"],
+                     [("wigner", "packets.b.p0")]),
+    # 500 x 41 x 2048 = 41,984,000 density rows.
+    "500-epsilons": ({"epsilons": [1.0 - 0.001 * i for i in range(500)]}, ["observables"],
+                     [("density", "time.n_times"), ("trajectories", "trajectories.n_seeds"),
+                      ("arrival", "arrival.n_points"), ("wigner", "wigner.n_u")]),
+    # 4 x 3,000 x 1000 x 1000 Wigner points.
+    "3000-wigner-times": ({"wigner": {"times": [0.001 * i for i in range(3000)], "n_x": 1000,
+                                      "n_u": 1000}},
+                          ["density", "observables", "arrival", "trajectories"],
+                          [("wigner", "wigner.n_u")]),
+}
+
+
+@pytest.mark.parametrize("case", RUN_KIND_CASES)
+def test_the_loader_checks_the_run_it_will_do(case, tmp_path, capsys):
+    mutation, loads, rejects = RUN_KIND_CASES[case]
+    for kind in loads:
+        assert _loaded(mutation, kind).run_kind == kind
+    doc = json.loads(MINIMAL)
+    doc.update(mutation)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    for kind, path in rejects:
+        out_dir = tmp_path / kind
+        assert main([kind, "--config", str(config_path), "--out", str(out_dir)]) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+def test_cli_rejects_packets_too_narrow_for_the_pair_table(tmp_path, capsys):
+    # (x0 / sigma0)^2 2^-54 predicts the pair integrals' relative error: 1.5
+    # for packet a at sigma0 = 3e-8, where the density CSV came out twice too
+    # large, and 3.1e-7 for packet b at sigma0 = 2e-4, within 1e-6.
+    doc = json.loads(MINIMAL)
+    doc.update(epsilons=[1.0], grid={"n_points": 121}, time={"t_max": 7.0, "n_times": 2})
+    config_path = tmp_path / "config.json"
+    for sigma0, code in ((3e-8, 2), (2e-4, 0)):
+        doc["packets"]["sigma0"] = sigma0
+        config_path.write_text(json.dumps(doc))
+        out_dir = tmp_path / f"out{code}"
+        assert main(["density", "--config", str(config_path), "--out", str(out_dir)]) == code
+        assert out_dir.exists() == (code == 0)
+    assert "config error: packets.a: (x0 / sigma0)^2 2^-54 = 1.54" in capsys.readouterr().err
+
+
 def test_packet_phase_bound():
     # p0 (x0 + x_t) / (2 hbar_tilde) above 2^53 rad has no correct units
-    # digit.  It is bounded at the largest time any run kind evaluates and the
-    # smallest hbar_tilde.  At eps = 1 a kick of 1e7 peaks near 2e15 rad by
+    # digit.  It is bounded at the smallest hbar_tilde and the last time the
+    # configured run kind evaluates, or time.t_max, which every kind's trace
+    # diagnostic reads.  At eps = 1 a kick of 1e7 peaks near 2e15 rad by
     # t = 40 (the default arrival window) and near 1e16 rad by t = 200.
     def load(p0, packet="b", **top):
         doc = json.loads(MINIMAL)
@@ -359,9 +476,9 @@ def test_packet_phase_bound():
     load(1e7)
     load(-1e7, "a")
     rejected(1e7, time={"t_max": 200.0})
-    rejected(1e7, arrival={"t_max": 200.0})
-    rejected(1e7, trajectories={"t_end": 200.0})
-    rejected(1e7, wigner={"times": [0.0, 200.0]})
+    rejected(1e7, run="arrival", arrival={"t_max": 200.0})
+    rejected(1e7, run="trajectories", trajectories={"t_end": 200.0})
+    rejected(1e7, run="wigner", wigner={"times": [0.0, 200.0]})
     # A smaller hbar_tilde, through an epsilon or hbar, raises the phase.
     rejected(-1e7, "a", epsilons=[1.0, 0.01])
     rejected(-1e7, "a", hbar=0.1)

@@ -615,7 +615,8 @@ def test_cli_collapsing_steps_stall_with_their_own_status(tmp_path, capsys, monk
     code, config = huge_kick("trajectories", 1e150, tmp_path, t_end=15.0, x_lo=-18.0, x_hi=-2.0,
                              n_seeds=20)
     assert code == 2
-    assert "config error: packets.a.p0: packet phase 2e+301 rad" in capsys.readouterr().err
+    message = "config error: packets.a.p0: packet phase 7.5e+300 rad at t = 15 "
+    assert message in capsys.readouterr().err
     fans = []
     integrate = runner.trajectory_fans
 
