@@ -38,7 +38,9 @@ workload's run kinds, the README default config in all five run kinds, and
 that config with Born seeding in the trajectories kind.  The report lists the
 CSVs whose bytes differ and, per run, the manifest keys (dotted paths) whose
 values differ, the timings ``wall_clock_seconds`` and ``writers.*`` (each CSV
-writer's CPU seconds and peak RSS) left out.  For a tree with
+writer's CPU seconds and peak RSS) left out, each with its largest relative
+change, |parent - change| / max(|parent|, |change|) over its fields (null
+where the two do not pair up as numbers).  For a tree with
 ``qctl.csvtext``, ``fallback_share`` gives, per CSV of this tree, the share of
 its fields (every value of the body) that the numpy formatter leaves to
 CPython's ``%``.  Only the standard library is
@@ -262,6 +264,39 @@ print(json.dumps(shares))
 """
 
 
+def _relative_change(parent, change):
+    """|parent - change| / max(|parent|, |change|) of two numbers, or of two equal-length
+    lists' entries at most; 0 where they are equal (nan to nan included), None where
+    they are not numbers."""
+    if isinstance(parent, list) and isinstance(change, list) and len(parent) == len(change):
+        changes = [_relative_change(p, c) for p, c in zip(parent, change)]
+        return None if None in changes else max(changes, default=0.0)
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (parent, change)):
+        return None
+    if parent == change or (parent != parent and change != change):
+        return 0.0
+    if parent != parent or change != change:
+        return float("inf")
+    return abs(parent - change) / max(abs(parent), abs(change))
+
+
+def _csv_change(parent: bytes, change: bytes):
+    """The largest :func:`_relative_change` of two CSVs' fields, row by row; None
+    unless both have the same header and the same number of rows and fields."""
+    parent_rows, change_rows = (text.decode("utf-8").splitlines() for text in (parent, change))
+    if len(parent_rows) != len(change_rows) or parent_rows[:1] != change_rows[:1]:
+        return None
+    worst = 0.0
+    for parent_row, change_row in zip(parent_rows[1:], change_rows[1:]):
+        if parent_row != change_row:
+            row = _relative_change([float(v) for v in parent_row.split(",")],
+                                   [float(v) for v in change_row.split(",")])
+            if row is None:
+                return None
+            worst = max(worst, row)
+    return worst
+
+
 def _fallback_share(tree: Path, work: Path, paths: list) -> dict:
     """``FALLBACK_SHARE`` of the CSVs ``paths`` under ``work``, by ``tree``'s ``qctl``; {} without csvtext."""
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
@@ -307,13 +342,13 @@ def _byte_contract(parent: Path, change: Path) -> dict:
         keys = sorted(k for k in parent_keys.keys() | change_keys.keys()
                       if k not in parent_keys or k not in change_keys or parent_keys[k] != change_keys[k])
         if keys:
-            differing_keys[name] = keys
+            differing_keys[name] = {k: _relative_change(parent_keys.get(k), change_keys.get(k)) for k in keys}
     return {
         "runs": len(runs),
         "exit_codes": exit_codes,
         "csvs": len(csvs),
-        "differing_csvs": sorted(name for name, sides in csvs.items()
-                                 if sides.get("parent") != sides.get("change")),
+        "differing_csvs": {name: _csv_change(sides.get("parent", b""), sides.get("change", b""))
+                           for name, sides in sorted(csvs.items()) if sides.get("parent") != sides.get("change")},
         "differing_manifest_keys": differing_keys,
         "fallback_share": fallback,
     }

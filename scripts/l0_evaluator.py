@@ -153,7 +153,7 @@ def _l1(spec, regime, repeat: int) -> None:
         samples = []
         for _ in range(repeat):
             start = time.process_time()
-            _, loop = trajectory_fans([(spec, regime, seeds)], L1_T_END, 1e-2)
+            loop = trajectory_fans([(spec, regime, seeds)], L1_T_END, 1e-2)[1]
             samples.append((time.process_time() - start) / loop["iterations"])
         loops.append((n, loop["iterations"], 1e6 * statistics.median(samples)))
     ctypes.CDLL(None).mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD

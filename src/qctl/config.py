@@ -66,9 +66,10 @@ PHASE_LIMIT = 2.0**53
 
 # Samples a trajectory run holds, epsilons x 2 kinds x seeds x the
 # hydrodynamics.record_count(t_end, dt, record_every) recorded times
-# (240,160 at the defaults; the budget is 200 MB of float64).  At 24,000,160
-# samples (dt = 1e-4, record_every = 1) the run took 6.7 s, peaked at 310 MB
-# and wrote 489 MB of CSV.
+# (240,160 at the defaults; the budget is 200 MB of float64).  The run holds
+# them once, in trajectory_fans' table, and writes each epsilon's CSV from a
+# view of it.  At 24,000,160 samples (dt = 1e-4, record_every = 1) the run
+# took 5.7-6.3 s, peaked at 224 MB (192 MB of samples) and wrote 489 MB of CSV.
 TRAJECTORY_SAMPLE_BUDGET = 25_000_000
 
 # (R, u) points of a Wigner run, epsilons x times x n_x x n_u (207,368 at the

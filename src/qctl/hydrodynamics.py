@@ -295,12 +295,15 @@ def trajectory_fans(
     t_end: float,
     dt: float = 1e-3,
     record_every: int = 1,
-) -> tuple[list[list[Trajectory]], dict]:
+) -> tuple[list[list[Trajectory]], dict, np.ndarray]:
     """Integrate fans ``(spec, regime, initial_positions)`` sharing the wall in one loop.
 
     Returns one list of :class:`Trajectory` per fan, each equal to the fan alone, bit for
-    bit, and the loop's ``evaluator_calls``, ``evaluator_points`` (the sum of the seeds'
-    ``evaluations``) and ``iterations`` (the longest-running seed's step attempts).
+    bit; the loop's ``evaluator_calls``, ``evaluator_points`` (the sum of the seeds'
+    ``evaluations``) and ``iterations`` (the longest-running seed's step attempts); and
+    the ``(times, seeds)`` table of every sample, the seeds of the fans in turn, nan past
+    a stall.  Each trajectory's ``positions`` is a view of its column, so the samples
+    are held once.
 
     Each trajectory holds the samples at :func:`record_times`: every
     ``record_every``-th multiple of ``dt``, and ``t_end``.  Only those are
@@ -325,8 +328,8 @@ def trajectory_fans(
     seeds = np.concatenate([fan_seeds for _, _, fan_seeds in fans])
     scale = np.concatenate([np.full(s.size, min(p.sigma0 for p in f.packets)) for f, _, s in fans])
     n = seeds.size
-    positions = np.full((n, times.size), np.nan)
-    positions[:, 0] = seeds
+    positions = np.full((times.size, n), np.nan)
+    positions[0] = seeds
     members = [None] * n
 
     v, rho = cohort.evaluate(cohort.coefficients(np.zeros((1, n))), 0, seeds)
@@ -348,7 +351,7 @@ def trajectory_fans(
             # Each leaving seed becomes its trajectory.
             for k in np.flatnonzero(leaving):
                 i, (recorded, accepted, rejected, evaluations, code) = ids[k], held[:, k].tolist()
-                members[i] = Trajectory(float(seeds[i]), times[:recorded], positions[i, :recorded],
+                members[i] = Trajectory(float(seeds[i]), times[:recorded], positions[:recorded, i],
                                         _STATUSES[code], accepted, rejected, float(state[4, k]),
                                         evaluations)
             keep = ~leaving
@@ -406,7 +409,7 @@ def trajectory_fans(
                 # every accepted stage, vanishes at x >= 0.  Samples between
                 # them may overshoot.
                 sample = np.minimum(sample, 0.0)
-            positions[ids[owner], cols] = sample
+            positions[cols, ids[owner]] = sample
             recorded[:] = stop
 
         np.copyto(t, t1, where=ok)
@@ -429,4 +432,4 @@ def trajectory_fans(
     loop = dict(evaluator_calls=max(calls), evaluator_points=sum(calls),
                 iterations=max(tr.accepted_steps + tr.rejected_steps for tr in members))
     members = iter(members)
-    return [[next(members) for _ in fan_seeds] for _, _, fan_seeds in fans], loop
+    return [[next(members) for _ in fan_seeds] for _, _, fan_seeds in fans], loop, positions

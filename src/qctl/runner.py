@@ -127,7 +127,7 @@ def _trajectories(config: ExperimentConfig, specs: list[EnsembleSpec], diagnosti
             path = "trajectories.n_seeds" if settings.seeds is None else "trajectories.seeds"
             raise ConfigError(path, f"{spec.kind} seeds at epsilon {regime.epsilon:g} share the "
                               f"CSV column names {shared} (6 significant digits)")
-    fans, diagnostics["trajectory_loop"] = trajectory_fans(
+    fans, diagnostics["trajectory_loop"], positions = trajectory_fans(
         seeded, settings.t_end, settings.dt, record_every=settings.record_every
     )
     for (spec, regime, _), fan in zip(seeded, fans):
@@ -137,16 +137,16 @@ def _trajectories(config: ExperimentConfig, specs: list[EnsembleSpec], diagnosti
                                       "stalled on a density or step that is not finite")
     times = record_times(settings.t_end, settings.dt, settings.record_every)
 
+    start = 0
     for i, regime in enumerate(regimes):
         tag = epsilon_tag(regime.epsilon)
         group = fans[i * len(specs) : (i + 1) * len(specs)]
         header = ["t [time]"] + [f"x_{spec.kind}[{_seed_name(tr.initial_position)}] [length]"
                                  for spec, fan in zip(specs, group) for tr in fan]
-        # One block, filled in place; a stalled trajectory has no samples past
-        # its stall, so nan stays there.
-        block = np.full((times.size, len(header) - 1), np.nan)
-        for column, trajectory in enumerate(tr for fan in group for tr in fan):
-            block[: trajectory.positions.size, column] = trajectory.positions
+        # The epsilon's fans are consecutive columns of the loop's table, written
+        # from a view of them, so no sample is copied.
+        block = positions[:, start : start + len(header) - 1]
+        start += block.shape[1]
         yield f"trajectories_eps{tag}.csv", header, (times,), [block]
         counts = {spec.kind: _integrator_counts(fan) for spec, fan in zip(specs, group)}
         diagnostics.setdefault("integrator", {})[tag] = counts

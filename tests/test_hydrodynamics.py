@@ -228,8 +228,15 @@ def test_cohort_of_fans_equals_each_fan_alone(pure_spec, mixed_spec, quantum, ne
         for regime in (quantum, nearly_classical)
         for spec in (pure_spec, mixed_spec)
     ] + [(narrow, nearly_classical, [-13.0, -7.0])]
-    cohort, loop = trajectory_fans(fans, 3.0, 1e-3)
+    cohort, loop, positions = trajectory_fans(fans, 3.0, 1e-3)
     assert [len(fan) for fan in cohort] == [3, 3, 3, 3, 2]
+    # Each trajectory is a view of its column of the one table, nan past its samples.
+    members = [tr for fan in cohort for tr in fan]
+    assert positions.shape == (members[0].times.size, len(members))
+    for column, member in enumerate(members):
+        assert np.shares_memory(member.positions, positions)
+        assert np.array_equal(member.positions, positions[: member.positions.size, column])
+        assert np.isnan(positions[member.positions.size :, column]).all()
     for (spec, regime, fan_seeds), together in zip(fans, cohort):
         alone = trajectory_fans([(spec, regime, fan_seeds)], 3.0, 1e-3)[0][0]
         for member, single in zip(together, alone):
@@ -368,7 +375,7 @@ def _check_attempt_budget(quantum, pure_spec, monkeypatch, budget):
     seeds = [-12.0, -6.0]
     unbudgeted = trajectory_fans([(pure_spec, quantum, seeds)], 1.0, 1e-2)[0][0]
     monkeypatch.setattr(hydrodynamics, "MAX_ATTEMPTS", budget)
-    (fan,), loop = trajectory_fans([(pure_spec, quantum, seeds)], 1.0, 1e-2)
+    (fan,), loop, _ = trajectory_fans([(pure_spec, quantum, seeds)], 1.0, 1e-2)
     last = "completed" if budget >= 62 else "stalled-work-budget"
     assert [tr.status for tr in fan] == ["stalled-work-budget", last]
     assert fan[0].accepted_steps + fan[0].rejected_steps == budget == loop["iterations"]
@@ -421,7 +428,7 @@ def test_trajectories_keep_their_quantile(eps, pure_spec, mixed_spec):
     # the summed current and density obey continuity.
     regime = make_regime(eps)
     seeds = np.linspace(-18.0, -2.0, 20)
-    fans, _ = trajectory_fans([(pure_spec, regime, seeds), (mixed_spec, regime, seeds)], 3.0, 1e-2)
+    fans = trajectory_fans([(pure_spec, regime, seeds), (mixed_spec, regime, seeds)], 3.0, 1e-2)[0]
     for spec, fan in zip((pure_spec, mixed_spec), fans):
         assert {tr.status for tr in fan} == {"completed"}
         positions = np.array([tr.positions for tr in fan])

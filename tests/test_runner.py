@@ -627,7 +627,7 @@ def test_cli_collapsing_steps_stall_with_their_own_status(tmp_path, capsys, monk
     monkeypatch.setattr(runner, "trajectory_fans", recorded)
     with np.errstate(all="ignore"):
         manifest = run_experiment(replace(config, out_dir=str(tmp_path / "out")))
-    (cohort, loop), = fans
+    (cohort, loop, _), = fans
     assert [tr.status for fan in cohort for tr in fan] == ["stalled-step-collapse"] * 40
     assert loop["evaluator_calls"] <= 8
     assert manifest["diagnostics"]["stalled_eps1"] == {"pure": 20, "mixed": 20}
