@@ -38,9 +38,11 @@ workload's run kinds, the README default config in all five run kinds, and
 that config with Born seeding in the trajectories kind.  The report lists the
 CSVs whose bytes differ and, per run, the manifest keys (dotted paths) whose
 values differ, the timings ``wall_clock_seconds`` and ``writers.*`` (each CSV
-writer's CPU seconds and peak RSS) left out, each with its largest relative
-change, |parent - change| / max(|parent|, |change|) over its fields (null
-where the two do not pair up as numbers).  For a tree with
+writer's CPU seconds and peak RSS) left out.  Each manifest key gives its
+largest relative change, |parent - change| / max(|parent|, |change|) (null
+where the two do not pair up as numbers); each CSV gives that over its fields
+(``relative``) and the largest change of a column over the column's largest
+parent magnitude (``scaled``).  For a tree with
 ``qctl.csvtext``, ``fallback_share`` gives, per CSV of this tree, the share of
 its fields (every value of the body) that the numpy formatter leaves to
 CPython's ``%``.  Only the standard library is
@@ -281,20 +283,28 @@ def _relative_change(parent, change):
 
 
 def _csv_change(parent: bytes, change: bytes):
-    """The largest :func:`_relative_change` of two CSVs' fields, row by row; None
-    unless both have the same header and the same number of rows and fields."""
+    """How two CSVs' fields differ: ``relative``, their largest :func:`_relative_change`,
+    and ``scaled``, the largest change of a column over its largest parent magnitude,
+    so that a value at the rounding floor of its column does not read as a change of
+    order 1.  None unless both have the same header, rows and fields."""
     parent_rows, change_rows = (text.decode("utf-8").splitlines() for text in (parent, change))
     if len(parent_rows) != len(change_rows) or parent_rows[:1] != change_rows[:1]:
         return None
-    worst = 0.0
+    relative, differences, magnitudes = 0.0, [], []
     for parent_row, change_row in zip(parent_rows[1:], change_rows[1:]):
+        values = [float(v) for v in parent_row.split(",")], [float(v) for v in change_row.split(",")]
+        if len(values[0]) != len(values[1]):
+            return None
+        magnitudes = [max(m, abs(p)) for m, p in zip(magnitudes or [0.0] * len(values[0]), values[0])]
         if parent_row != change_row:
-            row = _relative_change([float(v) for v in parent_row.split(",")],
-                                   [float(v) for v in change_row.split(",")])
-            if row is None:
-                return None
-            worst = max(worst, row)
-    return worst
+            relative = max(relative, _relative_change(*values))
+            # nan to nan is no change, nan to a number an infinite one.
+            row = [float("inf") if (p != p) != (c != c) else abs(p - c) if p == p else 0.0
+                   for p, c in zip(*values)]
+            differences = [max(d, r) for d, r in zip(differences or [0.0] * len(row), row)]
+    scaled = max((d / m if m else float("inf") if d else 0.0 for d, m in zip(differences, magnitudes)),
+                 default=0.0)
+    return {"relative": relative, "scaled": scaled}
 
 
 def _fallback_share(tree: Path, work: Path, paths: list) -> dict:

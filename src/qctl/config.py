@@ -49,10 +49,12 @@ RUN_KINDS = ("density", "trajectories", "arrival", "observables", "wigner")
 
 _TAIL_MASS_LIMIT = 1e-10
 
-# Largest predicted relative error of the pair integrals.  For a packet at x0,
-# the expanded pair exponents B^2 / 4A and G are each about (x0 / sigma0)^2 / 2
-# and cancel, leaving a relative error of about (x0 / sigma0)^2 2^-54.  1e-6 is
-# the acceptance suite's trace tolerance; the bound trips near |x0| = 1.34e5 sigma0.
+# Largest (x0 / sigma0)^2 2^-54 of a packet; the bound trips near |x0| =
+# 1.34e5 sigma0.  The pair integrals once lost that much relative accuracy;
+# each pair is now taken about its own centre and loses none.  The bound stays
+# while the diagonal density's residue guard (ensembles._IMAG_FAIL) is
+# absolute: densities of order 1 / sigma0 round to a residue above it, and
+# sigma0 = 1e-9 at the default centres would load and then exit 3.
 _PAIR_ERROR_LIMIT = 1e-6
 
 # Largest packet phase p0 (x0 + x_t) / (2 hbar_tilde), in rad, that a run may
@@ -375,8 +377,8 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
         except DomainError as exc:  # |x0| below 3 sigma0
             raise ConfigError(f"packets.{name}", str(exc)) from exc
         if (error := (p.x0 / p.sigma0) ** 2 * 2.0**-54) > _PAIR_ERROR_LIMIT:
-            raise ConfigError(f"packets.{name}", f"(x0 / sigma0)^2 2^-54 = {error:.3g}, the pair "
-                              f"integrals' relative error, exceeds {_PAIR_ERROR_LIMIT:.0e}")
+            raise ConfigError(f"packets.{name}", f"(x0 / sigma0)^2 2^-54 = {error:.3g} exceeds "
+                              f"{_PAIR_ERROR_LIMIT:.0e}: the packet is too narrow for its centre")
         # The mass of N(x0, sigma0^2) below x_min at t = 0.
         tail = 0.5 * math.erfc((p.x0 - grid.x_min) / p.sigma0 / math.sqrt(2.0))
         if tail > _TAIL_MASS_LIMIT:

@@ -9,12 +9,15 @@ fields of :func:`~qctl.packets.packet_fields`, whose kernel
 normalized components.  Components are built from hard-wall packet
 amplitudes, so density-matrix elements vanish whenever either argument is at
 or beyond the wall.  Every trace, moment and overlap is a sum of exact
-integrals of products of two packet terms.  The same-component pairs of
-:func:`diagonal_pairs` and :func:`mass_below` take an array of times, with the
-time axis first and the pair axis last, and a scalar time is its 0-d case;
-the Wigner transform reads the same assignment of terms to components as the
-weights of :func:`pair_weights`.  The normalization ``D`` is the exact t = 0 trace,
-reused at all times.
+integrals of products of two packet terms, each pair of the kernel's terms
+``c0 exp(a d^2 + k d)`` (:func:`~qctl.packets.term_coefficients`) taken in its
+own centred coordinate and integrated by :func:`~qctl.gaussians.gaussians`, so
+that no large exponent parts cancel however far the packets travel.  The
+same-component pairs of :func:`diagonal_pairs` and :func:`mass_below` take an
+array of times, with the time axis first and the pair axis last, and a scalar
+time is its 0-d case; the Wigner transform reads the same assignment of terms
+to components as the weights of :func:`pair_weights`.  The normalization ``D``
+is the exact t = 0 trace, reused at all times.
 
 ``wall=False`` switches the components to free-space amplitudes.  That variant
 exists for oracle checks (free-packet velocity fields, rigid Wigner transport)
@@ -31,8 +34,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NumericalGuardError
-from .gaussians import gaussian_moments
-from .packets import GaussianPacket, packet_fields, packet_terms
+from .gaussians import gaussians
+from .packets import GaussianPacket, packet_fields, term_coefficients
 from .regime import Regime
 
 __all__ = [
@@ -137,45 +140,64 @@ def _components(spec: EnsembleSpec, regime: Regime, fields):
     return np.add.reduceat(fields, spec.component_starts, axis=0) * scale
 
 
-def _term_components(spec: EnsembleSpec, terms_per_packet: int) -> np.ndarray:
-    """The component of each term, packet-major as :func:`packet_terms` flattens them."""
+def _term_components(spec: EnsembleSpec) -> np.ndarray:
+    """The component of each term, packet-major as :func:`~qctl.packets.term_coefficients`
+    lays them out: each packet's direct term and, with the wall, its image term."""
     packets = np.arange(len(spec.packets))
     packet_component = np.searchsorted(spec.component_starts, packets, "right") - 1
-    return np.repeat(packet_component, terms_per_packet)
+    return np.repeat(packet_component, 1 + spec.wall)
 
 
-TermPairs = namedtuple("TermPairs", "coefficient left right integrals")
+TermPairs = namedtuple("TermPairs", "centre left right integrals")
 
 
-def _pair_table(spec: EnsembleSpec, regime: Regime, t) -> tuple:
-    """``coefficient``, ``left`` and ``right`` of :func:`diagonal_pairs`, not yet weighted.
+def _pair_table(spec: EnsembleSpec, regime: Regime, t, every: bool = False) -> tuple:
+    """The term pairs ``g_i conj(g_j)`` at ``t``, each in its centred coordinate, pair axis last.
 
-    The same-component pairs (i, j) of the unnormalized terms, in row-major
-    order, are taken on the last axis, which stays contiguous.
+    The same-component pairs (i, j), or with ``every`` all pairs, in row-major
+    order.  With c = (xt_i + xt_j) / 2, y = x - c and delta = c - xt, a side's
+    exponent a (y + delta)^2 + k (y + delta) is a y^2 + s y + (a delta + k) delta,
+    where s = 2 a delta + k makes its gradient (2 a y + s) times the term.
+    Returns ``coefficient`` c0_i conj(c0_j), ``centre`` c, ``left`` (a_i, s_i)
+    and ``right`` conj(a_j, s_j), so that the pair is ``coefficient exp(alpha
+    y^2 + beta y + gamma)`` with (alpha, beta) = left + right, and ``gamma``,
+    exactly 0 for a term with itself.
     """
-    C, A, B, G = packet_terms(spec.packets, regime, t, spec.wall)
-    component = _term_components(spec, C.shape[-1])
-    i, j = np.nonzero(component[:, None] == component[None, :])
-    C = C.reshape(C.shape[:-2] + (-1,))
-    exponents = np.stack((A, B, G)).reshape((3,) + C.shape)
-    coefficient = np.multiply(np.take(C, i, axis=-1), np.conj(np.take(C, j, axis=-1)))
-    return coefficient, np.take(exponents, i, axis=-1), np.conj(np.take(exponents, j, axis=-1))
+    terms = term_coefficients(spec.packets, regime, t, spec.wall)
+    component = _term_components(spec)
+    i, j = np.nonzero((component[:, None] == component[None, :]) | every)
+    left, right = ([np.take(term, index, axis=-1) for term in terms] for index in (i, j))
+    right = [np.conj(term) for term in right]
+    centre = 0.5 * (left[2] + right[2])
+    gamma, sides = 0.0, []
+    for a, k, xt, _ in (left, right):
+        delta = centre - xt
+        sides.append(np.stack((a, 2.0 * a * delta + k)))
+        gamma = gamma + (a * delta + k) * delta
+    return np.multiply(left[3], right[3]), centre, sides[0], sides[1], gamma
+
+
+def _integrals(spec: EnsembleSpec, regime: Regime, t, orders: int, every: bool = False) -> tuple:
+    """The unweighted integrals of y^m times the pairs of :func:`_pair_table`, m < ``orders``,
+    over x <= 0 (the whole line without the wall), and the table's centre, left and right."""
+    coefficient, centre, left, right, gamma = _pair_table(spec, regime, t, every)
+    window = gaussians(*(left + right), gamma, -np.inf, -centre if spec.wall else np.inf, orders)
+    return np.multiply(coefficient, window), centre, left, right
 
 
 def diagonal_pairs(spec: EnsembleSpec, regime: Regime, t) -> TermPairs:
-    """Every same-component pair (i, j) of the terms ``g = C exp(A x^2 + B x + G)`` at ``t``.
+    """Every same-component pair (i, j) of the terms ``g = c0 exp(a d^2 + k d)`` at ``t``.
 
-    The pair axis is last, after the shape of ``t``: ``coefficient`` is
-    ``C_i conj(C_j)``; ``left`` stacks ``(A_i, B_i, G_i)`` and ``right``
-    ``conj(A_j, B_j, G_j)`` on a first axis of 3; ``integrals`` stacks the
-    exact integrals of ``x^m g_i conj(g_j)``, m = 0, 1, 2, over x <= 0 (the
-    whole line without the wall).  ``coefficient`` and ``integrals`` carry
-    ``COMPONENT_WEIGHT / D``.
+    The pair axis is last, after the shape of ``t``, and each pair is taken
+    in its centred coordinate y = x - c (:func:`_pair_table`): ``centre`` is
+    c = (xt_i + xt_j) / 2; ``left`` stacks ``(a_i, s_i)`` and ``right``
+    ``conj(a_j, s_j)`` on a first axis of 2, where s = 2 a (c - xt) + k, so
+    that the x-gradient of g_i is ``(2 a_i y + s_i) g_i``; ``integrals``
+    stacks the exact integrals of ``y^m g_i conj(g_j)``, m = 0, 1, 2, over
+    x <= 0 (the whole line without the wall), times ``COMPONENT_WEIGHT / D``.
     """
-    coefficient, left, right = _pair_table(spec, regime, t)
-    integrals = np.multiply(coefficient, gaussian_moments(*(left + right), wall=spec.wall))
-    scale = COMPONENT_WEIGHT / norm_constant(spec, regime)
-    return TermPairs(scale * coefficient, left, right, scale * integrals)
+    integrals, centre, left, right = _integrals(spec, regime, t, 3)
+    return TermPairs(centre, left, right, COMPONENT_WEIGHT / norm_constant(spec, regime) * integrals)
 
 
 def mass_below(spec: EnsembleSpec, regime: Regime, t, upper, a=0.0, b=0.0, g=0.0):
@@ -183,30 +205,29 @@ def mass_below(spec: EnsembleSpec, regime: Regime, t, upper, a=0.0, b=0.0, g=0.0
 
     ``t``, ``upper``, ``a``, ``b`` and ``g`` broadcast, with ``a <= 0``.  With
     ``a = b = g = 0`` this is the cumulative distribution ``F_t(upper)``, which
-    reaches 1 at the wall.  Each pair of :func:`diagonal_pairs`, weighted as
-    there but without its unshifted integrals, is shifted by ``x = y + upper``
-    onto ``y <= 0`` and integrated by
-    :func:`~qctl.gaussians.gaussian_moments`.  With the wall, ``rho``
-    vanishes at ``x >= 0``, so ``upper`` is capped at 0.
+    reaches 1 at the wall.  Each same-component pair of :func:`_pair_table`,
+    times the weight written in its centred coordinate y = x - c, is
+    integrated over ``y <= upper - c`` by :func:`~qctl.gaussians.gaussians`.
+    With the wall, ``rho`` vanishes at ``x >= 0``, so ``upper`` is capped at 0.
     """
-    coefficient, left, right = _pair_table(spec, regime, t)
-    coefficient = COMPONENT_WEIGHT / norm_constant(spec, regime) * coefficient
+    coefficient, centre, left, right, gamma = _pair_table(spec, regime, t)
     upper = np.minimum(upper, 0.0 if spec.wall else np.inf)[..., None]
-    weight = (np.asarray(w)[..., None] for w in (a, b, g))
-    alpha, beta, gamma = map(np.add, weight, left + right)
-    # alpha y^2 + beta' y + gamma' is the exponent at x = y + upper.
-    shifted = (alpha, beta + 2.0 * alpha * upper, gamma + (alpha * upper + beta) * upper)
-    return np.multiply(coefficient, gaussian_moments(*shifted)[0]).sum(axis=-1).real
+    a, b, g = (np.asarray(w)[..., None] for w in (a, b, g))
+    alpha, beta = left + right
+    # The weight at x = y + c is a y^2 + (2 a c + b) y + (a c + b) c + g.
+    exponent = (alpha + a, beta + (2.0 * a * centre + b), gamma + ((a * centre + b) * centre + g))
+    mass = np.multiply(coefficient, gaussians(*exponent, -np.inf, upper - centre)[0])
+    return COMPONENT_WEIGHT / norm_constant(spec, regime) * mass.sum(axis=-1).real
 
 
-def pair_weights(spec: EnsembleSpec, regime: Regime, terms_per_packet: int) -> np.ndarray:
+def pair_weights(spec: EnsembleSpec, regime: Regime) -> np.ndarray:
     """Symmetric (n, n) weights of ``rho(x, y) = sum_ij w_ij g_i(x) conj(g_j(y))``.
 
-    The n terms are those of :func:`~qctl.packets.packet_terms`, flattened
-    packet-major; ``w_ij`` is ``COMPONENT_WEIGHT / D`` where terms i and j
-    belong to the same component and 0 elsewhere.
+    The n terms are those of :func:`~qctl.packets.term_coefficients`; ``w_ij``
+    is ``COMPONENT_WEIGHT / D`` where terms i and j belong to the same
+    component and 0 elsewhere.
     """
-    component = _term_components(spec, terms_per_packet)
+    component = _term_components(spec)
     same = component[:, None] == component[None, :]
     return np.where(same, COMPONENT_WEIGHT / norm_constant(spec, regime), 0.0)
 
@@ -218,9 +239,7 @@ def norm_constant(spec: EnsembleSpec, regime: Regime) -> float:
     Densities divide by this constant; for the pure state it equals
     1 / N^2 with N the superposition normalization constant.
     """
-    coefficient, left, right = _pair_table(spec, regime, 0.0)
-    integrals = np.multiply(coefficient, gaussian_moments(*(left + right), wall=spec.wall)[0])
-    value = COMPONENT_WEIGHT * float(integrals.sum().real)
+    value = COMPONENT_WEIGHT * float(_integrals(spec, regime, 0.0, 1)[0].sum().real)
     if not value > 0.0:
         raise DomainError("ensemble has no support at t = 0")
     return value
@@ -270,11 +289,9 @@ def _real_diagonal(phi):
 
 def purity(spec: EnsembleSpec, regime: Regime, t) -> float:
     """tr(rho^2) = sum over component pairs of |<phi_c|phi_c'>|^2, from exact overlaps."""
-    C, A, B, G = (term.ravel() for term in packet_terms(spec.packets, regime, t, spec.wall))
     # The exact <g_j|g_i> of every pair of terms, added up per pair of components.
-    exponents = (E[:, None] + np.conj(E) for E in (A, B, G))
-    integrals = C[:, None] * np.conj(C) * gaussian_moments(*exponents, wall=spec.wall)[0]
-    component = _term_components(spec, C.size // len(spec.packets))
+    component = _term_components(spec)
+    integrals = _integrals(spec, regime, t, 1, every=True)[0][0].reshape(component.size, -1)
     overlaps = np.zeros((len(spec.component_starts),) * 2, dtype=complex)
     np.add.at(overlaps, np.ix_(component, component), integrals)
     overlaps *= COMPONENT_WEIGHT / norm_constant(spec, regime)
@@ -307,9 +324,9 @@ def fringe_visibility(
 
     The smoothed densities are exact, :func:`mass_below` with the Gaussian
     weight over x <= 0, so V has only a rounding floor.  On the reference
-    packets at t = 2.5 it read 3.4e-22 to 4.0e-22 for eps from 3e-3 to 2e-6
-    (6.3e-22 at eps = 0.01, where the Gaussian factor is 1.9e-22), except at
-    eps = 1e-4 and 2e-6, where it read 2.3e-16 and 3.4e-16: there the scale
+    packets at t = 2.5 it read 3.7e-22 to 4.8e-22 for eps from 3e-3 to 2e-6
+    (8.0e-22 at eps = 0.01, where the Gaussian factor is 1.9e-22), except at
+    eps = 1e-4 and 2e-6, where it read 2.3e-16 at both: there the scale
     ``COMPONENT_WEIGHT / D`` of the pure and of the mixed ensemble differ in
     the last bit, so their incoherent parts no longer cancel exactly.
     """

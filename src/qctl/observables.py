@@ -2,11 +2,15 @@
 
 The moments are exact sums over the term pairs of the pure components
 (:func:`~qctl.ensembles.diagonal_pairs`), at an array of times in one pair
-table or at one time as its 0-d case.  Momentum moments are taken in the
-position representation, where a term's gradient is ``(2 A x + B)`` times
-the term: the mean from ``hb sum_c Im{conj(phi_c) phi_c'}`` and the second
-moment from ``hb^2 sum_c |phi_c'|^2``, which is exact on the half-line
-because the wall node kills the boundary term of the integration by parts.
+table or at one time as its 0-d case, each pair in its centred coordinate
+y = x - c.  The variances are taken about the means, never as a second
+moment minus a squared mean (Chan, Golub and LeVeque, Am. Stat. 37, 1983).
+Momentum moments are taken in the position representation, where a term's
+gradient is ``(2 a y + s)`` times the term: the mean from
+``hb sum_c Im{conj(phi_c) phi_c'}`` and the variance from
+``hb^2 sum_c |phi_c' - i (mean_p / hb) phi_c|^2``, which is exact on the
+half-line because the wall node kills the boundary term of the integration
+by parts.
 """
 
 from __future__ import annotations
@@ -43,17 +47,18 @@ class ObservableRecord:
 
 def _moments(pairs, hb: float):
     """(mean_x, sd_x, mean_p, sd_p) at the times of :func:`~qctl.ensembles.diagonal_pairs`."""
-    # A running sum adds the pairs left to right, as a sum over a leading pair axis
-    # did; numpy's sum over the last axis would add them pairwise.
-    _, mean_x, second_x = pairs.integrals.cumsum(axis=-1)[..., -1].real
-    (A_i, B_i, _), (A_j, B_j, _) = pairs.left, pairs.right
-    I0, I1, I2 = pairs.integrals
-    mean_p = hb * np.sum(2.0 * A_i * I1 + B_i * I0, axis=-1).imag
-    second_p = hb**2 * np.sum(
-        4.0 * A_i * A_j * I2 + 2.0 * (A_i * B_j + B_i * A_j) * I1 + B_i * B_j * I0, axis=-1
-    ).real
-    sd_x = np.sqrt(np.maximum(second_x - mean_x * mean_x, 0.0))
-    return mean_x, sd_x, mean_p, np.sqrt(np.maximum(second_p - mean_p * mean_p, 0.0))
+    J0, J1, J2 = pairs.integrals
+    (a_i, s_i), (a_j, s_j) = pairs.left, pairs.right
+    mean_x = np.sum(pairs.centre * J0 + J1, axis=-1).real
+    # x - mean_x = y + shift on each pair.
+    shift = pairs.centre - mean_x[..., None]
+    var_x = np.sum((shift * J0 + 2.0 * J1) * shift + J2, axis=-1).real
+    mean_p = hb * np.sum(np.multiply(2.0 * a_i, J1) + np.multiply(s_i, J0), axis=-1).imag
+    # Each side's factor (2 a y + s) less i mean_p / hb, the right one conjugated.
+    s_i, s_j = s_i - 1j * (mean_p / hb)[..., None], s_j + 1j * (mean_p / hb)[..., None]
+    var_p = hb**2 * np.sum(np.multiply(4.0 * a_i * a_j, J2) + np.multiply(2.0 * (a_i * s_j + s_i * a_j), J1)
+                           + np.multiply(s_i * s_j, J0), axis=-1).real
+    return mean_x, np.sqrt(np.maximum(var_x, 0.0)), mean_p, np.sqrt(np.maximum(var_p, 0.0))
 
 
 def effective_force(spec: EnsembleSpec, regime: Regime, t):

@@ -23,9 +23,10 @@ x-gradient ``(2 a d + k)`` times the term reuses the same exponential.
 sums each packet's direct and image term.  :func:`packet_fields` calls it
 broadcast over arrays in ``x`` and ``t``; the trajectory loop calls it on
 rows that each carry their own packet, regime, position and time, with the
-coefficients of :func:`row_coefficients`.  :func:`packet_terms` gives the
-same terms expanded as ``C exp(A x^2 + B x + G)``, the form they are
-integrated in.
+coefficients of :func:`row_coefficients`.  :func:`term_coefficients` lays the
+same folded terms out one per entry of a last axis, the form in which
+:mod:`qctl.ensembles` and :mod:`qctl.phase_space` integrate pairs of them,
+each pair about its own centre, so that no integral expands ``d`` about x = 0.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ __all__ = [
     "complex_width",
     "packet_center",
     "packet_fields",
-    "packet_terms",
     "row_constants",
     "row_coefficients",
+    "term_coefficients",
     "term_fields",
 ]
 
@@ -175,19 +176,16 @@ def term_fields(coefficients, x, wall: bool = True, gradient: bool = True):
     return fields
 
 
-def packet_terms(packets, regime: Regime, t, wall: bool = True):
-    """Every direct and image term as ``C exp(A x^2 + B x + G)`` at the times ``t``.
+def term_coefficients(packets, regime: Regime, t, wall: bool = True):
+    """The :func:`_folded` ``(a, k, xt, c0)`` of every term at the times ``t``, term axis last.
 
-    Returns ``(C, A, B, G)``, each of shape ``t.shape + (len(packets), terms)``:
-    the direct and the image term with ``wall``, which sum to the wall
-    amplitude for x <= 0, and the direct term alone without it.  A scalar
-    ``t`` gives ``(len(packets), terms)``.
+    Each has the shape ``t.shape + (len(packets) * terms,)``, packet-major:
+    each packet's direct term and, with ``wall``, its image term, which sum to
+    the wall amplitude for x <= 0.
     """
-    t = _times(t)[..., None]
-    folded = _folded(_coefficients(_term_constants(tuple(packets), regime), t), wall)
-    a, k, xt, c0 = (np.moveaxis(c, 0, -1) for c in folded)
-    # c0 exp(a d^2 + k d) with d = x - xt, expanded in powers of x.
-    return np.broadcast_arrays(c0, a, k - 2.0 * a * xt, (a * xt - k) * xt)
+    folded = _folded(_coefficients(_term_constants(tuple(packets), regime), _times(t)[..., None]), wall)
+    terms = np.broadcast_arrays(*(np.moveaxis(c, 0, -1) for c in folded))
+    return [c.reshape(c.shape[:-2] + (-1,)) for c in terms]
 
 
 def packet_fields(packets, regime: Regime, x, t, wall: bool = True, gradient: bool = True):

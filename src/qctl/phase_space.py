@@ -6,14 +6,17 @@ relative coordinate,
     W(R, u, t) = (1 / 2 pi hb) * integral dr exp(-i u r / hb)
                  * rho(R + r/2, R - r/2, t).
 
-Each direct or image term is ``C exp(A x^2 + B x + G)``, and
+Each direct or image term is the kernel's ``c0 exp(a d^2 + k d)``, ``d = x -
+xt`` (:func:`~qctl.packets.term_coefficients`), and
 ``rho(x, y) = sum_ij w_ij g_i(x) conj g_j(y)`` with the weights of
 :func:`~qctl.ensembles.pair_weights`.  For each pair (i, j) the integrand
 ``g_i(R + r/2) conj g_j(R - r/2) exp(-i u r / hb)`` is a complex Gaussian in
-r.  The wall cuts it off exactly at |r| <= 2|R| (without the wall the window
-is the whole line), and over that window its integral is a difference of two
-error functions, evaluated through :func:`~qctl.gaussians.erfcx` so that no
-step cancels.  W is therefore exact at every (R, u) up to rounding.
+r, whose exponent is written through each term's own ``D = R - xt``, so that
+no large parts of it cancel.  The wall cuts it off exactly at |r| <= 2|R|
+(without the wall the window is the whole line), and over that window
+:func:`~qctl.gaussians.gaussians` integrates it as a difference of two error
+functions in which no step cancels.  W is therefore exact at every (R, u) up
+to rounding.
 
 The window is symmetric in r, so the (j, i) integral is the complex
 conjugate of the (i, j) one: only the pairs i <= j are integrated, and the
@@ -39,8 +42,8 @@ import numpy as np
 
 from .ensembles import EnsembleSpec, pair_weights, point_blocks, shared_packets
 from .errors import DomainError, NumericalGuardError
-from .gaussians import SQRT_PI, erfcx
-from .packets import packet_terms
+from .gaussians import gaussians
+from .packets import term_coefficients
 from .quadrature import quadrature_weights
 from .regime import Regime
 
@@ -74,41 +77,20 @@ class WignerField:
         return self.values @ w_u
 
 
-def _pair_integral(left, right, R, phase, edges, edge_phase):
-    """integral of g_i(R + r/2) conj g_j(R - r/2) exp(phase r) / (C_i conj C_j) over r.
+def _pair_integral(left, right, phase, lo, hi):
+    """integral of g_i(R + r/2) conj g_j(R - r/2) exp(p r) / (c0_i conj c0_j) over lo <= r <= hi.
 
-    In r the integrand is exp(alpha r^2 + b r + gamma), b = slope + phase.
-    ``edges`` holds the window ends r1 = 2R, r2 = -2R (shape (2, n_R, 1)) and
-    ``edge_phase`` the pair-independent exp(phase r) there; ``edges`` is None
-    for the whole line.  With A = -alpha and z = sqrt(A) (r - b / 2A) it is
-    sqrt(pi) / (2 sqrt(A)) [erf(z2) - erf(z1)].  Each end enters as
-    exp(E) erfcx(+-z), E the log-integrand there, with the sign that puts the
-    argument in Re >= 0.  A window straddling the centre (Re z1 < 0 <= Re z2)
-    adds 2 exp(G), G = gamma + b^2 / 4A, because there
-    erf(z2) - erf(z1) = 2 - erfc(z2) - erfc(-z1).
+    ``left`` is ``(a_i, k_i, D_i)`` and ``right`` ``conj(a_j, k_j, D_j)``,
+    with D = R - xt, and ``phase`` is :func:`~qctl.gaussians.gaussians`' ``(p,
+    exp(p r) at lo and hi)``.  g_i(R + r/2) is c0_i exp(a_i (D_i + r/2)^2 +
+    k_i (D_i + r/2)), so the integrand is exp(alpha r^2 + (beta + p) r +
+    gamma) with alpha = (a_i + a_j) / 4, beta = a_i D_i + k_i / 2 - a_j D_j -
+    k_j / 2 and gamma = (a_i D_i + k_i) D_i + (a_j D_j + k_j) D_j.
     """
-    (A_i, B_i, G_i), (A_j, B_j, G_j) = left, right
-    alpha = 0.25 * (A_i + A_j)
-    slope = (A_i - A_j) * R + 0.5 * (B_i - B_j)
-    gamma = ((A_i + A_j) * R + (B_i + B_j)) * R + (G_i + G_j)
-    A = -alpha
-    root = np.sqrt(A)
-    b = slope + phase
-    if edges is None:
-        return (SQRT_PI / root) * np.exp(gamma + b * b / (4.0 * A))
-    z = root * (edges - b / (2.0 * A))
-    side = np.where(z.real >= 0.0, 1.0, -1.0)
-    tails = erfcx(side * z)
-    tails *= np.exp((alpha * edges + slope) * edges + gamma)
-    tails *= edge_phase
-    tails *= side
-    inner = tails[0] - tails[1]
-    # r1 < r2 and Re z grows with r, so only (-1, +1) straddles.
-    straddle = side[0] < side[1]
-    b_in = b[straddle]
-    gamma_in = np.broadcast_to(gamma, inner.shape)[straddle]
-    inner[straddle] += 2.0 * np.exp(gamma_in + b_in * b_in / (4.0 * A))
-    return (0.5 * SQRT_PI / root) * inner
+    (a_i, k_i, D_i), (a_j, k_j, D_j) = left, right
+    beta = (a_i * D_i + 0.5 * k_i) - (a_j * D_j + 0.5 * k_j)
+    gamma = (a_i * D_i + k_i) * D_i + (a_j * D_j + k_j) * D_j
+    return gaussians(0.25 * (a_i + a_j), beta, gamma, lo, hi, phase=phase)[0]
 
 
 def wigner_blocks(specs, regime: Regime, t: float, R_grid, u_grid):
@@ -134,10 +116,8 @@ def wigner_blocks(specs, regime: Regime, t: float, R_grid, u_grid):
     first = shared_packets(specs)
 
     phase = (-1j / regime.hbar_tilde) * u[None, :]
-    C, A, B, G = packet_terms(first.packets, regime, t, first.wall)
-    weights, pairs = _pair_weights(specs, regime, C.shape[1])
-    C = C.ravel()
-    exponents = np.stack((A, B, G)).reshape(3, -1)
+    a, k, xt, c0 = term_coefficients(first.packets, regime, t, first.wall)
+    weights, pairs = _pair_weights(specs, regime)
     points = 0
     for rows in point_blocks(R.size, max(1, BLOCK_POINTS // u.size)):
         R_block = R[rows]
@@ -145,14 +125,14 @@ def wigner_blocks(specs, regime: Regime, t: float, R_grid, u_grid):
         inside = _inside(R_block, first.wall)
         if inside.size:
             R_in = R_block[inside][:, None]
-            edges = np.stack((2.0 * R_in, -2.0 * R_in)) if first.wall else None
-            edge_phase = None if edges is None else np.exp(phase * edges)
+            lo, hi = (2.0 * R_in, -2.0 * R_in) if first.wall else (-np.inf, np.inf)
+            # exp(-i u r / hb) at the window's ends, for every pair.
+            edge_phase = (phase, np.exp(phase * np.stack((lo, hi))) if first.wall else 1.0)
             totals = np.zeros((len(specs), inside.size, u.size))
             for i, j in pairs:
-                integral = _pair_integral(
-                    exponents[:, i], np.conj(exponents[:, j]), R_in, phase, edges, edge_phase
-                )
-                totals += weights[:, i, j, None, None] * (C[i] * np.conj(C[j]) * integral).real
+                left, right = (a[i], k[i], R_in - xt[i]), (np.conj(a[j]), np.conj(k[j]), R_in - xt[j])
+                integral = _pair_integral(left, right, edge_phase, lo, hi)
+                totals += weights[:, i, j, None, None] * (c0[i] * np.conj(c0[j]) * integral).real
             if not np.isfinite(totals).all():
                 raise NumericalGuardError(f"Wigner transform is not finite at t = {t}")
             block[:, inside] = totals
@@ -173,13 +153,13 @@ def _inside(R: np.ndarray, wall: bool) -> np.ndarray:
     return np.flatnonzero(R < 0.0) if wall else np.arange(R.size)
 
 
-def _pair_weights(specs, regime: Regime, terms_per_packet: int) -> tuple:
+def _pair_weights(specs, regime: Regime) -> tuple:
     """Each ensemble's weights of the term pairs (i, j) over 2 pi hb, and the pairs any uses.
 
     (j, i) is the conjugate of (i, j): the weights keep i <= j, doubling
     i < j, and the pairs are the (i, j) with a nonzero weight in some ensemble.
     """
-    weights = np.stack([pair_weights(spec, regime, terms_per_packet) for spec in specs])
+    weights = np.stack([pair_weights(spec, regime) for spec in specs])
     weights = (np.triu(weights) + np.triu(weights, 1)) / (2.0 * np.pi * regime.hbar_tilde)
     return weights, np.argwhere(weights.any(axis=0))
 

@@ -439,9 +439,8 @@ def test_the_loader_checks_the_run_it_will_do(case, tmp_path, capsys):
 
 
 def test_cli_rejects_packets_too_narrow_for_the_pair_table(tmp_path, capsys):
-    # (x0 / sigma0)^2 2^-54 predicts the pair integrals' relative error: 1.5
-    # for packet a at sigma0 = 3e-8, where the density CSV came out twice too
-    # large, and 3.1e-7 for packet b at sigma0 = 2e-4, within 1e-6.
+    # (x0 / sigma0)^2 2^-54 is 1.5 for packet a at sigma0 = 3e-8 and 3.1e-7
+    # for packet b at sigma0 = 2e-4, within 1e-6.
     doc = json.loads(MINIMAL)
     doc.update(epsilons=[1.0], grid={"n_points": 121}, time={"t_max": 7.0, "n_times": 2})
     config_path = tmp_path / "config.json"

@@ -104,19 +104,24 @@ def test_norm_constant_is_cached(pure_spec, quantum):
 
 
 @pytest.mark.parametrize("kind", ["pure", "mixed"])
-# Packets this far out overflow and underflow on the way to a zero trace.
+# Packets this far out overflow and underflow on the way to their trace.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_norm_constant_without_support(kind, quantum):
+    # Each pair is integrated about its own centre, so a unit-width packet at
+    # -1e200 keeps its whole trace (the pure a + a is 2 psi_a, trace 2).
     far = GaussianPacket(x0=-1e200, p0=1.0)
+    expected = 2.0 if kind == "pure" else 1.0
+    assert norm_constant(EnsembleSpec(kind, far, far), quantum) == pytest.approx(expected, rel=1e-15)
+    # A width whose square overflows leaves no trace to normalize by.
+    wide = GaussianPacket(x0=-1e160, p0=1.0, sigma0=1e159)
     with pytest.raises(DomainError, match="no support"):
-        norm_constant(EnsembleSpec(kind, far, far), quantum)
+        norm_constant(EnsembleSpec(kind, wide, wide), quantum)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1: the expanded pair exponents cancel, (x0/sigma0)^2/2 * 2^-53")
 @pytest.mark.parametrize("kind", ["pure", "mixed"])
 def test_norm_constant_of_narrow_packets(kind, quantum):
-    # The default centres and kicks, narrowed: the trace reads 0.50000006.
+    # The default centres and kicks, narrowed: an expansion of the exponents
+    # about x = 0 read 0.50000006 here, (x0 / sigma0)^2 / 2 * 2^-53 off.
     a = GaussianPacket(sigma0=3e-8, x0=-5.0, p0=-2.0)
     b = GaussianPacket(sigma0=3e-8, x0=-15.0, p0=2.0)
     assert norm_constant(EnsembleSpec(kind, a, b), quantum) == pytest.approx(1.0, rel=1e-9)
@@ -264,27 +269,29 @@ def test_mass_below_broadcasts(pure_spec, quantum):
 
 @pytest.mark.parametrize("kind", ["pure", "mixed"])
 def test_mass_below_integrates_only_the_shifted_pairs(kind, packet_a, packet_b, quantum, monkeypatch):
-    # One gaussian_moments call a mass: the shifted same-component pairs.
-    # The unshifted pair integrals of diagonal_pairs are not computed, and
-    # the result equals the diagonal_pairs form bit for bit.
+    # One gaussians call a mass, of order 0 only: the same-component pairs,
+    # each over its own centred window y <= upper - c.  The moments of
+    # diagonal_pairs are not computed, and the result equals the pair-table
+    # form bit for bit.
     spec = EnsembleSpec(kind, packet_a, packet_b)
     norm_constant(spec, quantum)  # cached, so its own integrals are not counted
     calls = []
-    moments = ensembles.gaussian_moments
+    window = ensembles.gaussians
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return moments(*args, **kwargs)
+    def counted(*args):
+        calls.append(args[5:])
+        return window(*args)
 
-    monkeypatch.setattr(ensembles, "gaussian_moments", counted)
+    monkeypatch.setattr(ensembles, "gaussians", counted)
     upper = np.linspace(-20.0, 0.0, 41)
     mass = ensembles.mass_below(spec, quantum, 2.5, upper)
-    assert len(calls) == 1
-    pairs = ensembles.diagonal_pairs(spec, quantum, 2.5)
-    alpha, beta, gamma = pairs.left + pairs.right
-    u = upper[:, None]
-    shifted = (alpha + 0.0 * u, beta + 2.0 * alpha * u, gamma + (alpha * u + beta) * u)
-    assert np.array_equal(mass, (pairs.coefficient * moments(*shifted)[0]).sum(axis=-1).real)
+    assert calls == [()]
+    coefficient, centre, left, right, gamma = ensembles._pair_table(spec, quantum, 2.5)
+    alpha, beta = left + right
+    integrals = np.multiply(coefficient, window(alpha + 0.0, beta + 0.0, gamma + 0.0, -np.inf, upper[:, None] - centre)[0])
+    scale = ensembles.COMPONENT_WEIGHT / norm_constant(spec, quantum)
+    assert np.array_equal(mass, scale * integrals.sum(axis=-1).real)
+    assert coefficient.shape[-1] == (16 if kind == "pure" else 8)
 
 
 def test_fringe_visibility_washes_out(pure_spec, quantum, nearly_classical):

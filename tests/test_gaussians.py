@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import qctl
-from qctl import GaussianPacket, make_regime
-from qctl.gaussians import gaussian_moments
-from qctl.packets import packet_terms
+from qctl import EnsembleSpec, GaussianPacket, make_regime
+from qctl.ensembles import _pair_table
+from qctl.gaussians import gaussians
 
 PACKETS = (
     GaussianPacket(sigma0=1.0, x0=-5.0, p0=-2.0, mass=1.0),
@@ -25,9 +25,14 @@ def simpson(x, f):
 
 
 def pair_exponent(epsilon, t, i, j, wall=True):
-    """(alpha, beta, gamma) of g_i conj(g_j) for terms (packet, term) i and j."""
-    _, A, B, G = packet_terms(PACKETS, make_regime(epsilon), t, wall)
-    return tuple(E[i] + np.conj(E[j]) for E in (A, B, G))
+    """(alpha, beta, gamma) of g_i conj(g_j) for terms (packet, term) i and j, in
+    its centred coordinate y = x - c, and the centre c."""
+    spec = EnsembleSpec("pure", *PACKETS, wall=wall)
+    _, centre, left, right, gamma = _pair_table(spec, make_regime(epsilon), t, every=True)
+    terms = 1 + wall
+    n = (i[0] * terms + i[1]) * 2 * terms + j[0] * terms + j[1]
+    alpha, beta = (left + right)[:, n]
+    return alpha, beta, gamma[n], centre[n]
 
 
 # (epsilon, t, term i, term j, wall, integration range of the reference)
@@ -44,31 +49,65 @@ CASES = {
 @pytest.mark.parametrize("case", list(CASES))
 def test_moments_match_simpson(case):
     epsilon, t, i, j, wall, (lo, hi) = CASES[case]
-    alpha, beta, gamma = pair_exponent(epsilon, t, i, j, wall)
+    alpha, beta, gamma, centre = pair_exponent(epsilon, t, i, j, wall)
     if case.startswith("direct-image"):
         assert abs(beta.imag) > 35.0
+    # x <= 0 with the wall, the whole line without it.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        moments = gaussian_moments(alpha, beta, gamma, wall=wall)
+        moments = gaussians(alpha, beta, gamma, -np.inf, -centre if wall else np.inf, 3)
     # Far in the tail each recurrence step loses about 2 |w|^2 in relative
     # accuracy (w = beta / 2 sqrt(-alpha) is 10.6 for the far-right pair).
-    x = np.linspace(lo, hi, 400_001)
-    f = np.exp((alpha * x + beta) * x + gamma)
-    for n in range(3):
-        reference = simpson(x, x**n * f)
-        scale = simpson(x, np.abs(x**n * f))
-        assert abs(moments[n] - reference) < 1e-10 * scale, (n, moments[n], reference)
+    check_moments(moments, alpha, beta, gamma, lo - centre, hi - centre)
+
+
+def check_moments(moments, alpha, beta, gamma, lo, hi, tolerance=1e-10):
+    """Each moment within ``tolerance`` of Simpson's |integrand| integral of its Simpson value."""
+    y = np.linspace(lo, hi, 400_001)
+    f = np.exp((alpha * y + beta) * y + gamma)
+    for n in range(len(moments)):
+        reference = simpson(y, y**n * f)
+        scale = simpson(y, np.abs(y**n * f))
+        assert abs(moments[n] - reference) < tolerance * scale, (n, moments[n], reference)
+
+
+# (term i, term j, window in x) at eps 0.01, t 3, where packet a's direct term
+# is centred at -11 and packet b's at -9: windows that lie left of a pair's
+# peak, straddle it, lie right of it, and end at the wall.
+WINDOWS = {
+    "left of the peak": ((0, 0), (0, 0), (-30.0, -14.0)),
+    "straddling the peak": ((0, 0), (0, 0), (-13.0, -9.0)),
+    "right of the peak": ((1, 0), (1, 0), (-3.0, -1.0)),
+    "direct-image to the wall": ((1, 0), (1, 1), (-4.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("window", list(WINDOWS))
+def test_finite_windows_match_simpson(window):
+    # Both ends finite, as the Wigner window |r| <= 2|R| is: each end's erfcx
+    # term and its y^n e^E enter the moments.
+    i, j, (lo, hi) = WINDOWS[window]
+    alpha, beta, gamma, centre = pair_exponent(0.01, 3.0, i, j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        moments = gaussians(alpha, beta, gamma, lo - centre, hi - centre, 3)
+    check_moments(moments, alpha, beta, gamma, lo - centre, hi - centre)
+    # Only the orders asked for.
+    assert np.array_equal(gaussians(alpha, beta, gamma, lo - centre, hi - centre), moments[:1])
 
 
 def test_moments_broadcast_over_pairs():
     wall_cases = [case[:5] for case in CASES.values() if case[4]]
-    alpha, beta, gamma = np.array([pair_exponent(*case) for case in wall_cases]).T
+    alpha, beta, gamma, centre = np.array([pair_exponent(*case) for case in wall_cases]).T
+    centre = centre.real
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        batch = gaussian_moments(alpha, beta, gamma)
-    assert batch.shape == (3, alpha.size)
+        batch = gaussians(alpha, beta, gamma, -np.inf, -centre, 3)
+        windows = gaussians(alpha, beta, gamma, -centre - 4.0, -centre, 3)
+    assert batch.shape == windows.shape == (3, alpha.size)
     for k in range(alpha.size):
-        assert np.array_equal(batch[:, k], gaussian_moments(alpha[k], beta[k], gamma[k]))
+        assert np.array_equal(batch[:, k], gaussians(alpha[k], beta[k], gamma[k], -np.inf, -centre[k], 3))
+        assert np.array_equal(windows[:, k], gaussians(alpha[k], beta[k], gamma[k], -centre[k] - 4.0, -centre[k], 3))
 
 
 def test_faddeeva_literals_equal_their_fft():

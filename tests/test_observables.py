@@ -33,6 +33,34 @@ def test_position_spread_follows_complex_width(quantum, packet_a):
     assert sd == pytest.approx(abs(complex_width(packet_a, quantum, t)), rel=1e-6)
 
 
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_far_travelled_free_packets_match_closed_form_moments(kind):
+    # Free packets at eps = 1e-6, kicked thousands of widths: the pure state
+    # is one packet (a + a), the mixture two equal-weight ones.  A mixture's
+    # moments are its packets' means, and its variances their own plus the
+    # spread of their means: sd_x^2 = (|s_a|^2 + |s_b|^2) / 2 + (x_a - x_b)^2 / 4
+    # and sd_p^2 = (hb / 2 sigma0)^2 + (p_a - p_b)^2 / 4.  Each pair term is
+    # centred, so the means hold to about 64 eps of |x_t| and |p0|, and sd_x
+    # to 64 eps |x_t| absolute, the rounding of the centres less the mean;
+    # sd_p, whose kick phases p0 / hb cancel to within 1 / sigma0, holds to
+    # about 64 eps |p0| sigma0 / hb of itself (5e-11 here).
+    a = GaussianPacket(sigma0=0.713, x0=-5236.17, p0=97.3, mass=1.37)
+    b = GaussianPacket(sigma0=0.713, x0=-5251.9, p0=96.1, mass=1.37) if kind == "mixed" else a
+    regime = make_regime(1e-6, 1.09)
+    hb = regime.hbar_tilde
+    t = np.linspace(0.0, 40.0, 17)
+    record = observable_record(EnsembleSpec(kind, a, b, wall=False), regime, t)
+    x = [p.x0 + p.p0 * t / p.mass for p in (a, b)]
+    width = abs(complex_width(a, regime, t))
+    eps = 2.0**-53
+    assert np.allclose(record.mean_x, 0.5 * (x[0] + x[1]), rtol=64 * eps, atol=0.0)
+    sd_x = np.sqrt(width**2 + 0.25 * (x[0] - x[1]) ** 2)
+    assert np.all(np.abs(record.sd_x - sd_x) <= 64 * eps * np.abs(record.mean_x))
+    assert np.allclose(record.mean_p, 0.5 * (a.p0 + b.p0), rtol=64 * eps, atol=0.0)
+    sd_p = math.sqrt((0.5 * hb / a.sigma0) ** 2 + 0.25 * (a.p0 - b.p0) ** 2)
+    assert np.allclose(record.sd_p, sd_p, rtol=64 * eps * a.p0 * a.sigma0 / hb, atol=0.0)
+
+
 def test_mixture_mean_position(quantum, mixed_spec):
     mean = observable_record(mixed_spec, quantum, 0.0).mean_x
     assert mean == pytest.approx(-10.0, abs=1e-4)
@@ -188,8 +216,8 @@ def test_an_array_of_times_equals_each_time_alone(pure_spec, nearly_classical, m
     # 1,100 times pass a block of FIELD_BLOCK_POINTS, and their pure pair
     # table (16 pairs) passes the 256 KiB from which numpy reuses temporaries
     # in place.  Tables, masses and records are bit-equal to per-time calls
-    # (every 3rd and 10th time, to keep the test short), and sd_x and sd_p
-    # square their means as x * x.
+    # (every 3rd and 10th time, to keep the test short), and each record's
+    # moments are its table's sums, the variances about the means.
     spec, regime = pure_spec, nearly_classical
     times = np.linspace(0.0, 11.0, 1100)
     tables = []
@@ -203,8 +231,8 @@ def test_an_array_of_times_equals_each_time_alone(pure_spec, nearly_classical, m
     single = [observable_record(spec, regime, t) for t in times[::3]]
     record = observable_record(spec, regime, times)
     together = tables.pop()
-    assert together.coefficient.shape == (1100, 16) and together.integrals.shape == (3, 1100, 16)
-    for field in ("coefficient", "left", "right", "integrals"):
+    assert together.centre.shape == (1100, 16) and together.integrals.shape == (3, 1100, 16)
+    for field in ("centre", "left", "right", "integrals"):
         per_time = np.stack([getattr(table, field) for table in tables], axis=-2)
         assert np.array_equal(getattr(together, field)[..., ::3, :], per_time), field
     for field in ("mean_x", "mean_p", "sd_x", "sd_p", "uncertainty_product", "f_nc"):
@@ -214,15 +242,17 @@ def test_an_array_of_times_equals_each_time_alone(pure_spec, nearly_classical, m
     assert len(blocks) == 2 and np.array_equal(np.concatenate(blocks), record.sd_x)
     hb = regime.hbar_tilde
     for table, r in zip(tables, single):
-        (A_i, B_i, _), (A_j, B_j, _) = table.left, table.right
-        I0, I1, I2 = table.integrals
-        # The position moments are summed in pair order.
-        assert r.mean_x == sum(I1.tolist()).real
-        second_x = sum(I2.tolist()).real
-        second_p = hb**2 * np.sum(
-            4.0 * A_i * A_j * I2 + 2.0 * (A_i * B_j + B_i * A_j) * I1 + B_i * B_j * I0).real
-        assert r.sd_x == math.sqrt(max(second_x - r.mean_x * r.mean_x, 0.0))
-        assert r.sd_p == math.sqrt(max(second_p - r.mean_p * r.mean_p, 0.0))
+        (a_i, s_i), (a_j, s_j) = table.left, table.right
+        J0, J1, J2 = table.integrals
+        c = table.centre
+        # x = y + c on each pair, and a term's gradient is (2 a y + s) times it.
+        assert r.mean_x == pytest.approx(np.sum(c * J0 + J1).real, rel=1e-15)
+        var_x = np.sum((c - r.mean_x) ** 2 * J0 + 2.0 * (c - r.mean_x) * J1 + J2).real
+        assert r.sd_x == pytest.approx(math.sqrt(var_x), rel=1e-14)
+        assert r.mean_p == pytest.approx(hb * np.sum(2.0 * a_i * J1 + s_i * J0).imag, rel=1e-15, abs=1e-300)
+        v_i, v_j = s_i - 1j * r.mean_p / hb, s_j + 1j * r.mean_p / hb
+        var_p = hb**2 * np.sum(4.0 * a_i * a_j * J2 + 2.0 * (a_i * v_j + v_i * a_j) * J1 + v_i * v_j * J0).real
+        assert r.sd_p == pytest.approx(math.sqrt(var_p), rel=1e-14)
     upper = np.array([-20.0, -8.0, 0.0])
     masses = mass_below(spec, regime, times[:, None], upper)
     assert np.array_equal(masses[::10], [mass_below(spec, regime, t, upper) for t in times[::10]])

@@ -17,7 +17,7 @@ from qctl import (
     wigner_transforms,
 )
 from qctl.ensembles import mass_below
-from qctl.packets import packet_fields, packet_terms
+from qctl.packets import packet_fields, term_coefficients
 
 
 @pytest.mark.parametrize(
@@ -177,27 +177,32 @@ def test_coefficients_rebuild_wall_amplitudes():
     regime = make_regime(0.5)
     x = np.linspace(-20.0, 0.0, 81)
     t = 3.0
-    C, A, B, G = packet_terms(packets, regime, t)
-    assert C.shape == A.shape == B.shape == G.shape == (2, 2)
+    a, k, xt, c0 = (c.reshape(2, 2, 1) for c in term_coefficients(packets, regime, t))
     for i, packet in enumerate(packets):
-        terms = C[i][:, None] * np.exp((A[i][:, None] * x + B[i][:, None]) * x + G[i][:, None])
+        # Each packet's direct and image term c0 exp(a d^2 + k d), d = x - xt.
+        d = x - xt[i]
+        terms = c0[i] * np.exp((a[i] * d + k[i]) * d)
         expected = packet_fields((packet,), regime, x, t, gradient=False)[0][0]
         assert np.max(np.abs(terms.sum(axis=0) - expected)) < 1e-14
+    # Without the wall, only the direct terms.
+    a, k, xt, c0 = term_coefficients(packets, regime, t, wall=False)
+    assert a.shape == (2,)
+    assert np.array_equal(xt, [packet.x0 + packet.p0 * t / packet.mass for packet in packets])
 
 
 @pytest.mark.parametrize("wall", [True, False])
-def test_packet_terms_take_an_array_of_times(wall):
-    # The time axis comes first, then packet and term, and every time's terms
-    # are bit-equal to its scalar call.
+def test_term_coefficients_take_an_array_of_times(wall):
+    # The time axis comes first, then the terms, packet-major, and every
+    # time's terms are bit-equal to its scalar call.
     packets = (GaussianPacket(x0=-5.0, p0=-2.0), GaussianPacket(sigma0=0.7, x0=-15.0, p0=2.0))
     regime = make_regime(0.1)
     t = np.array([[0.0, 1.5, 3.0], [4.5, 6.0, 20.0]])
-    together = packet_terms(packets, regime, t, wall)
+    together = term_coefficients(packets, regime, t, wall)
     for index in np.ndindex(t.shape):
-        alone = packet_terms(packets, regime, t[index], wall)
-        for E, single in zip(together, alone):
-            assert E.shape == t.shape + (2, 1 + wall)
-            assert np.array_equal(E[index], single)
+        alone = term_coefficients(packets, regime, t[index], wall)
+        for c, single in zip(together, alone):
+            assert c.shape == t.shape + (2 * (1 + wall),)
+            assert np.array_equal(c[index], single)
 
 
 # Library calls at a time that is not finite, and the smoothing width that is

@@ -15,10 +15,11 @@ from qctl import (
     quad_integrate,
     wigner_transforms,
 )
-from qctl import phase_space
+from qctl import gaussians, phase_space
 from qctl.phase_space import wigner_blocks
-from qctl.ensembles import diagonal_pairs
+from qctl.ensembles import pair_weights
 from qctl.gaussians import erfcx
+from qctl.packets import term_coefficients
 
 
 def wigner_work(specs, regime, t, R, u):
@@ -252,14 +253,15 @@ def ordered_pair_wigner(spec, regime, t, R, u):
     rows = R < 0.0 if spec.wall else np.ones(R.size, dtype=bool)
     R_in = R[rows][:, None]
     phase = (-1j / hb) * u[None, :]
-    edges = edge_phase = None
-    if spec.wall:
-        edges = np.stack((2.0 * R_in, -2.0 * R_in))
-        edge_phase = np.exp(phase * edges)
-    pairs = diagonal_pairs(spec, regime, t)
+    lo, hi = (2.0 * R_in, -2.0 * R_in) if spec.wall else (-np.inf, np.inf)
+    phase = (phase, np.exp(phase * np.stack((lo, hi))) if spec.wall else 1.0)
+    a, k, xt, c0 = term_coefficients(spec.packets, regime, t, spec.wall)
+    weights = pair_weights(spec, regime)
     total = np.zeros((R_in.shape[0], u.size), dtype=complex)
-    for coefficient, left, right in zip(pairs.coefficient, pairs.left.T, pairs.right.T):
-        total += coefficient * phase_space._pair_integral(left, right, R_in, phase, edges, edge_phase)
+    for i, j in np.argwhere(weights):
+        left, right = (a[i], k[i], R_in - xt[i]), (np.conj(a[j]), np.conj(k[j]), R_in - xt[j])
+        integral = phase_space._pair_integral(left, right, phase, lo, hi)
+        total += weights[i, j] * c0[i] * np.conj(c0[j]) * integral
     values = np.zeros((R.size, u.size), dtype=complex)
     values[rows] = total / (2.0 * np.pi * hb)
     return values
@@ -344,7 +346,7 @@ def test_pair_integrals_see_one_block_at_a_time(mixed_spec, quantum, monkeypatch
         sizes.append(z.size)
         return erfcx(z)
 
-    monkeypatch.setattr(phase_space, "erfcx", spy)
+    monkeypatch.setattr(gaussians, "erfcx", spy)
     R = np.linspace(-40.0, 0.0, 81)
     u = np.linspace(-200.0, 200.0, 8001)
     wigner_transforms([mixed_spec], quantum, 0.0, R, u)
@@ -354,8 +356,8 @@ def test_pair_integrals_see_one_block_at_a_time(mixed_spec, quantum, monkeypatch
 
 
 def test_non_finite_wigner_values_trip_the_guard(pure_spec, quantum, monkeypatch):
-    def not_a_number(*args):
-        return np.full(args[2].shape[:1] + args[3].shape[1:], np.nan + 0j)
+    def not_a_number(left, right, phase, lo, hi):
+        return np.full(np.broadcast_shapes(left[2].shape, phase[0].shape), np.nan + 0j)
 
     monkeypatch.setattr(phase_space, "_pair_integral", not_a_number)
     with pytest.raises(NumericalGuardError):

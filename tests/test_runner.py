@@ -276,6 +276,26 @@ def test_observables_run_columns(tmp_path):
     assert np.all(margins >= -1e-9)
 
 
+def test_cli_observables_of_fast_packets_keep_their_momentum_spread(tmp_path):
+    # Packets (-5, 100) and (-15, 100) at eps = 1e-6.  Pair integrals expanded
+    # about x = 0 lost about (x_t / sigma0)^2 2^-53 of p0^2 = 1e4 and wrote
+    # sd_p = 0 and a Heisenberg margin of -hbar_tilde / 2 at 5 of the 41
+    # times.  Once both packets have reflected, each spread is within 1e-3 of
+    # hbar_tilde / (2 sigma0) = 5e-4 (the pure state's reads 4.99977e-4).
+    doc = {"packets": {"a": {"x0": -5.0, "p0": 100.0}, "b": {"x0": -15.0, "p0": 100.0}}, "epsilons": [1e-6]}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    assert main(["observables", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
+    header, table = read_table(tmp_path / "out" / "observables_eps1e-06.csv")
+    assert table.shape == (41, 15)
+    t = table[:, 0]
+    for kind in ("pure", "mixed"):
+        sd_p = table[:, header.index(f"sd_p_{kind} [momentum]")]
+        assert np.all(sd_p > 0.0)
+        assert np.all(table[:, header.index(f"heisenberg_margin_{kind} [action]")] >= 0.0)
+        assert np.all(np.abs(sd_p[t >= 0.5] / 5e-4 - 1.0) <= 1e-3)
+
+
 def test_observables_run_streams_blocks_of_times(monkeypatch):
     # The times come a block of at most FIELD_BLOCK_POINTS at a time, with one
     # observable_record call per kind and block, so a run holds one block's
