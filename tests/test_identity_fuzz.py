@@ -1,16 +1,16 @@
 """Identities of the closed forms on random documents the loader accepts.
 
 Each document draws non-dyadic widths, centres, kicks, hbar and mass, and
-epsilon over six decades, with packet a from 8 to 10^5 widths from the wall:
-round inputs hide the rounding of pair integrals expanded about x = 0
-(every product is exact there), and far centres expose it.  Every document
+epsilon over six decades, with packet a about 8 to 10^5 widths from the
+wall: round inputs would hide the rounding of pair integrals expanded about
+x = 0 (every product is exact there), and far centres expose it.  Every document
 goes through ``parse_config``; a rejected one is drawn again.  Through the
 library, at every epsilon and both kinds, at a few times:
 
 - the CDF at the wall, F_t(0) = 1;
 - the purity, 1 for the pure state and 1/2 for the mixture, whose packets
-  the draws keep at least 10 widths apart, so that their overlap, which the
-  unitary evolution conserves, is below exp(-25) (times a momentum factor);
+  the draws keep at least 10 widths apart, so that their squared overlap,
+  which the unitary evolution conserves, is below exp(-25);
 - the uncertainty product, at least hbar_tilde / 2;
 - both Ehrenfest residuals;
 - at t = 0, the Wigner u-marginal against rho(R, R) at a few R.
