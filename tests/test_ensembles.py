@@ -124,7 +124,7 @@ def test_norm_constant_of_narrow_packets(kind, quantum):
     # about x = 0 read 0.50000006 here, (x0 / sigma0)^2 / 2 * 2^-53 off.
     a = GaussianPacket(sigma0=3e-8, x0=-5.0, p0=-2.0)
     b = GaussianPacket(sigma0=3e-8, x0=-15.0, p0=2.0)
-    assert norm_constant(EnsembleSpec(kind, a, b), quantum) == pytest.approx(1.0, rel=1e-9)
+    assert abs(norm_constant(EnsembleSpec(kind, a, b), quantum) - 1.0) <= 1e-12
 
 
 def test_purity_of_pure_state(pure_spec, quantum):
@@ -229,6 +229,17 @@ def test_mass_below_the_wall_is_one(kind, eps, packet_a, packet_b):
         assert abs(ensembles.mass_below(spec, regime, t, 0.0) - 1.0) <= 1e-14
         # Beyond the wall there is no mass to add.
         assert ensembles.mass_below(spec, regime, t, 3.0) == ensembles.mass_below(spec, regime, t, 0.0)
+
+
+@pytest.mark.parametrize("x0", [-5.0, -500.0, -5e3, -5e4, -5e6])
+def test_mass_below_the_wall_is_one_however_far_out_the_packets_start(x0):
+    # Each pair is integrated about its own centre, so F_t(0) = 1 to a few
+    # ulps wherever the packets are.  Pair exponents expanded about x = 0 read
+    # 9.3e-10 off at x0 = -5,000, 1.8e-7 at -50,000 and 2.0e-3 at -5,000,000.
+    a, b = GaussianPacket(x0=x0, p0=0.5), GaussianPacket(x0=x0 - 10.0, p0=0.5)
+    times = np.linspace(0.0, 20.0, 201)
+    mass = ensembles.mass_below(EnsembleSpec("mixed", a, b), make_regime(1.0), times, 0.0)
+    assert np.max(np.abs(mass - 1.0)) <= 4e-15
 
 
 @pytest.mark.parametrize("kind", ["pure", "mixed"])
