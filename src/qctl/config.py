@@ -49,12 +49,12 @@ RUN_KINDS = ("density", "trajectories", "arrival", "observables", "wigner")
 
 _TAIL_MASS_LIMIT = 1e-10
 
-# Largest (x0 / sigma0)^2 2^-54 of a packet; the bound trips near |x0| =
-# 1.34e5 sigma0.  The pair integrals once lost that much relative accuracy;
-# each pair is now taken about its own centre and loses none.  The bound stays
-# while the diagonal density's residue guard (ensembles._IMAG_FAIL) is
-# absolute: densities of order 1 / sigma0 round to a residue above it, and
-# sigma0 = 1e-9 at the default centres would load and then exit 3.
+# Largest (x0 / sigma0)^2 2^-54 of a packet: how narrow a packet may be for
+# its centre (the bound trips near |x0| = 1.34e5 sigma0).  The pair integrals,
+# each taken about its own centre, need no such bound; it stays while the
+# diagonal density's residue guard (ensembles._IMAG_FAIL) is absolute, since
+# densities of order 1 / sigma0 round to a residue above it: sigma0 = 1e-9 at
+# the default centres would load and then exit 3.
 _PAIR_ERROR_LIMIT = 1e-6
 
 # Largest packet phase p0 (x0 + x_t) / (2 hbar_tilde), in rad, that a run may
