@@ -1,4 +1,4 @@
-"""Microseconds per call of the state evaluator (L0) or per trajectory-loop iteration (L1).
+"""Microseconds per state-evaluator call (L0), or per trajectory-loop iteration and Wigner row (L1).
 
     python scripts/l0_evaluator.py [--repeat 200] [--src SRC]
     python scripts/l0_evaluator.py --l1 [--repeat 5] [--src SRC]
@@ -35,13 +35,17 @@ of the density run on the same packets (epsilon = 1, the default 2048
 positions and 41 times, 167,936 density values), its blocks evaluated first,
 written through ``qctl.writers._write_csv`` to a temporary file; the median
 over ``--repeat`` writes of the process time per density value (the other
-rows print null).  It is timed last, under the malloc settings of the forked
-writers that write every density file of a run (glibc's ``mallopt``, as
-``qctl.writers._fork_writer`` sets them): with glibc's defaults the
-formatter's temporaries of about 200 kB a chunk are unmapped or trimmed and
-faulted in again for every chunk, which no writer pays.  A density file's
-blocks are 2-D float arrays of density values, its t and x given by its
-axes.  The first row also holds the cost of one forked writer against the
+rows print null).  It is timed after the loop, under the malloc settings of
+the forked writers that write every density file of a run (glibc's
+``mallopt``, as ``qctl.writers._fork_writer`` sets them): with glibc's
+defaults the formatter's temporaries of about 200 kB a chunk are unmapped or
+trimmed and faulted in again for every chunk, which no writer pays.  A
+density file's blocks are 2-D float arrays of density values, its t and x
+given by its axes.  The first row's ``wigner_row_us`` is one Wigner row: the
+blocks of ``qctl.phase_space.wigner_blocks`` for both kinds on the same
+packets at epsilon = 0.01 and t = 7, on the Wigner benchmark's 161 x 161
+grid (R from -40 to 0, u from -8 to 8), taken last under the same malloc
+settings; the median over ``--repeat`` runs of the process time per R row.  The first row also holds the cost of one forked writer against the
 parent writing the file itself, on the smallest file of a run,
 ``arrival_summary.csv`` of the arrival run on the same packets (the
 default epsilons, four rows), in wall-clock microseconds, each the median
@@ -77,6 +81,9 @@ L1_SEEDS = (1, 20, 160)
 L1_T_END = 1.0
 # The exponent factor of a Gaussian of width 0.25, fringe_visibility's default sigma_obs.
 SMOOTHING = -0.5 / 0.25**2
+# The Wigner row's time and (R, u) grid.
+WIGNER_T = 7.0
+WIGNER_GRID = (np.linspace(-40.0, 0.0, 161), np.linspace(-8.0, 8.0, 161))
 
 
 def _per_call_us(call, repeat: int) -> float:
@@ -141,6 +148,21 @@ def _csv_ns_per_value(a, b, repeat: int) -> float:
     return 1e9 * statistics.median(samples)
 
 
+def _wigner_row_us(spec, regime, repeat: int) -> float:
+    """Process-time microseconds per R row of the Wigner blocks of both kinds."""
+    from qctl.phase_space import wigner_blocks
+
+    specs = [spec.as_kind(kind) for kind in ("pure", "mixed")]
+    R, u = WIGNER_GRID
+    samples = []
+    for _ in range(repeat):
+        start = time.process_time()
+        for _ in wigner_blocks(specs, regime, WIGNER_T, R, u):
+            pass
+        samples.append((time.process_time() - start) / R.size)
+    return 1e6 * statistics.median(samples)
+
+
 def _l1(spec, regime, repeat: int) -> None:
     """Print the L1 table: microseconds of process time per trajectory-loop iteration."""
     from qctl.hydrodynamics import trajectory_fans
@@ -159,19 +181,22 @@ def _l1(spec, regime, repeat: int) -> None:
     ctypes.CDLL(None).mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
     ctypes.CDLL(None).mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
     csv = _csv_ns_per_value(spec.packet_a, spec.packet_b, repeat)
+    wigner = _wigner_row_us(spec, regime, repeat)
     header = (("kind", 6), ("seeds", 6), ("iterations", 10), ("loop_us", 10), ("csv_ns_per_value", 17),
-              ("writer_us", 10), ("parent_write_us", 16))
+              ("writer_us", 10), ("parent_write_us", 16), ("wigner_row_us", 14))
     print(*(name.rjust(width) for name, width in header))
     for n, iterations, us in loops:
-        cells = [f"{csv:.1f}", f"{writer:.1f}", f"{parent_write:.1f}"] if n == L1_SEEDS[0] else ["null"] * 3
-        print(f"{spec.kind:>6} {n:>6} {iterations:>10} {us:>10.1f} {cells[0]:>17} {cells[1]:>10} {cells[2]:>16}")
+        first = [csv, writer, parent_write, wigner]
+        cells = [f"{cell:.1f}" for cell in first] if n == L1_SEEDS[0] else ["null"] * len(first)
+        print(f"{spec.kind:>6} {n:>6} {iterations:>10} {us:>10.1f} {cells[0]:>17} {cells[1]:>10} {cells[2]:>16}"
+              f" {cells[3]:>14}")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=None,
                         help="timed batches per number (default 200), or runs with --l1 (default 5)")
-    parser.add_argument("--l1", action="store_true", help="time trajectory-loop iterations instead")
+    parser.add_argument("--l1", action="store_true", help="time trajectory-loop iterations and Wigner rows instead")
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
                         help="the src directory whose qctl is timed")
     args = parser.parse_args(argv)

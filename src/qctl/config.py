@@ -79,9 +79,9 @@ TRAJECTORY_SAMPLE_BUDGET = 25_000_000
 # epsilons x 2 times.  A run evaluates and writes them a block of whole R rows
 # of about phase_space.BLOCK_POINTS points at a time, so no array it holds
 # spans a time's grid: a writer peaked at about 31 MB at both 81 x 8001 and
-# 121 x 8001 points.  At the budget (1000 x 1000) the run took 10.3 s (19.4 s
-# of writer CPU), its writers peaked at 28.7 MB, and it wrote 696 MB of CSV,
-# 87 bytes a point.
+# 121 x 8001 points.  At the budget (1000 x 1000) the run took 6.4-8.3 s
+# (10.9-12.8 s of writer CPU), its writers peaked at 28.0 MB, and it wrote
+# 636 MB of CSV, 80 bytes a point.
 WIGNER_POINT_BUDGET = 8_000_000
 
 # Points of the position grid (grid.n_points, which only the density run

@@ -209,14 +209,24 @@ def mass_below(spec: EnsembleSpec, regime: Regime, t, upper, a=0.0, b=0.0, g=0.0
     times the weight written in its centred coordinate y = x - c, is
     integrated over ``y <= upper - c`` by :func:`~qctl.gaussians.gaussians`.
     With the wall, ``rho`` vanishes at ``x >= 0``, so ``upper`` is capped at 0.
+    Without it an infinite ``upper`` takes the whole line, or none of it.
     """
     coefficient, centre, left, right, gamma = _pair_table(spec, regime, t)
-    upper = np.minimum(upper, 0.0 if spec.wall else np.inf)[..., None]
     a, b, g = (np.asarray(w)[..., None] for w in (a, b, g))
     alpha, beta = left + right
     # The weight at x = y + c is a y^2 + (2 a c + b) y + (a c + b) c + g.
     exponent = (alpha + a, beta + (2.0 * a * centre + b), gamma + ((a * centre + b) * centre + g))
-    mass = np.multiply(coefficient, gaussians(*exponent, -np.inf, upper - centre)[0])
+    if spec.wall:
+        below = gaussians(*exponent, -np.inf, np.minimum(upper, 0.0)[..., None] - centre)[0]
+    else:
+        # gaussians takes an infinite end only as a scalar.
+        hi = np.asarray(upper, dtype=float)[..., None] - centre
+        infinite = np.isinf(hi)
+        below = gaussians(*exponent, -np.inf, np.where(infinite, 0.0, hi))[0]
+        if infinite.any():
+            whole = gaussians(*exponent, -np.inf, np.inf)[0]
+            below = np.where(infinite, np.where(hi > 0.0, whole, 0.0), below)
+    mass = np.multiply(coefficient, below)
     return COMPONENT_WEIGHT / norm_constant(spec, regime) * mass.sum(axis=-1).real
 
 

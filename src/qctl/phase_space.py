@@ -15,8 +15,15 @@ r, whose exponent is written through each term's own ``D = R - xt``, so that
 no large parts of it cancel.  The wall cuts it off exactly at |r| <= 2|R|
 (without the wall the window is the whole line), and over that window
 :func:`~qctl.gaussians.gaussians` integrates it as a difference of two error
-functions in which no step cancels.  W is therefore exact at every (R, u) up
-to rounding.
+functions in which no step cancels.
+
+Before integrating a pair on an R row, :func:`wigner_blocks` bounds it at
+every u in closed form (:func:`_pair_bounds`, the whole-line integral of the
+integrand's modulus) and skips it on the rows where the bound is below
+:data:`SCREEN_TOL`, as direct SCF screens its negligible integrals (Haser and
+Ahlrichs, J. Comput. Chem. 10, 104 (1989)).  W is therefore exact at every
+(R, u) up to rounding, plus at most SCREEN_TOL sum |w_ij| / (2 pi hb) over
+the pairs screened there.
 
 The window is symmetric in r, so the (j, i) integral is the complex
 conjugate of the (i, j) one: only the pairs i <= j are integrated, and the
@@ -52,6 +59,12 @@ __all__ = ["WignerField", "wigner_blocks", "wigner_transforms", "free_liouville_
 # (R, u) points evaluated at once.  A pair integral holds about ten complex
 # temporaries of a block's size, a few hundred kB at 4096 points.
 BLOCK_POINTS = 4096
+
+# A term pair is not integrated on an R row where its bound B_ij(R)
+# (:func:`_pair_bounds`) is below this: there (i, j) and (j, i) would add
+# less than SCREEN_TOL |w_ij + w_ji| / (2 pi hb) to W at every u.  On the
+# benchmark's grids about half of the pair-row integrals are screened.
+SCREEN_TOL = 2.0**-106
 
 
 @dataclass(frozen=True)
@@ -93,21 +106,42 @@ def _pair_integral(left, right, phase, lo, hi):
     return gaussians(0.25 * (a_i + a_j), beta, gamma, lo, hi, phase=phase)[0]
 
 
+def _pair_bounds(a, xt, c0, R):
+    """B_ij(R) >= |c0_i conj c0_j J_ij(R, u)| at every u, shape (len(R), n, n) over the n terms.
+
+    J_ij is :func:`_pair_integral`'s.  k is imaginary and |exp(-i u r / hb)|
+    is 1, so the integrand's modulus is the real Gaussian |c0_i c0_j| exp(-A_i
+    (D_i + r/2)^2 - A_j (D_j - r/2)^2), A = -Re a > 0, whose whole-line
+    integral is B_ij = |c0_i c0_j| 2 sqrt(pi / (A_i + A_j)) exp(-A_i A_j (2R -
+    xt_i - xt_j)^2 / (A_i + A_j)); the wall's window only shrinks it.  No part
+    of it cancels.
+    """
+    A, size = -a.real, np.abs(c0)
+    A_sum, A_product = A[:, None] + A[None, :], A[:, None] * A[None, :]
+    gap = (2.0 * R[:, None, None] - xt[:, None]) - xt[None, :]
+    scale = size[:, None] * size[None, :] * (2.0 * np.sqrt(np.pi / A_sum))
+    return scale * np.exp(-(A_product / A_sum) * gap * gap)
+
+
 def wigner_blocks(specs, regime: Regime, t: float, R_grid, u_grid):
     """Wigner distribution of ensembles sharing packets and wall on the (R, u) grid at t.
 
     Yields the grid a block of whole R rows at a time, in order: arrays of
     shape (rows * len(u_grid), len(specs)), the (R, u) points in C order and
     one column per ensemble, of at most :data:`BLOCK_POINTS` points (one row
-    if a row is longer).  Each value is exact up to rounding.  With the wall,
-    W vanishes for R >= 0, where the window |r| <= 2|R| is empty: those rows
-    are zeros, and a block of them integrates no pair.  The blocks are the
+    if a row is longer).  Each value is exact up to rounding, plus less than
+    :data:`SCREEN_TOL` ``|w_ij + w_ji| / (2 pi hb)`` for each pair screened on
+    its row.  With the wall, W vanishes for R >= 0, where the window |r| <=
+    2|R| is empty: those rows are zeros, and a block of them integrates no
+    pair.  The blocks are the
     :func:`~qctl.ensembles.point_blocks` of the R rows.  Each unordered pair of
     terms that any ensemble uses is integrated once and added to every field
     in one broadcast, times each ensemble's weight; a zero weight adds an
-    exact zero, so each field is bit-identical to the one-ensemble call.
-    Returns the work: the pair integrals and the (R, u) points at which each
-    is evaluated.
+    exact zero, so each field is bit-identical to the one-ensemble call.  A
+    pair is screened row by row, by a bound that reads no weight, so neither
+    the blocks nor the other ensembles change a bit of it.  Returns the work:
+    the pair integrals, the (R, u) points at which each is evaluated
+    unscreened, and the pair-points actually integrated.
     """
     R = np.asarray(R_grid, dtype=float)
     u = np.asarray(u_grid, dtype=float)
@@ -118,27 +152,38 @@ def wigner_blocks(specs, regime: Regime, t: float, R_grid, u_grid):
     phase = (-1j / regime.hbar_tilde) * u[None, :]
     a, k, xt, c0 = term_coefficients(first.packets, regime, t, first.wall)
     weights, pairs = _pair_weights(specs, regime)
-    points = 0
+    # The rows each pair is integrated on: a NaN bound screens none, nor does
+    # SCREEN_TOL = 0.
+    live = ~(_pair_bounds(a, xt, c0, R) < SCREEN_TOL)
+    points = integrated = 0
     for rows in point_blocks(R.size, max(1, BLOCK_POINTS // u.size)):
         R_block = R[rows]
         block = np.zeros((len(specs), R_block.size, u.size))
         inside = _inside(R_block, first.wall)
         if inside.size:
-            R_in = R_block[inside][:, None]
-            lo, hi = (2.0 * R_in, -2.0 * R_in) if first.wall else (-np.inf, np.inf)
+            R_in, live_in = R_block[inside][:, None], live[rows][inside]
             # exp(-i u r / hb) at the window's ends, for every pair.
-            edge_phase = (phase, np.exp(phase * np.stack((lo, hi))) if first.wall else 1.0)
+            edges = np.exp(phase * np.stack((2.0 * R_in, -2.0 * R_in))) if first.wall else 1.0
             totals = np.zeros((len(specs), inside.size, u.size))
             for i, j in pairs:
-                left, right = (a[i], k[i], R_in - xt[i]), (np.conj(a[j]), np.conj(k[j]), R_in - xt[j])
+                on = live_in[:, i, j]
+                if not on.any():
+                    continue
+                # A live row's bits do not depend on the others; a whole block stays a view.
+                on = slice(None) if on.all() else on
+                R_on = R_in[on]
+                lo, hi = (2.0 * R_on, -2.0 * R_on) if first.wall else (-np.inf, np.inf)
+                edge_phase = (phase, edges[:, on] if first.wall else edges)
+                left, right = (a[i], k[i], R_on - xt[i]), (np.conj(a[j]), np.conj(k[j]), R_on - xt[j])
                 integral = _pair_integral(left, right, edge_phase, lo, hi)
-                totals += weights[:, i, j, None, None] * (c0[i] * np.conj(c0[j]) * integral).real
+                totals[:, on] += weights[:, i, j, None, None] * (c0[i] * np.conj(c0[j]) * integral).real
+                integrated += R_on.size * u.size
             if not np.isfinite(totals).all():
                 raise NumericalGuardError(f"Wigner transform is not finite at t = {t}")
             block[:, inside] = totals
             points += inside.size * u.size
         yield block.reshape(len(specs), -1).T
-    return len(pairs), points
+    return len(pairs), points, integrated
 
 
 def wigner_transforms(specs, regime: Regime, t: float, R_grid, u_grid) -> list[WignerField]:

@@ -220,12 +220,13 @@ def _wigner(config: ExperimentConfig, specs: list[EnsembleSpec], diagnostics: di
     def blocks(regime):
         # Each block of R rows formatted as it is evaluated, and the work
         # counted where it is done: the pair integrals of every time, on the
-        # points of one.
-        pair_integrals = 0
+        # points of one, and the pair-points integrated at every time.
+        pair_integrals = integrated_points = 0
         for t in settings.times:
-            pairs, points = yield from wigner_blocks(specs, regime, t, R, u)
+            pairs, points, integrated = yield from wigner_blocks(specs, regime, t, R, u)
             pair_integrals += pairs
-        work = {"pair_integrals": pair_integrals, "points": points}
+            integrated_points += integrated
+        work = {"pair_integrals": pair_integrals, "points": points, "integrated_points": integrated_points}
         return {"wigner": {epsilon_tag(regime.epsilon): work}}
 
     for regime in config.regimes():

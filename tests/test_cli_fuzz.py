@@ -85,9 +85,14 @@ def test_every_document_exits_0_2_or_3_and_leaves_its_outputs_consistent(tmp_pat
             manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
             assert manifest["outputs"] == written
             if kind == "wigner":
-                # Each time the 10 term pairs of both kinds, on the 8 rows R < 0 of 9 u points.
-                work = {"pair_integrals": 10 * len(document["wigner"]["times"]), "points": 8 * 9}
-                assert list(manifest["diagnostics"]["wigner"].values()) == [work] * len(document["epsilons"])
+                # Each time the 10 term pairs of both kinds, on the 8 rows R < 0 of 9 u points,
+                # integrated on at most all of those points.
+                pair_integrals, points = 10 * len(document["wigner"]["times"]), 8 * 9
+                work = list(manifest["diagnostics"]["wigner"].values())
+                assert len(work) == len(document["epsilons"])
+                for counts in work:
+                    assert (counts["pair_integrals"], counts["points"]) == (pair_integrals, points)
+                    assert 0 <= counts["integrated_points"] <= pair_integrals * points
         codes.append(code)
     # Enough documents run to the end that the exit-0 branch is exercised.
     assert codes.count(0) >= DOCUMENTS // 4, codes

@@ -231,6 +231,24 @@ def test_mass_below_the_wall_is_one(kind, eps, packet_a, packet_b):
         assert ensembles.mass_below(spec, regime, t, 3.0) == ensembles.mass_below(spec, regime, t, 0.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_free_mass_below_an_infinite_upper_is_whole(kind, packet_a, packet_b, quantum):
+    # Without the wall +inf takes the whole line and -inf none of it; a finite
+    # upper beside them keeps its own value.
+    spec = EnsembleSpec(kind, packet_a, packet_b, wall=False)
+    assert abs(ensembles.mass_below(spec, quantum, 1.0, np.inf) - 1.0) <= 1e-15
+    finite = np.array([-10.0, 1e3])
+    mixed = ensembles.mass_below(spec, quantum, 1.0, np.array([-np.inf, -10.0, np.inf, 1e3]))
+    assert mixed[0] == 0.0 and abs(mixed[2] - 1.0) <= 1e-15
+    assert mixed[[1, 3]].tobytes() == ensembles.mass_below(spec, quantum, 1.0, finite).tobytes()
+    # And at several times, broadcast against the uppers.
+    times = np.array([[0.0], [5.0]])
+    table = ensembles.mass_below(spec, quantum, times, np.array([np.inf, -10.0]))
+    assert np.all(np.abs(table[:, 0] - 1.0) <= 1e-15)
+    assert table[:, 1].tobytes() == ensembles.mass_below(spec, quantum, times[:, 0], -10.0).tobytes()
+
+
 @pytest.mark.parametrize("x0", [-5.0, -500.0, -5e3, -5e4, -5e6])
 def test_mass_below_the_wall_is_one_however_far_out_the_packets_start(x0):
     # Each pair is integrated about its own centre, so F_t(0) = 1 to a few

@@ -7,6 +7,7 @@ import pytest
 from qctl import (
     DomainError,
     EnsembleSpec,
+    GaussianPacket,
     NumericalGuardError,
     density,
     free_liouville_residual,
@@ -23,13 +24,19 @@ from qctl.packets import term_coefficients
 
 
 def wigner_work(specs, regime, t, R, u):
-    """What :func:`wigner_blocks` returns once its blocks are taken: its pair integrals and points."""
+    """What :func:`wigner_blocks` returns once its blocks are taken: its pair integrals and points.
+
+    The pair-points it integrated, the third count, are checked to be at most
+    every pair on every point.
+    """
     blocks = wigner_blocks(specs, regime, t, R, u)
     try:
         while True:
             next(blocks)
     except StopIteration as stop:
-        return stop.value
+        pair_integrals, points, integrated_points = stop.value
+        assert 0 <= integrated_points <= pair_integrals * points
+        return pair_integrals, points
 
 
 def free_single(packet):
@@ -339,7 +346,8 @@ def test_blocked_fields_equal_one_block(wall, packet_a, packet_b, nearly_classic
 
 def test_pair_integrals_see_one_block_at_a_time(mixed_spec, quantum, monkeypatch):
     # Criterion 9's 81 x 8001 grid: one R row per block, so erfcx sees both
-    # window ends of 8001 points, never the whole grid.
+    # window ends of 8001 points, never the whole grid.  Unscreened, each of
+    # the 80 rows R < 0 integrates the mixture's 6 pairs; screened, fewer.
     sizes = []
 
     def spy(z):
@@ -349,10 +357,92 @@ def test_pair_integrals_see_one_block_at_a_time(mixed_spec, quantum, monkeypatch
     monkeypatch.setattr(gaussians, "erfcx", spy)
     R = np.linspace(-40.0, 0.0, 81)
     u = np.linspace(-200.0, 200.0, 8001)
-    wigner_transforms([mixed_spec], quantum, 0.0, R, u)
     block = max(1, phase_space.BLOCK_POINTS // u.size) * u.size
+    with monkeypatch.context() as unscreened:
+        unscreened.setattr(phase_space, "SCREEN_TOL", 0.0)
+        wigner_transforms([mixed_spec], quantum, 0.0, R, u)
     assert len(sizes) == 6 * 80
     assert max(sizes) <= 2 * block < R.size * u.size
+    sizes.clear()
+    wigner_transforms([mixed_spec], quantum, 0.0, R, u)
+    assert 0 < len(sizes) < 6 * 80
+    assert max(sizes) <= 2 * block < R.size * u.size
+
+
+# Packet pairs for the screening tests: the default pair, and narrow packets
+# with fast kicks whose centres sit at the loader's narrow-packet bound,
+# (x0 / sigma0)^2 2^-54 = 9.4e-7 against 1e-6, one beside a wide packet.
+SCREENING_PACKETS = {
+    "default": (GaussianPacket(x0=-5.0, p0=-2.0), GaussianPacket(x0=-15.0, p0=2.0)),
+    "narrow-wide": (GaussianPacket(sigma0=1e-4, x0=-13.0, p0=40.0),
+                    GaussianPacket(sigma0=4.0, x0=-20.0, p0=-1.0)),
+    "narrow-narrow": (GaussianPacket(sigma0=2e-4, x0=-26.0, p0=-30.0),
+                      GaussianPacket(sigma0=1e-3, x0=-2.0, p0=8.0)),
+}
+SCREENING_TIMES = (0.0, 3.0, 20.0)
+
+
+def screening_grid(packets, wall):
+    """R rows over both packets (R < 0 with the wall), and u through every term's momentum."""
+    R = np.linspace(-45.0, 0.0, 45, endpoint=False) if wall else np.linspace(-45.0, 45.0, 91)
+    p0 = np.array([p.p0 for p in packets])
+    return R, np.unique(np.concatenate((np.linspace(-60.0, 60.0, 241), p0, -p0)))
+
+
+@pytest.mark.parametrize("epsilon", [1.0, 0.01, 1e-4])
+@pytest.mark.parametrize("wall", [True, False])
+@pytest.mark.parametrize("name", list(SCREENING_PACKETS))
+def test_pair_bound_covers_every_pair_integral(name, wall, epsilon):
+    # B_ij(R) >= max over u of |c0_i conj c0_j J_ij(R, u)|, for every pair and
+    # row.  The rounding allowance is that of J's exponent, whose parts of
+    # size |a| D^2 cancel to the result (B has no such cancellation): 2^-50
+    # (1 + |a_i| D_i^2 + |a_j| D_j^2) relative, and the smallest normal
+    # double absolute, below which neither keeps relative precision.
+    packets = SCREENING_PACKETS[name]
+    regime = make_regime(epsilon)
+    R, u = screening_grid(packets, wall)
+    R_in = R[:, None]
+    phase = (-1j / regime.hbar_tilde) * u[None, :]
+    lo, hi = (2.0 * R_in, -2.0 * R_in) if wall else (-np.inf, np.inf)
+    edge_phase = (phase, np.exp(phase * np.stack((lo, hi))) if wall else 1.0)
+    tight = 0.0
+    for t in SCREENING_TIMES:
+        a, k, xt, c0 = term_coefficients(packets, regime, t, wall)
+        bounds = phase_space._pair_bounds(a, xt, c0, R)
+        for i in range(a.size):
+            for j in range(i, a.size):
+                left, right = (a[i], k[i], R_in - xt[i]), (np.conj(a[j]), np.conj(k[j]), R_in - xt[j])
+                integral = phase_space._pair_integral(left, right, edge_phase, lo, hi)
+                largest = np.max(np.abs(c0[i] * np.conj(c0[j]) * integral), axis=1)
+                cancelled = np.abs(a[i]) * (R - xt[i]) ** 2 + np.abs(a[j]) * (R - xt[j]) ** 2
+                allowance = bounds[:, i, j] * 2.0**-50 * (1.0 + cancelled) + np.finfo(float).tiny
+                assert np.all(largest <= bounds[:, i, j] + allowance), (t, i, j)
+                tight = max(tight, np.max(largest / np.maximum(bounds[:, i, j], np.finfo(float).tiny)))
+    # At t = 0 a term with itself reaches its bound at u = p0.
+    assert tight > 0.999
+
+
+@pytest.mark.parametrize("epsilon", [1.0, 0.01, 1e-4])
+@pytest.mark.parametrize("wall", [True, False])
+@pytest.mark.parametrize("name", list(SCREENING_PACKETS))
+def test_screened_fields_are_within_the_stated_tolerance(name, wall, epsilon, monkeypatch):
+    # Each screened pair adds less than SCREEN_TOL |w_ij| at every point, so
+    # the fields move by at most SCREEN_TOL sum |w_ij| from the unscreened
+    # ones, plus one rounding of the sum that lost those terms.
+    pure = EnsembleSpec("pure", *SCREENING_PACKETS[name], wall=wall)
+    specs = [pure, pure.as_kind("mixed")]
+    regime = make_regime(epsilon)
+    R, u = screening_grid(pure.packets, wall)
+    weights = phase_space._pair_weights(specs, regime)[0]
+    allowed = phase_space.SCREEN_TOL * np.abs(weights).sum(axis=(1, 2))
+    for t in SCREENING_TIMES:
+        screened = wigner_transforms(specs, regime, t, R, u)
+        with monkeypatch.context() as unscreened:
+            unscreened.setattr(phase_space, "SCREEN_TOL", 0.0)
+            exact = wigner_transforms(specs, regime, t, R, u)
+        for field, reference, tolerance in zip(screened, exact, allowed):
+            change = np.abs(field.values - reference.values)
+            assert np.all(change <= tolerance + np.spacing(np.abs(reference.values))), t
 
 
 def test_non_finite_wigner_values_trip_the_guard(pure_spec, quantum, monkeypatch):
